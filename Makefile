@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
+.PHONY: all build vet test race fuzz-smoke repro-check lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
 
 all: ci
 
@@ -23,6 +23,20 @@ test:
 # parallel forest training and the serving hot-swap path for real races.
 race:
 	$(GO) test -race ./...
+
+# Fuzz smoke: ten seconds of the change-point kernel's differential fuzz
+# target on top of its committed corpus (which plain `go test` replays).
+# A crasher lands in internal/ml/cpd/testdata/fuzz and fails the run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzBestSplit -fuzztime 10s ./internal/ml/cpd
+
+# The paper's Table 1 and §7.1 headline, regenerated and compared with the
+# committed golden; only the timing in each banner is stripped. First
+# slice of the paper-tables gate (the full -exp all gate is a ROADMAP item).
+repro-check:
+	$(GO) run ./cmd/repro -exp table1,headline \
+		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
+		| diff testdata/repro_table1_headline.golden -
 
 # PR 7 benchmarks, paired old-vs-new: model-load latency through the
 # JSON snapshot path (parse, rebuild pointer trees, re-derive the flat
@@ -178,7 +192,7 @@ lint-baseline:
 lint-selfcheck:
 	$(GO) run ./cmd/scoutlint internal/lint
 
-ci: vet lint lint-selfcheck build race bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
+ci: vet lint lint-selfcheck build race fuzz-smoke repro-check bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

@@ -442,7 +442,10 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 		Events: map[string][]float64{},
 	}
 	T := fb.cfg.LookbackHours
-	comps := ex.Devices
+	// Clipped, so the appends below copy instead of writing into spare
+	// capacity of the Extraction's array: the feature cache hands one
+	// Extraction to concurrent callers.
+	comps := ex.Devices[:len(ex.Devices):len(ex.Devices)]
 	if ex.Broad {
 		// Cap the per-cluster device sample: change-point detection is
 		// the expensive path and the cluster-level model consumes

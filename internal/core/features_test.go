@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"scouts/internal/cloudsim"
@@ -179,6 +180,42 @@ func TestCPDInputShapes(t *testing.T) {
 	}
 	if len(bin.Series[cloudsim.DSPingmesh]) == 0 {
 		t.Fatal("broad input should sample the cluster's servers")
+	}
+}
+
+// The feature cache hands one Extraction, slices shared, to concurrent
+// callers: CPDInput must not write into spare capacity of ex.Devices. The
+// sentinels past len are what a second caller's append would overwrite;
+// under -race the concurrent calls also report the write itself.
+func TestCPDInputLeavesExtractionAlone(t *testing.T) {
+	fb, _ := newBuilder(t)
+	ex := fb.Extract("t", "tor1.c1.dc1 and tor2.c2.dc1 alarms", nil)
+	if ex.Broad || len(ex.Devices) != 2 {
+		t.Fatalf("want a narrow two-device extraction, got %+v", ex)
+	}
+	devices := make([]string, len(ex.Devices), len(ex.Devices)+4)
+	copy(devices, ex.Devices)
+	backing := devices[:cap(devices)]
+	for i := len(devices); i < len(backing); i++ {
+		backing[i] = "sentinel"
+	}
+	ex.Devices = devices
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				fb.CPDInput(ex, 100)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := len(devices); i < len(backing); i++ {
+		if backing[i] != "sentinel" {
+			t.Fatalf("CPDInput wrote %q into the Extraction's backing array at %d", backing[i], i)
+		}
 	}
 }
 

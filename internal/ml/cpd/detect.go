@@ -16,6 +16,7 @@
 package cpd
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -58,8 +59,9 @@ func (p Params) withDefaults() Params {
 func Detect(series []float64, p Params) []int {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed ^ 0x5bd1e995))
+	k := newKernel(len(series))
 	var out []int
-	segment(series, 0, p, rng, &out)
+	k.segment(series, 0, p, rng, &out)
 	sort.Ints(out)
 	if len(out) > p.MaxPoints {
 		out = out[:p.MaxPoints]
@@ -72,125 +74,212 @@ func Detect(series []float64, p Params) []int {
 func HasChange(series []float64, p Params) bool {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed ^ 0x5bd1e995))
-	idx, stat := bestSplit(series, p.MinSegment)
+	k := newKernel(len(series))
+	idx, stat := k.bestSplit(series, p.MinSegment)
 	if idx < 0 {
 		return false
 	}
-	return significant(series, stat, p, rng)
+	return k.significant(series, stat, p, rng)
 }
 
-func segment(series []float64, offset int, p Params, rng *rand.Rand, out *[]int) {
+// kernel is the scratch of one Detect or HasChange call. Binary
+// segmentation works on one segment at a time — best split, permutation
+// test, then the two sub-segments — so one set of buffers sized for the
+// whole series serves every segment and every permutation.
+type kernel struct {
+	// halves holds, while a scan stands at candidate split i, the values
+	// before the split sorted ascending in halves[:i] and the values from it
+	// on sorted ascending in halves[i:]: exactly the two arrays the energy
+	// statistic is evaluated over.
+	halves []float64
+	// sorted is the current segment sorted once; every scan of the segment
+	// or of a permutation of it (the same multiset) starts from a copy.
+	sorted []float64
+	// shuffled is the permutation test's working copy of the segment.
+	shuffled []float64
+}
+
+func newKernel(n int) *kernel {
+	buf := make([]float64, 3*n)
+	return &kernel{halves: buf[:n], sorted: buf[n : 2*n], shuffled: buf[2*n:]}
+}
+
+func (k *kernel) segment(series []float64, offset int, p Params, rng *rand.Rand, out *[]int) {
 	if len(*out) >= p.MaxPoints || len(series) < 2*p.MinSegment {
 		return
 	}
-	idx, stat := bestSplit(series, p.MinSegment)
-	if idx < 0 || !significant(series, stat, p, rng) {
+	idx, stat := k.bestSplit(series, p.MinSegment)
+	if idx < 0 || !k.significant(series, stat, p, rng) {
 		return
 	}
 	*out = append(*out, offset+idx)
-	segment(series[:idx], offset, p, rng, out)
-	segment(series[idx:], offset+idx, p, rng, out)
+	k.segment(series[:idx], offset, p, rng, out)
+	k.segment(series[idx:], offset+idx, p, rng, out)
 }
 
-// bestSplit finds the split index maximizing the scaled energy statistic.
-// Returns (-1, 0) when the series is too short.
+// bestSplit finds the split index maximizing the scaled energy statistic
+// and leaves the sorted segment behind for significant. It returns (-1, 0)
+// when the series is too short or no split scores above zero.
 //
-// For the univariate energy statistic we exploit sorting: the expected
-// absolute difference between two samples can be computed in O(n log n)
-// from prefix sums of the sorted values, so scanning all candidate splits
-// costs O(n^2 log n) in the worst case but with small constants; series in
-// this system are bounded by the Scout look-back window (tens to a couple
-// hundred points).
-func bestSplit(series []float64, minSeg int) (int, float64) {
+// The segment is sorted once. A scan then walks the candidate splits left
+// to right, moving one value at a time from the sorted right half to the
+// sorted left half (a binary search and one memmove), and evaluates the
+// statistic over the two sorted halves in O(n): O(n²) per scan and no
+// allocation, for series bounded by the Scout look-back window (tens to a
+// couple hundred points). The halves hold the same values a per-candidate
+// sort would produce and energy sums them in the same order, so every
+// statistic is bit-identical to computing each split from scratch.
+//
+//scout:hotpath
+func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 	n := len(series)
 	if n < 2*minSeg {
 		return -1, 0
 	}
+	sorted := k.sorted[:n]
+	copy(sorted, series)
+	sort.Float64s(sorted)
+	k.start(series, minSeg)
 	best, bestStat := -1, 0.0
-	for i := minSeg; i <= n-minSeg; i++ {
-		q := energyStat(series[:i], series[i:])
-		if q > bestStat {
+	for i := minSeg; ; i++ {
+		if q := energy(k.halves[:i], k.halves[i:n]); q > bestStat {
 			best, bestStat = i, q
 		}
+		if i == n-minSeg {
+			return best, bestStat
+		}
+		k.move(series[i], i, n)
 	}
-	return best, bestStat
 }
 
-// energyStat computes the scaled two-sample energy statistic
-// Q = nm/(n+m) * (2*E|X-Y| - E|X-X'| - E|Y-Y'|).
-func energyStat(x, y []float64) float64 {
-	n, m := len(x), len(y)
-	if n == 0 || m == 0 {
-		return 0
+// reaches reports whether any candidate split of series, a permutation of
+// the segment bestSplit last sorted, scores at least observed. The
+// permutation test only asks whether the permutation's best statistic is
+// >= observed, and max >= observed exactly when some candidate is, so the
+// scan stops at the first one.
+//
+//scout:hotpath
+func (k *kernel) reaches(series []float64, minSeg int, observed float64) bool {
+	n := len(series)
+	k.start(series, minSeg)
+	for i := minSeg; ; i++ {
+		if energy(k.halves[:i], k.halves[i:n]) >= observed {
+			return true
+		}
+		if i == n-minSeg {
+			return false
+		}
+		k.move(series[i], i, n)
 	}
-	exy := meanCrossAbs(x, y)
-	exx := meanWithinAbs(x)
-	eyy := meanWithinAbs(y)
+}
+
+// start puts a scan of series at its first candidate split.
+//
+//scout:hotpath
+func (k *kernel) start(series []float64, minSeg int) {
+	n := len(series)
+	copy(k.halves[:n], k.sorted[:n])
+	for i := 0; i < minSeg; i++ {
+		k.move(series[i], i, n)
+	}
+}
+
+// move advances the split from i to i+1: v, the series value at i, leaves
+// the sorted right half halves[i:n] and enters the sorted left half
+// halves[:i]. The slot v vacates and the slot it takes bracket the values
+// between them, which shift up by one.
+//
+//scout:hotpath
+func (k *kernel) move(v float64, i, n int) {
+	h := k.halves[:n]
+	// First value of the right half not ordered before v; among the values
+	// that tie with it (±0, NaN payloads) v itself is there.
+	lo, hi := i, n
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); less(h[mid], v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	from := lo
+	for math.Float64bits(h[from]) != math.Float64bits(v) {
+		from++
+	}
+	// First value of the left half ordered after v.
+	lo, hi = 0, i
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); less(v, h[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	copy(h[lo+1:from+1], h[lo:from])
+	h[lo] = v
+}
+
+// less is sort.Float64s's order: ascending, NaNs first.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// energy computes the scaled two-sample energy statistic
+// Q = nm/(n+m) * (2*E|X-Y| - E|X-X'| - E|Y-Y'|) of two non-empty samples
+// sorted ascending.
+//
+// For sorted s, sum_{i<j} (s_j - s_i) = sum_j s_j * (2j - n + 1), which
+// gives the V-statistic E|X-X'| as twice that over n². E|X-Y| is a merge:
+// with k values of y below x_i, sum_j |x_i - y_j| =
+// x_i*k - prefix(k) + (total - prefix(k)) - x_i*(m-k); x ascends, so k and
+// the running prefix only move forward. Equal values contribute equal
+// terms (zeros of either sign contribute zero), so the order sort leaves
+// ties in does not reach the result; any NaN makes it NaN.
+//
+//scout:hotpath
+func energy(x, y []float64) float64 {
+	n, m := len(x), len(y)
+	total, withinY := 0.0, 0.0
+	for j, v := range y {
+		total += v
+		withinY += float64(2*j-m+1) * v
+	}
+	cross, withinX := 0.0, 0.0
+	k, prefix := 0, 0.0
+	for i, v := range x {
+		for k < m && y[k] < v {
+			prefix += y[k]
+			k++
+		}
+		cross += v*float64(k) - prefix
+		cross += (total - prefix) - v*float64(m-k)
+		withinX += float64(2*i-n+1) * v
+	}
+	exy := cross / float64(n*m)
+	exx, eyy := 0.0, 0.0
+	if n > 1 {
+		exx = 2 * withinX / (float64(n) * float64(n))
+	}
+	if m > 1 {
+		eyy = 2 * withinY / (float64(m) * float64(m))
+	}
 	e := 2*exy - exx - eyy
 	return float64(n) * float64(m) / float64(n+m) * e
 }
 
-// meanWithinAbs returns (1/n^2) * sum_{i,j} |x_i - x_j| (the V-statistic
-// form of E|X - X'|), computed in O(n log n) via sorting: for sorted s,
-// sum_{i<j} (s_j - s_i) = sum_j s_j * (2j - n + 1).
-func meanWithinAbs(x []float64) float64 {
-	n := len(x)
-	if n < 2 {
-		return 0
-	}
-	s := make([]float64, n)
-	copy(s, x)
-	sort.Float64s(s)
-	sum := 0.0
-	for i, v := range s {
-		sum += float64(2*i-n+1) * v
-	}
-	// sum counts each unordered pair once; the V-statistic counts ordered
-	// pairs, so multiply by 2 and divide by n^2.
-	return 2 * sum / (float64(n) * float64(n))
-}
-
-// meanCrossAbs returns E|X - Y| using a merge over the two sorted samples.
-func meanCrossAbs(x, y []float64) float64 {
-	sx := make([]float64, len(x))
-	copy(sx, x)
-	sort.Float64s(sx)
-	sy := make([]float64, len(y))
-	copy(sy, y)
-	sort.Float64s(sy)
-	// For each xi, sum over yj of |xi - yj| =
-	//   xi*k - prefix(k) + (suffix - (total - prefix(k)) ... computed via
-	// prefix sums of sy.
-	prefix := make([]float64, len(sy)+1)
-	for i, v := range sy {
-		prefix[i+1] = prefix[i] + v
-	}
-	total := prefix[len(sy)]
-	sum := 0.0
-	for _, xv := range sx {
-		k := sort.SearchFloat64s(sy, xv)
-		// y values below xv contribute xv - y; above contribute y - xv.
-		sum += xv*float64(k) - prefix[k]
-		sum += (total - prefix[k]) - xv*float64(len(sy)-k)
-	}
-	return sum / float64(len(sx)*len(sy))
-}
-
 // significant runs a permutation test: the observed statistic is compared
-// with the best-split statistic of shuffled copies of the series.
-func significant(series []float64, observed float64, p Params, rng *rand.Rand) bool {
+// with the best-split statistic of shuffled copies of the series, the
+// segment bestSplit was last called on.
+func (k *kernel) significant(series []float64, observed float64, p Params, rng *rand.Rand) bool {
 	if observed <= 0 {
 		return false
 	}
-	shuffled := make([]float64, len(series))
+	shuffled := k.shuffled[:len(series)]
 	copy(shuffled, series)
 	geq := 0
 	for i := 0; i < p.Permutations; i++ {
 		rng.Shuffle(len(shuffled), func(a, b int) {
 			shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
 		})
-		_, stat := bestSplit(shuffled, p.MinSegment)
-		if stat >= observed {
+		if k.reaches(shuffled, p.MinSegment, observed) {
 			geq++
 			// Early exit: p-value already above alpha.
 			if float64(geq+1)/float64(p.Permutations+1) > p.Alpha {
