@@ -24,11 +24,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fuzz smoke: ten seconds of the change-point kernel's differential fuzz
-# target on top of its committed corpus (which plain `go test` replays).
-# A crasher lands in internal/ml/cpd/testdata/fuzz and fails the run.
+# Fuzz smoke: ten seconds each of the change-point kernel's differential
+# fuzz target and of the forest's two snapshot decoders (SFF1 binary, JSON)
+# on top of their committed corpora (which plain `go test` replays). A
+# crasher lands in the package's testdata/fuzz and fails the run. The
+# decoder seeds are kilobytes long, so minimising each new input is capped
+# at a second to keep the ten seconds for mutation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBestSplit -fuzztime 10s ./internal/ml/cpd
+	$(GO) test -run '^$$' -fuzz '^FuzzForestFromBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
+	$(GO) test -run '^$$' -fuzz '^FuzzForestUnmarshalJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
 
 # The paper's Table 1 and §7.1 headline, regenerated and compared with the
 # committed golden; only the timing in each banner is stripped. First
@@ -38,26 +43,18 @@ repro-check:
 		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
 		| diff testdata/repro_table1_headline.golden -
 
-# PR 7 benchmarks, paired old-vs-new: model-load latency through the
-# JSON snapshot path (parse, rebuild pointer trees, re-derive the flat
-# arrays) vs the scoutpack binary path (verify checksum, adopt the
-# arrays), and batch inference throughput through the exact f64 8-lane
-# kernel vs the quantized cache-blocked kernels at 8 and 16 lanes on a
-# production-scale forest. Results land in BENCH_PR7.json (ns/op,
-# allocs/op, per-result pkg) via cmd/benchjson; divide the pairs
-# RestoreJSON/RestorePack and PredictFlatBig/PredictQuant8|16.
+# The repository's benchmark (BENCHMARK.json): every scoutbench workload,
+# end-to-end metrics and the per-layer budget, as a table. For one
+# workload, or for comparing two commits, see cmd/scoutbench/README.md.
 bench:
-	( $(GO) test -bench 'RestoreJSON$$|RestorePack$$|ColdLoadJSON$$|ColdLoadPack$$' -benchtime 50x -run '^$$' . ; \
-	  $(GO) test -bench 'PredictFlatBig$$|PredictQuant8$$|PredictQuant16$$' -benchtime 20x -run '^$$' . ) \
-		| $(GO) run ./cmd/benchjson > BENCH_PR7.json
-	@cat BENCH_PR7.json
+	bash cmd/scoutbench/run.sh
 
 # The PR 3 kernel benchmarks (split finder, featurization, window
-# aggregates, flat vs pointer inference, serving predict paths), kept
-# runnable; results land in BENCH_PR3.json as before.
+# aggregates, forest inference, serving predict paths), kept runnable;
+# results land in BENCH_PR3.json as before.
 bench-pr3:
 	( $(GO) test -bench 'BestSplit|Featurize|WindowStats' -benchtime 3x -run '^$$' . ; \
-	  $(GO) test -bench 'PredictFlat$$|PredictPointer$$|PredictFlatSingle$$' -benchtime 200x -run '^$$' . ; \
+	  $(GO) test -bench 'PredictFlat$$' -benchtime 200x -run '^$$' . ; \
 	  $(GO) test -bench 'ServingPredict' -benchtime 20x -run '^$$' ./internal/serving ) \
 		| $(GO) run ./cmd/benchjson > BENCH_PR3.json
 	@cat BENCH_PR3.json
@@ -70,7 +67,7 @@ bench-workers:
 # Bench smoke: one iteration of every kernel benchmark, no output files —
 # catches bitrot in the benchmark code itself without timing anything.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BestSplit|WindowStats|PredictFlat$$|PredictPointer$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BestSplit|WindowStats|PredictFlat$$' -benchtime 1x .
 
 # Loadgen smoke: runs the load generator's request/report path in both
 # modes against an in-process httptest server (no sockets, no timing) —
@@ -113,10 +110,9 @@ soak:
 	@cat BENCH_PR6.json
 
 # Pack/inspect smoke: boots a tiny scoutd against an empty -store (it
-# trains and publishes a scoutpack), then drives scoutctl's inspect and
-# pack subcommands at the directory — the CLI surface of the DESIGN.md
-# §12 binary model format, exercised end to end. The JSON→pack
-# conversion itself is pinned by TestRepackStore in the race suite.
+# trains and publishes a scoutpack), then drives scoutctl inspect at the
+# published file — the CLI surface of the DESIGN.md §12 binary model
+# format, exercised end to end.
 pack-smoke:
 	$(GO) build -o /tmp/scouts-pack-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-pack-scoutctl ./cmd/scoutctl
@@ -127,8 +123,7 @@ pack-smoke:
 		curl -fsS http://127.0.0.1:8094/v1/health >/dev/null 2>&1 && break; \
 		sleep 1; \
 	done; \
-	/tmp/scouts-pack-scoutctl inspect $$dir/model-000001.pack; \
-	/tmp/scouts-pack-scoutctl pack $$dir
+	/tmp/scouts-pack-scoutctl inspect $$dir/model-000001.pack
 
 # Fleet smoke: the resilient-gateway kill test with real processes. The
 # in-process halves (loadgen -fleet plumbing, the gateway's own kill

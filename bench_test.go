@@ -296,34 +296,21 @@ func BenchmarkForestTrainWorkers(b *testing.B) {
 }
 
 // BenchmarkBestSplit times a 25-tree bootstrap ensemble on the lab's
-// cached training matrix with both split-finding kernels: "presorted" is
-// the presorted-columns kernel (one O(dim·n log n) presort shared by all
-// trees, then O(mtry·n) split scans with zero per-node allocations),
-// "reference" is the retained seed kernel that re-sorts every node's
-// samples per candidate feature. Both grow byte-identical forests (see
-// TestGoldenEquivalenceOnLabData); compare ns/op and allocs/op for the
-// win. The ensemble matters: a single-tree run would charge the whole
-// presort to one tree and understate the kernel exactly where it is used.
+// cached training matrix: one O(dim·n log n) presort shared by all trees,
+// then O(mtry·n) split scans with zero per-node allocations. The ensemble
+// matters: a single-tree run would charge the whole presort to one tree
+// and understate the kernel exactly where it is used. (The seed kernel it
+// replaced is the test oracle in internal/ml/forest/oracle_test.go.)
 func BenchmarkBestSplit(b *testing.B) {
 	l := lab(b)
 	train := l.TrainSet()
-	for _, k := range []struct {
-		name string
-		ref  bool
-	}{{"presorted", false}, {"reference", true}} {
-		b.Run(k.name, func(b *testing.B) {
-			p := forest.Params{
-				NumTrees: 25, MaxDepth: 14, Seed: l.Params.Seed,
-				Workers: 1, ReferenceKernel: k.ref,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := forest.Train(train, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p := forest.Params{NumTrees: 25, MaxDepth: 14, Seed: l.Params.Seed, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := forest.Train(train, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -394,11 +381,8 @@ func BenchmarkWindowStats(b *testing.B) {
 }
 
 // BenchmarkPredictFlat times forest inference over the lab's cached test
-// matrix through the flat SoA kernel's batch entry point: trees stream
-// tree-major over the whole matrix, probabilities accumulate into one
-// reused output slice. Pair with BenchmarkPredictPointer — both score the
-// identical matrix per op, and the outputs are bit-identical (see
-// TestGoldenFlatInferenceOnLabData), so ns/op divides directly.
+// matrix through the batch entry point, probabilities landing in one
+// reused output slice — the forest's one traversal, as serving calls it.
 func BenchmarkPredictFlat(b *testing.B) {
 	l := lab(b)
 	f := l.Scout.Forest()
@@ -407,36 +391,6 @@ func BenchmarkPredictFlat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.PredictProbBatch(l.TestX, out)
-	}
-}
-
-// BenchmarkPredictPointer is the retained pointer-chasing kernel scoring
-// the same matrix one vector at a time — the only option before the flat
-// layout existed.
-func BenchmarkPredictPointer(b *testing.B) {
-	l := lab(b)
-	f := l.Scout.Forest()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, x := range l.TestX {
-			_ = f.PredictProbPointer(x)
-		}
-	}
-}
-
-// BenchmarkPredictFlatSingle scores one vector at a time through the flat
-// kernel — the serving single-predict path — isolating the layout win from
-// the batch-loop win.
-func BenchmarkPredictFlatSingle(b *testing.B) {
-	l := lab(b)
-	f := l.Scout.Forest()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, x := range l.TestX {
-			_ = f.PredictProb(x)
-		}
 	}
 }
 

@@ -5,15 +5,10 @@
 //	scoutctl -addr http://localhost:8080 health
 //	scoutctl -addr http://localhost:8080 model
 //	scoutctl -addr http://localhost:8080 predict -title "..." -body "..." [-components a,b] [-time 100]
-//	scoutctl pack <store-dir>
 //	scoutctl inspect <model-file>
 //
-// pack converts every JSON-snapshot version in a SaveStore directory to
-// the scoutpack binary format, writing model-%06d.pack next to each
-// model-%06d.json (left in place; loads prefer the pack). inspect
-// verifies one model file of either format and prints its summary —
-// for scoutpack files that includes the forest shapes behind the
-// checksummed sections.
+// inspect verifies one .pack model file and prints its summary,
+// including the forest shapes behind the checksummed sections.
 package main
 
 import (
@@ -46,8 +41,6 @@ func main() {
 		err = get(*addr + "/v1/model")
 	case "predict":
 		err = predict(*addr, args[1:])
-	case "pack":
-		err = pack(args[1:])
 	case "inspect":
 		err = inspect(args[1:])
 	default:
@@ -62,32 +55,12 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: scoutctl [-addr URL] <health|model|predict> [predict flags]
-       scoutctl pack <store-dir>
        scoutctl inspect <model-file>
 predict flags:
   -title string      incident title (required)
   -body string       incident body
   -components a,b,c  structured component mentions
   -time float        trigger time in model hours`)
-}
-
-// pack converts a store directory's JSON snapshots to scoutpacks.
-func pack(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("pack requires exactly one store directory")
-	}
-	converted, err := serving.RepackStore(args[0])
-	if err != nil {
-		return err
-	}
-	if len(converted) == 0 {
-		fmt.Println("nothing to convert (all versions already packed)")
-		return nil
-	}
-	for _, v := range converted {
-		fmt.Printf("packed v%d -> model-%06d.pack\n", v, v)
-	}
-	return nil
 }
 
 // inspect verifies one model file and prints its summary as JSON.
@@ -99,20 +72,17 @@ func inspect(args []string) error {
 	if err != nil {
 		return err
 	}
+	info, err := core.InspectPack(m.Snapshot)
+	if err != nil {
+		return err
+	}
 	out := map[string]any{
 		"version":    m.Version,
 		"team":       m.Team,
 		"trained_at": m.TrainedAt,
 		"bytes":      len(m.Snapshot),
-		"format":     "json",
-	}
-	if core.IsScoutpack(m.Snapshot) {
-		info, err := core.InspectPack(m.Snapshot)
-		if err != nil {
-			return err
-		}
-		out["format"] = "scoutpack"
-		out["scoutpack"] = info
+		"format":     "scoutpack",
+		"scoutpack":  info,
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -17,11 +17,9 @@ import (
 // This file is the Scout-level binary snapshot ("scoutpack"): the
 // container that ships a whole trained Scout — routing forest, CPD+ model,
 // selector — as one checksummed blob whose forest payloads are the SFF1
-// flat arrays (forest/pack.go), loadable with zero re-derivation. The JSON
-// snapshot remains the training-side interchange format; scoutpack is the
-// serving-side distribution format. PackSnapshot converts between them
-// without needing a topology or data source, so a fleet can repack its
-// stored JSON snapshots in place.
+// flat arrays (forest/pack.go), loadable with zero re-derivation. It is
+// the only format the model store writes to disk (serving/diskstore.go);
+// the JSON snapshot (snapshot.go) stays as the in-memory interchange form.
 //
 // Layout ("SCPK", all little-endian):
 //
@@ -88,34 +86,6 @@ func (s *Scout) SnapshotPack() ([]byte, error) {
 		selRF = sel.rf
 	}
 	return assemblePack(meta, s.rf, cpdRF, selRF)
-}
-
-// PackSnapshot converts a JSON snapshot (Snapshot's output) into a
-// scoutpack, without a topology or data source: it is a pure format
-// conversion, usable against stored snapshot files. Predictions of the
-// packed scout are bit-identical to the JSON-restored one.
-func PackSnapshot(jsonSnap []byte) ([]byte, error) {
-	var dto snapshotDTO
-	if err := json.Unmarshal(jsonSnap, &dto); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot for packing: %w", err)
-	}
-	if dto.Forest == nil || dto.CPD == nil {
-		return nil, errors.New("core: snapshot missing models")
-	}
-	cpdParams, cpdRF := dto.CPD.Parts()
-	meta := packMetaDTO{
-		ConfigSource: dto.ConfigSource,
-		TrainMeans:   dto.TrainMeans,
-		Detector:     dto.Detector,
-		CPDParams:    cpdParams,
-	}
-	var selRF *forest.Forest
-	if dto.Selector != nil && dto.Selector.RF != nil {
-		meta.SelectorWords = dto.Selector.Words
-		meta.SelectorThreshold = dto.Selector.Threshold
-		selRF = dto.Selector.RF
-	}
-	return assemblePack(meta, dto.Forest, cpdRF, selRF)
 }
 
 // assemblePack writes the envelope: header with a checksum placeholder,
@@ -351,22 +321,4 @@ func IsScoutpack(data []byte) bool {
 func VerifyScoutpack(data []byte) error {
 	_, err := parseScoutpack(data)
 	return err
-}
-
-// SetBatchKernel selects the batch-inference kernel on every forest the
-// Scout carries (routing, CPD+, selector). The zero value is the exact
-// kernel; serving flips to a quantized kernel at load time when
-// configured (DESIGN.md §12 has the tolerance contract).
-func (s *Scout) SetBatchKernel(k forest.BatchKernel) {
-	if s.rf != nil {
-		s.rf.SetBatchKernel(k)
-	}
-	if s.cpdPlus != nil {
-		if _, rf := s.cpdPlus.Parts(); rf != nil {
-			rf.SetBatchKernel(k)
-		}
-	}
-	if sel, ok := s.selector.(*Selector); ok && sel.rf != nil {
-		sel.rf.SetBatchKernel(k)
-	}
 }

@@ -18,8 +18,8 @@ func probeVectors(n int, seed int64) [][]float64 {
 	return xs
 }
 
-// TestFlatMatchesPointerKernel pins the tentpole invariant: the flat SoA
-// traversal answers exactly — bit for bit — what the retained pointer
+// TestFlatMatchesPointerKernel pins the traversal's invariant: the flat SoA
+// traversal answers exactly — bit for bit — what the oracle's pointer
 // traversal answers, for predictions and for explanations.
 func TestFlatMatchesPointerKernel(t *testing.T) {
 	d := xorDataset(500, 0.15, rand.New(rand.NewSource(21)))
@@ -137,14 +137,14 @@ func TestDimensionMismatchGuard(t *testing.T) {
 		t.Fatalf("short-vector Explain = (%v, %v), want (prior, nil)", prior, contribs)
 	}
 	xs := probeVectors(4, 32)
-	xs[2] = short // one bad vector degrades the whole batch to the guarded path
+	xs[2] = short // one bad vector answers the prior; its neighbours are untouched
 	out := f.PredictProbBatch(xs, nil)
 	if out[2] != f.Prior() {
 		t.Fatalf("batch bad item should answer the prior, got %v", out[2])
 	}
 	for _, i := range []int{0, 1, 3} {
 		if out[i] != f.PredictProb(xs[i]) {
-			t.Fatalf("batch good item %d diverged under fallback", i)
+			t.Fatalf("batch good item %d diverged beside a bad one", i)
 		}
 	}
 	if len(logged) == 0 || !strings.Contains(logged[0], "dimension mismatch") {

@@ -46,12 +46,6 @@ type Params struct {
 	// knob is deliberately excluded from snapshots — it describes the
 	// training machine, not the model.
 	Workers int `json:"-"`
-	// ReferenceKernel selects the retained seed split-finding kernel
-	// (per-node re-sorting) instead of the presorted-columns kernel. It
-	// exists for the golden-equivalence tests and the kernel benchmarks
-	// only — both kernels grow byte-identical forests — and, like Workers,
-	// is excluded from snapshots.
-	ReferenceKernel bool `json:"-"`
 }
 
 func (p Params) withDefaults() Params {
@@ -78,51 +72,7 @@ type Forest struct {
 	// no derivation at all, from a binary pack (pack.go), in which case
 	// trees stays nil and the forest is inference-only.
 	flat *flatForest
-	// kernel selects the batch traversal PredictProbBatch dispatches to.
-	// The zero value is KernelExact (bit-identical to PredictProb); set it
-	// once at load time, before serving — it is not synchronized.
-	kernel BatchKernel
 }
-
-// BatchKernel names a batch-traversal implementation.
-type BatchKernel uint8
-
-const (
-	// KernelExact is the float64 8-lane lock-step kernel: every batch
-	// probability is bit-identical to the corresponding PredictProb call.
-	KernelExact BatchKernel = iota
-	// KernelQuant8 is the quantized 8-lane kernel: float32 thresholds in
-	// packed 12-byte records, trees walked in cache-sized blocks. Answers
-	// are within the quantization tolerance contract (quant.go), not
-	// bit-identical.
-	KernelQuant8
-	// KernelQuant16 is the 16-lane variant of KernelQuant8.
-	KernelQuant16
-)
-
-func (k BatchKernel) String() string {
-	switch k {
-	case KernelQuant8:
-		return "quant8"
-	case KernelQuant16:
-		return "quant16"
-	default:
-		return "exact"
-	}
-}
-
-// SetBatchKernel selects the kernel PredictProbBatch uses. Call it at
-// load time, before the forest serves traffic: the field is read without
-// synchronization on the hot path. Unknown values select KernelExact.
-func (f *Forest) SetBatchKernel(k BatchKernel) {
-	if k > KernelQuant16 {
-		k = KernelExact
-	}
-	f.kernel = k
-}
-
-// CurrentBatchKernel reports the kernel PredictProbBatch dispatches to.
-func (f *Forest) CurrentBatchKernel() BatchKernel { return f.kernel }
 
 // treeCount is the ensemble size for both representations: pointer-tree
 // forests (training, JSON snapshots) count trees; pack-loaded forests
@@ -176,16 +126,12 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 	// count (float addition is not associative — a shared accumulator or
 	// per-worker accumulators would make importances schedule-dependent).
 	treeImp := make([][]float64, p.NumTrees)
-	// The presorted kernel shares one read-only column-major presort across
+	// The split kernel shares one read-only column-major presort across
 	// all trees and pools the per-tree scratch across workers (a scratch is
 	// fully overwritten by reset, so pool reuse order cannot leak state
 	// between trees and determinism is preserved).
-	var cols *mlcore.Columns
-	var scratch sync.Pool
-	if !p.ReferenceKernel {
-		cols = mlcore.NewColumns(d, p.Workers)
-		scratch.New = func() any { return newSplitCtx(cols) }
-	}
+	cols := mlcore.NewColumns(d, p.Workers)
+	scratch := sync.Pool{New: func() any { return newSplitCtx(cols) }}
 	parallel.For(p.Workers, p.NumTrees, func(t int) {
 		tp := &treeParams{
 			maxDepth: p.MaxDepth,
@@ -204,14 +150,10 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 				idx[i] = tp.rng.intn(d.Len())
 			}
 		}
-		if p.ReferenceKernel {
-			f.trees[t] = buildTreeReference(d, idx, tp)
-		} else {
-			ctx := scratch.Get().(*splitCtx)
-			ctx.reset(idx)
-			f.trees[t] = buildTree(ctx, tp)
-			scratch.Put(ctx)
-		}
+		ctx := scratch.Get().(*splitCtx)
+		ctx.reset(idx)
+		f.trees[t] = buildTree(ctx, tp)
+		scratch.Put(ctx)
 		treeImp[t] = tp.featImp
 	})
 	for _, imp := range treeImp {
@@ -255,42 +197,22 @@ func (f *Forest) PredictProb(x []float64) float64 {
 	return f.flat.predictProb(x)
 }
 
-// PredictProbBatch scores every vector of xs with one tree-major pass over
-// the flat kernel: each tree's node arrays stay cache-hot across the whole
-// batch. Results are written into out when it has the capacity (the
-// serving path passes a pooled buffer for a zero-allocation call) and the
-// filled slice is returned. Every probability is bit-identical to the
-// corresponding PredictProb call; dimension-mismatched batches fall back
-// to the guarded per-vector path.
+// PredictProbBatch scores every vector of xs. Results are written into out
+// when it has the capacity (the serving path passes a pooled buffer for a
+// zero-allocation call) and the filled slice is returned. It is a loop
+// over PredictProb — one traversal serves single and batched calls — so
+// every probability is bit-identical to the single call's, and a
+// dimension-mismatched vector answers the training prior.
 //
 //scout:hotpath
 func (f *Forest) PredictProbBatch(xs [][]float64, out []float64) []float64 {
 	if cap(out) >= len(xs) {
 		out = out[:len(xs)]
-		for i := range out {
-			out[i] = 0
-		}
 	} else {
 		out = make([]float64, len(xs))
 	}
-	if f.treeCount() == 0 || len(xs) == 0 {
-		return out
-	}
-	for _, x := range xs {
-		if len(x) != len(f.features) {
-			for i, x := range xs {
-				out[i] = f.PredictProb(x)
-			}
-			return out
-		}
-	}
-	switch f.kernel {
-	case KernelQuant8:
-		f.flat.predictBatchQ8(xs, out)
-	case KernelQuant16:
-		f.flat.predictBatchQ16(xs, out)
-	default:
-		f.flat.predictBatch(xs, out)
+	for i, x := range xs {
+		out[i] = f.PredictProb(x)
 	}
 	return out
 }
@@ -303,20 +225,6 @@ func (f *Forest) Prior() float64 {
 		return 0
 	}
 	return f.flat.prior
-}
-
-// PredictProbPointer is the retained pointer-tree traversal. It exists for
-// the golden equivalence tests and the kernel benchmarks only — the flat
-// kernel's PredictProb is bit-identical to it (see DESIGN.md §8).
-func (f *Forest) PredictProbPointer(x []float64) float64 {
-	if len(f.trees) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, t := range f.trees {
-		s += t.predict(x)
-	}
-	return s / float64(len(f.trees))
 }
 
 // Predict implements mlcore.Classifier: the label and a confidence in
@@ -367,23 +275,9 @@ func (f *Forest) Explain(x []float64) (prior float64, contribs []Contribution) {
 	return f.finishExplain(prior, raw)
 }
 
-// ExplainPointer is Explain over the retained pointer-tree traversal,
-// kept — like PredictProbPointer — for the golden equivalence tests and
-// the kernel benchmarks only.
-func (f *Forest) ExplainPointer(x []float64) (prior float64, contribs []Contribution) {
-	if len(f.trees) == 0 {
-		return 0, nil
-	}
-	raw := make([]float64, len(f.features))
-	for _, t := range f.trees {
-		prior += t.contributions(x, raw)
-	}
-	return f.finishExplain(prior, raw)
-}
-
 // finishExplain normalizes the accumulated prior and raw contributions and
-// sorts them by decreasing absolute value — shared by both kernels so
-// their outputs can only differ if the traversals themselves do.
+// sorts them by decreasing absolute value — shared with the test oracle's
+// pointer-tree Explain, so the two can only differ if the traversals do.
 func (f *Forest) finishExplain(prior float64, raw []float64) (float64, []Contribution) {
 	count := float64(f.treeCount())
 	prior /= count

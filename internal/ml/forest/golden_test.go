@@ -3,17 +3,16 @@ package forest_test
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"testing"
 
 	"scouts/internal/experiments"
 	"scouts/internal/ml/forest"
 )
 
-// TestGoldenEquivalenceOnLabData is the PR's golden gate: on a realistic
-// fixed-seed lab training set (real feature distributions — heavy zero
-// runs, summary-statistic columns), the presorted split kernel and the
-// retained seed kernel serialize to byte-identical snapshots, at one worker
+// TestGoldenEquivalenceOnLabData is the split kernel's golden gate: on a
+// realistic fixed-seed lab training set (real feature distributions — heavy
+// zero runs, summary-statistic columns), the presorted split kernel and the
+// seed kernel kept as the test oracle serialize to byte-identical snapshots, at one worker
 // and at eight. A snapshot captures every split feature, threshold, leaf
 // probability and node weight, so byte equality means the optimization
 // changed nothing but speed.
@@ -28,13 +27,11 @@ func TestGoldenEquivalenceOnLabData(t *testing.T) {
 	d := lab.TrainSet()
 	for _, workers := range []int{1, 8} {
 		p := forest.Params{NumTrees: 30, MaxDepth: 14, Seed: 20200810, Workers: workers}
-		ref := p
-		ref.ReferenceKernel = true
 		presorted, err := forest.Train(d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed, err := forest.Train(d, ref)
+		seed, err := forest.TrainReference(d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,46 +50,9 @@ func TestGoldenEquivalenceOnLabData(t *testing.T) {
 	}
 }
 
-// TestGoldenQuantToleranceOnLabData is the quantized kernels' golden
-// gate on real lab data (the in-package form runs on synthetic xor
-// probes): over the full lab test matrix, both blocked float32 kernels
-// stay within the documented |Δp| <= 1e-6 of the exact f64 kernel.
-// Thresholds round up to the nearest float32, so a vector can only land
-// in a different leaf when a feature value falls inside the one-ulp gap
-// — and the probe log reports how close the sweep actually came.
-func TestGoldenQuantToleranceOnLabData(t *testing.T) {
-	if testing.Short() {
-		t.Skip("lab generation is slow")
-	}
-	lab, err := experiments.NewLab(experiments.LabParams{Days: 40, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := forest.Train(lab.TrainSet(), forest.Params{NumTrees: 30, MaxDepth: 14, Seed: 20200810, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := f.PredictProbBatch(lab.TestX, nil)
-	defer f.SetBatchKernel(forest.KernelExact)
-	for _, k := range []forest.BatchKernel{forest.KernelQuant8, forest.KernelQuant16} {
-		f.SetBatchKernel(k)
-		quant := f.PredictProbBatch(lab.TestX, nil)
-		var worst float64
-		for i := range exact {
-			if d := math.Abs(exact[i] - quant[i]); d > worst {
-				worst = d
-			}
-		}
-		if worst > 1e-6 {
-			t.Fatalf("kernel %v: max |Δp| = %g over lab matrix, tolerance is 1e-6", k, worst)
-		}
-		t.Logf("kernel %v: max |Δp| = %g over %d lab vectors", k, worst, len(exact))
-	}
-}
-
-// TestGoldenFlatInferenceOnLabData is this PR's golden gate: on the real
-// lab matrix, the flat SoA inference kernel answers bit-identical
-// predictions AND explanations to the retained pointer traversal, for
+// TestGoldenFlatInferenceOnLabData is the traversal's golden gate: on the
+// real lab matrix, the flat SoA inference kernel answers bit-identical
+// predictions AND explanations to the oracle's pointer traversal, for
 // forests trained at one worker and at eight (training is bit-identical
 // across worker counts, so this also re-checks that the flat view derived
 // from each is the same function).

@@ -3,6 +3,7 @@ package forest
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 )
 
 // nodeDTO is the serialized form of a tree node.
@@ -42,7 +43,10 @@ func (f *Forest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
-// UnmarshalJSON restores a forest serialized with MarshalJSON.
+// UnmarshalJSON restores a forest serialized with MarshalJSON. A snapshot
+// can arrive from outside the process (core.Restore behind a server
+// reload), so every tree is validated before it is flattened — the same
+// guarantees validateFlat gives a binary pack.
 func (f *Forest) UnmarshalJSON(b []byte) error {
 	var dto forestDTO
 	if err := json.Unmarshal(b, &dto); err != nil {
@@ -51,25 +55,61 @@ func (f *Forest) UnmarshalJSON(b []byte) error {
 	if len(dto.Trees) == 0 {
 		return errors.New("forest: snapshot contains no trees")
 	}
+	if len(dto.Imp) != len(dto.Features) {
+		return fmt.Errorf("forest: snapshot carries %d importances for %d features", len(dto.Imp), len(dto.Features))
+	}
+	trees := make([]*tree, len(dto.Trees))
+	for ti, nodes := range dto.Trees {
+		if err := validateNodes(nodes, len(dto.Features)); err != nil {
+			return fmt.Errorf("forest: snapshot tree %d: %w", ti, err)
+		}
+		t := &tree{nodes: make([]node, len(nodes))}
+		for i, n := range nodes {
+			t.nodes[i] = node{feature: n.F, threshold: n.T, left: n.L, right: n.R, prob: n.P, weight: n.W}
+		}
+		trees[ti] = t
+	}
 	f.features = dto.Features
 	f.imp = dto.Imp
 	f.params = dto.Params
-	f.trees = nil
-	for _, nodes := range dto.Trees {
-		t := &tree{nodes: make([]node, len(nodes))}
-		for i, n := range nodes {
-			if n.F >= len(dto.Features) {
-				return errors.New("forest: snapshot node references unknown feature")
-			}
-			if n.L < 0 || n.L >= len(nodes) || n.R < 0 || n.R >= len(nodes) {
-				return errors.New("forest: snapshot node references out-of-range child")
-			}
-			t.nodes[i] = node{feature: n.F, threshold: n.T, left: n.L, right: n.R, prob: n.P, weight: n.W}
-		}
-		f.trees = append(f.trees, t)
-	}
+	f.trees = trees
 	// Snapshots carry only the pointer trees; the inference-time flat SoA
 	// view is derived here, exactly as Train derives it.
 	f.flat = newFlatForest(f.trees)
+	return nil
+}
+
+// validateNodes enforces the shape grow produces and newFlatForest and
+// the traversals assume: node 0 is the root, a split's children come
+// strictly after it (so every walk terminates) and every other node is
+// the child of exactly one split (so the breadth-first renumbering
+// assigns each flat slot once and leaves none unset).
+func validateNodes(nodes []nodeDTO, dim int) error {
+	if len(nodes) == 0 {
+		return errors.New("empty tree")
+	}
+	referenced := make([]bool, len(nodes))
+	for i, n := range nodes {
+		if n.F < 0 {
+			continue // leaf
+		}
+		if n.F >= dim {
+			return fmt.Errorf("node %d splits on feature %d of %d", i, n.F, dim)
+		}
+		for _, c := range [2]int{n.L, n.R} {
+			if c <= i || c >= len(nodes) {
+				return fmt.Errorf("node %d child %d is not a later node of the tree", i, c)
+			}
+			if referenced[c] {
+				return fmt.Errorf("node %d is the child of two splits", c)
+			}
+			referenced[c] = true
+		}
+	}
+	for i := 1; i < len(nodes); i++ {
+		if !referenced[i] {
+			return fmt.Errorf("node %d is unreachable", i)
+		}
+	}
 	return nil
 }

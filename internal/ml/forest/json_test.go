@@ -48,18 +48,41 @@ func TestForestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// corruptSnapshots are malformed JSON snapshots UnmarshalJSON must turn
+// into errors. "empty tree", "l == r", "child is the node" and "back edge"
+// used to panic inside newFlatForest; "unreachable node" used to load and
+// then fail to re-load from its own pack.
+var corruptSnapshots = map[string]string{
+	"no trees":              `{"features":["a"],"importance":[1],"trees":[]}`,
+	"out-of-range feature":  `{"features":["a"],"importance":[1],"trees":[[{"f":5,"p":0.5}]]}`,
+	"out-of-range child":    `{"features":["a"],"importance":[1],"trees":[[{"f":0,"l":7,"r":0,"p":0.5}]]}`,
+	"garbage":               `not json`,
+	"empty tree":            `{"features":["a"],"importance":[1],"trees":[[]]}`,
+	"l == r":                `{"features":["a"],"importance":[1],"trees":[[{"f":0,"l":1,"r":1,"p":0.5},{"f":-1,"p":1}]]}`,
+	"child is the node":     `{"features":["a"],"importance":[1],"trees":[[{"f":0,"l":0,"r":1,"p":0.5},{"f":-1,"p":1}]]}`,
+	"back edge":             `{"features":["a"],"importance":[1],"trees":[[{"f":0,"l":1,"r":2,"p":0.5},{"f":0,"l":0,"r":2,"p":0.5},{"f":-1,"p":1}]]}`,
+	"unreachable node":      `{"features":["a"],"importance":[1],"trees":[[{"f":-1,"p":0.5},{"f":-1,"p":1}]]}`,
+	"importance != feature": `{"features":["a","b"],"importance":[1],"trees":[[{"f":-1,"p":0.5}]]}`,
+}
+
 func TestForestJSONRejectsCorrupt(t *testing.T) {
-	var f Forest
-	if err := json.Unmarshal([]byte(`{"features":["a"],"trees":[]}`), &f); err == nil {
-		t.Fatal("no trees should be rejected")
+	for name, snap := range corruptSnapshots {
+		var f Forest
+		if err := json.Unmarshal([]byte(snap), &f); err == nil {
+			t.Errorf("%s: accepted %s", name, snap)
+		}
+		if f.flat != nil || f.trees != nil {
+			t.Errorf("%s: a rejected snapshot left state behind", name)
+		}
 	}
-	if err := json.Unmarshal([]byte(`{"features":["a"],"trees":[[{"f":5,"p":0.5}]]}`), &f); err == nil {
-		t.Fatal("out-of-range feature should be rejected")
-	}
-	if err := json.Unmarshal([]byte(`{"features":["a"],"trees":[[{"f":0,"l":7,"r":0,"p":0.5}]]}`), &f); err == nil {
-		t.Fatal("out-of-range child should be rejected")
-	}
-	if err := json.Unmarshal([]byte(`not json`), &f); err == nil {
-		t.Fatal("garbage should be rejected")
+	// The smallest well-formed snapshots still load.
+	for _, snap := range []string{
+		`{"features":["a"],"importance":[1],"trees":[[{"f":-1,"p":0.5}]]}`,
+		`{"features":["a"],"importance":[1],"trees":[[{"f":0,"t":1,"l":1,"r":2,"p":0.5},{"f":-1,"p":0},{"f":-1,"p":1}]]}`,
+	} {
+		var f Forest
+		if err := json.Unmarshal([]byte(snap), &f); err != nil {
+			t.Errorf("rejected %s: %v", snap, err)
+		}
 	}
 }

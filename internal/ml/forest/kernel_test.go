@@ -9,11 +9,11 @@ import (
 	"scouts/internal/ml/mlcore"
 )
 
-// snapshotWith trains with the given params and returns the serialized
-// forest.
-func snapshotWith(t *testing.T, d *mlcore.Dataset, p Params) []byte {
+// snapshotWith trains with the given entry point (Train or the
+// TrainReference oracle) and returns the serialized forest.
+func snapshotWith(t *testing.T, train func(*mlcore.Dataset, Params) (*Forest, error), d *mlcore.Dataset, p Params) []byte {
 	t.Helper()
-	f, err := Train(d, p)
+	f, err := train(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func snapshotWith(t *testing.T, d *mlcore.Dataset, p Params) []byte {
 }
 
 // TestPresortedKernelMatchesReference proves the presorted split kernel
-// grows byte-identical forests to the retained seed kernel: same splits,
+// grows byte-identical forests to the seed kernel (oracle_test.go): same splits,
 // same thresholds, same importances, bit for bit. Duplicate-heavy features
 // (the xor dataset's near-binary columns, plus a constant column) exercise
 // the equal-value-run tie handling; bootstrap on/off exercises the
@@ -41,9 +41,7 @@ func TestPresortedKernelMatchesReference(t *testing.T) {
 	for _, boot := range []bool{false, true} {
 		for _, workers := range []int{1, 8} {
 			p := Params{NumTrees: 20, MaxDepth: 8, Seed: 77, Workers: workers, DisableBootstrap: !boot}
-			ref := p
-			ref.ReferenceKernel = true
-			a, b := snapshotWith(t, d, p), snapshotWith(t, d, ref)
+			a, b := snapshotWith(t, Train, d, p), snapshotWith(t, TrainReference, d, p)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("bootstrap=%v workers=%d: presorted kernel diverges from reference (%d vs %d bytes)",
 					boot, workers, len(a), len(b))

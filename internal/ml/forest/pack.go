@@ -135,6 +135,11 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 	}
 	dim := int(binary.LittleEndian.Uint32(feat))
 	feat = feat[4:]
+	// Every name costs at least its 4-byte length, which bounds the count
+	// the prefix may claim before anything is allocated from it.
+	if dim < 0 || dim > len(feat)/4 {
+		return nil, errors.New("forest: FEAT name count overruns section")
+	}
 	features := make([]string, 0, dim)
 	for i := 0; i < dim; i++ {
 		if len(feat) < 4 {
@@ -193,7 +198,6 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 	if err := validateFlat(ff, dim); err != nil {
 		return nil, err
 	}
-	ff.quantize()
 	return &Forest{features: features, imp: imp, params: params, flat: ff}, nil
 }
 

@@ -58,7 +58,9 @@ func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 // feature f (ties in base-order position), and idx[lo:hi] holds the same
 // rows in insertion order — the exact order the reference kernel's
 // leftIdx/rightIdx slices would carry, which keeps every weight-sum
-// accumulation bit-identical to it.
+// accumulation bit-identical to it. "The reference kernel", here and
+// below, is the seed kernel that re-sorted every node per candidate
+// feature — now the test oracle in oracle_test.go.
 type splitCtx struct {
 	cols    *mlcore.Columns
 	w       []float64 // cols.Weights()
@@ -396,46 +398,6 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// predict returns the positive-class probability at the leaf x lands in.
-func (t *tree) predict(x []float64) float64 {
-	n := 0
-	for {
-		nd := t.nodes[n]
-		if nd.feature < 0 {
-			return nd.prob
-		}
-		if x[nd.feature] <= nd.threshold {
-			n = nd.left
-		} else {
-			n = nd.right
-		}
-	}
-}
-
-// contributions implements the feature-contribution decomposition of
-// Palczewska et al. ("Interpreting random forest models using a feature
-// contribution method", 2013): prediction = root prior + sum over path of
-// (child mean - parent mean), attributed to the split feature. It adds the
-// per-feature contributions for x into out and returns the root prior.
-func (t *tree) contributions(x []float64, out []float64) float64 {
-	n := 0
-	prior := t.nodes[0].prob
-	for {
-		nd := t.nodes[n]
-		if nd.feature < 0 {
-			return prior
-		}
-		var next int
-		if x[nd.feature] <= nd.threshold {
-			next = nd.left
-		} else {
-			next = nd.right
-		}
-		out[nd.feature] += t.nodes[next].prob - nd.prob
-		n = next
-	}
 }
 
 // depth returns the maximum depth of the tree (root = 0). Used in tests.

@@ -1,17 +1,41 @@
 package serving
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// testPack returns a structurally valid scoutpack envelope (magic,
+// version, sha256, META and FRST sections) whose META payload is body.
+// The disk store verifies envelopes and never builds a model from them,
+// so these tests can tell versions apart without training one.
+func testPack(body string) []byte {
+	sections := binary.LittleEndian.AppendUint32(nil, 2)
+	for _, sec := range [][2]string{{"META", body}, {"FRST", "forest"}} {
+		sections = append(sections, sec[0]...)
+		sections = append(sections, 0, 0, 0, 0)
+		sections = binary.LittleEndian.AppendUint64(sections, uint64(len(sec[1])))
+		sections = append(sections, sec[1]...)
+		for len(sections)%8 != 0 { // the 40 bytes ahead of the count keep this aligned
+			sections = append(sections, 0)
+		}
+	}
+	sum := sha256.Sum256(sections)
+	pack := binary.LittleEndian.AppendUint32([]byte("SCPK"), 1)
+	pack = append(pack, sum[:]...)
+	return append(pack, sections...)
+}
+
 func TestSaveLoadStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("PhyNet", []byte(`{"a":1}`))
-	st.Put("PhyNet", []byte(`{"a":2}`))
+	st.Put("PhyNet", testPack("one"))
+	st.Put("PhyNet", testPack("two"))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +47,7 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
 	}
 	m, ok := loaded.Get(2)
-	if !ok || string(m.Snapshot) != `{"a":2}` || m.Team != "PhyNet" {
+	if !ok || !bytes.Equal(m.Snapshot, testPack("two")) || m.Team != "PhyNet" {
 		t.Fatalf("v2 = %+v", m)
 	}
 }
@@ -31,7 +55,7 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 func TestLoadStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("s"))
+	st.Put("X", testPack("s"))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +63,7 @@ func TestLoadStoreIgnoresForeignFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A leftover temp file from a crashed save must also be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "model-000002.json.tmp"), []byte("half"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "model-000002.pack.tmp"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, rep, err := LoadStore(dir)
@@ -54,13 +78,13 @@ func TestLoadStoreIgnoresForeignFiles(t *testing.T) {
 func TestLoadStoreToleratesGaps(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("a"))
-	st.Put("X", []byte("b"))
-	st.Put("X", []byte("c"))
+	st.Put("X", testPack("a"))
+	st.Put("X", testPack("b"))
+	st.Put("X", testPack("c"))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "model-000002.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "model-000002.pack")); err != nil {
 		t.Fatal(err)
 	}
 	loaded, rep, err := LoadStore(dir)
@@ -73,14 +97,14 @@ func TestLoadStoreToleratesGaps(t *testing.T) {
 	if _, ok := loaded.Get(2); ok {
 		t.Fatal("the deleted version must not resurrect")
 	}
-	if m, ok := loaded.Get(3); !ok || string(m.Snapshot) != "c" {
+	if m, ok := loaded.Get(3); !ok || !bytes.Equal(m.Snapshot, testPack("c")) {
 		t.Fatalf("v3 = %+v, %v", m, ok)
 	}
 	if m, ok := loaded.Latest(); !ok || m.Version != 3 {
 		t.Fatalf("latest = %+v", m)
 	}
 	// Publishing into the gapped store continues after the highest version.
-	if v := loaded.Put("X", []byte("d")); v != 4 {
+	if v := loaded.Put("X", testPack("d")); v != 4 {
 		t.Fatalf("next version = %d, want 4", v)
 	}
 }
@@ -88,27 +112,27 @@ func TestLoadStoreToleratesGaps(t *testing.T) {
 func TestLoadStoreQuarantinesCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("good-1"))
-	st.Put("X", []byte("good-2"))
-	st.Put("X", []byte("good-3"))
+	st.Put("X", testPack("good-1"))
+	st.Put("X", testPack("good-2"))
+	st.Put("X", testPack("good-3"))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
-	// v2: tamper with the model payload, keeping the stale checksum.
-	path2 := filepath.Join(dir, "model-000002.json")
+	// v2: tamper with the payload, keeping the stale envelope checksum.
+	path2 := filepath.Join(dir, "model-000002.pack")
 	data, err := os.ReadFile(path2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(data), `"team":"X"`, `"team":"Y"`, 1)
-	if tampered == string(data) {
-		t.Fatal("tamper target not found in envelope")
+	tampered := bytes.Replace(data, []byte("good-2"), []byte("evil-2"), 1)
+	if bytes.Equal(tampered, data) {
+		t.Fatal("tamper target not found in payload")
 	}
-	if err := os.WriteFile(path2, []byte(tampered), 0o644); err != nil {
+	if err := os.WriteFile(path2, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// v3: truncate mid-file (malformed envelope — the torn-write case).
-	path3 := filepath.Join(dir, "model-000003.json")
+	// v3: truncate mid-file (the torn-write case).
+	path3 := filepath.Join(dir, "model-000003.pack")
 	if err := os.WriteFile(path3, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +168,12 @@ func TestLoadStoreQuarantinesCorruptFiles(t *testing.T) {
 func TestLoadStoreQuarantinesVersionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("a"))
+	st.Put("X", testPack("a"))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
-	// Rename v1's file to claim v7: the payload still says version 1.
-	if err := os.Rename(filepath.Join(dir, "model-000001.json"), filepath.Join(dir, "model-000007.json")); err != nil {
+	// Rename v1's file to claim v7: the envelope still says version 1.
+	if err := os.Rename(filepath.Join(dir, "model-000001.pack"), filepath.Join(dir, "model-000007.pack")); err != nil {
 		t.Fatal(err)
 	}
 	loaded, rep, err := LoadStore(dir)
@@ -193,7 +217,7 @@ func TestSaveStoreEmptyOK(t *testing.T) {
 func TestSaveStorePartialFailureStillDurable(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("PhyNet", []byte(`{"a":1}`))
+	st.Put("PhyNet", testPack("one"))
 	// Append an unmaterializable model: Snapshot nil and a backing path
 	// that does not exist, so SaveStore's materialization via Get fails
 	// after v1 has already been written and renamed.
@@ -201,21 +225,80 @@ func TestSaveStorePartialFailureStillDurable(t *testing.T) {
 	st.models = append(st.models, Model{
 		Version: 2,
 		Team:    "PhyNet",
-		path:    filepath.Join(dir, "never-existed.json"),
+		path:    filepath.Join(dir, "never-existed.pack"),
 	})
 	st.mu.Unlock()
 
 	if err := SaveStore(st, dir); err == nil {
 		t.Fatal("SaveStore should fail on the unmaterializable model")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "model-000001.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "model-000001.pack")); err != nil {
 		t.Fatalf("v1 should be committed despite the later failure: %v", err)
 	}
 	loaded, _, err := LoadStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := loaded.Get(1); !ok || string(m.Snapshot) != `{"a":1}` {
+	if m, ok := loaded.Get(1); !ok || !bytes.Equal(m.Snapshot, testPack("one")) {
 		t.Fatalf("v1 not loadable after partial save: %+v", m)
+	}
+}
+
+// TestSaveStoreRejectsNonPack pins the one-format rule on the write side:
+// a store holding anything but a scoutpack (here the in-memory JSON
+// snapshot form) does not save — the error names the version and the
+// call that produces what the directory holds — and the versions before
+// it are still committed.
+func TestSaveStoreRejectsNonPack(t *testing.T) {
+	dir := t.TempDir()
+	st := NewStore()
+	st.Put("X", testPack("one"))
+	st.Put("X", []byte(`{"config":"..."}`))
+	err := SaveStore(st, dir)
+	if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "SnapshotPack") {
+		t.Fatalf("SaveStore = %v, want an error naming v2 and SnapshotPack", err)
+	}
+	entries, rerr := os.ReadDir(dir)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(entries) != 1 || entries[0].Name() != "model-000001.pack" {
+		t.Fatalf("directory holds %v, want only model-000001.pack", entries)
+	}
+}
+
+// TestLoadStoreQuarantinesStrayJSON pins the read side: a model-N.json
+// left by the retired JSON disk format is never loaded — not even when no
+// pack exists for its version — and never silently skipped: it is set
+// aside and reported with its reason.
+func TestLoadStoreQuarantinesStrayJSON(t *testing.T) {
+	dir := t.TempDir()
+	st := NewStore()
+	st.Put("X", testPack("one"))
+	if err := SaveStore(st, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"model-000001.json", "model-000002.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"checksum":"sha256:00","model":{}}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, rep, err := LoadStoreOptions(dir, LoadOptions{EagerVersions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Versions() != 1 || len(rep.Loaded) != 1 || len(rep.Quarantined) != 2 {
+		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
+	}
+	for _, q := range rep.Quarantined {
+		if !strings.Contains(q.Reason, "JSON store file") || !q.Renamed {
+			t.Fatalf("stray JSON entry = %+v", q)
+		}
+		if _, err := os.Stat(filepath.Join(dir, q.Name+".quarantined")); err != nil {
+			t.Fatalf("stray JSON not set aside: %v", err)
+		}
+	}
+	if _, err := ReadModelFile(filepath.Join(dir, "model-000002.json.quarantined")); err == nil {
+		t.Fatal("ReadModelFile accepted a JSON store file")
 	}
 }

@@ -3,7 +3,6 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -52,9 +51,6 @@ func TestSaveLoadPackRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "model-000001.pack")); err != nil {
 		t.Fatalf("pack snapshot did not save as .pack: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "model-000001.json")); err == nil {
-		t.Fatal("pack snapshot must not also save as .json")
-	}
 	loaded, rep, err := LoadStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -88,41 +84,7 @@ func TestSaveLoadPackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackShadowsJSON pins the collision rule: when one version exists in
-// both formats, the pack is loaded and the JSON file is left alone as a
-// fallback for older readers.
-func TestPackShadowsJSON(t *testing.T) {
-	_, pack := packFixture(t)
-	dir := t.TempDir()
-
-	jsonStore := NewStore()
-	jsonStore.Put("JsonTeam", []byte(`{"a":1}`))
-	if err := SaveStore(jsonStore, dir); err != nil {
-		t.Fatal(err)
-	}
-	packStore := NewStore()
-	packStore.Put("PackTeam", pack)
-	if err := SaveStore(packStore, dir); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, rep, err := LoadStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Versions() != 1 || len(rep.Quarantined) != 0 {
-		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
-	}
-	m, ok := loaded.Get(1)
-	if !ok || m.Team != "PackTeam" || !core.IsScoutpack(m.Snapshot) {
-		t.Fatalf("pack did not shadow json: %+v", m.Team)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "model-000001.json")); err != nil {
-		t.Fatalf("shadowed json file must survive: %v", err)
-	}
-}
-
-// TestSaveStoreQuarantinedPack pins load-time verification of the inner
+// TestPackPayloadVerifiedOnLoad pins load-time verification of the inner
 // scoutpack: a .pack file whose payload checksum matches but whose
 // scoutpack envelope is damaged quarantines instead of loading.
 func TestPackPayloadVerifiedOnLoad(t *testing.T) {
@@ -163,7 +125,7 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
 	for i := 1; i <= 5; i++ {
-		st.Put("X", []byte(strings.Repeat("s", i)))
+		st.Put("X", testPack(strings.Repeat("s", i)))
 	}
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
@@ -183,13 +145,13 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 		t.Fatalf("versions = %d, want all 5 visible", loaded.Versions())
 	}
 	// Latest never touches the lazy files.
-	if m, ok := loaded.Latest(); !ok || m.Version != 5 || string(m.Snapshot) != "sssss" {
+	if m, ok := loaded.Latest(); !ok || m.Version != 5 || !bytes.Equal(m.Snapshot, testPack("sssss")) {
 		t.Fatalf("latest = %+v", m)
 	}
 
 	// Damage v1 on disk AFTER the load: an eager loader would have caught
 	// it already; the lazy path must catch it on first Get.
-	path1 := filepath.Join(dir, "model-000001.json")
+	path1 := filepath.Join(dir, "model-000001.pack")
 	data, err := os.ReadFile(path1)
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +174,13 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 	}
 	// A healthy lazy version materializes on first Get and stays cached.
 	m, ok := loaded.Get(2)
-	if !ok || string(m.Snapshot) != "ss" || m.Team != "X" {
+	if !ok || !bytes.Equal(m.Snapshot, testPack("ss")) || m.Team != "X" {
 		t.Fatalf("lazy v2 = %+v, %v", m, ok)
 	}
-	if err := os.Remove(filepath.Join(dir, "model-000002.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "model-000002.pack")); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := loaded.Get(2); !ok || string(m.Snapshot) != "ss" {
+	if m, ok := loaded.Get(2); !ok || !bytes.Equal(m.Snapshot, testPack("ss")) {
 		t.Fatalf("materialized v2 must not re-read its file: %+v, %v", m, ok)
 	}
 	if drained := loaded.QuarantinedLazy(); len(drained) != 0 {
@@ -232,7 +194,7 @@ func TestLoadStoreEagerOverride(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
 	for i := 1; i <= 4; i++ {
-		st.Put("X", []byte("s"))
+		st.Put("X", testPack("s"))
 	}
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
@@ -356,64 +318,6 @@ func TestReloadStoreHook(t *testing.T) {
 	}
 	if health.ModelVersion != 2 {
 		t.Fatalf("served version after reload = %d, want 2", health.ModelVersion)
-	}
-}
-
-// TestRepackStore pins the `scoutctl pack` path: a JSON-snapshot store
-// gains a byte-valid .pack per version, the originals stay in place, the
-// conversion is idempotent, and a fresh load prefers the packs.
-func TestRepackStore(t *testing.T) {
-	scout, _ := packFixture(t)
-	jsonSnap, err := scout.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	st := NewStore()
-	st.Put("PhyNet", jsonSnap)
-	st.Put("PhyNet", jsonSnap)
-	if err := SaveStore(st, dir); err != nil {
-		t.Fatal(err)
-	}
-
-	converted, err := RepackStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(converted) != 2 {
-		t.Fatalf("converted %v, want both versions", converted)
-	}
-	for _, v := range []int{1, 2} {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("model-%06d.json", v))); err != nil {
-			t.Fatalf("v%d JSON original removed: %v", v, err)
-		}
-		m, err := ReadModelFile(filepath.Join(dir, fmt.Sprintf("model-%06d.pack", v)))
-		if err != nil {
-			t.Fatalf("v%d pack unreadable: %v", v, err)
-		}
-		if !core.IsScoutpack(m.Snapshot) {
-			t.Fatalf("v%d converted snapshot is not a scoutpack", v)
-		}
-	}
-
-	again, err := RepackStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 0 {
-		t.Fatalf("second repack converted %v, want nothing", again)
-	}
-
-	loaded, rep, err := LoadStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 0 {
-		t.Fatalf("quarantined after repack: %+v", rep.Quarantined)
-	}
-	m, ok := loaded.Latest()
-	if !ok || !core.IsScoutpack(m.Snapshot) {
-		t.Fatal("load after repack must serve the pack variant")
 	}
 }
 

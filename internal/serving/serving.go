@@ -20,7 +20,6 @@ import (
 
 	"scouts/internal/core"
 	"scouts/internal/incident"
-	"scouts/internal/ml/forest"
 	"scouts/internal/monitoring"
 	"scouts/internal/telemetry"
 	"scouts/internal/topology"
@@ -158,15 +157,10 @@ func (st *Store) Versions() int {
 	return len(st.models)
 }
 
-// Trainer is the offline component: it trains Scouts and publishes
-// snapshots to a store.
+// Trainer is the offline component: it trains Scouts and publishes their
+// scoutpack snapshots to a store.
 type Trainer struct {
 	Store *Store
-	// Pack publishes scoutpack (binary) snapshots instead of JSON ones.
-	// The store and server are format-agnostic — Restore sniffs the
-	// leading bytes — but packed snapshots load without re-deriving the
-	// forests' flat views, which is what a serving fleet wants.
-	Pack bool
 }
 
 // TrainAndPublish trains a Scout and stores its snapshot, returning the
@@ -176,12 +170,7 @@ func (tr *Trainer) TrainAndPublish(opt core.TrainOptions) (*core.Scout, int, err
 	if err != nil {
 		return nil, 0, err
 	}
-	var snap []byte
-	if tr.Pack {
-		snap, err = scout.SnapshotPack()
-	} else {
-		snap, err = scout.Snapshot()
-	}
+	snap, err := scout.SnapshotPack()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -300,18 +289,12 @@ type Server struct {
 	// quiet period hints only the base.
 	RetryAfterBase time.Duration
 
-	// Kernel selects the batch-inference kernel installed on every Scout
-	// the server loads. The zero value is the exact (bit-reproducible)
-	// kernel; scoutd's -quantized flag selects the quantized one
-	// (DESIGN.md §12 has the tolerance contract).
-	Kernel forest.BatchKernel
-
 	// ReloadStore, when set, is consulted at the start of every Reload:
 	// it re-reads the backing storage (scoutd points it at its -store
 	// directory) and returns a fresh Store, so POST /v1/reload picks up
-	// versions published by another process — e.g. a `scoutctl pack` run
-	// or an offline trainer writing into the same directory. Errors fail
-	// the reload; the previously-served model stays.
+	// versions published by another process — e.g. an offline trainer
+	// writing into the same directory. Errors fail the reload; the
+	// previously-served model stays.
 	ReloadStore func() (*Store, error)
 
 	// Access, when set, receives one structured JSON line per request
@@ -416,12 +399,11 @@ func (s *Server) Install(scout *core.Scout, version int) {
 }
 
 // install applies the server-owned policies and swaps the model in.
-// Restore/Train build fresh Scouts, so the degradation policy, observer
-// and kernel choice must be re-applied on every load.
+// Restore/Train build fresh Scouts, so the degradation policy and
+// observer must be re-applied on every load.
 func (s *Server) install(scout *core.Scout, version int) {
 	scout.SetDegradationPolicy(s.Degradation)
 	scout.SetObserver(s)
-	scout.SetBatchKernel(s.Kernel)
 	s.current.Store(&servingModel{scout: scout, version: version})
 	s.tel.modelVersion.Set(int64(version))
 	s.tel.reloads.Inc()
