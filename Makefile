@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke repro-check lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
+.PHONY: all build vet fmt-check test race fuzz-smoke repro-check lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
 
 all: ci
 
@@ -14,6 +14,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt must have nothing to say. The linter's fixtures under
+# internal/lint/testdata are deliberately not canonical and are skipped.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^internal/lint/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -187,7 +193,7 @@ lint-baseline:
 lint-selfcheck:
 	$(GO) run ./cmd/scoutlint internal/lint
 
-ci: vet lint lint-selfcheck build race fuzz-smoke repro-check bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
+ci: vet fmt-check lint lint-selfcheck build race fuzz-smoke repro-check bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

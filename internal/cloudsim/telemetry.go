@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"scouts/internal/monitoring"
@@ -168,23 +169,24 @@ func (t *Telemetry) AddAnomaly(a Anomaly) {
 }
 
 // relevantAnomalies snapshots the anomalies that touch (dataset, component)
-// anywhere inside [from, to), so window synthesis takes the lock once.
-func (t *Telemetry) relevantAnomalies(dataset, component string, from, to float64) []*Anomaly {
+// anywhere inside [from, to), so window synthesis takes the lock once. They
+// are appended to buf — callers pass a small stack array, so the usual
+// handful of overlapping faults costs no allocation.
+func (t *Telemetry) relevantAnomalies(buf []*Anomaly, dataset, component string, from, to float64) []*Anomaly {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []*Anomaly
 	for _, a := range t.anomalies[component] {
 		if a.End <= from || a.Start >= to {
 			continue
 		}
 		for _, e := range a.Effects {
 			if e.Dataset == dataset {
-				out = append(out, a)
+				buf = append(buf, a)
 				break
 			}
 		}
 	}
-	return out
+	return buf
 }
 
 // effectsAt sums the effects of the pre-filtered anomalies at time ts.
@@ -227,7 +229,7 @@ func (t *Telemetry) clusterOffset(spec *datasetSpec, component string) float64 {
 	if cluster == "" {
 		cluster = component
 	}
-	u := hashUnit(t.seed, spec.desc.Name, cluster, 0)
+	u := unitAt(t.seed, seriesKey(spec.desc.Name, cluster), 0)
 	return (u*2 - 1) * spec.perClust
 }
 
@@ -245,12 +247,21 @@ func (t *Telemetry) seriesSpec(dataset, component string) *datasetSpec {
 }
 
 // seriesInto appends the synthesized values at every tick in [from, to) to
-// buf and returns it — the one synthesis loop shared by SeriesWindow and
-// WindowStats, so both produce bit-identical values.
+// buf and returns it — the one synthesis loop shared by AppendSeries and
+// WindowStats, so both produce bit-identical values. buf is grown once, from
+// the tick count, when it lacks the room; the strings are hashed once, not
+// per tick.
 func (t *Telemetry) seriesInto(buf []float64, spec *datasetSpec, dataset, component string, from, to float64) []float64 {
 	first := int(math.Ceil(from / Tick))
+	if n := int(math.Ceil(to/Tick)) - first; n > 0 {
+		// One spare cell: float64(k)*Tick can land on either side of `to`
+		// at the last tick.
+		buf = slices.Grow(buf, n+1)
+	}
 	offset := t.clusterOffset(spec, component)
-	anoms := t.relevantAnomalies(dataset, component, from, to)
+	var overlapping [8]*Anomaly
+	anoms := t.relevantAnomalies(overlapping[:0], dataset, component, from, to)
+	key := seriesKey(dataset, component)
 	for k := first; ; k++ {
 		ts := float64(k) * Tick
 		if ts >= to {
@@ -260,7 +271,7 @@ func (t *Telemetry) seriesInto(buf []float64, spec *datasetSpec, dataset, compon
 		if len(anoms) > 0 {
 			meanShift, stdScale, _, _ = effectsAt(dataset, anoms, ts)
 		}
-		noise := hashNorm(t.seed, dataset, component, k)
+		noise := normAt(t.seed, key, k)
 		v := spec.base + offset + meanShift + noise*spec.sigma*stdScale
 		buf = append(buf, v)
 	}
@@ -270,11 +281,21 @@ func (t *Telemetry) seriesInto(buf []float64, spec *datasetSpec, dataset, compon
 // SeriesWindow implements monitoring.DataSource: values at every tick in
 // [from, to).
 func (t *Telemetry) SeriesWindow(dataset, component string, from, to float64) []float64 {
+	return t.AppendSeries(nil, dataset, component, from, to)
+}
+
+// AppendSeries implements monitoring.SeriesAppender: the values at every
+// tick in [from, to) are appended to dst, which is returned untouched when
+// the dataset is unknown, deprecated, not a time series, or does not monitor
+// the component.
+//
+//scout:hotpath
+func (t *Telemetry) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	spec := t.seriesSpec(dataset, component)
 	if spec == nil {
-		return nil
+		return dst
 	}
-	return t.seriesInto(nil, spec, dataset, component, from, to)
+	return t.seriesInto(dst, spec, dataset, component, from, to)
 }
 
 // WindowStats implements monitoring.StatsSource. The values are synthesized
@@ -309,7 +330,9 @@ func (t *Telemetry) EventsWindow(dataset, component string, from, to float64) []
 	}
 	first := int(math.Ceil(from / Tick))
 	var out []monitoring.EventRecord
-	anoms := t.relevantAnomalies(dataset, component, from, to)
+	var overlapping [8]*Anomaly
+	anoms := t.relevantAnomalies(overlapping[:0], dataset, component, from, to)
+	key := seriesKey(dataset, component)
 	for k := first; ; k++ {
 		ts := float64(k) * Tick
 		if ts >= to {
@@ -324,9 +347,9 @@ func (t *Telemetry) EventsWindow(dataset, component string, from, to float64) []
 		}
 		rate := spec.bgRate + extraRate
 		p := rate * Tick
-		if p > 0 && hashUnit(t.seed, dataset, component, k) < p {
+		if p > 0 && unitAt(t.seed, key, k) < p {
 			out = append(out, monitoring.EventRecord{
-				Time: ts + hashUnit(t.seed+1, dataset, component, k)*Tick,
+				Time: ts + unitAt(t.seed+1, key, k)*Tick,
 				Kind: kind,
 			})
 		}
@@ -348,7 +371,9 @@ func (t *Telemetry) EventCount(dataset, component string, from, to float64) int 
 		return 0
 	}
 	first := int(math.Ceil(from / Tick))
-	anoms := t.relevantAnomalies(dataset, component, from, to)
+	var overlapping [8]*Anomaly
+	anoms := t.relevantAnomalies(overlapping[:0], dataset, component, from, to)
+	key := seriesKey(dataset, component)
 	n := 0
 	for k := first; ; k++ {
 		ts := float64(k) * Tick
@@ -360,7 +385,7 @@ func (t *Telemetry) EventCount(dataset, component string, from, to float64) int 
 			_, _, extraRate, _ = effectsAt(dataset, anoms, ts)
 		}
 		p := (spec.bgRate + extraRate) * Tick
-		if p > 0 && hashUnit(t.seed, dataset, component, k) < p {
+		if p > 0 && unitAt(t.seed, key, k) < p {
 			n++
 		}
 	}
@@ -372,8 +397,9 @@ func (t *Telemetry) Topology() *topology.Topology { return t.topo }
 
 // Interface conformance checks.
 var (
-	_ monitoring.DataSource  = (*Telemetry)(nil)
-	_ monitoring.StatsSource = (*Telemetry)(nil)
+	_ monitoring.DataSource     = (*Telemetry)(nil)
+	_ monitoring.StatsSource    = (*Telemetry)(nil)
+	_ monitoring.SeriesAppender = (*Telemetry)(nil)
 )
 
 // --- deterministic hashing ---------------------------------------------
@@ -396,16 +422,24 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashUnit returns a deterministic uniform in [0, 1).
-func hashUnit(seed uint64, dataset, component string, k int) float64 {
-	h := mix(seed ^ fnv1a(dataset)*3 ^ fnv1a(component)*5 ^ uint64(k)*0x9E3779B97F4A7C15)
+// seriesKey folds the two strings every sample of one series shares into
+// the word the per-tick hashes start from, so a window hashes them once
+// instead of once per draw.
+func seriesKey(dataset, component string) uint64 {
+	return fnv1a(dataset)*3 ^ fnv1a(component)*5
+}
+
+// unitAt returns the deterministic uniform in [0, 1) of tick k of the series
+// with the given key.
+func unitAt(seed, key uint64, k int) float64 {
+	h := mix(seed ^ key ^ uint64(k)*0x9E3779B97F4A7C15)
 	return float64(h>>11) / (1 << 53)
 }
 
-// hashNorm returns a deterministic standard normal via Box-Muller.
-func hashNorm(seed uint64, dataset, component string, k int) float64 {
-	u1 := hashUnit(seed^0xABCD, dataset, component, k)
-	u2 := hashUnit(seed^0x1234, dataset, component, k)
+// normAt returns the deterministic standard normal of tick k via Box-Muller.
+func normAt(seed, key uint64, k int) float64 {
+	u1 := unitAt(seed^0xABCD, key, k)
+	u2 := unitAt(seed^0x1234, key, k)
 	if u1 < 1e-15 {
 		u1 = 1e-15
 	}

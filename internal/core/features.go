@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,6 +96,11 @@ type FeatureBuilder struct {
 	// statistics and event counts through it so the hot path stops copying
 	// raw windows it only ever reduced to count/mean/std.
 	stats monitoring.StatsSource
+	// series is the append-into view of source's time-series windows: the
+	// source itself when it offers monitoring.SeriesAppender, a copying
+	// adapter otherwise. Current windows land directly in the buffer they
+	// are reduced from.
+	series monitoring.SeriesAppender
 	// health is the source's availability view when it has one (a chaos
 	// wrapper, a circuit breaker), nil otherwise. Imputation prefers it
 	// over registry presence: an outage hides data, not the dataset's
@@ -109,10 +115,15 @@ type FeatureBuilder struct {
 	// groupSlots lists the vector indices belonging to each group name,
 	// used for mean imputation when a monitoring system disappears.
 	groupSlots map[string][]int
-	// merge pools the normalized-series scratch buffer FeaturizeInto
-	// reduces each feature group through, so concurrent featurization does
-	// not regrow one per (request, group).
-	merge sync.Pool
+	// scratch pools FeaturizeInto's working buffers (*featScratch), so
+	// concurrent featurization does not regrow them per (request, group).
+	scratch sync.Pool
+}
+
+// featScratch is what one FeaturizeInto call works in.
+type featScratch struct {
+	merged []float64 // the normalized series of one feature group
+	comps  []string  // the contributors of one aggregate component type
 }
 
 // NewFeatureBuilder computes the feature layout from the configuration and
@@ -124,6 +135,7 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 	fb := &FeatureBuilder{
 		cfg: cfg, topo: topo, source: source,
 		stats:      monitoring.StatsSourceOf(source),
+		series:     monitoring.SeriesAppenderOf(source),
 		health:     monitoring.HealthReporterOf(source),
 		slotOf:     map[string]int{},
 		groupSlots: map[string][]int{},
@@ -311,26 +323,30 @@ func (fb *FeatureBuilder) Extract(title, body string, mentioned []string) Extrac
 // contributors returns the components whose data feeds the features of one
 // component type: the extracted components of that type, plus — for
 // clusters — every device the cluster tag covers (§5.2 "all data with the
-// same ... 'cluster' tag is combined").
-func (fb *FeatureBuilder) contributors(ex Extraction, typ topology.ComponentType) []string {
+// same ... 'cluster' tag is combined"). Aggregate types are assembled in
+// sc.comps, overwriting the previous answer; device types answer the
+// Extraction's own slice.
+func (fb *FeatureBuilder) contributors(sc *featScratch, ex Extraction, typ topology.ComponentType) []string {
 	switch typ {
 	case topology.TypeCluster:
-		var out []string
+		out := sc.comps[:0]
 		for _, cl := range ex.ByType[typ] {
 			out = append(out, cl)
 			out = append(out, fb.topo.DescendantsOfType(cl, topology.TypeSwitch)...)
 			out = append(out, fb.topo.DescendantsOfType(cl, topology.TypeServer)...)
 		}
+		sc.comps = out
 		return out
 	case topology.TypeDC:
 		// DC features aggregate the cluster-granularity datasets of the
 		// DC's clusters; device-level data at DC scope would both dilute
 		// (§9) and explode the query cost.
-		var out []string
+		out := sc.comps[:0]
 		for _, dc := range ex.ByType[typ] {
 			out = append(out, dc)
 			out = append(out, fb.topo.DescendantsOfType(dc, topology.TypeCluster)...)
 		}
+		sc.comps = out
 		return out
 	default:
 		return ex.ByType[typ]
@@ -357,14 +373,14 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 	if len(x) != len(fb.names) {
 		x = make([]float64, len(fb.names))
 	}
-	mp, _ := fb.merge.Get().(*[]float64)
-	if mp == nil {
-		mp = new([]float64)
+	sc, _ := fb.scratch.Get().(*featScratch)
+	if sc == nil {
+		sc = new(featScratch)
 	}
 	T := fb.cfg.LookbackHours
 	slot := 0
 	for _, typ := range fb.types {
-		comps := fb.contributors(ex, typ)
+		comps := fb.contributors(sc, ex, typ)
 		for _, g := range fb.groups {
 			if !g.coversScope(typ) {
 				continue
@@ -380,41 +396,41 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 				slot++
 				continue
 			}
-			merged := (*mp)[:0]
+			merged := sc.merged[:0]
 			for _, d := range g.datasets {
 				for _, comp := range comps {
-					cur := fb.source.SeriesWindow(d.Name, comp, t-T, t)
-					if len(cur) == 0 {
+					n := len(merged)
+					merged = fb.series.AppendSeries(merged, d.Name, comp, t-T, t)
+					if len(merged) == n {
 						continue
 					}
 					// The baseline window is only ever reduced to its mean
 					// and standard deviation — ask the source for the
 					// aggregates instead of materializing the values.
 					bs, ok := fb.stats.WindowStats(d.Name, comp, t-2*T, t-T)
-					merged = appendNormalized(merged, cur, bs, ok)
+					normalizeInPlace(merged[n:], bs, ok)
 				}
 			}
-			metrics.Summarize(merged).VectorInto(x[slot : slot+len(metrics.SummaryNames)])
+			metrics.SummarizeInPlace(merged).VectorInto(x[slot : slot+len(metrics.SummaryNames)])
 			slot += len(metrics.SummaryNames)
-			*mp = merged // keep the grown capacity for the next group
+			sc.merged = merged // keep the grown capacity for the next group
 		}
 		x[slot] = float64(len(ex.ByType[typ]))
 		slot++
 	}
-	fb.merge.Put(mp)
+	fb.scratch.Put(sc)
 	return x
 }
 
-// appendNormalized z-scores the current window against the baseline
-// window's aggregates and appends the result to dst, so merged series from
-// different hardware are comparable and a distribution shift shows up in
-// the upper/lower percentiles. baseOK is false when the baseline window was
-// empty; the current window's own mean then centers the values (and the
-// zero std falls through to the same floor the materializing implementation
-// used).
+// normalizeInPlace z-scores the current window, where it lies, against the
+// baseline window's aggregates, so merged series from different hardware
+// are comparable and a distribution shift shows up in the upper/lower
+// percentiles. baseOK is false when the baseline window was empty; the
+// current window's own mean then centers the values (and the zero std falls
+// through to the same floor the materializing implementation used).
 //
 //scout:hotpath
-func appendNormalized(dst, cur []float64, base monitoring.Stats, baseOK bool) []float64 {
+func normalizeInPlace(cur []float64, base monitoring.Stats, baseOK bool) {
 	mean, std := base.Mean, base.Std
 	if !baseOK {
 		mean = metrics.Mean(cur)
@@ -426,10 +442,9 @@ func appendNormalized(dst, cur []float64, base monitoring.Stats, baseOK bool) []
 			std = 1
 		}
 	}
-	for _, v := range cur {
-		dst = append(dst, (v-mean)/std)
+	for i, v := range cur {
+		cur[i] = (v - mean) / std
 	}
-	return dst
 }
 
 // CPDInput assembles the CPD+ evidence for an incident (§5.2.2): raw series
@@ -476,6 +491,18 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 			}
 		}
 	}
+	// The doubled windows are carved out of one arena rather than pulled as
+	// a slice each. left bounds how many windows are still to come; the
+	// first one's length then sizes the arena for all of them.
+	left := 0
+	for _, g := range fb.groups {
+		for _, d := range g.datasets {
+			if d.Type != monitoring.Event {
+				left += len(comps)
+			}
+		}
+	}
+	var arena []float64
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
 			for _, comp := range comps {
@@ -495,10 +522,19 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 				}
 				// Use the doubled window so the change point (fault
 				// onset) sits inside the series.
-				series := fb.source.SeriesWindow(d.Name, comp, t-2*T, t)
-				if len(series) > 0 {
-					in.Series[d.Name] = append(in.Series[d.Name], series)
+				left--
+				start := len(arena)
+				arena = fb.series.AppendSeries(arena, d.Name, comp, t-2*T, t)
+				n := len(arena) - start
+				if n == 0 {
+					continue
 				}
+				if start == 0 {
+					arena = slices.Grow(arena, n*left)
+				}
+				// Clipped, so a consumer appending to one series cannot
+				// write into the next.
+				in.Series[d.Name] = append(in.Series[d.Name], arena[start:len(arena):len(arena)])
 			}
 		}
 	}

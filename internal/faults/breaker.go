@@ -70,8 +70,8 @@ type gate struct {
 // dataset's breaker, an open breaker answers empty windows without
 // touching the inner source, and after a cooldown probe queries test
 // whether the dataset recovered. Breaker implements
-// monitoring.DataSource, monitoring.StatsSource and
-// monitoring.HealthReporter — featurization sees an open breaker as an
+// monitoring.DataSource, monitoring.StatsSource, monitoring.SeriesAppender
+// and monitoring.HealthReporter — featurization sees an open breaker as an
 // unavailable dataset and mean-imputes its features.
 //
 // Only time-series queries feed the state machine: most event datasets
@@ -81,6 +81,7 @@ type gate struct {
 type Breaker struct {
 	inner  monitoring.DataSource
 	stats  monitoring.StatsSource
+	series monitoring.SeriesAppender
 	health monitoring.HealthReporter // nil when inner has no health capability
 	p      BreakerParams
 
@@ -93,6 +94,7 @@ func NewBreaker(inner monitoring.DataSource, p BreakerParams) *Breaker {
 	return &Breaker{
 		inner:  inner,
 		stats:  monitoring.StatsSourceOf(inner),
+		series: monitoring.SeriesAppenderOf(inner),
 		health: monitoring.HealthReporterOf(inner),
 		p:      p.withDefaults(),
 		gates:  map[string]*gate{},
@@ -203,17 +205,32 @@ func (b *Breaker) tooStale(dataset string, t float64) bool {
 
 // SeriesWindow implements monitoring.DataSource, gated and observed.
 func (b *Breaker) SeriesWindow(dataset, component string, from, to float64) []float64 {
-	pass, probe := b.begin(dataset, to)
-	if !pass {
-		return nil
-	}
-	vals := b.inner.SeriesWindow(dataset, component, from, to)
-	ok := len(vals) > 0 && !b.tooStale(dataset, to)
-	b.record(dataset, to, ok, probe)
-	if !ok {
+	vals := b.AppendSeries(nil, dataset, component, from, to)
+	if len(vals) == 0 {
 		return nil
 	}
 	return vals
+}
+
+// AppendSeries implements monitoring.SeriesAppender, gated and observed
+// exactly like SeriesWindow: a short-circuited query never reaches the inner
+// source, and a window the breaker rejects (empty, or too stale) is cut back
+// off dst before it is returned.
+//
+//scout:hotpath
+func (b *Breaker) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
+	pass, probe := b.begin(dataset, to)
+	if !pass {
+		return dst
+	}
+	n := len(dst)
+	dst = b.series.AppendSeries(dst, dataset, component, from, to)
+	ok := len(dst) > n && !b.tooStale(dataset, to)
+	b.record(dataset, to, ok, probe)
+	if !ok {
+		return dst[:n]
+	}
+	return dst
 }
 
 // WindowStats implements monitoring.StatsSource, gated and observed.
@@ -302,5 +319,6 @@ func (b *Breaker) Trips(dataset string) int {
 var (
 	_ monitoring.DataSource     = (*Breaker)(nil)
 	_ monitoring.StatsSource    = (*Breaker)(nil)
+	_ monitoring.SeriesAppender = (*Breaker)(nil)
 	_ monitoring.HealthReporter = (*Breaker)(nil)
 )

@@ -111,7 +111,7 @@ func TestBreakerFailedProbeReleasesSlot(t *testing.T) {
 	b := NewBreaker(src, BreakerParams{Trip: 2, Cooldown: 5})
 
 	b.SeriesWindow("lat", "s0", 0, 10)
-	b.SeriesWindow("lat", "s0", 0, 10) // open @10
+	b.SeriesWindow("lat", "s0", 0, 10)  // open @10
 	b.SeriesWindow("lat", "s0", 10, 16) // failed probe, re-open @16
 	if st, _ := b.stateAt("lat", 16); st != StateOpen {
 		t.Fatal("failed probe should re-open")

@@ -17,13 +17,14 @@ import (
 //
 // Every decision is a pure function of (schedule, seed, query window), so
 // identical queries always see identical faults. Chaos implements
-// monitoring.DataSource, monitoring.StatsSource and
-// monitoring.HealthReporter.
+// monitoring.DataSource, monitoring.StatsSource, monitoring.SeriesAppender
+// and monitoring.HealthReporter.
 type Chaos struct {
-	inner monitoring.DataSource
-	stats monitoring.StatsSource
-	sched Schedule
-	seed  uint64
+	inner  monitoring.DataSource
+	stats  monitoring.StatsSource
+	series monitoring.SeriesAppender
+	sched  Schedule
+	seed   uint64
 
 	// ClusterOf resolves a component to its cluster for cluster-scoped
 	// blackouts (topology.ClusterOf fits). nil disables cluster scoping:
@@ -36,10 +37,11 @@ type Chaos struct {
 // (schedule, seed) are interchangeable.
 func NewChaos(inner monitoring.DataSource, sched Schedule, seed int64) *Chaos {
 	return &Chaos{
-		inner: inner,
-		stats: monitoring.StatsSourceOf(inner),
-		sched: sched,
-		seed:  uint64(seed),
+		inner:  inner,
+		stats:  monitoring.StatsSourceOf(inner),
+		series: monitoring.SeriesAppenderOf(inner),
+		sched:  sched,
+		seed:   uint64(seed),
 	}
 }
 
@@ -60,15 +62,25 @@ func (c *Chaos) down(dataset, component string, t float64) bool {
 // dark windows answer nil, stale windows answer the past, corrupted
 // windows carry seeded NaNs and spikes.
 func (c *Chaos) SeriesWindow(dataset, component string, from, to float64) []float64 {
+	return c.AppendSeries(nil, dataset, component, from, to)
+}
+
+// AppendSeries implements monitoring.SeriesAppender with the schedule
+// applied. Corruption rewrites only the values this call appended — they
+// are copies the inner source handed over, never its own storage.
+//
+//scout:hotpath
+func (c *Chaos) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	if c.down(dataset, component, to) {
-		return nil
+		return dst
 	}
 	lag := c.sched.lagAt(dataset, to)
-	vals := c.inner.SeriesWindow(dataset, component, from-lag, to-lag)
-	if cr := c.sched.corruptionAt(dataset, to); cr != nil && len(vals) > 0 {
-		vals = c.corrupt(vals, cr, dataset, component, from)
+	n := len(dst)
+	dst = c.series.AppendSeries(dst, dataset, component, from-lag, to-lag)
+	if cr := c.sched.corruptionAt(dataset, to); cr != nil {
+		c.corrupt(dst[n:], cr, dataset, component, from)
 	}
-	return vals
+	return dst
 }
 
 // WindowStats implements monitoring.StatsSource. Under corruption the
@@ -132,34 +144,31 @@ func (c *Chaos) HealthSnapshot(t float64) []monitoring.DatasetHealth {
 	return out
 }
 
-// corrupt returns a rewritten copy of vals (never mutating the inner
-// source's slice). Each sample's fate hashes its index anchored at the
-// window start, so a fixed query window is always corrupted identically.
-func (c *Chaos) corrupt(vals []float64, cr *Corruption, dataset, component string, from float64) []float64 {
+// corrupt rewrites vals in place. Each sample's fate hashes its index
+// anchored at the window start, so a fixed query window is always corrupted
+// identically.
+func (c *Chaos) corrupt(vals []float64, cr *Corruption, dataset, component string, from float64) {
 	scale := cr.SpikeScale
 	if scale == 0 {
 		scale = 10
 	}
 	anchor := int(math.Round(from * 1e6))
-	out := make([]float64, len(vals))
 	for i, v := range vals {
 		u := hashUnit(c.seed, dataset, component, anchor+i)
 		switch {
 		case u < cr.NaNProb:
-			out[i] = math.NaN()
+			vals[i] = math.NaN()
 		case u < cr.NaNProb+cr.SpikeProb:
-			out[i] = v * scale
-		default:
-			out[i] = v
+			vals[i] = v * scale
 		}
 	}
-	return out
 }
 
 // Interface conformance checks.
 var (
 	_ monitoring.DataSource     = (*Chaos)(nil)
 	_ monitoring.StatsSource    = (*Chaos)(nil)
+	_ monitoring.SeriesAppender = (*Chaos)(nil)
 	_ monitoring.HealthReporter = (*Chaos)(nil)
 )
 

@@ -200,19 +200,31 @@ func Summarize(xs []float64) SummaryStats {
 	}
 	s := make([]float64, len(xs))
 	copy(s, xs)
-	sort.Float64s(s)
+	return SummarizeInPlace(s)
+}
+
+// SummarizeInPlace is Summarize for a caller that is done with its buffer:
+// xs is sorted where it lies instead of being copied first. Mean and Std sum
+// the sorted values, as Summarize always has, so both forms agree to the bit.
+//
+//scout:hotpath
+func SummarizeInPlace(xs []float64) SummaryStats {
+	if len(xs) == 0 {
+		return SummaryStats{}
+	}
+	sort.Float64s(xs)
 	return SummaryStats{
-		Mean: Mean(s),
-		Std:  StdDev(s),
-		Min:  s[0],
-		Max:  s[len(s)-1],
-		P1:   Quantile(s, 0.01),
-		P10:  Quantile(s, 0.10),
-		P25:  Quantile(s, 0.25),
-		P50:  Quantile(s, 0.50),
-		P75:  Quantile(s, 0.75),
-		P90:  Quantile(s, 0.90),
-		P99:  Quantile(s, 0.99),
+		Mean: Mean(xs),
+		Std:  StdDev(xs),
+		Min:  xs[0],
+		Max:  xs[len(xs)-1],
+		P1:   Quantile(xs, 0.01),
+		P10:  Quantile(xs, 0.10),
+		P25:  Quantile(xs, 0.25),
+		P50:  Quantile(xs, 0.50),
+		P75:  Quantile(xs, 0.75),
+		P90:  Quantile(xs, 0.90),
+		P99:  Quantile(xs, 0.99),
 	}
 }
 

@@ -108,3 +108,33 @@ func StatsSourceOf(src DataSource) StatsSource {
 	}
 	return statsAdapter{src: src}
 }
+
+// SeriesAppender is the append-into form of SeriesWindow a DataSource may
+// offer: the values of [from, to) are appended to dst, so a caller that
+// merges many windows (featurization) or pre-sizes an arena (CPD+ input)
+// pulls them without one result slice per window.
+//
+// Buffer ownership: the callee only appends — it never reads, rewrites or
+// retains dst[:len(dst)], and never keeps the returned slice. A window
+// SeriesWindow would answer nil for (unknown dataset or component, empty
+// window, an open breaker) returns dst at its old length.
+type SeriesAppender interface {
+	AppendSeries(dst []float64, dataset, component string, from, to float64) []float64
+}
+
+// seriesAdapter lifts a plain DataSource to a SeriesAppender by
+// materializing the window and copying it.
+type seriesAdapter struct{ src DataSource }
+
+func (a seriesAdapter) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
+	return append(dst, a.src.SeriesWindow(dataset, component, from, to)...)
+}
+
+// SeriesAppenderOf returns src itself when it already offers the append-into
+// capability, and a window-copying adapter otherwise.
+func SeriesAppenderOf(src DataSource) SeriesAppender {
+	if s, ok := src.(SeriesAppender); ok {
+		return s
+	}
+	return seriesAdapter{src: src}
+}

@@ -290,19 +290,26 @@ func (s *Store) AppendEvent(dataset, component string, e EventRecord) error {
 // order. Missing datasets or components yield nil — uneven instrumentation
 // is the normal state of the world (§1).
 func (s *Store) SeriesWindow(dataset, component string, from, to float64) []float64 {
+	return s.AppendSeries(nil, dataset, component, from, to)
+}
+
+// AppendSeries implements SeriesAppender: the values of [from, to) are
+// copied onto the end of dst under the read lock (one exact-size allocation
+// when dst is nil, none when it has the capacity).
+//
+//scout:hotpath
+func (s *Store) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sd := s.series[dataset][component]
 	if sd == nil {
-		return nil
+		return dst
 	}
 	lo, hi := sd.window(from, to)
 	if lo >= hi {
-		return nil
+		return dst
 	}
-	out := make([]float64, hi-lo)
-	copy(out, sd.vals[lo:hi])
-	return out
+	return append(dst, sd.vals[lo:hi]...)
 }
 
 // WindowStats returns the aggregates of the time-series values in [from,
@@ -382,8 +389,11 @@ func (s *Store) EventCounts(dataset, component string, from, to float64) map[str
 	return out
 }
 
-// Store offers the aggregate-query capability.
-var _ StatsSource = (*Store)(nil)
+// Store offers the aggregate-query and append-into capabilities.
+var (
+	_ StatsSource    = (*Store)(nil)
+	_ SeriesAppender = (*Store)(nil)
+)
 
 // GC discards data older than the retention horizon relative to now. The
 // surviving suffix of each series is re-appended into a fresh seriesData so

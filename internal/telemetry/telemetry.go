@@ -74,7 +74,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // nanounits (1e-9 of the observed unit), which is exact for durations
 // observed through ObserveDuration.
 type Histogram struct {
-	bounds []float64     // strictly increasing upper bounds; +Inf implicit
+	bounds []float64      // strictly increasing upper bounds; +Inf implicit
 	counts []atomic.Int64 // len(bounds)+1, non-cumulative; cumulated at scrape
 	sum    atomic.Int64   // fixed-point, 1e-9 resolution
 }

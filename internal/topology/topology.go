@@ -77,6 +77,15 @@ type Topology struct {
 	components map[string]*Component
 	children   map[string][]string
 	deps       map[string][]string // explicit extra dependencies
+	// ofType indexes every component's descendants per type, name-sorted;
+	// Build fills it once so DescendantsOfType is a lookup, not a subtree
+	// walk and a sort per call.
+	ofType map[descKey][]string
+}
+
+type descKey struct {
+	ancestor string
+	typ      ComponentType
 }
 
 // Build generates a topology with the standard naming scheme.
@@ -86,6 +95,7 @@ func Build(p Params) *Topology {
 		components: map[string]*Component{},
 		children:   map[string][]string{},
 		deps:       map[string][]string{},
+		ofType:     map[descKey][]string{},
 	}
 	for d := 1; d <= p.DCs; d++ {
 		dc := fmt.Sprintf("dc%d", d)
@@ -112,7 +122,24 @@ func Build(p Params) *Topology {
 			}
 		}
 	}
+	t.indexDescendants()
 	return t
+}
+
+// indexDescendants files every component under each of its ancestors, by
+// type, then sorts each list and clips it to its length so that a caller
+// appending to a returned slice copies instead of writing into the index.
+func (t *Topology) indexDescendants() {
+	for name, c := range t.components {
+		for anc := c.Parent; anc != ""; anc = t.components[anc].Parent {
+			k := descKey{anc, c.Type}
+			t.ofType[k] = append(t.ofType[k], name)
+		}
+	}
+	for k, names := range t.ofType {
+		sort.Strings(names)
+		t.ofType[k] = names[:len(names):len(names)]
+	}
 }
 
 func (t *Topology) add(name string, typ ComponentType, parent string) {
@@ -234,15 +261,11 @@ func (t *Topology) Descendants(name string) []string {
 	return out
 }
 
-// DescendantsOfType filters Descendants by component type.
+// DescendantsOfType returns the components of one type under name, sorted
+// by name (nil when there are none). The slice is shared with every other
+// caller and must not be modified.
 func (t *Topology) DescendantsOfType(name string, typ ComponentType) []string {
-	var out []string
-	for _, d := range t.Descendants(name) {
-		if t.components[d].Type == typ {
-			out = append(out, d)
-		}
-	}
-	return out
+	return t.ofType[descKey{name, typ}]
 }
 
 // ServerOfVM returns the server hosting a VM ("" if not a VM).

@@ -138,3 +138,68 @@ func TestChildrenSorted(t *testing.T) {
 		}
 	}
 }
+
+// oldDescendantsOfType is DescendantsOfType as it read before Build indexed
+// the answers: the sorted subtree walk, filtered.
+func oldDescendantsOfType(t *Topology, name string, typ ComponentType) []string {
+	var out []string
+	for _, d := range t.Descendants(name) {
+		if t.components[d].Type == typ {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestDescendantsIndexMatchesWalk: for every component × type (and an
+// unknown name) the index answers what the walk does, nil where the walk
+// found nothing; and the answers are clipped, so a caller appending to one
+// gets a copy instead of writing into the index.
+func TestDescendantsIndexMatchesWalk(t *testing.T) {
+	for _, topo := range []*Topology{build(t), Build(Params{})} {
+		names := []string{"nosuch"}
+		for _, typ := range AllTypes {
+			names = append(names, topo.Names(typ)...)
+		}
+		nonEmpty := 0
+		for _, name := range names {
+			for _, typ := range AllTypes {
+				want := oldDescendantsOfType(topo, name, typ)
+				got := topo.DescendantsOfType(name, typ)
+				if (got == nil) != (want == nil) || strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Fatalf("DescendantsOfType(%s, %s) = %v, the walk finds %v", name, typ, got, want)
+				}
+				if len(got) == 0 {
+					continue
+				}
+				nonEmpty++
+				if cap(got) != len(got) {
+					t.Fatalf("DescendantsOfType(%s, %s) has spare capacity %d", name, typ, cap(got)-len(got))
+				}
+				_ = append(got, "intruder")
+				for _, other := range names {
+					for _, d := range topo.DescendantsOfType(other, typ) {
+						if d == "intruder" {
+							t.Fatalf("appending to DescendantsOfType(%s, %s) changed the answer for %s", name, typ, other)
+						}
+					}
+				}
+			}
+		}
+		if nonEmpty == 0 {
+			t.Fatal("no component has descendants")
+		}
+	}
+}
+
+func TestDescendantsOfTypeAllocatesNothing(t *testing.T) {
+	topo := Build(Params{})
+	var n int
+	if allocs := testing.AllocsPerRun(100, func() {
+		n += len(topo.DescendantsOfType("c1.dc1", TypeServer))
+		n += len(topo.DescendantsOfType("dc2", TypeCluster))
+		n += len(topo.DescendantsOfType("nosuch", TypeVM))
+	}); allocs != 0 || n == 0 {
+		t.Fatalf("DescendantsOfType allocates %v times per run (%d names seen)", allocs, n)
+	}
+}
