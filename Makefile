@@ -75,27 +75,41 @@ bench-workers:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BestSplit|WindowStats|PredictFlat$$' -benchtime 1x .
 
+# A smoke target selects its tests by -run regex, and `go test -run` that
+# matches nothing exits 0 with "[no tests to run]" — a moved or renamed
+# test would silently drop out of `make ci`. smoke-test runs `go test` with
+# the given arguments and fails on that line as well as on a test failure.
+define smoke-test
+	@out=$$($(GO) test $(1) 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if echo "$$out" | grep -q 'no tests to run'; then \
+		echo "smoke: go test $(1): the -run regex selects no test"; exit 1; \
+	fi
+endef
+
 # Loadgen smoke: runs the load generator's request/report path in both
 # modes against an in-process httptest server (no sockets, no timing) —
 # catches drift between loadgen's payloads and the serving API.
 loadgen-smoke:
-	$(GO) test -run 'TestLoadgenSmoke' -count 1 ./cmd/loadgen
+	$(call smoke-test,-run 'TestLoadgenSmoke' -count 1 ./cmd/loadgen)
 
 # Chaos smoke: bounded fault-injection pass under the race detector. The
 # loadgen chaos rotation (malformed JSON, oversized bodies, mid-body
 # disconnects) must draw zero 5xx, and the serving chaos tests (50%
 # monitoring blackout, shedding, deadlines, panic recovery, deterministic
-# degraded answers) must hold with the detector watching.
+# degraded answers) must hold with the detector watching — as must the
+# shared HTTP spine's own panic accounting (internal/httpx).
 chaos-smoke:
-	$(GO) test -race -run 'TestLoadgenChaos' -count 1 ./cmd/loadgen
-	$(GO) test -race -run 'TestChaos|TestShedding|TestPanicRecovery|TestRequestDeadline|TestDegradationOverHTTP' -count 1 ./internal/serving
+	$(call smoke-test,-race -run 'TestLoadgenChaos' -count 1 ./cmd/loadgen)
+	$(call smoke-test,-race -run 'TestChaos|TestShedding|TestPanicRecovery|TestRequestDeadline|TestDegradationOverHTTP' -count 1 ./internal/serving)
+	$(call smoke-test,-race -run 'TestPanicIsCountedAndAnswered|TestAbortHandlerIsReRaised' -count 1 ./internal/httpx)
 
 # Soak smoke: a ~2s sustained run against an in-process server with
 # sub-second /metrics scrapes — proves the soak loop, the Prometheus
 # scrape parser and the SLO verdict math against the live exposition
 # format, without booting a real daemon.
 soak-smoke:
-	$(GO) test -run 'TestLoadgenSoak|TestParseProm' -count 1 ./cmd/loadgen
+	$(call smoke-test,-run 'TestLoadgenSoak|TestParseProm' -count 1 ./cmd/loadgen)
 
 # End-to-end soak: boots a real scoutd, drives sustained -soak traffic
 # at it, and writes the SLO-judged report — client-side latency
@@ -141,8 +155,8 @@ pack-smoke:
 # 4xx, or an honored 429 — never a transport error or 5xx — with the
 # gateway's retries/hedges/breaker trips reported in FLEET_SMOKE.json.
 fleet-smoke:
-	$(GO) test -race -run 'TestDriveHonors429|TestDriveSheds|TestJudgeFleet|TestLoadgenFleet' -count 1 ./cmd/loadgen
-	$(GO) test -race -run 'TestFleetSurvivesReplicaKillMidBurst' -count 1 ./internal/gateway
+	$(call smoke-test,-race -run 'TestDriveHonors429|TestDriveSheds|TestJudgeFleet|TestLoadgenFleet' -count 1 ./cmd/loadgen)
+	$(call smoke-test,-race -run 'TestFleetSurvivesReplicaKillMidBurst' -count 1 ./internal/gateway)
 	$(GO) build -o /tmp/scouts-fleet-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-fleet-scoutgw ./cmd/scoutgw
 	$(GO) build -o /tmp/scouts-fleet-loadgen ./cmd/loadgen

@@ -50,19 +50,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"scouts/internal/cloudsim"
 	"scouts/internal/core"
 	"scouts/internal/faults"
+	"scouts/internal/httpx"
 	"scouts/internal/serving"
 	"scouts/internal/telemetry"
 )
@@ -197,43 +194,5 @@ func run(addr string, seed int64, days int, rate float64, workers int, opts serv
 		return err
 	}
 
-	// A bare http.ListenAndServe has no header timeout (one slow-writing
-	// client per connection holds a goroutine forever — slowloris) and no
-	// way to drain on shutdown. Configure the server explicitly and tie
-	// its lifetime to SIGINT/SIGTERM.
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		ErrorLog:          logger,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("serving on %s", addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	logger.Printf("signal received; draining in-flight requests")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Printf("drained; bye")
-	return nil
+	return httpx.Serve(context.Background(), addr, srv.Handler(), logger, nil)
 }

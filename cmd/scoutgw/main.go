@@ -33,19 +33,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"scouts/internal/faults"
 	"scouts/internal/gateway"
+	"scouts/internal/httpx"
 )
 
 // replicaFlags collects repeated -replica name=team=url values.
@@ -107,50 +104,18 @@ func run(addr string, cfg gateway.Config, logger *log.Logger) error {
 	}
 	logger.Printf("fronting %d replica(s) across teams %v", len(cfg.Replicas), gw.Teams())
 
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		ErrorLog:          logger,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	proberCtx, stopProber := context.WithCancel(ctx)
-	defer stopProber()
-	proberDone := make(chan struct{}, 1)
+	proberCtx, stopProber := context.WithCancel(context.Background())
+	proberDone := make(chan struct{})
 	go func() {
+		defer close(proberDone)
 		gw.RunProber(proberCtx)
-		proberDone <- struct{}{}
 	}()
 
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("gateway on %s", addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	logger.Printf("signal received; draining fleet and in-flight requests")
-	gw.DrainAll()
+	err = httpx.Serve(context.Background(), addr, gw.Handler(), logger, func() {
+		gw.DrainAll()
+		stopProber()
+	})
 	stopProber()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
 	<-proberDone
-	logger.Printf("drained; bye")
-	return nil
+	return err
 }

@@ -380,9 +380,9 @@ type BatchRequest struct {
 // PredictBatch scores a batch of incidents, answering exactly what
 // Predict would answer for each item — the gates, the model selector and
 // the explanations are identical — but routes every RF-bound item through
-// one tree-major forest.PredictProbBatch pass over pooled feature
-// vectors, so a batch streams the flat forest once instead of once per
-// incident and allocates no per-item feature vector.
+// one forest.PredictProbBatch call over pooled feature vectors, so a batch
+// allocates no per-item feature vector. (The forest call itself is a loop
+// over the single-vector traversal; what a batch saves is the pooling.)
 func (s *Scout) PredictBatch(reqs []BatchRequest) []Prediction {
 	return s.PredictBatchCtx(context.Background(), reqs)
 }
@@ -540,8 +540,8 @@ func (s *Scout) PredictIncident(in *incident.Incident) Prediction {
 
 // PredictIncidentBatch classifies incidents at their creation time through
 // the batch path; element i is exactly PredictIncident(ins[i]). It
-// implements evaluate.BatchPredictor, so the §7 evaluation drivers stream
-// the forest tree-major instead of per incident.
+// implements evaluate.BatchPredictor, so the §7 evaluation drivers score
+// in chunks over pooled feature vectors instead of per incident.
 func (s *Scout) PredictIncidentBatch(ins []*incident.Incident) []Prediction {
 	reqs := make([]BatchRequest, len(ins))
 	for i, in := range ins {
@@ -683,9 +683,8 @@ func (s *Scout) Evaluate(ins []*incident.Incident) metrics.Confusion {
 
 // EvaluateWorkers is Evaluate with an explicit worker count (0 selects
 // runtime.GOMAXPROCS(0)). Predictions fan out in parallel over 64-incident
-// batch chunks — a trained Scout is read-only at inference, and each chunk
-// streams the flat forest tree-major — and the confusion matrix is folded
-// sequentially in incident order.
+// batch chunks — a trained Scout is read-only at inference — and the
+// confusion matrix is folded sequentially in incident order.
 func (s *Scout) EvaluateWorkers(ins []*incident.Incident, workers int) metrics.Confusion {
 	const chunk = 64
 	preds := make([]Prediction, len(ins))

@@ -26,14 +26,14 @@ type Predictor interface {
 
 // BatchPredictor is the batched form of Predictor: element i of the result
 // must equal PredictIncident(ins[i]). Predictors that implement it (a
-// trained Scout does) are evaluated in chunks, so the forest streams
-// tree-major over each chunk instead of once per incident.
+// trained Scout does) are evaluated in chunks over pooled feature vectors
+// instead of one call per incident.
 type BatchPredictor interface {
 	PredictIncidentBatch(ins []*incident.Incident) []core.Prediction
 }
 
 // evalBatchSize is the evaluation chunk size: large enough that a chunk
-// amortizes the tree-major sweep, small enough that chunks still balance
+// amortizes the per-call setup, small enough that chunks still balance
 // across workers on modest test sets.
 const evalBatchSize = 64
 

@@ -49,21 +49,92 @@ func (p BreakerParams) withDefaults() BreakerParams {
 	return p
 }
 
-// gate is one dataset's breaker state machine. Time comes from query
-// windows (model hours), never from the wall clock, so breaker behavior
-// replays deterministically for a fixed query sequence.
-type gate struct {
+// timeBase is what a machine measures cooldowns in: model hours for the
+// per-dataset gates, time since construction for a ReqBreaker.
+type timeBase interface{ ~float64 | ~int64 }
+
+// machine is the closed → open → half-open state machine under both
+// breakers. It keeps no clock and no lock: callers pass the current time
+// in their own base and hold their own mutex, so the per-dataset gates
+// replay deterministically from query windows (model hours, never the wall
+// clock) while replica breakers cool down in injected wall time.
+type machine[T timeBase] struct {
 	state    State
 	fails    int
-	openedAt float64
+	openedAt T
 	trips    int
 	// probing marks the single half-open probe slot as taken: exactly one
-	// in-flight query may test a recovering dataset, every concurrent
-	// query short-circuits until the probe's outcome lands in record. Two
-	// racing probes would double-count a failure (re-opening the breaker
-	// twice) or let a burst through a dataset that is still down.
+	// in-flight query may test a recovering target, every concurrent
+	// observed query short-circuits until the probe's outcome lands in
+	// record. Two racing probes would double-count a failure (re-opening
+	// the breaker twice) or let a burst through a target that is still down.
 	probing bool
 }
+
+// allow decides whether a query at time now may pass, moving an open
+// machine past its cooldown to half-open. An observed query — one whose
+// outcome will be fed back through record — takes the probe slot while
+// half-open (probe == true) or short-circuits when the slot is taken. An
+// unobserved query never takes the slot: while a probe is in flight it
+// flows — the target is being tested, not trusted, and an extra read
+// costs nothing the probe is not already risking.
+func (m *machine[T]) allow(now, cooldown T, observed bool) (pass, probe bool) {
+	switch m.state {
+	case StateOpen:
+		if now-m.openedAt < cooldown {
+			return false, false
+		}
+		m.state = StateHalfOpen
+	case StateHalfOpen:
+		if observed && m.probing {
+			return false, false
+		}
+	default:
+		return true, false
+	}
+	if observed {
+		m.probing = true
+	}
+	return true, observed
+}
+
+// record feeds one allowed query's outcome into the machine, releasing the
+// probe slot when the query held it. A success closes the machine; a
+// failed probe (or any failure while half-open) re-opens it immediately;
+// trip consecutive closed-state failures open it.
+func (m *machine[T]) record(now T, trip int, ok, probe bool) {
+	if probe {
+		m.probing = false
+	}
+	if ok {
+		m.fails = 0
+		m.state = StateClosed
+		return
+	}
+	if !probe && m.state != StateHalfOpen {
+		m.fails++
+		if m.fails < trip {
+			return
+		}
+	}
+	m.state = StateOpen
+	m.openedAt = now
+	m.trips++
+	m.fails = 0
+}
+
+// stateAt reads the effective state at time now without advancing the
+// machine: an open machine past its cooldown reports half-open, matching
+// what the next allow would decide.
+func (m *machine[T]) stateAt(now, cooldown T) State {
+	if m.state == StateOpen && now-m.openedAt >= cooldown {
+		return StateHalfOpen
+	}
+	return m.state
+}
+
+// gate is one dataset's breaker, on model hours.
+type gate = machine[float64]
 
 // Breaker wraps a monitoring.DataSource with a per-dataset circuit
 // breaker: consecutive empty (or too-stale) series windows open the
@@ -116,83 +187,29 @@ func (b *Breaker) gateOf(dataset string) *gate {
 }
 
 // begin decides whether an observed query (one whose outcome will be fed
-// back through record) at time t may reach the inner source. probe marks
-// the query as the half-open trial whose outcome moves the state machine
-// even harder than a closed-state observation; the probe slot is single
-// occupancy — a second observed query racing the probe short-circuits
-// instead of piling a burst onto a dataset that may still be down. The
-// slot is released by record, which every begin(pass=true) caller
-// invokes after its inner query returns.
+// back through record) at time t may reach the inner source; see
+// machine.allow. The probe slot is released by record, which every
+// begin(pass=true) caller invokes after its inner query returns.
 func (b *Breaker) begin(dataset string, t float64) (pass, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g := b.gateOf(dataset)
-	switch g.state {
-	case StateOpen:
-		if t-g.openedAt < b.p.Cooldown {
-			return false, false
-		}
-		g.state = StateHalfOpen
-		g.probing = true
-		return true, true
-	case StateHalfOpen:
-		if g.probing {
-			return false, false
-		}
-		g.probing = true
-		return true, true
-	default:
-		return true, false
-	}
+	return b.gateOf(dataset).allow(t, b.p.Cooldown, true)
 }
 
 // beginPassive decides whether an unobserved query (events; their silence
-// carries no outage signal, so no record follows) may pass. It never
-// takes the probe slot: while a probe is in flight, passive queries flow
-// — the dataset is being tested, not trusted, and an extra read costs
-// nothing the probe is not already risking.
+// carries no outage signal, so no record follows) may pass.
 func (b *Breaker) beginPassive(dataset string, t float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g := b.gateOf(dataset)
-	if g.state == StateOpen {
-		if t-g.openedAt < b.p.Cooldown {
-			return false
-		}
-		g.state = StateHalfOpen
-	}
-	return true
+	pass, _ := b.gateOf(dataset).allow(t, b.p.Cooldown, false)
+	return pass
 }
 
 // record feeds a series-window outcome into the state machine.
 func (b *Breaker) record(dataset string, t float64, ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g := b.gateOf(dataset)
-	if probe {
-		g.probing = false
-	}
-	if ok {
-		g.fails = 0
-		if g.state != StateClosed {
-			g.state = StateClosed
-		}
-		return
-	}
-	if probe || g.state == StateHalfOpen {
-		g.state = StateOpen
-		g.openedAt = t
-		g.trips++
-		g.fails = 0
-		return
-	}
-	g.fails++
-	if g.fails >= b.p.Trip {
-		g.state = StateOpen
-		g.openedAt = t
-		g.trips++
-		g.fails = 0
-	}
+	b.gateOf(dataset).record(t, b.p.Trip, ok, probe)
 }
 
 // tooStale reports whether the inner source admits to unacceptable lag.
@@ -274,10 +291,7 @@ func (b *Breaker) stateAt(dataset string, t float64) (State, int) {
 	if g == nil {
 		return StateClosed, 0
 	}
-	if g.state == StateOpen && t-g.openedAt >= b.p.Cooldown {
-		return StateHalfOpen, g.trips
-	}
-	return g.state, g.trips
+	return g.stateAt(t, b.p.Cooldown), g.trips
 }
 
 // DatasetHealth implements monitoring.HealthReporter: the inner source's

@@ -29,27 +29,25 @@ func (p ReqBreakerParams) withDefaults() ReqBreakerParams {
 // ReqBreaker is the three-state circuit breaker for request/response
 // traffic: the gateway keeps one per replica, so a replica that fails
 // Trip requests in a row stops receiving traffic until a cooldown
-// elapses and a single probe request proves it recovered. It shares the
-// State machine (and the single-occupancy half-open probe slot) with the
+// elapses and a single probe request proves it recovered. It runs the
+// same machine (and single-occupancy half-open probe slot) as the
 // per-dataset Breaker; the difference is the time base — a replica
-// breaker cools down in wall-clock time, read through an injected clock
-// so tests and deterministic replays never touch time.Now themselves.
+// breaker cools down in wall-clock time since its construction, read
+// through an injected clock so tests and deterministic replays never
+// touch time.Now themselves.
 type ReqBreaker struct {
-	p   ReqBreakerParams
-	now func() time.Time
+	p     ReqBreakerParams
+	now   func() time.Time
+	epoch time.Time
 
-	mu       sync.Mutex
-	state    State
-	fails    int
-	openedAt time.Time
-	probing  bool
-	trips    int
+	mu sync.Mutex
+	m  machine[time.Duration]
 }
 
 // NewReqBreaker builds a closed breaker reading time through now (which
 // must be non-nil; binaries pass time.Now, tests a fake).
 func NewReqBreaker(p ReqBreakerParams, now func() time.Time) *ReqBreaker {
-	return &ReqBreaker{p: p.withDefaults(), now: now, state: StateClosed}
+	return &ReqBreaker{p: p.withDefaults(), now: now, epoch: now(), m: machine[time.Duration]{state: StateClosed}}
 }
 
 // Allow reports whether a request may be sent. probe marks the request
@@ -60,49 +58,15 @@ func NewReqBreaker(p ReqBreakerParams, now func() time.Time) *ReqBreaker {
 func (b *ReqBreaker) Allow() (pass, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case StateOpen:
-		if b.now().Sub(b.openedAt) < b.p.Cooldown {
-			return false, false
-		}
-		b.state = StateHalfOpen
-		b.probing = true
-		return true, true
-	case StateHalfOpen:
-		if b.probing {
-			return false, false
-		}
-		b.probing = true
-		return true, true
-	default:
-		return true, false
-	}
+	return b.m.allow(b.now().Sub(b.epoch), b.p.Cooldown, true)
 }
 
 // Record feeds one allowed request's outcome into the state machine,
-// releasing the probe slot when the request held it. A successful probe
-// closes the breaker; a failed probe (or any failure while half-open)
-// re-opens it immediately; Trip consecutive closed-state failures open
-// it.
+// releasing the probe slot when the request held it; see machine.record.
 func (b *ReqBreaker) Record(ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if probe {
-		b.probing = false
-	}
-	if ok {
-		b.fails = 0
-		b.state = StateClosed
-		return
-	}
-	if probe || b.state == StateHalfOpen {
-		b.open()
-		return
-	}
-	b.fails++
-	if b.fails >= b.p.Trip {
-		b.open()
-	}
+	b.m.record(b.now().Sub(b.epoch), b.p.Trip, ok, probe)
 }
 
 // Release abandons an allowed request without recording an outcome:
@@ -117,16 +81,7 @@ func (b *ReqBreaker) Release(probe bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
-}
-
-// open transitions to StateOpen. Callers hold b.mu.
-func (b *ReqBreaker) open() {
-	b.state = StateOpen
-	b.openedAt = b.now()
-	b.trips++
-	b.fails = 0
-	b.probing = false
+	b.m.probing = false
 }
 
 // State reads the effective state: an open breaker past its cooldown
@@ -134,15 +89,12 @@ func (b *ReqBreaker) open() {
 func (b *ReqBreaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == StateOpen && b.now().Sub(b.openedAt) >= b.p.Cooldown {
-		return StateHalfOpen
-	}
-	return b.state
+	return b.m.stateAt(b.now().Sub(b.epoch), b.p.Cooldown)
 }
 
 // Trips returns how many times the breaker has opened.
 func (b *ReqBreaker) Trips() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.trips
+	return b.m.trips
 }

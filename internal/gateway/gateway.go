@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"scouts/internal/faults"
+	"scouts/internal/httpx"
 	"scouts/internal/telemetry"
 )
 
@@ -129,6 +130,8 @@ type Gateway struct {
 	backoff *backoffSource
 	lat     *latencyWindow
 	tel     *gwMetrics
+	// web is the HTTP spine shared with the serving layer.
+	web *httpx.Spine
 }
 
 // New validates the fleet config and builds the gateway.
@@ -175,6 +178,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	slices.Sort(g.teams)
 	g.tel = newGwMetrics(reps)
+	g.web = httpx.New(g.tel.reg, "scout_gw_http", gwEndpoints, g.logger)
 	return g, nil
 }
 

@@ -1,11 +1,8 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -19,6 +16,8 @@ import (
 // replica, not through the gateway).
 const maxGwBody = 1 << 20
 
+// errorBody is the spine's error envelope plus the fleet picture behind
+// a gateway-level failure.
 type errorBody struct {
 	Error       string       `json:"error"`
 	FleetHealth *FleetHealth `json:"fleet_health,omitempty"`
@@ -74,100 +73,18 @@ type DrainRequest struct {
 //	POST /v1/drain          -> mark a replica draining / restored
 //	GET  /metrics           -> Prometheus text exposition of scout_gw_* series
 //
-// Every route passes through instrument; unrouted paths answer JSON 404.
+// The routes sit on the shared spine (internal/httpx): every one is
+// instrumented, unrouted paths answer JSON 404, and a handler panic is a
+// counted JSON 500.
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("POST /v1/predict", g.instrument("/v1/predict", http.HandlerFunc(g.handlePredict)))
-	mux.Handle("POST /v1/route", g.instrument("/v1/route", http.HandlerFunc(g.handleRoute)))
-	mux.Handle("GET /v1/health", g.instrument("/v1/health", http.HandlerFunc(g.handleHealth)))
-	mux.Handle("POST /v1/reload", g.instrument("/v1/reload", http.HandlerFunc(g.handleReload)))
-	mux.Handle("POST /v1/drain", g.instrument("/v1/drain", http.HandlerFunc(g.handleDrain)))
-	mux.Handle("GET /metrics", g.instrument("/metrics", g.tel.reg))
-	mux.Handle("/", g.instrument("other", http.HandlerFunc(g.handleNotFound)))
-	return mux
-}
-
-// instrument wraps one endpoint with its latency histogram and status
-// counters — the same per-route observation contract scoutlint's obs
-// analyzer enforces on the serving layer.
-func (g *Gateway) instrument(endpoint string, next http.Handler) http.Handler {
-	em := g.tel.endpoint(endpoint)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := g.now()
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			em.dur.ObserveDuration(g.now().Sub(start))
-			status := sw.code
-			if status == 0 {
-				status = http.StatusOK
-			}
-			em.codeCounter(status).Inc()
-		}()
-		next.ServeHTTP(sw, r)
-	})
-}
-
-// statusWriter captures the response status for the request counters.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"internal encoding failure"}` + "\n"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// readBody buffers the request body under the gateway cap, answering the
-// error itself (413 / 400) when the read fails.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxGwBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			g.writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-		} else {
-			g.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-		}
-		return nil, false
-	}
-	return raw, true
-}
-
-// decodeStrict decodes buffered JSON rejecting unknown fields, answering
-// the 400 itself on failure.
-func (g *Gateway) decodeStrict(w http.ResponseWriter, raw []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		g.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-		return false
-	}
-	return true
+	mux := g.web.Mux(g.now, nil)
+	mux.Handle("POST /v1/predict", "/v1/predict", http.HandlerFunc(g.handlePredict))
+	mux.Handle("POST /v1/route", "/v1/route", http.HandlerFunc(g.handleRoute))
+	mux.Handle("GET /v1/health", "/v1/health", http.HandlerFunc(g.handleHealth))
+	mux.Handle("POST /v1/reload", "/v1/reload", http.HandlerFunc(g.handleReload))
+	mux.Handle("POST /v1/drain", "/v1/drain", http.HandlerFunc(g.handleDrain))
+	mux.Handle("GET /metrics", "/metrics", g.tel.reg)
+	return g.web.Recover(mux)
 }
 
 // relay writes a forward result to the client: upstream responses are
@@ -180,7 +97,7 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(fr.retryHint.Seconds())))
 		}
 		fh := g.fleetHealth(fr.skips, 0)
-		g.writeJSON(w, fr.errStatus, errorBody{Error: fr.errMsg, FleetHealth: &fh})
+		g.web.WriteJSON(w, fr.errStatus, errorBody{Error: fr.errMsg, FleetHealth: &fh})
 		return
 	}
 	if ct := fr.header.Get("Content-Type"); ct != "" {
@@ -206,19 +123,16 @@ func shardKey(team, title, body string) string {
 // fleets); the body is validated for shape, then forwarded byte for
 // byte.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	raw, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req serving.PredictRequest
-	if !g.decodeStrict(w, raw, &req) {
+	raw, ok := g.web.DecodeBytes(w, r, maxGwBody, &req)
+	if !ok {
 		return
 	}
 	team := r.URL.Query().Get("team")
 	if team == "" {
 		if len(g.teams) != 1 {
-			g.writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "team query parameter required (fleet serves " + strconv.Itoa(len(g.teams)) + " teams)"})
+			g.web.WriteError(w, http.StatusBadRequest,
+				"team query parameter required (fleet serves "+strconv.Itoa(len(g.teams))+" teams)")
 			return
 		}
 		team = g.teams[0]
@@ -232,19 +146,15 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 // not answer for are named in fleet_health — a partial ranking says it
 // is partial instead of silently shrinking.
 func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
-	raw, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req RouteRequest
-	if !g.decodeStrict(w, raw, &req) {
+	if !g.web.Decode(w, r, maxGwBody, &req) {
 		return
 	}
 	body, err := json.Marshal(serving.PredictRequest{
 		Title: req.Title, Body: req.Body, Components: req.Components, Time: req.Time,
 	})
 	if err != nil {
-		g.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
+		g.web.WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	type teamResult struct {
@@ -296,7 +206,7 @@ func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	fh := g.fleetHealth(skips, answered)
 	if answered == 0 {
-		g.writeJSON(w, http.StatusServiceUnavailable,
+		g.web.WriteJSON(w, http.StatusServiceUnavailable,
 			errorBody{Error: "no team could answer", FleetHealth: &fh})
 		return
 	}
@@ -316,7 +226,7 @@ func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if k < len(ranking) {
 		ranking = ranking[:k]
 	}
-	g.writeJSON(w, http.StatusOK, RouteResponse{Ranking: ranking, TopK: k, FleetHealth: fh})
+	g.web.WriteJSON(w, http.StatusOK, RouteResponse{Ranking: ranking, TopK: k, FleetHealth: fh})
 }
 
 // handleHealth reports the fleet: per-replica breaker/budget/drain state
@@ -348,7 +258,7 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "down"
 	}
-	g.writeJSON(w, status, map[string]any{
+	g.web.WriteJSON(w, status, map[string]any{
 		"status":       state,
 		"fleet_health": fh,
 		"replicas":     rows,
@@ -413,38 +323,30 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusBadGateway
 		}
 	}
-	g.writeJSON(w, status, map[string]any{"results": results})
+	g.web.WriteJSON(w, status, map[string]any{"results": results})
 }
 
 // handleDrain marks a replica draining (or restores it). Draining is the
 // graceful-removal path: the replica finishes what it has and gets
 // nothing new, so it can be stopped without failing client requests.
 func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
-	raw, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req DrainRequest
-	if !g.decodeStrict(w, raw, &req) {
+	if !g.web.Decode(w, r, maxGwBody, &req) {
 		return
 	}
 	if req.Replica == "" {
-		g.writeJSON(w, http.StatusBadRequest, errorBody{Error: "replica is required"})
+		g.web.WriteError(w, http.StatusBadRequest, "replica is required")
 		return
 	}
 	if !g.Drain(req.Replica, req.Restore) {
-		g.writeJSON(w, http.StatusNotFound, errorBody{Error: "no such replica: " + req.Replica})
+		g.web.WriteError(w, http.StatusNotFound, "no such replica: "+req.Replica)
 		return
 	}
 	rep := g.replicas[req.Replica]
-	g.writeJSON(w, http.StatusOK, ReplicaHealth{
+	g.web.WriteJSON(w, http.StatusOK, ReplicaHealth{
 		Name: req.Replica, Team: rep.cfg.Team,
 		Breaker: string(rep.breaker.State()), Trips: rep.breaker.Trips(),
 		Draining: rep.draining.Load(), Healthy: rep.healthy.Load(),
 		InFlight: int(rep.inflight.Load()),
 	})
-}
-
-func (g *Gateway) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	g.writeJSON(w, http.StatusNotFound, errorBody{Error: "no such endpoint: " + r.URL.Path})
 }

@@ -1,40 +1,22 @@
 package gateway
 
 import (
-	"strconv"
-
 	"scouts/internal/faults"
 	"scouts/internal/telemetry"
 )
 
-// gwEndpoints is the gateway's full route set plus the catch-all;
-// per-endpoint series are pre-registered from this list, same contract
-// as the serving layer: request-time recording is a prebuilt pointer.
+// gwEndpoints is the gateway's full route set; the spine pre-registers
+// the per-endpoint series from this list, same contract as the serving
+// layer: request-time recording is a prebuilt pointer.
 var gwEndpoints = []string{
 	"/v1/predict", "/v1/route", "/v1/health", "/v1/reload", "/v1/drain",
-	"/metrics", "other",
+	"/metrics",
 }
-
-// gwStatusCodes are the label values of scout_gw_http_requests_total.
-var gwStatusCodes = []int{200, 400, 404, 405, 413, 429, 500, 502, 503}
 
 // upstreamOutcomes classify one upstream attempt's result for
 // scout_gw_upstream_requests_total: a bounded set instead of raw status
 // codes so per-replica cardinality stays fixed.
 var upstreamOutcomes = []string{"ok", "busy", "error", "5xx", "4xx"}
-
-type gwEndpointMetrics struct {
-	dur    *telemetry.Histogram
-	byCode map[int]*telemetry.Counter
-	other  *telemetry.Counter
-}
-
-func (em *gwEndpointMetrics) codeCounter(status int) *telemetry.Counter {
-	if c, ok := em.byCode[status]; ok {
-		return c
-	}
-	return em.other
-}
 
 // replicaMetrics is one replica's slice of the gateway's series, held by
 // pointer so the forwarding path records with atomic adds only.
@@ -54,12 +36,12 @@ func (rm *replicaMetrics) outcome(name string) *telemetry.Counter {
 	return rm.byOutcome["error"]
 }
 
-// gwMetrics is every series the gateway exports.
+// gwMetrics is every series the gateway exports besides the spine's
+// per-endpoint request series.
 type gwMetrics struct {
 	reg *telemetry.Registry
 
-	endpoints map[string]*gwEndpointMetrics
-	replicas  map[string]*replicaMetrics
+	replicas map[string]*replicaMetrics
 
 	shed      *telemetry.Counter
 	noReplica *telemetry.Counter
@@ -69,30 +51,14 @@ type gwMetrics struct {
 func newGwMetrics(replicas []*replica) *gwMetrics {
 	reg := telemetry.NewRegistry()
 	m := &gwMetrics{
-		reg:       reg,
-		endpoints: make(map[string]*gwEndpointMetrics, len(gwEndpoints)),
-		replicas:  make(map[string]*replicaMetrics, len(replicas)),
+		reg:      reg,
+		replicas: make(map[string]*replicaMetrics, len(replicas)),
 		shed: reg.Counter("scout_gw_requests_shed_total",
 			"Client requests answered 429 because every candidate replica was saturated."),
 		noReplica: reg.Counter("scout_gw_no_replica_total",
 			"Client requests answered 503 because no replica could take them (breakers open or fleet draining)."),
 		upstream: reg.Histogram("scout_gw_upstream_duration_seconds",
 			"Latency of successful upstream attempts (the hedge-delay source).", nil),
-	}
-	const reqHelp = "Gateway HTTP requests by endpoint and status code."
-	const durHelp = "Gateway HTTP request latency in seconds by endpoint."
-	for _, ep := range gwEndpoints {
-		em := &gwEndpointMetrics{
-			dur:    reg.Histogram("scout_gw_http_request_duration_seconds", durHelp, nil, telemetry.L("endpoint", ep)),
-			byCode: make(map[int]*telemetry.Counter, len(gwStatusCodes)),
-			other: reg.Counter("scout_gw_http_requests_total", reqHelp,
-				telemetry.L("endpoint", ep), telemetry.L("code", "other")),
-		}
-		for _, code := range gwStatusCodes {
-			em.byCode[code] = reg.Counter("scout_gw_http_requests_total", reqHelp,
-				telemetry.L("endpoint", ep), telemetry.L("code", strconv.Itoa(code)))
-		}
-		m.endpoints[ep] = em
 	}
 	const upHelp = "Upstream attempts by replica and outcome (ok, busy, error, 5xx, 4xx)."
 	for _, r := range replicas {
@@ -162,13 +128,6 @@ func newGwMetrics(replicas []*replica) *gwMetrics {
 			telemetry.L("replica", name))
 	}
 	return m
-}
-
-func (m *gwMetrics) endpoint(name string) *gwEndpointMetrics {
-	if em, ok := m.endpoints[name]; ok {
-		return em
-	}
-	return m.endpoints["other"]
 }
 
 func (m *gwMetrics) replica(name string) *replicaMetrics {

@@ -241,7 +241,7 @@ func TestShedding(t *testing.T) {
 		close(parked)
 		<-release
 	})
-	h := srv.withRecover(srv.withShedding(mux))
+	h := srv.web.Recover(srv.withShedding(mux))
 	srv.inflight = make(chan struct{}, srv.MaxInFlight)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -277,7 +277,7 @@ func TestPanicRecovery(t *testing.T) {
 	srv := NewServer(nil, nil, NewStore(), nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("scoring bug") })
-	ts := httptest.NewServer(srv.withRecover(mux))
+	ts := httptest.NewServer(srv.web.Recover(mux))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/boom")
@@ -315,7 +315,7 @@ func TestRequestDeadline(t *testing.T) {
 		case <-release:
 		}
 	})
-	h := srv.withRecover(srv.withDeadline(mux))
+	h := srv.web.Recover(srv.withDeadline(mux))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -355,7 +355,7 @@ func TestDeadlinePanicPropagates(t *testing.T) {
 	srv.RequestTimeout = time.Second
 	mux := http.NewServeMux()
 	mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
-	ts := httptest.NewServer(srv.withRecover(srv.withDeadline(mux)))
+	ts := httptest.NewServer(srv.web.Recover(srv.withDeadline(mux)))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/boom")

@@ -85,7 +85,7 @@ func TestSheddingResponseIsJSON(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	})
 	srv.inflight = make(chan struct{}, srv.MaxInFlight)
-	h := srv.withRequestID(srv.withRecover(srv.withShedding(mux)))
+	h := srv.withRequestID(srv.web.Recover(srv.withShedding(mux)))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -3,6 +3,7 @@ package serving
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -219,11 +220,16 @@ func TestHTTPMetricsUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	em := srv.tel.endpoint("/v1/health")
-	if got := em.codeCounter(503).Value(); got != workers*each {
-		t.Fatalf("503 counter = %d, want %d", got, workers*each)
+	var scrape strings.Builder
+	if err := srv.Metrics().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
 	}
-	if got := em.dur.Count(); got != workers*each {
-		t.Fatalf("histogram count = %d, want %d", got, workers*each)
+	for _, want := range []string{
+		fmt.Sprintf(`scout_http_requests_total{code="503",endpoint="/v1/health"} %d`, workers*each),
+		fmt.Sprintf(`scout_http_request_duration_seconds_count{endpoint="/v1/health"} %d`, workers*each),
+	} {
+		if !strings.Contains(scrape.String(), want+"\n") {
+			t.Fatalf("scrape lacks %q", want)
+		}
 	}
 }

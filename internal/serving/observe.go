@@ -14,39 +14,20 @@ import (
 )
 
 // This file is the server's self-observability plane: the metric set,
-// the per-endpoint instrumentation middleware, request-ID plumbing and
-// the core.PredictObserver implementation. The invariants (DESIGN.md
+// request-ID plumbing, the deadline middleware and the
+// core.PredictObserver implementation (per-endpoint instrumentation is
+// the spine's, internal/httpx). The invariants (DESIGN.md
 // §11): recording a sample on the request path is atomic adds only —
 // no locks, no label hashing, no allocation — and nothing exported
 // through /metrics reads the wall clock, so a scrape under an injected
 // clock is reproducible byte for byte.
 
-// endpoints is the full route set of Handler(), plus the catch-all.
-// Per-endpoint series are pre-registered from this list so request-time
-// lookup is a prebuilt pointer, never a registry access.
+// endpoints is the full route set of Handler(). The spine pre-registers
+// the per-endpoint series from this list so request-time lookup is a
+// prebuilt pointer, never a registry access.
 var endpoints = []string{
 	"/v1/health", "/v1/model", "/v1/reload", "/v1/predict", "/v1/predict:batch",
-	"/metrics", "other",
-}
-
-// statusCodes are the label values of scout_http_requests_total; every
-// status the serving layer can produce, with "other" as the catch-all.
-var statusCodes = []int{200, 400, 404, 405, 413, 429, 500, 503}
-
-// endpointMetrics is one endpoint's request instrumentation.
-type endpointMetrics struct {
-	dur *telemetry.Histogram
-	// byCode is read-only after construction; map reads without a lock
-	// are safe, and the fixed code set keeps label cardinality bounded.
-	byCode map[int]*telemetry.Counter
-	other  *telemetry.Counter
-}
-
-func (em *endpointMetrics) codeCounter(status int) *telemetry.Counter {
-	if c, ok := em.byCode[status]; ok {
-		return c
-	}
-	return em.other
+	"/metrics",
 }
 
 // serverMetrics is every series the server exports, held by pointer so
@@ -54,11 +35,8 @@ func (em *endpointMetrics) codeCounter(status int) *telemetry.Counter {
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	endpoints map[string]*endpointMetrics
-
 	shed     *telemetry.Counter
 	timeouts *telemetry.Counter
-	panics   *telemetry.Counter
 
 	reloads      *telemetry.Counter
 	modelVersion *telemetry.Gauge
@@ -81,14 +59,11 @@ type serverMetrics struct {
 func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
 	m := &serverMetrics{
-		reg:       reg,
-		endpoints: make(map[string]*endpointMetrics, len(endpoints)),
+		reg: reg,
 		shed: reg.Counter("scout_http_requests_shed_total",
 			"Requests shed with 429 because MaxInFlight was saturated."),
 		timeouts: reg.Counter("scout_http_request_timeouts_total",
 			"Requests answered 503 because they overran RequestTimeout."),
-		panics: reg.Counter("scout_http_panics_recovered_total",
-			"Handler panics converted to 500 responses by the recovery middleware."),
 		reloads: reg.Counter("scout_model_reloads_total",
 			"Successful model loads (startup load included)."),
 		modelVersion: reg.Gauge("scout_model_version",
@@ -104,21 +79,6 @@ func newServerMetrics() *serverMetrics {
 			"Predictions whose feature vector carried at least one imputed slot."),
 		imputedSlots: reg.Counter("scout_imputed_slots_total",
 			"Feature-vector slots filled with training means across all predictions."),
-	}
-	const reqHelp = "HTTP requests by endpoint and status code."
-	const durHelp = "HTTP request latency in seconds by endpoint."
-	for _, ep := range endpoints {
-		em := &endpointMetrics{
-			dur:    reg.Histogram("scout_http_request_duration_seconds", durHelp, nil, telemetry.L("endpoint", ep)),
-			byCode: make(map[int]*telemetry.Counter, len(statusCodes)),
-			other: reg.Counter("scout_http_requests_total", reqHelp,
-				telemetry.L("endpoint", ep), telemetry.L("code", "other")),
-		}
-		for _, code := range statusCodes {
-			em.byCode[code] = reg.Counter("scout_http_requests_total", reqHelp,
-				telemetry.L("endpoint", ep), telemetry.L("code", strconv.Itoa(code)))
-		}
-		m.endpoints[ep] = em
 	}
 	const predHelp = "Predictions served, by answering model."
 	for _, model := range []string{"rf", "cpd+", "exclude-rule", "none"} {
@@ -142,13 +102,6 @@ func (m *serverMetrics) setLoadStats(d time.Duration, bytes int, packed bool) {
 		format = 1
 	}
 	m.modelFormat.Set(format)
-}
-
-func (m *serverMetrics) endpoint(name string) *endpointMetrics {
-	if em, ok := m.endpoints[name]; ok {
-		return em
-	}
-	return m.endpoints["other"]
 }
 
 // registerSourceMetrics exports the data source's availability picture —
@@ -225,69 +178,11 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// statusWriter captures the response status for the request counters.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// instrument wraps one endpoint's handler with its latency histogram,
-// status counters and the structured access log. It is the layer the
-// scoutlint obs analyzer demands on every mux registration: a handler
-// that never passes through here serves invisible requests.
-func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
-	em := s.tel.endpoint(endpoint)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := s.Clock()
-		sw := &statusWriter{ResponseWriter: w}
-		done := false
-		// Observation is deferred so a panicking handler still records a
-		// sample (as a 500; the recovery middleware owns the response).
-		defer func() {
-			elapsed := s.Clock().Sub(start)
-			em.dur.ObserveDuration(elapsed)
-			status := sw.code
-			if status == 0 {
-				status = http.StatusOK
-			}
-			if !done {
-				status = http.StatusInternalServerError
-			}
-			em.codeCounter(status).Inc()
-			if s.Access != nil {
-				s.Access.Log("http_request",
-					telemetry.F("request_id", telemetry.RequestID(r.Context())),
-					telemetry.F("method", r.Method),
-					telemetry.F("endpoint", endpoint),
-					telemetry.F("status", status),
-					telemetry.F("duration_ms", float64(elapsed)/1e6),
-				)
-			}
-		}()
-		next.ServeHTTP(sw, r)
-		done = true
-	})
-}
-
 // withDeadline bounds every request with RequestTimeout. It replaces
 // http.TimeoutHandler — which emits its timeout body without a
 // Content-Type, so Go content-sniffs our JSON error as text/plain — with
-// the same semantics through writeJSON: the handler runs on its own
-// goroutine against a buffered response while the request context
+// the same semantics through the spine's envelope: the handler runs on
+// its own goroutine against a buffered response while the request context
 // carries the deadline; on overrun the client gets an immediate 503
 // application/json body and the handler's context expires so in-flight
 // scoring stops at the next chunk boundary.
@@ -306,7 +201,7 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 			if rec != nil {
 				// Re-raise on the serving goroutine so the recovery
 				// middleware turns it into a 500 (http.ErrAbortHandler
-				// included — withRecover re-raises that one further).
+				// included — Recover re-raises that one further).
 				panic(rec)
 			}
 			bw.copyTo(w)
@@ -315,7 +210,7 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 			// buffer until it notices the expired context; nothing reads
 			// that buffer again.
 			s.tel.timeouts.Inc()
-			s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "request deadline exceeded"})
+			s.web.WriteError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 		}
 	})
 }
@@ -356,12 +251,6 @@ func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
 	}
 	w.WriteHeader(code)
 	_, _ = w.Write(b.body)
-}
-
-// handleNotFound answers unrouted paths with a JSON 404 — every error
-// the serving layer emits is decodable JSON with the right Content-Type.
-func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no such endpoint: " + r.URL.Path})
 }
 
 // ObservePrediction implements core.PredictObserver: atomic counter

@@ -7,8 +7,6 @@ package serving
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -19,6 +17,7 @@ import (
 	"time"
 
 	"scouts/internal/core"
+	"scouts/internal/httpx"
 	"scouts/internal/incident"
 	"scouts/internal/monitoring"
 	"scouts/internal/telemetry"
@@ -315,7 +314,10 @@ type Server struct {
 	reloadMu sync.Mutex
 	logger   *log.Logger
 	tel      *serverMetrics
-	reqSeq   atomic.Uint64
+	// web is the HTTP spine: envelope, strict decode, instrumented mux and
+	// panic recovery, shared with the gateway.
+	web    *httpx.Spine
+	reqSeq atomic.Uint64
 	// inflight is the shedding semaphore, sized on first Handler() call.
 	inflight chan struct{}
 	// shedStreak counts consecutive sheds since the last admitted request;
@@ -345,6 +347,7 @@ func NewServer(topo *topology.Topology, source monitoring.DataSource, store *Sto
 		tel:   newServerMetrics(),
 		Clock: time.Now,
 	}
+	s.web = httpx.New(s.tel.reg, "scout_http", endpoints, logger)
 	s.registerSourceMetrics()
 	return s
 }
@@ -426,30 +429,30 @@ func (s *Server) Scout() *core.Scout {
 //	POST /v1/predict:batch -> BatchPredictRequest -> BatchPredictResponse
 //	GET  /metrics    -> Prometheus text exposition of every scout_* series
 //
-// Every route is wrapped in instrument (latency histogram, status
-// counters, access log), unrouted paths land on a JSON 404 catch-all,
-// and the whole mux sits under the hardening chain, outermost first:
-// request-ID stamping (every request gets an X-Request-Id, even ones
-// later shed or timed out), panic recovery (a scoring panic answers
-// 500, it does not kill the process), load shedding (MaxInFlight;
-// beyond it 429 + Retry-After), request deadline (RequestTimeout; an
-// overrun answers 503 and the handler's context expires so in-flight
-// scoring stops). Shed and timed-out requests are counted in the
-// global scout_http_requests_shed_total / _timeouts_total rather than
-// per endpoint: they are rejected before (or torn from) the routed
-// handler, so per-endpoint attribution would lie about who did work.
+// The routes sit on the shared spine (internal/httpx): every one is
+// instrumented (latency histogram, status counters, access log) and
+// unrouted paths land on a JSON 404 catch-all. The whole mux sits under
+// the hardening chain, outermost first: request-ID stamping (every
+// request gets an X-Request-Id, even ones later shed or timed out), panic
+// recovery (a scoring panic answers 500, it does not kill the process),
+// load shedding (MaxInFlight; beyond it 429 + Retry-After), request
+// deadline (RequestTimeout; an overrun answers 503 and the handler's
+// context expires so in-flight scoring stops). Shed and timed-out
+// requests are counted in the global scout_http_requests_shed_total /
+// _timeouts_total rather than per endpoint: they are rejected before (or
+// torn from) the routed handler, so per-endpoint attribution would lie
+// about who did work.
 func (s *Server) Handler() http.Handler {
 	if s.Clock == nil { // zero-value Servers still serve
 		s.Clock = time.Now
 	}
-	mux := http.NewServeMux()
-	mux.Handle("GET /v1/health", s.instrument("/v1/health", http.HandlerFunc(s.handleHealth)))
-	mux.Handle("GET /v1/model", s.instrument("/v1/model", http.HandlerFunc(s.handleModel)))
-	mux.Handle("POST /v1/reload", s.instrument("/v1/reload", http.HandlerFunc(s.handleReload)))
-	mux.Handle("POST /v1/predict", s.instrument("/v1/predict", http.HandlerFunc(s.handlePredict)))
-	mux.Handle("POST /v1/predict:batch", s.instrument("/v1/predict:batch", http.HandlerFunc(s.handlePredictBatch)))
-	mux.Handle("GET /metrics", s.instrument("/metrics", s.tel.reg))
-	mux.Handle("/", s.instrument("other", http.HandlerFunc(s.handleNotFound)))
+	mux := s.web.Mux(s.Clock, s.Access)
+	mux.Handle("GET /v1/health", "/v1/health", http.HandlerFunc(s.handleHealth))
+	mux.Handle("GET /v1/model", "/v1/model", http.HandlerFunc(s.handleModel))
+	mux.Handle("POST /v1/reload", "/v1/reload", http.HandlerFunc(s.handleReload))
+	mux.Handle("POST /v1/predict", "/v1/predict", http.HandlerFunc(s.handlePredict))
+	mux.Handle("POST /v1/predict:batch", "/v1/predict:batch", http.HandlerFunc(s.handlePredictBatch))
+	mux.Handle("GET /metrics", "/metrics", s.tel.reg)
 	var h http.Handler = mux
 	if s.RequestTimeout > 0 {
 		h = s.withDeadline(h)
@@ -460,7 +463,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		h = s.withShedding(h)
 	}
-	return s.withRequestID(s.withRecover(h))
+	return s.withRequestID(s.web.Recover(h))
 }
 
 // withShedding admits at most MaxInFlight concurrent requests; the rest
@@ -477,8 +480,8 @@ func (s *Server) withShedding(next http.Handler) http.Handler {
 		default:
 			s.tel.shed.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			s.writeJSON(w, http.StatusTooManyRequests,
-				errorBody{Error: fmt.Sprintf("server at capacity (%d in flight); retry shortly", s.MaxInFlight)})
+			s.web.WriteError(w, http.StatusTooManyRequests,
+				fmt.Sprintf("server at capacity (%d in flight); retry shortly", s.MaxInFlight))
 		}
 	})
 }
@@ -503,27 +506,6 @@ func (s *Server) retryAfterSeconds() int {
 	return max(secs, 1)
 }
 
-// withRecover turns a handler panic into a logged 500: one poisoned
-// request must not take down every other incident's scorer. The
-// net/http abort sentinel is re-raised — it is control flow, not a bug.
-func (s *Server) withRecover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			s.tel.panics.Inc()
-			s.logger.Printf("serving: panic in %s %s: %v", r.Method, r.URL.Path, rec)
-			s.writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal server error"})
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
 // observeTime feeds a request's trigger time into the health clock
 // (monotonic max of all times seen).
 func (s *Server) observeTime(t float64) {
@@ -539,61 +521,6 @@ func (s *Server) observeTime(t float64) {
 	}
 }
 
-// encodeBufs pools the response-encoding buffers: encoding into a pooled
-// buffer and writing it once keeps the per-request JSON garbage out of the
-// predict hot path (json.NewEncoder per response was one of the larger
-// allocation sources) and lets us set Content-Length.
-var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	defer encodeBufs.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		// Should be unreachable for our response types; fail the request
-		// rather than emit a truncated body. Written by hand, not via
-		// http.Error: that would label the JSON body text/plain, and the
-		// error-path contract is that EVERY error response is
-		// application/json (see errorpaths_test.go).
-		s.logger.Printf("serving: encoding response: %v", err)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"internal encoding failure"}` + "\n"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
-	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		s.logger.Printf("serving: writing response: %v", err)
-	}
-}
-
-// decodeJSON decodes a request body under a byte cap, rejecting unknown
-// fields (a typoed field silently zeroing Time must not score the wrong
-// window). It answers false after writing the error response: 413 when the
-// cap tripped, 400 for malformed or unknown-field JSON.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // handleHealth answers 200 with status "ok", or status "degraded" plus
 // the per-dataset picture when the data source admits to trouble (an
 // outage schedule, an open circuit breaker). Degraded is still 200: the
@@ -603,7 +530,7 @@ type errorBody struct {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	m := s.current.Load()
 	if m == nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no model loaded"})
+		s.web.WriteError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	body := map[string]any{"status": "ok", "model_version": m.version}
@@ -619,16 +546,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		body["data_health"] = snap
 		body["health_time"] = t
 	}
-	s.writeJSON(w, http.StatusOK, body)
+	s.web.WriteJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	m := s.current.Load()
 	if m == nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no model loaded"})
+		s.web.WriteError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.web.WriteJSON(w, http.StatusOK, map[string]any{
 		"team":          m.scout.Team(),
 		"model_version": m.version,
 		"features":      len(m.scout.FeatureNames()),
@@ -643,7 +570,7 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 // rotation, retry later".
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	if err := s.Reload(); err != nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		s.web.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	s.handleHealth(w, nil)
@@ -682,20 +609,20 @@ func (m *servingModel) response(p core.Prediction) PredictResponse {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	m := s.current.Load()
 	if m == nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no model loaded"})
+		s.web.WriteError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	var req PredictRequest
-	if !s.decodeJSON(w, r, maxPredictBody, &req) {
+	if !s.web.Decode(w, r, maxPredictBody, &req) {
 		return
 	}
 	if msg := validatePredict(&req); msg != "" {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: msg})
+		s.web.WriteError(w, http.StatusBadRequest, msg)
 		return
 	}
 	s.observeTime(req.Time)
 	p := m.scout.PredictCtx(r.Context(), req.Title, req.Body, req.Components, req.Time)
-	s.writeJSON(w, http.StatusOK, m.response(p))
+	s.web.WriteJSON(w, http.StatusOK, m.response(p))
 }
 
 // handlePredictBatch scores up to MaxBatchItems incidents in one call. The
@@ -708,28 +635,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	m := s.current.Load()
 	if m == nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no model loaded"})
+		s.web.WriteError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	var req BatchPredictRequest
-	if !s.decodeJSON(w, r, maxBatchBody, &req) {
+	if !s.web.Decode(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "batch must contain at least one item"})
+		s.web.WriteError(w, http.StatusBadRequest, "batch must contain at least one item")
 		return
 	}
 	if len(req.Items) > MaxBatchItems {
-		s.writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorBody{Error: fmt.Sprintf("batch has %d items; max is %d", len(req.Items), MaxBatchItems)})
+		s.web.WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch has %d items; max is %d", len(req.Items), MaxBatchItems))
 		return
 	}
 	resp := BatchPredictResponse{
 		ModelVersion: m.version,
 		Results:      make([]BatchItemResult, len(req.Items)),
 	}
-	// Validate every item first, then score the valid ones in one batched
-	// Scout call so the forest streams tree-major across the whole batch.
+	// Validate every item first, then score the valid ones in batched
+	// Scout calls.
 	valid := make([]int, 0, len(req.Items))
 	batch := make([]core.BatchRequest, 0, len(req.Items))
 	for i := range req.Items {
@@ -759,7 +686,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[valid[lo+k]].Prediction = &pr
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.web.WriteJSON(w, http.StatusOK, resp)
 }
 
 // recommendation renders the §8 operator-facing fine print.

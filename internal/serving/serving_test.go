@@ -21,6 +21,11 @@ var (
 	envErr  error
 )
 
+// errorBody decodes the spine's {"error": ...} envelope.
+type errorBody struct {
+	Error string `json:"error"`
+}
+
 func testEnv(t testing.TB) (*cloudsim.Generator, *incident.Log, *core.Config) {
 	t.Helper()
 	onceEnv.Do(func() {
