@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke repro-check lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
+.PHONY: all build vet fmt-check test race fuzz-smoke repro-check lint lint-selfcheck bench bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
 
 all: ci
 
@@ -54,16 +54,6 @@ repro-check:
 # workload, or for comparing two commits, see cmd/scoutbench/README.md.
 bench:
 	bash cmd/scoutbench/run.sh
-
-# The PR 3 kernel benchmarks (split finder, featurization, window
-# aggregates, forest inference, serving predict paths), kept runnable;
-# results land in BENCH_PR3.json as before.
-bench-pr3:
-	( $(GO) test -bench 'BestSplit|Featurize|WindowStats' -benchtime 3x -run '^$$' . ; \
-	  $(GO) test -bench 'PredictFlat$$' -benchtime 200x -run '^$$' . ; \
-	  $(GO) test -bench 'ServingPredict' -benchtime 20x -run '^$$' ./internal/serving ) \
-		| $(GO) run ./cmd/benchjson > BENCH_PR3.json
-	@cat BENCH_PR3.json
 
 # Worker-count sweeps: compare ns/op between workers=1 and workers=4+ for
 # the parallel-layer speedup (single-core machines will show parity).
@@ -187,20 +177,14 @@ fleet-smoke:
 		-c 4 -duration 6s -kill-pid $$p2 -kill-after 2s -out FLEET_SMOKE.json
 	@cat FLEET_SMOKE.json
 
-# Project-specific static analysis (cmd/scoutlint): determinism, map
-# iteration order, reflective sorts, hot-path allocations, lock hygiene,
-# HTTP input hardening, plus the flow-sensitive suite (ctxflow, leak,
-# atomicity, fsyncrename). Emits lint.sarif as a CI artifact and diffs
-# findings against the committed lint.baseline.json: grandfathered
-# findings are tracked, any NEW finding exits 1 and fails `make ci`.
+# Project-specific static analysis (cmd/scoutlint), nine checks:
+# determinism, nomapiter (map iteration order), sortslice (reflective
+# sorts), hotpath (allocations in //scout:hotpath functions), locks
+# (Lock/Unlock pairing; copies are `make vet`'s copylocks), binio
+# (bounds-checked binary decodes), ctxflow, leak and fsyncrename. Any
+# finding exits 1 and fails `make ci`.
 lint:
-	$(GO) run ./cmd/scoutlint -sarif lint.sarif -baseline lint.baseline.json ./...
-
-# Regenerate the baseline (after fixing or deliberately grandfathering
-# findings). Review the diff before committing: every entry is a defect
-# the ratchet stops tracking as new.
-lint-baseline:
-	$(GO) run ./cmd/scoutlint -write-baseline lint.baseline.json ./...
+	$(GO) run ./cmd/scoutlint ./...
 
 # The linter linting itself: the CFG builder, dataflow engine and
 # analyzers must come out clean under their own rules.

@@ -1,12 +1,13 @@
 // Command scoutlint runs the repo's project-customized static-analysis
-// suite (internal/lint) over the module: eight analyzers enforcing the
-// determinism, hot-path, reflection-free-sort, lock-safety and
-// serving-hardening invariants the earlier PRs established. Only the
-// standard library is used.
+// suite (internal/lint) over the module: nine analyzers enforcing the
+// determinism, map-order, reflection-free-sort, hot-path, lock-pairing,
+// bounds-checked-decode, cancellation, goroutine-leak and durable-rename
+// invariants the earlier PRs established. Only the standard library is
+// used.
 //
 // Usage:
 //
-//	scoutlint [-json] [-sarif file] [-baseline file] [-write-baseline file] [./... | dir]
+//	scoutlint [-json] [./... | dir]
 //
 // With no argument (or "./...") the module containing the working
 // directory is linted. Findings print as
@@ -15,16 +16,7 @@
 //
 // and the exit status is 1 when any unsuppressed finding remains, so
 // `make ci` can gate on it. -json emits the same findings as a JSON
-// document (count + findings array), committable and diffable in the
-// same style as cmd/benchjson's output.
-//
-// -sarif writes the full finding set as a byte-deterministic SARIF
-// 2.1.0 document (an uploadable CI artifact) in addition to the normal
-// output. -baseline compares findings against a committed baseline:
-// grandfathered findings are counted but do not fail the run, new ones
-// print and exit 1 — the ratchet that lets a new analyzer land before
-// every historical finding is fixed. -write-baseline records the
-// current findings as that baseline and exits 0.
+// document (root + count + findings array), committable and diffable.
 //
 // Suppressions: a `//scout:allow <check> <reason>` comment on the
 // flagged line (or the line above) silences that check there; the
@@ -42,8 +34,8 @@ import (
 	"scouts/internal/lint"
 )
 
-// Document is the -json output: the same shape conventions as
-// cmd/benchjson (a small fixed header plus a results array).
+// Document is the -json output: a small fixed header plus a results
+// array.
 type Document struct {
 	Root     string            `json:"root"`
 	Count    int               `json:"count"`
@@ -52,11 +44,8 @@ type Document struct {
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON instead of file:line text")
-	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this `file`")
-	baselinePath := flag.String("baseline", "", "compare findings against this baseline `file`; only new findings fail")
-	writeBaseline := flag.String("write-baseline", "", "record the current findings as a baseline `file` and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: scoutlint [-json] [-sarif file] [-baseline file] [-write-baseline file] [./... | dir]\n")
+		fmt.Fprintf(os.Stderr, "usage: scoutlint [-json] [./... | dir]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -72,45 +61,11 @@ func main() {
 		os.Exit(2)
 	}
 	// Report paths relative to the root: stable across machines, so the
-	// JSON, SARIF and baseline forms can be committed and diffed.
+	// JSON form can be committed and diffed.
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].File = filepath.ToSlash(rel)
 		}
-	}
-
-	if *sarifOut != "" {
-		doc, err := lint.SARIF(diags, lint.All())
-		if err == nil {
-			err = os.WriteFile(*sarifOut, doc, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scoutlint: write sarif: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *writeBaseline != "" {
-		doc, err := lint.NewBaseline(diags).Marshal()
-		if err == nil {
-			err = os.WriteFile(*writeBaseline, doc, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scoutlint: write baseline: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "scoutlint: baseline %s: %d finding(s) recorded\n", *writeBaseline, len(diags))
-		return
-	}
-	grandfathered := 0
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scoutlint: %v\n", err)
-			os.Exit(2)
-		}
-		var old []lint.Diagnostic
-		diags, old = base.Filter(diags)
-		grandfathered = len(old)
 	}
 
 	if *jsonOut {
@@ -129,16 +84,9 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	if grandfathered > 0 {
-		fmt.Fprintf(os.Stderr, "scoutlint: %d grandfathered finding(s) in baseline\n", grandfathered)
-	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			word := "finding(s)"
-			if *baselinePath != "" {
-				word = "new finding(s) not in baseline"
-			}
-			fmt.Fprintf(os.Stderr, "scoutlint: %d %s\n", len(diags), word)
+			fmt.Fprintf(os.Stderr, "scoutlint: %d finding(s)\n", len(diags))
 		}
 		os.Exit(1)
 	}

@@ -377,12 +377,9 @@ type BatchRequest struct {
 	Time       float64
 }
 
-// PredictBatch scores a batch of incidents, answering exactly what
-// Predict would answer for each item — the gates, the model selector and
-// the explanations are identical — but routes every RF-bound item through
-// one forest.PredictProbBatch call over pooled feature vectors, so a batch
-// allocates no per-item feature vector. (The forest call itself is a loop
-// over the single-vector traversal; what a batch saves is the pooling.)
+// PredictBatch scores a batch of incidents: element i is exactly what
+// Predict answers for reqs[i]. Feature vectors come from the Scout's pool
+// on either path, so a batch allocates no per-item feature vector.
 func (s *Scout) PredictBatch(reqs []BatchRequest) []Prediction {
 	return s.PredictBatchCtx(context.Background(), reqs)
 }
@@ -393,67 +390,12 @@ func (s *Scout) PredictBatch(reqs []BatchRequest) []Prediction {
 // propagates from the serving middleware through the batch scorer to
 // each degradation fallback.
 func (s *Scout) PredictBatchCtx(ctx context.Context, reqs []BatchRequest) []Prediction {
-	out := s.predictBatch(reqs)
-	if s.obs != nil {
-		for i := range out {
+	out := make([]Prediction, len(reqs))
+	for i, r := range reqs {
+		out[i] = s.predict(r.Title, r.Body, r.Components, r.Time)
+		if s.obs != nil {
 			s.obs.ObservePrediction(ctx, &out[i])
 		}
-	}
-	return out
-}
-
-func (s *Scout) predictBatch(reqs []BatchRequest) []Prediction {
-	out := make([]Prediction, len(reqs))
-	// Indices, pooled vectors and health reports of the items the
-	// supervised model scores.
-	var rfIdx []int
-	var xs [][]float64
-	var hs []DataHealth
-	for i, r := range reqs {
-		ex := s.fb.Extract(r.Title, r.Body, r.Components)
-		if p, done := s.gatePrediction(ex); done {
-			out[i] = p
-			continue
-		}
-		if useCPD, pWrong := s.selector.UseCPD(r.Title + "\n" + r.Body); useCPD {
-			h := s.sourceHealth(r.Time)
-			if p, bad := s.degradedPrediction(h, ex); bad {
-				out[i] = p
-				continue
-			}
-			out[i] = s.predictCPDPath(ex, r.Time, pWrong)
-			out[i].Health = &h
-			continue
-		}
-		x, h := s.featurizeWithImputationInto(s.getVec(), ex, r.Time)
-		if p, bad := s.degradedPrediction(h, ex); bad {
-			s.putVec(x)
-			out[i] = p
-			continue
-		}
-		rfIdx = append(rfIdx, i)
-		xs = append(xs, x)
-		hs = append(hs, h)
-		out[i].Components = ex.All()
-	}
-	if len(rfIdx) == 0 {
-		return out
-	}
-	probs := s.rf.PredictProbBatch(xs, nil)
-	for k, i := range rfIdx {
-		p := probs[k]
-		label := p >= 0.5
-		conf := p
-		if !label {
-			conf = 1 - p
-		}
-		out[i].Verdict = verdictFor(label)
-		out[i].Responsible = label
-		out[i].Confidence = conf
-		out[i].Model = "rf"
-		out[i].Explanation = s.explainRF(xs[k], label)
-		out[i].Health = &hs[k]
-		s.putVec(xs[k])
 	}
 	return out
 }

@@ -40,7 +40,7 @@ func runBinIO(p *Pass) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || isTestFile(p.Fset, fd.Pos()) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			checkBinIOFunc(p, fd)

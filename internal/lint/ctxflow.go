@@ -51,7 +51,7 @@ func runCtxFlow(p *Pass) {
 			default:
 				return true
 			}
-			if body != nil && hasCtxParam(p.Info, ft) && !isTestFile(p.Fset, body.Pos()) {
+			if body != nil && hasCtxParam(p.Info, ft) {
 				checkCtxFlow(p, body)
 			}
 			return true

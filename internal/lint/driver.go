@@ -21,8 +21,6 @@ type Config struct {
 	// run, or any subtree (the fixture harness points it at a testdata
 	// directory).
 	Root string
-	// Analyzers defaults to All().
-	Analyzers []*Analyzer
 }
 
 // Run discovers every package under cfg.Root, type-checks them in
@@ -31,9 +29,7 @@ type Config struct {
 // The error is non-nil only for driver-level failures (unreadable tree,
 // syntax or type errors) — findings alone never produce an error.
 func Run(cfg Config) ([]Diagnostic, error) {
-	if cfg.Analyzers == nil {
-		cfg.Analyzers = All()
-	}
+	analyzers := All()
 	root, err := filepath.Abs(cfg.Root)
 	if err != nil {
 		return nil, err
@@ -78,7 +74,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 		}
 		pass := &Pass{Fset: fset, Files: pd.files, Info: info, Pkg: tpkg, RelDir: pd.relDir}
 		pass.report = func(d Diagnostic) { diags = append(diags, d) }
-		for _, a := range cfg.Analyzers {
+		for _, a := range analyzers {
 			pass.check = a.Name
 			a.Run(pass)
 		}
@@ -90,7 +86,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 			analyzed = append(analyzed, pd)
 		}
 	}
-	diags = suppress(fset, analyzed, cfg.Analyzers, diags)
+	diags = suppress(fset, analyzed, analyzers, diags)
 	sortDiagnostics(diags)
 	return diags, nil
 }

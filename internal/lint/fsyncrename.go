@@ -174,7 +174,7 @@ func runFsyncRename(p *Pass) {
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || isTestFile(p.Fset, fd.Pos()) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			fn, ok := p.Info.Defs[fd.Name].(*types.Func)

@@ -169,6 +169,9 @@ func checkHotCall(p *Pass, call *ast.CallExpr) {
 		if paramType == nil {
 			continue
 		}
+		if _, isTypeParam := paramType.(*types.TypeParam); isTypeParam {
+			continue // instantiated with the concrete argument type: no box
+		}
 		if _, isIface := paramType.Underlying().(*types.Interface); !isIface {
 			continue
 		}

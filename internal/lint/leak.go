@@ -37,7 +37,7 @@ func runLeak(p *Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
-			if !ok || isTestFile(p.Fset, gs.Pos()) {
+			if !ok {
 				return true
 			}
 			var body *ast.BlockStmt
@@ -53,6 +53,43 @@ func runLeak(p *Pass) {
 			return true
 		})
 	}
+}
+
+// packageFuncDecls indexes the package's function and method
+// declarations by their type object, so a `go f()` can be followed to
+// f's body.
+func packageFuncDecls(p *Pass) map[*types.Func]*ast.FuncDecl {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+				decls[fn] = fd
+			}
+		}
+	}
+	return decls
+}
+
+// declOf resolves a function-valued expression to its same-package
+// declaration, or nil.
+func declOf(p *Pass, decls map[*types.Func]*ast.FuncDecl, e ast.Expr) *ast.FuncDecl {
+	var id *ast.Ident
+	switch v := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = v
+	case *ast.SelectorExpr:
+		id = v.Sel
+	default:
+		return nil
+	}
+	if fn, ok := p.Info.Uses[id].(*types.Func); ok {
+		return decls[fn]
+	}
+	return nil
 }
 
 func checkGoBody(p *Pass, body *ast.BlockStmt) {

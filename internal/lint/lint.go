@@ -2,10 +2,10 @@
 // a from-scratch driver plus a catalog of analyzers that turn the
 // invariants earlier PRs established by hand — bit-identical training at
 // any worker count, zero-alloc hot kernels, reflection-free sorts,
-// lock-safe shared caches, hardened serving decode paths — into checks
-// the build refuses to break. Only standard-library packages are used
-// (go/parser, go/ast, go/types, go/importer, go/token): the module has
-// no dependencies and the linter must not be the first.
+// lock-safe shared caches, bounds-checked model-file decoders — into
+// checks the build refuses to break. Only standard-library packages are
+// used (go/parser, go/ast, go/types, go/importer, go/token): the module
+// has no dependencies and the linter must not be the first.
 //
 // The driver (driver.go) type-checks every package under a root and
 // hands each analyzer the typed ASTs. Findings print as
@@ -28,7 +28,6 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
-	"strings"
 )
 
 // Diagnostic is one finding. File is the path as the driver saw it,
@@ -90,13 +89,9 @@ func All() []*Analyzer {
 		SortSlice,
 		HotPath,
 		Locks,
-		HTTPGuard,
-		Obs,
 		BinIO,
 		CtxFlow,
-		Outbound,
 		Leak,
-		Atomicity,
 		FsyncRename,
 	}
 }
@@ -212,12 +207,4 @@ func sortDiagnostics(ds []Diagnostic) {
 		}
 		return cmp.Compare(a.Message, b.Message)
 	})
-}
-
-// isTestFile reports whether the position's file is a _test.go file. The
-// driver does not feed test files to analyzers today, but analyzers
-// guard anyway so the driver can widen its net later without silently
-// changing what the checks mean.
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

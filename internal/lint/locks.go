@@ -3,28 +3,26 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"slices"
 )
 
 // Locks hardens the shared-cache and serving-hot-swap concurrency
-// contracts with three checks:
+// contracts with two checks:
 //
-//   - no by-value copy of a type containing a sync.Mutex/RWMutex
-//     (parameters, receivers, plain assignments, range variables) — a
-//     copied lock guards nothing;
 //   - every non-deferred mu.Lock()/mu.RLock() needs a matching
 //     mu.Unlock()/mu.RUnlock() (or a defer of it) somewhere in the same
 //     function — cross-function lock handoff is banned in this repo;
 //   - no mu.Lock() while mu.RLock() is still held on the same receiver:
 //     sync.RWMutex cannot be upgraded and the goroutine self-deadlocks.
 //
-// The checks are intraprocedural and pair calls by the receiver's
-// printed expression ("s.mu"), which matches how every lock in this
-// repo is used: a struct field locked and unlocked in the same method.
+// By-value copies of a lock-bearing type are left to `go vet`'s
+// copylocks, which `make ci` runs. The checks are intraprocedural and
+// pair calls by the receiver's printed expression ("s.mu"), which matches
+// how every lock in this repo is used: a struct field locked and unlocked
+// in the same method.
 var Locks = &Analyzer{
 	Name: "locks",
-	Doc:  "no lock copies, no Lock without Unlock in-function, no RLock→Lock upgrades",
+	Doc:  "no Lock without Unlock in-function, no RLock→Lock upgrades",
 	Run:  runLocks,
 }
 
@@ -32,131 +30,11 @@ func runLocks(p *Pass) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkLockCopies(p, fd)
-			if fd.Body != nil {
+			if ok && fd.Body != nil {
 				checkLockPairing(p, fd)
 			}
 		}
 	}
-}
-
-// containsLock reports whether a value of type t holds a sync.Mutex or
-// sync.RWMutex (directly, in a struct field, or in an array element).
-// Pointers, slices, maps and interfaces hide the lock behind a
-// reference, so copying them is fine.
-func containsLock(t types.Type) bool {
-	return containsLockSeen(t, map[types.Type]bool{})
-}
-
-func containsLockSeen(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch path := namedPath(t); path {
-	case "sync.Mutex", "sync.RWMutex":
-		// A pointer to a lock is fine; namedPath dereferences one level,
-		// so re-check that t itself is not a pointer.
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			return true
-		}
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockSeen(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockSeen(u.Elem(), seen)
-	}
-	return false
-}
-
-// checkLockCopies flags by-value lock copies in signatures, assignments
-// and range clauses.
-func checkLockCopies(p *Pass, fd *ast.FuncDecl) {
-	flagField := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := p.Info.Types[field.Type]
-			if !ok {
-				continue
-			}
-			if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(tv.Type) {
-				p.Reportf(field.Type.Pos(), "%s passes %s by value, copying its lock; use a pointer", what, tv.Type)
-			}
-		}
-	}
-	flagField(fd.Recv, "receiver")
-	flagField(fd.Type.Params, "parameter")
-	if fd.Body == nil {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range s.Rhs {
-				if i >= len(s.Lhs) {
-					break
-				}
-				if !copiesValue(rhs) {
-					continue
-				}
-				tv, ok := p.Info.Types[rhs]
-				if !ok || tv.Type == nil {
-					continue
-				}
-				if containsLock(tv.Type) {
-					p.Reportf(s.Pos(), "assignment copies %s by value, copying its lock; use a pointer", tv.Type)
-				}
-			}
-		case *ast.RangeStmt:
-			if s.Value == nil {
-				return true
-			}
-			// A `:=`-defined range value lives in Defs, not Types; a
-			// reused variable (`=`) lives in Types. Blank idents have
-			// neither and fall through.
-			var vt types.Type
-			if id, ok := s.Value.(*ast.Ident); ok {
-				if obj := p.Info.Defs[id]; obj != nil {
-					vt = obj.Type()
-				}
-			}
-			if vt == nil {
-				if tv, ok := p.Info.Types[s.Value]; ok {
-					vt = tv.Type
-				}
-			}
-			if vt != nil && containsLock(vt) {
-				p.Reportf(s.Value.Pos(), "range copies %s elements by value, copying their locks; range over indices or pointers", vt)
-			}
-		}
-		return true
-	})
-}
-
-// copiesValue reports whether the right-hand side reads an existing
-// value (identifier, field, deref, index) — the forms that duplicate a
-// held lock. Composite literals build a fresh, unlocked value and calls
-// are the callee's responsibility, so both pass.
-func copiesValue(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		return true
-	}
-	return false
 }
 
 // lockEvent is one Lock/Unlock-family call in source order.

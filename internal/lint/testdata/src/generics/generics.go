@@ -8,7 +8,6 @@ package generics
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,25 +54,6 @@ func SpawnGeneric[T any](ch chan T, v T) {
 		ch <- v // want "sends on unbuffered channel ch outside a select"
 	}()
 }
-
-// Box mixes an atomic counter into a generic struct.
-type Box[T any] struct {
-	val  T
-	hits int64
-}
-
-// Touch establishes the atomic protocol on the generic receiver.
-func (b *Box[T]) Touch() {
-	atomic.AddInt64(&b.hits, 1)
-}
-
-// Peek violates it: atomicity must track fields of generic types.
-func (b *Box[T]) Peek() int64 {
-	return b.hits // want "plain access of hits"
-}
-
-// Get only reads the payload; no finding.
-func (b *Box[T]) Get() T { return b.val }
 
 // Drain ranges over a generic channel in a ctx-carrying function after a
 // proper guard: clean.

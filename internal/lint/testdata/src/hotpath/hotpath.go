@@ -4,7 +4,10 @@
 // caller-supplied-buffer pattern and pointer-shaped arguments are not.
 package hotpath
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 type point struct{ x, y float64 }
 
@@ -27,6 +30,17 @@ func Collect(n int) []float64 {
 //scout:hotpath
 func Box(p point) {
 	sink(p) // want "boxes .* into interface parameter"
+}
+
+// Search calls a generic function: the parameters are type parameters
+// instantiated with []float64 and float64, so nothing is boxed — but the
+// same float64 handed to an `any` parameter still is.
+//
+//scout:hotpath
+func Search(xs []float64, v float64) int {
+	i, _ := slices.BinarySearch(xs, v)
+	sink(v) // want "boxes float64 into interface parameter"
+	return i
 }
 
 // PassPointer is fine: pointers are pointer-shaped and box for free.

@@ -1,7 +1,6 @@
-// Package locks exercises the locks analyzer: by-value copies of
-// lock-bearing types, Lock calls with no reachable Unlock, and
-// RLock-to-Lock upgrades are flagged; pointer passing and paired
-// lock/unlock (direct or deferred) are not.
+// Package locks exercises the locks analyzer: Lock calls with no
+// reachable Unlock and RLock-to-Lock upgrades are flagged; paired
+// lock/unlock (direct or deferred) is not.
 package locks
 
 import "sync"
@@ -9,31 +8,6 @@ import "sync"
 type Counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-// ByValueParam copies the mutex through the parameter.
-func ByValueParam(c Counter) int { // want "parameter passes .* by value, copying its lock"
-	return c.n
-}
-
-// ByValueReceiver copies the mutex through the receiver.
-func (c Counter) ByValueReceiver() int { // want "receiver passes .* by value, copying its lock"
-	return c.n
-}
-
-// Dereference copies the mutex through an assignment.
-func Dereference(c *Counter) int {
-	cp := *c // want "assignment copies .* by value, copying its lock"
-	return cp.n
-}
-
-// RangeCopy copies each element's mutex through the range value.
-func RangeCopy(cs []Counter) int {
-	total := 0
-	for _, c := range cs { // want "range copies .* elements by value"
-		total += c.n
-	}
-	return total
 }
 
 // LeakLock acquires without any reachable release.

@@ -178,7 +178,7 @@ func bestSplitReference(d *mlcore.Dataset, idx []int, p *treeParams, wSum, wPos 
 		// non-uniform boosting weights the left-sum accumulation order of
 		// equal-valued pairs feeds floating-point rounding — swapping the
 		// sort algorithm could reorder ties and change the reference splits.
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v }) //scout:allow sortslice frozen reference kernel; tie order is pinned by the golden snapshot tests
+		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
 
 		var lw, lp float64
 		for k := 0; k < len(pairs)-1; k++ {
