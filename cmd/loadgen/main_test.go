@@ -3,16 +3,19 @@ package main
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"scouts/internal/cloudsim"
 	"scouts/internal/core"
+	"scouts/internal/faults"
 	"scouts/internal/serving"
 )
 
 // newTestServer trains a model on the seed-5 corpus world and serves it
-// from an in-process httptest server.
+// from an in-process httptest server, over breaker-wrapped telemetry as
+// cmd/scoutd does.
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	gen := cloudsim.New(cloudsim.Params{Seed: 5, Days: 30, IncidentsPerDay: 6})
@@ -29,7 +32,8 @@ func newTestServer(t *testing.T) *httptest.Server {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv := serving.NewServer(gen.Topology(), gen.Telemetry(), store, nil)
+	source := faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{})
+	srv := serving.NewServer(gen.Topology(), source, store, nil)
 	if err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,17 @@ func TestLoadgenSoak(t *testing.T) {
 	ts := newTestServer(t)
 	reqs := corpus(5, 30, 6)
 	slo := SLO{P99Ms: 60_000, MaxErrorRate: 0.01} // generous: the smoke tests plumbing, not speed
-	sr, err := runSoak(ts.Client(), ts.URL, "single", 0, 2, 1500*time.Millisecond, 200*time.Millisecond, slo, reqs)
+	// A batch pass first, then the single pass the rest of the test reads:
+	// four concurrent clients over the one breaker, and every item of a
+	// batch scored in parallel under it.
+	br, err := runSoak(ts.Client(), ts.URL, "batch", 8, 4, 1500*time.Millisecond, 200*time.Millisecond, slo, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Mode != "soak-batch" || br.Requests == 0 || br.Errors != 0 || br.Predictions != br.Requests*8 {
+		t.Fatalf("batch soak drove no clean traffic: %+v", br.Report)
+	}
+	sr, err := runSoak(ts.Client(), ts.URL, "single", 0, 4, 1500*time.Millisecond, 200*time.Millisecond, slo, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +193,21 @@ func TestLoadgenSoak(t *testing.T) {
 	}
 	if sr.Metrics[`scout_http_request_duration_seconds_count{endpoint="/v1/predict"}`] < served {
 		t.Fatal("latency histogram undercounts the predict endpoint")
+	}
+	// The telemetry is healthy, so concurrency alone must not look like an
+	// outage: no breaker opened and no prediction rested on imputed means.
+	gates, trips := 0, 0.0
+	for name, v := range sr.Metrics {
+		if strings.HasPrefix(name, "scout_breaker_trips_total{") {
+			gates++
+			trips += v
+		}
+	}
+	if gates == 0 {
+		t.Fatalf("final scrape carries no scout_breaker_trips_total series; have %v", metricNames(sr.Metrics))
+	}
+	if imputed := sr.Metrics["scout_imputed_predictions_total"]; trips != 0 || imputed != 0 {
+		t.Fatalf("healthy telemetry under 4 clients: %.0f breaker trips over %d datasets, %.0f imputed predictions", trips, gates, imputed)
 	}
 	if !sr.SLO.Pass || len(sr.SLO.Violations) != 0 {
 		t.Fatalf("soak verdict failed: %+v", sr.SLO)

@@ -123,7 +123,16 @@ type FeatureBuilder struct {
 // featScratch is what one FeaturizeInto call works in.
 type featScratch struct {
 	merged []float64 // the normalized series of one feature group
-	comps  []string  // the contributors of one aggregate component type
+	segs   []segment // the contributors of one component type
+}
+
+// segment is a run of contributors of one component type. Featurization
+// asks a dataset about a segment only when the dataset's registry entry
+// covers that type (the coverage plan): a query that reaches the source can
+// answer, so an empty window means missing data, never "not monitored".
+type segment struct {
+	typ   topology.ComponentType
+	comps []string // read-only: the Extraction's or the topology's own slice
 }
 
 // NewFeatureBuilder computes the feature layout from the configuration and
@@ -321,36 +330,36 @@ func (fb *FeatureBuilder) Extract(title, body string, mentioned []string) Extrac
 }
 
 // contributors returns the components whose data feeds the features of one
-// component type: the extracted components of that type, plus — for
-// clusters — every device the cluster tag covers (§5.2 "all data with the
-// same ... 'cluster' tag is combined"). Aggregate types are assembled in
-// sc.comps, overwriting the previous answer; device types answer the
-// Extraction's own slice.
-func (fb *FeatureBuilder) contributors(sc *featScratch, ex Extraction, typ topology.ComponentType) []string {
+// component type, as typed segments in contribution order: the extracted
+// components of that type, plus — for clusters — every device the cluster
+// tag covers (§5.2 "all data with the same ... 'cluster' tag is combined").
+// The answer lives in sc.segs, overwriting the previous one; the segments
+// alias the Extraction's and the topology index's slices.
+func (fb *FeatureBuilder) contributors(sc *featScratch, ex Extraction, typ topology.ComponentType) []segment {
+	own := ex.ByType[typ]
+	segs := sc.segs[:0]
 	switch typ {
 	case topology.TypeCluster:
-		out := sc.comps[:0]
-		for _, cl := range ex.ByType[typ] {
-			out = append(out, cl)
-			out = append(out, fb.topo.DescendantsOfType(cl, topology.TypeSwitch)...)
-			out = append(out, fb.topo.DescendantsOfType(cl, topology.TypeServer)...)
+		for i, cl := range own {
+			segs = append(segs,
+				segment{topology.TypeCluster, own[i : i+1]},
+				segment{topology.TypeSwitch, fb.topo.DescendantsOfType(cl, topology.TypeSwitch)},
+				segment{topology.TypeServer, fb.topo.DescendantsOfType(cl, topology.TypeServer)})
 		}
-		sc.comps = out
-		return out
 	case topology.TypeDC:
 		// DC features aggregate the cluster-granularity datasets of the
 		// DC's clusters; device-level data at DC scope would both dilute
 		// (§9) and explode the query cost.
-		out := sc.comps[:0]
-		for _, dc := range ex.ByType[typ] {
-			out = append(out, dc)
-			out = append(out, fb.topo.DescendantsOfType(dc, topology.TypeCluster)...)
+		for i, dc := range own {
+			segs = append(segs,
+				segment{topology.TypeDC, own[i : i+1]},
+				segment{topology.TypeCluster, fb.topo.DescendantsOfType(dc, topology.TypeCluster)})
 		}
-		sc.comps = out
-		return out
 	default:
-		return ex.ByType[typ]
+		segs = append(segs, segment{typ, own})
 	}
+	sc.segs = segs
+	return segs
 }
 
 // Featurize builds the feature vector for an incident triggered at time t:
@@ -380,7 +389,7 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 	T := fb.cfg.LookbackHours
 	slot := 0
 	for _, typ := range fb.types {
-		comps := fb.contributors(sc, ex, typ)
+		segs := fb.contributors(sc, ex, typ)
 		for _, g := range fb.groups {
 			if !g.coversScope(typ) {
 				continue
@@ -388,8 +397,13 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 			if g.isEvent {
 				count := 0.0
 				for _, d := range g.datasets {
-					for _, comp := range comps {
-						count += float64(fb.stats.EventCount(d.Name, comp, t-T, t))
+					for _, seg := range segs {
+						if !d.CoversType(seg.typ) {
+							continue
+						}
+						for _, comp := range seg.comps {
+							count += float64(fb.stats.EventCount(d.Name, comp, t-T, t))
+						}
 					}
 				}
 				x[slot] = count
@@ -398,17 +412,22 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 			}
 			merged := sc.merged[:0]
 			for _, d := range g.datasets {
-				for _, comp := range comps {
-					n := len(merged)
-					merged = fb.series.AppendSeries(merged, d.Name, comp, t-T, t)
-					if len(merged) == n {
+				for _, seg := range segs {
+					if !d.CoversType(seg.typ) {
 						continue
 					}
-					// The baseline window is only ever reduced to its mean
-					// and standard deviation — ask the source for the
-					// aggregates instead of materializing the values.
-					bs, ok := fb.stats.WindowStats(d.Name, comp, t-2*T, t-T)
-					normalizeInPlace(merged[n:], bs, ok)
+					for _, comp := range seg.comps {
+						n := len(merged)
+						merged = fb.series.AppendSeries(merged, d.Name, comp, t-T, t)
+						if len(merged) == n {
+							continue // missing data: an outage or an open breaker
+						}
+						// The baseline window is only ever reduced to its
+						// mean and standard deviation — ask the source for
+						// the aggregates instead of materializing the values.
+						bs, ok := fb.stats.WindowStats(d.Name, comp, t-2*T, t-T)
+						normalizeInPlace(merged[n:], bs, ok)
+					}
 				}
 			}
 			metrics.SummarizeInPlace(merged).VectorInto(x[slot : slot+len(metrics.SummaryNames)])
@@ -457,10 +476,12 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 		Events: map[string][]float64{},
 	}
 	T := fb.cfg.LookbackHours
-	// Clipped, so the appends below copy instead of writing into spare
-	// capacity of the Extraction's array: the feature cache hands one
-	// Extraction to concurrent callers.
-	comps := ex.Devices[:len(ex.Devices):len(ex.Devices)]
+	// The components examined, as typed segments (see FeaturizeInto): the
+	// devices, which is ex.Devices by type, then the cluster scope.
+	segs := append(make([]segment, 0, 8), // room for one cluster's scope
+		segment{topology.TypeVM, ex.ByType[topology.TypeVM]},
+		segment{topology.TypeServer, ex.ByType[topology.TypeServer]},
+		segment{topology.TypeSwitch, ex.ByType[topology.TypeSwitch]})
 	if ex.Broad {
 		// Cap the per-cluster device sample: change-point detection is
 		// the expensive path and the cluster-level model consumes
@@ -472,24 +493,26 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 			}
 			return xs
 		}
-		for _, cl := range ex.ByType[topology.TypeCluster] {
-			comps = append(comps, cl)
-			comps = append(comps, cap8(fb.topo.DescendantsOfType(cl, topology.TypeSwitch))...)
-			comps = append(comps, cap8(fb.topo.DescendantsOfType(cl, topology.TypeServer))...)
+		clusters := ex.ByType[topology.TypeCluster]
+		for i, cl := range clusters {
+			segs = append(segs,
+				segment{topology.TypeCluster, clusters[i : i+1]},
+				segment{topology.TypeSwitch, cap8(fb.topo.DescendantsOfType(cl, topology.TypeSwitch))},
+				segment{topology.TypeServer, cap8(fb.topo.DescendantsOfType(cl, topology.TypeServer))})
 		}
 		for _, dc := range ex.ByType[topology.TypeDC] {
-			comps = append(comps, cap8(fb.topo.DescendantsOfType(dc, topology.TypeCluster))...)
+			segs = append(segs, segment{topology.TypeCluster, cap8(fb.topo.DescendantsOfType(dc, topology.TypeCluster))})
 		}
 	} else {
 		// Narrow incidents still examine the cluster-granularity signals
 		// of the devices' clusters (e.g. canary reachability).
-		seen := map[string]bool{}
+		var clusters []string
 		for _, d := range ex.Devices {
-			if cl := fb.topo.ClusterOf(d); cl != "" && !seen[cl] {
-				seen[cl] = true
-				comps = append(comps, cl)
+			if cl := fb.topo.ClusterOf(d); cl != "" && !slices.Contains(clusters, cl) {
+				clusters = append(clusters, cl)
 			}
 		}
+		segs = append(segs, segment{topology.TypeCluster, clusters})
 	}
 	// The doubled windows are carved out of one arena rather than pulled as
 	// a slice each. left bounds how many windows are still to come; the
@@ -497,44 +520,45 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 	left := 0
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
-			if d.Type != monitoring.Event {
-				left += len(comps)
+			if d.Type == monitoring.Event {
+				continue
+			}
+			for _, seg := range segs {
+				if d.CoversType(seg.typ) {
+					left += len(seg.comps)
+				}
 			}
 		}
 	}
 	var arena []float64
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
-			for _, comp := range comps {
-				if d.Type == monitoring.Event {
-					n := fb.stats.EventCount(d.Name, comp, t-T, t)
-					if n == 0 {
-						// A zero count is ambiguous between "quiet window"
-						// and "dataset does not observe this component";
-						// only the former contributes a zero observation.
-						c, ok := fb.topo.Lookup(comp)
-						if !ok || !d.CoversType(c.Type) {
-							continue
-						}
+			for _, seg := range segs {
+				if !d.CoversType(seg.typ) {
+					continue
+				}
+				for _, comp := range seg.comps {
+					if d.Type == monitoring.Event {
+						n := fb.stats.EventCount(d.Name, comp, t-T, t)
+						in.Events[d.Name] = append(in.Events[d.Name], float64(n))
+						continue
 					}
-					in.Events[d.Name] = append(in.Events[d.Name], float64(n))
-					continue
+					// Use the doubled window so the change point (fault
+					// onset) sits inside the series.
+					left--
+					start := len(arena)
+					arena = fb.series.AppendSeries(arena, d.Name, comp, t-2*T, t)
+					n := len(arena) - start
+					if n == 0 {
+						continue
+					}
+					if start == 0 {
+						arena = slices.Grow(arena, n*left)
+					}
+					// Clipped, so a consumer appending to one series cannot
+					// write into the next.
+					in.Series[d.Name] = append(in.Series[d.Name], arena[start:len(arena):len(arena)])
 				}
-				// Use the doubled window so the change point (fault
-				// onset) sits inside the series.
-				left--
-				start := len(arena)
-				arena = fb.series.AppendSeries(arena, d.Name, comp, t-2*T, t)
-				n := len(arena) - start
-				if n == 0 {
-					continue
-				}
-				if start == 0 {
-					arena = slices.Grow(arena, n*left)
-				}
-				// Clipped, so a consumer appending to one series cannot
-				// write into the next.
-				in.Series[d.Name] = append(in.Series[d.Name], arena[start:len(arena):len(arena)])
 			}
 		}
 	}

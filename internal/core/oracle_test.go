@@ -6,6 +6,7 @@ import (
 
 	"scouts/internal/cloudsim"
 	"scouts/internal/faults"
+	"scouts/internal/incident"
 	"scouts/internal/metrics"
 	"scouts/internal/ml/cpd"
 	"scouts/internal/monitoring"
@@ -17,7 +18,20 @@ import (
 // the copying Summarize, and a contributors slice grown from nil. Kept
 // verbatim (minus the pool) as the reference the append path is compared
 // against; the functions that collide with production names carry an "old"
-// prefix.
+// prefix. The one addition is the planned switch: when set, a (dataset,
+// component) pair the dataset's descriptor does not cover is skipped before
+// it is queried, as the coverage plan does, so a stateful source sees the
+// same query sequence on both sides; unset, every pair is queried, as
+// production did before the plan.
+
+// oldSkips reports whether the planned old path leaves the pair unqueried.
+func (fb *FeatureBuilder) oldSkips(planned bool, d monitoring.Descriptor, comp string) bool {
+	if !planned {
+		return false
+	}
+	c, ok := fb.topo.Lookup(comp)
+	return !ok || !d.CoversType(c.Type)
+}
 
 func (fb *FeatureBuilder) oldContributors(ex Extraction, typ topology.ComponentType) []string {
 	switch typ {
@@ -41,7 +55,7 @@ func (fb *FeatureBuilder) oldContributors(ex Extraction, typ topology.ComponentT
 	}
 }
 
-func (fb *FeatureBuilder) oldFeaturize(ex Extraction, t float64) []float64 {
+func (fb *FeatureBuilder) oldFeaturize(planned bool, ex Extraction, t float64) []float64 {
 	x := make([]float64, len(fb.names))
 	var merged []float64
 	T := fb.cfg.LookbackHours
@@ -56,6 +70,9 @@ func (fb *FeatureBuilder) oldFeaturize(ex Extraction, t float64) []float64 {
 				count := 0.0
 				for _, d := range g.datasets {
 					for _, comp := range comps {
+						if fb.oldSkips(planned, d, comp) {
+							continue
+						}
 						count += float64(fb.stats.EventCount(d.Name, comp, t-T, t))
 					}
 				}
@@ -66,6 +83,9 @@ func (fb *FeatureBuilder) oldFeaturize(ex Extraction, t float64) []float64 {
 			merged = merged[:0]
 			for _, d := range g.datasets {
 				for _, comp := range comps {
+					if fb.oldSkips(planned, d, comp) {
+						continue
+					}
 					cur := fb.source.SeriesWindow(d.Name, comp, t-T, t)
 					if len(cur) == 0 {
 						continue
@@ -101,7 +121,7 @@ func appendNormalized(dst, cur []float64, base monitoring.Stats, baseOK bool) []
 	return dst
 }
 
-func (fb *FeatureBuilder) oldCPDInput(ex Extraction, t float64) cpd.Input {
+func (fb *FeatureBuilder) oldCPDInput(planned bool, ex Extraction, t float64) cpd.Input {
 	in := cpd.Input{
 		Broad:  ex.Broad,
 		Series: map[string][][]float64{},
@@ -137,6 +157,9 @@ func (fb *FeatureBuilder) oldCPDInput(ex Extraction, t float64) cpd.Input {
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
 			for _, comp := range comps {
+				if fb.oldSkips(planned, d, comp) {
+					continue
+				}
 				if d.Type == monitoring.Event {
 					n := fb.stats.EventCount(d.Name, comp, t-T, t)
 					if n == 0 {
@@ -200,11 +223,13 @@ func oracleSources(gen *cloudsim.Generator) map[string]func() monitoring.DataSou
 	}
 }
 
-// TestFeaturizeMatchesOldPath: over every kind of source stack, the append
-// path fills the same feature vector and assembles the same CPD+ input as
-// the materialize-and-copy path, bit for bit, for a replayed incident log —
-// through dirty pooled vectors and with the stateful breaker on both sides
-// seeing the same query sequence.
+// TestFeaturizeMatchesOldPath: over every kind of source stack, the planned
+// append path fills the same feature vector and assembles the same CPD+
+// input as the materialize-and-copy path, bit for bit, for a replayed
+// incident log — through dirty pooled vectors and with the stateful breaker
+// on both sides seeing the same query sequence. On the healthy stacks the
+// old path is also run unplanned, querying every pair: equality there is
+// the proof that the calls the coverage plan skips contributed nothing.
 func TestFeaturizeMatchesOldPath(t *testing.T) {
 	gen := cloudsim.New(cloudsim.Params{Seed: 9, Days: 12, IncidentsPerDay: 10})
 	log := gen.Generate()
@@ -213,56 +238,65 @@ func TestFeaturizeMatchesOldPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mk := range oracleSources(gen) {
-		oldFB := NewFeatureBuilder(cfg, gen.Topology(), mk())
-		newFB := NewFeatureBuilder(cfg, gen.Topology(), mk())
-		x := make([]float64, len(newFB.FeatureNames()))
-		vectors, series := 0, 0
-		for _, in := range log.Incidents {
-			ex := newFB.Extract(in.Title, in.Body, in.Components)
-			if ex.Empty {
-				continue
-			}
-			want := oldFB.oldFeaturize(ex, in.CreatedAt)
-			for i := range x {
-				x[i] = math.NaN() // a dirty pooled vector
-			}
-			got := newFB.FeaturizeInto(x, ex, in.CreatedAt)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: incident %s feature %q is %v, old path %v",
-						name, in.ID, newFB.FeatureNames()[i], got[i], want[i])
-				}
-			}
-			vectors++
+		compareWithOldPath(t, name, true, cfg, gen, log, mk)
+		if name == "simulator" || name == "breaker" {
+			compareWithOldPath(t, name+" (unplanned)", false, cfg, gen, log, mk)
+		}
+	}
+}
 
-			wantIn, gotIn := oldFB.oldCPDInput(ex, in.CreatedAt), newFB.CPDInput(ex, in.CreatedAt)
-			if gotIn.Broad != wantIn.Broad || len(gotIn.Series) != len(wantIn.Series) || len(gotIn.Events) != len(wantIn.Events) {
-				t.Fatalf("%s: incident %s CPD input shape differs", name, in.ID)
-			}
-			for ds, ws := range wantIn.Series {
-				gs := gotIn.Series[ds]
-				if len(gs) != len(ws) {
-					t.Fatalf("%s: incident %s CPD %s has %d series, old path %d", name, in.ID, ds, len(gs), len(ws))
-				}
-				for i := range ws {
-					if !bitsEqual(gs[i], ws[i]) {
-						t.Fatalf("%s: incident %s CPD %s series %d differs", name, in.ID, ds, i)
-					}
-					if cap(gs[i]) != len(gs[i]) {
-						t.Fatalf("%s: CPD %s series %d is not clipped: an append would run into its neighbour", name, ds, i)
-					}
-					series++
-				}
-			}
-			for ds, wc := range wantIn.Events {
-				if !bitsEqual(gotIn.Events[ds], wc) {
-					t.Fatalf("%s: incident %s CPD %s event counts differ", name, in.ID, ds)
-				}
+func compareWithOldPath(t *testing.T, name string, planned bool, cfg *Config, gen *cloudsim.Generator, log *incident.Log, mk func() monitoring.DataSource) {
+	t.Helper()
+	oldFB := NewFeatureBuilder(cfg, gen.Topology(), mk())
+	newFB := NewFeatureBuilder(cfg, gen.Topology(), mk())
+	x := make([]float64, len(newFB.FeatureNames()))
+	vectors, series, events := 0, 0, 0
+	for _, in := range log.Incidents {
+		ex := newFB.Extract(in.Title, in.Body, in.Components)
+		if ex.Empty {
+			continue
+		}
+		want := oldFB.oldFeaturize(planned, ex, in.CreatedAt)
+		for i := range x {
+			x[i] = math.NaN() // a dirty pooled vector
+		}
+		got := newFB.FeaturizeInto(x, ex, in.CreatedAt)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: incident %s feature %q is %v, old path %v",
+					name, in.ID, newFB.FeatureNames()[i], got[i], want[i])
 			}
 		}
-		if vectors < 50 || series < 500 {
-			t.Fatalf("%s: compared only %d vectors and %d CPD series", name, vectors, series)
+		vectors++
+
+		wantIn, gotIn := oldFB.oldCPDInput(planned, ex, in.CreatedAt), newFB.CPDInput(ex, in.CreatedAt)
+		if gotIn.Broad != wantIn.Broad || len(gotIn.Series) != len(wantIn.Series) || len(gotIn.Events) != len(wantIn.Events) {
+			t.Fatalf("%s: incident %s CPD input shape differs", name, in.ID)
 		}
+		for ds, ws := range wantIn.Series {
+			gs := gotIn.Series[ds]
+			if len(gs) != len(ws) {
+				t.Fatalf("%s: incident %s CPD %s has %d series, old path %d", name, in.ID, ds, len(gs), len(ws))
+			}
+			for i := range ws {
+				if !bitsEqual(gs[i], ws[i]) {
+					t.Fatalf("%s: incident %s CPD %s series %d differs", name, in.ID, ds, i)
+				}
+				if cap(gs[i]) != len(gs[i]) {
+					t.Fatalf("%s: CPD %s series %d is not clipped: an append would run into its neighbour", name, ds, i)
+				}
+				series++
+			}
+		}
+		for ds, wc := range wantIn.Events {
+			if !bitsEqual(gotIn.Events[ds], wc) {
+				t.Fatalf("%s: incident %s CPD %s event counts differ", name, in.ID, ds)
+			}
+			events += len(wc)
+		}
+	}
+	if vectors < 50 || series < 500 || events < 100 {
+		t.Fatalf("%s: compared only %d vectors, %d CPD series and %d CPD event counts", name, vectors, series, events)
 	}
 }
 
@@ -292,7 +326,11 @@ func TestFeaturizeIntoAllocations(t *testing.T) {
 		{"two clusters", "clusters c1.dc1 and c3.dc2 are degraded", 40},
 	} {
 		ex := fb.Extract(tc.name, tc.body, nil)
-		if n := len(fb.contributors(new(featScratch), ex, topology.TypeCluster)); n < tc.minComps {
+		n := 0
+		for _, seg := range fb.contributors(new(featScratch), ex, topology.TypeCluster) {
+			n += len(seg.comps)
+		}
+		if n < tc.minComps {
 			t.Fatalf("%s: %d cluster contributors, want at least %d", tc.name, n, tc.minComps)
 		}
 		for _, at := range []float64{50, 120.5} {

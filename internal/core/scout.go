@@ -388,12 +388,24 @@ func (s *Scout) PredictBatch(reqs []BatchRequest) []Prediction {
 // are identical, and the installed observer (if any) sees every item's
 // prediction under the batch request's context — the request ID
 // propagates from the serving middleware through the batch scorer to
-// each degradation fallback.
+// each degradation fallback. Items are scored on GOMAXPROCS workers.
 func (s *Scout) PredictBatchCtx(ctx context.Context, reqs []BatchRequest) []Prediction {
+	return s.predictBatch(ctx, reqs, 0)
+}
+
+// predictBatch scores reqs on the given number of workers (0 selects
+// GOMAXPROCS) under the parallel layer's contract: an item is a pure
+// function of its index and the read-only Scout and lands in its own slot;
+// the observer, whose counters are order-sensitive, then sees the slots
+// sequentially, in index order.
+func (s *Scout) predictBatch(ctx context.Context, reqs []BatchRequest, workers int) []Prediction {
 	out := make([]Prediction, len(reqs))
-	for i, r := range reqs {
+	parallel.For(workers, len(reqs), func(i int) {
+		r := &reqs[i]
 		out[i] = s.predict(r.Title, r.Body, r.Components, r.Time)
-		if s.obs != nil {
+	})
+	if s.obs != nil {
+		for i := range out {
 			s.obs.ObservePrediction(ctx, &out[i])
 		}
 	}
@@ -482,14 +494,19 @@ func (s *Scout) PredictIncident(in *incident.Incident) Prediction {
 
 // PredictIncidentBatch classifies incidents at their creation time through
 // the batch path; element i is exactly PredictIncident(ins[i]). It
-// implements evaluate.BatchPredictor, so the §7 evaluation drivers score
-// in chunks over pooled feature vectors instead of per incident.
+// implements evaluate.BatchPredictor.
 func (s *Scout) PredictIncidentBatch(ins []*incident.Incident) []Prediction {
+	return s.PredictBatch(incidentRequests(ins))
+}
+
+// incidentRequests is the incidents as batch items: the inputs
+// PredictIncident scores them on.
+func incidentRequests(ins []*incident.Incident) []BatchRequest {
 	reqs := make([]BatchRequest, len(ins))
 	for i, in := range ins {
 		reqs[i] = BatchRequest{Title: in.Title, Body: in.Body, Components: in.InitialComponents, Time: in.CreatedAt}
 	}
-	return s.PredictBatch(reqs)
+	return reqs
 }
 
 // PredictCached classifies an incident at creation time, reusing (and
@@ -624,18 +641,11 @@ func (s *Scout) Evaluate(ins []*incident.Incident) metrics.Confusion {
 }
 
 // EvaluateWorkers is Evaluate with an explicit worker count (0 selects
-// runtime.GOMAXPROCS(0)). Predictions fan out in parallel over 64-incident
-// batch chunks — a trained Scout is read-only at inference — and the
-// confusion matrix is folded sequentially in incident order.
+// runtime.GOMAXPROCS(0)). Predictions fan out over the incidents — a
+// trained Scout is read-only at inference — and the confusion matrix is
+// folded sequentially in incident order.
 func (s *Scout) EvaluateWorkers(ins []*incident.Incident, workers int) metrics.Confusion {
-	const chunk = 64
-	preds := make([]Prediction, len(ins))
-	chunks := (len(ins) + chunk - 1) / chunk
-	parallel.For(workers, chunks, func(c int) {
-		lo := c * chunk
-		hi := min(lo+chunk, len(ins))
-		copy(preds[lo:hi], s.PredictIncidentBatch(ins[lo:hi]))
-	})
+	preds := s.predictBatch(context.Background(), incidentRequests(ins), workers)
 	var c metrics.Confusion
 	for i, p := range preds {
 		if !p.Usable() {

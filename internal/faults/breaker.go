@@ -26,9 +26,12 @@ const (
 // BreakerParams tune the per-dataset circuit breakers.
 type BreakerParams struct {
 	// Trip is how many consecutive failed series windows (empty or too
-	// stale) open the breaker. Empty windows are routine for components a
-	// dataset does not cover, and any successful window resets the streak,
-	// so the threshold counts *uninterrupted* emptiness. Default 32.
+	// stale) open the breaker; any successful window resets the streak.
+	// The streak is per dataset, not per caller, so it is only meaningful
+	// when every window it sees could have answered: featurization never
+	// asks a dataset about a component type its descriptor does not cover,
+	// an empty window therefore means missing data, and a streak counts
+	// real emptiness under any number of concurrent callers. Default 32.
 	Trip int
 	// Cooldown is how long (model hours) an open breaker short-circuits
 	// before allowing probe traffic. Default 2.

@@ -59,6 +59,38 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	}
 }
 
+// TestBreakerStreakIsCallerBlind pins why the streak may only be fed
+// windows that can answer: a gate counts per dataset, not per caller. Two
+// callers that each ask about two silent components and then a live one
+// never reach Trip 3 alone, but interleaved their silences run four long and
+// open the gate — which is how routine empties from uncovered components
+// once tripped healthy datasets under concurrent predictions. Callers that
+// ask only what can answer leave no streak at any interleaving.
+func TestBreakerStreakIsCallerBlind(t *testing.T) {
+	ask := func(b *Breaker, comps ...string) {
+		for _, c := range comps {
+			b.SeriesWindow("lat", c, 0, 3)
+		}
+	}
+	src := &fakeSource{emptyFor: map[string]bool{"silent": true}}
+
+	alone := breakerOver(src, BreakerParams{Trip: 3, Cooldown: 5})
+	ask(alone, "silent", "silent", "live", "silent", "silent", "live") // caller A, then caller B
+	if alone.Trips("lat") != 0 {
+		t.Fatal("two silences then a success must not open a Trip-3 gate")
+	}
+	interleaved := breakerOver(src, BreakerParams{Trip: 3, Cooldown: 5})
+	ask(interleaved, "silent", "silent", "silent", "silent", "live", "live") // A and B in lockstep
+	if interleaved.Trips("lat") != 1 {
+		t.Fatalf("interleaved silences should open the gate once, opened %d times", interleaved.Trips("lat"))
+	}
+	planned := breakerOver(src, BreakerParams{Trip: 3, Cooldown: 5})
+	ask(planned, "live", "live") // the same two callers, asking only what answers
+	if st, _ := planned.stateAt("lat", 3); st != StateClosed || planned.Trips("lat") != 0 {
+		t.Fatal("answerable queries must leave the gate closed")
+	}
+}
+
 func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	src := &fakeSource{emptyFor: map[string]bool{"dead": true}}
 	b := breakerOver(src, BreakerParams{Trip: 2, Cooldown: 5})

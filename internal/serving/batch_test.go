@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"scouts/internal/core"
+	"scouts/internal/faults"
 )
 
 func postJSON(t testing.TB, ts *httptest.Server, path string, v any) (*http.Response, []byte) {
@@ -96,6 +98,96 @@ func TestBatchPredictMatchesSingle(t *testing.T) {
 		if !reflect.DeepEqual(*bresp.Results[i].Prediction, single) {
 			t.Fatalf("item %d: batch %+v != single %+v", i, *bresp.Results[i].Prediction, single)
 		}
+	}
+}
+
+// TestBatchPredictParallelOverBreaker drives the batch endpoint the way the
+// daemon runs it — breaker-wrapped telemetry, every item of a batch scored
+// on its own worker, several batches in flight — and checks that healthy
+// data is never mistaken for an outage: each item answers what /v1/predict
+// answers over the raw source, no breaker opens, nothing is imputed, and
+// the observer has counted every item once.
+func TestBatchPredictParallelOverBreaker(t *testing.T) {
+	raw, store, _ := trainAndServe(t)
+	gen, log, _ := testEnv(t)
+	breaker := faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{})
+	srv := NewServer(gen.Topology(), breaker, store, nil)
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	rawTS := httptest.NewServer(raw.Handler())
+	defer rawTS.Close()
+
+	var breq BatchPredictRequest
+	var want []PredictResponse
+	for _, in := range log.Incidents[len(log.Incidents)-32:] {
+		item := PredictRequest{Title: in.Title, Body: in.Body, Components: in.Components, Time: in.CreatedAt}
+		breq.Items = append(breq.Items, item)
+		resp, body := postJSON(t, rawTS, "/v1/predict", item)
+		if resp.StatusCode != 200 {
+			t.Fatalf("single status %d: %s", resp.StatusCode, body)
+		}
+		var single PredictResponse
+		if err := json.Unmarshal(body, &single); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, single)
+	}
+
+	const clients, rounds = 4, 5
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				resp, body := postJSON(t, ts, "/v1/predict:batch", breq)
+				if resp.StatusCode != 200 {
+					t.Errorf("batch status %d: %s", resp.StatusCode, body)
+					return
+				}
+				var bresp BatchPredictResponse
+				if err := json.Unmarshal(body, &bresp); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range want {
+					if got := bresp.Results[i].Prediction; got == nil || !reflect.DeepEqual(*got, want[i]) {
+						t.Errorf("item %d: batch over the breaker %+v != single over the raw source %+v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, d := range breaker.Datasets() {
+		if n := breaker.Trips(d.Name); n != 0 {
+			t.Errorf("breaker %q opened %d times over healthy telemetry", d.Name, n)
+		}
+	}
+	var scrape strings.Builder
+	if err := srv.Metrics().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "scout_imputed_predictions_total 0\n") {
+		t.Error("predictions were imputed over healthy telemetry")
+	}
+	served := 0.0
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "scout_predictions_total{") {
+			n, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served += n
+		}
+	}
+	if served != clients*rounds*32 {
+		t.Errorf("observer counted %.0f predictions for %d items", served, clients*rounds*32)
 	}
 }
 
