@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke repro-check lint lint-selfcheck bench bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
+.PHONY: all build vet fmt-check test race fuzz-smoke repro-check lint lint-selfcheck bench bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke ci clean
 
 all: ci
 
@@ -55,16 +55,6 @@ repro-check:
 bench:
 	bash cmd/scoutbench/run.sh
 
-# Worker-count sweeps: compare ns/op between workers=1 and workers=4+ for
-# the parallel-layer speedup (single-core machines will show parity).
-bench-workers:
-	$(GO) test -bench 'Workers' -benchtime 1x -run '^$$'
-
-# Bench smoke: one iteration of every kernel benchmark, no output files —
-# catches bitrot in the benchmark code itself without timing anything.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BestSplit|WindowStats|PredictFlat$$' -benchtime 1x .
-
 # A smoke target selects its tests by -run regex, and `go test -run` that
 # matches nothing exits 0 with "[no tests to run]" — a moved or renamed
 # test would silently drop out of `make ci`. smoke-test runs `go test` with
@@ -76,6 +66,24 @@ define smoke-test
 		echo "smoke: go test $(1): the -run regex selects no test"; exit 1; \
 	fi
 endef
+
+# -bench has the same hole: a regex that selects no benchmark exits 0 and
+# prints no result line. smoke-bench runs one iteration of what the regex
+# selects in one package and fails unless a "Benchmark..." line came back.
+define smoke-bench
+	@out=$$($(GO) test -run '^$$' -bench $(1) -benchtime 1x $(2) 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if ! echo "$$out" | grep -q '^Benchmark'; then \
+		echo "smoke: go test -bench $(1) $(2): the -bench regex selects no benchmark"; exit 1; \
+	fi
+endef
+
+# Bench smoke: one iteration of the split-kernel benchmark and of the
+# in-process serving benchmark, no output files — catches bitrot in the
+# benchmark code itself without timing anything.
+bench-smoke:
+	$(call smoke-bench,'^BenchmarkBestSplit$$',.)
+	$(call smoke-bench,'^BenchmarkServingPredict$$',./internal/serving)
 
 # Loadgen smoke: runs the load generator's request/report path in both
 # modes against an in-process httptest server (no sockets, no timing) —
@@ -100,24 +108,6 @@ chaos-smoke:
 # format, without booting a real daemon.
 soak-smoke:
 	$(call smoke-test,-run 'TestLoadgenSoak|TestParseProm' -count 1 ./cmd/loadgen)
-
-# End-to-end soak: boots a real scoutd, drives sustained -soak traffic
-# at it, and writes the SLO-judged report — client-side latency
-# percentiles plus the server's own /metrics counters — to
-# BENCH_PR6.json. Deliberately not part of `make ci` (it trains a model
-# and times a real server); soak-smoke covers the plumbing there.
-soak:
-	$(GO) build -o /tmp/scouts-soak-scoutd ./cmd/scoutd
-	@set -e; \
-	/tmp/scouts-soak-scoutd -addr 127.0.0.1:8093 -days 30 -rate 6 -access-log & \
-	pid=$$!; trap "kill $$pid 2>/dev/null || true" EXIT; \
-	for i in $$(seq 1 120); do \
-		curl -fsS http://127.0.0.1:8093/v1/health >/dev/null 2>&1 && break; \
-		sleep 1; \
-	done; \
-	$(GO) run ./cmd/loadgen -url http://127.0.0.1:8093 -soak -mode batch -batch 32 \
-		-seed 7 -days 30 -rate 6 -c 4 -duration 10s -scrape 1s -slo-p99 250 -out BENCH_PR6.json
-	@cat BENCH_PR6.json
 
 # Pack/inspect smoke: boots a tiny scoutd against an empty -store (it
 # trains and publishes a scoutpack), then drives scoutctl inspect at the

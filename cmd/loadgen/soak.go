@@ -33,7 +33,7 @@ type SLOResult struct {
 
 // SoakReport is the JSON document a -soak run emits: the usual load
 // report plus the server's own telemetry as scraped from /metrics and
-// the SLO verdict. This is the file `make soak` writes to BENCH_PR6.json.
+// the SLO verdict.
 type SoakReport struct {
 	Report
 	// ScrapeIntervalSec and Scrapes describe the /metrics polling the run

@@ -91,10 +91,10 @@ type FeatureBuilder struct {
 	topo   *topology.Topology
 	source monitoring.DataSource
 	// stats is the aggregate-query view of source: the source itself when
-	// it offers monitoring.StatsSource (the Store, the cloud simulator), a
-	// window-materializing adapter otherwise. Featurization pulls baseline
-	// statistics and event counts through it so the hot path stops copying
-	// raw windows it only ever reduced to count/mean/std.
+	// it offers monitoring.StatsSource (the cloud simulator, the faults
+	// decorators), a window-materializing adapter otherwise. Featurization
+	// pulls baseline statistics and event counts through it so the hot path
+	// stops copying raw windows it only ever reduced to count/mean/std.
 	stats monitoring.StatsSource
 	// series is the append-into view of source's time-series windows: the
 	// source itself when it offers monitoring.SeriesAppender, a copying

@@ -17,8 +17,7 @@ type windowOnly struct{ monitoring.DataSource }
 // incident the stats-capable source and the window-materializing fallback
 // produce bit-identical feature vectors and CPD inputs (the simulator
 // computes window aggregates with the exact arithmetic of the materialized
-// path; see DESIGN.md §7 for why the Store's moment-derived stats are only
-// tolerance-equal).
+// path; DESIGN.md §7.2 records the moment-derived store that could not).
 func TestFeaturizeStatsPathBitIdentical(t *testing.T) {
 	gen := cloudsim.New(cloudsim.Params{Seed: 5, Days: 10, IncidentsPerDay: 5})
 	cfg, err := ParseConfig(DefaultPhyNetConfig)

@@ -493,8 +493,7 @@ func (s *Scout) PredictIncident(in *incident.Incident) Prediction {
 }
 
 // PredictIncidentBatch classifies incidents at their creation time through
-// the batch path; element i is exactly PredictIncident(ins[i]). It
-// implements evaluate.BatchPredictor.
+// the batch path; element i is exactly PredictIncident(ins[i]).
 func (s *Scout) PredictIncidentBatch(ins []*incident.Incident) []Prediction {
 	return s.PredictBatch(incidentRequests(ins))
 }

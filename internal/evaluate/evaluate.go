@@ -24,39 +24,6 @@ type Predictor interface {
 	PredictIncident(in *incident.Incident) core.Prediction
 }
 
-// BatchPredictor is the batched form of Predictor: element i of the result
-// must equal PredictIncident(ins[i]). Predictors that implement it (a
-// trained Scout does) are evaluated in chunks over pooled feature vectors
-// instead of one call per incident.
-type BatchPredictor interface {
-	PredictIncidentBatch(ins []*incident.Incident) []core.Prediction
-}
-
-// evalBatchSize is the evaluation chunk size: large enough that a chunk
-// amortizes the per-call setup, small enough that chunks still balance
-// across workers on modest test sets.
-const evalBatchSize = 64
-
-// predictAll fans predictions over the test set: batched in chunks when
-// the predictor supports it, per incident otherwise. Either way result i
-// is the prediction for test[i], so downstream scoring is unchanged.
-func predictAll(p Predictor, test []*incident.Incident, workers int) []core.Prediction {
-	bp, ok := p.(BatchPredictor)
-	if !ok {
-		return parallel.Map(workers, len(test), func(i int) core.Prediction {
-			return p.PredictIncident(test[i])
-		})
-	}
-	preds := make([]core.Prediction, len(test))
-	chunks := (len(test) + evalBatchSize - 1) / evalBatchSize
-	parallel.For(workers, chunks, func(c int) {
-		lo := c * evalBatchSize
-		hi := min(lo+evalBatchSize, len(test))
-		copy(preds[lo:hi], bp.PredictIncidentBatch(test[lo:hi]))
-	})
-	return preds
-}
-
 // Result aggregates the evaluation over a test set. The slices hold one
 // fraction-of-investigation-time entry per applicable incident, ready to
 // be plotted as CDFs (Figures 7 and 11).
@@ -129,7 +96,9 @@ func Run(p Predictor, test []*incident.Incident, team string, baseline []float64
 // a fully sequential run and the Result is bit-identical at any worker
 // count.
 func RunWorkers(p Predictor, test []*incident.Incident, team string, baseline []float64, rng *rand.Rand, workers int) Result {
-	preds := predictAll(p, test, workers)
+	preds := parallel.Map(workers, len(test), func(i int) core.Prediction {
+		return p.PredictIncident(test[i])
+	})
 	var r Result
 	var correctCorrect, totalCorrectRouted int
 	var fn, owned int

@@ -5,10 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"scouts/internal/cloudsim"
 	"scouts/internal/core"
 	"scouts/internal/incident"
+	"scouts/internal/monitoring"
 )
 
 // fixedPredictor answers from a map of incident ID -> responsible.
@@ -26,22 +30,6 @@ func (f fixedPredictor) PredictIncident(in *incident.Incident) core.Prediction {
 		v = core.VerdictResponsible
 	}
 	return core.Prediction{Verdict: v, Responsible: resp, Confidence: 0.9, Model: "rf"}
-}
-
-// batchedPredictor wraps fixedPredictor with the BatchPredictor interface,
-// standing in for a trained Scout's chunked path.
-type batchedPredictor struct {
-	fixedPredictor
-	calls int
-}
-
-func (b *batchedPredictor) PredictIncidentBatch(ins []*incident.Incident) []core.Prediction {
-	b.calls++
-	out := make([]core.Prediction, len(ins))
-	for i, in := range ins {
-		out[i] = b.PredictIncident(in)
-	}
-	return out
 }
 
 const team = "PhyNet"
@@ -207,36 +195,71 @@ func TestRunWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunWorkersBatchPathEquivalent pins that a predictor advertising the
-// batched interface is scored identically to the per-incident path, at any
-// worker count, and that the batched path is actually taken.
-func TestRunWorkersBatchPathEquivalent(t *testing.T) {
-	answers := map[string]bool{}
-	var ins []*incident.Incident
-	for i := 0; i < 150; i++ { // > 2 chunks of evalBatchSize
-		id := fmt.Sprintf("in-%d", i)
-		if i%2 == 0 {
-			ins = append(ins, mkIncident(id, team,
-				incident.Hop{Team: "Storage", Enter: 0, Exit: 2},
-				incident.Hop{Team: team, Enter: 2, Exit: 3}))
-			answers[id] = i%4 == 0
-		} else {
-			ins = append(ins, mkIncident(id, "DNS",
-				incident.Hop{Team: "DNS", Enter: 0, Exit: 2}))
-			answers[id] = i%3 == 0
-		}
+// inFlight is a DataSource that records the peak number of its calls in
+// flight at once. Each call yields while counted, so overlapping callers
+// are seen even when they share a core.
+type inFlight struct {
+	monitoring.DataSource
+	now, peak atomic.Int32
+}
+
+func (s *inFlight) enter() {
+	n := s.now.Add(1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
 	}
-	baseline := []float64{0.1, 0.3, 0.7}
-	single := fixedPredictor{answers: answers}
-	want := RunWorkers(single, ins, team, baseline, rand.New(rand.NewSource(7)), 1)
-	for _, w := range []int{1, 4} {
-		bp := &batchedPredictor{fixedPredictor: single}
-		got := RunWorkers(bp, ins, team, baseline, rand.New(rand.NewSource(7)), w)
+	runtime.Gosched()
+}
+
+func (s *inFlight) SeriesWindow(dataset, component string, from, to float64) []float64 {
+	s.enter()
+	defer s.now.Add(-1)
+	return s.DataSource.SeriesWindow(dataset, component, from, to)
+}
+
+func (s *inFlight) EventsWindow(dataset, component string, from, to float64) []monitoring.EventRecord {
+	s.enter()
+	defer s.now.Add(-1)
+	return s.DataSource.EventsWindow(dataset, component, from, to)
+}
+
+// TestRunWorkersHonorsWorkers pins what the workers argument means for a
+// real Scout: that many predictions in flight and no more (the batched path
+// this replaced fanned every chunk over GOMAXPROCS whatever it was told),
+// with the Result identical at every setting.
+func TestRunWorkersHonorsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	gen := cloudsim.New(cloudsim.Params{Seed: 5, Days: 20, IncidentsPerDay: 8})
+	ins := gen.Generate().Incidents
+	cfg, err := core.ParseConfig(core.DefaultPhyNetConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &inFlight{DataSource: gen.Telemetry()}
+	scout, err := core.Train(core.TrainOptions{
+		Config: cfg, Topology: gen.Topology(), Source: src, Incidents: ins[:len(ins)/2], Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := ins[len(ins)/2:]
+	baseline := OverheadDistribution(ins[:len(ins)/2], cloudsim.TeamPhyNet)
+
+	src.peak.Store(0)
+	want := RunWorkers(scout, test, cloudsim.TeamPhyNet, baseline, rand.New(rand.NewSource(3)), 1)
+	if peak := src.peak.Load(); peak != 1 {
+		t.Fatalf("workers=1 had %d monitoring pulls in flight at once, want 1", peak)
+	}
+	if want.Evaluated < len(test)/2 {
+		t.Fatalf("only %d of %d incidents evaluated", want.Evaluated, len(test))
+	}
+	for _, w := range []int{2, 8} {
+		src.peak.Store(0)
+		got := RunWorkers(scout, test, cloudsim.TeamPhyNet, baseline, rand.New(rand.NewSource(3)), w)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d batched result differs:\n%+v\nvs\n%+v", w, got, want)
+			t.Fatalf("workers=%d result differs from workers=1:\n%+v\nvs\n%+v", w, got, want)
 		}
-		if wantCalls := (len(ins) + evalBatchSize - 1) / evalBatchSize; bp.calls != wantCalls {
-			t.Fatalf("workers=%d made %d batch calls, want %d", w, bp.calls, wantCalls)
+		if peak := int(src.peak.Load()); peak > w {
+			t.Fatalf("workers=%d had %d monitoring pulls in flight at once", w, peak)
 		}
 	}
 }

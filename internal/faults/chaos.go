@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"sync"
 
 	"scouts/internal/monitoring"
 )
@@ -83,6 +84,12 @@ func (c *Chaos) AppendSeries(dst []float64, dataset, component string, from, to 
 	return dst
 }
 
+// statsScratch holds the buffers WindowStats corrupts a window in. The
+// inner source is reached through an interface, so a stack array handed to
+// it would escape; a pooled one is reused instead. 64 samples cover the
+// Scout's 20-sample look-back windows, as in cloudsim.Telemetry.WindowStats.
+var statsScratch = sync.Pool{New: func() any { return new([64]float64) }}
+
 // WindowStats implements monitoring.StatsSource. Under corruption the
 // aggregates are recomputed from the corrupted series so WindowStats and
 // SeriesWindow never disagree about the same window; otherwise the inner
@@ -92,7 +99,9 @@ func (c *Chaos) WindowStats(dataset, component string, from, to float64) (monito
 		return monitoring.Stats{}, false
 	}
 	if cr := c.sched.corruptionAt(dataset, to); cr != nil {
-		vals := c.SeriesWindow(dataset, component, from, to)
+		scratch := statsScratch.Get().(*[64]float64)
+		defer statsScratch.Put(scratch)
+		vals := c.AppendSeries(scratch[:0], dataset, component, from, to)
 		if len(vals) == 0 {
 			return monitoring.Stats{}, false
 		}

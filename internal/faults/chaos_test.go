@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"scouts/internal/cloudsim"
 	"scouts/internal/monitoring"
 	"scouts/internal/topology"
 )
@@ -164,6 +165,25 @@ func TestChaosCorruptionDeterministic(t *testing.T) {
 		// NaNs in the window poison the mean; a clean mean means stats
 		// bypassed the corruption.
 		t.Fatalf("stats ignored injected NaNs: mean=%v", st.Mean)
+	}
+
+	// Over an allocation-free source the corrupted aggregates are the
+	// corrupted series' own, bit for bit, and a look-back window costs no
+	// allocation.
+	real := NewChaos(equivalenceTelemetry(), equivalenceSchedule(), 7)
+	const ds, comp = cloudsim.DSIfCounters, "tor1.c1.dc1" // corrupted throughout
+	for _, w := range [][2]float64{{40, 42}, {38, 40}, {0, 2}, {41.05, 43.05}} {
+		got, ok := real.WindowStats(ds, comp, w[0], w[1])
+		vals := real.SeriesWindow(ds, comp, w[0], w[1])
+		if want := monitoring.StatsOf(vals); !ok || len(vals) != 20 || !sameStats(got, want) {
+			t.Fatalf("window %v: WindowStats %+v (ok=%v), StatsOf(SeriesWindow) %+v over %d samples", w, got, ok, want, len(vals))
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are not exact under the race detector
+	}
+	if n := testing.AllocsPerRun(100, func() { real.WindowStats(ds, comp, 40, 42) }); n != 0 {
+		t.Fatalf("corrupted WindowStats allocates %v times per 20-sample window, want 0", n)
 	}
 }
 

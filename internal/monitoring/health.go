@@ -18,11 +18,11 @@ type DatasetHealth struct {
 }
 
 // HealthReporter is an optional capability of a DataSource: time-aware
-// per-dataset availability and staleness. Sources that cannot lose data
-// (the Store, the plain cloud simulator) simply do not implement it;
-// consumers then fall back to registry presence (Datasets()) as the
-// availability signal, which is how monitoring-system deprecation has
-// always been detected.
+// per-dataset availability and staleness. faults.Breaker and faults.Chaos
+// implement it; a source that cannot lose data (the plain cloud simulator,
+// cloudsim.Telemetry) simply does not, and consumers then fall back to
+// registry presence (Datasets()) as the availability signal, which is how
+// monitoring-system deprecation has always been detected.
 type HealthReporter interface {
 	// DatasetHealth reports one dataset's health at model time t. Unknown
 	// datasets report Available == false.

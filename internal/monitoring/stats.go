@@ -1,21 +1,17 @@
 package monitoring
 
-import (
-	"math"
-
-	"scouts/internal/metrics"
-)
+import "scouts/internal/metrics"
 
 // Stats are the windowed aggregates featurization consumes instead of raw
 // sample windows: count, sum, sum of squares, min, max, plus the derived
 // mean and (sample) standard deviation.
 //
 // Mean and Std are carried as fields rather than recomputed by the consumer
-// so each producer can choose its arithmetic: sources that see the raw
-// values (StatsOf, the cloud simulator) compute the two-pass mean/std that
-// is bit-identical to metrics.Mean/metrics.StdDev, while the aggregate-
-// backed Store derives them from the moments it maintains — equal up to
-// floating-point association (see DESIGN.md §7).
+// so the producer fixes the arithmetic: every source in the tree
+// (cloudsim.Telemetry, faults.Chaos, the adapter below) reduces the raw
+// values with StatsOf, whose two-pass mean/std is bit-identical to
+// metrics.Mean/metrics.StdDev. Moments derived from running sums would be
+// equal only up to floating-point association (see DESIGN.md §7.2).
 type Stats struct {
 	Count int
 	Sum   float64
@@ -50,29 +46,12 @@ func StatsOf(vals []float64) Stats {
 	return st
 }
 
-// momentStats derives Stats from pre-aggregated moments: mean = sum/n and
-// std = sqrt((sumsq - sum²/n) / (n-1)), clamped at zero against the
-// cancellation the one-pass formula is prone to. Used by aggregate-backed
-// sources that never see the raw window.
-func momentStats(n int, sum, sumsq, mn, mx float64) Stats {
-	st := Stats{Count: n, Sum: sum, SumSq: sumsq, Min: mn, Max: mx}
-	if n > 0 {
-		st.Mean = sum / float64(n)
-	}
-	if n >= 2 {
-		v := (sumsq - sum*sum/float64(n)) / float64(n-1)
-		if v > 0 {
-			st.Std = math.Sqrt(v)
-		}
-	}
-	return st
-}
-
 // StatsSource is the aggregate-query capability a DataSource may offer.
 // Featurization prefers it over SeriesWindow/EventsWindow: a capable source
-// answers without materializing the raw window (the Store in O(log n) from
-// cumulative arrays, the cloud simulator without allocating), which removes
-// the window copies from the per-incident hot path.
+// answers without materializing the raw window (cloudsim.Telemetry
+// synthesizes into a stack scratch; faults.Breaker and faults.Chaos forward
+// to the source they wrap), which removes the window copies from the
+// per-incident hot path.
 type StatsSource interface {
 	// WindowStats returns the aggregates of the time-series values in
 	// [from, to) for a component. ok is false when the dataset or component

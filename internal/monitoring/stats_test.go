@@ -1,185 +1,91 @@
 package monitoring
 
 import (
-	"math"
+	"reflect"
 	"testing"
 )
 
-// hashVal is a cheap deterministic pseudo-random value stream for tests.
-func hashVal(i int) float64 {
-	z := uint64(i)*0x9E3779B97F4A7C15 + 0x1234567
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	return float64(z%10000)/100 - 50
+// plain is a three-method DataSource: one series ("cpu"/"srv1", value k at
+// hour k for k in [0, 10)) and one event stream ("syslog"/"tor1", one event
+// at each of those hours).
+type plain struct{}
+
+func (plain) Datasets() []Descriptor {
+	return []Descriptor{{Name: "cpu", Type: TimeSeries}, {Name: "syslog", Type: Event}}
 }
 
-func statsStore(t *testing.T, n int) *Store {
-	t.Helper()
-	s := NewStore(0)
-	if err := s.Register(Descriptor{Name: "cpu", Type: TimeSeries}); err != nil {
-		t.Fatal(err)
+func (plain) SeriesWindow(dataset, component string, from, to float64) []float64 {
+	if dataset != "cpu" || component != "srv1" {
+		return nil
 	}
-	if err := s.Register(Descriptor{Name: "syslog", Type: Event}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := s.AppendPoint("cpu", "srv1", Point{Time: float64(i) / 10, Value: hashVal(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if i%3 == 0 {
-			kind := []string{"LINK_DOWN", "PARITY"}[i%2]
-			if err := s.AppendEvent("syslog", "tor1", EventRecord{Time: float64(i) / 10, Kind: kind}); err != nil {
-				t.Fatal(err)
-			}
+	var out []float64
+	for k := 0; k < 10; k++ {
+		if t := float64(k); t >= from && t < to {
+			out = append(out, t)
 		}
 	}
-	return s
+	return out
 }
 
-// TestWindowStatsMatchesMaterialized cross-checks the O(log n) aggregate
-// path against StatsOf over the materialized window for many window shapes,
-// including windows that straddle sparse-table level boundaries.
-func TestWindowStatsMatchesMaterialized(t *testing.T) {
-	s := statsStore(t, 500)
-	windows := [][2]float64{
-		{0, 50}, {0, 0.1}, {12.3, 12.4}, {7, 9}, {0.05, 49.95},
-		{3.14, 31.4}, {49.9, 50}, {0, 0.05}, {25, 26.6},
+func (plain) EventsWindow(dataset, component string, from, to float64) []EventRecord {
+	if dataset != "syslog" || component != "tor1" {
+		return nil
 	}
-	for _, w := range windows {
-		got, ok := s.WindowStats("cpu", "srv1", w[0], w[1])
-		vals := s.SeriesWindow("cpu", "srv1", w[0], w[1])
-		if !ok {
-			if len(vals) != 0 {
-				t.Fatalf("window %v: ok=false but %d values exist", w, len(vals))
-			}
-			continue
-		}
-		want := StatsOf(vals)
-		if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {
-			t.Fatalf("window %v: got %+v want %+v", w, got, want)
-		}
-		// Sum/SumSq accumulate in the same left-to-right order as StatsOf,
-		// so prefix differences agree to within one rounding of the
-		// subtraction; mean/std are derived from moments and agree up to
-		// association.
-		if math.Abs(got.Sum-want.Sum) > 1e-9*(1+math.Abs(want.Sum)) {
-			t.Fatalf("window %v: sum %g want %g", w, got.Sum, want.Sum)
-		}
-		if math.Abs(got.Mean-want.Mean) > 1e-9*(1+math.Abs(want.Mean)) {
-			t.Fatalf("window %v: mean %g want %g", w, got.Mean, want.Mean)
-		}
-		if math.Abs(got.Std-want.Std) > 1e-6*(1+want.Std) {
-			t.Fatalf("window %v: std %g want %g", w, got.Std, want.Std)
+	var out []EventRecord
+	for k := 0; k < 10; k++ {
+		if t := float64(k); t >= from && t < to {
+			out = append(out, EventRecord{Time: t, Kind: "LINK_DOWN"})
 		}
 	}
-	if _, ok := s.WindowStats("cpu", "nope", 0, 10); ok {
-		t.Fatal("unknown component should not be ok")
-	}
-	if _, ok := s.WindowStats("nope", "srv1", 0, 10); ok {
-		t.Fatal("unknown dataset should not be ok")
-	}
-	if _, ok := s.WindowStats("cpu", "srv1", 100, 200); ok {
-		t.Fatal("empty window should not be ok")
-	}
+	return out
 }
 
-// TestWindowStatsZeroAllocs guards the aggregate path's allocation
-// contract: a WindowStats query allocates nothing.
-func TestWindowStatsZeroAllocs(t *testing.T) {
-	s := statsStore(t, 2048)
-	allocs := testing.AllocsPerRun(100, func() {
-		s.WindowStats("cpu", "srv1", 17.3, 181.7)
-	})
-	if allocs != 0 {
-		t.Fatalf("WindowStats allocates %.1f times per call, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		s.EventCount("syslog", "tor1", 1, 40)
-	})
-	if allocs != 0 {
-		t.Fatalf("EventCount allocates %.1f times per call, want 0", allocs)
-	}
+// capable adds both optional capabilities with answers no adapter would
+// give, so a test can tell which side replied.
+type capable struct{ plain }
+
+func (capable) WindowStats(string, string, float64, float64) (Stats, bool) {
+	return Stats{Count: -1}, true
+}
+func (capable) EventCount(string, string, float64, float64) int { return -1 }
+func (capable) AppendSeries(dst []float64, _, _ string, _, _ float64) []float64 {
+	return append(dst, -1)
 }
 
-// TestEventCountMatchesWindow checks the search-only count against the
-// materialized window and the in-place per-kind counts against a manual
-// tally.
-func TestEventCountMatchesWindow(t *testing.T) {
-	s := statsStore(t, 300)
-	for _, w := range [][2]float64{{0, 30}, {1.5, 2}, {29.9, 30}, {5, 5}, {40, 50}} {
-		got := s.EventCount("syslog", "tor1", w[0], w[1])
-		want := len(s.EventsWindow("syslog", "tor1", w[0], w[1]))
-		if got != want {
-			t.Fatalf("window %v: EventCount=%d, EventsWindow has %d", w, got, want)
-		}
-		counts := s.EventCounts("syslog", "tor1", w[0], w[1])
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		if total != want {
-			t.Fatalf("window %v: per-kind counts sum to %d, want %d", w, total, want)
-		}
-	}
-	if s.EventCount("syslog", "nope", 0, 10) != 0 || s.EventCount("nope", "x", 0, 10) != 0 {
-		t.Fatal("unknown component/dataset should count 0")
-	}
-}
-
-// TestGCRebuildsAggregates verifies that after a retention sweep the
-// surviving series answers aggregate queries consistently with its
-// materialized values (the prefix sums and sparse tables are rebuilt, not
-// left dangling over truncated indices).
-func TestGCRebuildsAggregates(t *testing.T) {
-	s := NewStore(10) // keep 10 hours
-	if err := s.Register(Descriptor{Name: "cpu", Type: TimeSeries}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 400; i++ {
-		_ = s.AppendPoint("cpu", "srv1", Point{Time: float64(i) / 10, Value: hashVal(i)})
-	}
-	s.GC(40) // cut = 30, keeps t in [30, 40)
-	got, ok := s.WindowStats("cpu", "srv1", 0, 100)
-	if !ok {
-		t.Fatal("survivors should answer stats")
-	}
-	want := StatsOf(s.SeriesWindow("cpu", "srv1", 0, 100))
-	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max ||
-		math.Abs(got.Sum-want.Sum) > 1e-9*(1+math.Abs(want.Sum)) {
-		t.Fatalf("after GC: got %+v want %+v", got, want)
-	}
-	if got.Count != 100 {
-		t.Fatalf("after GC want 100 survivors, got %d", got.Count)
-	}
-	// Appends after GC must extend the rebuilt aggregates seamlessly.
-	for i := 400; i < 450; i++ {
-		_ = s.AppendPoint("cpu", "srv1", Point{Time: float64(i) / 10, Value: hashVal(i)})
-	}
-	got, _ = s.WindowStats("cpu", "srv1", 0, 100)
-	want = StatsOf(s.SeriesWindow("cpu", "srv1", 0, 100))
-	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("after GC+append: got %+v want %+v", got, want)
-	}
-}
-
-// TestStatsSourceOf checks both directions of the capability dispatch: a
-// capable source is returned as-is, a plain DataSource gets the
-// materializing adapter with identical results.
+// TestStatsSourceOf checks both directions of the capability dispatch, for
+// both capabilities: a capable source is returned as itself, a plain
+// DataSource gets the materializing adapter with the window's own results.
 func TestStatsSourceOf(t *testing.T) {
-	s := statsStore(t, 100)
-	if StatsSourceOf(s).(*Store) != s {
-		t.Fatal("capable source should pass through")
+	if got := StatsSourceOf(capable{}); got != StatsSource(capable{}) {
+		t.Fatalf("capable source should pass through, got %T", got)
 	}
-	type windowOnly struct{ DataSource }
-	adapted := StatsSourceOf(windowOnly{s})
-	if _, isStore := adapted.(*Store); isStore {
-		t.Fatal("wrapped source should get the adapter")
+	if got := SeriesAppenderOf(capable{}); got != SeriesAppender(capable{}) {
+		t.Fatalf("capable source should pass through, got %T", got)
 	}
-	got, ok := adapted.WindowStats("cpu", "srv1", 1, 7)
-	want := StatsOf(s.SeriesWindow("cpu", "srv1", 1, 7))
-	if !ok || got.Count != want.Count || got.Mean != want.Mean || got.Std != want.Std {
-		t.Fatalf("adapter stats %+v want %+v", got, want)
+
+	stats, series := StatsSourceOf(plain{}), SeriesAppenderOf(plain{})
+	got, ok := stats.WindowStats("cpu", "srv1", 1, 7)
+	if want := StatsOf([]float64{1, 2, 3, 4, 5, 6}); !ok || got != want {
+		t.Fatalf("adapter stats %+v (ok=%v), want %+v", got, ok, want)
 	}
-	if adapted.EventCount("syslog", "tor1", 0, 10) != s.EventCount("syslog", "tor1", 0, 10) {
-		t.Fatal("adapter event count mismatch")
+	// [20, 30) is empty for the known pair and unknown for the others.
+	for _, w := range [][2]string{{"cpu", "srv1"}, {"cpu", "nope"}, {"nope", "srv1"}} {
+		if st, ok := stats.WindowStats(w[0], w[1], 20, 30); ok || st != (Stats{}) {
+			t.Fatalf("%s/%s [20,30): adapter answered %+v, ok=%v", w[0], w[1], st, ok)
+		}
+	}
+	if n := stats.EventCount("syslog", "tor1", 2.5, 6); n != 3 {
+		t.Fatalf("adapter event count %d, want 3", n)
+	}
+	if n := stats.EventCount("syslog", "nope", 0, 10); n != 0 {
+		t.Fatalf("unknown component counts %d events", n)
+	}
+
+	dst := []float64{42}
+	if got := series.AppendSeries(dst, "cpu", "srv1", 8, 20); !reflect.DeepEqual(got, []float64{42, 8, 9}) {
+		t.Fatalf("adapter appended %v", got)
+	}
+	if got := series.AppendSeries(dst, "cpu", "nope", 0, 10); !reflect.DeepEqual(got, dst) {
+		t.Fatalf("an unanswerable window must leave dst at its old length, got %v", got)
 	}
 }

@@ -26,14 +26,14 @@
 //	fmt.Println(p.Responsible, p.Confidence, p.Explanation)
 //
 // The subpackages under internal implement every substrate the paper
-// depends on: the monitoring store and registry (internal/monitoring), the
-// datacenter topology abstraction (internal/topology), the incident model
-// (internal/incident), the ML models (internal/ml/...), the legacy NLP
-// router (internal/text), the Scout Master (internal/master), a synthetic
-// cloud calibrated to the paper's §3 measurements (internal/cloudsim), the
-// Resource Central-style serving pipeline (internal/serving), and one
-// runner per table and figure of the paper (internal/experiments, driven
-// by cmd/repro and the repository benchmarks).
+// depends on: the monitoring registry and read contracts
+// (internal/monitoring), the datacenter topology abstraction
+// (internal/topology), the incident model (internal/incident), the ML
+// models (internal/ml/...), the legacy NLP router (internal/text), the
+// Scout Master (internal/master), a synthetic cloud calibrated to the
+// paper's §3 measurements (internal/cloudsim), the Resource Central-style
+// serving pipeline (internal/serving), and one runner per table and figure
+// of the paper (internal/experiments, driven by cmd/repro).
 package scouts
 
 import (
@@ -73,8 +73,6 @@ type (
 
 	// DataSource serves monitoring data to the framework.
 	DataSource = monitoring.DataSource
-	// MonitoringStore is the reference DataSource implementation.
-	MonitoringStore = monitoring.Store
 	// Descriptor declares a monitoring dataset.
 	Descriptor = monitoring.Descriptor
 
@@ -134,9 +132,3 @@ func BuildTopology(p topology.Params) *Topology { return topology.Build(p) }
 
 // TopologyParams size BuildTopology.
 type TopologyParams = topology.Params
-
-// NewMonitoringStore creates a monitoring store retaining the given number
-// of hours of telemetry (<= 0 keeps everything).
-func NewMonitoringStore(retentionHours float64) *MonitoringStore {
-	return monitoring.NewStore(retentionHours)
-}

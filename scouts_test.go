@@ -54,17 +54,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeTopologyAndStore(t *testing.T) {
+func TestFacadeTopology(t *testing.T) {
 	topo := scouts.BuildTopology(scouts.TopologyParams{DCs: 1, ClustersPerDC: 1})
 	if topo.Len() == 0 {
 		t.Fatal("empty topology")
-	}
-	st := scouts.NewMonitoringStore(24)
-	if err := st.Register(scouts.Descriptor{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Datasets()) != 1 {
-		t.Fatal("store registration failed")
 	}
 }
 
