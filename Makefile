@@ -31,13 +31,15 @@ race:
 	$(GO) test -race ./...
 
 # Fuzz smoke: ten seconds each of the change-point kernel's differential
-# fuzz target and of the forest's two snapshot decoders (SFF1 binary, JSON)
-# on top of their committed corpora (which plain `go test` replays). A
-# crasher lands in the package's testdata/fuzz and fails the run. The
-# decoder seeds are kilobytes long, so minimising each new input is capped
-# at a second to keep the ten seconds for mutation.
+# fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib
+# sort and the old reductions) and of the forest's two snapshot decoders
+# (SFF1 binary, JSON) on top of their committed corpora (which plain
+# `go test` replays). A crasher lands in the package's testdata/fuzz and
+# fails the run. The decoder seeds are kilobytes long, so minimising each
+# new input is capped at a second to keep the ten seconds for mutation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBestSplit -fuzztime 10s ./internal/ml/cpd
+	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFromBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzForestUnmarshalJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
 
@@ -78,12 +80,14 @@ define smoke-bench
 	fi
 endef
 
-# Bench smoke: one iteration of the split-kernel benchmark and of the
-# in-process serving benchmark, no output files — catches bitrot in the
-# benchmark code itself without timing anything.
+# Bench smoke: one iteration of the split-kernel benchmark, of the
+# in-process serving benchmark and of the ordering kernel's (every shape
+# and size, both sides), no output files — catches bitrot in the benchmark
+# code itself without timing anything.
 bench-smoke:
 	$(call smoke-bench,'^BenchmarkBestSplit$$',.)
 	$(call smoke-bench,'^BenchmarkServingPredict$$',./internal/serving)
+	$(call smoke-bench,'^BenchmarkSummarize$$',./internal/metrics)
 
 # Loadgen smoke: runs the load generator's request/report path in both
 # modes against an in-process httptest server (no sockets, no timing) —

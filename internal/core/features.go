@@ -575,37 +575,49 @@ func (fb *FeatureBuilder) datasetCount() int {
 }
 
 // sourceHealth reports the availability picture featurization faces at
-// time t: availability per consumed dataset, the unavailable datasets in
-// feature-group order, and the largest admitted staleness (model hours).
-// Sources without the monitoring.HealthReporter capability fall back to
-// registry presence — a dataset deprecated out of Datasets() counts as
-// down, which is exactly the §6 "monitoring system disappeared" case.
-func (fb *FeatureBuilder) sourceHealth(t float64) (av map[string]bool, down []string, maxStale float64) {
-	av = make(map[string]bool, fb.datasetCount())
-	if fb.health != nil {
-		for _, g := range fb.groups {
-			for _, d := range g.datasets {
-				h := fb.health.DatasetHealth(d.Name, t)
-				av[d.Name] = h.Available
-				if h.Staleness > maxStale {
-					maxStale = h.Staleness
-				}
-			}
-		}
-	} else {
-		for _, d := range fb.source.Datasets() {
-			av[d.Name] = true
-		}
+// time t: the unavailable datasets in feature-group order and the largest
+// admitted staleness (model hours) as a DataHealth, and — appended to avail
+// — one availability cell per consumed dataset in that same order. The list
+// is the builder's own and fixed, so a position stands for a name and the
+// caller's stack array (stackDatasets) holds it. Sources without the
+// monitoring.HealthReporter capability fall back to registry presence — a
+// dataset deprecated out of Datasets() counts as down, which is exactly the
+// §6 "monitoring system disappeared" case.
+func (fb *FeatureBuilder) sourceHealth(avail []bool, t float64) ([]bool, DataHealth) {
+	h := DataHealth{DatasetsTotal: fb.datasetCount()}
+	var registry []monitoring.Descriptor
+	if fb.health == nil {
+		registry = fb.source.Datasets()
 	}
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
-			if !av[d.Name] {
-				down = append(down, d.Name)
+			ok := false
+			if fb.health != nil {
+				dh := fb.health.DatasetHealth(d.Name, t)
+				ok = dh.Available
+				if dh.Staleness > h.MaxStaleness {
+					h.MaxStaleness = dh.Staleness
+				}
+			} else {
+				for _, r := range registry {
+					if r.Name == d.Name {
+						ok = true
+						break
+					}
+				}
+			}
+			avail = append(avail, ok)
+			if !ok {
+				h.DatasetsDown = append(h.DatasetsDown, d.Name)
 			}
 		}
 	}
-	return av, down, maxStale
+	return avail, h
 }
+
+// stackDatasets sizes the availability buffer sourceHealth's callers keep on
+// their stack; a builder that consumes more datasets spills to the heap.
+const stackDatasets = 16
 
 // GroupDatasets lists the dataset names a feature group consumes (empty
 // for class-derived groups that read no telemetry).

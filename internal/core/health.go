@@ -111,10 +111,7 @@ func (s *Scout) Degradation() DegradationPolicy { return s.degrade }
 // sourceHealth assembles the dataset-availability picture without
 // featurizing — the health report of the CPD+ and gate paths.
 func (s *Scout) sourceHealth(t float64) DataHealth {
-	_, down, maxStale := s.fb.sourceHealth(t)
-	return DataHealth{
-		DatasetsDown:  down,
-		DatasetsTotal: s.fb.datasetCount(),
-		MaxStaleness:  maxStale,
-	}
+	var buf [stackDatasets]bool
+	_, h := s.fb.sourceHealth(buf[:0], t)
+	return h
 }

@@ -576,22 +576,13 @@ func verdictFor(responsible bool) Verdict {
 // operators) can see how much of the answer rests on imputed data.
 func (s *Scout) featurizeWithImputationInto(x []float64, ex Extraction, t float64) ([]float64, DataHealth) {
 	x = s.fb.FeaturizeInto(x, ex, t)
-	av, down, maxStale := s.fb.sourceHealth(t)
-	h := DataHealth{
-		TotalSlots:    len(x),
-		DatasetsDown:  down,
-		DatasetsTotal: s.fb.datasetCount(),
-		MaxStaleness:  maxStale,
-	}
+	var buf [stackDatasets]bool
+	avail, h := s.fb.sourceHealth(buf[:0], t)
+	h.TotalSlots = len(x)
 	for _, g := range s.fb.groups {
-		missing := true
-		for _, d := range g.datasets {
-			if av[d.Name] {
-				missing = false
-				break
-			}
-		}
-		if !missing {
+		live := avail[:len(g.datasets)]
+		avail = avail[len(g.datasets):]
+		if slices.Contains(live, true) {
 			continue
 		}
 		for _, slot := range s.fb.groupSlots[g.name] {

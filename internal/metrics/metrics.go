@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"scouts/internal/floatsort"
 )
 
 // Confusion is a binary-classification confusion matrix. By the paper's
@@ -84,7 +86,7 @@ type CDF struct {
 func NewCDF(sample []float64) *CDF {
 	s := make([]float64, len(sample))
 	copy(s, sample)
-	sort.Float64s(s)
+	floatsort.Sort(s)
 	return &CDF{sorted: s}
 }
 
@@ -166,14 +168,20 @@ func Mean(xs []float64) float64 {
 
 // StdDev returns the sample standard deviation (0 for n < 2).
 func StdDev(xs []float64) float64 {
+	return stdDevAround(xs, Mean(xs))
+}
+
+// stdDevAround is StdDev for a caller that already holds the sample's mean.
+//
+//scout:hotpath
+func stdDevAround(xs []float64, mean float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
 	}
-	m := Mean(xs)
 	s := 0.0
 	for _, v := range xs {
-		d := v - m
+		d := v - mean
 		s += d * d
 	}
 	return math.Sqrt(s / float64(n-1))
@@ -212,10 +220,11 @@ func SummarizeInPlace(xs []float64) SummaryStats {
 	if len(xs) == 0 {
 		return SummaryStats{}
 	}
-	sort.Float64s(xs)
+	floatsort.Sort(xs)
+	mean := Mean(xs)
 	return SummaryStats{
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
+		Mean: mean,
+		Std:  stdDevAround(xs, mean),
 		Min:  xs[0],
 		Max:  xs[len(xs)-1],
 		P1:   Quantile(xs, 0.01),

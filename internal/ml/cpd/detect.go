@@ -19,6 +19,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"scouts/internal/floatsort"
 )
 
 // Params configure the change-point detector.
@@ -138,7 +140,7 @@ func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 	}
 	sorted := k.sorted[:n]
 	copy(sorted, series)
-	sort.Float64s(sorted)
+	floatsort.Sort(sorted)
 	k.start(series, minSeg)
 	best, bestStat := -1, 0.0
 	for i := minSeg; ; i++ {
