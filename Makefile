@@ -80,12 +80,15 @@ define smoke-bench
 	fi
 endef
 
-# Bench smoke: one iteration of the split-kernel benchmark, of the
-# in-process serving benchmark and of the ordering kernel's (every shape
-# and size, both sides), no output files — catches bitrot in the benchmark
-# code itself without timing anything.
+# Bench smoke: one iteration of the split-kernel benchmark and of a
+# retrain cycle's training, of the change-point kernel's benchmark (every
+# size and permutation count), of the in-process serving benchmark and of
+# the ordering kernel's (every shape and size, both sides), no output
+# files — catches bitrot in the benchmark code itself without timing
+# anything.
 bench-smoke:
-	$(call smoke-bench,'^BenchmarkBestSplit$$',.)
+	$(call smoke-bench,'^Benchmark(BestSplit|TrainWindow)$$',.)
+	$(call smoke-bench,'^BenchmarkDetect$$',./internal/ml/cpd)
 	$(call smoke-bench,'^BenchmarkServingPredict$$',./internal/serving)
 	$(call smoke-bench,'^BenchmarkSummarize$$',./internal/metrics)
 

@@ -1,6 +1,7 @@
-// The two benchmarks nothing else in the tree measures: the split kernel
-// (scoutbench times training only as a whole) and DESIGN.md §4's selector-
-// gate ablation. Every table and figure is printed by `go run ./cmd/repro`
+// The benchmarks nothing else in the tree measures: the split kernel and
+// one retrain cycle's core.Train (scoutbench times training only as a
+// whole; these take a CPU profile), and DESIGN.md §4's selector-gate
+// ablation. Every table and figure is printed by `go run ./cmd/repro`
 // and asserted by internal/experiments' tests; serving, featurization and
 // forest inference are timed by the repository benchmark (BENCHMARK.json,
 // cmd/scoutbench).
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"scouts/internal/core"
 	"scouts/internal/experiments"
 	"scouts/internal/ml/forest"
 )
@@ -66,5 +68,29 @@ func BenchmarkBestSplit(b *testing.B) {
 		if _, err := forest.Train(train, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrainWindow times the core.Train of one scoutbench retrain
+// cycle: scoutbench's world (cloudsim seed 7, 90 days at 10 incidents a
+// day, the §7 split), the newest 200 incidents of the train split, a seed
+// that moves every cycle. ROADMAP.md's "Where a retrain cycle's time goes"
+// is this benchmark under -cpuprofile.
+func BenchmarkTrainWindow(b *testing.B) {
+	l, err := experiments.NewLab(experiments.LabParams{Seed: 7, Days: 90, IncidentsPerDay: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.TrainOptions{
+		Config: l.Cfg, Topology: l.Gen.Topology(), Source: l.Gen.Telemetry(),
+		Incidents: l.Train[max(0, len(l.Train)-200):], Seed: 9,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Train(opts); err != nil {
+			b.Fatal(err)
+		}
+		opts.Seed++
 	}
 }

@@ -16,9 +16,10 @@
 package cpd
 
 import (
-	"math"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"scouts/internal/floatsort"
 )
@@ -60,10 +61,10 @@ func (p Params) withDefaults() Params {
 // series[:i] differs from series[i:].
 func Detect(series []float64, p Params) []int {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed ^ 0x5bd1e995))
-	k := newKernel(len(series))
+	k := acquire(len(series), p.Seed)
 	var out []int
-	k.segment(series, 0, p, rng, &out)
+	k.segment(series, 0, p, &out)
+	kernels.Put(k)
 	sort.Ints(out)
 	if len(out) > p.MaxPoints {
 		out = out[:p.MaxPoints]
@@ -75,62 +76,109 @@ func Detect(series []float64, p Params) []int {
 // change point. It short-circuits after the first detection.
 func HasChange(series []float64, p Params) bool {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed ^ 0x5bd1e995))
-	k := newKernel(len(series))
+	k := acquire(len(series), p.Seed)
 	idx, stat := k.bestSplit(series, p.MinSegment)
-	if idx < 0 {
-		return false
-	}
-	return k.significant(series, stat, p, rng)
+	found := idx >= 0 && k.significant(len(series), stat, p)
+	kernels.Put(k)
+	return found
 }
 
 // kernel is the scratch of one Detect or HasChange call. Binary
 // segmentation works on one segment at a time — best split, permutation
 // test, then the two sub-segments — so one set of buffers sized for the
 // whole series serves every segment and every permutation.
+//
+// A scan works in rank space: the segment is sorted once, every series
+// position knows its sorted position, and the split is one byte per sorted
+// position saying which side of it that value is on. The two sorted halves
+// the energy statistic is evaluated over are the two subsequences of sorted
+// that side selects.
 type kernel struct {
-	// halves holds, while a scan stands at candidate split i, the values
-	// before the split sorted ascending in halves[:i] and the values from it
-	// on sorted ascending in halves[i:]: exactly the two arrays the energy
-	// statistic is evaluated over.
-	halves []float64
-	// sorted is the current segment sorted once; every scan of the segment
-	// or of a permutation of it (the same multiset) starts from a copy.
+	// sorted is the current segment sorted ascending.
 	sorted []float64
-	// shuffled is the permutation test's working copy of the segment.
-	shuffled []float64
+	// rank[i] is the sorted position of the segment's i-th value, a
+	// bijection; equal values take the positions of their run in any order.
+	rank []int32
+	// perm is the permutation test's working copy of rank.
+	perm []int32
+	// side[p] has bit before set while sorted[p] is before the split, and
+	// bit first where sorted[p] starts a run of == values.
+	side []uint8
+
+	// xs and ys are sorted's values before and from the split on, each
+	// ascending, every x with the count of ys ordered strictly below it;
+	// prefix[j] is ys[0] + … + ys[j-1] summed in that order (prefix[0] stays
+	// 0). energy rebuilds all three at every candidate.
+	xs         []xvalue
+	ys, prefix []float64
+
+	src source
+	rng *rand.Rand // over &src
 }
 
-func newKernel(n int) *kernel {
-	buf := make([]float64, 3*n)
-	return &kernel{halves: buf[:n], sorted: buf[n : 2*n], shuffled: buf[2*n:]}
+// xvalue is a value before the split and the count of values from the
+// split on that are ordered strictly below it.
+type xvalue struct {
+	v     float64
+	below int
 }
 
-func (k *kernel) segment(series []float64, offset int, p Params, rng *rand.Rand, out *[]int) {
+// The bits of kernel.side.
+const (
+	before = 1 << iota
+	first
+)
+
+// kernels pools the scratch, generator included: a Detect that finds no
+// change point allocates nothing.
+var kernels = sync.Pool{New: func() any {
+	k := new(kernel)
+	k.rng = rand.New(&k.src)
+	return k
+}}
+
+// acquire returns a kernel with room for n points and its generator at the
+// start of seed's stream.
+func acquire(n int, seed int64) *kernel {
+	k := kernels.Get().(*kernel)
+	k.src.Seed(seed ^ 0x5bd1e995)
+	if len(k.sorted) < n {
+		f := make([]float64, 3*n+1)
+		k.sorted, k.ys, k.prefix = f[:n], f[n:2*n], f[2*n:]
+		i := make([]int32, 2*n)
+		k.rank, k.perm = i[:n], i[n:]
+		k.xs = make([]xvalue, n)
+		k.side = make([]uint8, n)
+	}
+	return k
+}
+
+func (k *kernel) segment(series []float64, offset int, p Params, out *[]int) {
 	if len(*out) >= p.MaxPoints || len(series) < 2*p.MinSegment {
 		return
 	}
 	idx, stat := k.bestSplit(series, p.MinSegment)
-	if idx < 0 || !k.significant(series, stat, p, rng) {
+	if idx < 0 || !k.significant(len(series), stat, p) {
 		return
 	}
 	*out = append(*out, offset+idx)
-	k.segment(series[:idx], offset, p, rng, out)
-	k.segment(series[idx:], offset+idx, p, rng, out)
+	k.segment(series[:idx], offset, p, out)
+	k.segment(series[idx:], offset+idx, p, out)
 }
 
 // bestSplit finds the split index maximizing the scaled energy statistic
-// and leaves the sorted segment behind for significant. It returns (-1, 0)
-// when the series is too short or no split scores above zero.
+// and leaves the segment's sorted values and ranks behind for significant.
+// It returns (-1, 0) when the series is too short or no split scores above
+// zero.
 //
 // The segment is sorted once. A scan then walks the candidate splits left
-// to right, moving one value at a time from the sorted right half to the
-// sorted left half (a binary search and one memmove), and evaluates the
-// statistic over the two sorted halves in O(n): O(n²) per scan and no
-// allocation, for series bounded by the Scout look-back window (tens to a
-// couple hundred points). The halves hold the same values a per-candidate
-// sort would produce and energy sums them in the same order, so every
-// statistic is bit-identical to computing each split from scratch.
+// to right, marking one more sorted position as before the split each step,
+// and evaluates the statistic in O(n) per candidate with no branch that
+// depends on a value: O(n²) per scan and no allocation, for series bounded
+// by the Scout look-back window (tens to a couple hundred points). energy
+// sums the values a per-candidate sort of both halves would produce, in
+// the same order, so every statistic is bit-identical to computing each
+// split from scratch.
 //
 //scout:hotpath
 func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
@@ -141,147 +189,168 @@ func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 	sorted := k.sorted[:n]
 	copy(sorted, series)
 	floatsort.Sort(sorted)
-	k.start(series, minSeg)
+	if sorted[0] != sorted[0] {
+		// NaNs sort first, and one NaN makes every candidate's statistic
+		// NaN, which no > selects.
+		return -1, 0
+	}
+	k.index(series)
+	rank := k.rank[:n]
+	k.start(rank, minSeg)
 	best, bestStat := -1, 0.0
 	for i := minSeg; ; i++ {
-		if q := energy(k.halves[:i], k.halves[i:n]); q > bestStat {
+		if q := k.energy(n, i); q > bestStat {
 			best, bestStat = i, q
 		}
 		if i == n-minSeg {
 			return best, bestStat
 		}
-		k.move(series[i], i, n)
+		k.side[rank[i]] |= before
 	}
 }
 
-// reaches reports whether any candidate split of series, a permutation of
-// the segment bestSplit last sorted, scores at least observed. The
-// permutation test only asks whether the permutation's best statistic is
-// >= observed, and max >= observed exactly when some candidate is, so the
-// scan stops at the first one.
+// reaches reports whether any candidate split of the segment bestSplit last
+// sorted, its values taken in the order rank gives, scores at least
+// observed. The permutation test only asks whether the permutation's best
+// statistic is >= observed, and max >= observed exactly when some candidate
+// is, so the scan stops at the first one.
 //
 //scout:hotpath
-func (k *kernel) reaches(series []float64, minSeg int, observed float64) bool {
-	n := len(series)
-	k.start(series, minSeg)
+func (k *kernel) reaches(rank []int32, minSeg int, observed float64) bool {
+	n := len(rank)
+	k.start(rank, minSeg)
 	for i := minSeg; ; i++ {
-		if energy(k.halves[:i], k.halves[i:n]) >= observed {
+		if k.energy(n, i) >= observed {
 			return true
 		}
 		if i == n-minSeg {
 			return false
 		}
-		k.move(series[i], i, n)
+		k.side[rank[i]] |= before
 	}
 }
 
-// start puts a scan of series at its first candidate split.
+// index fills rank and side's first bits for series, whose sorted values
+// are in sorted and hold no NaN.
 //
 //scout:hotpath
-func (k *kernel) start(series []float64, minSeg int) {
+func (k *kernel) index(series []float64) {
 	n := len(series)
-	copy(k.halves[:n], k.sorted[:n])
-	for i := 0; i < minSeg; i++ {
-		k.move(series[i], i, n)
+	sorted, side, rank := k.sorted[:n], k.side[:n], k.rank[:n]
+	// taken[p], for a run's first position p, counts the ranks the run has
+	// handed out.
+	taken := k.perm[:n]
+	for p, v := range sorted {
+		side[p], taken[p] = 0, 0
+		if p == 0 || v != sorted[p-1] {
+			side[p] = first
+		}
+	}
+	for i, v := range series {
+		lo := sort.SearchFloat64s(sorted, v) // where v's run starts
+		rank[i] = int32(lo) + taken[lo]
+		taken[lo]++
 	}
 }
 
-// move advances the split from i to i+1: v, the series value at i, leaves
-// the sorted right half halves[i:n] and enters the sorted left half
-// halves[:i]. The slot v vacates and the slot it takes bracket the values
-// between them, which shift up by one.
+// start puts a scan at its first candidate split: the first minSeg values,
+// in the order rank gives, are before it.
 //
 //scout:hotpath
-func (k *kernel) move(v float64, i, n int) {
-	h := k.halves[:n]
-	// First value of the right half not ordered before v; among the values
-	// that tie with it (±0, NaN payloads) v itself is there.
-	lo, hi := i, n
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); less(h[mid], v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (k *kernel) start(rank []int32, minSeg int) {
+	side := k.side[:len(rank)]
+	for p := range side {
+		side[p] &= first
 	}
-	from := lo
-	for math.Float64bits(h[from]) != math.Float64bits(v) {
-		from++
+	for _, r := range rank[:minSeg] {
+		side[r] |= before
 	}
-	// First value of the left half ordered after v.
-	lo, hi = 0, i
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); less(v, h[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	copy(h[lo+1:from+1], h[lo:from])
-	h[lo] = v
 }
-
-// less is sort.Float64s's order: ascending, NaNs first.
-func less(a, b float64) bool { return a < b || (a != a && b == b) }
 
 // energy computes the scaled two-sample energy statistic
-// Q = nm/(n+m) * (2*E|X-Y| - E|X-X'| - E|Y-Y'|) of two non-empty samples
-// sorted ascending.
+// Q = nm/(n+m) * (2*E|X-Y| - E|X-X'| - E|Y-Y'|) of the first n values of
+// sorted split by side, nx of them before the split (0 < nx < n).
 //
-// For sorted s, sum_{i<j} (s_j - s_i) = sum_j s_j * (2j - n + 1), which
-// gives the V-statistic E|X-X'| as twice that over n². E|X-Y| is a merge:
+// One stable partition of sorted yields both halves ascending, and for each
+// x the count of ys strictly below it: the ys seen when x's run of equal
+// values began. For sorted s, sum_{i<j} (s_j - s_i) = sum_j s_j*(2j-n+1),
+// which gives the V-statistic E|X-X'| as twice that over n². For E|X-Y|,
 // with k values of y below x_i, sum_j |x_i - y_j| =
-// x_i*k - prefix(k) + (total - prefix(k)) - x_i*(m-k); x ascends, so k and
-// the running prefix only move forward. Equal values contribute equal
-// terms (zeros of either sign contribute zero), so the order sort leaves
-// ties in does not reach the result; any NaN makes it NaN.
+// x_i*k - prefix(k) + (total - prefix(k)) - x_i*(m-k). Equal values
+// contribute equal terms (zeros of either sign contribute zero), so which
+// of a run's positions a value took does not reach the result.
 //
 //scout:hotpath
-func energy(x, y []float64) float64 {
-	n, m := len(x), len(y)
+func (k *kernel) energy(n, nx int) float64 {
+	m := n - nx
+	split(k.sorted[:n], k.side[:n], k.xs[:n], k.ys[:n])
+	// prefix takes the running sum as it stands in the register: reading
+	// prefix[j] back to form prefix[j+1] would put a store and a load on
+	// the chain of additions.
+	prefix := k.prefix[:m+1]
 	total, withinY := 0.0, 0.0
-	for j, v := range y {
+	c := float64(1 - m)
+	for j, v := range k.ys[:m] {
 		total += v
-		withinY += float64(2*j-m+1) * v
+		withinY += c * v
+		prefix[j+1] = total
+		c += 2
 	}
 	cross, withinX := 0.0, 0.0
-	k, prefix := 0, 0.0
-	for i, v := range x {
-		for k < m && y[k] < v {
-			prefix += y[k]
-			k++
-		}
-		cross += v*float64(k) - prefix
-		cross += (total - prefix) - v*float64(m-k)
-		withinX += float64(2*i-n+1) * v
+	c = float64(1 - nx)
+	for _, x := range k.xs[:nx] {
+		v, pre := x.v, prefix[x.below]
+		cross += v*float64(x.below) - pre
+		cross += (total - pre) - v*float64(m-x.below)
+		withinX += c * v
+		c += 2
 	}
-	exy := cross / float64(n*m)
+	exy := cross / float64(nx*m)
 	exx, eyy := 0.0, 0.0
-	if n > 1 {
-		exx = 2 * withinX / (float64(n) * float64(n))
+	if nx > 1 {
+		exx = 2 * withinX / (float64(nx) * float64(nx))
 	}
 	if m > 1 {
 		eyy = 2 * withinY / (float64(m) * float64(m))
 	}
 	e := 2*exy - exx - eyy
-	return float64(n) * float64(m) / float64(n+m) * e
+	return float64(nx) * float64(m) / float64(nx+m) * e
 }
 
-// significant runs a permutation test: the observed statistic is compared
-// with the best-split statistic of shuffled copies of the series, the
-// segment bestSplit was last called on.
-func (k *kernel) significant(series []float64, observed float64, p Params, rng *rand.Rand) bool {
+// split partitions sorted stably by side's before bit into xs and ys, and
+// gives every x the count of ys that precede the start of its run of equal
+// values. Every position writes to both halves and advances only its own.
+//
+//scout:hotpath
+func split(sorted []float64, side []uint8, xs []xvalue, ys []float64) {
+	i, below := 0, 0
+	for p, v := range sorted {
+		f := side[p]
+		if f&first != 0 {
+			below = p - i
+		}
+		xs[i] = xvalue{v, below}
+		ys[p-i] = v
+		i += int(f & before)
+	}
+}
+
+// significant runs a permutation test on the n-point segment bestSplit was
+// last called on: the observed statistic is compared with the best-split
+// statistic of shuffles of the segment. Shuffling the ranks is shuffling
+// the values.
+func (k *kernel) significant(n int, observed float64, p Params) bool {
 	if observed <= 0 {
 		return false
 	}
-	shuffled := k.shuffled[:len(series)]
-	copy(shuffled, series)
+	perm := k.perm[:n]
+	copy(perm, k.rank[:n])
 	geq := 0
 	for i := 0; i < p.Permutations; i++ {
-		rng.Shuffle(len(shuffled), func(a, b int) {
-			shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
+		k.rng.Shuffle(n, func(a, b int) {
+			perm[a], perm[b] = perm[b], perm[a]
 		})
-		if k.reaches(shuffled, p.MinSegment, observed) {
+		if k.reaches(perm, p.MinSegment, observed) {
 			geq++
 			// Early exit: p-value already above alpha.
 			if float64(geq+1)/float64(p.Permutations+1) > p.Alpha {
@@ -292,3 +361,77 @@ func (k *kernel) significant(series []float64, observed float64, p Params, rng *
 	pval := float64(geq+1) / float64(p.Permutations+1)
 	return pval <= p.Alpha
 }
+
+// source replicates the generator behind rand.NewSource — the additive
+// lagged Fibonacci x[t] = x[t-607] + x[t-273] over uint64 — as a value that
+// can be copied: seeding math/rand's own runs a 607-step multiplicative
+// generator, and every Detect of a training wants the same stream again.
+// Only the recurrence is assumed; the state comes from the real generator,
+// whose stream the Go 1 compatibility promise freezes.
+type source struct {
+	pos  int
+	ring [sourceLen]uint64 // the last sourceLen values, the oldest at pos
+}
+
+const (
+	sourceLen = 607
+	sourceTap = 273
+)
+
+// seeded is the source last derived, at the start of its stream, and never
+// written again. core leaves Params.Seed alone, so one serves a whole
+// process.
+var seeded atomic.Pointer[seededSource]
+
+type seededSource struct {
+	seed int64
+	src  source
+}
+
+// Seed puts s at the start of the stream rand.NewSource(seed) produces.
+func (s *source) Seed(seed int64) {
+	t := seeded.Load()
+	if t == nil || t.seed != seed {
+		t = &seededSource{seed: seed}
+		t.src.derive(seed)
+		seeded.Store(t)
+	}
+	*s = t.src
+}
+
+// derive recovers the state rand.NewSource(seed) starts from: sourceLen
+// outputs of the real generator are the ring one lap on, and the
+// recurrence run backwards, x[t-607] = x[t] - x[t-273], undoes the lap.
+func (s *source) derive(seed int64) {
+	real := rand.NewSource(seed).(rand.Source64)
+	for t := range s.ring {
+		s.ring[t] = real.Uint64()
+	}
+	for t := sourceLen - 1; t >= 0; t-- {
+		s.ring[t] -= s.ring[tapOf(t)]
+	}
+	s.pos = 0
+}
+
+// tapOf returns the ring position sourceTap outputs before pos's.
+func tapOf(pos int) int {
+	if pos < sourceTap {
+		return pos + sourceLen - sourceTap
+	}
+	return pos - sourceTap
+}
+
+// Uint64 returns the stream's next value.
+//
+//scout:hotpath
+func (s *source) Uint64() uint64 {
+	x := s.ring[s.pos] + s.ring[tapOf(s.pos)]
+	s.ring[s.pos] = x
+	if s.pos++; s.pos == sourceLen {
+		s.pos = 0
+	}
+	return x
+}
+
+// Int63 returns the stream's next value without its top bit.
+func (s *source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }

@@ -84,7 +84,7 @@ func newSplitCtx(cols *mlcore.Columns) *splitCtx {
 		y:       cols.Labels(),
 		uniform: cols.Uniform(),
 		n:       n,
-		sorted:  make([]int32, dim*n+1), // +1: reset's expansion may overhang one slot
+		sorted:  make([]int32, dim*n+2), // +2: reset's expansion may overhang two slots
 		idx:     make([]int32, n),
 		tmp:     make([]int32, n),
 		counts:  make([]int32, n),
@@ -109,21 +109,19 @@ func (c *splitCtx) reset(idx []int) {
 		c.counts[row]++
 	}
 	for f := 0; f < c.cols.Dim(); f++ {
-		// One slot beyond the feature's range: the unconditional write
-		// below may overhang by one, into a cell the next feature's own
-		// expansion rewrites (sorted carries a spare slot for the last).
-		dst := c.sorted[f*c.n : (f+1)*c.n+1]
+		// Two slots beyond the feature's range: the unconditional writes
+		// below may overhang by two, into cells the next feature's own
+		// expansion rewrites (sorted carries two spare slots for the last).
+		dst := c.sorted[f*c.n : (f+1)*c.n+2]
 		pos := 0
 		for _, row := range c.cols.Order(f) {
-			// Write once unconditionally and advance by the multiplicity:
-			// counts of 0 and 1 (three quarters of a bootstrap draw) take
-			// no data-dependent branch at all.
+			// Write twice unconditionally and advance by the multiplicity:
+			// counts of 0, 1 and 2 (92 % of a bootstrap draw) take no
+			// data-dependent branch at all.
 			n := int(c.counts[row])
-			dst[pos] = row
-			if n > 1 {
-				for k := 1; k < n; k++ {
-					dst[pos+k] = row
-				}
+			dst[pos], dst[pos+1] = row, row
+			for k := 2; k < n; k++ {
+				dst[pos+k] = row
 			}
 			pos += n
 		}
