@@ -32,16 +32,21 @@ race:
 
 # Fuzz smoke: ten seconds each of the change-point kernel's differential
 # fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib
-# sort and the old reductions) and of the forest's two snapshot decoders
-# (SFF1 binary, JSON) on top of their committed corpora (which plain
-# `go test` replays). A crasher lands in the package's testdata/fuzz and
-# fails the run. The decoder seeds are kilobytes long, so minimising each
+# sort and the old reductions), of the forest's two snapshot decoders
+# (SFF1 binary, JSON), of the extractors' match finder (against
+# FindAllString, for any pattern regexp compiles) and of the configuration
+# parser (never panics; what it accepts builds a FeatureBuilder that
+# extracts as the old path does) on top of their committed corpora (which
+# plain `go test` replays). A crasher lands in the package's testdata/fuzz
+# and fails the run. The decoder seeds are kilobytes long, so minimising each
 # new input is capped at a second to keep the ten seconds for mutation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBestSplit -fuzztime 10s ./internal/ml/cpd
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFromBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzForestUnmarshalJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
+	$(GO) test -run '^$$' -fuzz '^FuzzFindAll$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/core
 
 # The paper's Table 1 and §7.1 headline, regenerated and compared with the
 # committed golden; only the timing in each banner is stripped. First
@@ -82,15 +87,17 @@ endef
 
 # Bench smoke: one iteration of the split-kernel benchmark and of a
 # retrain cycle's training, of the change-point kernel's benchmark (every
-# size and permutation count), of the in-process serving benchmark and of
-# the ordering kernel's (every shape and size, both sides), no output
-# files — catches bitrot in the benchmark code itself without timing
+# size and permutation count), of the in-process serving benchmark, of
+# the ordering kernel's (every shape and size, both sides) and of the
+# Scout's own two stages (text in → Extraction, vector in → explanation), no
+# output files — catches bitrot in the benchmark code itself without timing
 # anything.
 bench-smoke:
 	$(call smoke-bench,'^Benchmark(BestSplit|TrainWindow)$$',.)
 	$(call smoke-bench,'^BenchmarkDetect$$',./internal/ml/cpd)
 	$(call smoke-bench,'^BenchmarkServingPredict$$',./internal/serving)
 	$(call smoke-bench,'^BenchmarkSummarize$$',./internal/metrics)
+	$(call smoke-bench,'^Benchmark(Extract|Explain)$$',./internal/core)
 
 # Loadgen smoke: runs the load generator's request/report path in both
 # modes against an in-process httptest server (no sockets, no timing) —

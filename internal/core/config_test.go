@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"scouts/internal/cloudsim"
 	"scouts/internal/topology"
 )
 
@@ -96,4 +98,33 @@ func TestConfigRegexDelimiters(t *testing.T) {
 	if !strings.Contains(cfg.Excludes[0].Re.String(), "maint") {
 		t.Fatal("exclude regex lost")
 	}
+}
+
+// FuzzParseConfig: the configuration is the operator's file (and, once a
+// daemon takes -config, a boundary). ParseConfig never panics, and whatever
+// it accepts builds a FeatureBuilder whose extractors run: its patterns go
+// through the finder's analysis and two derived compilations.
+func FuzzParseConfig(f *testing.F) {
+	f.Add(DefaultPhyNetConfig) // the rest of the corpus is testdata/fuzz/FuzzParseConfig
+	gen := cloudsim.New(cloudsim.Params{Seed: 1, Days: 2, IncidentsPerDay: 2})
+	topo, source := gen.Topology(), gen.Telemetry()
+	f.Fuzz(func(t *testing.T, src string) {
+		cfg, err := ParseConfig(src)
+		if err != nil {
+			return
+		}
+		if cfg.Team == "" || len(cfg.Extractors) == 0 || cfg.LookbackHours <= 0 || cfg.MaxDevicesNarrow < 1 {
+			t.Fatalf("accepted an incomplete configuration: %+v", cfg)
+		}
+		fb := NewFeatureBuilder(cfg, topo, source)
+		for k, typ := range typeOrder {
+			if (fb.finders[k] != nil) != (cfg.Extractors[typ] != nil) {
+				t.Fatalf("extractor %s: finder %v", typ, fb.finders[k])
+			}
+		}
+		title, body := "vm1.c1.dc1 unreachable é\xff", "tor1.c1.dc1 in c1.dc1, dc1; planned maintenance"
+		if got, want := fb.Extract(title, body, []string{"srv1.c1.dc1"}), fb.oldExtract(title, body, []string{"srv1.c1.dc1"}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Extract %+v, old path %+v", got, want)
+		}
+	})
 }

@@ -33,9 +33,16 @@ type Extraction struct {
 	Empty bool
 }
 
-// All returns every extracted component.
+// All returns every extracted component, in a slice of the caller's own.
 func (e Extraction) All() []string {
-	var out []string
+	n := 0
+	for _, typ := range typeOrder {
+		n += len(e.ByType[typ])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
 	for _, typ := range typeOrder {
 		out = append(out, e.ByType[typ]...)
 	}
@@ -43,10 +50,24 @@ func (e Extraction) All() []string {
 }
 
 // typeOrder fixes the canonical component-type ordering of the feature
-// layout.
-var typeOrder = []topology.ComponentType{
+// layout: the device types first, then the scopes.
+var typeOrder = [...]topology.ComponentType{
 	topology.TypeVM, topology.TypeServer, topology.TypeSwitch,
 	topology.TypeCluster, topology.TypeDC,
+}
+
+// deviceTypes is how many leading entries of typeOrder are device types.
+const deviceTypes = 3
+
+// typeSlot is the component type's position in typeOrder, -1 for a type the
+// layout does not know.
+func typeSlot(t topology.ComponentType) int {
+	for k, typ := range typeOrder {
+		if t == typ {
+			return k
+		}
+	}
+	return -1
 }
 
 // featureGroup is one column block of the feature vector: a dataset, or
@@ -118,6 +139,19 @@ type FeatureBuilder struct {
 	// scratch pools FeaturizeInto's working buffers (*featScratch), so
 	// concurrent featurization does not regrow them per (request, group).
 	scratch sync.Pool
+	// finders holds one match enumerator per configured extractor, by
+	// typeOrder position (nil where the configuration has none), and
+	// extracting pools Extract's working lists (*extractScratch).
+	finders    [len(typeOrder)]*finder
+	extracting sync.Pool
+}
+
+// extractScratch is what one Extract call collects in. Nothing in it
+// outlives the call: the returned Extraction is copied out of it, because a
+// FeatureCache keeps Extractions for as long as it lives.
+type extractScratch struct {
+	matches []string                 // one extractor's matches: substrings of the text
+	byType  [len(typeOrder)][]string // accepted components, the topology's own name strings
 }
 
 // featScratch is what one FeaturizeInto call works in.
@@ -184,10 +218,12 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 	// Component types: those with an extractor AND any covering dataset.
 	// The PhyNet Scout has no VM features because PhyNet monitors no VM
 	// data (§5.2).
-	for _, typ := range typeOrder {
-		if _, ok := cfg.Extractors[typ]; !ok {
+	for k, typ := range typeOrder {
+		re, ok := cfg.Extractors[typ]
+		if !ok {
 			continue
 		}
+		fb.finders[k] = newFinder(re)
 		covered := false
 		for _, g := range fb.groups {
 			if g.coversScope(typ) {
@@ -248,7 +284,14 @@ func (fb *FeatureBuilder) GroupSlots(group string) []int {
 // Extract runs the configured extractors and exclusion rules on incident
 // text (§5.1, §5.3).
 func (fb *FeatureBuilder) Extract(title, body string, mentioned []string) Extraction {
-	ex := Extraction{ByType: map[topology.ComponentType][]string{}}
+	return fb.extract(title+"\n"+body, title, body, mentioned)
+}
+
+// extract is Extract given the joined text the extractors run over,
+// title + "\n" + body, which the predict path builds once and also hands to
+// the model selector.
+func (fb *FeatureBuilder) extract(text, title, body string, mentioned []string) Extraction {
+	var ex Extraction
 	for _, rule := range fb.cfg.Excludes {
 		switch rule.Field {
 		case "TITLE":
@@ -262,71 +305,111 @@ func (fb *FeatureBuilder) Extract(title, body string, mentioned []string) Extrac
 		}
 	}
 
-	text := title + "\n" + body
-	seen := map[string]bool{}
-	consider := func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		comp, ok := fb.topo.Lookup(name)
-		if !ok {
-			return
-		}
-		// Component-level exclusion rules (e.g. decommissioned switches).
-		for _, rule := range fb.cfg.Excludes {
-			if rule.Field == string(comp.Type) && rule.Re.MatchString(name) {
-				return
-			}
-		}
-		ex.ByType[comp.Type] = append(ex.ByType[comp.Type], name)
+	sc, _ := fb.extracting.Get().(*extractScratch)
+	if sc == nil {
+		sc = new(extractScratch)
 	}
-	for _, typ := range typeOrder {
-		re, ok := fb.cfg.Extractors[typ]
-		if !ok {
+	for _, f := range fb.finders {
+		if f == nil {
 			continue
 		}
-		for _, m := range re.FindAllString(text, -1) {
-			consider(m)
+		sc.matches = f.findAll(sc.matches[:0], text)
+		for _, m := range sc.matches {
+			fb.consider(sc, m)
 		}
 	}
+	clear(sc.matches) // the pool must not keep the text alive
 	// Structured mentions (the incident-management system also carries a
 	// component list; the deployed Scout uses both).
 	for _, m := range mentioned {
-		consider(m)
+		fb.consider(sc, m)
 	}
 
 	// Dependency expansion through the topology abstraction: a VM implies
 	// its host server; a server implies its ToR; everything implies its
 	// cluster and DC (§5.1).
-	for _, vm := range ex.ByType[topology.TypeVM] {
+	for _, vm := range sc.byType[typeSlot(topology.TypeVM)] {
 		if srv := fb.topo.ServerOfVM(vm); srv != "" {
-			consider(srv)
+			fb.consider(sc, srv)
 		}
 	}
-	for _, srv := range ex.ByType[topology.TypeServer] {
+	for _, srv := range sc.byType[typeSlot(topology.TypeServer)] {
 		if tor := fb.topo.ToROfServer(srv); tor != "" {
-			consider(tor)
+			fb.consider(sc, tor)
 		}
 	}
-	for _, typ := range typeOrder {
-		for _, c := range ex.ByType[typ] {
-			for _, anc := range fb.topo.Ancestors(c) {
-				consider(anc)
+	for k := range sc.byType {
+		for _, c := range sc.byType[k] {
+			comp, ok := fb.topo.Lookup(c)
+			for ok && comp.Parent != "" {
+				if comp, ok = fb.topo.Lookup(comp.Parent); ok {
+					fb.accept(sc, comp)
+				}
 			}
 		}
 	}
-	for _, typ := range typeOrder {
-		sort.Strings(ex.ByType[typ])
-	}
 
-	ex.Devices = append(ex.Devices, ex.ByType[topology.TypeVM]...)
-	ex.Devices = append(ex.Devices, ex.ByType[topology.TypeServer]...)
-	ex.Devices = append(ex.Devices, ex.ByType[topology.TypeSwitch]...)
-	hasScope := len(ex.ByType[topology.TypeCluster]) > 0 || len(ex.ByType[topology.TypeDC]) > 0
+	// The Extraction's lists are carved out of one array in typeOrder, each
+	// sorted, so the devices are its head; every list is clipped to its
+	// length, so an append to one copies instead of running into the next.
+	total := 0
+	for k := range sc.byType {
+		slices.Sort(sc.byType[k])
+		sc.byType[k] = slices.Compact(sc.byType[k])
+		total += len(sc.byType[k])
+	}
+	ex.ByType = make(map[topology.ComponentType][]string, len(typeOrder))
+	names := make([]string, 0, total)
+	for k, typ := range typeOrder {
+		if k == deviceTypes && len(names) > 0 {
+			ex.Devices = names[:len(names):len(names)]
+		}
+		if list := sc.byType[k]; len(list) > 0 {
+			from := len(names)
+			names = append(names, list...)
+			ex.ByType[typ] = names[from:len(names):len(names)]
+			sc.byType[k] = list[:0]
+		}
+	}
+	fb.extracting.Put(sc)
+	hasScope := len(names) > len(ex.Devices)
 	ex.Broad = len(ex.Devices) == 0 && hasScope
 	ex.Empty = len(ex.Devices) == 0 && !hasScope
 	return ex
+}
+
+// consider takes a candidate component name — an extractor's match, a
+// structured mention, a dependency — into the scratch lists if the topology
+// knows it.
+func (fb *FeatureBuilder) consider(sc *extractScratch, name string) {
+	if comp, ok := fb.topo.Lookup(name); ok {
+		fb.accept(sc, comp)
+	}
+}
+
+// dedupScan bounds the list length up to which accept looks for a component
+// before adding it. Longer lists take repeats and lose them when Extract
+// sorts and compacts, so a text naming thousands of components costs a sort,
+// not a scan per mention.
+const dedupScan = 32
+
+// accept files a known component under its type unless a component-level
+// exclusion rule (e.g. decommissioned switches) rejects it.
+func (fb *FeatureBuilder) accept(sc *extractScratch, comp *topology.Component) {
+	k := typeSlot(comp.Type)
+	if k < 0 {
+		return
+	}
+	list := sc.byType[k]
+	if len(list) <= dedupScan && slices.Contains(list, comp.Name) {
+		return
+	}
+	for _, rule := range fb.cfg.Excludes {
+		if rule.Field == string(comp.Type) && rule.Re.MatchString(comp.Name) {
+			return
+		}
+	}
+	sc.byType[k] = append(list, comp.Name)
 }
 
 // contributors returns the components whose data feeds the features of one

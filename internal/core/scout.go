@@ -344,11 +344,13 @@ func (s *Scout) PredictCtx(ctx context.Context, title, body string, mentioned []
 }
 
 func (s *Scout) predict(title, body string, mentioned []string, t float64) Prediction {
-	ex := s.fb.Extract(title, body, mentioned)
+	// The extractors and the model selector read the same joined text.
+	text := title + "\n" + body
+	ex := s.fb.extract(text, title, body, mentioned)
 	if p, done := s.gatePrediction(ex); done {
 		return p
 	}
-	if useCPD, pWrong := s.selector.UseCPD(title + "\n" + body); useCPD {
+	if useCPD, pWrong := s.selector.UseCPD(text); useCPD {
 		h := s.sourceHealth(t)
 		if p, bad := s.degradedPrediction(h, ex); bad {
 			return p
@@ -594,33 +596,33 @@ func (s *Scout) featurizeWithImputationInto(x []float64, ex Extraction, t float6
 }
 
 // explainRF renders the paper's operator-facing explanation (§8): the
-// components examined, the monitoring signals that drove the decision, and
-// the fine print about known failure modes.
+// monitoring signals that drove the decision and the fine print about known
+// failure modes — in one buffer, the string being its only allocation.
+//
+//scout:hotpath
 func (s *Scout) explainRF(x []float64, label bool) string {
-	_, contribs := s.rf.Explain(x)
-	var tops []string
-	for _, c := range contribs {
-		if len(tops) == 3 {
-			break
-		}
-		// Component-count features confuse operators even though the
-		// model finds them useful (§8): keep them out of explanations.
-		if strings.HasSuffix(c.Feature, ".ncomponents") {
-			continue
-		}
-		tops = append(tops, fmt.Sprintf("%s (%+.3f)", c.Feature, c.Value))
-	}
-	direction := "points away from"
+	var arr [512]byte
+	out := append(arr[:0], "random forest points "...)
 	if label {
-		direction = "points to"
+		out = append(out, "to "...)
+	} else {
+		out = append(out, "away from "...)
 	}
-	out := fmt.Sprintf("random forest %s %s", direction, s.cfg.Team)
-	if len(tops) > 0 {
-		out += "; strongest signals: " + strings.Join(tops, ", ")
+	out = append(out, s.cfg.Team...)
+	bare := len(out)
+	out = append(out, "; strongest signals: "...)
+	n := len(out)
+	if out = s.rf.AppendTopSignals(out, x, 3, isCountFeature); len(out) == n {
+		out = out[:bare]
 	}
-	out += ". Known false negatives: transient issues already resolved, symptoms not covered by monitoring, incidents too broad in scope."
-	return out
+	out = append(out, ". Known false negatives: transient issues already resolved, symptoms not covered by monitoring, incidents too broad in scope."...)
+	return string(out)
 }
+
+// isCountFeature names the per-type component counts. They confuse
+// operators even though the model finds them useful (§8): explanations
+// leave them out.
+func isCountFeature(feature string) bool { return strings.HasSuffix(feature, ".ncomponents") }
 
 // Evaluate runs the Scout over a set of incidents (at their creation time)
 // and returns the confusion matrix over usable verdicts, mirroring §7's

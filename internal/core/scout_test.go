@@ -20,7 +20,7 @@ type fixture struct {
 
 var sharedFixture *fixture
 
-func getFixture(t *testing.T) *fixture {
+func getFixture(t testing.TB) *fixture {
 	t.Helper()
 	if sharedFixture != nil {
 		return sharedFixture

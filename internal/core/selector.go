@@ -102,8 +102,9 @@ func (s *Selector) UseCPD(incidentText string) (bool, float64) {
 	if s.rf == nil || s.words == nil {
 		return false, 0
 	}
-	x := s.words.Featurize(text.Tokenize(incidentText))
-	wrong, conf := s.rf.Predict(x)
+	// The default vocabulary (60 words) is counted into a stack vector.
+	var counts [64]float64
+	wrong, conf := s.rf.Predict(s.words.FeaturizeText(counts[:0], incidentText))
 	p := conf
 	if !wrong {
 		p = 1 - conf

@@ -195,19 +195,14 @@ func (c *Plus) predictBroad(in Input) (bool, float64, string) {
 	}
 	x := c.params.featurize(in)
 	label, conf := c.rf.Predict(x)
-	_, contribs := c.rf.Explain(x)
-	top := make([]string, 0, 3)
-	for i, ct := range contribs {
-		if i == 3 {
-			break
-		}
-		top = append(top, fmt.Sprintf("%s (%+.3f)", ct.Feature, ct.Value))
+	const model = "cluster-level change-point model"
+	var arr [256]byte
+	expl := append(arr[:0], model+"; top signals: "...)
+	n := len(expl)
+	if expl = c.rf.AppendTopSignals(expl, x, 3, nil); len(expl) == n {
+		expl = expl[:len(model)]
 	}
-	expl := "cluster-level change-point model"
-	if len(top) > 0 {
-		expl += "; top signals: " + strings.Join(top, ", ")
-	}
-	return label, conf, expl
+	return label, conf, string(expl)
 }
 
 // Featurize exposes the broad feature vector for diagnostics and tests.

@@ -1,6 +1,8 @@
 package cpd
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -152,5 +154,72 @@ func TestMissingDatasetsTolerated(t *testing.T) {
 	}
 	if conf < 0.5 {
 		t.Fatalf("conf %v", conf)
+	}
+}
+
+// oldPredictBroad is predictBroad's answer as it was assembled while the
+// explanation ranked every feature to print three: Explain, a Sprintf per
+// signal, a Join. Kept as the reference for the top-k rendering.
+func (c *Plus) oldPredictBroad(in Input) (bool, float64, string) {
+	x := c.params.featurize(in)
+	label, conf := c.rf.Predict(x)
+	_, contribs := c.rf.Explain(x)
+	top := make([]string, 0, 3)
+	for i, ct := range contribs {
+		if i == 3 {
+			break
+		}
+		top = append(top, fmt.Sprintf("%s (%+.3f)", ct.Feature, ct.Value))
+	}
+	expl := "cluster-level change-point model"
+	if len(top) > 0 {
+		expl += "; top signals: " + strings.Join(top, ", ")
+	}
+	return label, conf, expl
+}
+
+// TestBroadExplanationMatchesOldPath: label, confidence bits and explanation
+// string of the broad path equal the old assembly's, on faulty, healthy and
+// empty evidence — the last one explains with no signals at all.
+func TestBroadExplanationMatchesOldPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var examples []PlusExample
+	for i := 0; i < 25; i++ {
+		examples = append(examples,
+			PlusExample{In: faultyInput(true, rng), Y: true},
+			PlusExample{In: healthyInput(true, rng), Y: false},
+		)
+	}
+	plus, err := TrainPlus(examples, plusParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSignals, bare := 0, 0
+	check := func(in Input) {
+		t.Helper()
+		wl, wc, we := plus.oldPredictBroad(in)
+		gl, gc, ge := plus.Predict(in)
+		if gl != wl || math.Float64bits(gc) != math.Float64bits(wc) || ge != we {
+			t.Fatalf("broad prediction (%v, %v, %q), old path (%v, %v, %q)", gl, gc, ge, wl, wc, we)
+		}
+		if strings.Contains(ge, "; top signals: ") {
+			withSignals++
+		} else {
+			bare++
+		}
+	}
+	for i := 0; i < 40; i++ {
+		check(faultyInput(true, rng))
+		check(healthyInput(true, rng))
+	}
+	// A single-leaf forest splits on nothing: no signal to print.
+	stump, err := TrainPlusVectors([][]float64{make([]float64, 2*len(testDatasets))}, []bool{true}, plusParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plus = stump
+	check(Input{Broad: true})
+	if withSignals < 60 || bare == 0 {
+		t.Fatalf("compared %d explanations with signals and %d without", withSignals, bare)
 	}
 }

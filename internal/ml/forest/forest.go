@@ -16,6 +16,7 @@ import (
 	"log"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"scouts/internal/ml/mlcore"
@@ -268,11 +269,33 @@ func (f *Forest) Explain(x []float64) (prior float64, contribs []Contribution) {
 		logf("forest: dimension mismatch in Explain: got %d features, trained on %d; answering the training prior", len(x), len(f.features))
 		return f.flat.prior, nil
 	}
-	raw := make([]float64, len(f.features))
+	raw := f.accumulate(x)
+	prior, contribs = f.finishExplain(raw.prior, raw.sums)
+	rawPool.Put(raw)
+	return prior, contribs
+}
+
+// rawContribs is one explanation's accumulator: per feature, the summed
+// probability steps of the splits on it over the trees, and the summed root
+// probabilities. Pooled: an explanation is one per prediction.
+type rawContribs struct {
+	sums  []float64
+	prior float64
+}
+
+var rawPool = sync.Pool{New: func() any { return new(rawContribs) }}
+
+// accumulate walks x down every tree, in tree order. The caller returns the
+// accumulator to rawPool.
+func (f *Forest) accumulate(x []float64) *rawContribs {
+	raw := rawPool.Get().(*rawContribs)
+	raw.sums = slices.Grow(raw.sums[:0], len(f.features))[:len(f.features)]
+	clear(raw.sums)
+	raw.prior = 0
 	for _, r := range f.flat.roots {
-		prior += f.flat.contributions(r, x, raw)
+		raw.prior += f.flat.contributions(r, x, raw.sums)
 	}
-	return f.finishExplain(prior, raw)
+	return raw
 }
 
 // finishExplain normalizes the accumulated prior and raw contributions and
@@ -300,6 +323,110 @@ func (f *Forest) finishExplain(prior float64, raw []float64) (float64, []Contrib
 		}
 	})
 	return prior, contribs
+}
+
+// explainTop appends to top the first k contributions of Explain(x)'s
+// ranking whose feature skip (when non-nil) does not reject: what an
+// explanation prints, without ranking the features it will not print.
+func (f *Forest) explainTop(top []Contribution, x []float64, k int, skip func(feature string) bool) []Contribution {
+	if f.treeCount() == 0 || k <= 0 {
+		return top
+	}
+	if len(x) != len(f.features) {
+		logf("forest: dimension mismatch in Explain: got %d features, trained on %d; answering the training prior", len(x), len(f.features))
+		return top
+	}
+	raw := f.accumulate(x)
+	top = f.selectTop(top, raw, k, skip)
+	rawPool.Put(raw)
+	return top
+}
+
+// selectTop is explainTop over accumulated contributions. The k are kept by
+// insertion on strict >. Two candidates of equal magnitude have no order of
+// their own — Explain's is whatever its unstable sort leaves — so when a
+// candidate ties with a kept one the answer is read off that very sort
+// instead; likewise when any contribution is a NaN (a loaded forest's node
+// probabilities are not checked for one), under which the sort's comparison
+// orders nothing consistently.
+func (f *Forest) selectTop(top []Contribution, raw *rawContribs, k int, skip func(feature string) bool) []Contribution {
+	count := float64(f.treeCount())
+	base := len(top)
+	for i, v := range raw.sums {
+		v /= count
+		if math.IsNaN(v) {
+			return f.sortedTop(top[:base], raw, k, skip)
+		}
+		if v == 0 || (skip != nil && skip(f.features[i])) {
+			continue
+		}
+		a := math.Abs(v)
+		j := len(top)
+		for j > base && a > math.Abs(top[j-1].Value) {
+			j--
+		}
+		if j > base && a == math.Abs(top[j-1].Value) {
+			return f.sortedTop(top[:base], raw, k, skip)
+		}
+		if j == base+k {
+			continue
+		}
+		if len(top) < base+k {
+			top = append(top, Contribution{})
+		}
+		copy(top[j+1:], top[j:])
+		top[j] = Contribution{Feature: f.features[i], Value: v}
+	}
+	return top
+}
+
+// sortedTop is selectTop by Explain's full ranking.
+func (f *Forest) sortedTop(top []Contribution, raw *rawContribs, k int, skip func(feature string) bool) []Contribution {
+	_, contribs := f.finishExplain(raw.prior, raw.sums)
+	for _, c := range contribs {
+		if k == 0 {
+			break
+		}
+		if skip == nil || !skip(c.Feature) {
+			top = append(top, c)
+			k--
+		}
+	}
+	return top
+}
+
+// AppendTopSignals appends the k strongest signals behind the prediction
+// for x as an operator reads them — "feature (+0.123), feature (-0.045)",
+// the first k of Explain(x)'s ranking that skip (when non-nil) does not
+// reject, each with its signed contribution to three decimals — and
+// nothing when there are none. The random-forest and CPD+ explanations both
+// print this list.
+//
+//scout:hotpath
+func (f *Forest) AppendTopSignals(dst []byte, x []float64, k int, skip func(feature string) bool) []byte {
+	var buf [4]Contribution
+	for i, c := range f.explainTop(buf[:0], x, k, skip) {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, c.Feature...)
+		dst = append(dst, " ("...)
+		dst = appendSigned(dst, c.Value)
+		dst = append(dst, ')')
+	}
+	return dst
+}
+
+// appendSigned appends v as fmt's %+.3f prints it: always a sign, "-0.000"
+// for a negative that rounds to zero, "+NaN".
+func appendSigned(dst []byte, v float64) []byte {
+	n := len(dst)
+	dst = append(dst, '+') // room for the sign AppendFloat may not write
+	dst = strconv.AppendFloat(dst, v, 'f', 3, 64)
+	if dst[n+1] == '-' || dst[n+1] == '+' {
+		dst = append(dst[:n], dst[n+1:]...)
+	}
+	return dst
 }
 
 // NumTrees reports the ensemble size.

@@ -9,7 +9,7 @@ import (
 
 // heldOutRequests is every incident trainAndServe did not train on, as
 // predict requests.
-func heldOutRequests(b *testing.B) []PredictRequest {
+func heldOutRequests(b testing.TB) []PredictRequest {
 	_, log, _ := testEnv(b)
 	var reqs []PredictRequest
 	for _, in := range log.Incidents[300:] {

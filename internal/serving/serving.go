@@ -600,7 +600,7 @@ func (m *servingModel) response(p core.Prediction) PredictResponse {
 		Model:          p.Model,
 		Components:     p.Components,
 		Explanation:    p.Explanation,
-		Recommendation: recommendation(m.scout.Team(), p),
+		Recommendation: recommendation(m.scout.Team(), &p),
 		ModelVersion:   m.version,
 		DataHealth:     healthInfo(p.Health),
 	}
@@ -689,20 +689,32 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	s.web.WriteJSON(w, http.StatusOK, resp)
 }
 
-// recommendation renders the §8 operator-facing fine print.
-func recommendation(team string, p core.Prediction) string {
+// recommendation renders the §8 operator-facing fine print, in one buffer:
+// the string is its only allocation.
+//
+//scout:hotpath
+func recommendation(team string, p *core.Prediction) string {
 	if !p.Usable() {
 		return "The Scout could not extract components; use the existing routing process."
 	}
-	verb := "suggests this IS"
-	if !p.Responsible {
-		verb = "suggests this is NOT"
+	var arr [512]byte
+	out := append(arr[:0], "The "...)
+	out = append(out, team...)
+	out = append(out, " Scout investigated "...)
+	out = strconv.AppendInt(out, int64(len(p.Components)), 10)
+	out = append(out, " component(s) and suggests this "...)
+	if p.Responsible {
+		out = append(out, "IS a "...)
+	} else {
+		out = append(out, "is NOT a "...)
 	}
-	return fmt.Sprintf("The %s Scout investigated %d component(s) and %s a %s incident. "+
-		"Its confidence is %.2f. We recommend not using this output if confidence is below 0.80. "+
+	out = append(out, team...)
+	out = append(out, " incident. Its confidence is "...)
+	out = strconv.AppendFloat(out, p.Confidence, 'f', 2, 64) // fmt's %.2f
+	out = append(out, ". We recommend not using this output if confidence is below 0.80. "+
 		"Attention: known false negatives occur for transient issues, when an incident is created "+
-		"after the problem has already been resolved, and if the incident is too broad in scope.",
-		team, len(p.Components), verb, team, p.Confidence)
+		"after the problem has already been resolved, and if the incident is too broad in scope."...)
+	return string(out)
 }
 
 // PredictIncident lets the serving model be used as an evaluate.Predictor.

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords are common English and ticket-boilerplate words that carry no
@@ -225,8 +226,21 @@ func ImportantWords(docs [][]string, labels []bool, vocab *Vocabulary, k int) []
 // WordCounter turns a fixed word list into a count featurizer — the
 // meta-feature vector ("important words and their frequency").
 type WordCounter struct {
-	words []string
-	index map[string]int
+	words   []string
+	index   map[string]int
+	longest int // bytes of the longest tracked word
+}
+
+// countToken counts a closed token — the first kept bytes of buf, unless it
+// outgrew buf — as Tokenize and Featurize would: not when shorter than two
+// bytes, a stopword or untracked.
+func (wc *WordCounter) countToken(x []float64, buf []byte, kept int) {
+	if kept < 2 || kept > len(buf) || stopwords[string(buf[:kept])] {
+		return
+	}
+	if j, ok := wc.index[string(buf[:kept])]; ok {
+		x[j]++
+	}
 }
 
 // NewWordCounter builds a counter over the given words.
@@ -234,6 +248,7 @@ func NewWordCounter(words []string) *WordCounter {
 	wc := &WordCounter{words: append([]string(nil), words...), index: map[string]int{}}
 	for i, w := range wc.words {
 		wc.index[w] = i
+		wc.longest = max(wc.longest, len(w))
 	}
 	return wc
 }
@@ -249,5 +264,59 @@ func (wc *WordCounter) Featurize(doc []string) []float64 {
 			x[i]++
 		}
 	}
+	return x
+}
+
+// FeaturizeText is Featurize(Tokenize(s)) counted straight off the text: no
+// lower-cased copy, no token strings, no token list. The counts land in x
+// when it has the room (a caller's stack vector) and the filled vector is
+// returned. It applies Tokenize's rules rune by rune — lower-case first,
+// letters and digits open and extend a token, '.', '-' and '_' extend an
+// open one, anything else closes it; a closed token loses its trailing '.'
+// and '-', and is dropped when shorter than two bytes or a stopword — and
+// holds the open token, lower-cased, in a buffer as long as the longest
+// tracked word (64 bytes at least, on the stack): a token that outgrows it
+// is no tracked word.
+//
+//scout:hotpath
+func (wc *WordCounter) FeaturizeText(x []float64, s string) []float64 {
+	if cap(x) >= len(wc.words) {
+		x = x[:len(wc.words)]
+		clear(x)
+	} else {
+		x = make([]float64, len(wc.words))
+	}
+	var stack [64]byte
+	buf := stack[:]
+	if wc.longest > len(buf) {
+		buf = make([]byte, wc.longest)
+	}
+	// size is the open token's length in bytes and kept its length without
+	// the trailing '.' and '-'; buf holds its first bytes, as many as fit.
+	size, kept := 0, 0
+	for i := 0; i < len(s); {
+		r, w := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+		}
+		i += w
+		r = unicode.ToLower(r)
+		word := unicode.IsLetter(r) || unicode.IsDigit(r)
+		if !word && (size == 0 || (r != '.' && r != '-' && r != '_')) {
+			wc.countToken(x, buf, kept)
+			size, kept = 0, 0
+			continue
+		}
+		if n := utf8.RuneLen(r); size+n <= len(buf) {
+			utf8.EncodeRune(buf[size:], r)
+			size += n
+		} else {
+			size = len(buf) + 1 // outgrown: nothing more is written
+		}
+		if word || r == '_' {
+			kept = size
+		}
+	}
+	wc.countToken(x, buf, kept)
 	return x
 }

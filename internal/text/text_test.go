@@ -1,7 +1,10 @@
 package text
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -119,5 +122,84 @@ func TestWordCounter(t *testing.T) {
 	}
 	if len(wc.Names()) != 2 {
 		t.Fatal("names wrong")
+	}
+}
+
+// TestFeaturizeTextMatchesTokenize: counting tracked words straight off the
+// text equals Featurize(Tokenize(s)) — over hand cases for each of
+// Tokenize's rules and over generated texts mixing them — for counters
+// whose words fit the stack buffer, outgrow it, or are words Tokenize never
+// emits.
+func TestFeaturizeTextMatchesTokenize(t *testing.T) {
+	long := strings.Repeat("x", 70)
+	counters := map[string]*WordCounter{
+		"plain": NewWordCounter([]string{"tor1.c1.dc1", "packet", "loss", "fcs", "é1", "naïve", "a_b", "a_", "x-y", "k", "42", "ǆ", "ab", "i̇x"}),
+		"long":  NewWordCounter([]string{long, long + ".y", "ab", strings.Repeat("é", 40)}),
+		// Words no token can equal: a stopword, one byte, trailing and
+		// leading punctuation, upper case.
+		"never": NewWordCounter([]string{"the", "a", "ab.", "-ab", "AB", "", "a b"}),
+		"empty": NewWordCounter(nil),
+	}
+	hands := []string{
+		"",
+		"a",
+		"ab",
+		"Packet LOSS on TOR1.C1.DC1; packet loss, FCS errors. The the THE",
+		"...ab... --ab-- __ab__ .a. a. a- a_ a_b a__ x-y x--y x-.-y",
+		"ab.", "ab-", "ab_", "ab._", "ab_.", "ab.-.-", "-ab", "_ab", ".ab",
+		"é1 É1 naïve NAÏVE Ǆ ǅ ǆ İx K k ① ２２ 42",
+		"\xff ab\xff ab\xc3 \xe2\x82ab \xf0\x9f ab\x80cd é\xff1",
+		long, long + "y", long + ".y", long + "...", "ab" + strings.Repeat("-", 100), "ab" + strings.Repeat("-", 100) + "c",
+		strings.Repeat("é", 40), strings.Repeat("É", 40), strings.Repeat("é", 41),
+		"k K K", // the Kelvin sign lower-cases to an ASCII k
+	}
+	check := func(name string, wc *WordCounter, s string) {
+		t.Helper()
+		want := wc.Featurize(Tokenize(s))
+		var stack [8]float64
+		got := wc.FeaturizeText(stack[:0], s)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: FeaturizeText(%q) = %v, Featurize(Tokenize) = %v (tokens %q)", name, s, got, want, Tokenize(s))
+		}
+		dirty := []float64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
+		if got := wc.FeaturizeText(dirty, s); !slices.Equal(got, want) {
+			t.Fatalf("%s: FeaturizeText into a dirty vector (%q) = %v, want %v", name, s, got, want)
+		}
+	}
+	pieces := []string{"a", "b", "A", "B", "x", "y", "1", "4", "2", ".", "-", "_", " ", "\n", ",", "é", "É", "ï", "K", "ǅ", "İ",
+		"\xff", "\xc3", "\xe2\x82", "the", "ab", "packet", "tor1.c1.dc1", "é1", long, "①"}
+	rng := rand.New(rand.NewSource(17))
+	counted := 0
+	for name, wc := range counters {
+		for _, s := range hands {
+			check(name, wc, s)
+		}
+		for i := 0; i < 20000; i++ {
+			var b strings.Builder
+			for n := rng.Intn(12); n > 0; n-- {
+				b.WriteString(pieces[rng.Intn(len(pieces))])
+			}
+			check(name, wc, b.String())
+			for _, c := range wc.FeaturizeText(nil, b.String()) {
+				counted += int(c)
+			}
+		}
+	}
+	if counted < 2000 {
+		t.Fatalf("the generated texts hit tracked words only %d times", counted)
+	}
+}
+
+// TestFeaturizeTextAllocations: with a vector that has the room and words
+// that fit the stack buffer, counting allocates nothing.
+func TestFeaturizeTextAllocations(t *testing.T) {
+	wc := NewWordCounter([]string{"tor1.c1.dc1", "packet", "loss", "naïve"})
+	x := make([]float64, 4)
+	s := "Packet LOSS on TOR1.C1.DC1; naïve packet loss, FCS errors. The the THE " + strings.Repeat("y", 80)
+	if allocs := testing.AllocsPerRun(100, func() { x = wc.FeaturizeText(x, s) }); allocs != 0 {
+		t.Fatalf("FeaturizeText allocates %v times per call", allocs)
+	}
+	if !slices.Equal(x, []float64{1, 2, 2, 1}) {
+		t.Fatalf("counts %v", x)
 	}
 }
