@@ -51,10 +51,18 @@ fuzz-smoke:
 # The paper's Table 1 and §7.1 headline, regenerated and compared with the
 # committed golden; only the timing in each banner is stripped. First
 # slice of the paper-tables gate (the full -exp all gate is a ROADMAP item).
+# Then the retraining replays of Figures 8 and 10 on a short world (90 days,
+# 8 incidents a day, ~6 s): the one gate on Replay, which scores every chunk
+# through Scout.PredictCached over the lab's shared FeatureCache. Its golden
+# was generated from the tree before the replay path joined the served
+# pipeline (PR 25), so it pins that join to the old answers.
 repro-check:
 	$(GO) run ./cmd/repro -exp table1,headline \
 		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
 		| diff testdata/repro_table1_headline.golden -
+	$(GO) run ./cmd/repro -exp fig8,fig10 -days 90 -rate 8 \
+		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
+		| diff testdata/repro_replay_fig8_fig10.golden -
 
 # The repository's benchmark (BENCHMARK.json): every scoutbench workload,
 # end-to-end metrics and the per-layer budget, as a table. For one

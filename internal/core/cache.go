@@ -1,8 +1,10 @@
 package core
 
 import (
-	"hash/maphash"
 	"sync"
+	"sync/atomic"
+
+	"scouts/internal/incident"
 )
 
 // FeatureCache memoizes per-incident extraction results, feature vectors
@@ -12,113 +14,93 @@ import (
 // it is a pure function of (incident, configuration, data source), so it
 // is safe to reuse as long as those stay fixed.
 //
-// The cache is safe for concurrent use: it is sharded by incident ID so
-// parallel featurization workers do not serialize on a single lock, and
-// its accessors exchange entry *values*, never pointers into the shard
-// maps — all mutation goes through the locked setters. A FeatureCache must
-// only ever be used with one (Config, Topology, DataSource) combination;
-// mixing layouts corrupts results.
+// The cache is safe for concurrent use. It is a sync.Map from incident ID
+// to *memo because that is the workload sync.Map is built for: keys are
+// written once and read many times (96–99 % of the replays' lookups hit,
+// ROADMAP "Sized"), and the key set only grows. A FeatureCache must only
+// ever be used with one (Config, Topology, DataSource) combination; mixing
+// layouts corrupts results. The nil cache is valid and memoizes nothing.
 type FeatureCache struct {
-	shards [cacheShards]cacheShard
+	m sync.Map
 }
 
-// cacheShards is a power of two comfortably above typical worker counts so
-// shard collisions under parallel featurization stay rare.
-const cacheShards = 32
-
-var cacheHashSeed = maphash.MakeSeed()
-
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[string]*cacheEntry
-}
-
-// cacheEntry is handled by value outside this file; the slices and the
-// Extraction map it carries are treated as immutable once stored.
-type cacheEntry struct {
-	ex   Extraction
-	x    []float64
-	cpdX []float64 // nil until a CPD+ vector is first needed
+// memo is what is known of one incident's evidence: its extraction and the
+// vectors computed from it so far. The §5.3 pipeline (Scout.predict) reads
+// an incident through one, so a replay's memoised vectors stand in where a
+// live request — whose memo holds only the extraction, lives on the
+// request's stack and keeps nothing — computes them. In a cache a memo is
+// shared: its fields are set before it is published and read-only
+// afterwards, and the CPD+ vector is attached to its slot later, once, by
+// whoever needs it first.
+type memo struct {
+	ex Extraction
+	// x is the raw feature vector (no imputation): nil for a gated
+	// incident, and on a live request, which featurizes into a pooled
+	// vector instead.
+	x []float64
+	// cpdX is the slot for the CPD+ vector, empty until one is first
+	// needed. Behind a pointer so that a request's memo (nil: no slot)
+	// is not forced to the heap by the slot's atomic accesses.
+	cpdX *atomic.Pointer[[]float64]
 }
 
 // NewFeatureCache creates an empty cache.
-func NewFeatureCache() *FeatureCache {
-	c := &FeatureCache{}
-	for i := range c.shards {
-		c.shards[i].m = map[string]*cacheEntry{}
-	}
-	return c
-}
-
-func (c *FeatureCache) shard(id string) *cacheShard {
-	return &c.shards[maphash.String(cacheHashSeed, id)&(cacheShards-1)]
-}
+func NewFeatureCache() *FeatureCache { return &FeatureCache{} }
 
 // Len returns the number of cached incidents.
 func (c *FeatureCache) Len() int {
-	if c == nil {
-		return 0
-	}
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
+	if c != nil {
+		c.m.Range(func(_, _ any) bool { n++; return true })
 	}
 	return n
 }
 
-// get returns a snapshot of the entry for id. The returned value shares
-// its slices with the cache, so callers must not modify them — new state
-// is published only through put and setCPD.
-func (c *FeatureCache) get(id string) (cacheEntry, bool) {
-	if c == nil {
-		return cacheEntry{}, false
-	}
-	s := c.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.m[id]; ok {
-		return *e, true
-	}
-	return cacheEntry{}, false
+// Features returns the incident's feature vector at creation time, over
+// its full component list — nil when an exclusion rule or the component
+// gate stops the incident before a model — from the cache when it holds
+// it, computing and keeping it otherwise. The vector is shared with the
+// cache: callers must not modify it.
+func (c *FeatureCache) Features(fb *FeatureBuilder, in *incident.Incident) []float64 {
+	return c.memo(fb, in).x
 }
 
-// put stores an entry for id. The first writer wins when two workers
-// featurize the same incident concurrently: featurization is deterministic,
-// so both candidates are identical and keeping the incumbent preserves any
-// CPD+ vector another goroutine already attached to it.
-func (c *FeatureCache) put(id string, e cacheEntry) {
+// memo is the one fill behind Features, training and PredictCached:
+// extract → featurize unless gated → keep. The first writer wins when two
+// workers featurize the same incident concurrently: featurization is
+// deterministic, so both candidates are identical, and keeping the
+// incumbent preserves any CPD+ vector already attached to it.
+func (c *FeatureCache) memo(fb *FeatureBuilder, in *incident.Incident) *memo {
+	if c != nil {
+		if v, ok := c.m.Load(in.ID); ok {
+			return v.(*memo)
+		}
+	}
+	m := &memo{ex: fb.Extract(in.Title, in.Body, in.Components), cpdX: new(atomic.Pointer[[]float64])}
+	if !m.ex.Excluded && !m.ex.Empty {
+		m.x = fb.Featurize(m.ex, in.CreatedAt)
+	}
 	if c == nil {
-		return
+		return m
 	}
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.m[id]; exists {
-		return
-	}
-	stored := e
-	s.m[id] = &stored
+	v, _ := c.m.LoadOrStore(in.ID, m)
+	return v.(*memo)
 }
 
-// setCPD attaches a CPD+ vector to an existing entry and returns the
-// canonical vector: the first one stored wins, so concurrent computers of
-// the same (deterministic) vector converge on one slice.
-func (c *FeatureCache) setCPD(id string, vec []float64) []float64 {
-	if c == nil {
+// cpdVector returns the incident's CPD+ vector, running compute — the
+// change-point detection, the expensive part of retraining — only the
+// first time anyone asks. The first vector attached wins, so concurrent
+// computers of the same (deterministic) vector converge on one slice.
+func (m *memo) cpdVector(compute func() []float64) []float64 {
+	if m.cpdX == nil {
+		return compute()
+	}
+	if p := m.cpdX.Load(); p != nil {
+		return *p
+	}
+	vec := compute()
+	if m.cpdX.CompareAndSwap(nil, &vec) {
 		return vec
 	}
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[id]
-	if !ok {
-		return vec
-	}
-	if e.cpdX == nil {
-		e.cpdX = vec
-	}
-	return e.cpdX
+	return *m.cpdX.Load()
 }

@@ -2,85 +2,103 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scouts/internal/cloudsim"
 )
 
 func TestFeatureCacheNilSafe(t *testing.T) {
+	f := getFixture(t)
+	in := f.test[0]
 	var c *FeatureCache
-	if _, ok := c.get("x"); ok {
-		t.Fatal("nil cache should miss")
+	ex := f.scout.fb.Extract(in.Title, in.Body, in.Components)
+	if m := c.memo(f.scout.fb, in); !reflect.DeepEqual(m.ex, ex) {
+		t.Fatalf("nil cache extraction = %+v, want %+v", m.ex, ex)
 	}
-	c.put("x", cacheEntry{x: []float64{1}})
-	vec := []float64{2}
-	if got := c.setCPD("x", vec); &got[0] != &vec[0] {
-		t.Fatal("nil cache setCPD should hand back the caller's vector")
+	if x := c.Features(f.scout.fb, in); !reflect.DeepEqual(x, f.scout.fb.Featurize(ex, in.CreatedAt)) {
+		t.Fatalf("nil cache vector = %v", x)
+	}
+	if a, b := c.memo(f.scout.fb, in), c.memo(f.scout.fb, in); a == b {
+		t.Fatal("nil cache kept a memo")
 	}
 	if c.Len() != 0 {
 		t.Fatal("nil cache should be empty")
 	}
+	if got := f.scout.PredictCached(in, nil); !reflect.DeepEqual(got, f.scout.Predict(in.Title, in.Body, in.Components, in.CreatedAt)) {
+		t.Fatalf("PredictCached over a nil cache = %+v", got)
+	}
 }
 
 func TestFeatureCacheFirstWriterWins(t *testing.T) {
+	f := getFixture(t)
+	in := f.test[0]
 	c := NewFeatureCache()
-	c.put("a", cacheEntry{x: []float64{1}})
-	c.setCPD("a", []float64{9})
-	// A second put of the same id (a concurrent featurizer losing the race)
-	// must not clobber the incumbent or its attached CPD+ vector.
-	c.put("a", cacheEntry{x: []float64{1}})
-	e, ok := c.get("a")
-	if !ok || e.cpdX == nil || e.cpdX[0] != 9 {
-		t.Fatalf("incumbent entry lost its CPD vector: %+v ok=%v", e, ok)
+	m := c.memo(f.scout.fb, in)
+	m.cpdVector(func() []float64 { return []float64{9} })
+	// A second fill of the same id must hand back the incumbent, CPD+
+	// vector attached.
+	again := c.memo(f.scout.fb, in)
+	if again != m || c.Len() != 1 {
+		t.Fatalf("second fill made a second memo (%p, %p; %d cached)", m, again, c.Len())
 	}
-	// setCPD is likewise first-write-wins and returns the canonical slice.
-	if got := c.setCPD("a", []float64{7}); got[0] != 9 {
-		t.Fatalf("setCPD overwrote the canonical vector: %v", got)
+	// cpdVector is likewise first-write-wins, returns the canonical slice
+	// and does not compute again.
+	got := again.cpdVector(func() []float64 { t.Fatal("recomputed a memoised CPD vector"); return nil })
+	if got[0] != 9 {
+		t.Fatalf("canonical CPD vector = %v", got)
+	}
+	// A loser of the attach race adopts the winner's vector.
+	raced := memo{cpdX: new(atomic.Pointer[[]float64])}
+	lost := raced.cpdVector(func() []float64 {
+		raced.cpdVector(func() []float64 { return []float64{1} }) // the other worker finishes first
+		return []float64{2}
+	})
+	if lost[0] != 1 {
+		t.Fatalf("the second vector attached replaced the first: %v", lost)
 	}
 }
 
 // TestFeatureCacheConcurrent hammers one cache from many goroutines with
 // overlapping ids; run under -race this is the regression test for the
-// unsynchronized map the cache used to be.
+// unsynchronized map the cache once was, and for the fill's lost race:
+// every goroutine must end up with the one memo, and the one CPD+ vector,
+// per incident.
 func TestFeatureCacheConcurrent(t *testing.T) {
+	f := getFixture(t)
+	ins := f.test[:100]
 	c := NewFeatureCache()
-	const (
-		goroutines = 16
-		ids        = 100
-	)
+	const goroutines = 16
+	memos := make([][]*memo, goroutines)
+	vecs := make([][][]float64, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < ids; i++ {
-				id := fmt.Sprintf("incident-%d", i)
-				// The stored value is a pure function of the id, so every
-				// writer proposes the same entry — as in real featurization.
-				c.put(id, cacheEntry{x: []float64{float64(i)}})
-				if e, ok := c.get(id); ok && e.x[0] != float64(i) {
-					t.Errorf("id %s holds x=%v", id, e.x)
-					return
-				}
-				canon := c.setCPD(id, []float64{float64(i), float64(g)})
-				if canon[0] != float64(i) {
-					t.Errorf("id %s canonical cpd=%v", id, canon)
-					return
-				}
+			for i, in := range ins {
+				m := c.memo(f.scout.fb, in)
+				memos[g] = append(memos[g], m)
+				// Every worker proposes its own slice (same id-derived
+				// head, as real featurization is deterministic).
+				vecs[g] = append(vecs[g], m.cpdVector(func() []float64 { return []float64{float64(i), float64(g)} }))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() != ids {
-		t.Fatalf("cache holds %d entries, want %d", c.Len(), ids)
+	if c.Len() != len(ins) {
+		t.Fatalf("cache holds %d entries, want %d", c.Len(), len(ins))
 	}
-	// All goroutines must have converged on one canonical CPD vector per id.
-	for i := 0; i < ids; i++ {
-		e, ok := c.get(fmt.Sprintf("incident-%d", i))
-		if !ok || e.cpdX == nil {
-			t.Fatalf("incident-%d missing cpd vector", i)
+	for i, in := range ins {
+		for g := 1; g < goroutines; g++ {
+			if memos[g][i] != memos[0][i] {
+				t.Fatalf("%s: goroutines hold different memos", in.ID)
+			}
+			if &vecs[g][i][0] != &vecs[0][i][0] || vecs[g][i][0] != float64(i) {
+				t.Fatalf("%s: goroutines hold different CPD vectors: %v, %v", in.ID, vecs[g][i], vecs[0][i])
+			}
 		}
 	}
 }

@@ -56,8 +56,10 @@ func TestImputationUnderFullOutage(t *testing.T) {
 	in := modelIncident(t, f)
 	ex := s.fb.Extract(in.Title, in.Body, in.InitialComponents)
 
-	x, h := s.featurizeWithImputationInto(s.getVec(), ex, in.CreatedAt)
-	defer s.putVec(x)
+	v := s.getVec()
+	defer s.putVec(v)
+	h := s.featurizeWithImputationInto(v, &memo{ex: ex}, in.CreatedAt)
+	x := *v
 
 	wantImputed := 0
 	for _, g := range s.fb.groups {
@@ -99,10 +101,12 @@ func TestImputationUnderPartialOutage(t *testing.T) {
 
 	in := modelIncident(t, f)
 	ex := s.fb.Extract(in.Title, in.Body, in.InitialComponents)
-	x, h := s.featurizeWithImputationInto(s.getVec(), ex, in.CreatedAt)
-	want, hClean := clean.featurizeWithImputationInto(clean.getVec(), ex, in.CreatedAt)
-	defer s.putVec(x)
-	defer clean.putVec(want)
+	v, vClean := s.getVec(), clean.getVec()
+	defer s.putVec(v)
+	defer clean.putVec(vClean)
+	h := s.featurizeWithImputationInto(v, &memo{ex: ex}, in.CreatedAt)
+	hClean := clean.featurizeWithImputationInto(vClean, &memo{ex: ex}, in.CreatedAt)
+	x, want := *v, *vClean
 
 	imputed := map[int]bool{}
 	for _, slot := range s.fb.groupSlots[darkGroup.name] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"scouts/internal/cloudsim"
@@ -15,7 +16,8 @@ import (
 
 // Featurization as it read while every window was materialized and copied:
 // SeriesWindow per current window, appendNormalized into the merged buffer,
-// the copying Summarize, and a contributors slice grown from nil. Kept
+// the copying Summarize (deleted since with its last caller: a clone through
+// SummarizeInPlace here), and a contributors slice grown from nil. Kept
 // verbatim (minus the pool) as the reference the append path is compared
 // against; the functions that collide with production names carry an "old"
 // prefix. The one addition is the planned switch: when set, a (dataset,
@@ -94,7 +96,7 @@ func (fb *FeatureBuilder) oldFeaturize(planned bool, ex Extraction, t float64) [
 					merged = appendNormalized(merged, cur, bs, ok)
 				}
 			}
-			metrics.Summarize(merged).VectorInto(x[slot : slot+len(metrics.SummaryNames)])
+			metrics.SummarizeInPlace(slices.Clone(merged)).VectorInto(x[slot : slot+len(metrics.SummaryNames)])
 			slot += len(metrics.SummaryNames)
 		}
 		x[slot] = float64(len(ex.ByType[typ]))

@@ -54,8 +54,10 @@ var ErrNotScoutpack = errors.New("core: not a scoutpack snapshot")
 // with `scoutctl inspect`, and versioned by field presence like the
 // snapshot DTO it mirrors.
 type packMetaDTO struct {
-	ConfigSource      string         `json:"config"`
-	TrainMeans        []float64      `json:"train_means"`
+	ConfigSource string    `json:"config"`
+	TrainMeans   []float64 `json:"train_means"`
+	// Detector repeats CPDParams.Detector: written so packs keep their
+	// bytes, never read.
 	Detector          cpd.Params     `json:"detector"`
 	CPDParams         cpd.PlusParams `json:"cpd_params"`
 	SelectorWords     []string       `json:"selector_words,omitempty"`
@@ -76,7 +78,7 @@ func (s *Scout) SnapshotPack() ([]byte, error) {
 	meta := packMetaDTO{
 		ConfigSource: s.cfg.Source,
 		TrainMeans:   s.trainMeans,
-		Detector:     s.detector,
+		Detector:     cpdParams.Detector,
 		CPDParams:    cpdParams,
 	}
 	var selRF *forest.Forest
@@ -232,7 +234,6 @@ func restorePack(data []byte, topo *topology.Topology, source monitoring.DataSou
 		rf:         rf,
 		cpdPlus:    cpd.PlusFromParts(meta.CPDParams, cpdRF),
 		trainMeans: meta.TrainMeans,
-		detector:   meta.Detector,
 	}
 	s.fb = NewFeatureBuilder(cfg, topo, source)
 	if got, want := len(s.fb.FeatureNames()), len(rf.Features()); got != want {

@@ -66,18 +66,18 @@ func (s *Scout) oldPredict(title, body string, mentioned []string, t float64) Pr
 		if p, bad := s.degradedPrediction(h, ex); bad {
 			return p
 		}
-		p := s.predictCPDPath(ex, t, pWrong)
+		p := s.predictCPDPath(&memo{ex: ex}, t, pWrong)
 		p.Health = &h
 		return p
 	}
-	x, h := s.featurizeWithImputationInto(s.getVec(), ex, t)
+	v := s.getVec()
+	defer s.putVec(v)
+	h := s.featurizeWithImputationInto(v, &memo{ex: ex}, t)
 	if p, bad := s.degradedPrediction(h, ex); bad {
-		s.putVec(x)
 		return p
 	}
-	p := s.oldPredictRF(x, ex)
+	p := s.oldPredictRF(*v, ex)
 	p.Health = &h
-	s.putVec(x)
 	return p
 }
 
@@ -147,18 +147,19 @@ func TestPredictMatchesOldPath(t *testing.T) {
 // through the random forest over the breaker-wrapped simulator — the
 // serving stack — stage by stage: the joined text 1, Extract 3 (the
 // Extraction's map is two objects, its lists one array), the feature vector
-// 0 (pooled; returning it to the pool boxes its header: 1), the health
-// report 1, Components 1, the explanation 1 — eight, and a ninth on the one
+// 0 (pooled, and carried by the pointer the pool holds, so returning it
+// boxes nothing), the health report 1,
+// Components 1, the explanation 1 — seven, and an eighth on the one
 // prediction in some hundreds whose strongest signals tie and are read off
-// the full ranking. The model selector adds nothing: live, it counts its
-// words into a stack vector. The same call cost 47 while the explanation
-// ranked and formatted and every extractor's matches, ancestors and seen-set
-// were built per call.
+// the full ranking. The request's memo stays on its stack. The model selector
+// adds nothing: live, it counts its words into a stack vector. The same call
+// cost 47 while the explanation ranked and formatted and every extractor's
+// matches, ancestors and seen-set were built per call.
 func TestPredictAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const budget = 9
+	const budget = 8
 	f := getFixture(t)
 	scout, err := Train(TrainOptions{
 		Config:    f.scout.cfg,
@@ -181,6 +182,11 @@ func TestPredictAllocations(t *testing.T) {
 			continue
 		}
 		allocs := testing.AllocsPerRun(10, func() { scout.PredictIncident(in) })
+		if allocs > budget {
+			// A collection inside the window empties the pools, and ten
+			// runs refill them: not the steady state. Measure again.
+			allocs = testing.AllocsPerRun(10, func() { scout.PredictIncident(in) })
+		}
 		if allocs > budget {
 			t.Errorf("incident %s: Predict allocates %v times in steady state, budget %d", in.ID, allocs, budget)
 		}

@@ -108,9 +108,6 @@ type Scout struct {
 	// can be fitted for comparison (Figure 8).
 	selDocs  []string
 	selWrong []bool
-	// detector holds the change-point parameters used at train time so
-	// cached CPD+ vectors stay consistent at inference.
-	detector cpd.Params
 	// degrade decides when monitoring has degraded too far to answer
 	// through a model (zero value: never).
 	degrade DegradationPolicy
@@ -158,7 +155,7 @@ func Train(opt TrainOptions) (*Scout, error) {
 		// training fast at alpha = 0.05 resolution.
 		opt.Detector.Permutations = 29
 	}
-	s := &Scout{cfg: opt.Config, detector: opt.Detector}
+	s := &Scout{cfg: opt.Config}
 	s.fb = NewFeatureBuilder(opt.Config, opt.Topology, opt.Source)
 
 	// Featurize the trainable incidents (those with extractable
@@ -169,29 +166,18 @@ func Train(opt TrainOptions) (*Scout, error) {
 	// and everything trained on it — bit-identical at any worker count.
 	type row struct {
 		in *incident.Incident
-		ex Extraction
-		x  []float64
+		*memo
 	}
 	workers := parallel.Workers(opt.Workers)
-	entries := parallel.Map(workers, len(opt.Incidents), func(i int) cacheEntry {
-		in := opt.Incidents[i]
-		if e, ok := opt.Cache.get(in.ID); ok {
-			return e
-		}
-		ex := s.fb.Extract(in.Title, in.Body, in.Components)
-		entry := cacheEntry{ex: ex}
-		if !ex.Excluded && !ex.Empty {
-			entry.x = s.fb.Featurize(ex, in.CreatedAt)
-		}
-		opt.Cache.put(in.ID, entry)
-		return entry
+	memos := parallel.Map(workers, len(opt.Incidents), func(i int) *memo {
+		return opt.Cache.memo(s.fb, opt.Incidents[i])
 	})
 	var rows []row
-	for i, e := range entries {
-		if e.ex.Excluded || e.ex.Empty {
-			continue
+	for i, m := range memos {
+		if m.x == nil {
+			continue // gated: no vector
 		}
-		rows = append(rows, row{in: opt.Incidents[i], ex: e.ex, x: e.x})
+		rows = append(rows, row{in: opt.Incidents[i], memo: m})
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("core: none of the %d incidents had extractable components", len(opt.Incidents))
@@ -277,11 +263,9 @@ func Train(opt TrainOptions) (*Scout, error) {
 	}
 	cpdXs := parallel.Map(workers, len(cpdRows), func(i int) []float64 {
 		r := cpdRows[i]
-		if e, ok := opt.Cache.get(r.in.ID); ok && e.cpdX != nil {
-			return e.cpdX
-		}
-		vec := plusParams.Featurize(s.fb.CPDInput(r.ex, r.in.CreatedAt))
-		return opt.Cache.setCPD(r.in.ID, vec)
+		return r.cpdVector(func() []float64 {
+			return plusParams.Featurize(s.fb.CPDInput(r.ex, r.in.CreatedAt))
+		})
 	})
 	cpdYs := make([]bool, len(cpdRows))
 	for i, r := range cpdRows {
@@ -323,9 +307,8 @@ type PredictObserver interface {
 func (s *Scout) SetObserver(o PredictObserver) { s.obs = o }
 
 // Predict classifies one incident at trigger time t using the text and the
-// structured component mentions available at that time. The end-to-end
-// pipeline of §5.3: exclusion rules → component gate → model selector →
-// RF or CPD+ → answer with confidence and explanation. The RF feature
+// structured component mentions available at that time — the §5.3 pipeline
+// (Scout.predict) under the Scout's own model selector. The RF feature
 // vector is drawn from the Scout's pool, so a prediction produces no
 // per-request feature-vector garbage.
 func (s *Scout) Predict(title, body string, mentioned []string, t float64) Prediction {
@@ -336,37 +319,50 @@ func (s *Scout) Predict(title, body string, mentioned []string, t float64) Predi
 // identical, and the installed observer (if any) sees the prediction
 // together with the context's request ID.
 func (s *Scout) PredictCtx(ctx context.Context, title, body string, mentioned []string, t float64) Prediction {
-	p := s.predict(title, body, mentioned, t)
+	p := s.predictText(s.selector, title, body, mentioned, t)
 	if s.obs != nil {
 		s.obs.ObservePrediction(ctx, &p)
 	}
 	return p
 }
 
-func (s *Scout) predict(title, body string, mentioned []string, t float64) Prediction {
-	// The extractors and the model selector read the same joined text.
+// predictText answers for an incident known only by its text and mentions:
+// the extractors and the decider read the same joined text.
+func (s *Scout) predictText(decider DeciderModel, title, body string, mentioned []string, t float64) Prediction {
 	text := title + "\n" + body
-	ex := s.fb.extract(text, title, body, mentioned)
-	if p, done := s.gatePrediction(ex); done {
+	m := memo{ex: s.fb.extract(text, title, body, mentioned)}
+	return s.predict(decider, text, &m, t)
+}
+
+// predict is the §5.3 pipeline, and the only place its order is written
+// down: exclusion rules → component gate → decider → the health of the
+// monitoring data and the degradation policy → CPD+ or RF → verdict,
+// confidence and explanation. Every answer path is a caller. A request
+// (Predict*, what scoutd serves) brings the Scout's selector and a memo
+// holding only the extraction; PredictWithModel a constant decider;
+// PredictCached the retraining memo, whose vectors stand in for the ones a
+// request computes (memo.x, memo.cpdVector).
+func (s *Scout) predict(decider DeciderModel, text string, m *memo, t float64) Prediction {
+	if p, done := s.gatePrediction(m.ex); done {
 		return p
 	}
-	if useCPD, pWrong := s.selector.UseCPD(text); useCPD {
+	if useCPD, pWrong := decider.UseCPD(text); useCPD {
 		h := s.sourceHealth(t)
-		if p, bad := s.degradedPrediction(h, ex); bad {
+		if p, bad := s.degradedPrediction(h, m.ex); bad {
 			return p
 		}
-		p := s.predictCPDPath(ex, t, pWrong)
+		p := s.predictCPDPath(m, t, pWrong)
 		p.Health = &h
 		return p
 	}
-	x, h := s.featurizeWithImputationInto(s.getVec(), ex, t)
-	if p, bad := s.degradedPrediction(h, ex); bad {
-		s.putVec(x)
+	v := s.getVec()
+	defer s.putVec(v)
+	h := s.featurizeWithImputationInto(v, m, t)
+	if p, bad := s.degradedPrediction(h, m.ex); bad {
 		return p
 	}
-	p := s.predictRF(x, ex)
+	p := s.predictRF(*v, m.ex)
 	p.Health = &h
-	s.putVec(x)
 	return p
 }
 
@@ -404,7 +400,7 @@ func (s *Scout) predictBatch(ctx context.Context, reqs []BatchRequest, workers i
 	out := make([]Prediction, len(reqs))
 	parallel.For(workers, len(reqs), func(i int) {
 		r := &reqs[i]
-		out[i] = s.predict(r.Title, r.Body, r.Components, r.Time)
+		out[i] = s.predictText(s.selector, r.Title, r.Body, r.Components, r.Time)
 	})
 	if s.obs != nil {
 		for i := range out {
@@ -437,16 +433,29 @@ func (s *Scout) gatePrediction(ex Extraction) (p Prediction, done bool) {
 	return Prediction{}, false
 }
 
-// predictCPDPath answers through CPD+ for incidents the model selector
-// flags as new/rare.
-func (s *Scout) predictCPDPath(ex Extraction, t, pWrong float64) Prediction {
-	label, conf, why := s.cpdPlus.Predict(s.fb.CPDInput(ex, t))
+// predictCPDPath answers through CPD+ for incidents the decider flags as
+// new/rare. A broad incident is classified from its CPD+ vector — the
+// memo's when it has one, featurized by the model's own parameters and kept
+// in the memo otherwise — unless CPD+ learned no cluster-level forest: then
+// the conservative rule answers every incident, and it reads the input, not
+// a vector.
+func (s *Scout) predictCPDPath(m *memo, t, pWrong float64) Prediction {
+	var label bool
+	var conf float64
+	var why string
+	if _, broad := s.cpdPlus.Parts(); m.ex.Broad && broad != nil {
+		label, conf, why = s.cpdPlus.PredictVector(m.cpdVector(func() []float64 {
+			return s.cpdPlus.Featurize(s.fb.CPDInput(m.ex, t))
+		}))
+	} else {
+		label, conf, why = s.cpdPlus.Predict(s.fb.CPDInput(m.ex, t))
+	}
 	return Prediction{
 		Verdict:     verdictFor(label),
 		Responsible: label,
 		Confidence:  conf,
 		Model:       "cpd+",
-		Components:  ex.All(),
+		Components:  m.ex.All(),
 		Explanation: fmt.Sprintf("model selector flagged this as a new/rare incident (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
 	}
 }
@@ -477,16 +486,19 @@ func (s *Scout) predictRF(x []float64, ex Extraction) Prediction {
 }
 
 // getVec draws a feature vector from the pool (or allocates the first
-// time). Pooled vectors are dirty; FeaturizeInto overwrites every slot.
-func (s *Scout) getVec() []float64 {
+// time). Pooled vectors are dirty; FeaturizeInto overwrites every slot. The
+// pool holds pointers and a prediction carries the pointer it drew, so
+// returning the vector boxes nothing.
+func (s *Scout) getVec() *[]float64 {
 	if v, ok := s.vecs.Get().(*[]float64); ok {
-		return *v
+		return v
 	}
-	return make([]float64, len(s.fb.names))
+	x := make([]float64, len(s.fb.names))
+	return &x
 }
 
 // putVec returns a vector predictRF/explainRF have finished with.
-func (s *Scout) putVec(x []float64) { s.vecs.Put(&x) }
+func (s *Scout) putVec(v *[]float64) { s.vecs.Put(v) }
 
 // PredictIncident classifies an incident at its creation time using the
 // initially-known component mentions.
@@ -511,56 +523,18 @@ func incidentRequests(ins []*incident.Incident) []BatchRequest {
 }
 
 // PredictCached classifies an incident at creation time, reusing (and
-// filling) a feature cache. The cache must belong to this Scout's
+// filling) a feature cache: the same pipeline as Predict, reading the
+// incident through the cache's memo. The cache must belong to this Scout's
 // (Config, Topology, Source) combination, and the monitoring registry must
 // not have changed since the cached entries were computed — retraining
 // replays satisfy both.
 //
 // Note the cache key is the incident ID and cached extraction uses the
 // incident's full component list, so PredictCached reflects the
-// steady-state information surface (as the training pipeline does).
+// steady-state information surface (as the training pipeline does): it
+// answers what Predict answers given in.Components.
 func (s *Scout) PredictCached(in *incident.Incident, cache *FeatureCache) Prediction {
-	e, ok := cache.get(in.ID)
-	if !ok {
-		ex := s.fb.Extract(in.Title, in.Body, in.Components)
-		e = cacheEntry{ex: ex}
-		if !ex.Excluded && !ex.Empty {
-			e.x = s.fb.Featurize(ex, in.CreatedAt)
-		}
-		cache.put(in.ID, e)
-	}
-	if e.ex.Excluded {
-		return Prediction{Verdict: VerdictExcluded, Confidence: 1, Model: "exclude-rule"}
-	}
-	if e.ex.Empty {
-		return Prediction{Verdict: VerdictFallback, Model: "none"}
-	}
-	useCPD, pWrong := s.selector.UseCPD(in.Text())
-	if useCPD {
-		var label bool
-		var conf float64
-		var why string
-		if e.ex.Broad {
-			// The entry is a private snapshot: publish the vector only
-			// through the cache's locked setter (which keeps the first
-			// stored vector as canonical), never by writing the shared
-			// entry directly.
-			vec := e.cpdX
-			if vec == nil {
-				vec = cpd.PlusParams{Datasets: s.fb.DatasetNames(), Detector: s.detector}.Featurize(s.fb.CPDInput(e.ex, in.CreatedAt))
-				vec = cache.setCPD(in.ID, vec)
-			}
-			label, conf, why = s.cpdPlus.PredictVector(vec)
-		} else {
-			label, conf, why = s.cpdPlus.Predict(s.fb.CPDInput(e.ex, in.CreatedAt))
-		}
-		return Prediction{
-			Verdict: verdictFor(label), Responsible: label, Confidence: conf,
-			Model: "cpd+", Components: e.ex.All(),
-			Explanation: fmt.Sprintf("model selector flagged this as new/rare (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
-		}
-	}
-	return s.predictRF(e.x, e.ex)
+	return s.predict(s.selector, in.Text(), cache.memo(s.fb, in), in.CreatedAt)
 }
 
 func verdictFor(responsible bool) Verdict {
@@ -570,17 +544,26 @@ func verdictFor(responsible bool) Verdict {
 	return VerdictNotResponsible
 }
 
-// featurizeWithImputationInto builds the feature vector in x (usually a
-// pooled vector), substituting training means for feature groups whose
+// featurizeWithImputationInto builds the feature vector in *v (a pooled
+// vector) — the memo's raw features when it holds them, featurized now
+// otherwise — substituting training means for feature groups whose
 // monitoring systems are currently unavailable — exactly what the serving
 // system does when a monitor fails alongside the incident (§6) — and
 // reports what it did in a DataHealth so callers (and ultimately
 // operators) can see how much of the answer rests on imputed data.
-func (s *Scout) featurizeWithImputationInto(x []float64, ex Extraction, t float64) ([]float64, DataHealth) {
-	x = s.fb.FeaturizeInto(x, ex, t)
+func (s *Scout) featurizeWithImputationInto(v *[]float64, m *memo, t float64) DataHealth {
+	if m.x != nil {
+		*v = append((*v)[:0], m.x...)
+	} else {
+		*v = s.fb.FeaturizeInto(*v, m.ex, t)
+	}
+	x := *v
 	var buf [stackDatasets]bool
 	avail, h := s.fb.sourceHealth(buf[:0], t)
 	h.TotalSlots = len(x)
+	if len(x) != len(s.trainMeans) {
+		return h // a memo of another layout: predictRF turns it away
+	}
 	for _, g := range s.fb.groups {
 		live := avail[:len(g.datasets)]
 		avail = avail[len(g.datasets):]
@@ -592,7 +575,7 @@ func (s *Scout) featurizeWithImputationInto(x []float64, ex Extraction, t float6
 		}
 		h.ImputedSlots += len(s.fb.groupSlots[g.name])
 	}
-	return x, h
+	return h
 }
 
 // explainRF renders the paper's operator-facing explanation (§8): the
@@ -648,38 +631,24 @@ func (s *Scout) EvaluateWorkers(ins []*incident.Incident, workers int) metrics.C
 	return c
 }
 
-// PredictWithModel forces one model path ("rf" or "cpd+"), bypassing the
-// model selector but keeping the exclusion and component gates. The Table 1
-// comparison evaluates each model in isolation this way.
+// PredictWithModel forces one model path ("rf" or "cpd+"): the pipeline
+// under a constant decider in the model selector's place, so the exclusion
+// and component gates, the health report and the degradation policy all
+// apply. The Table 1 comparison evaluates each model in isolation this way.
 func (s *Scout) PredictWithModel(model, title, body string, mentioned []string, t float64) Prediction {
-	ex := s.fb.Extract(title, body, mentioned)
-	if ex.Excluded {
-		return Prediction{Verdict: VerdictExcluded, Confidence: 1, Model: "exclude-rule"}
+	return s.predictText(forcedModel(model == "cpd+"), title, body, mentioned, t)
+}
+
+// forcedModel is the decider that has already decided: CPD+ (true, as
+// certain as a selector can be that the RF is wrong) or the RF (false).
+type forcedModel bool
+
+// UseCPD implements DeciderModel.
+func (f forcedModel) UseCPD(string) (bool, float64) {
+	if f {
+		return true, 1
 	}
-	if ex.Empty {
-		return Prediction{Verdict: VerdictFallback, Model: "none"}
-	}
-	if model == "cpd+" {
-		h := s.sourceHealth(t)
-		if p, bad := s.degradedPrediction(h, ex); bad {
-			return p
-		}
-		label, conf, why := s.cpdPlus.Predict(s.fb.CPDInput(ex, t))
-		return Prediction{
-			Verdict: verdictFor(label), Responsible: label, Confidence: conf,
-			Model: "cpd+", Components: ex.All(), Explanation: why,
-			Health: &h,
-		}
-	}
-	x, h := s.featurizeWithImputationInto(s.getVec(), ex, t)
-	if p, bad := s.degradedPrediction(h, ex); bad {
-		s.putVec(x)
-		return p
-	}
-	p := s.predictRF(x, ex)
-	p.Health = &h
-	s.putVec(x)
-	return p
+	return false, 0
 }
 
 // SetDecider swaps the model-selector decider — the Figure 8 experiment

@@ -22,7 +22,9 @@ type snapshotDTO struct {
 	CPD          *cpd.Plus      `json:"cpd"`
 	Selector     *selectorDTO   `json:"selector,omitempty"`
 	TrainMeans   []float64      `json:"train_means"`
-	Detector     cpd.Params     `json:"detector"`
+	// Detector repeats the CPD+ model's own detector parameters: written so
+	// snapshots keep their bytes, never read.
+	Detector cpd.Params `json:"detector"`
 }
 
 type selectorDTO struct {
@@ -42,12 +44,13 @@ func (s *Scout) Snapshot() ([]byte, error) {
 	if s.cfg.Source == "" {
 		return nil, fmt.Errorf("%w: configuration has no source text", ErrNotSnapshottable)
 	}
+	cpdParams, _ := s.cpdPlus.Parts()
 	dto := snapshotDTO{
 		ConfigSource: s.cfg.Source,
 		Forest:       s.rf,
 		CPD:          s.cpdPlus,
 		TrainMeans:   s.trainMeans,
-		Detector:     s.detector,
+		Detector:     cpdParams.Detector,
 	}
 	switch sel := s.selector.(type) {
 	case *Selector:
@@ -89,7 +92,6 @@ func Restore(data []byte, topo *topology.Topology, source monitoring.DataSource)
 		rf:         dto.Forest,
 		cpdPlus:    dto.CPD,
 		trainMeans: dto.TrainMeans,
-		detector:   dto.Detector,
 	}
 	s.fb = NewFeatureBuilder(cfg, topo, source)
 	if got, want := len(s.fb.FeatureNames()), len(dto.Forest.Features()); got != want {

@@ -110,9 +110,10 @@ func Replay(lab *Lab, opt ReplayOptions) ([]F1Point, error) {
 		if scout == nil {
 			continue
 		}
-		// Score the evaluation chunk with a parallel prediction fan-out
-		// (PredictCached is race-safe over the shared lab cache) and a
-		// sequential fold in incident order.
+		// Score the evaluation chunk with a parallel prediction fan-out —
+		// PredictCached is the served pipeline reading each incident
+		// through the shared lab cache, which is safe for concurrent use —
+		// and a sequential fold in incident order.
 		var chunk []*incident.Incident
 		for _, in := range incidents {
 			if in.CreatedAt < float64(day)*24 || in.CreatedAt >= float64(day+opt.EvalChunkDays)*24 {

@@ -31,7 +31,7 @@ func Figure15(lab *Lab, maxScouts, maxAssignments int) Figure15Result {
 	if maxAssignments <= 0 {
 		maxAssignments = 60
 	}
-	mis := master.Misrouted(lab.Log, cloudsim.Teams)
+	mis := master.Misrouted(lab.Log)
 	var out Figure15Result
 	for k := 1; k <= maxScouts; k++ {
 		pooled := master.SweepScoutCount(mis, cloudsim.Teams, k, maxAssignments,
@@ -77,7 +77,7 @@ func Figure16(lab *Lab, maxAssignments, maxIncidents int) Figure16Result {
 	if maxAssignments <= 0 {
 		maxAssignments = 12
 	}
-	mis := master.Misrouted(lab.Log, cloudsim.Teams)
+	mis := master.Misrouted(lab.Log)
 	if maxIncidents > 0 && len(mis) > maxIncidents {
 		mis = mis[:maxIncidents]
 	}

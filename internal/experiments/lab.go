@@ -66,8 +66,10 @@ type Lab struct {
 	Scout *core.Scout
 	NLP   *text.NLPRouter
 
-	// Cache memoizes featurization for retraining experiments. Valid only
-	// while the telemetry registry is untouched.
+	// Cache memoizes featurization: NewLab fills it with every incident of
+	// the trace (training memoises the train split, buildMatrices the test
+	// split), the retraining experiments read it. Valid only while the
+	// telemetry registry is untouched; nil disables it.
 	Cache *core.FeatureCache
 
 	// Feature matrices over the cached layout (trainable incidents only).
@@ -145,30 +147,23 @@ func NewLab(p LabParams) (*Lab, error) {
 	return lab, nil
 }
 
-// buildMatrices featurizes train and test incidents once (through the
-// builder, warming the cache) for the model-comparison experiments.
+// buildMatrices assembles the train and test feature matrices of the
+// model-comparison experiments through the lab's cache: the train split's
+// vectors are the ones core.Train has just memoised, the test split's are
+// computed here and kept, so the retraining replays find both warm.
 // Featurization is per-incident pure, so it fans out across workers and
 // the matrices are assembled in incident order afterwards.
 func (lab *Lab) buildMatrices() {
 	fb := lab.Scout.Builder()
-	type featRow struct {
-		x  []float64
-		ok bool
-	}
 	feat := func(ins []*incident.Incident) (xs [][]float64, ys []bool, ids []string) {
-		rows := parallel.Map(lab.Params.Workers, len(ins), func(i int) featRow {
-			in := ins[i]
-			ex := fb.Extract(in.Title, in.Body, in.Components)
-			if ex.Excluded || ex.Empty {
-				return featRow{}
-			}
-			return featRow{x: fb.Featurize(ex, in.CreatedAt), ok: true}
+		rows := parallel.Map(lab.Params.Workers, len(ins), func(i int) []float64 {
+			return lab.Cache.Features(fb, ins[i])
 		})
-		for i, r := range rows {
-			if !r.ok {
-				continue
+		for i, x := range rows {
+			if x == nil {
+				continue // excluded, or no components: not trainable
 			}
-			xs = append(xs, r.x)
+			xs = append(xs, x)
 			ys = append(ys, ins[i].OwnerLabel == Team)
 			ids = append(ids, ins[i].ID)
 		}

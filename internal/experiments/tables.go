@@ -50,7 +50,8 @@ func renderModelTable(title string, rows []ModelRow) string {
 }
 
 // Table1 evaluates the supervised RF, CPD+ and the NLP recommender on the
-// test set.
+// test set; each Scout model answers through the served pipeline with the
+// model selector's choice forced (Scout.PredictWithModel).
 func Table1(lab *Lab) Table1Result {
 	// Three independent model queries per incident — fan out in parallel,
 	// fold the confusion matrices sequentially in incident order.

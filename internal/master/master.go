@@ -199,11 +199,7 @@ func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams,
 
 // Misrouted filters a trace to the mis-routed incidents — the population
 // Figures 15 and 16 evaluate on.
-func Misrouted(log *incident.Log, internalTeams []string) []*incident.Incident {
-	isTeam := map[string]bool{}
-	for _, t := range internalTeams {
-		isTeam[t] = true
-	}
+func Misrouted(log *incident.Log) []*incident.Incident {
 	return log.Filter(func(in *incident.Incident) bool {
 		return in.Misrouted()
 	})

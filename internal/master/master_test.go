@@ -152,7 +152,7 @@ func TestMisroutedFilter(t *testing.T) {
 		Hops: []incident.Hop{{Team: "X", Enter: 0, Exit: 1}}})
 	log.Append(&incident.Incident{ID: "b", OwnerLabel: "X",
 		Hops: []incident.Hop{{Team: "Y", Enter: 0, Exit: 1}, {Team: "X", Enter: 1, Exit: 2}}})
-	mis := Misrouted(log, []string{"X", "Y"})
+	mis := Misrouted(log)
 	if len(mis) != 1 || mis[0].ID != "b" {
 		t.Fatalf("misrouted = %v", mis)
 	}

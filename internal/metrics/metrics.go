@@ -200,20 +200,10 @@ var SummaryNames = []string{
 	"mean", "std", "min", "max", "p1", "p10", "p25", "p50", "p75", "p90", "p99",
 }
 
-// Summarize computes SummaryStats over a sample. An empty sample yields the
-// zero value, which the feature builder treats as "component not observed".
-func Summarize(xs []float64) SummaryStats {
-	if len(xs) == 0 {
-		return SummaryStats{}
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	return SummarizeInPlace(s)
-}
-
-// SummarizeInPlace is Summarize for a caller that is done with its buffer:
-// xs is sorted where it lies instead of being copied first. Mean and Std sum
-// the sorted values, as Summarize always has, so both forms agree to the bit.
+// SummarizeInPlace computes SummaryStats over a sample the caller is done
+// with: xs is sorted where it lies, and Mean and Std sum the sorted values.
+// An empty sample yields the zero value, which the feature builder treats as
+// "component not observed".
 //
 //scout:hotpath
 func SummarizeInPlace(xs []float64) SummaryStats {

@@ -90,7 +90,7 @@ func TestQuantileInterpolation(t *testing.T) {
 }
 
 func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
+	s := SummarizeInPlace([]float64{1, 2, 3, 4, 5})
 	if s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
 		t.Fatalf("bad summary: %+v", s)
 	}
@@ -103,7 +103,7 @@ func TestSummarizeKnown(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
+	s := SummarizeInPlace(nil)
 	for i, v := range s.Vector() {
 		if v != 0 {
 			t.Fatalf("empty summary has non-zero %s = %v", SummaryNames[i], v)
@@ -175,7 +175,7 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: Summarize percentiles are ordered min <= p1 <= ... <= p99 <= max.
+// Property: SummarizeInPlace percentiles are ordered min <= p1 <= ... <= p99 <= max.
 func TestSummarizeOrderingProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		sample := make([]float64, 0, len(raw))
@@ -188,7 +188,7 @@ func TestSummarizeOrderingProperty(t *testing.T) {
 		if len(sample) == 0 {
 			return true
 		}
-		s := Summarize(sample)
+		s := SummarizeInPlace(sample)
 		ladder := []float64{s.Min, s.P1, s.P10, s.P25, s.P50, s.P75, s.P90, s.P99, s.Max}
 		return sort.Float64sAreSorted(ladder)
 	}

@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// oldSummarize and oldSummarizeInPlace are Summarize and SummarizeInPlace as
-// they stood before the ordering kernel (internal/floatsort) went under
+// oldSummarize and oldSummarizeInPlace are Summarize (the copying form,
+// deleted since: no caller) and SummarizeInPlace as they stood before the ordering kernel (internal/floatsort) went under
 // them, kept verbatim as the oracle: copy, sort.Float64s, and three
 // reduction passes — the mean, the mean again inside the standard deviation,
 // and its squared-difference pass. oldSummarize returns the sorted copy as
 // well, which is what SummarizeInPlace leaves in its argument. core's
-// old-path oracle calls Summarize, which shares the kernel, so the tests in
-// this file are the only ones that pin the ordering itself.
+// old-path oracle summarises a copy through SummarizeInPlace, which is the
+// kernel, so the tests in this file are the only ones that pin the ordering
+// itself.
 func oldSummarize(xs []float64) ([]float64, SummaryStats) {
 	if len(xs) == 0 {
 		return nil, SummaryStats{}

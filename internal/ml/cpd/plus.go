@@ -43,12 +43,6 @@ type Plus struct {
 	rf     *forest.Forest
 }
 
-// PlusExample is one labelled training example for the broad-incident model.
-type PlusExample struct {
-	In Input
-	Y  bool
-}
-
 // ErrNoDatasets is returned when PlusParams.Datasets is empty.
 var ErrNoDatasets = errors.New("cpd: PlusParams.Datasets must be non-empty")
 
@@ -65,11 +59,8 @@ func featureNames(datasets []string) []string {
 // Featurize converts an Input into the fixed-length broad-incident vector
 // (average change-point and event rates per dataset). Callers that retrain
 // frequently cache these vectors: change-point detection is the expensive
-// step. Datasets must be sorted (TrainPlus and TrainPlusVectors sort them).
-func (p PlusParams) Featurize(in Input) []float64 { return p.featurize(in) }
-
-// featurize converts an Input into the fixed-length broad-incident vector.
-func (p PlusParams) featurize(in Input) []float64 {
+// step. Datasets must be sorted (TrainPlusVectors sorts them).
+func (p PlusParams) Featurize(in Input) []float64 {
 	x := make([]float64, 0, 2*len(p.Datasets))
 	for _, ds := range p.Datasets {
 		var cps, nSeries float64
@@ -93,25 +84,6 @@ func (p PlusParams) featurize(in Input) []float64 {
 		x = append(x, avgCP, avgEv)
 	}
 	return x
-}
-
-// TrainPlus fits the broad-incident random forest of CPD+. Narrow incidents
-// do not need training: they use the fixed conservative rule.
-func TrainPlus(examples []PlusExample, p PlusParams) (*Plus, error) {
-	if len(p.Datasets) == 0 {
-		return nil, ErrNoDatasets
-	}
-	sort.Strings(p.Datasets)
-	var xs [][]float64
-	var ys []bool
-	for _, ex := range examples {
-		if !ex.In.Broad {
-			continue // the rule path needs no training data
-		}
-		xs = append(xs, p.featurize(ex.In))
-		ys = append(ys, ex.Y)
-	}
-	return TrainPlusVectors(xs, ys, p)
 }
 
 // TrainPlusVectors fits CPD+ from pre-featurized broad examples (see
@@ -193,7 +165,18 @@ func (c *Plus) predictBroad(in Input) (bool, float64, string) {
 		label, conf, expl := c.predictNarrow(in)
 		return label, conf, "no broad-incident model trained; " + expl
 	}
-	x := c.params.featurize(in)
+	return c.PredictVector(c.params.Featurize(in))
+}
+
+// Featurize is PlusParams.Featurize under the model's own parameters.
+func (c *Plus) Featurize(in Input) []float64 { return c.params.Featurize(in) }
+
+// PredictVector is the tail of every broad answer: it classifies a
+// featurized broad incident (see Featurize). Callers with cached vectors
+// use it to skip re-running change-point detection. The model must have a
+// broad forest (Parts reports it); without one only Predict can answer —
+// through the narrow rule, which reads the Input.
+func (c *Plus) PredictVector(x []float64) (bool, float64, string) {
 	label, conf := c.rf.Predict(x)
 	const model = "cluster-level change-point model"
 	var arr [256]byte
@@ -203,18 +186,4 @@ func (c *Plus) predictBroad(in Input) (bool, float64, string) {
 		expl = expl[:len(model)]
 	}
 	return label, conf, string(expl)
-}
-
-// Featurize exposes the broad feature vector for diagnostics and tests.
-func (c *Plus) Featurize(in Input) []float64 { return c.params.featurize(in) }
-
-// PredictVector classifies a pre-featurized broad incident (see
-// PlusParams.Featurize). Callers with cached vectors use this to skip
-// re-running change-point detection.
-func (c *Plus) PredictVector(x []float64) (bool, float64, string) {
-	if c.rf == nil {
-		return false, 0.75, "no broad-incident model trained"
-	}
-	label, conf := c.rf.Predict(x)
-	return label, conf, "cluster-level change-point model (cached vector)"
 }

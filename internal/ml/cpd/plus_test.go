@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -50,9 +51,114 @@ func faultyInput(broad bool, rng *rand.Rand) Input {
 	return in
 }
 
+// plusExample is one labelled training example for the broad-incident model.
+type plusExample struct {
+	In Input
+	Y  bool
+}
+
+// trainPlus fits CPD+ from labelled inputs — TrainPlus as it read while it
+// was exported; the Scout trains through TrainPlusVectors, on vectors it
+// memoises, so only these tests start from Inputs. Narrow incidents do not
+// need training: they use the fixed conservative rule.
+func trainPlus(examples []plusExample, p PlusParams) (*Plus, error) {
+	if len(p.Datasets) == 0 {
+		return nil, ErrNoDatasets
+	}
+	sort.Strings(p.Datasets)
+	var xs [][]float64
+	var ys []bool
+	for _, ex := range examples {
+		if !ex.In.Broad {
+			continue // the rule path needs no training data
+		}
+		xs = append(xs, p.Featurize(ex.In))
+		ys = append(ys, ex.Y)
+	}
+	return TrainPlusVectors(xs, ys, p)
+}
+
+// oldPredictVector is PredictVector as it read while it was a second broad
+// answer beside predictBroad, kept verbatim as the oracle: its own
+// nil-forest rule and its own explanation.
+func (c *Plus) oldPredictVector(x []float64) (bool, float64, string) {
+	if c.rf == nil {
+		return false, 0.75, "no broad-incident model trained"
+	}
+	label, conf := c.rf.Predict(x)
+	return label, conf, "cluster-level change-point model (cached vector)"
+}
+
+// TestPredictVectorIsTheBroadTail pins the join: a broad incident gets one
+// answer whether the model featurizes its Input or is handed the vector —
+// label, confidence and explanation — and that answer's label and
+// confidence are the old vector path's, bit for bit.
+func TestPredictVectorIsTheBroadTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var examples []plusExample
+	for i := 0; i < 30; i++ {
+		examples = append(examples,
+			plusExample{In: faultyInput(true, rng), Y: true},
+			plusExample{In: healthyInput(true, rng), Y: false},
+		)
+	}
+	plus, err := trainPlus(examples, plusParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	explained := 0
+	for i := 0; i < 40; i++ {
+		in := healthyInput(true, rng)
+		if i%2 == 0 {
+			in = faultyInput(true, rng)
+		}
+		x := plus.Featurize(in)
+		label, conf, expl := plus.Predict(in)
+		vLabel, vConf, vExpl := plus.PredictVector(x)
+		if label != vLabel || conf != vConf || expl != vExpl {
+			t.Fatalf("input %d: Predict = (%v, %v, %q), PredictVector = (%v, %v, %q)", i, label, conf, expl, vLabel, vConf, vExpl)
+		}
+		oLabel, oConf, _ := plus.oldPredictVector(x)
+		if label != oLabel || conf != oConf {
+			t.Fatalf("input %d: (%v, %v), the old vector path answered (%v, %v)", i, label, conf, oLabel, oConf)
+		}
+		if strings.Contains(expl, "top signals: ") {
+			explained++
+		}
+	}
+	if explained == 0 {
+		t.Fatal("no broad answer named its top signals")
+	}
+}
+
+// TestNoBroadModelFallsBackToTheRule is the drift the second copy hid: with
+// no broad forest the served Predict answers a broad incident by the narrow
+// rule, where the old vector path said (false, 0.75) whatever the evidence.
+func TestNoBroadModelFallsBackToTheRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	plus, err := trainPlus(nil, plusParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, rf := plus.Parts(); rf != nil {
+		t.Fatal("a model trained on no broad example has a broad forest")
+	}
+	in := faultyInput(true, rng)
+	label, conf, expl := plus.Predict(in)
+	narrow := in
+	narrow.Broad = false
+	nLabel, nConf, nExpl := plus.Predict(narrow)
+	if label != nLabel || conf != nConf || expl != "no broad-incident model trained; "+nExpl {
+		t.Fatalf("broad without a model = (%v, %v, %q), the narrow rule says (%v, %v, %q)", label, conf, expl, nLabel, nConf, nExpl)
+	}
+	if oLabel, oConf, _ := plus.oldPredictVector(plus.Featurize(in)); oLabel == label && oConf == conf {
+		t.Fatalf("the old vector path agreed with the rule on a faulty input: (%v, %v)", oLabel, oConf)
+	}
+}
+
 func TestNarrowConservativeRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	plus, err := TrainPlus(nil, plusParams())
+	plus, err := trainPlus(nil, plusParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +181,14 @@ func TestNarrowConservativeRule(t *testing.T) {
 
 func TestBroadModelLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	var examples []PlusExample
+	var examples []plusExample
 	for i := 0; i < 25; i++ {
 		examples = append(examples,
-			PlusExample{In: faultyInput(true, rng), Y: true},
-			PlusExample{In: healthyInput(true, rng), Y: false},
+			plusExample{In: faultyInput(true, rng), Y: true},
+			plusExample{In: healthyInput(true, rng), Y: false},
 		)
 	}
-	plus, err := TrainPlus(examples, plusParams())
+	plus, err := trainPlus(examples, plusParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +208,7 @@ func TestBroadModelLearns(t *testing.T) {
 
 func TestBroadWithoutTrainingFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	plus, err := TrainPlus(nil, plusParams())
+	plus, err := trainPlus(nil, plusParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +222,14 @@ func TestBroadWithoutTrainingFallsBack(t *testing.T) {
 }
 
 func TestTrainPlusRequiresDatasets(t *testing.T) {
-	if _, err := TrainPlus(nil, PlusParams{}); err != ErrNoDatasets {
+	if _, err := trainPlus(nil, PlusParams{}); err != ErrNoDatasets {
 		t.Fatalf("want ErrNoDatasets, got %v", err)
 	}
 }
 
 func TestFeaturizeShapeAndOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	plus, err := TrainPlus(nil, plusParams())
+	plus, err := trainPlus(nil, plusParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +249,7 @@ func TestFeaturizeShapeAndOrder(t *testing.T) {
 }
 
 func TestMissingDatasetsTolerated(t *testing.T) {
-	plus, err := TrainPlus(nil, plusParams())
+	plus, err := trainPlus(nil, plusParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +267,7 @@ func TestMissingDatasetsTolerated(t *testing.T) {
 // explanation ranked every feature to print three: Explain, a Sprintf per
 // signal, a Join. Kept as the reference for the top-k rendering.
 func (c *Plus) oldPredictBroad(in Input) (bool, float64, string) {
-	x := c.params.featurize(in)
+	x := c.params.Featurize(in)
 	label, conf := c.rf.Predict(x)
 	_, contribs := c.rf.Explain(x)
 	top := make([]string, 0, 3)
@@ -183,14 +289,14 @@ func (c *Plus) oldPredictBroad(in Input) (bool, float64, string) {
 // empty evidence — the last one explains with no signals at all.
 func TestBroadExplanationMatchesOldPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	var examples []PlusExample
+	var examples []plusExample
 	for i := 0; i < 25; i++ {
 		examples = append(examples,
-			PlusExample{In: faultyInput(true, rng), Y: true},
-			PlusExample{In: healthyInput(true, rng), Y: false},
+			plusExample{In: faultyInput(true, rng), Y: true},
+			plusExample{In: healthyInput(true, rng), Y: false},
 		)
 	}
-	plus, err := TrainPlus(examples, plusParams())
+	plus, err := trainPlus(examples, plusParams())
 	if err != nil {
 		t.Fatal(err)
 	}

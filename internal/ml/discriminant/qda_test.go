@@ -19,7 +19,8 @@ func TestQDASeparable(t *testing.T) {
 		}
 		d.MustAdd(mlcore.Sample{X: []float64{mu + rng.NormFloat64(), rng.NormFloat64()}, Y: y})
 	}
-	train, test := mlcore.TimeSplit(withTimes(d), 400)
+	timed := withTimes(d)
+	train, test := timed.Window(0, 400), timed.Window(400, 600)
 	q, err := Train(train, Params{})
 	if err != nil {
 		t.Fatal(err)

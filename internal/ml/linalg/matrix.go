@@ -44,15 +44,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

@@ -11,7 +11,7 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMulIdentity(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}})
-	got := a.Mul(Identity(3))
+	got := a.Mul(identity(3))
 	for i := range a.Data {
 		if got.Data[i] != a.Data[i] {
 			t.Fatalf("A*I != A at %d: got %v want %v", i, got.Data[i], a.Data[i])
@@ -231,4 +231,13 @@ func TestSolveRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// identity returns the n x n identity matrix.
+func identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
 }

@@ -186,3 +186,62 @@ func TestSubsetAndFilter(t *testing.T) {
 		t.Fatal("filter wrong")
 	}
 }
+
+// The §7 random split and the by-time split of a Dataset. Only these tests
+// use them: the experiments split incidents, not datasets (experiments.NewLab,
+// experiments.Replay).
+
+// SplitOptions control PaperSplit, mirroring §7: the data is split randomly;
+// to counter class imbalance only NegTrainFraction of the non-team incidents
+// go to the training set (the paper uses 35%), and PosTrainFraction of the
+// team's incidents (the paper uses one half).
+type SplitOptions struct {
+	NegTrainFraction float64
+	PosTrainFraction float64
+}
+
+// DefaultSplit is the split used in the paper's evaluation.
+var DefaultSplit = SplitOptions{NegTrainFraction: 0.35, PosTrainFraction: 0.5}
+
+// PaperSplit randomly partitions the dataset per §7 and returns
+// (train, test). The rng makes the split reproducible.
+func PaperSplit(d *Dataset, opt SplitOptions, rng *rand.Rand) (train, test *Dataset) {
+	if opt.NegTrainFraction <= 0 || opt.NegTrainFraction >= 1 {
+		opt.NegTrainFraction = DefaultSplit.NegTrainFraction
+	}
+	if opt.PosTrainFraction <= 0 || opt.PosTrainFraction >= 1 {
+		opt.PosTrainFraction = DefaultSplit.PosTrainFraction
+	}
+	train = &Dataset{Features: d.Features}
+	test = &Dataset{Features: d.Features}
+	perm := rng.Perm(len(d.Samples))
+	for _, i := range perm {
+		s := d.Samples[i]
+		frac := opt.NegTrainFraction
+		if s.Y {
+			frac = opt.PosTrainFraction
+		}
+		if rng.Float64() < frac {
+			train.Samples = append(train.Samples, s)
+		} else {
+			test.Samples = append(test.Samples, s)
+		}
+	}
+	return train, test
+}
+
+// TimeSplit partitions samples by creation time: everything strictly before
+// cutoff trains, the rest tests. Used by the retraining experiments
+// (Figures 8 and 10).
+func TimeSplit(d *Dataset, cutoff float64) (train, test *Dataset) {
+	train = &Dataset{Features: d.Features}
+	test = &Dataset{Features: d.Features}
+	for _, s := range d.Samples {
+		if s.Time < cutoff {
+			train.Samples = append(train.Samples, s)
+		} else {
+			test.Samples = append(test.Samples, s)
+		}
+	}
+	return train, test
+}

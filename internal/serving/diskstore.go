@@ -151,45 +151,27 @@ type QuarantinedFile struct {
 	Renamed bool   `json:"renamed"`
 }
 
-// LoadOptions tune LoadStoreOptions.
-type LoadOptions struct {
-	// EagerVersions is how many of the newest versions are read and
-	// verified at load time. Older versions are registered lazily: their
-	// files are opened, verified and decoded only on the first Get. Zero
-	// means the default (2: the serving version plus one rollback step);
-	// negative means every version loads eagerly.
-	EagerVersions int
-}
-
-// DefaultEagerVersions is the LoadOptions.EagerVersions default: the
-// latest version (what Reload serves) plus one rollback candidate. A
-// store directory holding months of history costs two file reads at
-// boot, not a full-directory parse.
+// DefaultEagerVersions is how many of the newest versions LoadStore reads
+// and verifies at load time: the latest version (what Reload serves) plus
+// one rollback candidate. Older versions are registered lazily — their
+// files are opened, verified and decoded only on the first Get — so a
+// store directory holding months of history costs two file reads at boot,
+// not a full-directory parse.
 const DefaultEagerVersions = 2
 
-// LoadStore reads a directory written by SaveStore back into a Store
-// with the default options. See LoadStoreOptions.
-func LoadStore(dir string) (*Store, *LoadReport, error) {
-	return LoadStoreOptions(dir, LoadOptions{})
-}
-
-// LoadStoreOptions reads a directory written by SaveStore back into a
-// Store. The newest EagerVersions versions are read and verified now;
-// older files are registered by path and verified on first Get, which
+// LoadStore reads a directory written by SaveStore back into a Store. The
+// newest DefaultEagerVersions versions are read and verified now; older
+// files are registered by path and verified on first Get, which
 // quarantines them exactly as an eager load would. Files that fail to
 // read, decode, or checksum are quarantined — renamed to *.quarantined
 // and listed in the report — and the remaining versions load; gaps in the
 // version sequence are tolerated for the same reason. A model-%06d.json
 // file (the retired JSON disk format) is quarantined with that reason.
 // The error is non-nil only when the directory itself cannot be read.
-func LoadStoreOptions(dir string, opt LoadOptions) (*Store, *LoadReport, error) {
+func LoadStore(dir string) (*Store, *LoadReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serving: reading %s: %w", dir, err)
-	}
-	eager := opt.EagerVersions
-	if eager == 0 {
-		eager = DefaultEagerVersions
 	}
 	type vf struct {
 		v    int
@@ -211,7 +193,7 @@ func LoadStoreOptions(dir string, opt LoadOptions) (*Store, *LoadReport, error) 
 
 	for i, f := range files {
 		path := filepath.Join(dir, f.name)
-		if eager >= 0 && len(files)-i > eager {
+		if len(files)-i > DefaultEagerVersions {
 			// Old version: register by path, defer the read to first Get.
 			st.models = append(st.models, Model{Version: f.v, path: path})
 			rep.Lazy = append(rep.Lazy, f.v)

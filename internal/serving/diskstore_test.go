@@ -283,7 +283,7 @@ func TestLoadStoreQuarantinesStrayJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loaded, rep, err := LoadStoreOptions(dir, LoadOptions{EagerVersions: 1})
+	loaded, rep, err := LoadStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestPackPayloadVerifiedOnLoad(t *testing.T) {
 }
 
 // TestLoadStoreLazyVersions pins the eager/lazy split: only the newest
-// EagerVersions files are read at load time; older versions are
+// DefaultEagerVersions files are read at load time; older versions are
 // registered by path, materialize on first Get, and quarantine on first
 // Get when their file is damaged.
 func TestLoadStoreLazyVersions(t *testing.T) {
@@ -131,7 +131,7 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, rep, err := LoadStore(dir) // default: 2 eager
+	loaded, rep, err := LoadStore(dir) // 2 eager
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,33 +185,6 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 	}
 	if drained := loaded.QuarantinedLazy(); len(drained) != 0 {
 		t.Fatalf("quarantine report must drain: %+v", drained)
-	}
-}
-
-// TestLoadStoreEagerOverride pins the option: negative means everything
-// eager, explicit N means exactly N.
-func TestLoadStoreEagerOverride(t *testing.T) {
-	dir := t.TempDir()
-	st := NewStore()
-	for i := 1; i <= 4; i++ {
-		st.Put("X", testPack("s"))
-	}
-	if err := SaveStore(st, dir); err != nil {
-		t.Fatal(err)
-	}
-	all, rep, err := LoadStoreOptions(dir, LoadOptions{EagerVersions: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Loaded) != 4 || len(rep.Lazy) != 0 || all.Versions() != 4 {
-		t.Fatalf("eager=-1: report = %+v", rep)
-	}
-	_, rep, err = LoadStoreOptions(dir, LoadOptions{EagerVersions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Loaded) != 1 || len(rep.Lazy) != 3 {
-		t.Fatalf("eager=1: report = %+v", rep)
 	}
 }
 

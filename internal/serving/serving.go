@@ -31,7 +31,7 @@ type Model struct {
 	TrainedAt time.Time `json:"trained_at"`
 	Snapshot  []byte    `json:"snapshot"`
 
-	// path is set on store entries registered lazily by LoadStoreOptions:
+	// path is set on store entries registered lazily by LoadStore:
 	// the on-disk file backing this version, read and verified on first
 	// access. Empty for models published in-process or loaded eagerly.
 	path string

@@ -80,12 +80,6 @@ type (
 	Master = master.Master
 	// Answer is one Scout's reply to the Master.
 	Answer = master.Answer
-	// MLEMaster ranks teams by maximum-likelihood over joint Scout answers
-	// and historical reliability (Appendix C's "more sophisticated"
-	// composition).
-	MLEMaster = master.MLEMaster
-	// Reliability is a Scout's historical accuracy profile.
-	Reliability = master.Reliability
 )
 
 // Verdicts.
@@ -119,16 +113,3 @@ func NewFeatureCache() *FeatureCache { return core.NewFeatureCache() }
 func NewMaster(deps map[string][]string, minConfidence float64) *Master {
 	return master.New(deps, minConfidence)
 }
-
-// NewMLEMaster creates the maximum-likelihood Scout Master from per-team
-// reliability profiles (see master.EstimateReliability).
-func NewMLEMaster(profiles map[string]Reliability) *MLEMaster {
-	return master.NewMLE(profiles)
-}
-
-// BuildTopology generates a datacenter topology with the standard naming
-// scheme (vmN.cC.dcD under srvN.cC.dcD under torN.cC.dcD ...).
-func BuildTopology(p topology.Params) *Topology { return topology.Build(p) }
-
-// TopologyParams size BuildTopology.
-type TopologyParams = topology.Params

@@ -54,13 +54,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeTopology(t *testing.T) {
-	topo := scouts.BuildTopology(scouts.TopologyParams{DCs: 1, ClustersPerDC: 1})
-	if topo.Len() == 0 {
-		t.Fatal("empty topology")
-	}
-}
-
 func TestFacadeMaster(t *testing.T) {
 	m := scouts.NewMaster(map[string][]string{"Storage": {"PhyNet"}}, 0.8)
 	team, _ := m.Route([]scouts.Answer{
