@@ -116,12 +116,13 @@ loadgen-smoke:
 # Chaos smoke: bounded fault-injection pass under the race detector. The
 # loadgen chaos rotation (malformed JSON, oversized bodies, mid-body
 # disconnects) must draw zero 5xx, and the serving chaos tests (50%
-# monitoring blackout, shedding, deadlines, panic recovery, deterministic
-# degraded answers) must hold with the detector watching — as must the
+# monitoring blackout, shedding, deadlines — the inline guard's watchdog
+# racing its handler 10⁴ times — panic recovery, deterministic degraded
+# answers) must hold with the detector watching — as must the
 # shared HTTP spine's own panic accounting (internal/httpx).
 chaos-smoke:
 	$(call smoke-test,-race -run 'TestLoadgenChaos' -count 1 ./cmd/loadgen)
-	$(call smoke-test,-race -run 'TestChaos|TestShedding|TestPanicRecovery|TestRequestDeadline|TestDegradationOverHTTP' -count 1 ./internal/serving)
+	$(call smoke-test,-race -run 'TestChaos|TestShedding|TestPanicRecovery|TestRequestDeadline|TestDeadline|TestNoGoroutineUnderServerHandler|TestDegradationOverHTTP' -count 1 ./internal/serving)
 	$(call smoke-test,-race -run 'TestPanicIsCountedAndAnswered|TestAbortHandlerIsReRaised' -count 1 ./internal/httpx)
 
 # Soak smoke: a ~2s sustained run against an in-process server with
@@ -149,7 +150,9 @@ pack-smoke:
 
 # Fleet smoke: the resilient-gateway kill test with real processes. The
 # in-process halves (loadgen -fleet plumbing, the gateway's own kill
-# test) run first under the race detector; then three scoutd replicas
+# test and the hedge race's rules, panics included, each looped so a
+# timer firing as the primary settles is hit) run first under the race
+# detector; then three scoutd replicas
 # share one -store (the first boot trains and publishes, the other two
 # load the same scoutpack), scoutgw fronts them, and loadgen -fleet
 # SIGTERMs the middle replica two seconds into a six-second burst. The
@@ -158,7 +161,7 @@ pack-smoke:
 # gateway's retries/hedges/breaker trips reported in FLEET_SMOKE.json.
 fleet-smoke:
 	$(call smoke-test,-race -run 'TestDriveHonors429|TestDriveSheds|TestJudgeFleet|TestLoadgenFleet' -count 1 ./cmd/loadgen)
-	$(call smoke-test,-race -run 'TestFleetSurvivesReplicaKillMidBurst' -count 1 ./internal/gateway)
+	$(call smoke-test,-race -run 'TestFleetSurvivesReplicaKillMidBurst|TestHedge|TestAttemptPanic|TestNoGoroutineUnderGatewayHandler' -count 1 ./internal/gateway)
 	$(GO) build -o /tmp/scouts-fleet-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-fleet-scoutgw ./cmd/scoutgw
 	$(GO) build -o /tmp/scouts-fleet-loadgen ./cmd/loadgen

@@ -13,11 +13,15 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"scouts/internal/faults"
@@ -114,6 +118,10 @@ const (
 // buffer (batch responses are the largest legitimate payload).
 const maxUpstreamBody = 16 << 20
 
+// jsonContentType is the Content-Type value of every upstream request
+// with a body; shared, read-only.
+var jsonContentType = []string{"application/json"}
+
 // Gateway routes incidents to a scoutd fleet. Build with New, mount
 // Handler(), and optionally run RunProber for active health checking.
 type Gateway struct {
@@ -165,7 +173,15 @@ func New(cfg Config) (*Gateway, error) {
 		if _, dup := g.replicas[rc.Name]; dup {
 			return nil, fmt.Errorf("gateway: duplicate replica name %q", rc.Name)
 		}
-		rep := &replica{cfg: rc, breaker: faults.NewReqBreaker(cfg.Breaker, cfg.Now)}
+		base, err := url.Parse(rc.URL)
+		if err != nil {
+			return nil, fmt.Errorf("gateway: replica %q: %w", rc.Name, err)
+		}
+		base.Host = strings.TrimSuffix(base.Host, ":") // as http.NewRequest does
+		rep := &replica{
+			cfg: rc, base: base, nameHeader: []string{rc.Name},
+			breaker: faults.NewReqBreaker(cfg.Breaker, cfg.Now),
+		}
 		rep.healthy.Store(true) // optimistic until the first probe says otherwise
 		g.replicas[rc.Name] = rep
 		g.order = append(g.order, rc.Name)
@@ -245,20 +261,25 @@ func (u *upstreamResult) outcomeLabel() string {
 }
 
 // send issues one attempt under the per-try timeout and buffers the
-// response.
+// response. The request is assembled from the replica's URL as parsed in
+// New — what http.NewRequestWithContext builds, less a parse per attempt.
 func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, body []byte) upstreamResult {
 	tctx, cancel := context.WithTimeout(ctx, g.cfg.PerTryTimeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(tctx, method, rep.cfg.URL+path, rd)
-	if err != nil {
-		return upstreamResult{err: err}
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	u := *rep.base
+	u.Path += path
+	req := (&http.Request{
+		Method: method, URL: &u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header),
+	}).WithContext(tctx)
+	if len(body) > 0 {
+		req.Header["Content-Type"] = jsonContentType
+		req.ContentLength = int64(len(body))
+		// The transport rewinds through GetBody when it has to replay the
+		// request on a fresh connection.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
 	}
 	start := g.now()
 	resp, err := g.client.Do(req)
@@ -266,11 +287,18 @@ func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, b
 		return upstreamResult{err: err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody+1))
+	var b []byte
+	if n := resp.ContentLength; n < 0 {
+		b, err = io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody+1))
+	} else if n <= maxUpstreamBody {
+		// Declared: one buffer of that length, not io.ReadAll's doubling.
+		b = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, b)
+	}
 	if err != nil {
 		return upstreamResult{err: err}
 	}
-	if len(b) > maxUpstreamBody {
+	if resp.ContentLength > maxUpstreamBody || len(b) > maxUpstreamBody {
 		return upstreamResult{err: fmt.Errorf("gateway: response from %s exceeds %d bytes", rep.cfg.Name, maxUpstreamBody)}
 	}
 	return upstreamResult{status: resp.StatusCode, header: resp.Header, body: b, latency: g.now().Sub(start)}
@@ -319,20 +347,43 @@ func (g *Gateway) hedgeDelay() time.Duration {
 	return min(max(p99, hedgeDelayMin), hedgeDelayMax)
 }
 
-// attemptOutcome is one raced attempt's result as the coordinator sees
-// it. void marks an attempt cancelled by the race itself (hedge loser or
-// client gone): it carries no signal about the replica.
+// attemptOutcome is one raced attempt's result as race sees it. void
+// marks an attempt cancelled by the race itself (hedge loser or client
+// gone): it carries no signal about the replica.
 type attemptOutcome struct {
-	res   upstreamResult
-	rep   *replica
-	void  bool
-	hedge bool
+	res  upstreamResult
+	rep  *replica
+	void bool
+}
+
+// won reports whether the attempt produced the round's answer. (A void
+// outcome's zero res would read as usable.)
+func (o *attemptOutcome) won() bool { return !o.void && o.res.usable() }
+
+// attempt runs one admitted try on the caller's goroutine: send, then
+// finish. If send panics (a transport bug) finish never runs, so the books
+// are settled here on the way out — budget slot back, a failure on the
+// breaker, probe slot included — and the panic keeps unwinding; otherwise
+// ReplicaBudget such panics would mark a healthy replica saturated for
+// good and one would wedge its breaker half-open.
+func (g *Gateway) attempt(cctx context.Context, rep *replica, probe bool, method, path string, body []byte) attemptOutcome {
+	sent := false
+	defer func() {
+		if !sent {
+			rep.breaker.Record(false, probe)
+			rep.release()
+			g.tel.replica(rep.cfg.Name).outcome("error").Inc()
+		}
+	}()
+	res := g.send(cctx, rep, method, path, body)
+	sent = true
+	return g.finish(cctx, rep, probe, res)
 }
 
 // finish settles one in-flight attempt: breaker feedback (or a void
 // release for cancelled losers), budget release, metrics, and the
 // latency sample that feeds the hedge delay.
-func (g *Gateway) finish(cctx context.Context, rep *replica, probe, isHedge bool, res upstreamResult) attemptOutcome {
+func (g *Gateway) finish(cctx context.Context, rep *replica, probe bool, res upstreamResult) attemptOutcome {
 	if res.err != nil && cctx.Err() != nil {
 		// Cancelled mid-flight — by the race winner or by the client going
 		// away. Either way the replica answered nothing; feeding this to
@@ -340,7 +391,7 @@ func (g *Gateway) finish(cctx context.Context, rep *replica, probe, isHedge bool
 		// healthy replicas.
 		rep.breaker.Release(probe)
 		rep.release()
-		return attemptOutcome{rep: rep, void: true, hedge: isHedge}
+		return attemptOutcome{rep: rep, void: true}
 	}
 	rep.breaker.Record(res.healthyOutcome(), probe)
 	rep.release()
@@ -349,84 +400,110 @@ func (g *Gateway) finish(cctx context.Context, rep *replica, probe, isHedge bool
 		g.lat.Observe(res.latency)
 		g.tel.upstream.ObserveDuration(res.latency)
 	}
-	return attemptOutcome{res: res, rep: rep, hedge: isHedge}
+	return attemptOutcome{res: res, rep: rep}
 }
 
-// race runs one attempt round: the primary request, plus — when hedging
-// is on and the primary outlives the hedge delay — a second request to a
-// different replica. First usable response wins and cancels the other;
-// the loser's outcome is voided rather than recorded. Returns the
-// winning outcome, or the first failure once every launched attempt has
-// failed, plus any skips from hedge candidate selection.
+// hedgeState is what a race's two parties share. mu orders the hedge
+// timer's one decision — launch only while the primary is still out —
+// against the primary settling, and with it ownership of the tried set:
+// the timer's callback may touch it only under mu with primarySettled
+// false, the caller's goroutine only outside that window.
+type hedgeState struct {
+	mu             sync.Mutex
+	primarySettled bool
+	skips          []FleetSkip
+	// done is non-nil once a hedge is in flight and closed when it has
+	// settled; out is valid from then on.
+	done chan struct{}
+	out  attemptOutcome
+}
+
+// race runs one attempt round: the primary request, on the caller's
+// goroutine, plus — when hedging is on and the primary outlives the hedge
+// delay — a second request to a different replica from the hedge timer's
+// callback, the one launch on the path. First usable response wins and
+// cancels the other; the loser's outcome is voided rather than recorded.
+// A primary that fails with no hedge out returns at once; with one out it
+// waits for it. Returns the winning outcome, or the primary's failure
+// once every launched attempt has failed, plus any skips from hedge
+// candidate selection.
 func (g *Gateway) race(ctx context.Context, r *ring, key string, tried map[string]bool,
 	primary *replica, primaryProbe bool, method, path string, body []byte, canHedge bool,
 ) (attemptOutcome, []FleetSkip) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Buffered to the maximum number of launched attempts: a goroutine
-	// finishing after the coordinator returned parks its result here and
-	// exits instead of leaking.
-	results := make(chan attemptOutcome, 2)
-	launch := func(rep *replica, probe, isHedge bool) {
-		go func() {
-			results <- g.finish(cctx, rep, probe, isHedge, g.send(cctx, rep, method, path, body))
-		}()
-	}
-	launch(primary, primaryProbe, false)
-
-	var hedgeC <-chan time.Time
+	var h hedgeState
 	if canHedge {
-		t := time.NewTimer(g.hedgeDelay())
-		defer t.Stop()
-		hedgeC = t.C
+		timer := time.AfterFunc(g.hedgeDelay(), func() {
+			h.mu.Lock()
+			if h.primarySettled || cctx.Err() != nil {
+				h.mu.Unlock()
+				return
+			}
+			rep, probe, skips := g.pick(r, key, tried)
+			h.skips = skips
+			if rep == nil {
+				h.mu.Unlock()
+				return
+			}
+			tried[rep.cfg.Name] = true
+			h.done = make(chan struct{})
+			h.mu.Unlock()
+
+			g.tel.replica(rep.cfg.Name).hedges.Inc()
+			defer close(h.done)
+			h.out = g.hedgeAttempt(cctx, rep, probe, method, path, body)
+			if h.out.won() {
+				cancel() // the primary comes back void
+			}
+		})
+		defer timer.Stop()
 	}
-	var skips []FleetSkip
-	inFlight := 1
-	var firstFail *attemptOutcome
-	for {
+
+	out := g.attempt(cctx, primary, primaryProbe, method, path, body)
+	h.mu.Lock()
+	h.primarySettled = true // from here the timer's callback cannot launch
+	skips, hedged := h.skips, h.done
+	h.mu.Unlock()
+	if hedged != nil && !out.won() {
 		select {
+		case <-hedged:
+			if h.out.won() {
+				g.tel.replica(h.out.rep.cfg.Name).hedgeWins.Inc()
+				return h.out, skips
+			}
 		case <-ctx.Done():
-			// Client gone: cancel everything; the launched goroutines settle
-			// into the buffered channel and exit.
-			cancel()
-			return attemptOutcome{res: upstreamResult{err: ctx.Err()}}, skips
-		case <-hedgeC:
-			hedgeC = nil
-			h, hprobe, s := g.pick(r, key, tried)
-			skips = append(skips, s...)
-			if h != nil {
-				tried[h.cfg.Name] = true
-				g.tel.replica(h.cfg.Name).hedges.Inc()
-				launch(h, hprobe, true)
-				inFlight++
-			}
-		case out := <-results:
-			inFlight--
-			if out.void {
-				if inFlight == 0 {
-					if firstFail != nil {
-						return *firstFail, skips
-					}
-					return attemptOutcome{res: upstreamResult{err: ctx.Err()}}, skips
-				}
-				continue
-			}
-			if out.res.usable() {
-				cancel()
-				if out.hedge {
-					g.tel.replica(out.rep.cfg.Name).hedgeWins.Inc()
-				}
-				return out, skips
-			}
-			if firstFail == nil {
-				firstFail = &out
-			}
-			if inFlight == 0 {
-				return *firstFail, skips
-			}
+			// Client gone: the hedge settles on its own, void.
 		}
 	}
+	if out.void {
+		// Only the client leaving voids a primary whose hedge did not win.
+		return attemptOutcome{res: upstreamResult{err: ctx.Err()}}, skips
+	}
+	return out, skips
 }
+
+// hedgeAttempt is attempt for the hedge, which runs on the timer's
+// goroutine where a panic would kill the process rather than reach the
+// handler chain's Recover. It borrows the spine's: the panic is counted in
+// scout_gw_http_panics_recovered_total and logged like a handler's, its
+// 500 goes nowhere, and the race is told the attempt failed.
+func (g *Gateway) hedgeAttempt(cctx context.Context, rep *replica, probe bool, method, path string, body []byte) attemptOutcome {
+	out := attemptOutcome{res: upstreamResult{err: errHedgePanicked}, rep: rep}
+	g.web.Recover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		out = g.attempt(cctx, rep, probe, method, path, body)
+	})).ServeHTTP(nowhere{}, &http.Request{Method: method, URL: &url.URL{Path: path}})
+	return out
+}
+
+var errHedgePanicked = errors.New("gateway: hedge attempt panicked")
+
+// nowhere is the ResponseWriter hedgeAttempt hands Recover.
+type nowhere struct{}
+
+func (nowhere) Header() http.Header         { return http.Header{} }
+func (nowhere) Write(p []byte) (int, error) { return len(p), nil }
+func (nowhere) WriteHeader(int)             {}
 
 // forwardResult is forward's verdict: either an upstream response to
 // relay verbatim (status/header/body) or a gateway-level failure
@@ -435,7 +512,7 @@ type forwardResult struct {
 	status  int
 	header  http.Header
 	body    []byte
-	replica string
+	replica *replica
 
 	errStatus int
 	errMsg    string
@@ -510,11 +587,7 @@ func (g *Gateway) forward(ctx context.Context, team, key, method, path string, b
 		out, hedgeSkips := g.race(ctx, r, key, tried, rep, probe, method, path, body, canHedge)
 		allSkips = append(allSkips, hedgeSkips...)
 		if out.res.usable() {
-			name := ""
-			if out.rep != nil {
-				name = out.rep.cfg.Name
-			}
-			return forwardResult{status: out.res.status, header: out.res.header, body: out.res.body, replica: name, skips: allSkips}
+			return forwardResult{status: out.res.status, header: out.res.header, body: out.res.body, replica: out.rep, skips: allSkips}
 		}
 		if ctx.Err() != nil {
 			return forwardResult{errStatus: 499, errMsg: "client went away: " + ctx.Err().Error(), skips: allSkips}

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"scouts/internal/serving"
@@ -100,13 +102,18 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 		g.web.WriteJSON(w, fr.errStatus, errorBody{Error: fr.errMsg, FleetHealth: &fh})
 		return
 	}
-	if ct := fr.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	// The value slices are shared, not copied: the upstream's own, and the
+	// replica's prebuilt name. Nothing downstream mutates a header value.
+	h := w.Header()
+	if ct := fr.header["Content-Type"]; len(ct) > 0 && ct[0] != "" {
+		h["Content-Type"] = ct[:1]
 	}
-	if fr.replica != "" {
-		w.Header().Set("X-Scout-Replica", fr.replica)
+	h["X-Scout-Replica"] = fr.replica.nameHeader
+	cl := fr.header["Content-Length"]
+	if n, err := strconv.Atoi(fr.header.Get("Content-Length")); err != nil || n != len(fr.body) || len(cl) != 1 {
+		cl = []string{strconv.Itoa(len(fr.body))}
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(fr.body)))
+	h["Content-Length"] = cl
 	w.WriteHeader(fr.status)
 	_, _ = w.Write(fr.body)
 }
@@ -116,6 +123,27 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 // while distinct incidents spread across the failover set.
 func shardKey(team, title, body string) string {
 	return team + "\x00" + title + "\x00" + body
+}
+
+// queryValue is url.ParseQuery(query).Get(key) without the map: the first
+// value of key in a raw query, by ParseQuery's rules (a pair that holds a
+// semicolon or does not unescape is skipped).
+func queryValue(query, key string) string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // handlePredict proxies one prediction to the team's shard. The team
@@ -128,7 +156,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	team := r.URL.Query().Get("team")
+	team := queryValue(r.URL.RawQuery, "team")
 	if team == "" {
 		if len(g.teams) != 1 {
 			g.web.WriteError(w, http.StatusBadRequest,
@@ -300,7 +328,7 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 				res.Error = skipBreakerOpen
 				return
 			}
-			out := g.finish(r.Context(), rep, probe, false, g.send(r.Context(), rep, http.MethodPost, "/v1/reload", nil))
+			out := g.attempt(r.Context(), rep, probe, http.MethodPost, "/v1/reload", nil)
 			if out.void {
 				res.Error = "cancelled"
 				return

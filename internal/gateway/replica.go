@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"net/url"
 	"sync/atomic"
 
 	"scouts/internal/faults"
@@ -25,6 +26,10 @@ type ReplicaConfig struct {
 type replica struct {
 	cfg     ReplicaConfig
 	breaker *faults.ReqBreaker
+	// base is cfg.URL parsed once; nameHeader is the X-Scout-Replica value
+	// every relayed answer of this replica carries. Both are read-only.
+	base       *url.URL
+	nameHeader []string
 
 	// inflight counts requests the gateway currently has outstanding to
 	// this replica; the bounded-load placement admits a request only while

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // TestBatchHandlerAllocations pins what one item of a 32-item
@@ -43,5 +44,39 @@ func TestBatchHandlerAllocations(t *testing.T) {
 		if perItem > budgetPerItem {
 			t.Errorf("batch %d: %.1f allocations per item, budget %d", i, perItem, budgetPerItem)
 		}
+	}
+}
+
+// TestPredictHandlerAllocations pins what one /v1/predict costs through
+// the whole Handler() chain — shedding and the deadline guard armed, as
+// scoutd runs it — recorder and test request included (scoutbench's
+// serving.handler_allocs): 65–71 by request over these eight, mean 67.75,
+// where the guard's goroutine, channel and per-request buffer made it
+// 67–73, mean 69.75. The mean is the ceiling, so it fails if they return.
+func TestPredictHandlerAllocations(t *testing.T) {
+	const requests, budget = 8, 68.0
+	srv, _, _ := trainAndServe(t)
+	srv.MaxInFlight, srv.RequestTimeout = 64, 10*time.Second
+	h := srv.Handler()
+	rd := bytes.NewReader(nil)
+	total := 0.0
+	for i, req := range heldOutRequests(t)[:requests] {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			rd.Reset(body)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/predict", rd))
+			if w.Code != 200 {
+				t.Fatalf("status %d: %s", w.Code, w.Body.String())
+			}
+		})
+		t.Logf("request %d: %.0f allocations", i, allocs)
+		total += allocs
+	}
+	if mean := total / requests; mean > budget {
+		t.Errorf("%.2f allocations per /v1/predict, budget %.0f", mean, budget)
 	}
 }

@@ -1,13 +1,23 @@
 package serving
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,9 +357,9 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestDeadlinePanicPropagates pins that a panic inside the deadline
-// goroutine is re-raised on the serving goroutine and still answers a
-// JSON 500 through the recovery middleware.
+// TestDeadlinePanicPropagates pins that a panic under the deadline guard
+// unwinds through it into the recovery middleware and still answers a
+// JSON 500.
 func TestDeadlinePanicPropagates(t *testing.T) {
 	srv := NewServer(nil, nil, NewStore(), nil)
 	srv.RequestTimeout = time.Second
@@ -368,6 +378,365 @@ func TestDeadlinePanicPropagates(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q, want application/json", ct)
+	}
+}
+
+// deadlineFixture serves the hardening chain Handler() builds — Recover
+// over shedding (when maxInFlight > 0) over the deadline guard — in front
+// of a test mux, with the server's log captured and net/http's own error
+// log silenced (a refused late write is reported there by design).
+func deadlineFixture(t *testing.T, timeout time.Duration, maxInFlight int, mux http.Handler) (*Server, *httptest.Server, *lockedBuffer) {
+	t.Helper()
+	logs := &lockedBuffer{}
+	srv := NewServer(nil, nil, NewStore(), log.New(logs, "", 0))
+	srv.RequestTimeout = timeout
+	h := srv.withDeadline(mux)
+	if maxInFlight > 0 {
+		srv.MaxInFlight = maxInFlight
+		srv.inflight = make(chan struct{}, maxInFlight)
+		h = srv.withShedding(h)
+	}
+	ts := httptest.NewUnstartedServer(srv.web.Recover(h))
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return srv, ts, logs
+}
+
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// wireClient speaks HTTP/1.1 over one raw connection, so a test sees every
+// byte the server puts on it: a stray write after a response would corrupt
+// the next exchange's parse.
+type wireClient struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+func dialWire(t *testing.T, ts *httptest.Server) *wireClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &wireClient{t: t, conn: conn, br: bufio.NewReader(conn)}
+}
+
+func (c *wireClient) get(path string) (int, http.Header, string) {
+	c.t.Helper()
+	_ = c.conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.WriteString(c.conn, "GET "+path+" HTTP/1.1\r\nHost: test\r\n\r\n"); err != nil {
+		c.t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(c.br, nil)
+	if err != nil {
+		c.t.Fatalf("GET %s: reading the response: %v", path, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		c.t.Fatalf("GET %s: reading the body: %v", path, err)
+	}
+	return resp.StatusCode, resp.Header, string(body)
+}
+
+const deadline503 = `{"error":"request deadline exceeded"}` + "\n"
+
+// TestDeadlineAnswersWhileHandlerIsBlocked: the watchdog, not the
+// handler's return, answers an overrun — the 503 is on the wire while the
+// handler is still parked — and whatever the handler writes afterwards
+// reaches nothing: the connection's next exchange parses clean.
+func TestDeadlineAnswersWhileHandlerIsBlocked(t *testing.T) {
+	release := make(chan struct{})
+	returned := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/slow", func(w http.ResponseWriter, _ *http.Request) {
+		defer close(returned)
+		<-release
+		w.Header().Set("X-Late", "1")
+		w.WriteHeader(http.StatusTeapot)
+		_, _ = io.WriteString(w, "late bytes nobody asked for")
+	})
+	mux.HandleFunc("/fast", func(w http.ResponseWriter, _ *http.Request) { _, _ = io.WriteString(w, "fast") })
+	srv, ts, _ := deadlineFixture(t, 20*time.Millisecond, 0, mux)
+
+	c := dialWire(t, ts)
+	code, hdr, body := c.get("/slow") // returns while the handler is parked: release is still open
+	if code != http.StatusServiceUnavailable || body != deadline503 || hdr.Get("Content-Type") != "application/json" {
+		t.Fatalf("overrun answered %d %q (%s), want the JSON 503", code, body, hdr.Get("Content-Type"))
+	}
+	select {
+	case <-returned:
+		t.Fatal("the handler returned before it was released")
+	default:
+	}
+	close(release)
+	<-returned
+	if code, hdr, body = c.get("/fast"); code != http.StatusOK || body != "fast" || hdr.Get("X-Late") != "" {
+		t.Fatalf("exchange after the overrun: %d %q X-Late=%q; the late write leaked", code, body, hdr.Get("X-Late"))
+	}
+	if n := c.br.Buffered(); n != 0 {
+		t.Fatalf("%d stray bytes on the connection", n)
+	}
+	if got := srv.tel.timeouts.Value(); got != 1 {
+		t.Fatalf("timeout counter = %d, want 1", got)
+	}
+}
+
+// TestDeadlinePanicAfterOverrun: a handler that panics after the watchdog
+// answered. The client keeps its 503, the panic is counted and logged by
+// Recover, and Recover's 500 does not reach the wire: net/http refuses a
+// write past the 503's Content-Length and then drops the connection, its
+// byte accounting being off.
+func TestDeadlinePanicAfterOverrun(t *testing.T) {
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/boom", func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		<-release
+		panic("late kaboom")
+	})
+	srv, ts, logs := deadlineFixture(t, 20*time.Millisecond, 0, mux)
+
+	c := dialWire(t, ts)
+	if code, _, body := c.get("/boom"); code != http.StatusServiceUnavailable || body != deadline503 {
+		t.Fatalf("overrun answered %d %q, want the JSON 503", code, body)
+	}
+	close(release)
+	// The server closes the connection once the panic has unwound, so
+	// reading to its end is also the wait for Recover.
+	_ = c.conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if after, err := io.ReadAll(c.br); len(after) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("after the 503: %d bytes, err %v; want a closed connection and nothing on it", len(after), err)
+	}
+	var scrape bytes.Buffer
+	if err := srv.Metrics().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "scout_http_panics_recovered_total 1\n") {
+		t.Fatalf("panic not counted:\n%s", grepMetric(scrape.String(), "panics_recovered"))
+	}
+	if !strings.Contains(logs.String(), "late kaboom") {
+		t.Fatalf("panic not logged: %q", logs.String())
+	}
+}
+
+// TestDeadlineOverrunHoldsShedSlot pins the one behaviour the inline guard
+// changed: a request that overran its deadline keeps its MaxInFlight slot
+// until its handler returns, because the handler is still burning the
+// capacity the slot stands for.
+func TestDeadlineOverrunHoldsShedSlot(t *testing.T) {
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/park", func(http.ResponseWriter, *http.Request) { <-release })
+	mux.HandleFunc("/fast", func(w http.ResponseWriter, _ *http.Request) { _, _ = io.WriteString(w, "fast") })
+	srv, ts, _ := deadlineFixture(t, 20*time.Millisecond, 1, mux)
+
+	if code, _, _ := dialWire(t, ts).get("/park"); code != http.StatusServiceUnavailable {
+		t.Fatalf("overrun answered %d, want 503", code)
+	}
+	if code, hdr, _ := dialWire(t, ts).get("/fast"); code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
+		t.Fatalf("request beside a parked overrun answered %d, want 429 with Retry-After", code)
+	}
+	close(release)
+	for deadline := time.Now().Add(2 * time.Second); len(srv.inflight) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the slot was never handed back after the handler returned")
+		}
+	}
+	if code, _, body := dialWire(t, ts).get("/fast"); code != http.StatusOK || body != "fast" {
+		t.Fatalf("after the handler returned: %d %q, want 200", code, body)
+	}
+}
+
+// TestDeadlineIgnoresClientHangup: net/http cancels the request context
+// when the client disconnects; that is not an overrun — nothing is counted
+// and no 503 is written to the dead connection.
+func TestDeadlineIgnoresClientHangup(t *testing.T) {
+	srv := NewServer(nil, nil, NewStore(), nil)
+	srv.RequestTimeout = 30 * time.Millisecond
+	release := make(chan struct{})
+	h := srv.web.Recover(srv.withDeadline(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		<-release
+	})))
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil).WithContext(ctx))
+	}()
+	hangUp()
+	time.Sleep(10 * time.Millisecond) // room for a watchdog that wrongly answers a cancellation
+	close(release)
+	<-done
+	if got := srv.tel.timeouts.Value(); got != 0 {
+		t.Fatalf("a client hang-up was counted as %d timeout(s)", got)
+	}
+	if rec.Code == http.StatusServiceUnavailable {
+		t.Fatalf("a 503 was written to a client that hung up: %s", rec.Body.String())
+	}
+
+	release = make(chan struct{})
+	defer close(release)
+	rec = httptest.NewRecorder()
+	go h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	for deadline := time.Now().Add(2 * time.Second); srv.tel.timeouts.Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("an overrun was counted %d times, want 1", srv.tel.timeouts.Value())
+		}
+	}
+}
+
+// TestDeadlineHandlerThatGivesUpIsA503: the batch scorer returns without
+// writing once its context has expired, counting on the guard to have
+// answered. The handler waking on the deadline races the watchdog waking
+// on it; whichever gets to the guard first, the answer is the 503 and it
+// is counted once — never the empty buffer as a 200.
+func TestDeadlineHandlerThatGivesUpIsA503(t *testing.T) {
+	const rounds = 300
+	srv := NewServer(nil, nil, NewStore(), nil)
+	srv.RequestTimeout = time.Millisecond
+	h := srv.web.Recover(srv.withDeadline(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	})))
+	for i := 0; i < rounds; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+		if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != deadline503 {
+			t.Fatalf("round %d answered %d %q, want the JSON 503", i, rec.Code, rec.Body.String())
+		}
+	}
+	if got := srv.tel.timeouts.Value(); got != rounds {
+		t.Fatalf("timeout counter = %d over %d overruns", got, rounds)
+	}
+}
+
+// TestDeadlineRaceServesExactlyOneAnswer races 10⁴ handlers against a
+// deadline set at their own duration. Whoever wins, a response is one
+// complete 200 carrying its own request's header and bytes or one complete
+// 503 carrying neither, and a recycled guard brings nothing along from
+// the request before it.
+func TestDeadlineRaceServesExactlyOneAnswer(t *testing.T) {
+	const requests, workers, timeout = 10000, 16, 2 * time.Millisecond
+	answer := func(id int) string { return strings.Repeat(strconv.Itoa(id)+";", 1+id%40) }
+	mux := http.NewServeMux()
+	mux.HandleFunc("/echo", func(w http.ResponseWriter, r *http.Request) {
+		id, _ := strconv.Atoi(r.URL.Query().Get("id"))
+		// Half the handlers finish within 100µs of the deadline, either
+		// side of it; the rest surely beat it or surely miss it, so both
+		// outcomes occur however loaded the machine is.
+		time.Sleep([]time.Duration{0, timeout - 100*time.Microsecond, timeout + 100*time.Microsecond, 2 * timeout}[id%4])
+		w.Header().Set("X-Echo", strconv.Itoa(id))
+		if id%2 == 0 {
+			w.Header().Set("X-Even", "1") // must never show on an odd answer
+		}
+		_, _ = io.WriteString(w, answer(id))
+	})
+	_, ts, _ := deadlineFixture(t, timeout, 0, mux)
+	client := ts.Client()
+
+	var next, served, timedOut atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				id := int(next.Add(1))
+				if id > requests {
+					return
+				}
+				resp, err := client.Get(ts.URL + "/echo?id=" + strconv.Itoa(id))
+				if err != nil {
+					t.Errorf("request %d: %v", id, err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Errorf("request %d: reading the body: %v", id, err)
+					return
+				}
+				echo, even := resp.Header.Get("X-Echo"), resp.Header.Get("X-Even")
+				switch resp.StatusCode {
+				case http.StatusOK:
+					served.Add(1)
+					if string(body) != answer(id) || echo != strconv.Itoa(id) || (even != "") != (id%2 == 0) {
+						t.Errorf("request %d: 200 with X-Echo=%q X-Even=%q body %q", id, echo, even, body)
+					}
+				case http.StatusServiceUnavailable:
+					timedOut.Add(1)
+					if string(body) != deadline503 || echo != "" || even != "" {
+						t.Errorf("request %d: 503 with X-Echo=%q X-Even=%q body %q", id, echo, even, body)
+					}
+				default:
+					t.Errorf("request %d: status %d", id, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("%d served, %d timed out", served.Load(), timedOut.Load())
+	if served.Load() == 0 || timedOut.Load() == 0 {
+		t.Fatalf("the race was one-sided (%d served, %d timed out): nothing was tested", served.Load(), timedOut.Load())
+	}
+}
+
+// TestNoGoroutineUnderServerHandler fails if a layer of Handler() moves
+// the request onto a goroutine of its own again: the mux's instrumentation
+// reads the server's clock on whatever goroutine runs the handler, and the
+// frame of this test's ServeHTTP call must be on that stack.
+func TestNoGoroutineUnderServerHandler(t *testing.T) {
+	srv, _, _ := trainAndServe(t)
+	srv.MaxInFlight, srv.RequestTimeout = 4, time.Minute
+	var stack string
+	srv.Clock = func() time.Time {
+		stack = callerNames()
+		return time.Now()
+	}
+	body, _ := json.Marshal(heldOutRequests(t)[0])
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	// The test's own frame, not the clock closure's ("….func1").
+	if !strings.Contains(stack, ".TestNoGoroutineUnderServerHandler\n") {
+		t.Fatalf("the handler ran on a goroutine other than its caller's; its stack:\n%s", stack)
+	}
+}
+
+// callerNames renders the calling goroutine's stack as function names.
+func callerNames() string {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	var b strings.Builder
+	for {
+		f, more := frames.Next()
+		b.WriteString(f.Function + "\n")
+		if !more {
+			return b.String()
+		}
 	}
 }
 

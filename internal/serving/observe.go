@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -180,39 +181,113 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 
 // withDeadline bounds every request with RequestTimeout. It replaces
 // http.TimeoutHandler — which emits its timeout body without a
-// Content-Type, so Go content-sniffs our JSON error as text/plain — with
-// the same semantics through the spine's envelope: the handler runs on
-// its own goroutine against a buffered response while the request context
-// carries the deadline; on overrun the client gets an immediate 503
-// application/json body and the handler's context expires so in-flight
-// scoring stops at the next chunk boundary.
+// Content-Type, so Go content-sniffs our JSON error as text/plain, and
+// which runs every handler on a goroutine of its own — with the same
+// client-visible semantics through the spine's envelope and no launch: the
+// handler runs on the connection's goroutine against a pooled buffered
+// response while the request context carries the deadline, and a watchdog
+// registered on that context is the only other party. On overrun the
+// watchdog answers the real writer with a 503 application/json body at
+// the deadline, while the handler is still out, and the handler's context
+// expires so in-flight scoring stops at the next chunk boundary.
+//
+// Who writes to w is decided under the guard's mutex: the watchdog only
+// if the handler has not settled, the handler's side only if the watchdog
+// has not answered — and then the buffer only if the deadline still
+// stands, so a handler that gave up because its context expired (the
+// batch scorer writes nothing then) is a 503 whichever party got there
+// first. A request that overran keeps its connection and its MaxInFlight
+// slot until its handler actually returns: the slot bounds work, and an
+// abandoned handler is still work.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.RequestTimeout)
 		defer cancel()
-		bw := &bufferedResponse{header: http.Header{}}
-		done := make(chan any, 1)
-		go func() {
-			defer func() { done <- recover() }()
-			next.ServeHTTP(bw, r.WithContext(ctx))
-		}()
-		select {
-		case rec := <-done:
-			if rec != nil {
-				// Re-raise on the serving goroutine so the recovery
-				// middleware turns it into a 500 (http.ErrAbortHandler
-				// included — Recover re-raises that one further).
-				panic(rec)
+		g := deadlineGuards.Get().(*deadlineGuard)
+		stop := context.AfterFunc(ctx, func() { s.watchDeadline(ctx, g, w) })
+		returned := false
+		// Deferred so that a panicking handler settles the guard on its way
+		// to Recover, which then owns the response unless the watchdog
+		// already answered.
+		defer func() {
+			idle := stop()
+			g.mu.Lock()
+			g.settled = true
+			answered := g.answered
+			g.mu.Unlock()
+			if returned && !answered {
+				if ctx.Err() == context.DeadlineExceeded {
+					s.refuseOverrun(w)
+				} else {
+					g.copyTo(w)
+				}
 			}
-			bw.copyTo(w)
-		case <-ctx.Done():
-			// The handler goroutine keeps running against the abandoned
-			// buffer until it notices the expired context; nothing reads
-			// that buffer again.
-			s.tel.timeouts.Inc()
-			s.web.WriteError(w, http.StatusServiceUnavailable, "request deadline exceeded")
-		}
+			if idle {
+				// The watchdog never started, so nothing else holds g.
+				g.recycle()
+			}
+		}()
+		next.ServeHTTP(&g.bufferedResponse, r.WithContext(ctx))
+		returned = true
 	})
+}
+
+// watchDeadline is the deadline watchdog, run on its own goroutine once
+// the request context ends. Only an expired deadline is an overrun: when
+// the client hung up (net/http cancels the request context) nothing
+// overran and nobody is left to answer.
+func (s *Server) watchDeadline(ctx context.Context, g *deadlineGuard, w http.ResponseWriter) {
+	if ctx.Err() != context.DeadlineExceeded {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.settled {
+		return
+	}
+	g.answered = true
+	s.refuseOverrun(w)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush() // the handler may hold the connection long after this
+	}
+}
+
+func (s *Server) refuseOverrun(w http.ResponseWriter) {
+	s.tel.timeouts.Inc()
+	s.web.WriteError(w, http.StatusServiceUnavailable, "request deadline exceeded")
+}
+
+// deadlineGuard is one request's state under withDeadline: the handler's
+// buffered response and the two flags, under mu, that decide who answers
+// the real writer.
+type deadlineGuard struct {
+	bufferedResponse
+	mu sync.Mutex
+	// settled: the handler returned or panicked; the watchdog must not
+	// write. answered: the watchdog wrote the 503; nothing else may.
+	settled, answered bool
+}
+
+// deadlineGuards recycles guards between requests (header map and body
+// buffer included) when the watchdog never ran.
+var deadlineGuards = sync.Pool{New: func() any {
+	return &deadlineGuard{bufferedResponse: bufferedResponse{header: http.Header{}}}
+}}
+
+// maxPooledBody keeps one large batch answer from pinning its buffer in
+// the pool.
+const maxPooledBody = 64 << 10
+
+// recycle wipes every trace of the request and returns g to the pool.
+func (g *deadlineGuard) recycle() {
+	clear(g.header)
+	if cap(g.body) > maxPooledBody {
+		g.body = nil
+	}
+	g.body = g.body[:0]
+	g.code = 0
+	g.settled, g.answered = false, false
+	deadlineGuards.Put(g)
 }
 
 // bufferedResponse is withDeadline's parking space for the handler's
