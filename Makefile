@@ -26,7 +26,11 @@ test:
 
 # Full suite under the race detector. Slower (the detector costs ~5-10x),
 # but it is the only gate that exercises the concurrent feature cache,
-# parallel forest training and the serving hot-swap path for real races.
+# parallel forest training and the serving hot-swap path for real races —
+# and the change-point kernel's pooled scratch: TestDetectConcurrentMatchesOracle
+# and, beside it, TestReachesMatchesExactScan, TestRunningStatisticWithinBound
+# and TestBandIsExercised (internal/ml/cpd), whose shapes are parallel
+# subtests drawing kernels, running sums included, from the one pool.
 race:
 	$(GO) test -race ./...
 
@@ -34,12 +38,14 @@ race:
 # fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib
 # sort and the old reductions), of the forest's two snapshot decoders
 # (SFF1 binary, JSON), of the extractors' match finder (against
-# FindAllString, for any pattern regexp compiles) and of the configuration
+# FindAllString, for any pattern regexp compiles), of the configuration
 # parser (never panics; what it accepts builds a FeatureBuilder that
-# extracts as the old path does) on top of their committed corpora (which
-# plain `go test` replays). A crasher lands in the package's testdata/fuzz
-# and fails the run. The decoder seeds are kilobytes long, so minimising each
-# new input is capped at a second to keep the ten seconds for mutation.
+# extracts as the old path does) and of the gateway's Retry-After reader
+# (a hint in [0, max], saturating, against math/big) on top of their
+# committed corpora (which plain `go test` replays). A crasher lands in the
+# package's testdata/fuzz and fails the run. The decoder seeds are kilobytes
+# long, so minimising each new input is capped at a second to keep the ten
+# seconds for mutation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBestSplit -fuzztime 10s ./internal/ml/cpd
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 10s ./internal/metrics
@@ -47,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzForestUnmarshalJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzFindAll$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/gateway
 
 # The paper's Table 1 and §7.1 headline, regenerated and compared with the
 # committed golden; only the timing in each banner is stripped. First
@@ -95,7 +102,8 @@ endef
 
 # Bench smoke: one iteration of the split-kernel benchmark and of a
 # retrain cycle's training, of the change-point kernel's benchmark (every
-# size and permutation count), of the in-process serving benchmark, of
+# size and permutation count, and the tie-heavy windows whose candidates
+# the exact kernel has to settle), of the in-process serving benchmark, of
 # the ordering kernel's (every shape and size, both sides) and of the
 # Scout's own two stages (text in → Extraction, vector in → explanation), no
 # output files — catches bitrot in the benchmark code itself without timing

@@ -484,21 +484,31 @@ func (g *Gateway) race(ctx context.Context, r *ring, key string, tried map[strin
 }
 
 // hedgeAttempt is attempt for the hedge, which runs on the timer's
-// goroutine where a panic would kill the process rather than reach the
-// handler chain's Recover. It borrows the spine's: the panic is counted in
-// scout_gw_http_panics_recovered_total and logged like a handler's, its
-// 500 goes nowhere, and the race is told the attempt failed.
+// goroutine: guarded, and the race is told a panicked attempt failed.
 func (g *Gateway) hedgeAttempt(cctx context.Context, rep *replica, probe bool, method, path string, body []byte) attemptOutcome {
 	out := attemptOutcome{res: upstreamResult{err: errHedgePanicked}, rep: rep}
-	g.web.Recover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	g.guarded(method, path, func() {
 		out = g.attempt(cctx, rep, probe, method, path, body)
-	})).ServeHTTP(nowhere{}, &http.Request{Method: method, URL: &url.URL{Path: path}})
+	})
 	return out
 }
 
 var errHedgePanicked = errors.New("gateway: hedge attempt panicked")
 
-// nowhere is the ResponseWriter hedgeAttempt hands Recover.
+// guarded runs body on a goroutine the gateway launched — the hedge
+// timer's, a /v1/route or /v1/reload fan-out's — where a panic would kill
+// the process rather than reach the handler chain's Recover. It borrows the
+// spine's: the panic is counted in scout_gw_http_panics_recovered_total
+// and logged like a handler's, naming method and path, and its 500 goes
+// nowhere. What body was to produce stays as its caller initialised it;
+// attempt has settled the replica's books on the way out.
+func (g *Gateway) guarded(method, path string, body func()) {
+	g.web.Recover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		body()
+	})).ServeHTTP(nowhere{}, &http.Request{Method: method, URL: &url.URL{Path: path}})
+}
+
+// nowhere is the ResponseWriter guarded hands Recover.
 type nowhere struct{}
 
 func (nowhere) Header() http.Header         { return http.Header{} }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -196,14 +197,18 @@ func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fr := g.forward(r.Context(), team, shardKey(team, req.Title, req.Body), http.MethodPost, "/v1/predict", body, true)
-			results[i].fr = fr
-			if fr.failed() || fr.status != http.StatusOK {
-				return
-			}
-			if err := json.Unmarshal(fr.body, &results[i].resp); err == nil {
-				results[i].ok = true
-			}
+			// What a panic under forward leaves behind: the team unreachable.
+			results[i].fr = forwardResult{errStatus: http.StatusInternalServerError}
+			g.guarded(r.Method, r.URL.Path, func() {
+				fr := g.forward(r.Context(), team, shardKey(team, req.Title, req.Body), http.MethodPost, "/v1/predict", body, true)
+				results[i].fr = fr
+				if fr.failed() || fr.status != http.StatusOK {
+					return
+				}
+				if err := json.Unmarshal(fr.body, &results[i].resp); err == nil {
+					results[i].ok = true
+				}
+			})
 		}()
 	}
 	wg.Wait()
@@ -299,49 +304,16 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // helps nothing. Per-replica outcomes are reported individually; the
 // overall status is 200 only when every replica reloaded.
 func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
-	type reloadResult struct {
-		Replica string `json:"replica"`
-		OK      bool   `json:"ok"`
-		Status  int    `json:"status,omitempty"`
-		Error   string `json:"error,omitempty"`
-	}
 	results := make([]reloadResult, len(g.order))
 	var wg sync.WaitGroup
 	for i, name := range g.order {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep := g.replicas[name]
-			res := reloadResult{Replica: name}
-			defer func() { results[i] = res }()
-			if rep.draining.Load() {
-				res.Error = skipDraining
-				return
-			}
-			if !rep.acquire(g.cfg.ReplicaBudget) {
-				res.Error = skipSaturated
-				return
-			}
-			pass, probe := rep.breaker.Allow()
-			if !pass {
-				rep.release()
-				res.Error = skipBreakerOpen
-				return
-			}
-			out := g.attempt(r.Context(), rep, probe, http.MethodPost, "/v1/reload", nil)
-			if out.void {
-				res.Error = "cancelled"
-				return
-			}
-			if out.res.err != nil {
-				res.Error = out.res.err.Error()
-				return
-			}
-			res.Status = out.res.status
-			res.OK = out.res.status == http.StatusOK
-			if !res.OK {
-				res.Error = fmt.Sprintf("replica answered %d", out.res.status)
-			}
+			results[i] = reloadResult{Replica: name, Error: "reload attempt panicked"}
+			g.guarded(r.Method, r.URL.Path, func() {
+				results[i] = g.reloadReplica(r.Context(), name)
+			})
 		}()
 	}
 	wg.Wait()
@@ -352,6 +324,49 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.web.WriteJSON(w, status, map[string]any{"results": results})
+}
+
+// reloadResult is one replica's row of the /v1/reload answer.
+type reloadResult struct {
+	Replica string `json:"replica"`
+	OK      bool   `json:"ok"`
+	Status  int    `json:"status,omitempty"`
+	Error   string `json:"error,omitempty"`
+}
+
+// reloadReplica sends the one reload a replica gets, admitted like any
+// other attempt: not while draining, saturated or behind an open breaker.
+func (g *Gateway) reloadReplica(ctx context.Context, name string) reloadResult {
+	rep := g.replicas[name]
+	res := reloadResult{Replica: name}
+	if rep.draining.Load() {
+		res.Error = skipDraining
+		return res
+	}
+	if !rep.acquire(g.cfg.ReplicaBudget) {
+		res.Error = skipSaturated
+		return res
+	}
+	pass, probe := rep.breaker.Allow()
+	if !pass {
+		rep.release()
+		res.Error = skipBreakerOpen
+		return res
+	}
+	out := g.attempt(ctx, rep, probe, http.MethodPost, "/v1/reload", nil)
+	switch {
+	case out.void:
+		res.Error = "cancelled"
+	case out.res.err != nil:
+		res.Error = out.res.err.Error()
+	default:
+		res.Status = out.res.status
+		res.OK = out.res.status == http.StatusOK
+		if !res.OK {
+			res.Error = fmt.Sprintf("replica answered %d", out.res.status)
+		}
+	}
+	return res
 }
 
 // handleDrain marks a replica draining (or restores it). Draining is the

@@ -2,9 +2,9 @@ package gateway
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -66,16 +66,25 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// parseRetryAfter reads a Retry-After header as delay seconds (the only
-// form this fleet emits; HTTP-date is ignored rather than guessed at).
+// maxRetryAfter is what a hint too long for a Duration is read as.
+const maxRetryAfter = time.Duration(math.MaxInt64)
+
+// parseRetryAfter reads a Retry-After header as delay seconds, 1*DIGIT
+// (the only form this fleet emits; HTTP-date is ignored rather than guessed
+// at). A count past what a Duration holds saturates, however many digits
+// it has: the longest hint a replica can send must not wrap into no hint.
 func parseRetryAfter(h http.Header) time.Duration {
+	const most = int64(maxRetryAfter / time.Second)
 	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
+	secs := int64(0)
+	for i := 0; i < len(v); i++ {
+		if v[i] < '0' || v[i] > '9' {
+			return 0
+		}
+		secs = min(secs*10+int64(v[i]-'0'), most+1)
 	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
+	if secs > most {
+		return maxRetryAfter
 	}
 	return time.Duration(secs) * time.Second
 }

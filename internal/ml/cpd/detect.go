@@ -6,7 +6,10 @@
 // multivariate data", JASA 2014, [51] in the paper): a candidate split of a
 // series into two segments is scored with the two-sample energy statistic,
 // the best split is tested for significance with a permutation test, and
-// detection recurses on both halves (binary segmentation).
+// detection recurses on both halves (binary segmentation). The test is in
+// two tiers: it only compares a shuffle's candidates with the observed
+// statistic, so running sums with a proven error bound decide every
+// candidate further than the bound from it, and the exact statistic the rest.
 //
 // CPD+ extends the detector for incident routing: it handles EVENT data
 // (which has no distribution to shift), learns — with a small random
@@ -16,6 +19,7 @@
 package cpd
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -92,7 +96,9 @@ func HasChange(series []float64, p Params) bool {
 // position knows its sorted position, and the split is one byte per sorted
 // position saying which side of it that value is on. The two sorted halves
 // the energy statistic is evaluated over are the two subsequences of sorted
-// that side selects.
+// that side selects. That is the exact tier, and all of bestSplit; the
+// permutation test's own scan (reaches) walks the running sums below and
+// comes here for the candidates they cannot decide.
 type kernel struct {
 	// sorted is the current segment sorted ascending.
 	sorted []float64
@@ -111,6 +117,17 @@ type kernel struct {
 	// 0). energy rebuilds all three at every candidate.
 	xs         []xvalue
 	ys, prefix []float64
+
+	// What prepare leaves for reaches: total is the sum of |a - b| over the
+	// segment's unordered pairs, dist[p] the sum of |sorted[p] - a| over its
+	// values a, ratio[j] is (n-j)/j, scale 2/n, and delta twice the bound on
+	// |statistic - energy| at any candidate split, +Inf where none holds.
+	// moved holds the values a scan has taken across the split, in order.
+	dist, ratio, moved  []float64
+	total, scale, delta float64
+	// settled counts the candidates energy decided: the tests read it to
+	// show that the band is reached, and that it is rare.
+	settled int
 
 	src source
 	rng *rand.Rand // over &src
@@ -143,8 +160,8 @@ func acquire(n int, seed int64) *kernel {
 	k := kernels.Get().(*kernel)
 	k.src.Seed(seed ^ 0x5bd1e995)
 	if len(k.sorted) < n {
-		f := make([]float64, 3*n+1)
-		k.sorted, k.ys, k.prefix = f[:n], f[n:2*n], f[2*n:]
+		f := make([]float64, 6*n+1)
+		k.sorted, k.ys, k.dist, k.ratio, k.moved, k.prefix = f[:n], f[n:2*n], f[2*n:3*n], f[3*n:4*n], f[4*n:5*n], f[5*n:]
 		i := make([]int32, 2*n)
 		k.rank, k.perm = i[:n], i[n:]
 		k.xs = make([]xvalue, n)
@@ -209,25 +226,74 @@ func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 	}
 }
 
-// reaches reports whether any candidate split of the segment bestSplit last
-// sorted, its values taken in the order rank gives, scores at least
-// observed. The permutation test only asks whether the permutation's best
-// statistic is >= observed, and max >= observed exactly when some candidate
-// is, so the scan stops at the first one.
+// reaches reports whether any candidate split of the segment prepare last
+// saw, its values taken in the order rank gives, scores at least observed.
+// The permutation test only asks whether the permutation's best statistic
+// is >= observed, and max >= observed exactly when some candidate is, so
+// the scan stops at the first one.
+//
+// Nor does the test read a statistic: a candidate is decided by statistic,
+// a handful of flops on two running sums, wherever that is further than
+// delta from observed, and by energy — which alone defines the statistic —
+// inside that band. With delta +Inf, or a NaN, every candidate is inside.
 //
 //scout:hotpath
 func (k *kernel) reaches(rank []int32, minSeg int, observed float64) bool {
 	n := len(rank)
-	k.start(rank, minSeg)
-	for i := minSeg; ; i++ {
-		if k.energy(n, i) >= observed {
+	above, below := observed+k.delta, observed-k.delta
+	s := sums{0, k.total}
+	for i, r := range rank[:n-minSeg] {
+		s = k.cross(s, i, r)
+		nx := i + 1
+		if nx < minSeg {
+			continue
+		}
+		q := k.statistic(s, n, nx)
+		if q > above {
 			return true
 		}
-		if i == n-minSeg {
-			return false
+		if q < below {
+			continue
 		}
-		k.side[rank[i]] |= before
+		k.settled++
+		k.start(rank, nx)
+		if k.energy(n, nx) >= observed {
+			return true
+		}
 	}
+	return false
+}
+
+// sums are the running sums of a scan at one split: of |a - b| over the
+// unordered pairs of values before the split, and over those from it on.
+// The pairs across the split have the rest of kernel.total.
+type sums struct{ within, beyond float64 }
+
+// cross takes sorted[r] across the split as the i-th value to cross: its
+// distances to the values already before the split, summed in one pass over
+// them, join within, and its distances to the rest — what remains of dist[r]
+// — leave beyond.
+//
+//scout:hotpath
+func (k *kernel) cross(s sums, i int, r int32) sums {
+	v := k.sorted[r]
+	d := 0.0
+	for _, x := range k.moved[:i] {
+		d += math.Abs(v - x)
+	}
+	k.moved[i] = v
+	return sums{s.within + d, s.beyond - (k.dist[r] - d)}
+}
+
+// statistic is the scaled energy statistic of the split s stands at, nx
+// values before it, from the running sums:
+// Q = 2/n * (S_xy - m/nx*S_xx - nx/m*S_yy) with S_xy = total - S_xx - S_yy.
+// It differs from energy by at most delta/2 (DESIGN.md §7.4.1).
+//
+//scout:hotpath
+func (k *kernel) statistic(s sums, n, nx int) float64 {
+	across := k.total - s.within - s.beyond
+	return k.scale * (across - k.ratio[nx]*s.within - k.ratio[n-nx]*s.beyond)
 }
 
 // index fills rank and side's first bits for series, whose sorted values
@@ -335,6 +401,47 @@ func split(sorted []float64, side []uint8, xs []xvalue, ys []float64) {
 	}
 }
 
+// prepare readies reaches for the n-point segment bestSplit last sorted:
+// the sums the multiset fixes, and delta.
+//
+// Every sum is of non-negative terms — a value's distances to the values
+// below it grow by (count below) * gap from one sorted position to the next,
+// likewise from above — so each is within a few n roundings of the real sum
+// whatever offset the values share. delta is the forward-error bound of
+// DESIGN.md §7.4.1, doubled: 90*rho*u*total for statistic, rho the largest
+// m/nx or nx/m of a candidate and u = 2^-53; (2.25n² + 13.5n)*u*largest for
+// energy, which does not subtract the offset out; and n/2 + 3 steps of the
+// subnormal grid, where a product or quotient rounds to the step, not to u.
+// Where the un-scaled bound is not finite — an infinite value, sums that
+// may overflow — none holds.
+//
+//scout:hotpath
+func (k *kernel) prepare(n, minSeg int) {
+	sorted, dist, ratio := k.sorted[:n], k.dist[:n], k.ratio[:n]
+	below, total := 0.0, 0.0
+	dist[0] = 0
+	for p := 1; p < n; p++ {
+		below += float64(p) * (sorted[p] - sorted[p-1])
+		dist[p] = below
+		total += below
+	}
+	above := 0.0
+	for p := n - 2; p >= 0; p-- {
+		above += float64(n-1-p) * (sorted[p+1] - sorted[p])
+		dist[p] += above
+	}
+	for j := 1; j < n; j++ {
+		ratio[j] = float64(n-j) / float64(j)
+	}
+	k.total, k.scale = total, 2/float64(n)
+	largest := math.Max(-sorted[0], sorted[n-1])
+	bound := 256*ratio[minSeg]*total + 8*float64(n*(n+4))*largest
+	k.delta = math.Inf(1)
+	if bound <= math.MaxFloat64 {
+		k.delta = bound*0x1p-53 + 2*float64(n+4)*math.SmallestNonzeroFloat64
+	}
+}
+
 // significant runs a permutation test on the n-point segment bestSplit was
 // last called on: the observed statistic is compared with the best-split
 // statistic of shuffles of the segment. Shuffling the ranks is shuffling
@@ -343,6 +450,7 @@ func (k *kernel) significant(n int, observed float64, p Params) bool {
 	if observed <= 0 {
 		return false
 	}
+	k.prepare(n, p.MinSegment)
 	perm := k.perm[:n]
 	copy(perm, k.rank[:n])
 	geq := 0

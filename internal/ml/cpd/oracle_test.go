@@ -160,3 +160,20 @@ func oldSignificant(series []float64, observed float64, p Params, rng *rand.Rand
 	pval := float64(geq+1) / float64(p.Permutations+1)
 	return pval <= p.Alpha
 }
+
+// exactReaches is reaches as it was before the running-sum scan, the
+// reference TestReachesMatchesExactScan holds it to: energy at every
+// candidate split, stopping at the first that scores at least observed.
+func (k *kernel) exactReaches(rank []int32, minSeg int, observed float64) bool {
+	n := len(rank)
+	k.start(rank, minSeg)
+	for i := minSeg; ; i++ {
+		if k.energy(n, i) >= observed {
+			return true
+		}
+		if i == n-minSeg {
+			return false
+		}
+		k.side[rank[i]] |= before
+	}
+}
