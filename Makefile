@@ -160,7 +160,9 @@ pack-smoke:
 # in-process halves (loadgen -fleet plumbing, the gateway's own kill
 # test and the hedge race's rules, panics included, each looped so a
 # timer firing as the primary settles is hit) run first under the race
-# detector; then three scoutd replicas
+# detector. scoutgw must then refuse two fleets it could not serve — two
+# teams, and a replica URL with no scheme — by exiting non-zero before it
+# listens. Then three scoutd replicas
 # share one -store (the first boot trains and publishes, the other two
 # load the same scoutpack), scoutgw fronts them, and loadgen -fleet
 # SIGTERMs the middle replica two seconds into a six-second burst. The
@@ -172,6 +174,14 @@ fleet-smoke:
 	$(call smoke-test,-race -run 'TestFleetSurvivesReplicaKillMidBurst|TestHedge|TestAttemptPanic|TestNoGoroutineUnderGatewayHandler' -count 1 ./internal/gateway)
 	$(GO) build -o /tmp/scouts-fleet-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-fleet-scoutgw ./cmd/scoutgw
+	@for bad in '-replica a=phynet=http://127.0.0.1:8105 -replica b=storage=http://127.0.0.1:8106' \
+		'-replica a=phynet=localhost:8105'; do \
+		if out=$$(timeout 10 /tmp/scouts-fleet-scoutgw -addr 127.0.0.1:8107 $$bad 2>&1); then \
+			echo "fleet-smoke: scoutgw accepted $$bad"; exit 1; \
+		fi; \
+		case "$$out" in *"listening on"*) echo "fleet-smoke: scoutgw listened with $$bad: $$out"; exit 1;; esac; \
+		echo "fleet-smoke: scoutgw refused $$bad: $$out"; \
+	done
 	$(GO) build -o /tmp/scouts-fleet-loadgen ./cmd/loadgen
 	@set -e; dir=$$(mktemp -d); \
 	trap 'kill $$p1 $$p2 $$p3 $$pg 2>/dev/null || true; rm -rf $$dir' EXIT; \

@@ -49,16 +49,12 @@ type FleetSLOResult struct {
 
 // runFleet drives a scoutgw gateway with predict traffic, optionally
 // SIGTERMs a replica process partway through, and judges the run against
-// the zero-failed-non-shed SLO. team may be empty for single-team
-// fleets (the gateway resolves it).
-func runFleet(client *http.Client, baseURL, team string, conc int,
+// the zero-failed-non-shed SLO. A gateway fronts one team, so requests
+// name none.
+func runFleet(client *http.Client, baseURL string, conc int,
 	duration time.Duration, killPID int, killAfter time.Duration, reqs []serving.PredictRequest) (FleetReport, error) {
 	if len(reqs) == 0 {
 		return FleetReport{}, fmt.Errorf("empty request corpus")
-	}
-	path := "/v1/predict"
-	if team != "" {
-		path += "?team=" + team
 	}
 	var payloads [][]byte
 	for _, r := range reqs {
@@ -80,7 +76,7 @@ func runFleet(client *http.Client, baseURL, team string, conc int,
 		killed <- false
 	}
 
-	fr.Report = drive(client, baseURL, path, payloads, 1, conc, duration)
+	fr.Report = drive(client, baseURL, "/v1/predict", payloads, 1, conc, duration)
 	fr.Mode = "fleet"
 	fr.Killed = <-killed
 

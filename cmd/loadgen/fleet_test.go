@@ -10,22 +10,37 @@ import (
 	"scouts/internal/gateway"
 )
 
+// TestRetryHint: loadgen's rule over the gateway's reader — no hint is 1s,
+// every hint is at most 5s. The counts past what a Duration holds in
+// nanoseconds are the ones a multiply before the cap wrapped: 9223372037 s
+// to −2562047h (an instant retry), 18446744074 s to 290ms.
 func TestRetryHint(t *testing.T) {
-	h := http.Header{}
-	if d := retryHint(h); d != time.Second {
-		t.Fatalf("missing header hint = %v, want the 1s default", d)
-	}
-	h.Set("Retry-After", "2")
-	if d := retryHint(h); d != 2*time.Second {
-		t.Fatalf("Retry-After 2 hint = %v", d)
-	}
-	h.Set("Retry-After", "3600")
-	if d := retryHint(h); d != 5*time.Second {
-		t.Fatalf("hostile hint must cap at 5s, got %v", d)
-	}
-	h.Set("Retry-After", "garbage")
-	if d := retryHint(h); d != time.Second {
-		t.Fatalf("unparseable hint = %v, want the 1s default", d)
+	for _, tc := range []struct {
+		header string // "" sends no Retry-After
+		want   time.Duration
+	}{
+		{"", time.Second},
+		{"2", 2 * time.Second},
+		{"5", 5 * time.Second},
+		{"6", 5 * time.Second},
+		{"3600", 5 * time.Second},
+		{"0", time.Second},
+		{"-1", time.Second},
+		{"+7", time.Second},
+		{"garbage", time.Second},
+		{"Wed, 21 Oct 2015 07:28:00 GMT", time.Second},
+		{"9223372036", 5 * time.Second},
+		{"9223372037", 5 * time.Second},
+		{"18446744074", 5 * time.Second},
+		{"99999999999999999999999", 5 * time.Second},
+	} {
+		h := http.Header{}
+		if tc.header != "" {
+			h.Set("Retry-After", tc.header)
+		}
+		if got := retryHint(h); got != tc.want {
+			t.Errorf("Retry-After %q: hint %v, want %v", tc.header, got, tc.want)
+		}
 	}
 }
 
@@ -133,7 +148,7 @@ func TestLoadgenFleet(t *testing.T) {
 	defer gw.Close()
 
 	reqs := corpus(5, 30, 6)
-	fr, err := runFleet(gw.Client(), gw.URL, "", 4, 500*time.Millisecond, 0, 0, reqs)
+	fr, err := runFleet(gw.Client(), gw.URL, 4, 500*time.Millisecond, 0, 0, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,13 @@
 //
 //	loadgen [-url http://localhost:8080] [-mode single|batch] [-batch 32]
 //	        [-c 4] [-duration 10s] [-seed 7] [-days 30] [-rate 6] [-chaos]
+//	        [-soak] [-fleet [-kill-pid PID] [-kill-after 2s]] [-out FILE]
+//
+// -fleet drives a scoutgw gateway's POST /v1/predict — a gateway fronts one
+// team, so the requests name none — optionally SIGTERMs a replica mid-run,
+// and judges the zero-failed-non-shed SLO. In every mode a 429 is honoured:
+// the worker sleeps its Retry-After (read by gateway.ParseRetryAfter; 1s
+// when there is no hint, at most 5s) and re-issues the request.
 //
 // -chaos turns the generator adversarial: alongside valid predictions it
 // rotates malformed JSON, bodies far over the server's size limit, and
@@ -36,6 +43,7 @@ import (
 	"time"
 
 	"scouts/internal/cloudsim"
+	"scouts/internal/gateway"
 	"scouts/internal/metrics"
 	"scouts/internal/serving"
 )
@@ -94,7 +102,6 @@ func main() {
 	chaos := flag.Bool("chaos", false, "interleave malformed JSON, oversized bodies and mid-body disconnects")
 	soak := flag.Bool("soak", false, "sustained run with periodic /metrics scrapes and an SLO verdict")
 	fleet := flag.Bool("fleet", false, "drive a scoutgw gateway and judge the zero-failed-non-shed fleet SLO")
-	team := flag.String("team", "", "team query parameter for fleet mode (empty = gateway default)")
 	killPID := flag.Int("kill-pid", 0, "fleet mode: SIGTERM this process mid-run (0 = no kill)")
 	killAfter := flag.Duration("kill-after", 2*time.Second, "fleet mode: when to deliver the kill signal")
 	sloP99 := flag.Float64("slo-p99", 250, "soak SLO: p99 latency ceiling in milliseconds")
@@ -110,7 +117,7 @@ func main() {
 	switch {
 	case *fleet:
 		var fr FleetReport
-		fr, err = runFleet(http.DefaultClient, *url, *team, *conc, *duration, *killPID, *killAfter, reqs)
+		fr, err = runFleet(http.DefaultClient, *url, *conc, *duration, *killPID, *killAfter, reqs)
 		doc = fr
 		if err == nil && !fr.SLO.Pass {
 			exitCode = 2 // fleet SLO verdict failed; the report below says why
@@ -211,15 +218,15 @@ func runLoad(client *http.Client, baseURL, mode string, batch, conc int, duratio
 	return rep, nil
 }
 
-// retryHint reads a 429's Retry-After as a sleepable duration: the
-// delay-seconds form, defaulting to 1s when absent or unparseable, and
-// capped at 5s so a hostile hint cannot park a worker for the run.
+// retryHint reads a 429's Retry-After as a sleepable duration through the
+// gateway's saturating reader: 1s when there is no hint, and capped at 5s
+// so a hostile hint cannot park a worker for the run.
 func retryHint(h http.Header) time.Duration {
-	secs, err := strconv.Atoi(h.Get("Retry-After"))
-	if err != nil || secs < 1 {
+	d := gateway.ParseRetryAfter(h)
+	if d <= 0 {
 		return time.Second
 	}
-	return min(time.Duration(secs)*time.Second, 5*time.Second)
+	return min(d, 5*time.Second)
 }
 
 // drive is the shared measurement loop behind runLoad and the fleet

@@ -1,9 +1,8 @@
-// Command scoutgw fronts a fleet of scoutd replicas: it
-// consistent-hash-shards incidents across the fleet with bounded-load
-// spillover, retries failed attempts on different replicas with
-// jittered backoff, hedges tail-latency requests, circuit-breaks
-// replicas that keep failing, and aggregates per-team verdicts into a
-// ranked routing recommendation (DESIGN.md §14).
+// Command scoutgw fronts a fleet of scoutd replicas of one team's Scout:
+// it consistent-hash-shards incidents across the fleet with bounded-load
+// spillover, retries failed attempts on different replicas with jittered
+// backoff, hedges tail-latency requests, and circuit-breaks replicas that
+// keep failing (DESIGN.md §14).
 //
 // Usage:
 //
@@ -11,16 +10,18 @@
 //	        -replica a=phynet=http://127.0.0.1:8081 \
 //	        -replica b=phynet=http://127.0.0.1:8082 \
 //	        [-max-attempts 3] [-per-try-timeout 5s] [-replica-budget 32] \
-//	        [-hedge-after 0] [-probe-interval 1s] [-top-k 3] [-seed 1]
+//	        [-hedge-after 0] [-probe-interval 1s] [-seed 1]
 //
-// Each -replica is name=team=url; replicas sharing a team form that
-// team's failover set. -hedge-after 0 derives the hedge delay from the
-// observed upstream p99; a negative value disables hedging.
+// Each -replica is name=team=url. Every replica must name the same team —
+// the fleet is that team's failover set — and an http:// or https:// URL
+// with a host; scoutgw exits non-zero before it listens otherwise.
+// -hedge-after 0 derives the hedge delay from the observed upstream p99; a
+// negative value disables hedging.
 //
 // Endpoints:
 //
-//	POST /v1/predict?team=T   proxy to T's shard (response verbatim)
-//	POST /v1/route            fan out to every team, rank by responsibility
+//	POST /v1/predict[?team=T] proxy to the incident's shard (response verbatim);
+//	                          a team other than the fleet's is a 404
 //	GET  /v1/health           fleet + per-replica breaker/drain state
 //	POST /v1/reload           fan reload out to every replica (no retries)
 //	POST /v1/drain            {"replica": "a"} — graceful removal (restore: true re-adds)
@@ -76,7 +77,6 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", time.Second, "active health-probe period")
 	breakerTrip := flag.Int("breaker-trip", 5, "consecutive failures that open a replica's breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker cooldown before a probe is allowed")
-	topK := flag.Int("top-k", 3, "default ranking size for /v1/route")
 	seed := flag.Int64("seed", 1, "backoff-jitter seed")
 	flag.Parse()
 
@@ -89,7 +89,6 @@ func main() {
 		HedgeAfter:    *hedgeAfter,
 		ProbeInterval: *probeInterval,
 		Breaker:       faults.ReqBreakerParams{Trip: *breakerTrip, Cooldown: *breakerCooldown},
-		TopK:          *topK,
 		Seed:          *seed,
 		Logger:        logger,
 	}, logger); err != nil {
@@ -102,7 +101,7 @@ func run(addr string, cfg gateway.Config, logger *log.Logger) error {
 	if err != nil {
 		return err
 	}
-	logger.Printf("fronting %d replica(s) across teams %v", len(cfg.Replicas), gw.Teams())
+	logger.Printf("fronting %d replica(s) of team %s", len(cfg.Replicas), cfg.Replicas[0].Team)
 
 	proberCtx, stopProber := context.WithCancel(context.Background())
 	proberDone := make(chan struct{})

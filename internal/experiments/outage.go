@@ -116,7 +116,7 @@ func OutageCurve(lab *Lab, minCoverage float64) (*OutageCurveResult, error) {
 		}
 	}
 
-	snap, err := lab.Scout.Snapshot()
+	snap, err := lab.Scout.SnapshotPack()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 // Package gateway is the fleet front door: it consistent-hash-shards
-// incidents across a set of scoutd replicas and keeps answering while
-// parts of the fleet misbehave. Per-replica circuit breakers stop
+// incidents across a set of scoutd replicas of one team's Scout — the
+// team's failover set — and keeps answering while parts of the fleet
+// misbehave. Per-replica circuit breakers stop
 // traffic to replicas that fail repeatedly, bounded in-flight budgets
 // spill hot shards to the next ring candidate instead of queueing,
 // failed attempts retry with jittered exponential backoff on a
@@ -19,7 +20,6 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,9 +32,9 @@ import (
 // Config sizes the gateway. The zero value of every knob means "use the
 // default in parentheses"; set HedgeAfter negative to disable hedging.
 type Config struct {
-	// Replicas is the fleet: every entry must have a unique Name and a
-	// non-empty Team and URL. Replicas sharing a Team form that team's
-	// failover set.
+	// Replicas is the fleet: every entry must have a unique Name, the same
+	// non-empty Team as the others and an http(s) URL with a host. A fleet
+	// is one team's failover set.
 	Replicas []ReplicaConfig
 
 	// MaxAttempts bounds tries per retriable request, first attempt
@@ -59,8 +59,6 @@ type Config struct {
 	Breaker faults.ReqBreakerParams
 	// ProbeInterval is the active health-probe period for RunProber (1s).
 	ProbeInterval time.Duration
-	// TopK is the default size of /v1/route rankings (3).
-	TopK int
 	// Seed seeds the backoff jitter; a fixed seed replays the same
 	// schedule (1).
 	Seed int64
@@ -94,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.TopK <= 0 {
-		c.TopK = 3
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -132,8 +127,8 @@ type Gateway struct {
 
 	replicas map[string]*replica
 	order    []string // replica names, config order
-	teams    []string // distinct team names, sorted
-	byTeam   map[string]*ring
+	team     string   // the one team every replica serves
+	ring     *ring
 
 	backoff *backoffSource
 	lat     *latencyWindow
@@ -154,7 +149,7 @@ func New(cfg Config) (*Gateway, error) {
 		now:      cfg.Now,
 		logger:   cfg.Logger,
 		replicas: make(map[string]*replica, len(cfg.Replicas)),
-		byTeam:   make(map[string]*ring),
+		team:     cfg.Replicas[0].Team,
 		backoff:  newBackoffSource(cfg.Seed),
 		lat:      newLatencyWindow(),
 	}
@@ -164,7 +159,6 @@ func New(cfg Config) (*Gateway, error) {
 	if g.logger == nil {
 		g.logger = log.New(io.Discard, "", 0)
 	}
-	teamNames := map[string][]string{}
 	reps := make([]*replica, 0, len(cfg.Replicas))
 	for _, rc := range cfg.Replicas {
 		if rc.Name == "" || rc.Team == "" || rc.URL == "" {
@@ -173,9 +167,17 @@ func New(cfg Config) (*Gateway, error) {
 		if _, dup := g.replicas[rc.Name]; dup {
 			return nil, fmt.Errorf("gateway: duplicate replica name %q", rc.Name)
 		}
+		if rc.Team != g.team {
+			return nil, fmt.Errorf("gateway: replica %q serves team %q, the fleet serves %q: one fleet is one team's", rc.Name, rc.Team, g.team)
+		}
 		base, err := url.Parse(rc.URL)
 		if err != nil {
 			return nil, fmt.Errorf("gateway: replica %q: %w", rc.Name, err)
+		}
+		// "localhost:8081" parses, as scheme "localhost" with no host, and
+		// would fail every request it was sent.
+		if (base.Scheme != "http" && base.Scheme != "https") || base.Host == "" {
+			return nil, fmt.Errorf("gateway: replica %q: url %q is not http(s)://host[:port]", rc.Name, rc.URL)
 		}
 		base.Host = strings.TrimSuffix(base.Host, ":") // as http.NewRequest does
 		rep := &replica{
@@ -185,21 +187,13 @@ func New(cfg Config) (*Gateway, error) {
 		rep.healthy.Store(true) // optimistic until the first probe says otherwise
 		g.replicas[rc.Name] = rep
 		g.order = append(g.order, rc.Name)
-		teamNames[rc.Team] = append(teamNames[rc.Team], rc.Name)
 		reps = append(reps, rep)
 	}
-	for team, names := range teamNames {
-		g.teams = append(g.teams, team)
-		g.byTeam[team] = newRing(names)
-	}
-	slices.Sort(g.teams)
+	g.ring = newRing(g.order)
 	g.tel = newGwMetrics(reps)
 	g.web = httpx.New(g.tel.reg, "scout_gw_http", gwEndpoints, g.logger)
 	return g, nil
 }
-
-// Teams returns the sorted team set the fleet serves.
-func (g *Gateway) Teams() []string { return slices.Clone(g.teams) }
 
 // Metrics returns the gateway's registry (the GET /metrics payload).
 func (g *Gateway) Metrics() *telemetry.Registry { return g.tel.reg }
@@ -307,25 +301,25 @@ func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, b
 // pick walks the shard's ring order and admits the first replica that is
 // not draining, has budget headroom, and whose breaker passes. Every
 // rejection is named in the returned skip list.
-func (g *Gateway) pick(r *ring, key string, exclude map[string]bool) (*replica, bool, []FleetSkip) {
+func (g *Gateway) pick(key string, exclude map[string]bool) (*replica, bool, []FleetSkip) {
 	var skips []FleetSkip
-	for _, name := range r.Shard(key) {
+	for _, name := range g.ring.Shard(key) {
 		if exclude[name] {
 			continue
 		}
 		rep := g.replicas[name]
 		if rep.draining.Load() {
-			skips = append(skips, FleetSkip{Replica: name, Team: rep.cfg.Team, Reason: skipDraining})
+			skips = append(skips, FleetSkip{Replica: name, Reason: skipDraining})
 			continue
 		}
 		if !rep.acquire(g.cfg.ReplicaBudget) {
-			skips = append(skips, FleetSkip{Replica: name, Team: rep.cfg.Team, Reason: skipSaturated})
+			skips = append(skips, FleetSkip{Replica: name, Reason: skipSaturated})
 			continue
 		}
 		pass, probe := rep.breaker.Allow()
 		if !pass {
 			rep.release()
-			skips = append(skips, FleetSkip{Replica: name, Team: rep.cfg.Team, Reason: skipBreakerOpen})
+			skips = append(skips, FleetSkip{Replica: name, Reason: skipBreakerOpen})
 			continue
 		}
 		return rep, probe, skips
@@ -427,7 +421,7 @@ type hedgeState struct {
 // waits for it. Returns the winning outcome, or the primary's failure
 // once every launched attempt has failed, plus any skips from hedge
 // candidate selection.
-func (g *Gateway) race(ctx context.Context, r *ring, key string, tried map[string]bool,
+func (g *Gateway) race(ctx context.Context, key string, tried map[string]bool,
 	primary *replica, primaryProbe bool, method, path string, body []byte, canHedge bool,
 ) (attemptOutcome, []FleetSkip) {
 	cctx, cancel := context.WithCancel(ctx)
@@ -440,7 +434,7 @@ func (g *Gateway) race(ctx context.Context, r *ring, key string, tried map[strin
 				h.mu.Unlock()
 				return
 			}
-			rep, probe, skips := g.pick(r, key, tried)
+			rep, probe, skips := g.pick(key, tried)
 			h.skips = skips
 			if rep == nil {
 				h.mu.Unlock()
@@ -496,7 +490,7 @@ func (g *Gateway) hedgeAttempt(cctx context.Context, rep *replica, probe bool, m
 var errHedgePanicked = errors.New("gateway: hedge attempt panicked")
 
 // guarded runs body on a goroutine the gateway launched — the hedge
-// timer's, a /v1/route or /v1/reload fan-out's — where a panic would kill
+// timer's, a /v1/reload fan-out's — where a panic would kill
 // the process rather than reach the handler chain's Recover. It borrows the
 // spine's: the panic is counted in scout_gw_http_panics_recovered_total
 // and logged like a handler's, naming method and path, and its 500 goes
@@ -532,37 +526,24 @@ type forwardResult struct {
 
 func (fr *forwardResult) failed() bool { return fr.errStatus != 0 }
 
-// skipReason compresses the skip trail into one team-level reason for
-// fleet_health aggregation: saturation only if *every* skip was
-// saturation (that is the shed case), otherwise the first reason seen,
-// or unreachable when no candidate was ever found.
-func (fr *forwardResult) skipReason() string {
-	if len(fr.skips) == 0 {
-		return skipUnreachable
-	}
-	allSat := true
+// shed reports whether the request was turned away by saturation alone:
+// some replica was skipped and every skip was saturation. That failure is
+// the fleet pushing back (429), not the fleet failing.
+func (fr *forwardResult) shed() bool {
 	for _, s := range fr.skips {
 		if s.Reason != skipSaturated {
-			allSat = false
-			break
+			return false
 		}
 	}
-	if allSat {
-		return skipSaturated
-	}
-	return fr.skips[0].Reason
+	return len(fr.skips) > 0
 }
 
-// forward routes one request to the team's shard: bounded-load candidate
+// forward routes one request to its shard: bounded-load candidate
 // selection, hedged attempts, jittered retries on a different replica.
 // retriable gates the retry loop (and hedging) — only idempotent calls
 // may be re-sent, because a retry after an ambiguous failure re-executes
 // the request.
-func (g *Gateway) forward(ctx context.Context, team, key, method, path string, body []byte, retriable bool) forwardResult {
-	r := g.byTeam[team]
-	if r == nil {
-		return forwardResult{errStatus: http.StatusNotFound, errMsg: "no replicas serve team " + team}
-	}
+func (g *Gateway) forward(ctx context.Context, key, method, path string, body []byte, retriable bool) forwardResult {
 	maxAttempts := g.cfg.MaxAttempts
 	if !retriable {
 		maxAttempts = 1
@@ -578,13 +559,13 @@ func (g *Gateway) forward(ctx context.Context, team, key, method, path string, b
 				return forwardResult{errStatus: 499, errMsg: "client went away: " + err.Error(), skips: allSkips}
 			}
 			lastHint = 0
-			if len(tried) >= len(r.names) {
+			if len(tried) >= len(g.order) {
 				// Every replica in the shard has been tried; give them all
 				// another chance rather than refusing to route.
 				clear(tried)
 			}
 		}
-		rep, probe, skips := g.pick(r, key, tried)
+		rep, probe, skips := g.pick(key, tried)
 		allSkips = append(allSkips, skips...)
 		if rep == nil {
 			lastErr = "no replica available"
@@ -594,7 +575,7 @@ func (g *Gateway) forward(ctx context.Context, team, key, method, path string, b
 		if attempt > 1 {
 			g.tel.replica(rep.cfg.Name).retries.Inc()
 		}
-		out, hedgeSkips := g.race(ctx, r, key, tried, rep, probe, method, path, body, canHedge)
+		out, hedgeSkips := g.race(ctx, key, tried, rep, probe, method, path, body, canHedge)
 		allSkips = append(allSkips, hedgeSkips...)
 		if out.res.usable() {
 			return forwardResult{status: out.res.status, header: out.res.header, body: out.res.body, replica: out.rep, skips: allSkips}
@@ -605,24 +586,24 @@ func (g *Gateway) forward(ctx context.Context, team, key, method, path string, b
 		if out.res.err != nil {
 			lastErr = out.res.err.Error()
 			if out.rep != nil {
-				allSkips = append(allSkips, FleetSkip{Replica: out.rep.cfg.Name, Team: team, Reason: skipUnreachable})
+				allSkips = append(allSkips, FleetSkip{Replica: out.rep.cfg.Name, Reason: skipUnreachable})
 			}
 		} else {
 			lastErr = fmt.Sprintf("upstream answered %d", out.res.status)
 			if out.res.status == http.StatusTooManyRequests {
-				lastHint = parseRetryAfter(out.res.header)
+				lastHint = ParseRetryAfter(out.res.header)
 			}
 			if out.rep != nil {
 				reason := skipUnreachable
 				if out.res.status == http.StatusTooManyRequests {
 					reason = skipSaturated
 				}
-				allSkips = append(allSkips, FleetSkip{Replica: out.rep.cfg.Name, Team: team, Reason: reason})
+				allSkips = append(allSkips, FleetSkip{Replica: out.rep.cfg.Name, Reason: reason})
 			}
 		}
 	}
-	fr := forwardResult{skips: allSkips, errMsg: "team " + team + ": " + lastErr}
-	if fr.skipReason() == skipSaturated {
+	fr := forwardResult{skips: allSkips, errMsg: "team " + g.team + ": " + lastErr}
+	if fr.shed() {
 		// The whole candidate chain is saturated: shed, and tell the
 		// client when the fleet expects headroom back.
 		fr.errStatus = http.StatusTooManyRequests
@@ -638,8 +619,9 @@ func (g *Gateway) forward(ctx context.Context, team, key, method, path string, b
 	return fr
 }
 
-// fleetHealth summarizes the fleet for /v1/health and degraded answers.
-func (g *Gateway) fleetHealth(skips []FleetSkip, teamsAnswered int) FleetHealth {
+// fleetHealth summarizes the fleet for /v1/health and failed answers: it
+// is degraded when the request went unanswered or a replica is down.
+func (g *Gateway) fleetHealth(skips []FleetSkip, answered bool) FleetHealth {
 	up := 0
 	for _, name := range g.order {
 		rep := g.replicas[name]
@@ -650,9 +632,7 @@ func (g *Gateway) fleetHealth(skips []FleetSkip, teamsAnswered int) FleetHealth 
 	return FleetHealth{
 		ReplicasTotal: len(g.order),
 		ReplicasUp:    up,
-		TeamsTotal:    len(g.teams),
-		TeamsAnswered: teamsAnswered,
-		Degraded:      teamsAnswered < len(g.teams) || up < len(g.order),
+		Degraded:      !answered || up < len(g.order),
 		Skipped:       skips,
 	}
 }

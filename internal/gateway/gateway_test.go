@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,15 +98,15 @@ func TestBackoffDelayGrowsWithJitter(t *testing.T) {
 
 func TestParseRetryAfter(t *testing.T) {
 	h := http.Header{}
-	if d := parseRetryAfter(h); d != 0 {
+	if d := ParseRetryAfter(h); d != 0 {
 		t.Fatalf("missing header parsed as %v", d)
 	}
 	h.Set("Retry-After", "3")
-	if d := parseRetryAfter(h); d != 3*time.Second {
+	if d := ParseRetryAfter(h); d != 3*time.Second {
 		t.Fatalf("Retry-After 3 parsed as %v", d)
 	}
 	h.Set("Retry-After", "Wed, 21 Oct 2015 07:28:00 GMT")
-	if d := parseRetryAfter(h); d != 0 {
+	if d := ParseRetryAfter(h); d != 0 {
 		t.Fatalf("HTTP-date form should be ignored, got %v", d)
 	}
 }
@@ -172,7 +171,7 @@ func keyOwnedBy(t *testing.T, g *Gateway, team, want string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		title := fmt.Sprintf("incident %d", i)
-		if g.byTeam[team].Shard(shardKey(team, title, ""))[0] == want {
+		if g.ring.Shard(shardKey(team, title, ""))[0] == want {
 			return title
 		}
 	}
@@ -502,70 +501,38 @@ func TestDrainAndRestore(t *testing.T) {
 	}
 }
 
-func TestRouteRanksTeamsAndReportsDegradation(t *testing.T) {
-	strong := newFakeReplica(okJSON(`{"team":"storage","verdict":"responsible","responsible":true,"confidence":0.9,"model":"rf","model_version":1}`))
-	defer strong.ts.Close()
-	weak := newFakeReplica(okJSON(`{"team":"network","verdict":"not_responsible","responsible":false,"confidence":0.8,"model":"rf","model_version":1}`))
-	defer weak.ts.Close()
-
-	g := newTestGateway(t, Config{
-		Replicas: []ReplicaConfig{
-			{Name: "s1", Team: "storage", URL: strong.ts.URL},
-			{Name: "n1", Team: "network", URL: weak.ts.URL},
-		},
-		MaxAttempts: 2, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-		HedgeAfter: -1,
-	})
-	h := g.Handler()
-
-	route := func() *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/route", bytes.NewReader([]byte(`{"title":"disk latency","time":10}`)))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		return w
-	}
-	w := route()
-	if w.Code != http.StatusOK {
-		t.Fatalf("route answered %d: %s", w.Code, w.Body.String())
-	}
-	var rr RouteResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
-		t.Fatal(err)
-	}
-	if len(rr.Ranking) != 2 || rr.Ranking[0].Team != "storage" || rr.Ranking[1].Team != "network" {
-		t.Fatalf("ranking = %+v, want storage (0.9) before network (0.2)", rr.Ranking)
-	}
-	if math.Abs(rr.Ranking[0].Score-0.9) > 1e-9 || math.Abs(rr.Ranking[1].Score-0.2) > 1e-9 {
-		t.Fatalf("scores = %v/%v", rr.Ranking[0].Score, rr.Ranking[1].Score)
-	}
-	if rr.FleetHealth.Degraded || rr.FleetHealth.TeamsAnswered != 2 {
-		t.Fatalf("healthy fleet reported %+v", rr.FleetHealth)
-	}
-
-	// Kill network's only replica: the ranking shrinks and says why.
-	weak.ts.Close()
-	w = route()
-	if w.Code != http.StatusOK {
-		t.Fatalf("degraded route answered %d", w.Code)
-	}
-	rr = RouteResponse{}
-	if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
-		t.Fatal(err)
-	}
-	if len(rr.Ranking) != 1 || rr.Ranking[0].Team != "storage" {
-		t.Fatalf("degraded ranking = %+v", rr.Ranking)
-	}
-	if !rr.FleetHealth.Degraded || rr.FleetHealth.TeamsAnswered != 1 {
-		t.Fatalf("degraded fleet_health = %+v", rr.FleetHealth)
-	}
-	found := false
-	for _, s := range rr.FleetHealth.Skipped {
-		if s.Team == "network" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fleet_health does not name the dark team: %+v", rr.FleetHealth.Skipped)
+// TestNewRejectsBadFleets: New refuses a fleet it could not serve, naming
+// the replica at fault, before anything listens.
+func TestNewRejectsBadFleets(t *testing.T) {
+	rc := func(name, team, url string) ReplicaConfig { return ReplicaConfig{Name: name, Team: team, URL: url} }
+	for _, tc := range []struct {
+		name     string
+		replicas []ReplicaConfig
+		want     string // in the error; "" means New accepts the fleet
+	}{
+		{"one team", []ReplicaConfig{rc("a", "phynet", "http://h:1"), rc("b", "phynet", "https://h:2/")}, ""},
+		{"no replicas", nil, "no replicas"},
+		{"missing name", []ReplicaConfig{rc("", "phynet", "http://h:1")}, "needs name, team and url"},
+		{"missing team", []ReplicaConfig{rc("a", "", "http://h:1")}, "needs name, team and url"},
+		{"missing url", []ReplicaConfig{rc("a", "phynet", "")}, "needs name, team and url"},
+		{"duplicate name", []ReplicaConfig{rc("a", "phynet", "http://h:1"), rc("a", "phynet", "http://h:2")}, `duplicate replica name "a"`},
+		{"two teams", []ReplicaConfig{rc("a", "phynet", "http://h:1"), rc("b", "storage", "http://h:2")}, `replica "b" serves team "storage", the fleet serves "phynet"`},
+		{"scheme-less url", []ReplicaConfig{rc("a", "phynet", "localhost:8081")}, `replica "a": url "localhost:8081"`},
+		{"other scheme", []ReplicaConfig{rc("a", "phynet", "ftp://h:1")}, `replica "a": url "ftp://h:1"`},
+		{"no host", []ReplicaConfig{rc("a", "phynet", "http:///v1")}, `replica "a": url "http:///v1"`},
+		{"unparseable url", []ReplicaConfig{rc("a", "phynet", "http://h:1/%zz")}, `replica "a": parse`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(Config{Replicas: tc.replicas})
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("New rejected a valid fleet: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatalf("New accepted %+v", tc.replicas)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,15 +2,14 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
+	"scouts/internal/faults"
 	"scouts/internal/serving"
 )
 
@@ -26,40 +25,6 @@ type errorBody struct {
 	FleetHealth *FleetHealth `json:"fleet_health,omitempty"`
 }
 
-// RouteRequest is POST /v1/route's input: a PredictRequest plus the
-// ranking size. The incident fields are forwarded verbatim to every
-// team's Scout.
-type RouteRequest struct {
-	Title      string   `json:"title"`
-	Body       string   `json:"body"`
-	Components []string `json:"components,omitempty"`
-	Time       float64  `json:"time"`
-	TopK       int      `json:"top_k,omitempty"`
-}
-
-// RouteEntry is one team's row in the ranked routing recommendation.
-// Score orders the ranking: a team's responsibility probability
-// (Confidence when the Scout says responsible, 1-Confidence when it says
-// not), so "most likely owner" sorts first regardless of verdict sign.
-type RouteEntry struct {
-	Team         string  `json:"team"`
-	Score        float64 `json:"score"`
-	Responsible  bool    `json:"responsible"`
-	Confidence   float64 `json:"confidence"`
-	Verdict      string  `json:"verdict"`
-	Model        string  `json:"model"`
-	ModelVersion int     `json:"model_version"`
-}
-
-// RouteResponse is the gateway's aggregated answer: the top-k teams by
-// responsibility score, plus the fleet picture behind the answer — a
-// partial fan-out is still served, but it says so.
-type RouteResponse struct {
-	Ranking     []RouteEntry `json:"ranking"`
-	TopK        int          `json:"top_k"`
-	FleetHealth FleetHealth  `json:"fleet_health"`
-}
-
 // DrainRequest is POST /v1/drain's input.
 type DrainRequest struct {
 	Replica string `json:"replica"`
@@ -69,12 +34,11 @@ type DrainRequest struct {
 
 // Handler returns the gateway mux:
 //
-//	POST /v1/predict?team=T -> proxied PredictResponse from T's shard (verbatim)
-//	POST /v1/route          -> RouteRequest -> RouteResponse (fan-out, ranked)
-//	GET  /v1/health         -> fleet + per-replica health
-//	POST /v1/reload         -> fan out reload to every replica (no retries)
-//	POST /v1/drain          -> mark a replica draining / restored
-//	GET  /metrics           -> Prometheus text exposition of scout_gw_* series
+//	POST /v1/predict[?team=T] -> proxied PredictResponse from the shard (verbatim)
+//	GET  /v1/health           -> fleet + per-replica health
+//	POST /v1/reload           -> fan out reload to every replica (no retries)
+//	POST /v1/drain            -> mark a replica draining / restored
+//	GET  /metrics             -> Prometheus text exposition of scout_gw_* series
 //
 // The routes sit on the shared spine (internal/httpx): every one is
 // instrumented, unrouted paths answer JSON 404, and a handler panic is a
@@ -82,7 +46,6 @@ type DrainRequest struct {
 func (g *Gateway) Handler() http.Handler {
 	mux := g.web.Mux(g.now, nil)
 	mux.Handle("POST /v1/predict", "/v1/predict", http.HandlerFunc(g.handlePredict))
-	mux.Handle("POST /v1/route", "/v1/route", http.HandlerFunc(g.handleRoute))
 	mux.Handle("GET /v1/health", "/v1/health", http.HandlerFunc(g.handleHealth))
 	mux.Handle("POST /v1/reload", "/v1/reload", http.HandlerFunc(g.handleReload))
 	mux.Handle("POST /v1/drain", "/v1/drain", http.HandlerFunc(g.handleDrain))
@@ -99,7 +62,7 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 		if fr.retryHint > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(fr.retryHint.Seconds())))
 		}
-		fh := g.fleetHealth(fr.skips, 0)
+		fh := g.fleetHealth(fr.skips, false)
 		g.web.WriteJSON(w, fr.errStatus, errorBody{Error: fr.errMsg, FleetHealth: &fh})
 		return
 	}
@@ -119,9 +82,11 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 	_, _ = w.Write(fr.body)
 }
 
-// shardKey places an incident on its team's ring: stable per incident,
-// so the same incident keeps hitting the same replica (and its caches)
-// while distinct incidents spread across the failover set.
+// shardKey places an incident on the ring: stable per incident, so the
+// same incident keeps hitting the same replica (and its caches) while
+// distinct incidents spread across the failover set. The team prefix is
+// the same for every incident of a fleet; it stays because dropping it
+// would move most incidents to another replica (DESIGN.md §14.1).
 func shardKey(team, title, body string) string {
 	return team + "\x00" + title + "\x00" + body
 }
@@ -147,119 +112,21 @@ func queryValue(query, key string) string {
 	return ""
 }
 
-// handlePredict proxies one prediction to the team's shard. The team
-// comes from the ?team= query parameter (optional for single-team
-// fleets); the body is validated for shape, then forwarded byte for
-// byte.
+// handlePredict proxies one prediction to its shard. The ?team= query
+// parameter is optional and, when given, must name the fleet's team; the
+// body is validated for shape, then forwarded byte for byte.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req serving.PredictRequest
 	raw, ok := g.web.DecodeBytes(w, r, maxGwBody, &req)
 	if !ok {
 		return
 	}
-	team := queryValue(r.URL.RawQuery, "team")
-	if team == "" {
-		if len(g.teams) != 1 {
-			g.web.WriteError(w, http.StatusBadRequest,
-				"team query parameter required (fleet serves "+strconv.Itoa(len(g.teams))+" teams)")
-			return
-		}
-		team = g.teams[0]
+	if team := queryValue(r.URL.RawQuery, "team"); team != "" && team != g.team {
+		g.relay(w, forwardResult{errStatus: http.StatusNotFound, errMsg: "no replicas serve team " + team})
+		return
 	}
-	fr := g.forward(r.Context(), team, shardKey(team, req.Title, req.Body), http.MethodPost, "/v1/predict", raw, true)
+	fr := g.forward(r.Context(), shardKey(g.team, req.Title, req.Body), http.MethodPost, "/v1/predict", raw, true)
 	g.relay(w, fr)
-}
-
-// handleRoute fans the incident out to every team's shard and returns
-// the top-k teams ranked by responsibility score. Teams the fleet could
-// not answer for are named in fleet_health — a partial ranking says it
-// is partial instead of silently shrinking.
-func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
-	var req RouteRequest
-	if !g.web.Decode(w, r, maxGwBody, &req) {
-		return
-	}
-	body, err := json.Marshal(serving.PredictRequest{
-		Title: req.Title, Body: req.Body, Components: req.Components, Time: req.Time,
-	})
-	if err != nil {
-		g.web.WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
-		return
-	}
-	type teamResult struct {
-		fr   forwardResult
-		resp serving.PredictResponse
-		ok   bool
-	}
-	results := make([]teamResult, len(g.teams))
-	var wg sync.WaitGroup
-	for i, team := range g.teams {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// What a panic under forward leaves behind: the team unreachable.
-			results[i].fr = forwardResult{errStatus: http.StatusInternalServerError}
-			g.guarded(r.Method, r.URL.Path, func() {
-				fr := g.forward(r.Context(), team, shardKey(team, req.Title, req.Body), http.MethodPost, "/v1/predict", body, true)
-				results[i].fr = fr
-				if fr.failed() || fr.status != http.StatusOK {
-					return
-				}
-				if err := json.Unmarshal(fr.body, &results[i].resp); err == nil {
-					results[i].ok = true
-				}
-			})
-		}()
-	}
-	wg.Wait()
-
-	var ranking []RouteEntry
-	var skips []FleetSkip
-	answered := 0
-	for i, team := range g.teams {
-		res := results[i]
-		if !res.ok {
-			reason := res.fr.skipReason()
-			if !res.fr.failed() {
-				reason = "bad-upstream-answer"
-			}
-			skips = append(skips, FleetSkip{Team: team, Reason: reason})
-			continue
-		}
-		answered++
-		score := res.resp.Confidence
-		if !res.resp.Responsible {
-			score = 1 - res.resp.Confidence
-		}
-		ranking = append(ranking, RouteEntry{
-			Team: team, Score: score,
-			Responsible: res.resp.Responsible, Confidence: res.resp.Confidence,
-			Verdict: res.resp.Verdict, Model: res.resp.Model, ModelVersion: res.resp.ModelVersion,
-		})
-	}
-	fh := g.fleetHealth(skips, answered)
-	if answered == 0 {
-		g.web.WriteJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "no team could answer", FleetHealth: &fh})
-		return
-	}
-	slices.SortFunc(ranking, func(a, b RouteEntry) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		return cmpString(a.Team, b.Team)
-	})
-	k := req.TopK
-	if k <= 0 {
-		k = g.cfg.TopK
-	}
-	if k < len(ranking) {
-		ranking = ranking[:k]
-	}
-	g.web.WriteJSON(w, http.StatusOK, RouteResponse{Ranking: ranking, TopK: k, FleetHealth: fh})
 }
 
 // handleHealth reports the fleet: per-replica breaker/budget/drain state
@@ -269,19 +136,13 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	rows := make([]ReplicaHealth, 0, len(g.order))
 	usable := 0
 	for _, name := range g.order {
-		rep := g.replicas[name]
-		state := rep.breaker.State()
-		if !rep.draining.Load() && state != "open" {
+		row := g.replicas[name].health()
+		if !row.Draining && row.Breaker != string(faults.StateOpen) {
 			usable++
 		}
-		rows = append(rows, ReplicaHealth{
-			Name: name, Team: rep.cfg.Team,
-			Breaker: string(state), Trips: rep.breaker.Trips(),
-			Draining: rep.draining.Load(), Healthy: rep.healthy.Load(),
-			InFlight: int(rep.inflight.Load()),
-		})
+		rows = append(rows, row)
 	}
-	fh := g.fleetHealth(nil, len(g.teams))
+	fh := g.fleetHealth(nil, true)
 	status := http.StatusOK
 	state := "ok"
 	if fh.Degraded {
@@ -385,11 +246,5 @@ func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
 		g.web.WriteError(w, http.StatusNotFound, "no such replica: "+req.Replica)
 		return
 	}
-	rep := g.replicas[req.Replica]
-	g.web.WriteJSON(w, http.StatusOK, ReplicaHealth{
-		Name: req.Replica, Team: rep.cfg.Team,
-		Breaker: string(rep.breaker.State()), Trips: rep.breaker.Trips(),
-		Draining: rep.draining.Load(), Healthy: rep.healthy.Load(),
-		InFlight: int(rep.inflight.Load()),
-	})
+	g.web.WriteJSON(w, http.StatusOK, g.replicas[req.Replica].health())
 }

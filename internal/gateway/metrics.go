@@ -9,8 +9,7 @@ import (
 // the per-endpoint series from this list, same contract as the serving
 // layer: request-time recording is a prebuilt pointer.
 var gwEndpoints = []string{
-	"/v1/predict", "/v1/route", "/v1/health", "/v1/reload", "/v1/drain",
-	"/metrics",
+	"/v1/predict", "/v1/health", "/v1/reload", "/v1/drain", "/metrics",
 }
 
 // upstreamOutcomes classify one upstream attempt's result for

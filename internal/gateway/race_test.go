@@ -229,7 +229,7 @@ func TestHedgeNeedsASecondCandidate(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusBadGateway {
 			t.Fatalf("answered %d (%v): %s", w.Code, err, w.Body.String())
 		}
-		if want := []FleetSkip{{Replica: "primary", Team: "phynet", Reason: skipUnreachable}}; !slices.Equal(eb.FleetHealth.Skipped, want) {
+		if want := []FleetSkip{{Replica: "primary", Reason: skipUnreachable}}; !slices.Equal(eb.FleetHealth.Skipped, want) {
 			t.Fatalf("skipped = %+v, want %+v", eb.FleetHealth.Skipped, want)
 		}
 	}
@@ -253,7 +253,7 @@ func TestHedgeNeedsASecondCandidate(t *testing.T) {
 	title = ""
 	for i := 0; title == ""; i++ {
 		cand := "incident " + strconv.Itoa(i)
-		if slices.Equal(g.byTeam["phynet"].Shard(shardKey("phynet", cand, "")), []string{"primary", "drained", "hedge"}) {
+		if slices.Equal(g.ring.Shard(shardKey("phynet", cand, "")), []string{"primary", "drained", "hedge"}) {
 			title = cand
 		}
 	}
@@ -266,8 +266,8 @@ func TestHedgeNeedsASecondCandidate(t *testing.T) {
 			t.Fatalf("answered %d (%v): %s", w.Code, err, w.Body.String())
 		}
 		want := []FleetSkip{
-			{Replica: "drained", Team: "phynet", Reason: skipDraining},
-			{Replica: "primary", Team: "phynet", Reason: skipUnreachable},
+			{Replica: "drained", Reason: skipDraining},
+			{Replica: "primary", Reason: skipUnreachable},
 		}
 		if !slices.Equal(eb.FleetHealth.Skipped, want) {
 			t.Fatalf("skipped = %+v, want %+v", eb.FleetHealth.Skipped, want)
@@ -507,42 +507,32 @@ func TestHedgePanicIsRecovered(t *testing.T) {
 	settled(t, g)
 }
 
-// TestAttemptPanicOnFanOutIsRecovered: /v1/route and /v1/reload run their
-// attempts on goroutines the handler launches, past the handler chain's
-// Recover, where a transport panic used to kill scoutgw. Each must be
-// counted and logged like a handler's, name its team or replica as failed
-// in a JSON answer, hand back its budget slot and record a failure on the
-// breaker — and the gateway must still route once the transport behaves.
+// TestAttemptPanicOnFanOutIsRecovered: /v1/reload runs its attempts on
+// goroutines the handler launches, past the handler chain's Recover, where
+// a transport panic used to kill scoutgw. Each must be counted and logged
+// like a handler's, name its replica as failed in a JSON answer, hand back
+// its budget slot and record a failure on the breaker — and the gateway
+// must still reload and route once the transport behaves.
 func TestAttemptPanicOnFanOutIsRecovered(t *testing.T) {
 	var panicking atomic.Bool
 	panicking.Store(true)
 	logs := &syncBuffer{}
-	g, h, _ := raceFixture(t, Config{
+	g, h, title := raceFixture(t, Config{
 		HedgeAfter: -1,
 		Logger:     log.New(logs, "", 0),
 	}, func(r *http.Request) (*http.Response, error) {
 		if panicking.Load() {
 			panic("transport bug")
 		}
-		return answer(r, 200, `{"team":"phynet","responsible":true,"confidence":0.9}`)
+		return answer(r, 200, `{"status":"ok"}`)
 	}, "primary", "second")
 	post := func(path, body string) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 		return w
 	}
-	const incident = `{"title":"disk latency","time":10}`
 
-	w := post("/v1/route", incident)
-	var eb errorBody
-	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusServiceUnavailable || eb.FleetHealth == nil {
-		t.Fatalf("route over a panicking transport answered %d (%v): %s; want the JSON 503", w.Code, err, w.Body.String())
-	}
-	if sk := eb.FleetHealth.Skipped; len(sk) != 1 || sk[0].Team != "phynet" || sk[0].Reason != skipUnreachable {
-		t.Fatalf("fleet_health skips %+v, want phynet unreachable", sk)
-	}
-
-	w = post("/v1/reload", "")
+	w := post("/v1/reload", "")
 	var rb struct {
 		Results []reloadResult `json:"results"`
 	}
@@ -558,25 +548,27 @@ func TestAttemptPanicOnFanOutIsRecovered(t *testing.T) {
 	settled(t, g)
 	got := scrapeGateway(t, g)
 	for _, want := range []string{
-		`scout_gw_http_panics_recovered_total 3`, // one routed attempt, two reloads
+		`scout_gw_http_panics_recovered_total 2`, // one per replica
+		`scout_gw_upstream_requests_total{outcome="error",replica="primary"} 1`,
 		`scout_gw_upstream_requests_total{outcome="error",replica="second"} 1`,
-		`scout_gw_http_requests_total{code="503",endpoint="/v1/route"} 1`,
+		`scout_gw_replica_inflight{replica="primary"} 0`,
+		`scout_gw_replica_inflight{replica="second"} 0`,
 		`scout_gw_http_requests_total{code="502",endpoint="/v1/reload"} 1`,
 	} {
 		if !strings.Contains(got, want+"\n") {
 			t.Errorf("scrape lacks %q", want)
 		}
 	}
-	if n := strings.Count(logs.String(), "transport bug"); n != 3 {
-		t.Errorf("%d panics logged, want 3: %q", n, logs.String())
+	if n := strings.Count(logs.String(), "transport bug"); n != 2 {
+		t.Errorf("%d panics logged, want 2: %q", n, logs.String())
 	}
 
 	panicking.Store(false)
-	if w := post("/v1/route", incident); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"team":"phynet"`) {
-		t.Fatalf("after the panics, route answered %d: %s", w.Code, w.Body.String())
-	}
 	if w := post("/v1/reload", ""); w.Code != http.StatusOK {
 		t.Fatalf("after the panics, reload answered %d: %s", w.Code, w.Body.String())
+	}
+	if w := doPredict(t, h, "", title); w.Code != http.StatusOK {
+		t.Fatalf("after the panics, predict answered %d: %s", w.Code, w.Body.String())
 	}
 }
 

@@ -13,8 +13,8 @@ type ReplicaConfig struct {
 	// Name identifies the replica in metrics, drain calls and
 	// fleet_health blocks. Must be unique across the fleet.
 	Name string `json:"name"`
-	// Team is the Scout team the replica serves; several replicas may
-	// share a team (that is the failover set).
+	// Team is the Scout team the replica serves. Every replica of a fleet
+	// serves the same team: the fleet is that team's failover set.
 	Team string `json:"team"`
 	// URL is the replica's base URL (http://host:port).
 	URL string `json:"url"`
@@ -54,6 +54,16 @@ func (r *replica) acquire(budget int64) bool {
 
 func (r *replica) release() { r.inflight.Add(-1) }
 
+// health is the replica's row in /v1/health and the /v1/drain answer.
+func (r *replica) health() ReplicaHealth {
+	return ReplicaHealth{
+		Name:    r.cfg.Name,
+		Breaker: string(r.breaker.State()), Trips: r.breaker.Trips(),
+		Draining: r.draining.Load(), Healthy: r.healthy.Load(),
+		InFlight: int(r.inflight.Load()),
+	}
+}
+
 // Skip reasons used in fleet_health blocks and error bodies; mirrors the
 // DataHealth contract of naming *why* an answer is partial.
 const (
@@ -63,10 +73,9 @@ const (
 	skipUnreachable = "unreachable"
 )
 
-// ReplicaHealth is one replica's row in /v1/health and fleet_health.
+// ReplicaHealth is one replica's row in /v1/health.
 type ReplicaHealth struct {
 	Name     string `json:"name"`
-	Team     string `json:"team"`
 	Breaker  string `json:"breaker"`
 	Trips    int    `json:"trips"`
 	Draining bool   `json:"draining,omitempty"`
@@ -74,23 +83,20 @@ type ReplicaHealth struct {
 	InFlight int    `json:"in_flight"`
 }
 
-// FleetSkip names one replica (or a whole team) a degraded answer had to
-// route around, and why.
+// FleetSkip names one replica a degraded answer had to route around, and
+// why.
 type FleetSkip struct {
-	Replica string `json:"replica,omitempty"`
-	Team    string `json:"team"`
+	Replica string `json:"replica"`
 	Reason  string `json:"reason"`
 }
 
 // FleetHealth is the fleet-side sibling of the serving layer's
-// DataHealthInfo: every partial answer carries one, naming which
-// replicas were skipped and why, so "the fleet degraded" is an explicit
-// part of the contract rather than a silent quality drop.
+// DataHealthInfo: every failed answer carries one, naming which replicas
+// were skipped and why, so "the fleet degraded" is an explicit part of
+// the contract rather than a silent quality drop.
 type FleetHealth struct {
 	ReplicasTotal int         `json:"replicas_total"`
 	ReplicasUp    int         `json:"replicas_up"`
-	TeamsTotal    int         `json:"teams_total"`
-	TeamsAnswered int         `json:"teams_answered"`
 	Degraded      bool        `json:"degraded"`
 	Skipped       []FleetSkip `json:"skipped,omitempty"`
 }

@@ -69,11 +69,13 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // maxRetryAfter is what a hint too long for a Duration is read as.
 const maxRetryAfter = time.Duration(math.MaxInt64)
 
-// parseRetryAfter reads a Retry-After header as delay seconds, 1*DIGIT
+// ParseRetryAfter reads a Retry-After header as delay seconds, 1*DIGIT
 // (the only form this fleet emits; HTTP-date is ignored rather than guessed
-// at). A count past what a Duration holds saturates, however many digits
-// it has: the longest hint a replica can send must not wrap into no hint.
-func parseRetryAfter(h http.Header) time.Duration {
+// at), and 0 when there is no such hint. A count past what a Duration holds
+// saturates, however many digits it has: the longest hint a server can send
+// must not wrap into no hint, or into a short one. Callers apply their own
+// default and cap; this is the tree's one reader of the header.
+func ParseRetryAfter(h http.Header) time.Duration {
 	const most = int64(maxRetryAfter / time.Second)
 	v := h.Get("Retry-After")
 	secs := int64(0)

@@ -23,7 +23,7 @@ func FuzzParseRetryAfter(f *testing.F) {
 		f.Add(v)
 	}
 	parse := func(v string) time.Duration {
-		return parseRetryAfter(http.Header{"Retry-After": {v}})
+		return ParseRetryAfter(http.Header{"Retry-After": {v}})
 	}
 	f.Fuzz(func(t *testing.T, v string) {
 		got := parse(v)

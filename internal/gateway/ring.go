@@ -4,12 +4,13 @@ import (
 	"hash/fnv"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // ring is a consistent-hash ring over replica names with virtual nodes.
 // Shard(key) returns every distinct replica in ring-walk order from the
 // key's position — the caller applies bounded-load placement by taking
-// the first candidate that is healthy and under budget, so a hot team's
+// the first candidate that is healthy and under budget, so a hot shard's
 // overflow spills to the *next* replica on the ring (stable spillover)
 // instead of scattering. Adding or removing one replica moves only the
 // keys that hashed to it; everything else keeps its owner, which is what
@@ -51,19 +52,9 @@ func newRing(names []string) *ring {
 		}
 		// Hash ties (vanishingly rare) break by name so the ring is a
 		// pure function of the name set.
-		return cmpString(a.name, b.name)
+		return strings.Compare(a.name, b.name)
 	})
 	return r
-}
-
-func cmpString(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // hashKey is FNV-1a 64: stable across processes and platforms, so a
