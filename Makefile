@@ -40,8 +40,13 @@ race:
 # (SFF1 binary, JSON), of the extractors' match finder (against
 # FindAllString, for any pattern regexp compiles), of the configuration
 # parser (never panics; what it accepts builds a FeatureBuilder that
-# extracts as the old path does) and of the gateway's Retry-After reader
-# (a hint in [0, max], saturating, against math/big) on top of their
+# extracts as the old path does), of the gateway's Retry-After reader
+# (a hint in [0, max], saturating, against math/big), of the scoutpack
+# (SCPK) and store-file (SDP1) decoders (never panic, checksums re-sealed so
+# mutations get past them; what they accept re-encodes to a fixed point), of
+# the strict request decoders (what they accept json.Unmarshal accepts
+# alike; over the cap is 413) and of loadgen's Prometheus scrape parser
+# (reads back every non-bucket sample the registry writes) on top of their
 # committed corpora (which plain `go test` replays). A crasher lands in the
 # package's testdata/fuzz and fails the run. The decoder seeds are kilobytes
 # long, so minimising each new input is capped at a second to keep the ten
@@ -54,6 +59,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFindAll$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzScoutpack$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPackFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serving
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStrict$$' -fuzztime 10s ./internal/httpx
+	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s ./cmd/loadgen
 
 # The paper's Table 1 and §7.1 headline, regenerated and compared with the
 # committed golden; only the timing in each banner is stripped. First
@@ -210,12 +219,13 @@ fleet-smoke:
 		-c 4 -duration 6s -kill-pid $$p2 -kill-after 2s -out FLEET_SMOKE.json
 	@cat FLEET_SMOKE.json
 
-# Project-specific static analysis (cmd/scoutlint), nine checks:
+# Project-specific static analysis (cmd/scoutlint), six checks:
 # determinism, nomapiter (map iteration order), sortslice (reflective
 # sorts), hotpath (allocations in //scout:hotpath functions), locks
-# (Lock/Unlock pairing; copies are `make vet`'s copylocks), binio
-# (bounds-checked binary decodes), ctxflow, leak and fsyncrename. Any
-# finding exits 1 and fails `make ci`.
+# (Lock/Unlock pairing; copies are `make vet`'s copylocks) and
+# fsyncrename. Any finding exits 1 and fails `make ci`. What binio, ctxflow
+# and leak checked is tested instead: the decoder fuzz targets above, the
+# cancellation tests (DESIGN.md §9.2) and internal/leakcheck's TestMain.
 lint:
 	$(GO) run ./cmd/scoutlint ./...
 

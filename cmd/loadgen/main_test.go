@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"scouts/internal/core"
 	"scouts/internal/faults"
 	"scouts/internal/serving"
+	"scouts/internal/telemetry"
 )
 
 // newTestServer trains a model on the seed-5 corpus world and serves it
@@ -251,4 +253,51 @@ scout_d_count{endpoint="/p"} 4
 	if _, err := parseProm("# only comments\n"); err == nil {
 		t.Fatal("empty payload should error")
 	}
+}
+
+// FuzzParseProm: the scrape parser reads what a registry writes. For any
+// label key the telemetry registry accepts and any label value, every
+// non-bucket sample WritePrometheus renders — a counter, a gauge, a
+// histogram's _sum and _count — parses back under its exact series
+// signature with its value, and no bucket does. Arbitrary text never
+// panics the parser.
+func FuzzParseProm(f *testing.F) {
+	f.Add("handle", "x", int64(3), "")
+	f.Add("endpoint", `ends with le=`, int64(-7), "x 1\n")
+	f.Add("k", "a \"b\"\\ \n c", int64(1<<53+1), `y{le="0.1" 2`)
+	escape := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	f.Fuzz(func(t *testing.T, key, value string, n int64, text string) {
+		_, _ = parseProm(text)
+
+		reg := telemetry.NewRegistry()
+		registered := func() (ok bool) {
+			defer func() { ok = recover() == nil }() // a key telemetry refuses
+			label := telemetry.L(key, value)
+			reg.Counter("scout_c", "a counter", label).Add(n)
+			reg.Gauge("scout_g", "a gauge", label).Set(n)
+			reg.Histogram("scout_h", "a histogram", nil, label).ObserveDuration(time.Duration(n))
+			return true
+		}()
+		if !registered {
+			return
+		}
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		got, err := parseProm(b.String())
+		if err != nil {
+			t.Fatalf("parsing the registry's own exposition: %v\n%s", err, b.String())
+		}
+		sig := "{" + key + `="` + escape.Replace(value) + `"}`
+		want := map[string]float64{
+			"scout_c" + sig:       float64(n),
+			"scout_g" + sig:       float64(n),
+			"scout_h_sum" + sig:   float64(n) / 1e9,
+			"scout_h_count" + sig: 1,
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("parsed %v, want %v from\n%s", got, want, b.String())
+		}
+	})
 }

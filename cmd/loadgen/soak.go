@@ -176,7 +176,7 @@ func parseProm(text string) (map[string]float64, error) {
 			return nil, fmt.Errorf("unparseable metrics line %q", line)
 		}
 		series, val := line[:sp], line[sp+1:]
-		if strings.Contains(series, `le="`) {
+		if hasLeLabel(series) {
 			continue
 		}
 		f, err := strconv.ParseFloat(val, 64)
@@ -189,6 +189,35 @@ func parseProm(text string) (map[string]float64, error) {
 		return nil, fmt.Errorf("metrics payload carried no samples")
 	}
 	return out, nil
+}
+
+// hasLeLabel reports whether a series name{k="v",...} carries a label
+// whose key is exactly le — a histogram bucket. Values are skipped as
+// quoted strings with backslash escapes, so neither a key that merely
+// ends in le (handle="x") nor a value holding le=" can pass for one.
+func hasLeLabel(series string) bool {
+	_, labels, ok := strings.Cut(series, "{")
+	for ok {
+		key, rest, found := strings.Cut(labels, `="`)
+		if !found {
+			return false
+		}
+		if key == "le" {
+			return true
+		}
+		i := 0
+		for i < len(rest) && rest[i] != '"' {
+			if rest[i] == '\\' {
+				i++ // an escaped character
+			}
+			i++
+		}
+		if i >= len(rest) {
+			return false
+		}
+		labels, ok = strings.CutPrefix(rest[i+1:], ",")
+	}
+	return false
 }
 
 // metricNames returns the sorted series keys — handy for tests and for

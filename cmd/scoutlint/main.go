@@ -1,9 +1,8 @@
 // Command scoutlint runs the repo's project-customized static-analysis
-// suite (internal/lint) over the module: nine analyzers enforcing the
-// determinism, map-order, reflection-free-sort, hot-path, lock-pairing,
-// bounds-checked-decode, cancellation, goroutine-leak and durable-rename
-// invariants the earlier PRs established. Only the standard library is
-// used.
+// suite (internal/lint) over the module: six analyzers enforcing the
+// determinism, map-order, reflection-free-sort, hot-path, lock-pairing and
+// durable-rename invariants the repository holds itself to. Only the
+// standard library is used.
 //
 // Usage:
 //

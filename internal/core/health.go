@@ -62,9 +62,6 @@ type DegradationPolicy struct {
 	MaxStaleness float64
 }
 
-// Enabled reports whether any check is active.
-func (p DegradationPolicy) Enabled() bool { return p.MinCoverage > 0 || p.MaxStaleness > 0 }
-
 // degradeReason returns a human-readable reason when the policy rejects
 // this health report, "" when the report passes.
 func (p DegradationPolicy) degradeReason(h DataHealth) string {

@@ -202,55 +202,68 @@ func parseScoutpack(data []byte) (map[string][]byte, error) {
 	return secs, nil
 }
 
+// decodedPack is a scoutpack's sections, decoded: the META fields and the
+// forests, cpd and sel nil when their sections are absent.
+type decodedPack struct {
+	meta         packMetaDTO
+	rf, cpd, sel *forest.Forest
+}
+
+// decodeScoutpack verifies a scoutpack's envelope and decodes every
+// section — the one decoder behind Restore and InspectPack.
+func decodeScoutpack(data []byte) (decodedPack, error) {
+	secs, err := parseScoutpack(data)
+	if err != nil {
+		return decodedPack{}, err
+	}
+	var p decodedPack
+	if err := json.Unmarshal(secs["META"], &p.meta); err != nil {
+		return decodedPack{}, fmt.Errorf("core: scoutpack META: %w", err)
+	}
+	for _, sec := range []struct {
+		tag, what string
+		dst       **forest.Forest
+	}{{"FRST", "routing", &p.rf}, {"CRST", "CPD+", &p.cpd}, {"SRST", "selector", &p.sel}} {
+		if blob := secs[sec.tag]; blob != nil {
+			if *sec.dst, err = forest.ForestFromBinary(blob); err != nil {
+				return decodedPack{}, fmt.Errorf("core: scoutpack %s forest: %w", sec.what, err)
+			}
+		}
+	}
+	return p, nil
+}
+
 // restorePack rebuilds a Scout from a scoutpack blob — Restore's binary
 // path. The forests come up flat-only: inference works through the SFF1
-// arrays with zero re-derivation, and Snapshot/SnapshotPack on the result
-// are unavailable (the pointer trees are gone by design).
+// arrays with zero re-derivation, SnapshotPack on the result reproduces
+// the pack byte for byte, and the JSON Snapshot is refused (the pointer
+// trees are gone by design).
 func restorePack(data []byte, topo *topology.Topology, source monitoring.DataSource) (*Scout, error) {
-	secs, err := parseScoutpack(data)
+	p, err := decodeScoutpack(data)
 	if err != nil {
 		return nil, err
 	}
-	var meta packMetaDTO
-	if err := json.Unmarshal(secs["META"], &meta); err != nil {
-		return nil, fmt.Errorf("core: scoutpack META: %w", err)
-	}
-	rf, err := forest.ForestFromBinary(secs["FRST"])
-	if err != nil {
-		return nil, fmt.Errorf("core: scoutpack routing forest: %w", err)
-	}
-	var cpdRF *forest.Forest
-	if blob := secs["CRST"]; blob != nil {
-		if cpdRF, err = forest.ForestFromBinary(blob); err != nil {
-			return nil, fmt.Errorf("core: scoutpack CPD+ forest: %w", err)
-		}
-	}
-	cfg, err := ParseConfig(meta.ConfigSource)
+	cfg, err := ParseConfig(p.meta.ConfigSource)
 	if err != nil {
 		return nil, fmt.Errorf("core: scoutpack config: %w", err)
 	}
 	s := &Scout{
 		cfg:        cfg,
-		rf:         rf,
-		cpdPlus:    cpd.PlusFromParts(meta.CPDParams, cpdRF),
-		trainMeans: meta.TrainMeans,
+		rf:         p.rf,
+		cpdPlus:    cpd.PlusFromParts(p.meta.CPDParams, p.cpd),
+		trainMeans: p.meta.TrainMeans,
+		selector:   &Selector{},
 	}
 	s.fb = NewFeatureBuilder(cfg, topo, source)
-	if got, want := len(s.fb.FeatureNames()), len(rf.Features()); got != want {
+	if got, want := len(s.fb.FeatureNames()), len(p.rf.Features()); got != want {
 		return nil, fmt.Errorf("core: scoutpack layout (%d features) does not match data source (%d)", want, got)
 	}
-	if blob := secs["SRST"]; blob != nil {
-		selRF, err := forest.ForestFromBinary(blob)
-		if err != nil {
-			return nil, fmt.Errorf("core: scoutpack selector forest: %w", err)
-		}
+	if p.sel != nil {
 		s.selector = &Selector{
-			words:     text.NewWordCounter(meta.SelectorWords),
-			rf:        selRF,
-			threshold: meta.SelectorThreshold,
+			words:     text.NewWordCounter(p.meta.SelectorWords),
+			rf:        p.sel,
+			threshold: p.meta.SelectorThreshold,
 		}
-	} else {
-		s.selector = &Selector{}
 	}
 	return s, nil
 }
@@ -271,40 +284,24 @@ type PackInfo struct {
 // InspectPack verifies a scoutpack's envelope and returns its summary
 // without needing a topology or data source.
 func InspectPack(data []byte) (PackInfo, error) {
-	secs, err := parseScoutpack(data)
+	p, err := decodeScoutpack(data)
 	if err != nil {
 		return PackInfo{}, err
-	}
-	var meta packMetaDTO
-	if err := json.Unmarshal(secs["META"], &meta); err != nil {
-		return PackInfo{}, fmt.Errorf("core: scoutpack META: %w", err)
 	}
 	info := PackInfo{
 		Version:     scoutpackVersion,
 		Bytes:       len(data),
-		TrainMeans:  len(meta.TrainMeans),
-		SelectorThr: meta.SelectorThreshold,
+		Features:    len(p.rf.Features()),
+		Trees:       p.rf.NumTrees(),
+		Nodes:       p.rf.NumNodes(),
+		TrainMeans:  len(p.meta.TrainMeans),
+		SelectorThr: p.meta.SelectorThreshold,
 	}
-	rf, err := forest.ForestFromBinary(secs["FRST"])
-	if err != nil {
-		return PackInfo{}, fmt.Errorf("core: scoutpack routing forest: %w", err)
+	if p.cpd != nil {
+		info.CPDTrees = p.cpd.NumTrees()
 	}
-	info.Features = len(rf.Features())
-	info.Trees = rf.NumTrees()
-	info.Nodes = rf.NumNodes()
-	if blob := secs["CRST"]; blob != nil {
-		f, err := forest.ForestFromBinary(blob)
-		if err != nil {
-			return PackInfo{}, fmt.Errorf("core: scoutpack CPD+ forest: %w", err)
-		}
-		info.CPDTrees = f.NumTrees()
-	}
-	if blob := secs["SRST"]; blob != nil {
-		f, err := forest.ForestFromBinary(blob)
-		if err != nil {
-			return PackInfo{}, fmt.Errorf("core: scoutpack selector forest: %w", err)
-		}
-		info.SelTrees = f.NumTrees()
+	if p.sel != nil {
+		info.SelTrees = p.sel.NumTrees()
 	}
 	return info, nil
 }

@@ -2,9 +2,16 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"scouts/internal/ml/cpd"
+	"scouts/internal/ml/forest"
+	"scouts/internal/ml/mlcore"
 )
 
 // TestScoutpackRoundTrip is the container-level round-trip gate: a Scout
@@ -124,4 +131,93 @@ func TestInspectPack(t *testing.T) {
 	if info.Features != len(f.scout.rf.Features()) || info.TrainMeans != len(f.scout.trainMeans) {
 		t.Fatalf("inspect layout wrong: %+v", info)
 	}
+}
+
+// sealPack rewrites a blob's checksum over its own bytes, as a writer
+// would have. Without it nearly every mutation dies at the checksum
+// compare and the fuzzer never reaches the section table or the forests.
+// The copy's capacity is its length, so a read past the end panics even
+// where reslicing up to the capacity would not.
+func sealPack(data []byte) []byte {
+	const sumAt = 8
+	out := slices.Clip(bytes.Clone(data))
+	if len(out) >= sumAt+sha256.Size {
+		sum := sha256.Sum256(out[sumAt+sha256.Size:])
+		copy(out[sumAt:], sum[:])
+	}
+	return out
+}
+
+// fuzzSeedPack is a small scoutpack with all four sections: tiny forests
+// over a three-feature layout, so the seed is kilobytes, not the
+// fixture's hundreds.
+func fuzzSeedPack(f *testing.F) []byte {
+	rng := rand.New(rand.NewSource(3))
+	train := func(seed int64) *forest.Forest {
+		d := mlcore.NewDataset([]string{"a", "b", "c"})
+		for i := 0; i < 60; i++ {
+			x := []float64{rng.Float64(), rng.Float64(), rng.NormFloat64()}
+			d.MustAdd(mlcore.Sample{X: x, Y: x[0] > x[1]})
+		}
+		rf, err := forest.Train(d, forest.Params{NumTrees: 2, MaxDepth: 3, Seed: seed, Workers: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return rf
+	}
+	pack, err := assemblePack(packMetaDTO{
+		ConfigSource:      "TEAM PhyNet;",
+		TrainMeans:        []float64{0.5, 0.25, -1},
+		CPDParams:         cpd.PlusParams{Datasets: []string{"pingmesh"}},
+		SelectorWords:     []string{"packet", "link"},
+		SelectorThreshold: 0.8,
+	}, train(1), train(2), train(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return pack
+}
+
+// FuzzScoutpack holds the one SCPK decoder (decodeScoutpack, behind
+// Restore and InspectPack) to: never panic on any bytes; whatever it
+// accepts re-packs, and pack → decode → pack is a fixed point; and a
+// flipped byte under the old checksum is always refused. Every input is
+// re-sealed first.
+// The committed corpus (testdata/fuzz/FuzzScoutpack) replays under plain
+// `go test`.
+func FuzzScoutpack(f *testing.F) {
+	pack := fuzzSeedPack(f)
+	if _, err := decodeScoutpack(pack); err != nil {
+		f.Fatalf("the seed pack is refused: %v", err)
+	}
+	f.Add(pack)
+	f.Add(pack[:len(pack)/2])
+	f.Add([]byte(scoutpackMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = sealPack(data)
+		p, err := decodeScoutpack(data)
+		if err != nil {
+			return
+		}
+		repack, err := assemblePack(p.meta, p.rf, p.cpd, p.sel)
+		if err != nil {
+			t.Fatalf("accepted pack does not re-pack: %v", err)
+		}
+		back, err := decodeScoutpack(repack)
+		if err != nil {
+			t.Fatalf("an accepted pack's own re-pack is refused: %v", err)
+		}
+		again, err := assemblePack(back.meta, back.rf, back.cpd, back.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(repack, again) {
+			t.Fatal("pack -> decode -> pack is not a fixed point")
+		}
+		torn := bytes.Clone(data)
+		torn[len(torn)-1] ^= 0x01
+		if _, err := decodeScoutpack(torn); err == nil {
+			t.Fatal("a flipped byte under the old checksum was accepted")
+		}
+	})
 }

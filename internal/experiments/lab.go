@@ -196,18 +196,6 @@ func (lab *Lab) EvalVectors(clf mlcore.Classifier) metrics.Confusion {
 	return c
 }
 
-// MisroutedTest returns the mis-routed incidents of the test set — the
-// population the gain figures evaluate on.
-func (lab *Lab) MisroutedTest() []*incident.Incident {
-	var out []*incident.Incident
-	for _, in := range lab.Test {
-		if in.Misrouted() {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
 // RNG derives a deterministic rng for an experiment.
 func (lab *Lab) RNG(salt int64) *rand.Rand {
 	return rand.New(rand.NewSource(lab.Params.Seed ^ salt))

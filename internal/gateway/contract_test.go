@@ -44,9 +44,11 @@ func TestErrorContractIsOneAcrossDaemons(t *testing.T) {
 		{"body one byte over the cap", "POST", "/v1/predict", padded(maxGwBody + 1), 413},
 		{"unrouted path", "GET", "/nope", "", 404},
 		{"method mismatch", "GET", "/v1/predict", "", 404},
-		// Only the first JSON value of a body is read; what follows it is
-		// ignored by both daemons (pinned, not endorsed).
-		{"trailing bytes after the value", "POST", "/v1/predict", `{"title":"t","time":1} trailing`, 200},
+		// A body is one JSON value: both daemons refuse what follows it,
+		// and allow only whitespace.
+		{"trailing bytes after the value", "POST", "/v1/predict", `{"title":"t","time":1} trailing`, 400},
+		{"a second value", "POST", "/v1/predict", `{"title":"t","time":1}{}`, 400},
+		{"trailing whitespace", "POST", "/v1/predict", "{\"title\":\"t\",\"time\":1} \r\n\t", 200},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,15 +91,26 @@ func (sp *Spine) WriteError(w http.ResponseWriter, status int, msg string) {
 
 // Decode decodes the request body into v under a byte cap, rejecting
 // unknown fields (a typoed field silently zeroing a required value must
-// not be served as a confident wrong answer). It answers false after
-// writing the error response: 413 when the cap tripped, 400 for malformed
-// or unknown-field JSON.
+// not be served as a confident wrong answer) and anything but whitespace
+// after the JSON value. It answers false after writing the error
+// response: 413 when the cap tripped, 400 for malformed, unknown-field or
+// trailing-data JSON.
 func (sp *Spine) Decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
-		sp.rejectBody(w, err)
-		return false
+	dec := strictDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
+	if err == nil {
+		// The body must end here: Token reads to EOF through whitespace,
+		// and to the cap through a whitespace flood.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		var tooBig *http.MaxBytesError
+		if !errors.As(err, &tooBig) {
+			err = errTrailingData
+		}
 	}
-	return true
+	sp.rejectBody(w, err)
+	return false
 }
 
 // DecodeBytes is Decode for a handler that forwards the body verbatim: the
@@ -108,7 +119,10 @@ func (sp *Spine) Decode(w http.ResponseWriter, r *http.Request, limit int64, v a
 func (sp *Spine) DecodeBytes(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
-		err = decodeStrict(bytes.NewReader(raw), v)
+		dec := strictDecoder(bytes.NewReader(raw))
+		if err = dec.Decode(v); err == nil && len(bytes.TrimLeft(raw[dec.InputOffset():], jsonSpace)) > 0 {
+			err = errTrailingData
+		}
 	}
 	if err != nil {
 		sp.rejectBody(w, err)
@@ -117,10 +131,16 @@ func (sp *Spine) DecodeBytes(w http.ResponseWriter, r *http.Request, limit int64
 	return raw, true
 }
 
-func decodeStrict(body io.Reader, v any) error {
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\r\n"
+
+// errTrailingData refuses a body that goes on after its JSON value.
+var errTrailingData = errors.New("data after the JSON value")
+
+func strictDecoder(body io.Reader) *json.Decoder {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	return dec
 }
 
 func (sp *Spine) rejectBody(w http.ResponseWriter, err error) {

@@ -1,11 +1,13 @@
 package httpx
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -131,4 +133,88 @@ func TestMuxAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(500, func() { mux.ServeHTTP(w, req) }); n > parentAllocs {
 		t.Fatalf("a 200 through Mux + WriteJSON allocates %.0f objects, ceiling %d", n, parentAllocs)
 	}
+}
+
+// strictTarget is a request shape with the kinds of field the daemons
+// decode: strings, a number, a list and a nested object.
+type strictTarget struct {
+	Title  string   `json:"title"`
+	Time   float64  `json:"time"`
+	Items  []string `json:"items,omitempty"`
+	Nested *struct {
+		N int `json:"n"`
+	} `json:"nested,omitempty"`
+}
+
+// FuzzDecodeStrict: a request body is bytes a client chose. Whatever they
+// are, neither strict decoder panics, and within the cap both answer the
+// same status. Whatever they accept, json.Unmarshal — which refuses data
+// after the value — accepts too, into a reflect.DeepEqual value, and
+// DecodeBytes hands back the body unchanged. Over the cap DecodeBytes
+// answers 413, and Decode 413 or — a streaming read settles the first
+// value's fate as soon as it can — the very 400 the bytes before the cap
+// get on their own.
+func FuzzDecodeStrict(f *testing.F) {
+	const limit = 64
+	for _, body := range []string{
+		`{"title":"t","time":1} trailing`,
+		`{"title":"t","time":1}{}`,
+		"{\"title\":\"t\",\"time\":1} \r\n\t",
+		`{"title":"t","time":1,"nope":true}`,
+		`{"title":"t","items":["a","b"],"nested":{"n":3}}`,
+		`{"title":"` + strings.Repeat("x", limit) + `"}`,
+		`{"title":"t"}` + strings.Repeat(" ", limit),
+		strings.Repeat("0", limit+1), // a complete, wrong-typed value before the cap
+		`null`, `[]`, `{} ]`, ``,
+	} {
+		f.Add([]byte(body))
+	}
+	sp, _ := testSpine()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var viaDecode, viaBytes strictTarget
+		rec := httptest.NewRecorder()
+		accepted := sp.Decode(rec, httptest.NewRequest("POST", "/", bytes.NewReader(body)), limit, &viaDecode)
+		decodeStatus, decodeBody := rec.Code, rec.Body.String()
+		rec = httptest.NewRecorder()
+		raw, acceptedBytes := sp.DecodeBytes(rec, httptest.NewRequest("POST", "/", bytes.NewReader(body)), limit, &viaBytes)
+		bytesStatus := rec.Code
+
+		if len(body) > limit {
+			if accepted || acceptedBytes {
+				t.Fatalf("a %d-byte body passed a %d-byte cap", len(body), limit)
+			}
+			if bytesStatus != http.StatusRequestEntityTooLarge {
+				t.Fatalf("DecodeBytes answered %d over the cap, want 413", bytesStatus)
+			}
+			if decodeStatus == http.StatusRequestEntityTooLarge {
+				return
+			}
+			prefix := httptest.NewRecorder()
+			sp.Decode(prefix, httptest.NewRequest("POST", "/", bytes.NewReader(body[:limit])), limit, new(strictTarget))
+			if decodeStatus != http.StatusBadRequest || prefix.Code != decodeStatus || prefix.Body.String() != decodeBody {
+				t.Fatalf("Decode answered %d %q over the cap; the bytes before it alone get %d %q",
+					decodeStatus, decodeBody, prefix.Code, prefix.Body.String())
+			}
+			return
+		}
+		if accepted != acceptedBytes || decodeStatus != bytesStatus {
+			t.Fatalf("Decode answered %d, DecodeBytes %d", decodeStatus, bytesStatus)
+		}
+		if !accepted {
+			if decodeStatus != http.StatusBadRequest {
+				t.Fatalf("a refused body within the cap answered %d, want 400", decodeStatus)
+			}
+			return
+		}
+		var want strictTarget
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("accepted %q, which json.Unmarshal refuses: %v", body, err)
+		}
+		if !reflect.DeepEqual(viaDecode, want) || !reflect.DeepEqual(viaBytes, want) {
+			t.Fatalf("%q decoded as %+v and %+v, json.Unmarshal says %+v", body, viaDecode, viaBytes, want)
+		}
+		if !bytes.Equal(raw, body) {
+			t.Fatalf("DecodeBytes returned %q for %q", raw, body)
+		}
+	})
 }

@@ -12,7 +12,8 @@ import (
 
 // The test analysis: a must-analysis tracking whether check() was called
 // on every path. Join is AND, so a merge point is "checked" only when
-// both arms checked — the exact lattice ctxflow uses for ctx checks.
+// both arms checked — the join fsyncrename's synced-set uses, reduced to
+// one bit.
 type mustChecked struct{}
 
 func (mustChecked) Entry() bool          { return false }

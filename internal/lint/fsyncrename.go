@@ -492,6 +492,17 @@ func deferredDirSync(p *Pass, g *cfg.Graph, dirSyncer map[*types.Func]bool) bool
 	return false
 }
 
+// bodyInspect walks a function body without descending into nested
+// function literals: their statements belong to other functions.
+func bodyInspect(body *ast.BlockStmt, f func(ast.Node) bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		return f(n)
+	})
+}
+
 // packageRenames reports whether any file calls os.Rename — the cheap
 // gate that keeps the whole analysis off packages that never touch the
 // persistence path.

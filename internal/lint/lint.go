@@ -2,10 +2,10 @@
 // a from-scratch driver plus a catalog of analyzers that turn the
 // invariants earlier PRs established by hand — bit-identical training at
 // any worker count, zero-alloc hot kernels, reflection-free sorts,
-// lock-safe shared caches, bounds-checked model-file decoders — into
-// checks the build refuses to break. Only standard-library packages are
-// used (go/parser, go/ast, go/types, go/importer, go/token): the module
-// has no dependencies and the linter must not be the first.
+// lock-safe shared caches, crash-safe renames — into checks the build
+// refuses to break. Only standard-library packages are used (go/parser,
+// go/ast, go/types, go/importer, go/token): the module has no
+// dependencies and the linter must not be the first.
 //
 // The driver (driver.go) type-checks every package under a root and
 // hands each analyzer the typed ASTs. Findings print as
@@ -89,9 +89,6 @@ func All() []*Analyzer {
 		SortSlice,
 		HotPath,
 		Locks,
-		BinIO,
-		CtxFlow,
-		Leak,
 		FsyncRename,
 	}
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"scouts/internal/core"
 	"scouts/internal/faults"
+	"scouts/internal/monitoring"
 )
 
 func postJSON(t testing.TB, ts *httptest.Server, path string, v any) (*http.Response, []byte) {
@@ -370,5 +372,64 @@ func TestBatchPredictDuringHotSwap(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// cancelOnPull is a DataSource that cancels a request the moment the Scout
+// first reads monitoring data for it. Embedding only the DataSource
+// methods routes every read through the two below.
+type cancelOnPull struct {
+	monitoring.DataSource
+	cancel context.CancelFunc
+}
+
+func (c cancelOnPull) SeriesWindow(dataset, component string, from, to float64) []float64 {
+	c.cancel()
+	return c.DataSource.SeriesWindow(dataset, component, from, to)
+}
+
+func (c cancelOnPull) EventsWindow(dataset, component string, from, to float64) []monitoring.EventRecord {
+	c.cancel()
+	return c.DataSource.EventsWindow(dataset, component, from, to)
+}
+
+// TestBatchStopsBetweenChunksOnceTheRequestIsGone: the batch handler
+// scores in 32-item chunks and checks the request's context between them.
+// A request that goes away while its first chunk is scored gets no second
+// chunk and no answer — nobody is left to read one.
+func TestBatchStopsBetweenChunksOnceTheRequestIsGone(t *testing.T) {
+	_, store, _ := trainAndServe(t)
+	gen, _, _ := testEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv := NewServer(gen.Topology(), cancelOnPull{gen.Telemetry(), cancel}, store, nil)
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(BatchPredictRequest{Items: heldOutRequests(t)[:64]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	srv.handlePredictBatch(w, httptest.NewRequest("POST", "/v1/predict:batch", bytes.NewReader(body)).WithContext(ctx))
+	if w.Body.Len() != 0 {
+		t.Fatalf("a request gone mid-batch was answered %d: %.200s", w.Code, w.Body.String())
+	}
+	var scrape strings.Builder
+	if err := srv.Metrics().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	scored := 0.0
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "scout_predictions_total{") {
+			n, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scored += n
+		}
+	}
+	if scored != 32 {
+		t.Fatalf("%.0f items scored for a request gone during the first 32", scored)
 	}
 }

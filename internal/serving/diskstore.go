@@ -234,6 +234,16 @@ func quarantineFile(path, reason string) QuarantinedFile {
 
 // writePackFile writes one scoutpack model as model-%06d.pack, crash-safe.
 func writePackFile(dir string, m Model) error {
+	data, err := encodePackFile(m)
+	if err != nil {
+		return err
+	}
+	return writeFileSync(filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version)), data)
+}
+
+// encodePackFile renders one model as the bytes of its .pack file — the
+// inverse of decodePackFile.
+func encodePackFile(m Model) ([]byte, error) {
 	meta, err := json.Marshal(packMeta{
 		Version:   m.Version,
 		Team:      m.Team,
@@ -241,13 +251,12 @@ func writePackFile(dir string, m Model) error {
 		Checksum:  checksumOf(m.Snapshot),
 	})
 	if err != nil {
-		return fmt.Errorf("serving: enveloping v%d: %w", m.Version, err)
+		return nil, fmt.Errorf("serving: enveloping v%d: %w", m.Version, err)
 	}
 	data := append([]byte(nil), packEnvelopeMagic...)
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(meta)))
 	data = append(data, meta...)
-	data = append(data, m.Snapshot...)
-	return writeFileSync(filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version)), data)
+	return append(data, m.Snapshot...), nil
 }
 
 // ReadModelFile reads and fully verifies one .pack model file, without

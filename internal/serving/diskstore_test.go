@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"scouts/internal/core"
 )
 
 // testPack returns a structurally valid scoutpack envelope (magic,
@@ -301,4 +306,88 @@ func TestLoadStoreQuarantinesStrayJSON(t *testing.T) {
 	if _, err := ReadModelFile(filepath.Join(dir, "model-000002.json.quarantined")); err == nil {
 		t.Fatal("ReadModelFile accepted a JSON store file")
 	}
+}
+
+// sealPackFile rewrites the checksums a writer would have computed over a
+// mutated .pack file: the inner scoutpack's sha256 first, then the
+// envelope meta's "sha256:<hex>" over the payload, in place. Without it
+// nearly every mutation dies at a checksum compare and the fuzzer never
+// reaches what lies behind one. The copy's capacity is its length, so a
+// read past the end panics even where reslicing up to the capacity would
+// not.
+func sealPackFile(data []byte) []byte {
+	out := slices.Clip(bytes.Clone(data))
+	if len(out) < 8 {
+		return out
+	}
+	metaLen := binary.LittleEndian.Uint32(out[4:])
+	if uint64(metaLen) > uint64(len(out)-8) {
+		return out
+	}
+	meta, payload := out[8:8+metaLen], out[8+metaLen:]
+	if core.IsScoutpack(payload) && len(payload) >= 8+sha256.Size {
+		sum := sha256.Sum256(payload[8+sha256.Size:])
+		copy(payload[8:], sum[:])
+	}
+	if i := bytes.Index(meta, []byte("sha256:")); i >= 0 && len(meta)-i-len("sha256:") >= 2*sha256.Size {
+		sum := sha256.Sum256(payload)
+		hex.Encode(meta[i+len("sha256:"):], sum[:])
+	}
+	return out
+}
+
+// FuzzPackFile holds the .pack store-file decoder (decodePackFile, behind
+// LoadStore and ReadModelFile) to: never panic on any bytes; whatever it
+// accepts carries a scoutpack that verifies, re-encodes, and encode →
+// decode → encode is a fixed point; and a flipped payload byte under the
+// old checksums is always quarantined. Every input is re-sealed first.
+// The committed corpus (testdata/fuzz/FuzzPackFile) replays under plain
+// `go test`.
+func FuzzPackFile(f *testing.F) {
+	file, err := encodePackFile(Model{
+		Version: 3, Team: "PhyNet",
+		TrainedAt: time.Date(2020, 8, 10, 12, 0, 0, 5, time.FixedZone("", 3600)),
+		Snapshot:  testPack(`{"config":"TEAM PhyNet;"}`),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, reason := decodePackFile(file, 3); reason != "" {
+		f.Fatalf("the seed file is quarantined: %s", reason)
+	}
+	f.Add(file)
+	f.Add([]byte(packEnvelopeMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = sealPackFile(data)
+		m, reason := decodePackFile(data, -1)
+		if reason != "" {
+			return
+		}
+		if err := core.VerifyScoutpack(m.Snapshot); err != nil {
+			t.Fatalf("accepted a file whose payload does not verify: %v", err)
+		}
+		enc, err := encodePackFile(m)
+		if err != nil {
+			t.Fatalf("an accepted model does not re-encode: %v", err)
+		}
+		back, reason := decodePackFile(enc, m.Version)
+		if reason != "" {
+			t.Fatalf("an accepted model's own file is quarantined: %s", reason)
+		}
+		if back.Team != m.Team || !back.TrainedAt.Equal(m.TrainedAt) || !bytes.Equal(back.Snapshot, m.Snapshot) {
+			t.Fatalf("re-encoding changed the model: %+v, then %+v", m, back)
+		}
+		again, err := encodePackFile(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatal("encode -> decode -> encode is not a fixed point")
+		}
+		torn := bytes.Clone(data)
+		torn[len(torn)-1] ^= 0x01
+		if _, reason := decodePackFile(torn, -1); reason == "" {
+			t.Fatal("a flipped payload byte under the old checksums was accepted")
+		}
+	})
 }
