@@ -37,10 +37,12 @@ race:
 # Fuzz smoke: ten seconds each of the change-point kernel's differential
 # fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib
 # sort and the old reductions), of the forest's two snapshot decoders
-# (SFF1 binary, JSON), of the extractors' match finder (against
-# FindAllString, for any pattern regexp compiles), of the configuration
-# parser (never panics; what it accepts builds a FeatureBuilder that
-# extracts as the old path does), of the gateway's Retry-After reader
+# (SFF1 binary, JSON) and of its split kernel (small training sets grown
+# against the seed kernel and at two worker counts), of the extractors'
+# match finder (against FindAllString, for any pattern regexp compiles),
+# of the configuration parser (never panics; what it accepts builds a
+# FeatureBuilder that extracts as the old path does), of the gateway's
+# Retry-After reader
 # (a hint in [0, max], saturating, against math/big), of the scoutpack
 # (SCPK) and store-file (SDP1) decoders (never panic, checksums re-sealed so
 # mutations get past them; what they accept re-encodes to a fixed point), of
@@ -50,12 +52,14 @@ race:
 # committed corpora (which plain `go test` replays). A crasher lands in the
 # package's testdata/fuzz and fails the run. The decoder seeds are kilobytes
 # long, so minimising each new input is capped at a second to keep the ten
-# seconds for mutation.
+# seconds for mutation; the training target finds new inputs every few
+# executions, so its minimisation is capped at 100 of them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBestSplit -fuzztime 10s ./internal/ml/cpd
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFromBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzForestUnmarshalJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
+	$(GO) test -run '^$$' -fuzz '^FuzzForestTrain$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzFindAll$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/gateway

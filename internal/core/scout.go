@@ -82,7 +82,7 @@ type TrainOptions struct {
 	BoostIDs    map[string]bool
 	BoostFactor float64
 	// MaxCPDExamples caps how many broad incidents train CPD+'s
-	// cluster-level forest (default 300; CPD is the expensive path).
+	// cluster-level forest (default 200; CPD is the expensive path).
 	MaxCPDExamples int
 	// Cache, when non-nil, memoizes featurization across retraining
 	// rounds. It must be dedicated to this (Config, Topology, Source)

@@ -128,9 +128,9 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 	// per-worker accumulators would make importances schedule-dependent).
 	treeImp := make([][]float64, p.NumTrees)
 	// The split kernel shares one read-only column-major presort across
-	// all trees and pools the per-tree scratch across workers (a scratch is
-	// fully overwritten by reset, so pool reuse order cannot leak state
-	// between trees and determinism is preserved).
+	// all trees and pools the per-tree scratch across workers (a scratch
+	// carries no state from one tree to the next, so pool reuse order
+	// cannot perturb a tree and determinism is preserved).
 	cols := mlcore.NewColumns(d, p.Workers)
 	scratch := sync.Pool{New: func() any { return newSplitCtx(cols) }}
 	parallel.For(p.Workers, p.NumTrees, func(t int) {

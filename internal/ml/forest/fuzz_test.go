@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"scouts/internal/ml/mlcore"
 )
 
 // The two decoders a forest can arrive through from outside the process:
@@ -93,5 +95,113 @@ func FuzzForestUnmarshalJSON(f *testing.F) {
 			return
 		}
 		checkAcceptedForest(t, &forest)
+	})
+}
+
+// The split kernel's differential target: small training sets decoded from
+// bytes, grown by Train. With uniform weights the seed kernel kept as the
+// oracle must grow the same forest byte for byte, at one worker and at
+// two; with non-uniform weights no oracle orders ties as Train does
+// (TestWeightedForestGolden pins those), so the two worker counts must
+// agree. Values are finite and few: NaNs are out because the oracle's
+// sort.Slice orders nothing consistently around them.
+
+// fuzzWeights are the weight magnitudes of a weighted fuzz input, the
+// tie-rounding shape of TestWeightedForestGolden's datasets.
+var fuzzWeights = [...]float64{0.1, 0.2, 0.7, 1.3, 3}
+
+// fuzzTrainSet decodes data into a training set and its params. Header:
+// dimension (1–6), flags (bit 0: weighted, bit 1: no bootstrap), trees
+// (1–4) and max depth (1–8), mtry (0 is the default) and seed. Then each
+// row is one byte per value (eight levels, -1.5 to 2), a label byte (bit
+// 0) and, when weighted, a weight byte; at most 64 rows, a partial row
+// is dropped.
+func fuzzTrainSet(data []byte) (d *mlcore.Dataset, p Params, weighted, ok bool) {
+	if len(data) < 4 {
+		return nil, p, false, false
+	}
+	dim, flags := 1+int(data[0])%6, data[1]
+	weighted = flags&1 != 0
+	p = Params{
+		NumTrees:         1 + int(data[2])%4,
+		MaxDepth:         1 + int(data[2]>>2)%8,
+		MTry:             int(data[3]) % (dim + 1),
+		Seed:             int64(data[3] >> 3),
+		DisableBootstrap: flags&2 != 0,
+	}
+	width := dim + 1
+	if weighted {
+		width++
+	}
+	features := []string{"f0", "f1", "f2", "f3", "f4", "f5"}[:dim]
+	d = mlcore.NewDataset(features)
+	for row := data[4:]; len(row) >= width && d.Len() < 64; row = row[width:] {
+		x := make([]float64, dim)
+		for f := range x {
+			x[f] = float64(int(row[f]%8)-3) / 2
+		}
+		s := mlcore.Sample{X: x, Y: row[dim]&1 != 0}
+		if weighted {
+			s.Weight = fuzzWeights[int(row[dim+1])%len(fuzzWeights)]
+		}
+		d.MustAdd(s)
+	}
+	return d, p, weighted, d.Len() > 0
+}
+
+// fuzzTrainSeed encodes rows in fuzzTrainSet's layout: each value is a
+// level 0–7 (the value (level-3)/2), weights index fuzzWeights.
+func fuzzTrainSeed(flags, trees byte, rows [][]byte) []byte {
+	out := []byte{byte(len(rows[0]) - 2), flags, trees, 0}
+	if flags&1 != 0 {
+		out[0]-- // the weight byte
+	}
+	for _, r := range rows {
+		out = append(out, r...)
+	}
+	return out
+}
+
+func FuzzForestTrain(f *testing.F) {
+	rng := rand.New(rand.NewSource(31))
+	var xor, constant, quant, weighted [][]byte
+	for i := 0; i < 64; i++ {
+		a, b := byte(rng.Intn(2)), byte(rng.Intn(2))
+		// xor: two near-binary columns and a junk one (levels 3 and 5 are 0 and 1).
+		xor = append(xor, []byte{3 + 2*a, 3 + 2*b, byte(rng.Intn(8)), a ^ b})
+		// constant: the xor problem beside a constant column.
+		constant = append(constant, []byte{3 + 2*a, 4, 3 + 2*b, a ^ b})
+		// quantised: four-valued columns, a label one of them mostly decides.
+		q := []byte{byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(4)), 0}
+		q[3] = q[0] / 2
+		if rng.Intn(8) == 0 {
+			q[3] ^= 1
+		}
+		quant = append(quant, q)
+		weighted = append(weighted, append(append([]byte(nil), q...), byte(rng.Intn(5))))
+	}
+	f.Add(fuzzTrainSeed(0, 3|5<<2, xor))
+	f.Add(fuzzTrainSeed(2, 2|7<<2, constant))
+	f.Add(fuzzTrainSeed(0, 3|6<<2, quant))
+	f.Add(fuzzTrainSeed(1, 3|7<<2, weighted))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, p, weighted, ok := fuzzTrainSet(data)
+		if !ok {
+			return
+		}
+		train := func(fn func(*mlcore.Dataset, Params) (*Forest, error), workers int) []byte {
+			p.Workers = workers
+			return snapshotWith(t, fn, d, p)
+		}
+		one, two := train(Train, 1), train(Train, 2)
+		if !bytes.Equal(one, two) {
+			t.Fatalf("workers 1 and 2 grow different forests (%d vs %d bytes)", len(one), len(two))
+		}
+		if weighted {
+			return
+		}
+		if ref := train(TrainReference, 1); !bytes.Equal(one, ref) {
+			t.Fatalf("Train and the seed kernel grow different forests (%d vs %d bytes)", len(one), len(ref))
+		}
 	})
 }
