@@ -52,13 +52,64 @@ func checksumOf(payload []byte) string {
 // any instant leaves either the old file, the new file, or an ignorable
 // *.tmp — never a half-written model under the final name. The directory
 // sync is deferred so it also covers error returns: a save that fails on
-// version N must not leave versions 1..N-1 renamed but undurable.
-func SaveStore(st *Store, dir string) (err error) {
+// version N must not leave versions 1..N-1 renamed but undurable. A nil
+// return means every version is durable; TestSaveStoreCrashConsistency
+// checks all of this at every crash point.
+func SaveStore(st *Store, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serving: creating %s: %w", dir, err)
 	}
+	return saveStore(osOps{}, st, dir)
+}
+
+// fileOps is the file-system seam a save writes through. osOps is the one
+// real implementation; the crash-consistency test drives saveStore through
+// a recording fake.
+type fileOps interface {
+	create(path string) (storeFile, error) // write-only, created or truncated
+	openDir(dir string) (storeDir, error)
+	rename(from, to string) error
+	remove(path string) error
+}
+
+// storeFile is the part of *os.File a save writes a model through.
+type storeFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// storeDir is the part of *os.File a directory sync uses.
+type storeDir interface {
+	Sync() error
+	Close() error
+}
+
+type osOps struct{}
+
+func (osOps) create(path string) (storeFile, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osOps) openDir(dir string) (storeDir, error) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+func (osOps) rename(from, to string) error { return os.Rename(from, to) }
+func (osOps) remove(path string) error     { return os.Remove(path) }
+
+// saveStore is SaveStore past the MkdirAll, writing through ops.
+func saveStore(ops fileOps, st *Store, dir string) (err error) {
 	defer func() {
-		if serr := syncDir(dir); err == nil {
+		if serr := syncDir(ops, dir); err == nil {
 			err = serr
 		}
 	}()
@@ -79,7 +130,7 @@ func SaveStore(st *Store, dir string) (err error) {
 		if !core.IsScoutpack(m.Snapshot) {
 			return fmt.Errorf("serving: v%d is not a scoutpack snapshot; the store directory holds only scoutpacks (publish Scout.SnapshotPack)", m.Version)
 		}
-		if err := writePackFile(dir, m); err != nil {
+		if err := writePackFile(ops, dir, m); err != nil {
 			return err
 		}
 	}
@@ -92,42 +143,46 @@ const timeLayout = "2006-01-02T15:04:05.999999999Z07:00"
 
 // writeFileSync writes data to path through a same-directory temp file,
 // fsyncing the file before the rename commits it.
-func writeFileSync(path string, data []byte) error {
+func writeFileSync(ops fileOps, path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := ops.create(tmp)
 	if err != nil {
 		return fmt.Errorf("serving: writing %s: %w", tmp, err)
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		ops.remove(tmp)
 		return fmt.Errorf("serving: writing %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		ops.remove(tmp)
 		return fmt.Errorf("serving: syncing %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		ops.remove(tmp)
 		return fmt.Errorf("serving: closing %s: %w", tmp, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := ops.rename(tmp, path); err != nil {
+		ops.remove(tmp)
 		return fmt.Errorf("serving: committing %s: %w", path, err)
 	}
 	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Best-effort on filesystems that reject directory fsync.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// Its error is returned, not swallowed: until the directory sync
+// completes, a rename may vanish in a crash, so a save whose directory
+// sync failed has not made its new versions durable and must say so.
+func syncDir(ops fileOps, dir string) error {
+	d, err := ops.openDir(dir)
 	if err != nil {
 		return fmt.Errorf("serving: syncing %s: %w", dir, err)
 	}
 	defer d.Close()
-	d.Sync()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("serving: syncing %s: %w", dir, err)
+	}
 	return nil
 }
 
@@ -233,12 +288,12 @@ func quarantineFile(path, reason string) QuarantinedFile {
 }
 
 // writePackFile writes one scoutpack model as model-%06d.pack, crash-safe.
-func writePackFile(dir string, m Model) error {
+func writePackFile(ops fileOps, dir string, m Model) error {
 	data, err := encodePackFile(m)
 	if err != nil {
 		return err
 	}
-	return writeFileSync(filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version)), data)
+	return writeFileSync(ops, filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version)), data)
 }
 
 // encodePackFile renders one model as the bytes of its .pack file — the

@@ -213,12 +213,12 @@ func TestSaveStoreEmptyOK(t *testing.T) {
 	}
 }
 
-// TestSaveStorePartialFailureStillDurable pins the fsyncrename fix: a
-// save that fails midway (here: a lazy model whose backing file is
-// gone) must still return an error, AND the versions committed before
-// the failure must remain present and loadable — SaveStore's deferred
-// directory sync runs on the error path too, so those renames are not
-// abandoned undurable.
+// TestSaveStorePartialFailureStillDurable: a save that fails midway
+// (here: a lazy model whose backing file is gone) must still return an
+// error, AND the versions committed before the failure must remain
+// present and loadable. That those renames are also durable — the
+// deferred directory sync runs on the error path too — is
+// TestSaveStoreCrashConsistency's to show: a real directory cannot crash.
 func TestSaveStorePartialFailureStillDurable(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
