@@ -1,8 +1,8 @@
 // Command scoutlint runs the repo's project-customized static-analysis
-// suite (internal/lint) over the module: six analyzers enforcing the
-// determinism, map-order, reflection-free-sort, hot-path, lock-pairing and
-// durable-rename invariants the repository holds itself to. Only the
-// standard library is used.
+// suite (internal/lint) over the module: five analyzers enforcing the
+// determinism, map-order, reflection-free-sort, hot-path and lock-pairing
+// invariants the repository holds itself to. Only the standard library is
+// used.
 //
 // Usage:
 //

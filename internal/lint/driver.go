@@ -133,7 +133,7 @@ func findModule(root string) (moduleRoot, modulePath string) {
 }
 
 // discover walks root for directories containing non-test Go files.
-// Import paths are moduleRoot-relative ("scouts/internal/lint/cfg");
+// Import paths are moduleRoot-relative ("scouts/internal/serving");
 // relDir stays root-relative, because the path-scoped analyzer
 // exemptions (cmd/, examples/) are about where a package sits under the
 // tree being linted, not under the module.

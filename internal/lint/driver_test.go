@@ -182,6 +182,22 @@ func TestSelfCheck(t *testing.T) {
 	}
 }
 
+// TestSubtreeRun lints one directory inside the module, as `scoutlint
+// internal/serving` does: the driver walks up to go.mod for real import
+// paths and loads serving's module-internal dependencies (core, httpx,
+// ...) from outside the root as type-check fodder, analysis off. Without
+// that loader the run is a type error; the subtree is clean, so a finding
+// is the driver's too.
+func TestSubtreeRun(t *testing.T) {
+	diags, err := lint.Run(lint.Config{Root: filepath.Join(moduleRoot(t), "internal", "serving")})
+	if err != nil {
+		t.Fatalf("lint.Run: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("internal/serving is not lint-clean: %s", d.String())
+	}
+}
+
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()

@@ -2,8 +2,7 @@
 // a from-scratch driver plus a catalog of analyzers that turn the
 // invariants earlier PRs established by hand — bit-identical training at
 // any worker count, zero-alloc hot kernels, reflection-free sorts,
-// lock-safe shared caches, crash-safe renames — into checks the build
-// refuses to break. Only standard-library packages are used (go/parser,
+// lock-safe shared caches — into checks the build refuses to break. Only standard-library packages are used (go/parser,
 // go/ast, go/types, go/importer, go/token): the module has no
 // dependencies and the linter must not be the first.
 //
@@ -89,7 +88,6 @@ func All() []*Analyzer {
 		SortSlice,
 		HotPath,
 		Locks,
-		FsyncRename,
 	}
 }
 
@@ -121,11 +119,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether fn is the function or method pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // isBuiltin reports whether the call invokes the named builtin (append,
 // make, ...), resolving through the identifier so shadowed names don't
 // match.
@@ -151,38 +144,9 @@ func objectOf(info *types.Info, e ast.Expr) types.Object {
 	return info.Defs[id]
 }
 
-// exprObject resolves an identifier or a field/package selector to its
-// object: the variable for `ch`, the field for `s.ch` (one *types.Var
-// shared by every instance of the struct), the package var for `pkg.V`.
-func exprObject(info *types.Info, e ast.Expr) types.Object {
-	switch v := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return objectOf(info, v)
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[v]; ok {
-			return sel.Obj()
-		}
-		return info.Uses[v.Sel]
-	}
-	return nil
-}
-
 // recvKey renders a lock receiver ("s.mu", "mu") so Lock/Unlock calls on
 // the same variable can be paired syntactically.
 func recvKey(e ast.Expr) string { return types.ExprString(e) }
-
-// namedPath returns the fully-qualified path of a (possibly aliased,
-// possibly pointed-to) named type, e.g. "sync.Mutex", or "".
-func namedPath(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
-}
 
 // sortDiagnostics orders findings by file, then line, column and check,
 // so the tool's output (and the test harness's comparisons) are
