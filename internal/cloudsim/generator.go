@@ -311,14 +311,21 @@ func (g *Generator) generateOne(t float64) *incident.Incident {
 	return in
 }
 
+// sampleDetector draws a detecting team in proportion to weights, walking
+// a fixed team list so the draw is a function of the generator's seed. A
+// draw that rounding carries past the last weight goes to the last team
+// that has one.
 func (g *Generator) sampleDetector(weights map[string]float64) string {
+	order := append(append([]string(nil), Teams...), TeamSupport, TeamCustomer)
 	var total float64
-	for _, w := range weights {
-		total += w
+	last := TeamSupport
+	for _, team := range order {
+		if w, ok := weights[team]; ok {
+			total += w
+			last = team
+		}
 	}
 	r := g.rng.Float64() * total
-	// Deterministic order: iterate a fixed team list.
-	order := append(append([]string(nil), Teams...), TeamSupport, TeamCustomer)
 	for _, team := range order {
 		w, ok := weights[team]
 		if !ok {
@@ -329,10 +336,7 @@ func (g *Generator) sampleDetector(weights map[string]float64) string {
 			return team
 		}
 	}
-	for team := range weights {
-		return team
-	}
-	return TeamSupport
+	return last
 }
 
 // stripMentions removes component names from CRI text, imitating customers

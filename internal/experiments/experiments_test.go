@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var (
@@ -336,5 +337,17 @@ func TestInferenceLatency(t *testing.T) {
 	}
 	if l.MeanSeconds > 5 {
 		t.Fatalf("inference too slow: %v s", l.MeanSeconds)
+	}
+
+	// Under an injected clock that advances 250 ms a reading, every
+	// prediction reads it twice and takes exactly 0.25 s.
+	now := time.Unix(1700000000, 0)
+	lab.Clock = func() time.Time {
+		now = now.Add(250 * time.Millisecond)
+		return now
+	}
+	defer func() { lab.Clock = nil }()
+	if l := InferenceLatency(lab, 20); l.MeanSeconds != 0.25 || l.StdSeconds != 0 || l.Samples != 20 {
+		t.Fatalf("under the injected clock: %+v, want a mean of 0.25 s and no spread over 20 calls", l)
 	}
 }

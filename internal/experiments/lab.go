@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"scouts/internal/cloudsim"
@@ -79,10 +78,8 @@ type Lab struct {
 	TestIDs       []string
 
 	// Clock times the latency experiment (§6). nil means time.Now; tests
-	// inject a fixed clock so every table is a pure function of the seed.
+	// inject a stepping clock so every table is a pure function of the seed.
 	Clock func() time.Time
-
-	mu sync.Mutex
 }
 
 // Team is the Scout's team in every experiment.

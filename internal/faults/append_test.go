@@ -301,6 +301,31 @@ func TestBreakerAppendSeriesConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAppendSeriesAllocations: into a buffer with room, neither decorator's
+// pull allocates — the chaos layer corrupting or lagging a window, nor the
+// breaker gating and recording one it passes through.
+func TestAppendSeriesAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	tel := equivalenceTelemetry()
+	chaos := NewChaos(tel, equivalenceSchedule(), 7)
+	b := NewBreaker(tel, equivalenceParams)
+	dst := make([]float64, 0, 64)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Chaos.AppendSeries (corrupted)", func() { dst = chaos.AppendSeries(dst[:0], cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42) }},
+		{"Chaos.AppendSeries (stale)", func() { dst = chaos.AppendSeries(dst[:0], cloudsim.DSCanary, "c1.dc1", 48, 50) }},
+		{"Breaker.AppendSeries", func() { dst = b.AppendSeries(dst[:0], cloudsim.DSTemp, "tor1.c1.dc1", 40, 42) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.run); n != 0 || len(dst) != 20 {
+			t.Errorf("%s: %v allocations for %d values, want 0 for 20", c.name, n, len(dst))
+		}
+	}
+}
+
 // TestChaosAppendSeriesLeavesInnerAlone: corruption rewrites the appended
 // copy, never the storage of a source that hands out its own slice.
 func TestChaosAppendSeriesLeavesInnerAlone(t *testing.T) {

@@ -219,6 +219,35 @@ func TestPredictProxiesVerbatim(t *testing.T) {
 	}
 }
 
+// TestInjectedClockTimesTheGateway: every duration the gateway records is
+// read off Config.Now. Under a clock that advances 5 ms a reading, the
+// upstream attempt reads it twice back to back (5 ms), and the request, as
+// the spine times it, spans those two and the breaker's admit and record.
+func TestInjectedClockTimesTheGateway(t *testing.T) {
+	rep := newFakeReplica(okJSON(`{"ok":true}`))
+	defer rep.ts.Close()
+	var clock atomic.Int64
+	g := newTestGateway(t, Config{
+		Replicas:    []ReplicaConfig{{Name: "a", Team: "phynet", URL: rep.ts.URL}},
+		MaxAttempts: 1, HedgeAfter: -1,
+		Now: func() time.Time { return time.Unix(0, clock.Add(int64(5*time.Millisecond))) },
+	})
+	h := g.Handler()
+	if w := doPredict(t, h, "", "incident 1"); w.Code != http.StatusOK {
+		t.Fatalf("predict answered %d: %s", w.Code, w.Body.String())
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		"scout_gw_upstream_duration_seconds_sum 0.005\n",
+		`scout_gw_http_request_duration_seconds_sum{endpoint="/v1/predict"} 0.025` + "\n",
+	} {
+		if !strings.Contains(w.Body.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
 func TestFailoverToNextReplica(t *testing.T) {
 	live := newFakeReplica(okJSON(`{"ok":true}`))
 	defer live.ts.Close()

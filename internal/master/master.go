@@ -147,7 +147,9 @@ func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams,
 			conf float64
 		}
 		var claims []claim
-		turnedAway := map[string]bool{}
+		// saved is the dwell time of the innocent teams whose Scouts turned
+		// the incident away, summed in enabled order.
+		var saved float64
 		for _, team := range enabled {
 			truth := team == owner
 			correct := rng.Float64() < acc[team]
@@ -162,8 +164,8 @@ func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams,
 			}
 			if answer {
 				claims = append(claims, claim{team, conf})
-			} else {
-				turnedAway[team] = true
+			} else if team != owner {
+				saved += in.TimeIn(team)
 			}
 		}
 		routed := ""
@@ -185,12 +187,6 @@ func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams,
 		default:
 			// Nobody claimed it: historical path minus the innocent
 			// teams whose Scouts turned it away.
-			var saved float64
-			for team := range turnedAway {
-				if team != owner {
-					saved += in.TimeIn(team)
-				}
-			}
 			out = append(out, saved/total)
 		}
 	}

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -100,6 +101,30 @@ func TestPerfectScoutsSaveEverything(t *testing.T) {
 		want := (in.TotalTime() - in.TimeIn(in.OwnerLabel)) / in.TotalTime()
 		if s != want {
 			t.Fatalf("incident %d: saved %v want %v", i, s, want)
+		}
+	}
+}
+
+// TestSimulateAssignmentIsAFunctionOfItsSeed: an incident nobody claims
+// saves the dwell time of the teams whose Scouts turned it away, and with
+// dwell times of 0.1, 0.2 and 0.3 h the order of that sum shows in the last
+// bit. Repeated calls from one seed must agree bit for bit, on the sum taken
+// in the order the teams are enabled.
+func TestSimulateAssignmentIsAFunctionOfItsSeed(t *testing.T) {
+	// Only the hops' durations enter the simulation; every hop starts at 0
+	// so each duration is exactly the literal.
+	in := &incident.Incident{ID: "i", OwnerLabel: "DB", Hops: []incident.Hop{
+		{Team: "PhyNet", Exit: 0.1},
+		{Team: "Storage", Exit: 0.2},
+		{Team: "SLB", Exit: 0.3},
+		{Team: "DB", Exit: 1},
+	}}
+	enabled := []string{"PhyNet", "Storage", "SLB"}
+	want := math.Float64bits((in.TimeIn("PhyNet") + in.TimeIn("Storage") + in.TimeIn("SLB")) / in.TotalTime())
+	for call := 0; call < 200; call++ {
+		got := SimulateAssignment([]*incident.Incident{in}, enabled, SimParams{Alpha: 1}, rand.New(rand.NewSource(1)))
+		if bits := math.Float64bits(got[0]); bits != want {
+			t.Fatalf("call %d saved %v (%#x), want %v (%#x)", call, got[0], bits, math.Float64frombits(want), want)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"scouts/internal/core"
 )
 
 // TestBatchHandlerAllocations pins what one item of a 32-item
@@ -43,6 +45,23 @@ func TestBatchHandlerAllocations(t *testing.T) {
 		t.Logf("batch %d: %.1f allocations per item", i, perItem)
 		if perItem > budgetPerItem {
 			t.Errorf("batch %d: %.1f allocations per item, budget %d", i, perItem, budgetPerItem)
+		}
+	}
+}
+
+// TestRecommendationAllocations: the §8 fine print of a usable answer
+// allocates the string it returns and nothing else; a fallback's is a
+// constant.
+func TestRecommendationAllocations(t *testing.T) {
+	usable := core.Prediction{Verdict: core.VerdictResponsible, Responsible: true, Confidence: 0.93, Components: make([]string, 12)}
+	fallback := core.Prediction{Verdict: core.VerdictFallback}
+	for _, c := range []struct {
+		name string
+		p    *core.Prediction
+		want float64
+	}{{"usable", &usable, 1}, {"fallback", &fallback, 0}} {
+		if got := testing.AllocsPerRun(100, func() { recommendation("PhyNet", c.p) }); got != c.want {
+			t.Errorf("recommendation of a %s answer: %v allocations, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -50,3 +50,14 @@ func TestTable3Rendering(t *testing.T) {
 		}
 	}
 }
+
+// TestResponsesListBandsInOrder: the reconstructed respondents carry their
+// team and user bands in Band order, so every call returns the same rows.
+func TestResponsesListBandsInOrder(t *testing.T) {
+	rs := Responses()
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Teams < rs[i-1].Teams || rs[i].Users < rs[i-1].Users {
+			t.Fatalf("respondent %d: bands %s/%s after %s/%s", i, rs[i].Teams, rs[i].Users, rs[i-1].Teams, rs[i-1].Users)
+		}
+	}
+}

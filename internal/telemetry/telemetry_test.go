@@ -96,22 +96,28 @@ func TestServeHTTP(t *testing.T) {
 }
 
 // TestHotPathZeroAlloc is the allocation guard on the instrumented
-// serving path: a counter bump and a histogram sample must not produce
-// garbage, or the PR 3 zero-alloc batch path regresses the moment it is
-// observed.
+// serving path, one row per recording method: a counter bump, a gauge move
+// and a histogram sample must not produce garbage, or the zero-alloc batch
+// path regresses the moment it is observed.
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("scout_x_total", "x")
 	g := r.Gauge("scout_g", "g")
 	h := r.Histogram("scout_d_seconds", "d", nil)
-	if n := testing.AllocsPerRun(200, func() {
-		c.Inc()
-		c.Add(2)
-		g.Set(4)
-		h.Observe(0.003)
-		h.ObserveDuration(3 * time.Millisecond)
-	}); n != 0 {
-		t.Fatalf("hot path allocates %.1f objects per run, want 0", n)
+	for _, row := range []struct {
+		name string
+		run  func()
+	}{
+		{"Counter.Inc", c.Inc},
+		{"Counter.Add", func() { c.Add(2) }},
+		{"Gauge.Set", func() { g.Set(4) }},
+		{"Gauge.Add", func() { g.Add(-1) }},
+		{"Histogram.Observe", func() { h.Observe(0.003) }},
+		{"Histogram.ObserveDuration", func() { h.ObserveDuration(3 * time.Millisecond) }},
+	} {
+		if n := testing.AllocsPerRun(200, row.run); n != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", row.name, n)
+		}
 	}
 }
 
@@ -214,6 +220,11 @@ func TestLoggerGolden(t *testing.T) {
 	var decoded map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("line is not valid JSON: %v", err)
+	}
+	// The same logger writes the next line whole after the first.
+	lg.Log("x")
+	if got := buf.String(); got != want+`{"event":"x","ts":"2026-08-08T12:00:00Z","component":"scoutd"}`+"\n" {
+		t.Errorf("second line: log reads %q", got)
 	}
 
 	// No clock, no ts field; nil logger is a no-op.

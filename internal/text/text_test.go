@@ -1,6 +1,7 @@
 package text
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -56,19 +57,19 @@ func TestBuildVocabularyMinDocFreq(t *testing.T) {
 }
 
 func TestBuildVocabularyMaxWords(t *testing.T) {
-	docs := [][]string{
-		{"aa", "bb", "cc"},
-		{"aa", "bb", "cc"},
-		{"aa", "bb"},
-		{"aa"},
+	// Twenty words, w00 … w19, word i in 1 + i%5 of the documents: five
+	// document frequencies, four words at each.
+	docs := make([][]string, 5)
+	for i := 0; i < 20; i++ {
+		for d := 0; d <= i%5; d++ {
+			docs[d] = append(docs[d], fmt.Sprintf("w%02d", i))
+		}
 	}
-	v := BuildVocabulary(docs, VocabOptions{MinDocFreq: 1, MaxWords: 2})
-	if v.Size() != 2 {
-		t.Fatalf("size %d", v.Size())
-	}
-	// Highest document frequency first.
-	if v.Words[0] != "aa" || v.Words[1] != "bb" {
-		t.Fatalf("order: %v", v.Words)
+	v := BuildVocabulary(docs, VocabOptions{MinDocFreq: 1, MaxWords: 6})
+	// Highest document frequency first, ties alphabetical: the four words in
+	// every document, then the first two of the four in four of them.
+	if want := []string{"w04", "w09", "w14", "w19", "w03", "w08"}; !slices.Equal(v.Words, want) {
+		t.Fatalf("words %v, want %v", v.Words, want)
 	}
 }
 
