@@ -288,8 +288,6 @@ func (t *Telemetry) SeriesWindow(dataset, component string, from, to float64) []
 // tick in [from, to) are appended to dst, which is returned untouched when
 // the dataset is unknown, deprecated, not a time series, or does not monitor
 // the component.
-//
-//scout:hotpath
 func (t *Telemetry) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	spec := t.seriesSpec(dataset, component)
 	if spec == nil {
@@ -303,8 +301,6 @@ func (t *Telemetry) AppendSeries(dst []float64, dataset, component string, from,
 // look-back windows) instead of a returned slice, and the aggregates use
 // StatsOf — bit-identical to materializing the window and computing
 // metrics.Mean/metrics.StdDev on it.
-//
-//scout:hotpath
 func (t *Telemetry) WindowStats(dataset, component string, from, to float64) (monitoring.Stats, bool) {
 	spec := t.seriesSpec(dataset, component)
 	if spec == nil {
@@ -360,8 +356,6 @@ func (t *Telemetry) EventsWindow(dataset, component string, from, to float64) []
 // EventCount implements monitoring.StatsSource: the number of events in
 // [from, to), evaluated with the same per-tick occurrence predicate as
 // EventsWindow but without materializing any records.
-//
-//scout:hotpath
 func (t *Telemetry) EventCount(dataset, component string, from, to float64) int {
 	t.mu.RLock()
 	spec, ok := t.byDS[dataset]

@@ -459,8 +459,6 @@ func (fb *FeatureBuilder) Featurize(ex Extraction, t float64) []float64 {
 // same layout (len(FeatureNames()) cells); a mismatched slice is replaced
 // by a fresh one. Every slot is overwritten, so a dirty pooled vector is
 // fine. Returns the filled vector.
-//
-//scout:hotpath
 func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) []float64 {
 	if len(x) != len(fb.names) {
 		x = make([]float64, len(fb.names))
@@ -530,8 +528,6 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 // percentiles. baseOK is false when the baseline window was empty; the
 // current window's own mean then centers the values (and the zero std falls
 // through to the same floor the materializing implementation used).
-//
-//scout:hotpath
 func normalizeInPlace(cur []float64, base monitoring.Stats, baseOK bool) {
 	mean, std := base.Mean, base.Std
 	if !baseOK {

@@ -163,8 +163,6 @@ func leadByte(r rune) int {
 
 // findAll appends the pattern's successive non-overlapping matches in text
 // to dst: what re.FindAllString(text, -1) returns, as substrings of text.
-//
-//scout:hotpath
 func (f *finder) findAll(dst []string, text string) []string {
 	if f.at0 == nil {
 		return append(dst, f.re.FindAllString(text, -1)...)

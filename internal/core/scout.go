@@ -586,8 +586,6 @@ func (s *Scout) featurizeWithImputationInto(v *[]float64, m *memo, t float64) Da
 // explainRF renders the paper's operator-facing explanation (§8): the
 // monitoring signals that drove the decision and the fine print about known
 // failure modes — in one buffer, the string being its only allocation.
-//
-//scout:hotpath
 func (s *Scout) explainRF(x []float64, label bool) string {
 	var arr [512]byte
 	out := append(arr[:0], "random forest points "...)

@@ -236,8 +236,6 @@ func (b *Breaker) SeriesWindow(dataset, component string, from, to float64) []fl
 // exactly like SeriesWindow: a short-circuited query never reaches the inner
 // source, and a window the breaker rejects (empty, or too stale) is cut back
 // off dst before it is returned.
-//
-//scout:hotpath
 func (b *Breaker) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	pass, probe := b.begin(dataset, to)
 	if !pass {

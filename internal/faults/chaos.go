@@ -69,8 +69,6 @@ func (c *Chaos) SeriesWindow(dataset, component string, from, to float64) []floa
 // AppendSeries implements monitoring.SeriesAppender with the schedule
 // applied. Corruption rewrites only the values this call appended — they
 // are copies the inner source handed over, never its own storage.
-//
-//scout:hotpath
 func (c *Chaos) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	if c.down(dataset, component, to) {
 		return dst

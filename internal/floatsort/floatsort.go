@@ -60,8 +60,6 @@ func key(v float64) uint64 {
 // apply: a short buffer, one that is mostly repeats of a few values (which
 // pdqsort partitions away in fewer linear passes than the five here), and
 // one that holds a NaN, which the chaos decorator does inject.
-//
-//scout:hotpath
 func Sort(xs []float64) {
 	n := len(xs)
 	if n < small {
@@ -155,8 +153,6 @@ func Sort(xs []float64) {
 // bucket goes through Sort again, where its own key range puts the
 // window strictly below shift, so the recursion ends within 64/(2·8)
 // levels and no input pays a quadratic finish.
-//
-//scout:hotpath
 func finish(xs []float64, shift int) {
 	for i := 1; i < len(xs); i++ {
 		v := xs[i]

@@ -100,9 +100,10 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // instrument wraps one endpoint's handler with its latency histogram,
-// status counters and the structured access log. It is the layer the
-// scoutlint obs analyzer demands on every mux registration: a handler
-// that never passes through here serves invisible requests.
+// status counters and the structured access log. Every mux registration
+// passes through it — a handler that did not would serve invisible
+// requests — and two tests hold that: TestUndeclaredEndpointPanicsAtRegistration
+// and serving's TestMetricsEndpoint, which pins each route's exact samples.
 func (m *Mux) instrument(endpoint string, next http.Handler) http.Handler {
 	em := m.sp.endpoints[endpoint]
 	if em == nil {

@@ -172,8 +172,6 @@ func StdDev(xs []float64) float64 {
 }
 
 // stdDevAround is StdDev for a caller that already holds the sample's mean.
-//
-//scout:hotpath
 func stdDevAround(xs []float64, mean float64) float64 {
 	n := len(xs)
 	if n < 2 {
@@ -204,8 +202,6 @@ var SummaryNames = []string{
 // with: xs is sorted where it lies, and Mean and Std sum the sorted values.
 // An empty sample yields the zero value, which the feature builder treats as
 // "component not observed".
-//
-//scout:hotpath
 func SummarizeInPlace(xs []float64) SummaryStats {
 	if len(xs) == 0 {
 		return SummaryStats{}
@@ -237,8 +233,6 @@ func (s SummaryStats) Vector() []float64 {
 // VectorInto writes the statistics into dst (len(SummaryNames) cells) in
 // SummaryNames order — the allocation-free form the featurization hot path
 // uses to fill pooled feature vectors in place.
-//
-//scout:hotpath
 func (s SummaryStats) VectorInto(dst []float64) {
 	dst[0], dst[1], dst[2], dst[3] = s.Mean, s.Std, s.Min, s.Max
 	dst[4], dst[5], dst[6], dst[7] = s.P1, s.P10, s.P25, s.P50

@@ -196,8 +196,6 @@ func (k *kernel) segment(series []float64, offset int, p Params, out *[]int) {
 // sums the values a per-candidate sort of both halves would produce, in
 // the same order, so every statistic is bit-identical to computing each
 // split from scratch.
-//
-//scout:hotpath
 func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 	n := len(series)
 	if n < 2*minSeg {
@@ -236,8 +234,6 @@ func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 // a handful of flops on two running sums, wherever that is further than
 // delta from observed, and by energy — which alone defines the statistic —
 // inside that band. With delta +Inf, or a NaN, every candidate is inside.
-//
-//scout:hotpath
 func (k *kernel) reaches(rank []int32, minSeg int, observed float64) bool {
 	n := len(rank)
 	above, below := observed+k.delta, observed-k.delta
@@ -273,8 +269,6 @@ type sums struct{ within, beyond float64 }
 // distances to the values already before the split, summed in one pass over
 // them, join within, and its distances to the rest — what remains of dist[r]
 // — leave beyond.
-//
-//scout:hotpath
 func (k *kernel) cross(s sums, i int, r int32) sums {
 	v := k.sorted[r]
 	d := 0.0
@@ -289,8 +283,6 @@ func (k *kernel) cross(s sums, i int, r int32) sums {
 // values before it, from the running sums:
 // Q = 2/n * (S_xy - m/nx*S_xx - nx/m*S_yy) with S_xy = total - S_xx - S_yy.
 // It differs from energy by at most delta/2 (DESIGN.md §7.4.1).
-//
-//scout:hotpath
 func (k *kernel) statistic(s sums, n, nx int) float64 {
 	across := k.total - s.within - s.beyond
 	return k.scale * (across - k.ratio[nx]*s.within - k.ratio[n-nx]*s.beyond)
@@ -298,8 +290,6 @@ func (k *kernel) statistic(s sums, n, nx int) float64 {
 
 // index fills rank and side's first bits for series, whose sorted values
 // are in sorted and hold no NaN.
-//
-//scout:hotpath
 func (k *kernel) index(series []float64) {
 	n := len(series)
 	sorted, side, rank := k.sorted[:n], k.side[:n], k.rank[:n]
@@ -321,8 +311,6 @@ func (k *kernel) index(series []float64) {
 
 // start puts a scan at its first candidate split: the first minSeg values,
 // in the order rank gives, are before it.
-//
-//scout:hotpath
 func (k *kernel) start(rank []int32, minSeg int) {
 	side := k.side[:len(rank)]
 	for p := range side {
@@ -345,8 +333,6 @@ func (k *kernel) start(rank []int32, minSeg int) {
 // x_i*k - prefix(k) + (total - prefix(k)) - x_i*(m-k). Equal values
 // contribute equal terms (zeros of either sign contribute zero), so which
 // of a run's positions a value took does not reach the result.
-//
-//scout:hotpath
 func (k *kernel) energy(n, nx int) float64 {
 	m := n - nx
 	split(k.sorted[:n], k.side[:n], k.xs[:n], k.ys[:n])
@@ -386,8 +372,6 @@ func (k *kernel) energy(n, nx int) float64 {
 // split partitions sorted stably by side's before bit into xs and ys, and
 // gives every x the count of ys that precede the start of its run of equal
 // values. Every position writes to both halves and advances only its own.
-//
-//scout:hotpath
 func split(sorted []float64, side []uint8, xs []xvalue, ys []float64) {
 	i, below := 0, 0
 	for p, v := range sorted {
@@ -414,8 +398,6 @@ func split(sorted []float64, side []uint8, xs []xvalue, ys []float64) {
 // subnormal grid, where a product or quotient rounds to the step, not to u.
 // Where the un-scaled bound is not finite — an infinite value, sums that
 // may overflow — none holds.
-//
-//scout:hotpath
 func (k *kernel) prepare(n, minSeg int) {
 	sorted, dist, ratio := k.sorted[:n], k.dist[:n], k.ratio[:n]
 	below, total := 0.0, 0.0
@@ -530,8 +512,6 @@ func tapOf(pos int) int {
 }
 
 // Uint64 returns the stream's next value.
-//
-//scout:hotpath
 func (s *source) Uint64() uint64 {
 	x := s.ring[s.pos] + s.ring[tapOf(s.pos)]
 	s.ring[s.pos] = x

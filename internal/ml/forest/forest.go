@@ -204,8 +204,6 @@ func (f *Forest) PredictProb(x []float64) float64 {
 // over PredictProb — one traversal serves single and batched calls — so
 // every probability is bit-identical to the single call's, and a
 // dimension-mismatched vector answers the training prior.
-//
-//scout:hotpath
 func (f *Forest) PredictProbBatch(xs [][]float64, out []float64) []float64 {
 	if cap(out) >= len(xs) {
 		out = out[:len(xs)]
@@ -401,8 +399,6 @@ func (f *Forest) sortedTop(top []Contribution, raw *rawContribs, k int, skip fun
 // reject, each with its signed contribution to three decimals — and
 // nothing when there are none. The random-forest and CPD+ explanations both
 // print this list.
-//
-//scout:hotpath
 func (f *Forest) AppendTopSignals(dst []byte, x []float64, k int, skip func(feature string) bool) []byte {
 	var buf [4]Contribution
 	for i, c := range f.explainTop(buf[:0], x, k, skip) {

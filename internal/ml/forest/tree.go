@@ -216,8 +216,6 @@ func (t *tree) grow(ctx *splitCtx, p *treeParams, lo, hi, depth int, wSum, wPos 
 // gain expression, and the same strictly-greater tie-break, so both
 // kernels pick identical splits (see DESIGN.md §7.1 for the tie-handling
 // argument, and why weighted sums need TestWeightedForestGolden instead).
-//
-//scout:hotpath
 func bestSplit(ctx *splitCtx, p *treeParams, lo, hi int, wSum, wPos float64) (feat int, thr, gain float64) {
 	dim := ctx.cols.Dim()
 	mtry := p.mtry

@@ -691,8 +691,6 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 
 // recommendation renders the §8 operator-facing fine print, in one buffer:
 // the string is its only allocation.
-//
-//scout:hotpath
 func recommendation(team string, p *core.Prediction) string {
 	if !p.Usable() {
 		return "The Scout could not extract components; use the existing routing process."

@@ -6,7 +6,7 @@
 // and never allocates — and renders them in the Prometheus text
 // exposition format (it is an http.Handler, mountable as GET /metrics).
 //
-// Design rules, enforced by tests and scoutlint:
+// Design rules, enforced by tests:
 //
 //   - Hot path is atomic-only. Counter.Inc/Add, Gauge.Set and
 //     Histogram.Observe are lock-free and zero-alloc; the registry mutex
@@ -38,13 +38,9 @@ import (
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-//
-//scout:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be non-negative; counters only go up).
-//
-//scout:hotpath
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -55,13 +51,9 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
-//
-//scout:hotpath
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adds n (negative to decrease).
-//
-//scout:hotpath
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
@@ -85,8 +77,6 @@ var DefBuckets = []float64{
 }
 
 // Observe records one sample.
-//
-//scout:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
@@ -98,8 +88,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration in seconds, with an exact
 // (integer-nanosecond) contribution to the sum.
-//
-//scout:hotpath
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	v := float64(d) / 1e9
 	i := 0

@@ -277,8 +277,6 @@ func (wc *WordCounter) Featurize(doc []string) []float64 {
 // holds the open token, lower-cased, in a buffer as long as the longest
 // tracked word (64 bytes at least, on the stack): a token that outgrows it
 // is no tracked word.
-//
-//scout:hotpath
 func (wc *WordCounter) FeaturizeText(x []float64, s string) []float64 {
 	if cap(x) >= len(wc.words) {
 		x = x[:len(wc.words)]
