@@ -144,11 +144,14 @@ loadgen-smoke:
 # monitoring blackout, shedding, deadlines — the inline guard's watchdog
 # racing its handler 10⁴ times — panic recovery, deterministic degraded
 # answers) must hold with the detector watching — as must the
-# shared HTTP spine's own panic accounting (internal/httpx).
+# shared HTTP spine's own panic accounting (internal/httpx) and the
+# per-dataset breaker's probe slot and lock-free healthy path, looped
+# (internal/faults).
 chaos-smoke:
 	$(call smoke-test,-race -run 'TestLoadgenChaos' -count 1 ./cmd/loadgen)
 	$(call smoke-test,-race -run 'TestChaos|TestShedding|TestPanicRecovery|TestRequestDeadline|TestDeadline|TestNoGoroutineUnderServerHandler|TestDegradationOverHTTP' -count 1 ./internal/serving)
 	$(call smoke-test,-race -run 'TestPanicIsCountedAndAnswered|TestAbortHandlerIsReRaised' -count 1 ./internal/httpx)
+	$(call smoke-test,-race -run 'TestBreakerHalfOpenSingleProbeSlot|TestBreakerFailedProbeReleasesSlot|TestBreakerAppendSeriesConcurrent|TestBreakerQuietPathConcurrent' -count 20 ./internal/faults)
 
 # Soak smoke: a ~2s sustained run against an in-process server with
 # sub-second /metrics scrapes — proves the soak loop, the Prometheus

@@ -46,16 +46,17 @@ func equivalenceTelemetry() *cloudsim.Telemetry {
 }
 
 // oldSeriesWindow is Breaker.SeriesWindow as it read before the append
-// path, kept verbatim as the reference: begin, the inner window, the
-// staleness check, record.
+// path, kept as the reference (verbatim but for the gate lookup): begin, the
+// inner window, the staleness check, record.
 func (b *Breaker) oldSeriesWindow(dataset, component string, from, to float64) []float64 {
-	pass, probe := b.begin(dataset, to)
+	g := b.gateOf(dataset)
+	pass, probe := b.begin(g, to)
 	if !pass {
 		return nil
 	}
 	vals := b.inner.SeriesWindow(dataset, component, from, to)
 	ok := len(vals) > 0 && !b.tooStale(dataset, to)
-	b.record(dataset, to, ok, probe)
+	b.record(g, to, ok, probe)
 	if !ok {
 		return nil
 	}
@@ -166,7 +167,7 @@ func TestBreakerAppendSeriesEquivalence(t *testing.T) {
 		from, to := now-2, now
 		op := rng.Intn(4)
 
-		g0 := drivers[0].b.gates[ds]
+		g0 := drivers[0].b.lookup(ds)
 		// Whether begin will let this step's observed query through, and
 		// whether as the half-open probe (between steps no probe is in
 		// flight, so the slot is free).
@@ -223,10 +224,16 @@ func TestBreakerAppendSeriesEquivalence(t *testing.T) {
 		}
 
 		for _, name := range datasets {
-			want := drivers[0].b.gates[name]
+			want := drivers[0].b.lookup(name)
+			for _, d := range drivers {
+				if g := d.b.lookup(name); g != nil && g.quiet.Load() != (g.state == StateClosed && g.fails == 0) {
+					t.Fatalf("step %d (op %d on %s/%s): gate %q of %s publishes quiet=%v for %+v",
+						step, op, ds, comp, name, d.name, g.quiet.Load(), g.machine)
+				}
+			}
 			for _, d := range drivers[1:] {
-				got := d.b.gates[name]
-				if (got == nil) != (want == nil) || (got != nil && *got != *want) {
+				got := d.b.lookup(name)
+				if (got == nil) != (want == nil) || (got != nil && got.machine != want.machine) {
 					t.Fatalf("step %d (op %d on %s/%s): gate %q of %s is %+v, of %s %+v",
 						step, op, ds, comp, name, d.name, got, drivers[0].name, want)
 				}
@@ -303,7 +310,9 @@ func TestBreakerAppendSeriesConcurrent(t *testing.T) {
 
 // TestAppendSeriesAllocations: into a buffer with room, neither decorator's
 // pull allocates — the chaos layer corrupting or lagging a window, nor the
-// breaker gating and recording one it passes through.
+// breaker gating and recording one it passes through — and the breaker's
+// other per-pull methods allocate nothing either. Each row also checks the
+// size of its answer (values, events, or 1 for an available dataset).
 func TestAppendSeriesAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -312,16 +321,42 @@ func TestAppendSeriesAllocations(t *testing.T) {
 	chaos := NewChaos(tel, equivalenceSchedule(), 7)
 	b := NewBreaker(tel, equivalenceParams)
 	dst := make([]float64, 0, 64)
+	events := tel.EventCount(cloudsim.DSSyslog, "tor1.c1.dc1", 40, 42)
+	if events == 0 {
+		t.Fatal("the anomaly left no syslog events to count")
+	}
 	for _, c := range []struct {
 		name string
-		run  func()
+		run  func() int
+		want int
 	}{
-		{"Chaos.AppendSeries (corrupted)", func() { dst = chaos.AppendSeries(dst[:0], cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42) }},
-		{"Chaos.AppendSeries (stale)", func() { dst = chaos.AppendSeries(dst[:0], cloudsim.DSCanary, "c1.dc1", 48, 50) }},
-		{"Breaker.AppendSeries", func() { dst = b.AppendSeries(dst[:0], cloudsim.DSTemp, "tor1.c1.dc1", 40, 42) }},
+		{"Chaos.AppendSeries (corrupted)", func() int {
+			dst = chaos.AppendSeries(dst[:0], cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42)
+			return len(dst)
+		}, 20},
+		{"Chaos.AppendSeries (stale)", func() int {
+			dst = chaos.AppendSeries(dst[:0], cloudsim.DSCanary, "c1.dc1", 48, 50)
+			return len(dst)
+		}, 20},
+		{"Breaker.AppendSeries", func() int {
+			dst = b.AppendSeries(dst[:0], cloudsim.DSTemp, "tor1.c1.dc1", 40, 42)
+			return len(dst)
+		}, 20},
+		{"Breaker.WindowStats", func() int {
+			st, _ := b.WindowStats(cloudsim.DSTemp, "tor1.c1.dc1", 40, 42)
+			return st.Count
+		}, 20},
+		{"Breaker.EventCount", func() int { return b.EventCount(cloudsim.DSSyslog, "tor1.c1.dc1", 40, 42) }, events},
+		{"Breaker.DatasetHealth", func() int {
+			if b.DatasetHealth(cloudsim.DSTemp, 42).Available {
+				return 1
+			}
+			return 0
+		}, 1},
 	} {
-		if n := testing.AllocsPerRun(100, c.run); n != 0 || len(dst) != 20 {
-			t.Errorf("%s: %v allocations for %d values, want 0 for 20", c.name, n, len(dst))
+		var got int
+		if n := testing.AllocsPerRun(100, func() { got = c.run() }); n != 0 || got != c.want {
+			t.Errorf("%s: %v allocations for an answer of %d, want 0 for %d", c.name, n, got, c.want)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"scouts/internal/monitoring"
 )
@@ -136,8 +138,19 @@ func (m *machine[T]) stateAt(now, cooldown T) State {
 	return m.state
 }
 
-// gate is one dataset's breaker, on model hours.
-type gate = machine[float64]
+// quiet reports whether allow would pass any query without side effect and
+// a successful non-probe record would change nothing: closed, no streak.
+func (m *machine[T]) quiet() bool { return m.state == StateClosed && m.fails == 0 }
+
+// gate is one dataset's breaker, on model hours. quiet publishes
+// machine.quiet() to callers that do not hold the Breaker's mutex: it is
+// cleared under the mutex before the machine is touched and set again after,
+// so a caller that reads it true acts on a machine that was quiet at that
+// instant, and no transition can be half-seen.
+type gate struct {
+	quiet atomic.Bool
+	machine[float64]
+}
 
 // Breaker wraps a monitoring.DataSource with a per-dataset circuit
 // breaker: consecutive empty (or too-stale) series windows open the
@@ -159,60 +172,110 @@ type Breaker struct {
 	health monitoring.HealthReporter // nil when inner has no health capability
 	p      BreakerParams
 
+	// mu serialises every transition of every gate. gates is copy-on-write:
+	// read without mu, replaced under it when a dataset outside the registry
+	// is first seen.
 	mu    sync.Mutex
-	gates map[string]*gate
+	gates atomic.Pointer[map[string]*gate]
 }
 
 // NewBreaker installs circuit breakers over every dataset of inner.
 func NewBreaker(inner monitoring.DataSource, p BreakerParams) *Breaker {
-	return &Breaker{
+	b := &Breaker{
 		inner:  inner,
 		stats:  monitoring.StatsSourceOf(inner),
 		series: monitoring.SeriesAppenderOf(inner),
 		health: monitoring.HealthReporterOf(inner),
 		p:      p.withDefaults(),
-		gates:  map[string]*gate{},
 	}
+	gates := map[string]*gate{}
+	for _, d := range inner.Datasets() {
+		gates[d.Name] = newGate()
+	}
+	b.gates.Store(&gates)
+	return b
+}
+
+func newGate() *gate {
+	g := &gate{machine: machine[float64]{state: StateClosed}}
+	g.quiet.Store(true)
+	return g
 }
 
 // Datasets implements monitoring.DataSource (registry passthrough).
 func (b *Breaker) Datasets() []monitoring.Descriptor { return b.inner.Datasets() }
 
-// gateOf returns the dataset's gate, creating a closed one on first use.
-// Callers hold b.mu.
+// lookup returns the dataset's gate, or nil for a dataset outside the
+// registry that no query has named yet.
+func (b *Breaker) lookup(dataset string) *gate { return (*b.gates.Load())[dataset] }
+
+// gateOf returns the dataset's gate, adding a closed one on first use.
 func (b *Breaker) gateOf(dataset string) *gate {
-	g := b.gates[dataset]
-	if g == nil {
-		g = &gate{state: StateClosed}
-		b.gates[dataset] = g
+	if g := b.lookup(dataset); g != nil {
+		return g
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	old := *b.gates.Load()
+	if g := old[dataset]; g != nil {
+		return g
+	}
+	gates := maps.Clone(old)
+	g := newGate()
+	gates[dataset] = g
+	b.gates.Store(&gates)
 	return g
 }
 
-// begin decides whether an observed query (one whose outcome will be fed
-// back through record) at time t may reach the inner source; see
-// machine.allow. The probe slot is released by record, which every
-// begin(pass=true) caller invokes after its inner query returns.
-func (b *Breaker) begin(dataset string, t float64) (pass, probe bool) {
+// lockGate takes b.mu and clears g's quiet flag before the caller touches
+// g's machine; unlockGate republishes the flag and releases b.mu.
+func (b *Breaker) lockGate(g *gate) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.gateOf(dataset).allow(t, b.p.Cooldown, true)
+	g.quiet.Store(false)
+}
+
+func (b *Breaker) unlockGate(g *gate) {
+	g.quiet.Store(g.machine.quiet())
+	b.mu.Unlock()
+}
+
+// begin decides whether an observed query (one whose outcome will be fed
+// back through record) at time t may pass gate g to the inner source; see
+// machine.allow. The probe slot is released by record, which every
+// begin(pass=true) caller invokes after its inner query returns. A quiet
+// gate passes without the lock: allow would change nothing.
+func (b *Breaker) begin(g *gate, t float64) (pass, probe bool) {
+	if g.quiet.Load() {
+		return true, false
+	}
+	b.lockGate(g)
+	defer b.unlockGate(g)
+	return g.allow(t, b.p.Cooldown, true)
 }
 
 // beginPassive decides whether an unobserved query (events; their silence
 // carries no outage signal, so no record follows) may pass.
 func (b *Breaker) beginPassive(dataset string, t float64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	pass, _ := b.gateOf(dataset).allow(t, b.p.Cooldown, false)
+	g := b.gateOf(dataset)
+	if g.quiet.Load() {
+		return true
+	}
+	b.lockGate(g)
+	defer b.unlockGate(g)
+	pass, _ := g.allow(t, b.p.Cooldown, false)
 	return pass
 }
 
-// record feeds a series-window outcome into the state machine.
-func (b *Breaker) record(dataset string, t float64, ok, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.gateOf(dataset).record(t, b.p.Trip, ok, probe)
+// record feeds a series-window outcome into g's state machine. A success
+// that holds no probe slot changes nothing on a quiet gate, so it returns
+// without the lock.
+func (b *Breaker) record(g *gate, t float64, ok, probe bool) {
+	if ok && !probe && g.quiet.Load() {
+		return
+	}
+	b.lockGate(g)
+	defer b.unlockGate(g)
+	g.record(t, b.p.Trip, ok, probe)
 }
 
 // tooStale reports whether the inner source admits to unacceptable lag.
@@ -237,14 +300,15 @@ func (b *Breaker) SeriesWindow(dataset, component string, from, to float64) []fl
 // source, and a window the breaker rejects (empty, or too stale) is cut back
 // off dst before it is returned.
 func (b *Breaker) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
-	pass, probe := b.begin(dataset, to)
+	g := b.gateOf(dataset)
+	pass, probe := b.begin(g, to)
 	if !pass {
 		return dst
 	}
 	n := len(dst)
 	dst = b.series.AppendSeries(dst, dataset, component, from, to)
 	ok := len(dst) > n && !b.tooStale(dataset, to)
-	b.record(dataset, to, ok, probe)
+	b.record(g, to, ok, probe)
 	if !ok {
 		return dst[:n]
 	}
@@ -253,13 +317,14 @@ func (b *Breaker) AppendSeries(dst []float64, dataset, component string, from, t
 
 // WindowStats implements monitoring.StatsSource, gated and observed.
 func (b *Breaker) WindowStats(dataset, component string, from, to float64) (monitoring.Stats, bool) {
-	pass, probe := b.begin(dataset, to)
+	g := b.gateOf(dataset)
+	pass, probe := b.begin(g, to)
 	if !pass {
 		return monitoring.Stats{}, false
 	}
 	st, ok := b.stats.WindowStats(dataset, component, from, to)
 	ok = ok && !b.tooStale(dataset, to)
-	b.record(dataset, to, ok, probe)
+	b.record(g, to, ok, probe)
 	if !ok {
 		return monitoring.Stats{}, false
 	}
@@ -286,12 +351,12 @@ func (b *Breaker) EventCount(dataset, component string, from, to float64) int {
 // stateAt reads a gate's effective state at time t without advancing the
 // machine: an open gate past its cooldown reports half-open.
 func (b *Breaker) stateAt(dataset string, t float64) (State, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g := b.gates[dataset]
+	g := b.lookup(dataset)
 	if g == nil {
 		return StateClosed, 0
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return g.stateAt(t, b.p.Cooldown), g.trips
 }
 
@@ -302,7 +367,10 @@ func (b *Breaker) DatasetHealth(dataset string, t float64) monitoring.DatasetHea
 	if b.health != nil {
 		h = b.health.DatasetHealth(dataset, t)
 	}
-	state, _ := b.stateAt(dataset, t)
+	state := StateClosed
+	if g := b.lookup(dataset); g != nil && !g.quiet.Load() {
+		state, _ = b.stateAt(dataset, t)
+	}
 	h.Breaker = string(state)
 	if state == StateOpen {
 		h.Available = false
@@ -322,12 +390,13 @@ func (b *Breaker) HealthSnapshot(t float64) []monitoring.DatasetHealth {
 
 // Trips returns how many times the dataset's breaker has opened.
 func (b *Breaker) Trips(dataset string) int {
+	g := b.lookup(dataset)
+	if g == nil {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if g := b.gates[dataset]; g != nil {
-		return g.trips
-	}
-	return 0
+	return g.trips
 }
 
 // Interface conformance checks.
