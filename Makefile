@@ -36,7 +36,7 @@ race:
 # Fuzz smoke: ten seconds each of the change-point kernel's differential
 # fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib
 # sort and the old reductions), of the forest's two snapshot decoders
-# (SFF1 binary, JSON) and of its split kernel (small training sets grown
+# (the binary section list a scoutpack carries, JSON) and of its split kernel (small training sets grown
 # against the seed kernel and at two worker counts), of the extractors'
 # match finder (against FindAllString, for any pattern regexp compiles),
 # of the configuration parser (never panics; what it accepts builds a
@@ -48,8 +48,10 @@ race:
 # the strict request decoders (what they accept json.Unmarshal accepts
 # alike; over the cap is 413) and of loadgen's Prometheus scrape parser
 # (reads back every non-bucket sample the registry writes) on top of their
-# committed corpora (which plain `go test` replays). A crasher lands in the
-# package's testdata/fuzz and fails the run. The decoder seeds are kilobytes
+# committed corpora (which plain `go test` replays, and whose pack inputs
+# a TestFuzzCorpusReaches in each package pins to the check each one's file
+# name names). A crasher lands in the package's testdata/fuzz and fails
+# the run. The decoder seeds are kilobytes
 # long, so minimising each new input is capped at a second to keep the ten
 # seconds for mutation; the training target finds new inputs every few
 # executions, so its minimisation is capped at 100 of them.
@@ -163,7 +165,9 @@ soak-smoke:
 # Pack/inspect smoke: boots a tiny scoutd against an empty -store (it
 # trains and publishes a scoutpack), then drives scoutctl inspect at the
 # published file — the CLI surface of the DESIGN.md §12 binary model
-# format, exercised end to end.
+# format, exercised end to end. The summary must report scoutpack
+# version 2, and inspect must refuse — exit non-zero, naming the checksum
+# — a copy with one byte flipped and a copy with its last byte cut.
 pack-smoke:
 	$(GO) build -o /tmp/scouts-pack-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-pack-scoutctl ./cmd/scoutctl
@@ -174,7 +178,25 @@ pack-smoke:
 		curl -fsS http://127.0.0.1:8094/v1/health >/dev/null 2>&1 && break; \
 		sleep 1; \
 	done; \
-	/tmp/scouts-pack-scoutctl inspect $$dir/model-000001.pack
+	pack=$$dir/model-000001.pack; \
+	/tmp/scouts-pack-scoutctl inspect $$pack | tee $$dir/inspect.json; \
+	if ! grep -A1 '"scoutpack": {' $$dir/inspect.json | grep -q '"version": 2,'; then \
+		echo "pack-smoke: inspect does not report scoutpack version 2"; exit 1; \
+	fi; \
+	size=$$(wc -c < $$pack); mid=$$((size / 2)); \
+	byte=$$(od -An -tu1 -j $$mid -N1 $$pack | tr -d ' '); \
+	cp $$pack $$dir/flipped.pack; \
+	printf "$$(printf '\\%03o' $$((byte ^ 1)))" | dd of=$$dir/flipped.pack bs=1 seek=$$mid conv=notrunc 2>/dev/null; \
+	head -c $$((size - 1)) $$pack > $$dir/cut.pack; \
+	for bad in flipped cut; do \
+		if out=$$(/tmp/scouts-pack-scoutctl inspect $$dir/$$bad.pack 2>&1); then \
+			echo "pack-smoke: inspect accepted the $$bad copy"; exit 1; \
+		fi; \
+		case "$$out" in \
+		*checksum*) echo "pack-smoke: inspect refused the $$bad copy: $$out";; \
+		*) echo "pack-smoke: inspect refused the $$bad copy without naming the checksum: $$out"; exit 1;; \
+		esac; \
+	done
 
 # Fleet smoke: the resilient-gateway kill test with real processes. The
 # in-process halves (loadgen -fleet plumbing, the gateway's own kill

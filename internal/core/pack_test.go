@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"scouts/internal/ml/cpd"
@@ -104,10 +109,53 @@ func TestScoutpackRejectsCorruption(t *testing.T) {
 			t.Errorf("truncation at %d inspected without error", cut)
 		}
 	}
-	// A non-pack blob must answer ErrNotScoutpack so sniffers can fall
-	// through to JSON.
-	if _, err := parseScoutpack([]byte("not a pack at all")); !errors.Is(err, ErrNotScoutpack) {
-		t.Fatalf("want ErrNotScoutpack, got %v", err)
+	if _, err := parseScoutpack([]byte("not a pack at all")); err == nil || !strings.Contains(err.Error(), "not a scoutpack") {
+		t.Fatalf("a non-pack blob: got %v, want a not-a-scoutpack error", err)
+	}
+}
+
+// TestRestoreChecksTrainMeans pins the one META field the loader checks
+// against the forests: imputation needs one training mean per routing
+// feature, and skips the whole vector when the counts differ, so a
+// snapshot one mean short must be refused, in either format, with both
+// counts named.
+func TestRestoreChecksTrainMeans(t *testing.T) {
+	f := getFixture(t)
+	dim := len(f.scout.rf.Features())
+	want := fmt.Sprintf("%d train means for %d features", dim-1, dim)
+
+	pack, err := f.scout.SnapshotPack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := decodeScoutpack(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.meta.TrainMeans = p.meta.TrainMeans[:dim-1]
+	short, err := assemblePack(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := f.scout.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dto snapshotDTO
+	if err := json.Unmarshal(snap, &dto); err != nil {
+		t.Fatal(err)
+	}
+	dto.TrainMeans = dto.TrainMeans[:dim-1]
+	shortJSON, err := json.Marshal(dto)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, data := range map[string][]byte{"scoutpack": short, "JSON": shortJSON} {
+		if _, err := Restore(data, f.gen.Topology(), f.gen.Telemetry()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s one train mean short: Restore = %v, want an error containing %q", name, err, want)
+		}
 	}
 }
 
@@ -151,7 +199,7 @@ func sealPack(data []byte) []byte {
 // fuzzSeedPack is a small scoutpack with all four sections: tiny forests
 // over a three-feature layout, so the seed is kilobytes, not the
 // fixture's hundreds.
-func fuzzSeedPack(f *testing.F) []byte {
+func fuzzSeedPack(f testing.TB) []byte {
 	rng := rand.New(rand.NewSource(3))
 	train := func(seed int64) *forest.Forest {
 		d := mlcore.NewDataset([]string{"a", "b", "c"})
@@ -165,13 +213,15 @@ func fuzzSeedPack(f *testing.F) []byte {
 		}
 		return rf
 	}
-	pack, err := assemblePack(packMetaDTO{
-		ConfigSource:      "TEAM PhyNet;",
-		TrainMeans:        []float64{0.5, 0.25, -1},
-		CPDParams:         cpd.PlusParams{Datasets: []string{"pingmesh"}},
-		SelectorWords:     []string{"packet", "link"},
-		SelectorThreshold: 0.8,
-	}, train(1), train(2), train(3))
+	pack, err := assemblePack(scoutParts{
+		meta: packMetaDTO{
+			ConfigSource:      "TEAM PhyNet;",
+			TrainMeans:        []float64{0.5, 0.25, -1},
+			CPDParams:         cpd.PlusParams{Datasets: []string{"pingmesh"}},
+			SelectorThreshold: 0.8,
+		},
+		rf: train(1), cpd: train(2), sel: train(3),
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -199,7 +249,7 @@ func FuzzScoutpack(f *testing.F) {
 		if err != nil {
 			return
 		}
-		repack, err := assemblePack(p.meta, p.rf, p.cpd, p.sel)
+		repack, err := assemblePack(p)
 		if err != nil {
 			t.Fatalf("accepted pack does not re-pack: %v", err)
 		}
@@ -207,7 +257,7 @@ func FuzzScoutpack(f *testing.F) {
 		if err != nil {
 			t.Fatalf("an accepted pack's own re-pack is refused: %v", err)
 		}
-		again, err := assemblePack(back.meta, back.rf, back.cpd, back.sel)
+		again, err := assemblePack(back)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,4 +270,85 @@ func FuzzScoutpack(f *testing.F) {
 			t.Fatal("a flipped byte under the old checksum was accepted")
 		}
 	})
+}
+
+// TestScoutpackLayoutGolden pins the scoutpack layout: the section table
+// (tag and payload length, in order) and the sha256 of fuzzSeedPack. The
+// next format change shows up here as a golden diff to review.
+func TestScoutpackLayoutGolden(t *testing.T) {
+	pack := fuzzSeedPack(t)
+	secs, err := parseScoutpack(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	fmt.Fprintf(&got, "version %d\n", scoutpackVersion)
+	for _, s := range scoutpackLayout {
+		fmt.Fprintf(&got, "%s %d\n", s.Tag, len(secs[s.Tag]))
+	}
+	fmt.Fprintf(&got, "sha256 %x\n", sha256.Sum256(pack))
+	const want = `version 2
+META 287
+FRST 603
+CRST 603
+SRST 603
+sha256 26b674b0bdb9116b9fa90aa36990c4edefe6af3645aa76e578683a625754aa48
+`
+	if got.String() != want {
+		t.Fatalf("scoutpack layout drifted; got:\n%s", got.String())
+	}
+}
+
+// readFuzzCorpus returns a fuzz target's committed inputs, keyed by file
+// name: each file is "go test fuzz v1" and one []byte("...") line.
+func readFuzzCorpus(t *testing.T, target string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed corpus for %s (%v)", target, err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(value, "[]byte(")
+		s, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if header != "go test fuzz v1" || !ok || err != nil {
+			t.Fatalf("%s: not a one-value []byte corpus file (%v)", p, err)
+		}
+		out[filepath.Base(p)] = []byte(s)
+	}
+	return out
+}
+
+// TestFuzzCorpusReaches pins the check each committed FuzzScoutpack input
+// reaches, by file name, after the re-seal the fuzz target applies: the
+// error it must produce. A format change that leaves an input stopping at
+// an earlier check fails here instead of quietly turning the corpus into
+// noise.
+func TestFuzzCorpusReaches(t *testing.T) {
+	want := map[string]string{
+		"section_header_truncated": "section header truncated",
+		"section_len_overflow":     `section "META" claims 4294967295 bytes`,
+		"sections_out_of_order":    `section "CRST" unknown, repeated or out of order`,
+	}
+	corpus := readFuzzCorpus(t, "FuzzScoutpack")
+	for name := range corpus {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: committed input has no row", name)
+		}
+	}
+	for name, substr := range want {
+		data, ok := corpus[name]
+		if !ok {
+			t.Errorf("%s: row has no committed input", name)
+			continue
+		}
+		if _, err := decodeScoutpack(sealPack(data)); err == nil || !strings.Contains(err.Error(), substr) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, substr)
+		}
+	}
 }

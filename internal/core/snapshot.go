@@ -8,7 +8,6 @@ import (
 	"scouts/internal/ml/cpd"
 	"scouts/internal/ml/forest"
 	"scouts/internal/monitoring"
-	"scouts/internal/text"
 	"scouts/internal/topology"
 )
 
@@ -22,13 +21,11 @@ type snapshotDTO struct {
 	CPD          *cpd.Plus      `json:"cpd"`
 	Selector     *selectorDTO   `json:"selector,omitempty"`
 	TrainMeans   []float64      `json:"train_means"`
-	// Detector repeats the CPD+ model's own detector parameters: written so
-	// snapshots keep their bytes, never read.
-	Detector cpd.Params `json:"detector"`
 }
 
+// selectorDTO is the trained selector; its forest's feature names are its
+// words.
 type selectorDTO struct {
-	Words     []string       `json:"words"`
 	Threshold float64        `json:"threshold"`
 	RF        *forest.Forest `json:"rf,omitempty"`
 }
@@ -41,28 +38,18 @@ var ErrNotSnapshottable = errors.New("core: scout is not snapshottable")
 // is serializable; a Scout with a swapped decider returns
 // ErrNotSnapshottable.
 func (s *Scout) Snapshot() ([]byte, error) {
-	if s.cfg.Source == "" {
-		return nil, fmt.Errorf("%w: configuration has no source text", ErrNotSnapshottable)
+	p, err := s.parts()
+	if err != nil {
+		return nil, err
 	}
-	cpdParams, _ := s.cpdPlus.Parts()
 	dto := snapshotDTO{
-		ConfigSource: s.cfg.Source,
-		Forest:       s.rf,
+		ConfigSource: p.meta.ConfigSource,
+		Forest:       p.rf,
 		CPD:          s.cpdPlus,
-		TrainMeans:   s.trainMeans,
-		Detector:     cpdParams.Detector,
+		TrainMeans:   p.meta.TrainMeans,
 	}
-	switch sel := s.selector.(type) {
-	case *Selector:
-		if sel.rf != nil {
-			dto.Selector = &selectorDTO{
-				Words:     sel.words.Names(),
-				Threshold: sel.threshold,
-				RF:        sel.rf,
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: custom decider %T", ErrNotSnapshottable, s.selector)
+	if p.sel != nil {
+		dto.Selector = &selectorDTO{Threshold: p.meta.SelectorThreshold, RF: p.sel}
 	}
 	return json.Marshal(dto)
 }
@@ -74,7 +61,11 @@ func (s *Scout) Snapshot() ([]byte, error) {
 // through the zero-re-derivation path, anything else through JSON.
 func Restore(data []byte, topo *topology.Topology, source monitoring.DataSource) (*Scout, error) {
 	if IsScoutpack(data) {
-		return restorePack(data, topo, source)
+		p, err := decodeScoutpack(data)
+		if err != nil {
+			return nil, err
+		}
+		return p.restore(topo, source)
 	}
 	var dto snapshotDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -83,28 +74,13 @@ func Restore(data []byte, topo *topology.Topology, source monitoring.DataSource)
 	if dto.Forest == nil || dto.CPD == nil {
 		return nil, errors.New("core: snapshot missing models")
 	}
-	cfg, err := ParseConfig(dto.ConfigSource)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot config: %w", err)
+	p := scoutParts{
+		meta: packMetaDTO{ConfigSource: dto.ConfigSource, TrainMeans: dto.TrainMeans},
+		rf:   dto.Forest,
 	}
-	s := &Scout{
-		cfg:        cfg,
-		rf:         dto.Forest,
-		cpdPlus:    dto.CPD,
-		trainMeans: dto.TrainMeans,
+	p.meta.CPDParams, p.cpd = dto.CPD.Parts()
+	if dto.Selector != nil && dto.Selector.RF != nil {
+		p.sel, p.meta.SelectorThreshold = dto.Selector.RF, dto.Selector.Threshold
 	}
-	s.fb = NewFeatureBuilder(cfg, topo, source)
-	if got, want := len(s.fb.FeatureNames()), len(dto.Forest.Features()); got != want {
-		return nil, fmt.Errorf("core: snapshot layout (%d features) does not match data source (%d)", want, got)
-	}
-	if dto.Selector != nil {
-		s.selector = &Selector{
-			words:     text.NewWordCounter(dto.Selector.Words),
-			rf:        dto.Selector.RF,
-			threshold: dto.Selector.Threshold,
-		}
-	} else {
-		s.selector = &Selector{}
-	}
-	return s, nil
+	return p.restore(topo, source)
 }

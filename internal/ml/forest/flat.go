@@ -35,7 +35,6 @@ type flatForest struct {
 	prob      []float64 // weighted positive fraction at the node
 
 	roots []int32 // node index of each tree's root (trees are contiguous)
-	depth []int32 // per-tree max depth: the pack's DPTH section; no traversal reads it
 	prior float64 // mean root probability: the training prior, the
 	// forest's answer when it cannot trust the input vector
 }
@@ -66,7 +65,6 @@ func newFlatForest(trees []*tree) *flatForest {
 		kids:      make([]int32, total),
 		prob:      make([]float64, total),
 		roots:     make([]int32, len(trees)),
-		depth:     make([]int32, len(trees)),
 	}
 	base := int32(0)
 	for t, tr := range trees {
@@ -95,7 +93,6 @@ func newFlatForest(trees []*tree) *flatForest {
 			next += 2
 			queue = append(queue, int32(n.left), int32(n.right))
 		}
-		ff.depth[t] = int32(treeDepth(tr.nodes, 0))
 		base += int32(len(tr.nodes))
 	}
 	if len(trees) > 0 {
@@ -106,19 +103,6 @@ func newFlatForest(trees []*tree) *flatForest {
 		ff.prior = s / float64(len(trees))
 	}
 	return ff
-}
-
-// treeDepth returns the longest root-to-leaf edge count of a pointer tree.
-func treeDepth(nodes []node, i int) int {
-	n := &nodes[i]
-	if n.feature < 0 {
-		return 0
-	}
-	l := treeDepth(nodes, n.left)
-	if r := treeDepth(nodes, n.right); r > l {
-		l = r
-	}
-	return l + 1
 }
 
 // predictTree walks one tree (by root node index) to its leaf probability

@@ -235,3 +235,19 @@ func TestTrainerInterface(t *testing.T) {
 		t.Fatal("trainer produced unusable classifier")
 	}
 }
+
+// depth returns the maximum depth of the tree (root = 0).
+func (t *tree) depth() int {
+	var walk func(n, d int) int
+	walk = func(n, d int) int {
+		nd := t.nodes[n]
+		if nd.feature < 0 {
+			return d
+		}
+		return max(walk(nd.left, d+1), walk(nd.right, d+1))
+	}
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	return walk(0, 0)
+}

@@ -5,13 +5,18 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"scouts/internal/ml/mlcore"
 )
 
 // The two decoders a forest can arrive through from outside the process:
-// the SFF1 binary section of a scoutpack (ForestFromBinary) and the JSON
+// the binary forest section of a scoutpack (ForestFromBinary) and the JSON
 // snapshot (UnmarshalJSON, behind core.Restore). Both targets demand the
 // same three things of any input: no panic, no allocation sized by an
 // unchecked length prefix (an attempt dies as an out-of-memory crash),
@@ -57,7 +62,7 @@ func checkAcceptedForest(t *testing.T, f *Forest) {
 }
 
 // fuzzSeedForest is a small trained forest both targets seed from.
-func fuzzSeedForest(f *testing.F) *Forest {
+func fuzzSeedForest(f testing.TB) *Forest {
 	d := xorDataset(120, 0.2, rand.New(rand.NewSource(41)))
 	forest, err := Train(d, Params{NumTrees: 3, MaxDepth: 4, Seed: 42, Workers: 1})
 	if err != nil {
@@ -73,7 +78,7 @@ func FuzzForestFromBinary(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte(packMagic))
+	f.Add([]byte("FEAT"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		forest, err := ForestFromBinary(data)
 		if err != nil {
@@ -81,6 +86,72 @@ func FuzzForestFromBinary(f *testing.F) {
 		}
 		checkAcceptedForest(t, forest)
 	})
+}
+
+// readFuzzCorpus returns a fuzz target's committed inputs, keyed by file
+// name: each file is "go test fuzz v1" and one []byte("...") line.
+func readFuzzCorpus(t *testing.T, target string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed corpus for %s (%v)", target, err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(value, "[]byte(")
+		s, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if header != "go test fuzz v1" || !ok || err != nil {
+			t.Fatalf("%s: not a one-value []byte corpus file (%v)", p, err)
+		}
+		out[filepath.Base(p)] = []byte(s)
+	}
+	return out
+}
+
+// TestFuzzCorpusReaches pins the check each committed FuzzForestFromBinary
+// input reaches, by file name: the error it must produce, or acceptance
+// (""). A format change that leaves an input stopping at an earlier check
+// fails here instead of quietly turning the corpus into noise.
+func TestFuzzCorpusReaches(t *testing.T) {
+	want := map[string]string{
+		"child_before_parent":          "node 1 child pair 0,1 escapes tree",
+		"feat_count_overflow":          "FEAT name count overruns section",
+		"feat_name_len_overflow":       "FEAT name length overruns section",
+		"prior_mismatch":               "stored prior disagrees with root probabilities",
+		"real_cpd_forest_section":      "",
+		"real_truncated_in_thresholds": `section "NDTH" claims 4384 bytes, only 2192 remain`,
+		"right_child_escapes_tree":     "node 0 child pair 2,3 escapes tree",
+		"section_len_overflow":         `section "IMPT" claims 4294967295 bytes`,
+		"smallest_split":               "",
+		"split_turned_leaf":            "",
+	}
+	corpus := readFuzzCorpus(t, "FuzzForestFromBinary")
+	for name := range corpus {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: committed input has no row", name)
+		}
+	}
+	for name, substr := range want {
+		data, ok := corpus[name]
+		if !ok {
+			t.Errorf("%s: row has no committed input", name)
+			continue
+		}
+		f, err := ForestFromBinary(slices.Clip(data))
+		switch {
+		case substr == "" && err != nil:
+			t.Errorf("%s: refused (%v), want acceptance", name, err)
+		case substr == "":
+			checkAcceptedForest(t, f)
+		case err == nil || !strings.Contains(err.Error(), substr):
+			t.Errorf("%s: got %v, want an error containing %q", name, err, substr)
+		}
+	}
 }
 
 func FuzzForestUnmarshalJSON(f *testing.F) {

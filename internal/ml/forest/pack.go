@@ -2,10 +2,11 @@ package forest
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+
+	"scouts/internal/section"
 )
 
 // This file is the forest's binary snapshot: the flat SoA inference view
@@ -16,91 +17,54 @@ import (
 // because at fleet scale model distribution and hot-swap latency are
 // dominated by exactly the work this format deletes.
 //
-// Layout ("SFF1", all little-endian):
-//
-//	magic "SFF1" | u32 sectionCount
-//	per section: tag[4] | pad[4] | u64 payloadLen | payload | pad to 8
-//
-// The 16-byte section header keeps every payload 8-byte aligned relative
-// to the start of the blob, so a future mmap-style loader can alias the
-// float64/int32 sections directly; today's loader copies element-wise
-// through encoding/binary, which is portable across endianness.
-//
-// Sections, in fixed order:
+// Layout: a tagged-section list (internal/section), all little-endian,
+// every section required, in fixed order:
 //
 //	FEAT  u32 count, then per feature name: u32 len | bytes
-//	PRMS  JSON-encoded Params (human-auditable, tiny)
 //	IMPT  float64 × dim   normalized feature importance
-//	NDFT  int32   × nodes split feature per node
+//	NDFT  int32   × nodes split feature per node (0 for leaves)
 //	NDTH  float64 × nodes split threshold (+Inf for leaves)
 //	NDKD  int32   × nodes absolute left-child index (self for leaves)
 //	NDPB  float64 × nodes leaf/node probability
 //	ROOT  int32   × trees root node index per tree
-//	DPTH  int32   × trees max depth per tree
 //	PRIR  float64         training prior (verified against ROOT/NDPB on load)
 //
-// Everything a reader consumes is bounds-checked against the buffer
-// before slicing, and the structural invariants the kernels rely on —
-// strictly increasing roots, children after parents (termination),
-// feature indices inside the layout — are validated on load, so a
-// corrupt or adversarial blob errors out instead of panicking (or
-// looping) in a traversal. Whole-blob integrity (sha256) is the
-// enclosing envelope's job: core's scoutpack container and the
-// diskstore both checksum their payloads.
+// The payload has no magic or version of its own: it only travels inside
+// a scoutpack, which versions and checksums it (core/pack.go). Everything
+// a reader consumes is bounds-checked against the buffer before slicing,
+// and the structural invariants the kernels rely on — strictly increasing
+// roots, children after parents (termination), feature indices inside
+// the layout — are validated on load, so a corrupt or adversarial blob
+// errors out instead of panicking (or looping) in a traversal.
 
-const packMagic = "SFF1"
+// packLayout is the section order AppendBinary writes.
+var packLayout = []section.Spec{
+	{Tag: "FEAT"}, {Tag: "IMPT"}, {Tag: "NDFT"}, {Tag: "NDTH"},
+	{Tag: "NDKD"}, {Tag: "NDPB"}, {Tag: "ROOT"}, {Tag: "PRIR"},
+}
 
-// section tags, in the order AppendBinary writes them.
-var packSections = []string{"FEAT", "PRMS", "IMPT", "NDFT", "NDTH", "NDKD", "NDPB", "ROOT", "DPTH", "PRIR"}
-
-// ErrNotPacked is returned by ForestFromBinary when the blob does not
-// start with the SFF1 magic — callers sniffing formats test against it.
-var ErrNotPacked = errors.New("forest: not an SFF1 binary forest")
-
-// AppendBinary appends the forest's SFF1 binary snapshot to buf and
-// returns the extended slice. The payload is exactly the flat inference
-// arrays; an untrained forest has none and errors.
+// AppendBinary appends the forest's binary snapshot to buf and returns
+// the extended slice. The payload is exactly the flat inference arrays;
+// an untrained forest has none and errors.
 func (f *Forest) AppendBinary(buf []byte) ([]byte, error) {
 	ff := f.flat
 	if ff == nil || len(ff.roots) == 0 {
 		return nil, errors.New("forest: no flat view to pack (untrained forest)")
 	}
-	params, err := json.Marshal(f.params)
-	if err != nil {
-		return nil, fmt.Errorf("forest: packing params: %w", err)
-	}
-
-	buf = append(buf, packMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(packSections)))
-
-	// FEAT
 	feat := binary.LittleEndian.AppendUint32(nil, uint32(len(f.features)))
 	for _, name := range f.features {
 		feat = binary.LittleEndian.AppendUint32(feat, uint32(len(name)))
 		feat = append(feat, name...)
 	}
-	buf = appendSection(buf, "FEAT", feat)
-	buf = appendSection(buf, "PRMS", params)
-	buf = appendSection(buf, "IMPT", appendF64s(nil, f.imp))
-	buf = appendSection(buf, "NDFT", appendI32s(nil, ff.feature))
-	buf = appendSection(buf, "NDTH", appendF64s(nil, ff.threshold))
-	buf = appendSection(buf, "NDKD", appendI32s(nil, ff.kids))
-	buf = appendSection(buf, "NDPB", appendF64s(nil, ff.prob))
-	buf = appendSection(buf, "ROOT", appendI32s(nil, ff.roots))
-	buf = appendSection(buf, "DPTH", appendI32s(nil, ff.depth))
-	buf = appendSection(buf, "PRIR", appendF64s(nil, []float64{ff.prior}))
+	buf = section.Append(buf, "FEAT", feat)
+	buf = section.Append(buf, "IMPT", appendF64s(nil, f.imp))
+	buf = section.Append(buf, "NDFT", appendI32s(nil, ff.feature))
+	buf = section.Append(buf, "NDTH", appendF64s(nil, ff.threshold))
+	buf = section.Append(buf, "NDKD", appendI32s(nil, ff.kids))
+	buf = section.Append(buf, "NDPB", appendF64s(nil, ff.prob))
+	buf = section.Append(buf, "ROOT", appendI32s(nil, ff.roots))
+	buf = section.Append(buf, "PRIR", appendF64s(nil, []float64{ff.prior}))
 	return buf, nil
-}
-
-func appendSection(buf []byte, tag string, payload []byte) []byte {
-	buf = append(buf, tag...)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	for len(buf)%8 != 0 {
-		buf = append(buf, 0)
-	}
-	return buf
 }
 
 func appendF64s(buf []byte, vs []float64) []byte {
@@ -117,15 +81,15 @@ func appendI32s(buf []byte, vs []int32) []byte {
 	return buf
 }
 
-// ForestFromBinary loads an SFF1 blob written by AppendBinary. The flat
+// ForestFromBinary loads a blob written by AppendBinary. The flat
 // inference view is filled by direct array copies — newFlatForest never
 // runs — so the returned forest is inference-only: it predicts and
 // explains through the flat kernels but has no pointer trees and cannot
 // re-serialize to JSON.
 func ForestFromBinary(data []byte) (*Forest, error) {
-	secs, err := parsePackSections(data)
+	secs, err := section.Read(data, packLayout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("forest: %w", err)
 	}
 
 	// FEAT: the feature-layout header.
@@ -154,11 +118,6 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 		feat = feat[n:]
 	}
 
-	var params Params
-	if err := json.Unmarshal(secs["PRMS"], &params); err != nil {
-		return nil, fmt.Errorf("forest: PRMS section: %w", err)
-	}
-
 	imp, err := readF64s(secs["IMPT"], "IMPT")
 	if err != nil {
 		return nil, err
@@ -183,9 +142,6 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 	if ff.roots, err = readI32s(secs["ROOT"], "ROOT"); err != nil {
 		return nil, err
 	}
-	if ff.depth, err = readI32s(secs["DPTH"], "DPTH"); err != nil {
-		return nil, err
-	}
 	prior, err := readF64s(secs["PRIR"], "PRIR")
 	if err != nil {
 		return nil, err
@@ -198,47 +154,7 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 	if err := validateFlat(ff, dim); err != nil {
 		return nil, err
 	}
-	return &Forest{features: features, imp: imp, params: params, flat: ff}, nil
-}
-
-// parsePackSections walks the section table, bounds-checking every
-// length against the remaining buffer before slicing, and returns the
-// payloads keyed by tag. Order, completeness and uniqueness are enforced
-// against packSections.
-func parsePackSections(data []byte) (map[string][]byte, error) {
-	if len(data) < 8 {
-		return nil, ErrNotPacked
-	}
-	if string(data[:4]) != packMagic {
-		return nil, ErrNotPacked
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	if count != len(packSections) {
-		return nil, fmt.Errorf("forest: SFF1 carries %d sections, want %d", count, len(packSections))
-	}
-	secs := make(map[string][]byte, count)
-	off := 8
-	for i := 0; i < count; i++ {
-		if len(data)-off < 16 {
-			return nil, errors.New("forest: section header truncated")
-		}
-		tag := string(data[off : off+4])
-		if tag != packSections[i] {
-			return nil, fmt.Errorf("forest: section %d is %q, want %q", i, tag, packSections[i])
-		}
-		n := binary.LittleEndian.Uint64(data[off+8:])
-		off += 16
-		if n > uint64(len(data)-off) {
-			return nil, fmt.Errorf("forest: section %q claims %d bytes, only %d remain", tag, n, len(data)-off)
-		}
-		secs[tag] = data[off : off+int(n)]
-		off += int(n)
-		off = (off + 7) &^ 7
-		if off > len(data) {
-			return nil, errors.New("forest: section padding overruns buffer")
-		}
-	}
-	return secs, nil
+	return &Forest{features: features, imp: imp, flat: ff}, nil
 }
 
 func readF64s(b []byte, tag string) ([]float64, error) {
@@ -267,13 +183,13 @@ func readI32s(b []byte, tag string) ([]int32, error) {
 // assume, so a corrupted blob cannot send them out of bounds or into an
 // infinite self-chase:
 //
-//   - the four node arrays agree on length, roots and depth on tree count;
+//   - the four node arrays agree on length;
 //   - roots are strictly increasing from 0 and trees tile the node space;
 //   - within a tree, a node either self-loops (leaf) or points at a child
 //     pair strictly after itself and inside the tree — "children after
 //     parents" is what guarantees every walk terminates;
 //   - split features index into the feature layout;
-//   - per-tree depth is sane, and the stored prior matches the arrays.
+//   - the stored prior matches the arrays.
 func validateFlat(ff *flatForest, dim int) error {
 	n := len(ff.feature)
 	if len(ff.threshold) != n || len(ff.kids) != n || len(ff.prob) != n {
@@ -282,9 +198,6 @@ func validateFlat(ff *flatForest, dim int) error {
 	trees := len(ff.roots)
 	if trees == 0 || n == 0 {
 		return errors.New("forest: pack contains no trees")
-	}
-	if len(ff.depth) != trees {
-		return errors.New("forest: ROOT and DPTH disagree on tree count")
 	}
 	for t := 0; t < trees; t++ {
 		lo := int(ff.roots[t])
@@ -297,9 +210,6 @@ func validateFlat(ff *flatForest, dim int) error {
 		}
 		if lo >= hi || hi > n {
 			return fmt.Errorf("forest: tree %d spans [%d,%d) of %d nodes", t, lo, hi, n)
-		}
-		if d := ff.depth[t]; d < 0 || int(d) > hi-lo {
-			return fmt.Errorf("forest: tree %d depth %d out of range for %d nodes", t, d, hi-lo)
 		}
 		for i := lo; i < hi; i++ {
 			k := int(ff.kids[i])

@@ -1,12 +1,16 @@
 package forest
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"scouts/internal/section"
 )
 
 // packRoundTrip trains a forest, packs it and loads it back.
@@ -165,21 +169,16 @@ func TestPackRejectsStructuralCorruption(t *testing.T) {
 		}
 	}
 
+	// Section payloads alias the blob, so writing through one mutates it.
 	sectionPayload := func(blob []byte, tag string) []byte {
-		off := 8
-		for range packSections {
-			got := string(blob[off : off+4])
-			n := int(binary.LittleEndian.Uint64(blob[off+8:]))
-			off += 16
-			if got == tag {
-				return blob[off : off+n]
-			}
-			off = (off + n + 7) &^ 7
+		secs, err := section.Read(blob, packLayout)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		return secs[tag]
 	}
 
-	corrupt("bad magic", func(b []byte) bool { b[0] = 'X'; return true })
+	corrupt("unknown tag", func(b []byte) bool { b[0] = 'X'; return true })
 	corrupt("child escapes tree", func(b []byte) bool {
 		kids := sectionPayload(b, "NDKD")
 		binary.LittleEndian.PutUint32(kids, uint32(f.NumNodes()+7)) // root points far outside
@@ -203,7 +202,7 @@ func TestPackRejectsStructuralCorruption(t *testing.T) {
 	})
 	corrupt("section length overrun", func(b []byte) bool {
 		// First section header's length field claims more than the buffer.
-		binary.LittleEndian.PutUint64(b[16:], uint64(len(b)))
+		binary.LittleEndian.PutUint32(b[4:], uint32(len(b)))
 		return true
 	})
 }
@@ -267,5 +266,37 @@ func TestPackedForestRefusesJSON(t *testing.T) {
 	_, back := packRoundTrip(t, 1)
 	if _, err := json.Marshal(back); err == nil || !strings.Contains(err.Error(), "no pointer trees") {
 		t.Fatalf("packed forest marshaled to JSON (err=%v), want refusal", err)
+	}
+}
+
+// TestPackLayoutGolden pins the binary layout: the section table (tag and
+// payload length, in order) and the sha256 of the fuzz seed forest's
+// blob. The next format change shows up here as a golden diff to review.
+func TestPackLayoutGolden(t *testing.T) {
+	blob, err := fuzzSeedForest(t).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := section.Read(blob, packLayout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, s := range packLayout {
+		fmt.Fprintf(&got, "%s %d\n", s.Tag, len(secs[s.Tag]))
+	}
+	fmt.Fprintf(&got, "sha256 %x\n", sha256.Sum256(blob))
+	const want = `FEAT 24
+IMPT 24
+NDFT 252
+NDTH 504
+NDKD 252
+NDPB 504
+ROOT 12
+PRIR 8
+sha256 9ce5c67c017a9c032a85f241a626605d23891ee32a52943c7e4b5f619c2be3a8
+`
+	if got.String() != want {
+		t.Fatalf("forest pack layout drifted; got:\n%s", got.String())
 	}
 }

@@ -347,19 +347,3 @@ func safeDiv(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// depth returns the maximum depth of the tree (root = 0). Used in tests.
-func (t *tree) depth() int {
-	var walk func(n, d int) int
-	walk = func(n, d int) int {
-		nd := t.nodes[n]
-		if nd.feature < 0 {
-			return d
-		}
-		return max(walk(nd.left, d+1), walk(nd.right, d+1))
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return walk(0, 0)
-}

@@ -8,30 +8,24 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"scouts/internal/core"
+	"scouts/internal/section"
 )
 
-// testPack returns a structurally valid scoutpack envelope (magic,
+// testPack returns a structurally valid version-2 scoutpack (magic,
 // version, sha256, META and FRST sections) whose META payload is body.
-// The disk store verifies envelopes and never builds a model from them,
-// so these tests can tell versions apart without training one.
+// The disk store verifies scoutpack headers and never builds a model from
+// them, so these tests can tell versions apart without training one.
 func testPack(body string) []byte {
-	sections := binary.LittleEndian.AppendUint32(nil, 2)
-	for _, sec := range [][2]string{{"META", body}, {"FRST", "forest"}} {
-		sections = append(sections, sec[0]...)
-		sections = append(sections, 0, 0, 0, 0)
-		sections = binary.LittleEndian.AppendUint64(sections, uint64(len(sec[1])))
-		sections = append(sections, sec[1]...)
-		for len(sections)%8 != 0 { // the 40 bytes ahead of the count keep this aligned
-			sections = append(sections, 0)
-		}
-	}
+	sections := section.Append(nil, "META", []byte(body))
+	sections = section.Append(sections, "FRST", []byte("forest"))
 	sum := sha256.Sum256(sections)
-	pack := binary.LittleEndian.AppendUint32([]byte("SCPK"), 1)
+	pack := binary.LittleEndian.AppendUint32([]byte("SCPK"), 2)
 	pack = append(pack, sum[:]...)
 	return append(pack, sections...)
 }
@@ -190,6 +184,33 @@ func TestLoadStoreQuarantinesVersionMismatch(t *testing.T) {
 	}
 	if !strings.Contains(rep.Quarantined[0].Reason, "claims v7") {
 		t.Fatalf("reason = %q", rep.Quarantined[0].Reason)
+	}
+}
+
+// TestLoadStoreQuarantinesScoutpackV1: a store file whose scoutpack says
+// version 1 — with both checksums sealed over the patched bytes, as a
+// version-1 writer would have left them — is quarantined, and the reason
+// names the version. No version-1 reader is kept.
+func TestLoadStoreQuarantinesScoutpackV1(t *testing.T) {
+	dir := t.TempDir()
+	snap := testPack("a")
+	file, err := encodePackFile(Model{Version: 1, Team: "X", Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(file[len(file)-len(snap)+4:], 1) // the scoutpack's version field
+	if err := os.WriteFile(filepath.Join(dir, "model-000001.pack"), sealPackFile(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, rep, err := LoadStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Versions() != 0 || len(rep.Quarantined) != 1 {
+		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
+	}
+	if reason := rep.Quarantined[0].Reason; !strings.Contains(reason, "scoutpack version 1 not supported") {
+		t.Fatalf("reason = %q, want it to name scoutpack version 1", reason)
 	}
 }
 
@@ -390,4 +411,41 @@ func FuzzPackFile(f *testing.F) {
 			t.Fatal("a flipped payload byte under the old checksums was accepted")
 		}
 	})
+}
+
+// TestFuzzCorpusReaches pins the quarantine reason each committed
+// FuzzPackFile input reaches, by file name, after the re-seal the fuzz
+// target applies. A format change that leaves an input stopping at an
+// earlier check fails here instead of quietly turning the corpus into
+// noise.
+func TestFuzzCorpusReaches(t *testing.T) {
+	want := map[string]string{
+		"meta_len_overruns_file": "pack envelope meta length overruns file",
+		"payload_not_scoutpack":  "scoutpack payload: core: not a scoutpack",
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzPackFile", "*"))
+	if err != nil || len(paths) != len(want) {
+		t.Fatalf("committed corpus %v (%v), want one file per row of %v", paths, err, want)
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(value, "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if header != "go test fuzz v1" || !ok || err != nil {
+			t.Fatalf("%s: not a one-value []byte corpus file (%v)", p, err)
+		}
+		name := filepath.Base(p)
+		substr, ok := want[name]
+		if !ok {
+			t.Errorf("%s: committed input has no row", name)
+			continue
+		}
+		if _, reason := decodePackFile(sealPackFile([]byte(data)), -1); !strings.Contains(reason, substr) {
+			t.Errorf("%s: quarantine reason %q, want one containing %q", name, reason, substr)
+		}
+	}
 }
