@@ -43,6 +43,12 @@ func TestGoldenEquivalenceOnLabData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if a, err = presorted.AppendBinary(a); err != nil {
+			t.Fatal(err)
+		}
+		if b, err = seed.AppendBinary(b); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(a, b) {
 			t.Fatalf("workers=%d: presorted kernel snapshot (%d bytes) differs from seed kernel (%d bytes)",
 				workers, len(a), len(b))

@@ -13,7 +13,8 @@ import (
 )
 
 // snapshotWith trains with the given entry point (Train or the
-// TrainReference oracle) and returns the serialized forest.
+// TrainReference oracle) and returns the serialized forest: its JSON
+// snapshot followed by its binary section.
 func snapshotWith(t *testing.T, train func(*mlcore.Dataset, Params) (*Forest, error), d *mlcore.Dataset, p Params) []byte {
 	t.Helper()
 	f, err := train(d, p)
@@ -21,6 +22,16 @@ func snapshotWith(t *testing.T, train func(*mlcore.Dataset, Params) (*Forest, er
 		t.Fatal(err)
 	}
 	b, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return packed(t, f, b)
+}
+
+// packed appends f's binary section to buf.
+func packed(t testing.TB, f *Forest, buf []byte) []byte {
+	t.Helper()
+	b, err := f.AppendBinary(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return packed(t, f, b)
 	}
 	seq := snapshot(1)
 	for _, w := range []int{0, 2, 3, 8, 16} {
