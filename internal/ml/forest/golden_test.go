@@ -2,7 +2,6 @@ package forest_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"scouts/internal/experiments"
@@ -35,18 +34,12 @@ func TestGoldenEquivalenceOnLabData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := json.Marshal(presorted)
+		a, err := presorted.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(seed)
+		b, err := seed.AppendBinary(nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if a, err = presorted.AppendBinary(a); err != nil {
-			t.Fatal(err)
-		}
-		if b, err = seed.AppendBinary(b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {

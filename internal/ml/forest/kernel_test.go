@@ -3,7 +3,6 @@ package forest
 import (
 	"bytes"
 	"cmp"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,19 +12,14 @@ import (
 )
 
 // snapshotWith trains with the given entry point (Train or the
-// TrainReference oracle) and returns the serialized forest: its JSON
-// snapshot followed by its binary section.
+// TrainReference oracle) and returns its binary section.
 func snapshotWith(t *testing.T, train func(*mlcore.Dataset, Params) (*Forest, error), d *mlcore.Dataset, p Params) []byte {
 	t.Helper()
 	f, err := train(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return packed(t, f, b)
+	return packed(t, f, nil)
 }
 
 // packed appends f's binary section to buf.

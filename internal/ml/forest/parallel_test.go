@@ -19,11 +19,7 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return packed(t, f, b)
+		return packed(t, f, nil)
 	}
 	seq := snapshot(1)
 	for _, w := range []int{0, 2, 3, 8, 16} {

@@ -3,7 +3,6 @@ package forest_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -41,18 +40,6 @@ func weightedDataset(seed int64) *mlcore.Dataset {
 	return d
 }
 
-// forestDigest is the sha256 of f's JSON snapshot, which carries every
-// split feature, threshold, leaf probability, node weight and importance.
-func forestDigest(t *testing.T, f *forest.Forest) string {
-	t.Helper()
-	b, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // packDigest is the sha256 of f's binary section (AppendBinary), which
 // carries every split feature, threshold, node probability and importance.
 func packDigest(t *testing.T, f *forest.Forest) string {
@@ -70,15 +57,11 @@ func packDigest(t *testing.T, f *forest.Forest) string {
 // worker and at eight, and the main forest of a core.Train under §8's age
 // decay and mistake boosting (TestRetrainWithBoostAndDecay's settings) on
 // the first half of a 40-day world, every fifth incident boosted. The
-// digests were taken from the presorted-partition kernel; a split kernel
-// that changes them changes what core.Train trains.
+// digests are of each forest's binary section, taken from the expansion
+// kernel (DESIGN.md §7.1); a split kernel that changes them changes what
+// core.Train trains.
 func TestWeightedForestGolden(t *testing.T) {
 	want := map[int64]string{
-		1: "84e78e4b3da87daa5395de023e8c47939c281cd569e7aeb9ad96f3254a399ed3",
-		2: "69502cffba706c82a61ffa7943d489477b0046f71a15738f8c1a4006d89dc9d2",
-		3: "2d63cab98588a9db3d825bf1a97e41f9eec983392ef9251df67e34ddba2a5a15",
-	}
-	wantPack := map[int64]string{
 		1: "46a8f37a2c907e5aad31178076563ae1d99d484a01a2ef7ba95f99d0670551e4",
 		2: "a1abd0fb3bb14e23dfdf1d77be9ddee7ee864afcea04254019f7bb8cce2ba96b",
 		3: "63df70a6f5362d51951777923652b905057ee8f3a93998eed121f7d6e343055f",
@@ -90,11 +73,8 @@ func TestWeightedForestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := forestDigest(t, f); got != want[seed] {
-				t.Errorf("dataset %d, workers=%d: snapshot sha256 %s, want %s", seed, workers, got, want[seed])
-			}
-			if got := packDigest(t, f); got != wantPack[seed] {
-				t.Errorf("dataset %d, workers=%d: pack sha256 %s, want %s", seed, workers, got, wantPack[seed])
+			if got := packDigest(t, f); got != want[seed] {
+				t.Errorf("dataset %d, workers=%d: pack sha256 %s, want %s", seed, workers, got, want[seed])
 			}
 		}
 	}
@@ -126,12 +106,8 @@ func TestWeightedForestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantScout = "3848d4d4e394bf60d26ebcd8faeaf5f033f6a3d4bd0ebde4b76835b7d84b8e33"
-	if got := forestDigest(t, scout.Forest()); got != wantScout {
-		t.Errorf("core.Train under decay and boost: forest sha256 %s, want %s", got, wantScout)
-	}
-	const wantScoutPack = "6975f3f6f6e97fc828ab80d07c8c3afbe18f8b7c35ce74f1af5ded646a3522a5"
-	if got := packDigest(t, scout.Forest()); got != wantScoutPack {
-		t.Errorf("core.Train under decay and boost: forest pack sha256 %s, want %s", got, wantScoutPack)
+	const wantScout = "6975f3f6f6e97fc828ab80d07c8c3afbe18f8b7c35ce74f1af5ded646a3522a5"
+	if got := packDigest(t, scout.Forest()); got != wantScout {
+		t.Errorf("core.Train under decay and boost: forest pack sha256 %s, want %s", got, wantScout)
 	}
 }
