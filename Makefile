@@ -35,8 +35,9 @@ race:
 
 # Fuzz smoke: ten seconds each of the change-point kernel's differential
 # fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib
-# sort and the old reductions), of the forest's two snapshot decoders
-# (the binary section list a scoutpack carries, JSON) and of its split kernel (small training sets grown
+# sort and the old reductions), of the forest's one snapshot decoder
+# (the binary section both Scout snapshot envelopes carry) and of its
+# split kernel (small training sets grown
 # against the seed kernel and at two worker counts), of the extractors'
 # match finder (against FindAllString, for any pattern regexp compiles),
 # of the configuration parser (never panics; what it accepts builds a
@@ -59,7 +60,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBestSplit -fuzztime 10s ./internal/ml/cpd
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFromBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
-	$(GO) test -run '^$$' -fuzz '^FuzzForestUnmarshalJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzForestTrain$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzFindAll$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/core

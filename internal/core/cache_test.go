@@ -170,7 +170,7 @@ func TestTrainWorkersSnapshotIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := s.Snapshot()
+		snap, err := s.SnapshotPack()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // same registry, the way a serving replica loads a published model.
 func restoredOver(t *testing.T, f *fixture, source monitoring.DataSource) *Scout {
 	t.Helper()
-	snap, err := f.scout.Snapshot()
+	snap, err := f.scout.SnapshotPack()
 	if err != nil {
 		t.Fatal(err)
 	}

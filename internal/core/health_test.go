@@ -15,7 +15,7 @@ import (
 // the trained layout survives).
 func restoreAgainst(t *testing.T, f *fixture, sched faults.Schedule, seed int64) (*Scout, *faults.Chaos) {
 	t.Helper()
-	snap, err := f.scout.Snapshot()
+	snap, err := f.scout.SnapshotPack()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"scouts/internal/ml/cpd"
 	"scouts/internal/ml/forest"
@@ -19,8 +20,9 @@ import (
 // container that ships a whole trained Scout — routing forest, CPD+ model,
 // selector — as one checksummed blob whose forest payloads are the flat
 // arrays (forest/pack.go), loadable with zero re-derivation. It is the
-// only format the model store writes to disk (serving/diskstore.go); the
-// JSON snapshot (snapshot.go) stays as the in-memory interchange form.
+// only format the model store writes to disk or serves
+// (serving/diskstore.go); the JSON snapshot (snapshot.go) carries the same
+// parts, forest payloads included, in a JSON envelope.
 //
 // Layout (all little-endian):
 //
@@ -55,8 +57,8 @@ var scoutpackLayout = []section.Spec{
 
 // packMetaDTO is the JSON-encoded META section: everything in a snapshot
 // that is not a forest. It is deliberately JSON — tiny, human-auditable
-// with `scoutctl inspect`, and versioned by field presence like the
-// snapshot DTO it mirrors.
+// with `scoutctl inspect`, and versioned by field presence; the JSON
+// snapshot embeds it as is.
 type packMetaDTO struct {
 	ConfigSource      string         `json:"config"`
 	TrainMeans        []float64      `json:"train_means"`
@@ -82,6 +84,39 @@ func (p *scoutParts) forests() [3]packForest {
 	return [...]packForest{{"FRST", "routing", &p.rf}, {"CRST", "CPD+", &p.cpd}, {"SRST", "selector", &p.sel}}
 }
 
+// encodeForests hands put each present forest's binary section, by tag,
+// in layout order.
+func (p *scoutParts) encodeForests(put func(tag string, blob []byte)) error {
+	for _, sec := range p.forests() {
+		if *sec.f == nil {
+			continue
+		}
+		blob, err := (*sec.f).AppendBinary(nil)
+		if err != nil {
+			return fmt.Errorf("core: packing %s forest: %w", sec.what, err)
+		}
+		put(sec.tag, blob)
+	}
+	return nil
+}
+
+// decodeForests loads p's forests from their binary sections, by tag —
+// both envelopes' one forest decoder. The routing forest is required.
+func (p *scoutParts) decodeForests(blobs map[string][]byte) error {
+	for _, sec := range p.forests() {
+		if blob, ok := blobs[sec.tag]; ok {
+			var err error
+			if *sec.f, err = forest.ForestFromBinary(blob); err != nil {
+				return fmt.Errorf("core: snapshot %s forest: %w", sec.what, err)
+			}
+		}
+	}
+	if p.rf == nil {
+		return errors.New("core: snapshot has no routing forest")
+	}
+	return nil
+}
+
 // parts takes a trained Scout apart for either snapshot format. Only the
 // default selector is serializable, and only a Config parsed from source
 // text.
@@ -105,8 +140,9 @@ func (s *Scout) parts() (scoutParts, error) {
 	return p, nil
 }
 
-// SnapshotPack serializes a trained Scout to the scoutpack binary format.
-// The same snapshottability rules as Snapshot apply.
+// SnapshotPack serializes a Scout, trained or restored, to the scoutpack
+// binary format. Only the default selector is serializable, and only a
+// Config parsed from source text (ErrNotSnapshottable otherwise).
 func (s *Scout) SnapshotPack() ([]byte, error) {
 	p, err := s.parts()
 	if err != nil {
@@ -125,15 +161,8 @@ func assemblePack(p scoutParts) ([]byte, error) {
 	buf := binary.LittleEndian.AppendUint32([]byte(scoutpackMagic), scoutpackVersion)
 	buf = append(buf, make([]byte, sha256.Size)...)
 	buf = section.Append(buf, "META", meta)
-	for _, sec := range p.forests() {
-		if *sec.f == nil {
-			continue
-		}
-		blob, err := (*sec.f).AppendBinary(nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: packing %s forest: %w", sec.what, err)
-		}
-		buf = section.Append(buf, sec.tag, blob)
+	if err := p.encodeForests(func(tag string, blob []byte) { buf = section.Append(buf, tag, blob) }); err != nil {
+		return nil, err
 	}
 	sum := sha256.Sum256(buf[scoutpackHeaderLen:])
 	copy(buf[8:], sum[:])
@@ -173,32 +202,30 @@ func decodeScoutpack(data []byte) (scoutParts, error) {
 	if err := json.Unmarshal(secs["META"], &p.meta); err != nil {
 		return scoutParts{}, fmt.Errorf("core: scoutpack META: %w", err)
 	}
-	for _, sec := range p.forests() {
-		if blob, ok := secs[sec.tag]; ok {
-			if *sec.f, err = forest.ForestFromBinary(blob); err != nil {
-				return scoutParts{}, fmt.Errorf("core: scoutpack %s forest: %w", sec.what, err)
-			}
-		}
+	if err := p.decodeForests(secs); err != nil {
+		return scoutParts{}, err
 	}
 	return p, nil
 }
 
 // restore rebuilds a Scout from its parts against a topology and data
-// source — both snapshot formats' last step, and where the parts are
-// checked against each other and against the source's feature layout.
-// Forests from a scoutpack come up flat-only: inference works through the
-// flat arrays with zero re-derivation, SnapshotPack on the result
-// reproduces the pack byte for byte, and the JSON Snapshot is refused
-// (the pointer trees are gone by design).
+// source — both snapshot envelopes' last step, and where the parts are
+// checked against each other and against the source's feature layout. The
+// forests are the loaded flat arrays as they are, so either snapshot of
+// the result reproduces its input byte for byte.
 func (p scoutParts) restore(topo *topology.Topology, source monitoring.DataSource) (*Scout, error) {
 	cfg, err := ParseConfig(p.meta.ConfigSource)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot config: %w", err)
 	}
+	plus, err := cpd.PlusFromParts(p.meta.CPDParams, p.cpd)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot CPD+ model: %w", err)
+	}
 	s := &Scout{
 		cfg:        cfg,
 		rf:         p.rf,
-		cpdPlus:    cpd.PlusFromParts(p.meta.CPDParams, p.cpd),
+		cpdPlus:    plus,
 		trainMeans: p.meta.TrainMeans,
 		selector:   &Selector{},
 	}
@@ -209,8 +236,8 @@ func (p scoutParts) restore(topo *topology.Topology, source monitoring.DataSourc
 		return nil, fmt.Errorf("core: snapshot carries %d train means for %d features", len(s.trainMeans), dim)
 	}
 	s.fb = NewFeatureBuilder(cfg, topo, source)
-	if got := len(s.fb.FeatureNames()); got != dim {
-		return nil, fmt.Errorf("core: snapshot layout (%d features) does not match data source (%d)", dim, got)
+	if !slices.Equal(p.rf.Features(), s.fb.FeatureNames()) {
+		return nil, fmt.Errorf("core: snapshot layout (%d features) does not match the data source's (%d)", dim, len(s.fb.FeatureNames()))
 	}
 	if p.sel != nil {
 		s.selector = &Selector{

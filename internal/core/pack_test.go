@@ -14,14 +14,17 @@ import (
 	"strings"
 	"testing"
 
+	"scouts/internal/incident"
 	"scouts/internal/ml/cpd"
 	"scouts/internal/ml/forest"
 	"scouts/internal/ml/mlcore"
 )
 
-// TestScoutpackRoundTrip is the container-level round-trip gate: a Scout
-// restored from its scoutpack answers every held-out incident exactly as
-// the JSON-restored one does — same verdicts, bit-identical confidences.
+// TestScoutpackRoundTrip is the JSON envelope's round trip: a Scout
+// restored from its JSON snapshot is the one restored from its scoutpack —
+// both envelopes carry the same parts and decode them through the same
+// forest decoder — so it re-packs to the same bytes and answers every
+// held-out incident alike.
 func TestScoutpackRoundTrip(t *testing.T) {
 	f := getFixture(t)
 	jsonSnap, err := f.scout.Snapshot()
@@ -32,10 +35,6 @@ func TestScoutpackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(len(pack)) > float64(len(jsonSnap)) {
-		t.Logf("note: pack (%d B) larger than JSON (%d B)", len(pack), len(jsonSnap))
-	}
-
 	topo, tel := f.gen.Topology(), f.gen.Telemetry()
 	fromJSON, err := Restore(jsonSnap, topo, tel)
 	if err != nil {
@@ -45,23 +44,56 @@ func TestScoutpackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, in := range f.test[:80] {
-		pj := fromJSON.PredictIncident(in)
-		pp := fromPack.PredictIncident(in)
-		if pj.Verdict != pp.Verdict || pj.Responsible != pp.Responsible {
-			t.Fatalf("incident %d: pack verdict %v/%v != json %v/%v", i, pp.Verdict, pp.Responsible, pj.Verdict, pj.Responsible)
+	requireSameSnapshots(t, fromJSON, f.scout)
+	requireSameAnswers(t, fromJSON, fromPack, f.test)
+}
+
+// TestRestoreRefusesMalformedJSON feeds Restore JSON envelopes that are
+// broken in each of the ways only that envelope can be: bad base64, no
+// routing forest, and a forest section the forest decoder refuses.
+func TestRestoreRefusesMalformedJSON(t *testing.T) {
+	f := getFixture(t)
+	snap, err := f.scout.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dto snapshotDTO
+	if err := json.Unmarshal(snap, &dto); err != nil {
+		t.Fatal(err)
+	}
+	frst := dto.Forests["FRST"]
+	for _, tc := range []struct {
+		name, want string
+		edit       func(forests map[string]any)
+	}{
+		{"bad base64", "illegal base64", func(fs map[string]any) { fs["FRST"] = "not*base64" }},
+		{"no routing forest", "no routing forest", func(fs map[string]any) { delete(fs, "FRST") }},
+		{"truncated forest", "routing forest: forest:", func(fs map[string]any) { fs["FRST"] = frst[:len(frst)/2] }},
+	} {
+		forests := map[string]any{}
+		for tag, blob := range dto.Forests {
+			forests[tag] = blob
 		}
-		if math.Float64bits(pj.Confidence) != math.Float64bits(pp.Confidence) {
-			t.Fatalf("incident %d: pack confidence %v != json %v", i, pp.Confidence, pj.Confidence)
+		tc.edit(forests)
+		data, err := json.Marshal(struct {
+			packMetaDTO
+			Forests map[string]any `json:"forests"`
+		}{dto.packMetaDTO, forests})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(data, f.gen.Topology(), f.gen.Telemetry()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-// TestScoutpackRepackIdempotent pins pack → restore → pack as a fixed
-// point: packing a pack-restored Scout
-// reproduces the original bytes (while the JSON snapshot is refused — the
-// pointer trees are gone).
-func TestScoutpackRepackIdempotent(t *testing.T) {
+// TestRestoredScoutIsTheTrainedOne pins that a trained Scout and
+// Restore(SnapshotPack(s)) are one model: both snapshots of the restored
+// Scout are byte-equal to the trained one's, and it answers every
+// held-out incident with the same verdict, label, confidence bits and
+// explanation.
+func TestRestoredScoutIsTheTrainedOne(t *testing.T) {
 	f := getFixture(t)
 	pack, err := f.scout.SnapshotPack()
 	if err != nil {
@@ -71,15 +103,63 @@ func TestScoutpackRepackIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := restored.SnapshotPack()
+	requireSameSnapshots(t, restored, f.scout)
+	requireSameAnswers(t, restored, f.scout, f.test)
+}
+
+// TestScoutpackRepackIdempotent pins JSON → restore → pack: a Scout
+// restored from the JSON envelope packs to the trained Scout's bytes, and
+// that pack restores to a Scout whose JSON snapshot is the original's.
+func TestScoutpackRepackIdempotent(t *testing.T) {
+	f := getFixture(t)
+	snap, err := f.scout.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pack, again) {
-		t.Fatal("repacking a pack-restored scout changed the bytes")
+	fromJSON, err := Restore(snap, f.gen.Topology(), f.gen.Telemetry())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := restored.Snapshot(); err == nil {
-		t.Fatal("pack-restored scout must refuse the JSON snapshot")
+	pack, err := fromJSON.SnapshotPack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPack, err := Restore(pack, f.gen.Topology(), f.gen.Telemetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSnapshots(t, fromPack, f.scout)
+}
+
+// requireSameSnapshots fails unless got's scoutpack and JSON snapshot are
+// byte for byte want's.
+func requireSameSnapshots(t *testing.T, got, want *Scout) {
+	t.Helper()
+	for name, snap := range map[string]func(*Scout) ([]byte, error){"SnapshotPack": (*Scout).SnapshotPack, "Snapshot": (*Scout).Snapshot} {
+		g, err := snap(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := snap(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s differs: %d bytes, want %d", name, len(g), len(w))
+		}
+	}
+}
+
+// requireSameAnswers fails unless got and want answer every incident with
+// the same verdict, label, model, confidence bits and explanation.
+func requireSameAnswers(t *testing.T, got, want *Scout, ins []*incident.Incident) {
+	t.Helper()
+	for _, in := range ins {
+		g, w := got.PredictIncident(in), want.PredictIncident(in)
+		if g.Verdict != w.Verdict || g.Responsible != w.Responsible || g.Model != w.Model ||
+			math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) || g.Explanation != w.Explanation {
+			t.Fatalf("incident %s: answered %+v, want %+v", in.ID, g, w)
+		}
 	}
 }
 
@@ -114,11 +194,10 @@ func TestScoutpackRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreChecksTrainMeans pins the one META field the loader checks
-// against the forests: imputation needs one training mean per routing
-// feature, and skips the whole vector when the counts differ, so a
-// snapshot one mean short must be refused, in either format, with both
-// counts named.
+// TestRestoreChecksTrainMeans pins the META field the loader checks
+// against the routing forest: imputation needs one training mean per
+// routing feature, and skips the whole vector when the counts differ, so
+// a snapshot one mean short must be refused, with both counts named.
 func TestRestoreChecksTrainMeans(t *testing.T) {
 	f := getFixture(t)
 	dim := len(f.scout.rf.Features())
@@ -138,23 +217,64 @@ func TestRestoreChecksTrainMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := f.scout.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Restore(short, f.gen.Topology(), f.gen.Telemetry()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("one train mean short: Restore = %v, want an error containing %q", err, want)
 	}
-	var dto snapshotDTO
-	if err := json.Unmarshal(snap, &dto); err != nil {
-		t.Fatal(err)
-	}
-	dto.TrainMeans = dto.TrainMeans[:dim-1]
-	shortJSON, err := json.Marshal(dto)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	for name, data := range map[string][]byte{"scoutpack": short, "JSON": shortJSON} {
-		if _, err := Restore(data, f.gen.Topology(), f.gen.Telemetry()); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s one train mean short: Restore = %v, want an error containing %q", name, err, want)
+// TestRestoreChecksFeatureNames pins that restore compares each forest's
+// feature names, not their count, with the layout its vectors are built
+// in: the routing forest's with the data source's, the CPD+ forest's with
+// the layout of the datasets its parameters name. A CPD+ forest trained
+// on one dataset more than its parameters list would read every broad
+// vector as too short and answer its prior; a routing forest over the
+// right number of features in another order would read each value as
+// another feature.
+func TestRestoreChecksFeatureNames(t *testing.T) {
+	f := getFixture(t)
+	pack, err := f.scout.SnapshotPack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := func(edit func(p *scoutParts)) []byte {
+		p, err := decodeScoutpack(pack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&p)
+		data, err := assemblePack(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	names := slices.Clone(f.scout.fb.FeatureNames())
+	slices.Reverse(names)
+	d := mlcore.NewDataset(names)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 40; i++ {
+		x := make([]float64, len(names))
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		d.MustAdd(mlcore.Sample{X: x, Y: x[0] > 0.5})
+	}
+	reversed, err := forest.Train(d, forest.Params{NumTrees: 2, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		edit func(p *scoutParts)
+		want string
+	}{
+		"CPD+ datasets one short": {func(p *scoutParts) {
+			ds := p.meta.CPDParams.Datasets
+			p.meta.CPDParams.Datasets = ds[:len(ds)-1]
+		}, "-feature layout of datasets"},
+		"routing features reordered": {func(p *scoutParts) { p.rf = reversed }, "does not match the data source's"},
+	} {
+		if _, err := Restore(edited(tc.edit), f.gen.Topology(), f.gen.Telemetry()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore = %v, want an error containing %q", name, err, tc.want)
 		}
 	}
 }

@@ -283,7 +283,7 @@ func TestNoBroadForestLiveEqualsMemoised(t *testing.T) {
 	if broadRF == nil {
 		t.Fatal("the fixture's CPD+ has no broad forest to remove")
 	}
-	s.cpdPlus = cpd.PlusFromParts(params, nil)
+	s.cpdPlus, _ = cpd.PlusFromParts(params, nil)
 
 	var broad []*incident.Incident
 	for _, in := range f.test {

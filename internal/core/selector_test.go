@@ -90,7 +90,7 @@ func TestHoldoutSplitDisjointAndComplete(t *testing.T) {
 
 func TestSnapshotRejectsCustomDecider(t *testing.T) {
 	f := getFixture(t)
-	snap, err := f.scout.Snapshot()
+	snap, err := f.scout.SnapshotPack()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSnapshotRejectsCustomDecider(t *testing.T) {
 		}
 		f.scout.SetDecider(restoredSelector(restored))
 	}()
-	if _, err := f.scout.Snapshot(); err == nil {
+	if _, err := f.scout.SnapshotPack(); err == nil {
 		t.Fatal("custom decider should not be snapshottable")
 	}
 }

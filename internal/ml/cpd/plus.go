@@ -3,6 +3,7 @@ package cpd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,6 +106,22 @@ func TrainPlusVectors(xs [][]float64, ys []bool, p PlusParams) (*Plus, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cpd: training broad-incident forest: %w", err)
 		}
+	}
+	return &Plus{params: p, rf: rf}, nil
+}
+
+// Parts decomposes the model into its parameters and (possibly nil)
+// broad-incident forest, the two halves a Scout snapshot carries.
+func (c *Plus) Parts() (PlusParams, *forest.Forest) { return c.params, c.rf }
+
+// PlusFromParts reassembles a model from Parts' output. A broad forest
+// must have been trained on the layout the parameters' datasets featurize
+// to — the same names, in order — or every broad answer would read a
+// vector of another length.
+func PlusFromParts(p PlusParams, rf *forest.Forest) (*Plus, error) {
+	if rf != nil && !slices.Equal(rf.Features(), featureNames(p.Datasets)) {
+		return nil, fmt.Errorf("cpd: broad forest's %d features are not the %d-feature layout of datasets %v",
+			len(rf.Features()), 2*len(p.Datasets), p.Datasets)
 	}
 	return &Plus{params: p, rf: rf}, nil
 }

@@ -13,10 +13,7 @@ import (
 // non-race file: the race detector makes sync.Pool drop items at random.)
 func TestExplainAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	f, err := Train(propertyDataset(400, rng), Params{NumTrees: 40, MaxDepth: 12, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := TrainPointer(propertyDataset(400, rng), Params{NumTrees: 40, MaxDepth: 12, Seed: 3})
 	xs := propertyProbes(f, 16, rng)
 	buf := make([]byte, 0, 256)
 	i := 0

@@ -60,10 +60,7 @@ func TestExplainTopMatchesExplain(t *testing.T) {
 		}
 	}
 	for _, p := range []Params{{NumTrees: 1, MaxDepth: 3, Seed: 1}, {NumTrees: 7, MaxDepth: 6, Seed: 2}, {NumTrees: 40, MaxDepth: 12, Seed: 3}} {
-		f, err := Train(d, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := TrainPointer(d, p)
 		for _, x := range propertyProbes(f, 300, rng) {
 			_, contribs := f.Explain(x)
 			for k := 0; k <= 5; k++ {

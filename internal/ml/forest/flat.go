@@ -1,20 +1,16 @@
 package forest
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
-// flatForest is the inference-time representation of a trained forest: the
-// pointer-addressed per-tree node slices flattened into one contiguous
-// structure-of-arrays layout. The pointer trees remain the training
-// representation and the snapshot format (snapshots stay byte-identical);
-// the flat view is derived from them once, at Train or UnmarshalJSON time.
+// flatForest is a forest's only in-memory representation once Train
+// returns: the pointer-addressed per-tree node slices growTrees builds,
+// flattened once into one contiguous structure-of-arrays layout. The
+// binary section (pack.go) is these arrays written out as-is.
 //
 // Why SoA: at prediction time a traversal step reads exactly one feature
-// index, one threshold and one child index — never the training-time node
-// weight, and the probability only at the leaf. The 48-byte AoS node drags
-// all of that through the cache per step; parallel arrays touch only the
+// index, one threshold and one child index, and the probability only at
+// the leaf. The 40-byte AoS node drags all of that through the cache per
+// step; parallel arrays touch only the
 // bytes the step uses, int32 indices halve them again, and concatenating
 // every tree removes the per-tree slice-header indirection.
 //
@@ -27,7 +23,7 @@ import (
 // values and the traversal visits the same splits in the same order, so
 // each tree's answer — and the float64 accumulation order across trees —
 // is identical to a pointer-tree walk's, float for float; the test oracle
-// (oracle_test.go) is that walk (DESIGN.md §8).
+// (oracle_test.go) is that walk over the trees grow returned (DESIGN.md §8).
 type flatForest struct {
 	feature   []int32   // split feature per node (0 for leaf: a harmless load)
 	threshold []float64 // go left when x[feature] <= threshold; +Inf for leaf
@@ -39,22 +35,11 @@ type flatForest struct {
 	// forest's answer when it cannot trust the input vector
 }
 
-// flatDerivations counts newFlatForest calls. It exists for the
-// exactly-once-per-load guard tests (a JSON load must derive the flat
-// view exactly once per forest; a binary pack load must derive it zero
-// times) and has no other consumers.
-var flatDerivations atomic.Int64
-
-// FlatDerivations reports how many pointer-tree flattenings have run in
-// this process — a test hook for the load-path derivation-count guards.
-func FlatDerivations() int64 { return flatDerivations.Load() }
-
 // newFlatForest flattens the trained pointer trees, re-ordering each
 // tree's nodes breadth-first so sibling pairs are adjacent. Child indices
 // are rebased from per-tree to forest-wide, which costs one add at build
 // time and none at traversal time.
 func newFlatForest(trees []*tree) *flatForest {
-	flatDerivations.Add(1)
 	total := 0
 	for _, t := range trees {
 		total += len(t.nodes)

@@ -1,9 +1,10 @@
 package forest
 
 import (
-	"encoding/json"
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,10 +24,7 @@ func probeVectors(n int, seed int64) [][]float64 {
 // traversal answers, for predictions and for explanations.
 func TestFlatMatchesPointerKernel(t *testing.T) {
 	d := xorDataset(500, 0.15, rand.New(rand.NewSource(21)))
-	f, err := Train(d, Params{NumTrees: 30, MaxDepth: 8, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := TrainPointer(d, Params{NumTrees: 30, MaxDepth: 8, Seed: 22})
 	for i, x := range probeVectors(200, 23) {
 		if got, want := f.PredictProb(x), f.PredictProbPointer(x); got != want {
 			t.Fatalf("probe %d: flat prob %v != pointer prob %v", i, got, want)
@@ -47,38 +45,32 @@ func TestFlatMatchesPointerKernel(t *testing.T) {
 	}
 }
 
-// TestFlatSurvivesSnapshotRoundTrip checks the restore path derives the
-// same flat view Train does: a restored forest's flat predictions match
-// the original's, and the snapshot bytes themselves are unchanged by the
-// flat layer (the pointer trees remain the snapshot format).
+// TestFlatSurvivesSnapshotRoundTrip checks that the binary section is the
+// trained forest itself: Train's flat arrays, packed and loaded, are
+// field for field the arrays Train built, and re-pack to the same bytes.
 func TestFlatSurvivesSnapshotRoundTrip(t *testing.T) {
 	d := xorDataset(300, 0.1, rand.New(rand.NewSource(24)))
 	f, err := Train(d, Params{NumTrees: 15, MaxDepth: 6, Seed: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(f)
+	blob, err := f.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Forest
-	if err := json.Unmarshal(blob, &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.flat == nil {
-		t.Fatal("restore must derive the flat view")
-	}
-	for i, x := range probeVectors(50, 26) {
-		if r.PredictProb(x) != f.PredictProb(x) {
-			t.Fatalf("probe %d: restored flat forest disagrees", i)
-		}
-	}
-	blob2, err := json.Marshal(&r)
+	r, err := ForestFromBinary(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(blob) != string(blob2) {
-		t.Fatal("flat layer must not change the snapshot format")
+	if !reflect.DeepEqual(r, f) {
+		t.Fatal("the loaded forest differs from the trained one")
+	}
+	blob2, err := r.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, blob2) {
+		t.Fatal("pack -> load -> pack changed the bytes")
 	}
 }
 

@@ -44,8 +44,8 @@ type Params struct {
 	// runtime.GOMAXPROCS(0). Training output is bit-identical for every
 	// worker count: per-tree seeds are pre-drawn in tree order and feature
 	// importance is accumulated per tree, then merged in tree order. The
-	// knob is deliberately excluded from snapshots — it describes the
-	// training machine, not the model.
+	// knob is excluded from snapshots, where a CPD+ model's params travel
+	// as JSON: it describes the training machine, not the model.
 	Workers int `json:"-"`
 }
 
@@ -62,30 +62,22 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Forest is a trained random-forest classifier.
+// Forest is a trained random-forest classifier. Its trees live only in
+// the flat SoA arrays (flat.go): Train flattens the pointer trees it grows,
+// and ForestFromBinary (pack.go) loads the same arrays, so a trained forest
+// and its reloaded pack are one representation.
 type Forest struct {
-	trees    []*tree
 	features []string
 	imp      []float64 // normalized mean decrease in impurity
-	params   Params
-	// flat is the inference-time flattened SoA view of trees, derived once
-	// at Train/UnmarshalJSON time (see flat.go) — or loaded directly, with
-	// no derivation at all, from a binary pack (pack.go), in which case
-	// trees stays nil and the forest is inference-only.
-	flat *flatForest
+	flat     *flatForest
 }
 
-// treeCount is the ensemble size for both representations: pointer-tree
-// forests (training, JSON snapshots) count trees; pack-loaded forests
-// carry only the flat view and count its roots.
+// treeCount is the ensemble size (0 for the zero Forest).
 func (f *Forest) treeCount() int {
-	if f.trees != nil {
-		return len(f.trees)
+	if f.flat == nil {
+		return 0
 	}
-	if f.flat != nil {
-		return len(f.flat.roots)
-	}
-	return 0
+	return len(f.flat.roots)
 }
 
 // logf reports the forest's defensive error paths (dimension-mismatched
@@ -100,6 +92,26 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, ErrEmptyTrainingSet
 	}
+	cols := mlcore.NewColumns(d, p.Workers)
+	// The split kernel shares one read-only column-major presort across
+	// all trees and pools the per-tree scratch across workers (a scratch
+	// carries no state from one tree to the next, so pool reuse order
+	// cannot perturb a tree and determinism is preserved).
+	scratch := sync.Pool{New: func() any { return newSplitCtx(cols) }}
+	trees, imp := growTrees(d, p, func(idx []int, tp *treeParams) *tree {
+		ctx := scratch.Get().(*splitCtx)
+		defer scratch.Put(ctx)
+		ctx.reset(idx)
+		return buildTree(ctx, tp)
+	})
+	return &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)}, nil
+}
+
+// growTrees is Train's growing step: it grows p's pointer trees, each by
+// build from its bootstrap draw, and returns them in tree order with the
+// normalized feature importance. Train flattens the trees and drops them;
+// the test oracles keep them.
+func growTrees(d *mlcore.Dataset, p Params, build func(idx []int, tp *treeParams) *tree) ([]*tree, []float64) {
 	p = p.withDefaults()
 	mtry := p.MTry
 	if mtry <= 0 {
@@ -107,11 +119,6 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 		if mtry < 1 {
 			mtry = 1
 		}
-	}
-	f := &Forest{
-		features: d.Features,
-		imp:      make([]float64, d.Dim()),
-		params:   p,
 	}
 	// Pre-draw every per-tree seed in tree order. The seed stream depends
 	// only on p.Seed, so the parallel schedule below cannot perturb it and
@@ -121,18 +128,12 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 	for t := range seeds {
 		seeds[t] = seedGen.next()
 	}
-	f.trees = make([]*tree, p.NumTrees)
+	trees := make([]*tree, p.NumTrees)
 	// Each tree accumulates importance privately; the merge below runs in
 	// tree order so the floating-point sums are identical for every worker
 	// count (float addition is not associative — a shared accumulator or
 	// per-worker accumulators would make importances schedule-dependent).
 	treeImp := make([][]float64, p.NumTrees)
-	// The split kernel shares one read-only column-major presort across
-	// all trees and pools the per-tree scratch across workers (a scratch
-	// carries no state from one tree to the next, so pool reuse order
-	// cannot perturb a tree and determinism is preserved).
-	cols := mlcore.NewColumns(d, p.Workers)
-	scratch := sync.Pool{New: func() any { return newSplitCtx(cols) }}
 	parallel.For(p.Workers, p.NumTrees, func(t int) {
 		tp := &treeParams{
 			maxDepth: p.MaxDepth,
@@ -151,29 +152,26 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 				idx[i] = tp.rng.intn(d.Len())
 			}
 		}
-		ctx := scratch.Get().(*splitCtx)
-		ctx.reset(idx)
-		f.trees[t] = buildTree(ctx, tp)
-		scratch.Put(ctx)
+		trees[t] = build(idx, tp)
 		treeImp[t] = tp.featImp
 	})
-	for _, imp := range treeImp {
-		for i, v := range imp {
-			f.imp[i] += v
+	imp := make([]float64, d.Dim())
+	for _, ti := range treeImp {
+		for i, v := range ti {
+			imp[i] += v
 		}
 	}
 	// Normalize importance to sum to 1 (when any split happened).
 	var total float64
-	for _, v := range f.imp {
+	for _, v := range imp {
 		total += v
 	}
 	if total > 0 {
-		for i := range f.imp {
-			f.imp[i] /= total
+		for i := range imp {
+			imp[i] /= total
 		}
 	}
-	f.flat = newFlatForest(f.trees)
-	return f, nil
+	return trees, imp
 }
 
 // Trainer returns an mlcore.Trainer that trains forests with the params.

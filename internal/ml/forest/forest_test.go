@@ -184,11 +184,7 @@ func TestWeightedTrainingShiftsDecision(t *testing.T) {
 
 func TestMaxDepthRespected(t *testing.T) {
 	d := xorDataset(300, 0.3, rand.New(rand.NewSource(11)))
-	p := Params{NumTrees: 5, MaxDepth: 3, Seed: 12}
-	f, err := Train(d, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := TrainPointer(d, Params{NumTrees: 5, MaxDepth: 3, Seed: 12})
 	for i, tr := range f.trees {
 		if dep := tr.depth(); dep > 3 {
 			t.Fatalf("tree %d depth %d > max 3", i, dep)

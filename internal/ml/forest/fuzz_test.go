@@ -2,7 +2,6 @@ package forest
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
@@ -15,14 +14,14 @@ import (
 	"scouts/internal/ml/mlcore"
 )
 
-// The two decoders a forest can arrive through from outside the process:
-// the binary forest section of a scoutpack (ForestFromBinary) and the JSON
-// snapshot (UnmarshalJSON, behind core.Restore). Both targets demand the
-// same three things of any input: no panic, no allocation sized by an
-// unchecked length prefix (an attempt dies as an out-of-memory crash),
-// and — when the input is accepted — a forest that walks, explains and
-// re-packs to a fixed point. Committed corpora live under testdata/fuzz;
-// `make fuzz-smoke` runs each target for ten seconds on top of them.
+// The one decoder a forest can arrive through from outside the process:
+// its binary section (ForestFromBinary), inside either Scout snapshot
+// envelope behind core.Restore. The target demands three things of any
+// input: no panic, no allocation sized by an unchecked length prefix (an
+// attempt dies as an out-of-memory crash), and — when the input is
+// accepted — a forest that walks, explains and re-packs to a fixed point.
+// Committed corpora live under testdata/fuzz; `make fuzz-smoke` runs the
+// target for ten seconds on top of them.
 
 // checkAcceptedForest is the post-condition of an accepted input.
 func checkAcceptedForest(t *testing.T, f *Forest) {
@@ -52,16 +51,11 @@ func checkAcceptedForest(t *testing.T, f *Forest) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("fill %v: forest answers %v, its reloaded pack %v", fill, got, want)
 		}
-		if f.trees != nil {
-			if ptr := f.PredictProbPointer(x); math.Float64bits(ptr) != math.Float64bits(got) {
-				t.Fatalf("fill %v: flat traversal %v, pointer oracle %v", fill, got, ptr)
-			}
-		}
 		f.Explain(x)
 	}
 }
 
-// fuzzSeedForest is a small trained forest both targets seed from.
+// fuzzSeedForest is a small trained forest FuzzForestFromBinary seeds from.
 func fuzzSeedForest(f testing.TB) *Forest {
 	d := xorDataset(120, 0.2, rand.New(rand.NewSource(41)))
 	forest, err := Train(d, Params{NumTrees: 3, MaxDepth: 4, Seed: 42, Workers: 1})
@@ -152,21 +146,6 @@ func TestFuzzCorpusReaches(t *testing.T) {
 			t.Errorf("%s: got %v, want an error containing %q", name, err, substr)
 		}
 	}
-}
-
-func FuzzForestUnmarshalJSON(f *testing.F) {
-	snap, err := json.Marshal(fuzzSeedForest(f))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(snap)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var forest Forest
-		if err := json.Unmarshal(data, &forest); err != nil {
-			return
-		}
-		checkAcceptedForest(t, &forest)
-	})
 }
 
 // The split kernel's differential target: small training sets decoded from

@@ -11,10 +11,10 @@ import (
 // TestGoldenEquivalenceOnLabData is the split kernel's golden gate: on a
 // realistic fixed-seed lab training set (real feature distributions — heavy
 // zero runs, summary-statistic columns), the presorted split kernel and the
-// seed kernel kept as the test oracle serialize to byte-identical snapshots, at one worker
-// and at eight. A snapshot captures every split feature, threshold, leaf
-// probability and node weight, so byte equality means the optimization
-// changed nothing but speed.
+// seed kernel kept as the test oracle pack to byte-identical binary
+// sections, at one worker and at eight. A section captures every split
+// feature, threshold, node probability and importance, so byte equality
+// means the optimization changed nothing but speed.
 func TestGoldenEquivalenceOnLabData(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lab generation is slow")
@@ -65,10 +65,7 @@ func TestGoldenFlatInferenceOnLabData(t *testing.T) {
 	}
 	d := lab.TrainSet()
 	for _, workers := range []int{1, 8} {
-		f, err := forest.Train(d, forest.Params{NumTrees: 30, MaxDepth: 14, Seed: 20200810, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := forest.TrainPointer(d, forest.Params{NumTrees: 30, MaxDepth: 14, Seed: 20200810, Workers: workers})
 		probs := f.PredictProbBatch(lab.TestX, nil)
 		for i, x := range lab.TestX {
 			flat := f.PredictProb(x)

@@ -1,11 +1,9 @@
 package forest
 
 import (
-	"math"
 	"sort"
 
 	"scouts/internal/ml/mlcore"
-	"scouts/internal/parallel"
 )
 
 // The forest's test oracles, kept verbatim from the production code they
@@ -16,75 +14,45 @@ import (
 //     samples for every candidate feature, behind TrainReference — Train as
 //     it read when Params.ReferenceKernel selected this kernel;
 //   - the pointer-tree traversals tree.predict / tree.contributions behind
-//     PredictProbPointer / ExplainPointer.
+//     PointerForest's PredictProbPointer / ExplainPointer, over the trees
+//     Train's growing step (growTrees) returns before Train flattens them.
 //
 // The exported names exist for golden_test.go, which lives in package
 // forest_test because it imports the experiments lab.
 
 // TrainReference is Train with the seed split kernel: the same seed
-// stream, bootstrap draws, importance merge and flat derivation, with
+// stream, bootstrap draws, importance merge and flattening, with
 // buildTreeReference in place of buildTree.
 func TrainReference(d *mlcore.Dataset, p Params) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, ErrEmptyTrainingSet
 	}
-	p = p.withDefaults()
-	mtry := p.MTry
-	if mtry <= 0 {
-		mtry = int(math.Round(math.Sqrt(float64(d.Dim()))))
-		if mtry < 1 {
-			mtry = 1
-		}
-	}
-	f := &Forest{
-		features: d.Features,
-		imp:      make([]float64, d.Dim()),
-		params:   p,
-	}
-	seedGen := newRNG(uint64(p.Seed))
-	seeds := make([]uint64, p.NumTrees)
-	for t := range seeds {
-		seeds[t] = seedGen.next()
-	}
-	f.trees = make([]*tree, p.NumTrees)
-	treeImp := make([][]float64, p.NumTrees)
-	parallel.For(p.Workers, p.NumTrees, func(t int) {
-		tp := &treeParams{
-			maxDepth: p.MaxDepth,
-			minLeaf:  p.MinLeaf,
-			mtry:     mtry,
-			featImp:  make([]float64, d.Dim()),
-			rng:      newRNG(seeds[t]),
-		}
-		idx := make([]int, d.Len())
-		if p.DisableBootstrap {
-			for i := range idx {
-				idx[i] = i
-			}
-		} else {
-			for i := range idx {
-				idx[i] = tp.rng.intn(d.Len())
-			}
-		}
-		f.trees[t] = buildTreeReference(d, idx, tp)
-		treeImp[t] = tp.featImp
+	trees, imp := growTrees(d, p, func(idx []int, tp *treeParams) *tree {
+		return buildTreeReference(d, idx, tp)
 	})
-	for _, imp := range treeImp {
-		for i, v := range imp {
-			f.imp[i] += v
-		}
+	return &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)}, nil
+}
+
+// PointerForest is a trained forest beside the pointer trees it was
+// flattened from.
+type PointerForest struct {
+	*Forest
+	trees []*tree
+}
+
+// TrainPointer is Train keeping the pointer trees: it runs Train's growing
+// step with Train's split kernel, and flattens the trees as Train does.
+func TrainPointer(d *mlcore.Dataset, p Params) *PointerForest {
+	cols := mlcore.NewColumns(d, p.Workers)
+	trees, imp := growTrees(d, p, func(idx []int, tp *treeParams) *tree {
+		ctx := newSplitCtx(cols)
+		ctx.reset(idx)
+		return buildTree(ctx, tp)
+	})
+	return &PointerForest{
+		Forest: &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)},
+		trees:  trees,
 	}
-	var total float64
-	for _, v := range f.imp {
-		total += v
-	}
-	if total > 0 {
-		for i := range f.imp {
-			f.imp[i] /= total
-		}
-	}
-	f.flat = newFlatForest(f.trees)
-	return f, nil
 }
 
 // buildTreeReference grows a tree on the given sample indices of d using
@@ -106,7 +74,7 @@ func (t *tree) growReference(d *mlcore.Dataset, idx []int, p *treeParams, depth 
 		}
 	}
 	me := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum), weight: wSum})
+	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum)})
 
 	if depth >= p.maxDepth || wSum <= p.minLeaf || wPos == 0 || wPos == wSum {
 		return me
@@ -246,7 +214,7 @@ func (t *tree) contributions(x []float64, out []float64) float64 {
 
 // PredictProbPointer is the pointer-tree traversal the flat kernel's
 // PredictProb must match bit for bit (DESIGN.md §8).
-func (f *Forest) PredictProbPointer(x []float64) float64 {
+func (f *PointerForest) PredictProbPointer(x []float64) float64 {
 	if len(f.trees) == 0 {
 		return 0
 	}
@@ -258,7 +226,7 @@ func (f *Forest) PredictProbPointer(x []float64) float64 {
 }
 
 // ExplainPointer is Explain over the pointer-tree traversal.
-func (f *Forest) ExplainPointer(x []float64) (prior float64, contribs []Contribution) {
+func (f *PointerForest) ExplainPointer(x []float64) (prior float64, contribs []Contribution) {
 	if len(f.trees) == 0 {
 		return 0, nil
 	}

@@ -9,13 +9,11 @@ import (
 	"scouts/internal/section"
 )
 
-// This file is the forest's binary snapshot: the flat SoA inference view
+// This file is the forest's one serialized form: the flat SoA arrays
 // (flat.go) written out as-is, so loading is an array copy with zero
-// re-derivation — no pointer trees rebuilt, no breadth-first renumbering,
-// no JSON text parsed. The JSON snapshot (json.go) remains the training
-// interchange format; the binary form is what the serving fleet ships,
-// because at fleet scale model distribution and hot-swap latency are
-// dominated by exactly the work this format deletes.
+// re-derivation — no pointer trees rebuilt, no breadth-first renumbering —
+// and the loaded forest is the very representation Train returns. Both
+// Scout snapshot envelopes carry forests in this form (core/pack.go).
 //
 // Layout: a tagged-section list (internal/section), all little-endian,
 // every section required, in fixed order:
@@ -30,7 +28,8 @@ import (
 //	PRIR  float64         training prior (verified against ROOT/NDPB on load)
 //
 // The payload has no magic or version of its own: it only travels inside
-// a scoutpack, which versions and checksums it (core/pack.go). Everything
+// a Scout snapshot, whose scoutpack envelope versions and checksums it
+// (core/pack.go). Everything
 // a reader consumes is bounds-checked against the buffer before slicing,
 // and the structural invariants the kernels rely on — strictly increasing
 // roots, children after parents (termination), feature indices inside
@@ -81,11 +80,10 @@ func appendI32s(buf []byte, vs []int32) []byte {
 	return buf
 }
 
-// ForestFromBinary loads a blob written by AppendBinary. The flat
-// inference view is filled by direct array copies — newFlatForest never
-// runs — so the returned forest is inference-only: it predicts and
-// explains through the flat kernels but has no pointer trees and cannot
-// re-serialize to JSON.
+// ForestFromBinary loads a blob written by AppendBinary. The flat arrays
+// are filled by direct array copies and validated (validateFlat), so the
+// returned forest is the one that was packed: it predicts, explains and
+// re-packs byte for byte.
 func ForestFromBinary(data []byte) (*Forest, error) {
 	secs, err := section.Read(data, packLayout)
 	if err != nil {

@@ -3,7 +3,6 @@ package forest
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -90,38 +89,6 @@ func TestPackRoundTripBitIdentity(t *testing.T) {
 	// Worker-count invariance carries through the binary format.
 	if string(blobs[0]) != string(blobs[1]) {
 		t.Fatal("packed bytes differ between workers=1 and workers=8")
-	}
-}
-
-// TestPackLoadDerivesNothing pins the zero-re-derivation contract: a
-// binary load must never run the pointer-tree flattening, while a JSON
-// load runs it exactly once.
-func TestPackLoadDerivesNothing(t *testing.T) {
-	f, _ := packRoundTrip(t, 1)
-	blob, err := f.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonBlob, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := FlatDerivations()
-	if _, err := ForestFromBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if d := FlatDerivations() - before; d != 0 {
-		t.Fatalf("binary load ran %d flat derivations, want 0", d)
-	}
-
-	before = FlatDerivations()
-	var back Forest
-	if err := json.Unmarshal(jsonBlob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if d := FlatDerivations() - before; d != 1 {
-		t.Fatalf("JSON load ran %d flat derivations, want exactly 1", d)
 	}
 }
 
@@ -212,19 +179,17 @@ func TestPackRejectsStructuralCorruption(t *testing.T) {
 // threshold (never produced by training, but the format must round-trip
 // arbitrary float64 bit patterns rather than corrupt them).
 func TestPackEdgeCases(t *testing.T) {
-	leaf := &tree{nodes: []node{{feature: -1, prob: 0.75, weight: 10}}}
+	leaf := &tree{nodes: []node{{feature: -1, prob: 0.75}}}
 	split := &tree{nodes: []node{
-		{feature: 0, threshold: math.NaN(), left: 1, right: 2, prob: 0.5, weight: 20},
-		{feature: -1, prob: 0.25, weight: 10},
-		{feature: -1, prob: 1, weight: 10},
+		{feature: 0, threshold: math.NaN(), left: 1, right: 2, prob: 0.5},
+		{feature: -1, prob: 0.25},
+		{feature: -1, prob: 1},
 	}}
 	f := &Forest{
-		trees:    []*tree{leaf, split},
 		features: []string{"only"},
 		imp:      []float64{1},
-		params:   Params{NumTrees: 2},
+		flat:     newFlatForest([]*tree{leaf, split}),
 	}
-	f.flat = newFlatForest(f.trees)
 
 	blob, err := f.AppendBinary(nil)
 	if err != nil {
@@ -256,16 +221,6 @@ func TestPackEdgeCases(t *testing.T) {
 		if got, want := back.PredictProb(x), f.PredictProb(x); got != want {
 			t.Fatalf("edge forest prediction drifted at %v: %v vs %v", x, got, want)
 		}
-	}
-}
-
-// TestPackedForestRefusesJSON pins the representation boundary: a
-// pack-loaded forest has no pointer trees and must refuse to serialize
-// as a JSON snapshot instead of emitting an empty ensemble.
-func TestPackedForestRefusesJSON(t *testing.T) {
-	_, back := packRoundTrip(t, 1)
-	if _, err := json.Marshal(back); err == nil || !strings.Contains(err.Error(), "no pointer trees") {
-		t.Fatalf("packed forest marshaled to JSON (err=%v), want refusal", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package forest
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -27,31 +26,6 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d snapshot differs from workers=1 (%d vs %d bytes)",
 				w, len(par), len(seq))
 		}
-	}
-}
-
-// TestWorkersExcludedFromSnapshot pins the json:"-" tag on Params.Workers:
-// a runtime tuning knob must not leak into persisted models (it would break
-// snapshot equality across machines with different core counts).
-func TestWorkersExcludedFromSnapshot(t *testing.T) {
-	d := xorDataset(100, 0.1, rand.New(rand.NewSource(22)))
-	f, err := Train(d, Params{NumTrees: 4, Seed: 1, Workers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(b, []byte("workers")) || bytes.Contains(b, []byte("Workers")) {
-		t.Fatalf("snapshot leaks the Workers knob: %s", b)
-	}
-	var back Forest
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.params.Workers != 0 {
-		t.Fatalf("restored forest should not carry a worker count, got %d", back.params.Workers)
 	}
 }
 

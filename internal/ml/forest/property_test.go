@@ -35,7 +35,7 @@ func propertyDataset(n int, rng *rand.Rand) *mlcore.Dataset {
 // propertyProbes draws vectors from the values a comparison can get wrong:
 // NaN, ±Inf, ±0, denormals, and — per coordinate — a threshold the forest
 // actually splits that feature on, plus its neighbours one ulp either side.
-func propertyProbes(f *Forest, n int, rng *rand.Rand) [][]float64 {
+func propertyProbes(f *PointerForest, n int, rng *rand.Rand) [][]float64 {
 	dim := len(f.features)
 	thresholds := make([][]float64, dim)
 	for _, t := range f.trees {
@@ -79,13 +79,10 @@ func TestDifferentialOracleFlatBatch(t *testing.T) {
 	for depth := 1; depth <= 16; depth++ {
 		for _, boot := range []bool{true, false} {
 			d := propertyDataset(150+rng.Intn(500), rng)
-			f, err := Train(d, Params{
+			f := TrainPointer(d, Params{
 				NumTrees: 1 + rng.Intn(12), MaxDepth: depth, MinLeaf: 1,
 				Seed: rng.Int63(), DisableBootstrap: !boot, Workers: 1,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, tr := range f.trees {
 				deepest = max(deepest, tr.depth())
 			}

@@ -2,13 +2,13 @@ package forest
 
 import "scouts/internal/ml/mlcore"
 
-// node is one node of a CART tree. Leaves have feature == -1.
+// node is one node of a CART tree as grow builds it, before Train
+// flattens it (flat.go). Leaves have feature == -1.
 type node struct {
 	feature     int     // split feature index, -1 for leaf
 	threshold   float64 // go left when x[feature] <= threshold
 	left, right int     // child indices into tree.nodes
 	prob        float64 // weighted fraction of positive samples reaching here
-	weight      float64 // total sample weight reaching here (training time)
 }
 
 // tree is a CART classification tree trained with weighted Gini impurity.
@@ -180,7 +180,7 @@ func (c *splitCtx) nodeSums(lo, hi int) (wSum, wPos float64) {
 // the caller already accumulated — and returns its root node index.
 func (t *tree) grow(ctx *splitCtx, p *treeParams, lo, hi, depth int, wSum, wPos float64) int {
 	me := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum), weight: wSum})
+	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum)})
 
 	if depth >= p.maxDepth || wSum <= p.minLeaf || wPos == 0 || wPos == wSum {
 		return me

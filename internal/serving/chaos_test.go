@@ -69,7 +69,7 @@ func chaosSnapshot(t *testing.T) []byte {
 			snapErr = err
 			return
 		}
-		snapData, snapErr = scout.Snapshot()
+		snapData, snapErr = scout.SnapshotPack()
 	})
 	if snapErr != nil {
 		t.Fatal(snapErr)

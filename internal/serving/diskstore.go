@@ -17,10 +17,9 @@ import (
 
 // The disk store persists every model version as one file,
 // model-%06d.pack: magic "SDP1" | u32 metaLen | meta JSON (version/team/
-// trained_at + payload checksum) | raw scoutpack bytes. Loading it never
-// parses the multi-megabyte snapshot through encoding/json: the snapshot
-// bytes land in memory as-is and core.Restore's zero-re-derivation path
-// takes over. Damaged files are quarantined, not fatal, and so is a
+// trained_at + payload checksum) | raw scoutpack bytes. Loading it reads
+// only the small meta as JSON: the scoutpack bytes land in memory as-is
+// and core.Restore copies its forest arrays out with zero re-derivation. Damaged files are quarantined, not fatal, and so is a
 // model-%06d.json left behind by the retired JSON disk format — reported
 // with its reason, never loaded and never silently skipped.
 

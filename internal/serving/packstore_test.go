@@ -188,18 +188,14 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 	}
 }
 
-// TestReloadRecordsLoadStats pins the model-load observability triple
-// under an injected clock: duration, bytes and format land in /metrics
-// after a reload, and a scoutpack reload flips the format gauge.
+// TestReloadRecordsLoadStats pins the model-load observability pair
+// under an injected clock: duration and bytes land in /metrics after a
+// reload.
 func TestReloadRecordsLoadStats(t *testing.T) {
-	scout, pack := packFixture(t)
-	jsonSnap, err := scout.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pack := packFixture(t)
 	gen, _, _ := testEnv(t)
 	st := NewStore()
-	st.Put("PhyNet", jsonSnap)
+	st.Put("PhyNet", pack)
 	srv := NewServer(gen.Topology(), gen.Telemetry(), st, nil)
 	// Stepping clock: every reading advances 250ms, so one Reload (two
 	// readings) records exactly 0.25s.
@@ -211,32 +207,44 @@ func TestReloadRecordsLoadStats(t *testing.T) {
 	if err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	scrape := func() string {
-		rec := httptest.NewRecorder()
-		srv.Metrics().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		return rec.Body.String()
-	}
-	body := scrape()
+	rec := httptest.NewRecorder()
+	srv.Metrics().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
 	if !strings.Contains(body, "scout_model_load_duration_seconds 0.25") {
 		t.Fatalf("load duration gauge missing or wrong:\n%s", grepMetric(body, "scout_model_load_duration_seconds"))
 	}
-	if !strings.Contains(body, "scout_model_bytes "+strconv.Itoa(len(jsonSnap))) {
+	if !strings.Contains(body, "scout_model_bytes "+strconv.Itoa(len(pack))) {
 		t.Fatalf("model bytes gauge wrong:\n%s", grepMetric(body, "scout_model_bytes"))
 	}
-	if !strings.Contains(body, "scout_model_snapshot_format 0") {
-		t.Fatalf("format gauge should say JSON:\n%s", grepMetric(body, "scout_model_snapshot_format"))
-	}
+}
 
+// TestReloadRefusesJSONSnapshot pins that the server serves one format: a
+// JSON snapshot published over a served scoutpack is refused with an
+// error naming SnapshotPack, and the scoutpack's model keeps serving.
+func TestReloadRefusesJSONSnapshot(t *testing.T) {
+	scout, pack := packFixture(t)
+	jsonSnap, err := scout.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, log, _ := testEnv(t)
+	st := NewStore()
 	st.Put("PhyNet", pack)
+	srv := NewServer(gen.Topology(), gen.Telemetry(), st, nil)
 	if err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	body = scrape()
-	if !strings.Contains(body, "scout_model_snapshot_format 1") {
-		t.Fatalf("format gauge should say scoutpack:\n%s", grepMetric(body, "scout_model_snapshot_format"))
+	served := srv.Scout()
+	st.Put("PhyNet", jsonSnap)
+	if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "SnapshotPack") {
+		t.Fatalf("reloading a JSON snapshot: %v, want an error naming SnapshotPack", err)
 	}
-	if !strings.Contains(body, "scout_model_bytes "+strconv.Itoa(len(pack))) {
-		t.Fatalf("model bytes gauge should track the pack:\n%s", grepMetric(body, "scout_model_bytes"))
+	if m := srv.current.Load(); m.scout != served || m.version != 1 {
+		t.Fatalf("a refused reload replaced the served model (now v%d)", m.version)
+	}
+	in := log.Incidents[400]
+	if got, want := srv.Scout().PredictIncident(in), scout.PredictIncident(in); got.Verdict != want.Verdict || got.Confidence != want.Confidence || got.Explanation != want.Explanation {
+		t.Fatalf("served model answers %+v, want %+v", got, want)
 	}
 }
 

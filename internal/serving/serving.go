@@ -357,10 +357,11 @@ type logDiscard struct{}
 func (logDiscard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Reload loads the newest snapshot from the store (after refreshing the
-// store itself through ReloadStore, when set). The restore is timed with
-// the server's clock and exported as scout_model_load_duration_seconds,
-// alongside the snapshot's size and format — the observable difference
-// between a JSON restore and a scoutpack's zero-re-derivation load.
+// store itself through ReloadStore, when set). The server serves one
+// format: a snapshot that is not a scoutpack is refused, and the model
+// already served stays. The restore is timed with the server's clock and
+// exported as scout_model_load_duration_seconds, alongside the snapshot's
+// size.
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -379,21 +380,24 @@ func (s *Server) Reload() error {
 	if clock == nil {
 		clock = time.Now
 	}
+	if !core.IsScoutpack(m.Snapshot) {
+		return fmt.Errorf("serving: v%d is not a scoutpack snapshot; the server serves only scoutpacks (publish Scout.SnapshotPack)", m.Version)
+	}
 	start := clock()
 	scout, err := core.Restore(m.Snapshot, s.topo, s.source)
 	if err != nil {
 		return fmt.Errorf("serving: restoring v%d: %w", m.Version, err)
 	}
-	s.tel.setLoadStats(clock().Sub(start), len(m.Snapshot), core.IsScoutpack(m.Snapshot))
+	s.tel.setLoadStats(clock().Sub(start), len(m.Snapshot))
 	s.install(scout, m.Version)
 	s.logger.Printf("serving: loaded %s scout v%d", m.Team, m.Version)
 	return nil
 }
 
 // Install serves an already-restored Scout. The training path uses it to
-// publish the scout it just trained without a snapshot round trip — the
-// forest's flat inference view is derived once, at Train, and never again
-// (pack_test pins the derivation count). Version is bookkeeping only; it
+// publish the scout it just trained without a snapshot round trip: a
+// trained Scout is the model its pack restores to (core's
+// TestRestoredScoutIsTheTrainedOne). Version is bookkeeping only; it
 // should match what the store would report for this model.
 func (s *Server) Install(scout *core.Scout, version int) {
 	s.reloadMu.Lock()

@@ -100,7 +100,9 @@ func ParseConfig(src string) (*Config, error) { return core.ParseConfig(src) }
 // Train builds a Scout from a configuration and labelled incident history.
 func Train(opt TrainOptions) (*Scout, error) { return core.Train(opt) }
 
-// Restore rebuilds a Scout from a Snapshot produced by (*Scout).Snapshot.
+// Restore rebuilds a Scout from a snapshot produced by
+// (*Scout).SnapshotPack, or by (*Scout).Snapshot, the same parts in a JSON
+// envelope.
 func Restore(data []byte, topo *Topology, source DataSource) (*Scout, error) {
 	return core.Restore(data, topo, source)
 }

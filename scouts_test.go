@@ -39,7 +39,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Snapshot / restore round trip.
-	snap, err := scout.Snapshot()
+	snap, err := scout.SnapshotPack()
 	if err != nil {
 		t.Fatal(err)
 	}
