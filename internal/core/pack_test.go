@@ -88,12 +88,12 @@ func TestRestoreRefusesMalformedJSON(t *testing.T) {
 	}
 }
 
-// TestRestoredScoutIsTheTrainedOne pins that a trained Scout and
+// TestScoutpackRepackIdempotent pins that a trained Scout and
 // Restore(SnapshotPack(s)) are one model: both snapshots of the restored
 // Scout are byte-equal to the trained one's, and it answers every
 // held-out incident with the same verdict, label, confidence bits and
 // explanation.
-func TestRestoredScoutIsTheTrainedOne(t *testing.T) {
+func TestScoutpackRepackIdempotent(t *testing.T) {
 	f := getFixture(t)
 	pack, err := f.scout.SnapshotPack()
 	if err != nil {
@@ -105,30 +105,6 @@ func TestRestoredScoutIsTheTrainedOne(t *testing.T) {
 	}
 	requireSameSnapshots(t, restored, f.scout)
 	requireSameAnswers(t, restored, f.scout, f.test)
-}
-
-// TestScoutpackRepackIdempotent pins JSON → restore → pack: a Scout
-// restored from the JSON envelope packs to the trained Scout's bytes, and
-// that pack restores to a Scout whose JSON snapshot is the original's.
-func TestScoutpackRepackIdempotent(t *testing.T) {
-	f := getFixture(t)
-	snap, err := f.scout.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Restore(snap, f.gen.Topology(), f.gen.Telemetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pack, err := fromJSON.SnapshotPack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromPack, err := Restore(pack, f.gen.Topology(), f.gen.Telemetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSnapshots(t, fromPack, f.scout)
 }
 
 // requireSameSnapshots fails unless got's scoutpack and JSON snapshot are

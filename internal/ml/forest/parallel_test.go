@@ -2,6 +2,7 @@ package forest
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -26,6 +27,20 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d snapshot differs from workers=1 (%d vs %d bytes)",
 				w, len(par), len(seq))
 		}
+	}
+}
+
+// TestWorkersExcludedFromSnapshot pins the json:"-" tag on Params.Workers:
+// a CPD+ model's forest params travel as JSON in a snapshot's META, and a
+// runtime tuning knob must not leak into them (it would break snapshot
+// equality across machines with different core counts).
+func TestWorkersExcludedFromSnapshot(t *testing.T) {
+	b, err := json.Marshal(Params{NumTrees: 4, Seed: 1, Workers: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(b, []byte("orkers")) {
+		t.Fatalf("params leak the Workers knob: %s", b)
 	}
 }
 

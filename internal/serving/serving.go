@@ -397,7 +397,7 @@ func (s *Server) Reload() error {
 // Install serves an already-restored Scout. The training path uses it to
 // publish the scout it just trained without a snapshot round trip: a
 // trained Scout is the model its pack restores to (core's
-// TestRestoredScoutIsTheTrainedOne). Version is bookkeeping only; it
+// TestScoutpackRepackIdempotent). Version is bookkeeping only; it
 // should match what the store would report for this model.
 func (s *Server) Install(scout *core.Scout, version int) {
 	s.reloadMu.Lock()
