@@ -20,32 +20,22 @@ import (
 	"scouts/internal/ml/mlcore"
 )
 
-// TestScoutpackRoundTrip is the JSON envelope's round trip: a Scout
-// restored from its JSON snapshot is the one restored from its scoutpack —
-// both envelopes carry the same parts and decode them through the same
-// forest decoder — so it re-packs to the same bytes and answers every
+// TestScoutpackRoundTrip is the JSON envelope's round trip: it carries
+// the scoutpack's parts, forest sections included, so a Scout restored
+// from it re-packs to the trained Scout's bytes and answers every
 // held-out incident alike.
 func TestScoutpackRoundTrip(t *testing.T) {
 	f := getFixture(t)
-	jsonSnap, err := f.scout.Snapshot()
+	snap, err := f.scout.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := f.scout.SnapshotPack()
+	restored, err := Restore(snap, f.gen.Topology(), f.gen.Telemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, tel := f.gen.Topology(), f.gen.Telemetry()
-	fromJSON, err := Restore(jsonSnap, topo, tel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromPack, err := Restore(pack, topo, tel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSnapshots(t, fromJSON, f.scout)
-	requireSameAnswers(t, fromJSON, fromPack, f.test)
+	requireSameSnapshots(t, restored, f.scout)
+	requireSameAnswers(t, restored, f.scout, f.test)
 }
 
 // TestRestoreRefusesMalformedJSON feeds Restore JSON envelopes that are
