@@ -79,6 +79,11 @@ fuzz-smoke:
 # through Scout.PredictCached over the lab's shared FeatureCache. Its golden
 # was generated from the tree before the replay path joined the served
 # pipeline (PR 25), so it pins that join to the old answers.
+# Last, the Scout Master's deployment simulations of Figures 15 and 16 on
+# the default world and on a 60-day one (~2 s for both): the one gate on
+# the routing decision the simulation shares with Master.Route. Its golden
+# was generated from the tree before the simulation lost its own winner
+# loop, so it pins that join to the old answers too.
 repro-check:
 	@for w in 1 4; do \
 		echo "repro -exp table1,headline -workers $$w"; \
@@ -89,6 +94,12 @@ repro-check:
 	$(GO) run ./cmd/repro -exp fig8,fig10 -days 90 -rate 8 \
 		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
 		| diff testdata/repro_replay_fig8_fig10.golden -
+	@echo "repro -exp fig15,fig16 (default world, then -days 60 -rate 8)"
+	@{ echo "repro -exp fig15,fig16"; $(GO) run ./cmd/repro -exp fig15,fig16 || exit 1; \
+		echo "repro -exp fig15,fig16 -days 60 -rate 8"; \
+		$(GO) run ./cmd/repro -exp fig15,fig16 -days 60 -rate 8 || exit 1; } \
+		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
+		| diff testdata/repro_master_fig15_fig16.golden -
 
 # The repository's benchmark (BENCHMARK.json): every scoutbench workload,
 # end-to-end metrics and the per-layer budget, as a table. For one
