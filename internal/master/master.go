@@ -6,10 +6,8 @@
 package master
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"scouts/internal/incident"
 )
@@ -50,49 +48,72 @@ func (m *Master) dependsOn(a, b string) bool {
 	return false
 }
 
-// Route applies the strawman: (1) exactly one confident "yes" → that team;
-// (2) several — prefer a team the others depend on, else the most
-// confident; (3) none → the fallback (legacy) process. The returned reason
-// explains the decision, because the master inherits the Scouts'
-// explainability requirement.
-func (m *Master) Route(answers []Answer, fallback string) (team, reason string) {
-	var yes []Answer
+// decision is the strawman's verdict over one set of answers.
+type decision struct {
+	winner Answer // meaningful only when claims > 0
+	claims int    // usable "yes" answers at or above the gate
+	dep    bool   // the dependency rule chose the winner
+}
+
+// claims reports whether a is a confident, usable "yes".
+func (m *Master) claims(a Answer) bool {
+	return a.Usable && a.Responsible && a.Confidence >= m.MinConfidence
+}
+
+// decide applies the strawman of Appendix C: a single claim wins; of
+// several, a claimant every other claimant depends on wins (the paper's
+// rule: "if one team's component depends on the other, send it to the
+// latter"); else the most confident, ties to the lower team name.
+func (m *Master) decide(answers []Answer) decision {
+	var d decision
 	for _, a := range answers {
-		if a.Usable && a.Responsible && a.Confidence >= m.MinConfidence {
-			yes = append(yes, a)
+		if !m.claims(a) {
+			continue
+		}
+		d.claims++
+		w := d.winner
+		if d.claims == 1 || a.Confidence > w.Confidence || (a.Confidence == w.Confidence && a.Team < w.Team) {
+			d.winner = a
 		}
 	}
-	switch len(yes) {
-	case 0:
-		return fallback, "no Scout claimed the incident; using the legacy routing process"
-	case 1:
-		return yes[0].Team, fmt.Sprintf("only %s's Scout claimed it (confidence %.2f)", yes[0].Team, yes[0].Confidence)
+	if d.claims < 2 {
+		return d
 	}
-	// Multiple claims: a dependency of the others wins (the paper's rule:
-	// "if one team's component depends on the other, send it to the
-	// latter").
-	for _, a := range yes {
-		isDep := true
-		for _, b := range yes {
-			if a.Team == b.Team {
-				continue
-			}
-			if !m.dependsOn(b.Team, a.Team) {
-				isDep = false
+	for _, a := range answers {
+		if !m.claims(a) {
+			continue
+		}
+		underpins := true
+		for _, b := range answers {
+			if m.claims(b) && a.Team != b.Team && !m.dependsOn(b.Team, a.Team) {
+				underpins = false
 				break
 			}
 		}
-		if isDep {
-			return a.Team, fmt.Sprintf("%s underpins the other claimants", a.Team)
+		if underpins {
+			d.winner, d.dep = a, true
+			break
 		}
 	}
-	slices.SortFunc(yes, func(a, b Answer) int {
-		if a.Confidence != b.Confidence {
-			return cmp.Compare(b.Confidence, a.Confidence)
-		}
-		return cmp.Compare(a.Team, b.Team)
-	})
-	return yes[0].Team, fmt.Sprintf("%s's Scout was the most confident of %d claimants", yes[0].Team, len(yes))
+	return d
+}
+
+// Route routes one incident by the strawman (see decide), or to the
+// fallback (legacy) process when no Scout claims it. The returned reason
+// explains the decision, because the master inherits the Scouts'
+// explainability requirement.
+func (m *Master) Route(answers []Answer, fallback string) (team, reason string) {
+	d := m.decide(answers)
+	w := d.winner
+	switch {
+	case d.claims == 0:
+		return fallback, "no Scout claimed the incident; using the legacy routing process"
+	case d.claims == 1:
+		return w.Team, fmt.Sprintf("only %s's Scout claimed it (confidence %.2f)", w.Team, w.Confidence)
+	case d.dep:
+		return w.Team, fmt.Sprintf("%s underpins the other claimants", w.Team)
+	}
+	return w.Team, fmt.Sprintf("%s's Scout was the most confident of %d claimants", w.Team, d.claims)
 }
 
 // SimParams configure the Appendix D deployment simulation.
@@ -111,20 +132,25 @@ type SimParams struct {
 // perfect reports whether the parameters describe perfect Scouts.
 func (p SimParams) perfect() bool { return p.Alpha >= 1 }
 
+// master is the Master the simulation routes through: no dependency edges,
+// and a gate at the lowest confidence a Scout can draw, min(0.5, 0.8-Beta),
+// so the gate turns no claim away. (New would replace a gate <= 0, which
+// Beta >= 0.8 gives, with 0.8.)
+func (p SimParams) master() *Master {
+	return &Master{MinConfidence: min(0.5, 0.8-p.Beta)}
+}
+
 // SimulateAssignment replays the mis-routed incidents of a trace assuming
 // the teams in `enabled` operate Scouts, and returns the per-incident
 // fraction of investigation time saved.
 //
 // Mechanics (Appendix D): the master queries every Scout when the incident
-// is created. If the responsible team's Scout claims it, the incident goes
-// straight there and all other teams' time is saved. Otherwise the
-// incident follows its historical path, minus the dwell time of innocent
-// Scout-enabled teams whose Scouts (correctly) turned it away.
+// is created and routes by the decision Master.Route makes. If that is the
+// responsible team, the incident goes straight there and all other teams'
+// time is saved. If nobody claims it, the incident follows its historical
+// path, minus the dwell time of innocent Scout-enabled teams whose Scouts
+// (correctly) turned it away.
 func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams, rng *rand.Rand) []float64 {
-	enabledSet := map[string]bool{}
-	for _, t := range enabled {
-		enabledSet[t] = true
-	}
 	// Per-Scout accuracy for this assignment.
 	acc := map[string]float64{}
 	for _, t := range enabled {
@@ -134,7 +160,9 @@ func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams,
 			acc[t] = p.Alpha + 0.05*rng.Float64()
 		}
 	}
+	m := p.master()
 	var out []float64
+	var answers []Answer
 	for _, in := range ins {
 		total := in.TotalTime()
 		if total <= 0 {
@@ -142,11 +170,7 @@ func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams,
 			continue
 		}
 		owner := in.OwnerLabel
-		type claim struct {
-			team string
-			conf float64
-		}
-		var claims []claim
+		answers = answers[:0]
 		// saved is the dwell time of the innocent teams whose Scouts turned
 		// the incident away, summed in enabled order.
 		var saved float64
@@ -162,32 +186,25 @@ func SimulateAssignment(ins []*incident.Incident, enabled []string, p SimParams,
 					conf = 0.5 + p.Beta*rng.Float64()
 				}
 			}
-			if answer {
-				claims = append(claims, claim{team, conf})
-			} else if team != owner {
+			answers = append(answers, Answer{Team: team, Responsible: answer, Confidence: conf, Usable: true})
+			if !answer && team != owner {
 				saved += in.TimeIn(team)
 			}
 		}
-		routed := ""
-		best := -1.0
-		for _, c := range claims {
-			if c.conf > best {
-				best, routed = c.conf, c.team
-			}
-		}
+		d := m.decide(answers)
 		switch {
-		case routed == owner:
+		case d.claims == 0:
+			// Nobody claimed it: historical path minus the innocent
+			// teams whose Scouts turned it away.
+			out = append(out, saved/total)
+		case d.winner.Team == owner:
 			// Direct route: everything but the owner's own time is saved.
 			out = append(out, (total-in.TimeIn(owner))/total)
-		case routed != "":
+		default:
 			// Mis-claimed: the incident detours; no saving. (We do not
 			// charge extra time, so these results are lower bounds, as in
 			// the paper.)
 			out = append(out, 0)
-		default:
-			// Nobody claimed it: historical path minus the innocent
-			// teams whose Scouts turned it away.
-			out = append(out, saved/total)
 		}
 	}
 	return out

@@ -68,6 +68,91 @@ func TestRouteIgnoresUnusable(t *testing.T) {
 	}
 }
 
+// TestRouteDecision pins the one decision Route and SimulateAssignment
+// share, one rule per row; each row is routed in every order of its
+// answers.
+func TestRouteDecision(t *testing.T) {
+	underpin := map[string][]string{"Storage": {"PhyNet"}, "SLB": {"PhyNet"}}
+	for _, tc := range []struct {
+		name     string
+		m        *Master
+		answers  []Answer
+		want     string
+		inReason string
+	}{
+		{"exact tie at Beta 0 goes to the lower team name", SimParams{Alpha: 0.7}.master(), []Answer{
+			{Team: "SLB", Responsible: true, Confidence: 0.5, Usable: true},
+			{Team: "DB", Responsible: true, Confidence: 0.5, Usable: true},
+			{Team: "Storage", Responsible: true, Confidence: 0.5, Usable: true},
+			{Team: "PhyNet", Responsible: false, Confidence: 0.8, Usable: true},
+		}, "DB", "most confident of 3 claimants"},
+		{"a claim below the gate is ignored", New(nil, 0.8), []Answer{
+			{Team: "A", Responsible: true, Confidence: 0.79, Usable: true},
+			{Team: "B", Responsible: true, Confidence: 0.81, Usable: true},
+		}, "B", "only B's Scout claimed it"},
+		{"an unusable claim is ignored", New(nil, 0.8), []Answer{
+			{Team: "A", Responsible: true, Confidence: 0.99, Usable: false},
+			{Team: "B", Responsible: true, Confidence: 0.85, Usable: true},
+		}, "B", "only B's Scout claimed it"},
+		{"the claimant the other two depend on wins", New(underpin, 0.8), []Answer{
+			{Team: "Storage", Responsible: true, Confidence: 0.99, Usable: true},
+			{Team: "SLB", Responsible: true, Confidence: 0.95, Usable: true},
+			{Team: "PhyNet", Responsible: true, Confidence: 0.81, Usable: true},
+		}, "PhyNet", "PhyNet underpins the other claimants"},
+		{"a claimant only one other depends on does not", New(map[string][]string{"Storage": {"PhyNet"}}, 0.8), []Answer{
+			{Team: "Storage", Responsible: true, Confidence: 0.90, Usable: true},
+			{Team: "SLB", Responsible: true, Confidence: 0.95, Usable: true},
+			{Team: "PhyNet", Responsible: true, Confidence: 0.81, Usable: true},
+		}, "SLB", "most confident of 3 claimants"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, order := range permutations(len(tc.answers)) {
+				answers := make([]Answer, len(order))
+				for i, j := range order {
+					answers[i] = tc.answers[j]
+				}
+				team, reason := tc.m.Route(answers, "legacy")
+				if team != tc.want || !strings.Contains(reason, tc.inReason) {
+					t.Fatalf("order %v: routed to %q (%s), want %q (%s)", order, team, reason, tc.want, tc.inReason)
+				}
+			}
+		})
+	}
+}
+
+// permutations returns every order of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append([]int{}, p[:i]...), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestSimulationGateAdmitsEveryDraw: the simulation's Scouts draw a correct
+// answer's confidence from 0.8-Beta·u and an incorrect one's from
+// 0.5+Beta·u, u in [0, 1). Its Master must let each of them claim, the
+// extremes included, at every Beta Figure 16 sweeps and past 0.8.
+func TestSimulationGateAdmitsEveryDraw(t *testing.T) {
+	for _, beta := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9} {
+		m := SimParams{Alpha: 0.7, Beta: beta}.master()
+		for _, u := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+			for _, conf := range []float64{0.8 - beta*u, 0.5 + beta*u} {
+				team, reason := m.Route([]Answer{{Team: "A", Responsible: true, Confidence: conf, Usable: true}}, "legacy")
+				if team != "A" {
+					t.Fatalf("Beta %.1f: a claim at confidence %v routed to %q (%s)", beta, conf, team, reason)
+				}
+			}
+		}
+	}
+}
+
 func synthetic(n int, rng *rand.Rand) []*incident.Incident {
 	teams := []string{"PhyNet", "Storage", "SLB", "DB"}
 	var out []*incident.Incident
