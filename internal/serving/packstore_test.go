@@ -3,6 +3,8 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -300,6 +302,60 @@ func TestReloadStoreHook(t *testing.T) {
 	if health.ModelVersion != 2 {
 		t.Fatalf("served version after reload = %d, want 2", health.ModelVersion)
 	}
+}
+
+// TestReloadLogsLazyQuarantine: a Reload whose Latest falls through a
+// damaged lazily registered version quarantines that file, and the
+// server's log names it with its reason, as scoutd's log names the eager
+// quarantines from LoadReport.
+func TestReloadLogsLazyQuarantine(t *testing.T) {
+	_, pack := packFixture(t)
+	dir := t.TempDir()
+	pub := NewStore()
+	for range 4 {
+		pub.Put("PhyNet", pack)
+	}
+	if err := SaveStore(pub, dir); err != nil {
+		t.Fatal(err)
+	}
+	// v4 and v3 are read eagerly, v2 lazily; v1 is the one healthy file.
+	for _, v := range []int{4, 3, 2} {
+		path := filepath.Join(dir, fmt.Sprintf("model-%06d.pack", v))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, reason := loadModelFile(filepath.Join(dir, "model-000002.pack"), 2)
+	if reason == "" {
+		t.Fatal("the damaged v2 verifies")
+	}
+	gen, _, _ := testEnv(t)
+	var logged bytes.Buffer
+	srv := NewServer(gen.Topology(), gen.Telemetry(), NewStore(), log.New(&logged, "", 0))
+	var rep *LoadReport
+	srv.ReloadStore = func() (st *Store, err error) {
+		st, rep, err = LoadStore(dir)
+		return st, err
+	}
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.current.Load().version; got != 1 {
+		t.Fatalf("served v%d, want v1", got)
+	}
+	if len(rep.Quarantined) != 2 || len(rep.Lazy) != 2 {
+		t.Fatalf("load report %+v, want v4 and v3 quarantined eagerly and v2, v1 lazy", rep)
+	}
+	for _, l := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(l, "model-000002.pack") && strings.Contains(l, reason) {
+			return
+		}
+	}
+	t.Fatalf("log does not name the lazily quarantined model-000002.pack with its reason %q:\n%s", reason, logged.String())
 }
 
 // TestReadModelFileRejectsDamage pins that ReadModelFile is a full

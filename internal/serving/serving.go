@@ -361,7 +361,8 @@ func (logDiscard) Write(p []byte) (int, error) { return len(p), nil }
 // format: a snapshot that is not a scoutpack is refused, and the model
 // already served stays. The restore is timed with the server's clock and
 // exported as scout_model_load_duration_seconds, alongside the snapshot's
-// size.
+// size. Each lazily registered file Latest finds damaged on the way is
+// logged with its reason.
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -373,6 +374,11 @@ func (s *Server) Reload() error {
 		s.store = st
 	}
 	m, ok := s.store.Latest()
+	// Latest quarantines a damaged lazy file it falls through; nothing else
+	// would report it.
+	for _, q := range s.store.QuarantinedLazy() {
+		s.logger.Printf("store: quarantined %s on first read: %s", q.Name, q.Reason)
+	}
 	if !ok {
 		return fmt.Errorf("serving: store is empty")
 	}
