@@ -89,23 +89,6 @@ func TestAnomalyEventBurst(t *testing.T) {
 	}
 }
 
-func TestDeprecateRestore(t *testing.T) {
-	g := New(smallParams(5))
-	tel := g.Telemetry()
-	n := len(tel.Datasets())
-	tel.Deprecate(DSPingmesh)
-	if len(tel.Datasets()) != n-1 {
-		t.Fatal("deprecate did not remove dataset")
-	}
-	if tel.SeriesWindow(DSPingmesh, "srv1.c1.dc1", 10, 12) != nil {
-		t.Fatal("deprecated dataset still serves data")
-	}
-	tel.Restore(DSPingmesh)
-	if len(tel.Datasets()) != n {
-		t.Fatal("restore failed")
-	}
-}
-
 func TestClusterBaselinesDiffer(t *testing.T) {
 	g := New(smallParams(6))
 	tel := g.Telemetry()

@@ -73,11 +73,8 @@ func (t *Telemetry) oldSeriesWindow(dataset, component string, from, to float64)
 
 // oldEventsWindow is EventsWindow with the string-keyed draws.
 func (t *Telemetry) oldEventsWindow(dataset, component string, from, to float64) []monitoring.EventRecord {
-	t.mu.RLock()
 	spec, ok := t.byDS[dataset]
-	removed := t.removed[dataset]
-	t.mu.RUnlock()
-	if !ok || removed || spec.desc.Type != monitoring.Event || !t.covered(spec, component) {
+	if !ok || spec.desc.Type != monitoring.Event || !t.covered(spec, component) {
 		return nil
 	}
 	first := int(math.Ceil(from / Tick))
@@ -157,8 +154,7 @@ func TestHoistedHashMatchesStringKeyed(t *testing.T) {
 }
 
 // oracleTelemetry is a simulator with every kind of input the append path
-// has to get right: overlapping anomalies on a switch and a server, and a
-// deprecated dataset.
+// has to get right: overlapping anomalies on a switch and a server.
 func oracleTelemetry() *Telemetry {
 	tel := New(Params{Seed: 11, Days: 20, IncidentsPerDay: 6}).Telemetry()
 	tel.AddAnomaly(Anomaly{Component: "tor1.c1.dc1", Start: 40, End: 44, Effects: []Effect{
@@ -174,7 +170,6 @@ func oracleTelemetry() *Telemetry {
 		{Dataset: DSPingmesh, MeanShift: 4, StdScale: 2},
 		{Dataset: DSReboots, EventRate: 3},
 	}})
-	tel.Deprecate(DSLinkLoss)
 	return tel
 }
 
@@ -257,13 +252,6 @@ func TestAppendSeriesMatchesOldWindow(t *testing.T) {
 	if nonEmpty < 50 || long < 10 {
 		t.Fatalf("the oracle compared only %d non-empty and %d >64-tick windows", nonEmpty, long)
 	}
-	if tel.SeriesWindow(DSLinkLoss, "tor1.c1.dc1", 40, 42) != nil {
-		t.Fatal("a deprecated dataset must answer nil")
-	}
-	tel.Restore(DSLinkLoss)
-	if got, want := tel.SeriesWindow(DSLinkLoss, "tor1.c1.dc1", 40, 42), tel.oldSeriesWindow(DSLinkLoss, "tor1.c1.dc1", 40, 42); len(got) != 20 || len(want) != 20 {
-		t.Fatalf("restored dataset answers %d / %d values, want 20", len(got), len(want))
-	}
 }
 
 // TestEventsMatchOldWindow: the hoisted key in EventsWindow and EventCount
@@ -313,7 +301,6 @@ func TestAppendSeriesAllocatesNothing(t *testing.T) {
 		{DSTemp, "tor1.c1.dc1", 41, 43},     // two overlapping anomalies
 		{DSCPU, "srv1.c2.dc1", 100, 102},    // quiet
 		{DSPingmesh, "tor1.c1.dc1", 0, 2},   // uncovered
-		{DSLinkLoss, "tor1.c1.dc1", 0, 2},   // deprecated
 		{DSCanary, "c1.dc1", 40, 50},        // 100 ticks
 		{DSTemp, "tor1.c1.dc1", 42, 42},     // empty
 		{DSSyslog, "tor1.c1.dc1", 40, 44},   // event dataset

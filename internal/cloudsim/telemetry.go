@@ -102,9 +102,10 @@ type Telemetry struct {
 	specs []datasetSpec
 	byDS  map[string]*datasetSpec
 
+	// mu guards anomalies; the dataset registry (specs, byDS) is fixed at
+	// construction and read without it.
 	mu        sync.RWMutex
 	anomalies map[string][]*Anomaly // keyed by component
-	removed   map[string]bool       // deprecated datasets (Figure 9)
 }
 
 // NewTelemetry builds the telemetry model for a topology.
@@ -115,7 +116,6 @@ func NewTelemetry(topo *topology.Topology, seed int64) *Telemetry {
 		specs:     specs(),
 		byDS:      map[string]*datasetSpec{},
 		anomalies: map[string][]*Anomaly{},
-		removed:   map[string]bool{},
 	}
 	for i := range t.specs {
 		s := &t.specs[i]
@@ -134,30 +134,11 @@ func NewTelemetry(topo *topology.Topology, seed int64) *Telemetry {
 
 // Datasets implements monitoring.DataSource.
 func (t *Telemetry) Datasets() []monitoring.Descriptor {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	out := make([]monitoring.Descriptor, 0, len(t.specs))
 	for _, s := range t.specs {
-		if !t.removed[s.desc.Name] {
-			out = append(out, s.desc)
-		}
+		out = append(out, s.desc)
 	}
 	return out
-}
-
-// Deprecate removes a dataset from the registry, simulating a monitoring
-// system being retired (Figure 9). Restore re-adds it.
-func (t *Telemetry) Deprecate(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.removed[name] = true
-}
-
-// Restore undoes Deprecate.
-func (t *Telemetry) Restore(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.removed, name)
 }
 
 // AddAnomaly registers a fault's telemetry perturbation.
@@ -234,13 +215,10 @@ func (t *Telemetry) clusterOffset(spec *datasetSpec, component string) float64 {
 }
 
 // seriesSpec gates a time-series query: the spec when the dataset exists,
-// is live, is a time series, and monitors the component; nil otherwise.
+// is a time series, and monitors the component; nil otherwise.
 func (t *Telemetry) seriesSpec(dataset, component string) *datasetSpec {
-	t.mu.RLock()
 	spec, ok := t.byDS[dataset]
-	removed := t.removed[dataset]
-	t.mu.RUnlock()
-	if !ok || removed || spec.desc.Type != monitoring.TimeSeries || !t.covered(spec, component) {
+	if !ok || spec.desc.Type != monitoring.TimeSeries || !t.covered(spec, component) {
 		return nil
 	}
 	return spec
@@ -286,8 +264,8 @@ func (t *Telemetry) SeriesWindow(dataset, component string, from, to float64) []
 
 // AppendSeries implements monitoring.SeriesAppender: the values at every
 // tick in [from, to) are appended to dst, which is returned untouched when
-// the dataset is unknown, deprecated, not a time series, or does not monitor
-// the component.
+// the dataset is unknown, not a time series, or does not monitor the
+// component.
 func (t *Telemetry) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	spec := t.seriesSpec(dataset, component)
 	if spec == nil {
@@ -317,11 +295,8 @@ func (t *Telemetry) WindowStats(dataset, component string, from, to float64) (mo
 // EventsWindow implements monitoring.DataSource: background events plus
 // anomaly-injected bursts in [from, to).
 func (t *Telemetry) EventsWindow(dataset, component string, from, to float64) []monitoring.EventRecord {
-	t.mu.RLock()
 	spec, ok := t.byDS[dataset]
-	removed := t.removed[dataset]
-	t.mu.RUnlock()
-	if !ok || removed || spec.desc.Type != monitoring.Event || !t.covered(spec, component) {
+	if !ok || spec.desc.Type != monitoring.Event || !t.covered(spec, component) {
 		return nil
 	}
 	first := int(math.Ceil(from / Tick))
@@ -357,11 +332,8 @@ func (t *Telemetry) EventsWindow(dataset, component string, from, to float64) []
 // [from, to), evaluated with the same per-tick occurrence predicate as
 // EventsWindow but without materializing any records.
 func (t *Telemetry) EventCount(dataset, component string, from, to float64) int {
-	t.mu.RLock()
 	spec, ok := t.byDS[dataset]
-	removed := t.removed[dataset]
-	t.mu.RUnlock()
-	if !ok || removed || spec.desc.Type != monitoring.Event || !t.covered(spec, component) {
+	if !ok || spec.desc.Type != monitoring.Event || !t.covered(spec, component) {
 		return 0
 	}
 	first := int(math.Ceil(from / Tick))

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"scouts/internal/cloudsim"
 	"scouts/internal/incident"
 	"scouts/internal/ml/forest"
+	"scouts/internal/monitoring"
 )
 
 // trainedScout builds a PhyNet Scout over a synthetic trace and returns it
@@ -167,14 +169,52 @@ func TestTopFeaturesNonEmpty(t *testing.T) {
 	}
 }
 
+// withoutDataset is a plain DataSource (no health, stats or append
+// capability) whose registry and windows lack the dataset named gone, once
+// set: a monitoring system retired after the Scout was deployed.
+type withoutDataset struct {
+	monitoring.DataSource
+	gone string
+}
+
+func (w *withoutDataset) Datasets() []monitoring.Descriptor {
+	return slices.DeleteFunc(w.DataSource.Datasets(), func(d monitoring.Descriptor) bool { return d.Name == w.gone })
+}
+
+func (w *withoutDataset) SeriesWindow(dataset, component string, from, to float64) []float64 {
+	if dataset == w.gone {
+		return nil
+	}
+	return w.DataSource.SeriesWindow(dataset, component, from, to)
+}
+
+func (w *withoutDataset) EventsWindow(dataset, component string, from, to float64) []monitoring.EventRecord {
+	if dataset == w.gone {
+		return nil
+	}
+	return w.DataSource.EventsWindow(dataset, component, from, to)
+}
+
 func TestImputationOnDeprecatedDataset(t *testing.T) {
 	f := getFixture(t)
-	tel := f.gen.Telemetry()
-	// Deprecate pingmesh; predictions must still work and accuracy must
-	// not collapse (Figure 9 behaviour).
-	tel.Deprecate("pingmesh")
-	defer tel.Restore("pingmesh")
-	c := f.scout.Evaluate(f.test)
+	// Retire pingmesh; predictions must still work and accuracy must not
+	// collapse (Figure 9 behaviour). The source has no health capability,
+	// so the Scout reads the missing registry entry as the dataset down.
+	pack, err := f.scout.SnapshotPack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &withoutDataset{DataSource: f.gen.Telemetry()}
+	s, err := Restore(pack, f.gen.Topology(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.gone = "pingmesh"
+	in := modelIncident(t, f)
+	if down := s.PredictIncident(in).Health.DatasetsDown; !slices.Contains(down, "pingmesh") {
+		t.Fatalf("datasets down %v, want pingmesh among them", down)
+	}
+	c := s.Evaluate(f.test)
 	if c.F1() < 0.8 {
 		t.Fatalf("losing one monitor should degrade gracefully, F1 = %v", c.F1())
 	}

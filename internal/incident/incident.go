@@ -154,18 +154,6 @@ func (in *Incident) Misrouted() bool {
 	return in.Hops[0].Team != in.OwnerLabel || len(in.Teams()) > 1
 }
 
-// WastedTime is the investigation time spent by teams other than the final
-// owner — the time perfect routing would have saved.
-func (in *Incident) WastedTime() float64 {
-	var t float64
-	for _, h := range in.Hops {
-		if h.Team != in.OwnerLabel {
-			t += h.Duration()
-		}
-	}
-	return t
-}
-
 // Day returns the (integer) day the incident was created on.
 func (in *Incident) Day() int { return int(math.Floor(in.CreatedAt / 24)) }
 

@@ -34,9 +34,6 @@ func TestTimeAccounting(t *testing.T) {
 	if got := in.TimeIn("Storage"); got != 2 {
 		t.Fatalf("TimeIn(Storage) = %v", got)
 	}
-	if got := in.WastedTime(); math.Abs(got-3.5) > 1e-12 {
-		t.Fatalf("WastedTime = %v", got)
-	}
 }
 
 func TestTeamsAndRouting(t *testing.T) {

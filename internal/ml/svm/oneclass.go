@@ -210,9 +210,6 @@ func (oc *OneClass) Score(x []float64) float64 {
 	return s
 }
 
-// Inlier reports whether x looks like the training class.
-func (oc *OneClass) Inlier(x []float64) bool { return oc.Score(x) >= 0 }
-
 // Predict implements mlcore.Classifier with the convention label == true
 // meaning "inlier / known". Confidence is a squashed margin.
 func (oc *OneClass) Predict(x []float64) (bool, float64) {

@@ -23,7 +23,7 @@ func TestRBFDetectsNovelty(t *testing.T) {
 	// Points near the training cloud: mostly inliers.
 	in := 0
 	for i := 0; i < 100; i++ {
-		if oc.Inlier([]float64{rng.NormFloat64() * 0.5, rng.NormFloat64() * 0.5}) {
+		if oc.Score([]float64{rng.NormFloat64() * 0.5, rng.NormFloat64() * 0.5}) >= 0 {
 			in++
 		}
 	}
@@ -33,7 +33,7 @@ func TestRBFDetectsNovelty(t *testing.T) {
 	// Far-away points: mostly novel.
 	out := 0
 	for i := 0; i < 100; i++ {
-		if !oc.Inlier([]float64{20 + rng.NormFloat64(), 20 + rng.NormFloat64()}) {
+		if oc.Score([]float64{20 + rng.NormFloat64(), 20 + rng.NormFloat64()}) < 0 {
 			out++
 		}
 	}
@@ -55,10 +55,10 @@ func TestNuControlsTrainingRejection(t *testing.T) {
 	}
 	rejTight, rejLoose := 0, 0
 	for _, x := range train {
-		if !tight.Inlier(x) {
+		if tight.Score(x) < 0 {
 			rejTight++
 		}
-		if !loose.Inlier(x) {
+		if loose.Score(x) < 0 {
 			rejLoose++
 		}
 	}
@@ -86,10 +86,10 @@ func TestKernelAggressiveness(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		// Moderately displaced points: 3 sigma off-centre.
 		x := []float64{3 + rng.NormFloat64()*0.3, 3 + rng.NormFloat64()*0.3}
-		if !rbf.Inlier(x) {
+		if rbf.Score(x) < 0 {
 			novelRBF++
 		}
-		if !poly.Inlier(x) {
+		if poly.Score(x) < 0 {
 			novelPoly++
 		}
 	}

@@ -8,7 +8,6 @@ package text
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"strings"
 	"unicode"
@@ -132,28 +131,6 @@ func (v *Vocabulary) Counts(doc []string) []float64 {
 	for _, w := range doc {
 		if i, ok := v.Index[w]; ok {
 			x[i]++
-		}
-	}
-	return x
-}
-
-// TFIDF returns the TF-IDF vector for a tokenized document, with smooth IDF
-// idf = ln((1+N)/(1+df)) + 1 and L2 normalization.
-func (v *Vocabulary) TFIDF(doc []string) []float64 {
-	x := v.Counts(doc)
-	var norm float64
-	for i := range x {
-		if x[i] == 0 {
-			continue
-		}
-		idf := math.Log(float64(1+v.NumDocs)/float64(1+v.DocFreq[i])) + 1
-		x[i] *= idf
-		norm += x[i] * x[i]
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for i := range x {
-			x[i] /= norm
 		}
 	}
 	return x

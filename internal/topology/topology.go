@@ -76,7 +76,6 @@ func (p Params) withDefaults() Params {
 type Topology struct {
 	components map[string]*Component
 	children   map[string][]string
-	deps       map[string][]string // explicit extra dependencies
 	// ofType indexes every component's descendants per type, name-sorted;
 	// Build fills it once so DescendantsOfType is a lookup, not a subtree
 	// walk and a sort per call.
@@ -94,7 +93,6 @@ func Build(p Params) *Topology {
 	t := &Topology{
 		components: map[string]*Component{},
 		children:   map[string][]string{},
-		deps:       map[string][]string{},
 		ofType:     map[descKey][]string{},
 	}
 	for d := 1; d <= p.DCs; d++ {
@@ -202,48 +200,6 @@ func (t *Topology) ClusterOf(name string) string {
 		c, ok = t.components[c.Parent]
 	}
 	return ""
-}
-
-// AddDependency records that `from` depends on component `to` even though
-// they are in different subtrees (the paper's database example: VMs in one
-// cluster depending on a storage cluster elsewhere).
-func (t *Topology) AddDependency(from, to string) error {
-	if _, ok := t.components[from]; !ok {
-		return fmt.Errorf("topology: unknown component %q", from)
-	}
-	if _, ok := t.components[to]; !ok {
-		return fmt.Errorf("topology: unknown dependency target %q", to)
-	}
-	t.deps[from] = append(t.deps[from], to)
-	return nil
-}
-
-// Expand returns the component itself, its ancestors, and its explicit
-// dependencies — the set a Scout investigates for a mentioned component
-// ("dependent components can be extracted by using the operator's
-// logical/physical topology abstractions", §5.1). Unknown names return nil.
-func (t *Topology) Expand(name string) []string {
-	if _, ok := t.components[name]; !ok {
-		return nil
-	}
-	seen := map[string]bool{name: true}
-	out := []string{name}
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, a := range t.Ancestors(name) {
-		add(a)
-	}
-	for _, d := range t.deps[name] {
-		add(d)
-		for _, a := range t.Ancestors(d) {
-			add(a)
-		}
-	}
-	return out
 }
 
 // Descendants returns every component under name (excluding name itself).

@@ -73,45 +73,6 @@ func TestHierarchyWalks(t *testing.T) {
 	}
 }
 
-func TestExpandIncludesDependencies(t *testing.T) {
-	topo := build(t)
-	if err := topo.AddDependency("vm1.c1.dc1", "c2.dc2"); err != nil {
-		t.Fatal(err)
-	}
-	exp := topo.Expand("vm1.c1.dc1")
-	want := map[string]bool{"vm1.c1.dc1": true, "c2.dc2": true, "dc2": true, "c1.dc1": true, "dc1": true}
-	got := map[string]bool{}
-	for _, n := range exp {
-		got[n] = true
-	}
-	for n := range want {
-		if !got[n] {
-			t.Fatalf("Expand missing %q: %v", n, exp)
-		}
-	}
-	// No duplicates.
-	if len(got) != len(exp) {
-		t.Fatalf("Expand returned duplicates: %v", exp)
-	}
-}
-
-func TestExpandUnknown(t *testing.T) {
-	topo := build(t)
-	if exp := topo.Expand("nonexistent"); exp != nil {
-		t.Fatalf("unknown component should expand to nil, got %v", exp)
-	}
-}
-
-func TestAddDependencyValidation(t *testing.T) {
-	topo := build(t)
-	if err := topo.AddDependency("nope", "dc1"); err == nil {
-		t.Fatal("unknown source should error")
-	}
-	if err := topo.AddDependency("dc1", "nope"); err == nil {
-		t.Fatal("unknown target should error")
-	}
-}
-
 func TestDescendants(t *testing.T) {
 	topo := build(t)
 	servers := topo.DescendantsOfType("c1.dc1", TypeServer)
