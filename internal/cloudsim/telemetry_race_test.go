@@ -14,7 +14,7 @@ import (
 // trace generator registers faults while request featurization reads
 // windows, and the RWMutex must cover every path that reads the anomalies —
 // the audit for the fault-injection work found the locking sound, and this
-// test keeps it so. (The name predates the retired dataset registry churn.)
+// test keeps it so.
 func TestTelemetryConcurrentDeprecateRestore(t *testing.T) {
 	gen := New(Params{Seed: 11, Days: 10, IncidentsPerDay: 4})
 	gen.Generate()
