@@ -7,14 +7,15 @@
 //	       [-max-inflight 64] [-request-timeout 10s] [-min-coverage 0.25]
 //	       [-instance scoutd] [-access-log] [-store DIR]
 //
-// -store points at a SaveStore directory. When it already holds model
-// versions, scoutd serves the newest one instead of training at boot —
+// -store points at a SaveStore directory. When it holds a healthy model
+// version, scoutd serves the newest one instead of training at boot —
 // scoutpack (.pack) versions load through the zero-re-derivation binary
 // path — and POST /v1/reload re-reads the directory, so versions
 // published by another process (an offline trainer) are picked up live.
-// When the directory is empty, scoutd trains once, publishes the model
-// into it as a scoutpack, and serves the scout it just trained directly
-// (no snapshot round trip).
+// Each damaged file a load quarantines is logged by name and reason. When
+// no healthy version is left, scoutd trains once, publishes the model into
+// the directory as a scoutpack numbered past every quarantined one, and
+// serves the scout it just trained directly (no snapshot round trip).
 //
 // Endpoints:
 //
@@ -117,12 +118,8 @@ func run(addr string, seed int64, days int, rate float64, workers int, opts serv
 	// newest stored version (scoutpacks load with zero re-derivation).
 	store := serving.NewStore()
 	if opts.storeDir != "" {
-		if loaded, rep, err := serving.LoadStore(opts.storeDir); err == nil {
+		if loaded, err := loadStore(opts.storeDir, logger); err == nil {
 			store = loaded
-			if len(rep.Quarantined) > 0 {
-				logger.Printf("store: quarantined %d damaged model file(s)", len(rep.Quarantined))
-			}
-			logger.Printf("store: %d eager + %d lazy version(s) from %s", len(rep.Loaded), len(rep.Lazy), opts.storeDir)
 		} else if !os.IsNotExist(err) {
 			logger.Printf("store: %v (continuing with boot-time training)", err)
 		}
@@ -168,16 +165,7 @@ func run(addr string, seed int64, days int, rate float64, workers int, opts serv
 	srv.InstanceID = opts.instance
 	if opts.storeDir != "" {
 		dir := opts.storeDir
-		srv.ReloadStore = func() (*serving.Store, error) {
-			st, rep, err := serving.LoadStore(dir)
-			if err != nil {
-				return nil, err
-			}
-			if len(rep.Quarantined) > 0 {
-				logger.Printf("store: quarantined %d damaged model file(s) on reload", len(rep.Quarantined))
-			}
-			return st, nil
-		}
+		srv.ReloadStore = func() (*serving.Store, error) { return loadStore(dir, logger) }
 	}
 	if opts.accessLog {
 		al := telemetry.NewLogger(os.Stderr, telemetry.F("component", "scoutd"), telemetry.F("instance", opts.instance))
@@ -195,4 +183,17 @@ func run(addr string, seed int64, days int, rate float64, workers int, opts serv
 	}
 
 	return httpx.Serve(context.Background(), addr, srv.Handler(), logger, nil)
+}
+
+// loadStore loads the -store directory and logs each file it quarantined,
+// by name and reason.
+func loadStore(dir string, logger *log.Logger) (*serving.Store, error) {
+	st, rep, err := serving.LoadStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, q := range rep.Quarantined {
+		logger.Printf("store: quarantined %s: %s", q.Name, q.Reason)
+	}
+	return st, nil
 }

@@ -13,10 +13,10 @@ func TestInjectedClock(t *testing.T) {
 	st := NewStore()
 	st.Now = func() time.Time { return fixed }
 
-	v := st.Put("PhyNet", []byte(`{"snapshot":true}`))
-	m, ok := st.Get(v)
+	st.Put("PhyNet", []byte(`{"snapshot":true}`))
+	m, ok := st.Latest()
 	if !ok {
-		t.Fatalf("Get(%d) missing", v)
+		t.Fatal("the published version is missing")
 	}
 	if !m.TrainedAt.Equal(fixed) {
 		t.Fatalf("TrainedAt = %v, want %v", m.TrainedAt, fixed)

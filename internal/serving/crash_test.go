@@ -263,15 +263,17 @@ func (s fsState) outcomes() []outcome {
 	return out
 }
 
-// loaded is what LoadStore and a Get of every version make of an outcome.
+// loaded is what LoadStore and a read of every store file make of an
+// outcome.
 type loaded struct {
 	err         error
 	quarantined []string
 	models      map[int][]byte // version → its model re-encoded as a .pack file
 }
 
-// load writes an outcome into a fresh directory under root, loads it and
-// reads every version back with Get.
+// load writes an outcome into a fresh directory under root, loads it, and
+// then reads every store file left in the directory with loadModelFile:
+// the versions LoadStore holds and the older ones it never opens.
 func load(root string, o outcome) *loaded {
 	dir, err := os.MkdirTemp(root, "crash")
 	if err != nil {
@@ -283,7 +285,7 @@ func load(root string, o outcome) *loaded {
 			return &loaded{err: err}
 		}
 	}
-	st, rep, err := LoadStore(dir)
+	_, rep, err := LoadStore(dir)
 	if err != nil {
 		return &loaded{err: err}
 	}
@@ -291,21 +293,23 @@ func load(root string, o outcome) *loaded {
 	for _, q := range rep.Quarantined {
 		l.quarantined = append(l.quarantined, q.Name+": "+q.Reason)
 	}
-	var versions []int
-	for _, m := range st.models {
-		versions = append(versions, m.Version)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return &loaded{err: err}
 	}
-	for _, v := range versions {
-		m, ok := st.Get(v)
+	for _, e := range entries {
+		v, ok := storeFileVersion(e.Name(), ".pack")
 		if !ok {
-			continue // quarantined; reported below
+			continue
+		}
+		m, reason := loadModelFile(filepath.Join(dir, e.Name()), v)
+		if reason != "" {
+			l.quarantined = append(l.quarantined, e.Name()+" (not opened by LoadStore): "+reason)
+			continue
 		}
 		if l.models[v], err = encodePackFile(m); err != nil {
 			return &loaded{err: err}
 		}
-	}
-	for _, q := range st.QuarantinedLazy() {
-		l.quarantined = append(l.quarantined, q.Name+": "+q.Reason)
 	}
 	return l
 }
@@ -342,7 +346,8 @@ func (l *loaded) check(want map[int][]byte, earlier int, mustHave []int) string 
 // crash model above distinguishes — before each file-system operation,
 // and after it returns — and under every injected failure of one
 // operation. Each directory the model permits at each crash point is
-// written out, loaded with LoadStore and read back with Get. Every one
+// written out, loaded with LoadStore, and every store file in it read
+// back. Every one
 // must load without error or quarantine, keep the versions that were
 // durable before the save bit-identical, hold each new version whole or
 // not at all, and — once saveStore has returned nil, or an error other
@@ -356,7 +361,8 @@ func TestSaveStoreCrashConsistency(t *testing.T) {
 	}{
 		// A publish as an offline trainer does it (scoutbench's retrain
 		// cycle): load the store directory, add a version, save. Three
-		// earlier versions put v1 past DefaultEagerVersions, so it is lazy.
+		// earlier versions put v1 past DefaultEagerVersions, so the store
+		// does not hold it and the save leaves its file alone.
 		{"publish", 3, 1},
 		// A first save, as scoutd's first boot does with one version. With
 		// two, a version renamed before a later failure is new, so losing
@@ -388,8 +394,8 @@ func TestSaveStoreCrashConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantLazy := max(sh.earlier-DefaultEagerVersions, 0); len(rep.Lazy) != wantLazy {
-				t.Fatalf("%s: %d lazy versions, want %d", sh.name, len(rep.Lazy), wantLazy)
+			if wantHeld := min(sh.earlier, DefaultEagerVersions); len(rep.Loaded) != wantHeld {
+				t.Fatalf("%s: %d versions held, want %d", sh.name, len(rep.Loaded), wantHeld)
 			}
 			st.Now = clock
 			for v := sh.earlier + 1; v <= sh.earlier+sh.added; v++ {
@@ -415,11 +421,8 @@ func TestSaveStoreCrashConsistency(t *testing.T) {
 			initial.live[e.Name()] = len(initial.inodes) - 1
 			initial.durable[e.Name()] = len(initial.inodes) - 1
 		}
-		for st, v := storeToSave(), 1; v <= sh.earlier+sh.added; v++ {
-			m, ok := st.Get(v)
-			if !ok {
-				t.Fatalf("%s: v%d missing before the save", sh.name, v)
-			}
+		for v := 1; v <= sh.earlier+sh.added; v++ {
+			m := Model{Version: v, Team: "PhyNet", TrainedAt: clock(), Snapshot: testPack(fmt.Sprintf("v%d", v))}
 			if want[v], err = encodePackFile(m); err != nil {
 				t.Fatal(err)
 			}

@@ -116,16 +116,6 @@ func saveStore(ops fileOps, st *Store, dir string) (err error) {
 	models := append([]Model(nil), st.models...)
 	st.mu.Unlock()
 	for _, m := range models {
-		if m.Snapshot == nil {
-			// A lazily-loaded model that was never materialized is already
-			// on disk in the directory it was loaded from; writing it
-			// requires its bytes, so materialize through the store.
-			got, ok := st.Get(m.Version)
-			if !ok {
-				return fmt.Errorf("serving: v%d is lazy and its file is unreadable", m.Version)
-			}
-			m = got
-		}
 		if !core.IsScoutpack(m.Snapshot) {
 			return fmt.Errorf("serving: v%d is not a scoutpack snapshot; the store directory holds only scoutpacks (publish Scout.SnapshotPack)", m.Version)
 		}
@@ -185,14 +175,12 @@ func syncDir(ops fileOps, dir string) error {
 	return nil
 }
 
-// LoadReport says what LoadStore found: which versions loaded eagerly,
-// which were registered lazily (verified only on first Get), and which
-// files were quarantined (set aside with reasons) instead of failing the
-// whole load — one rotten version must not take down a store holding
+// LoadReport says what LoadStore found: which versions it loaded, and
+// which files it quarantined (set aside with reasons) instead of failing
+// the whole load — one rotten version must not take down a store holding
 // good ones.
 type LoadReport struct {
 	Loaded      []int             `json:"loaded"`
-	Lazy        []int             `json:"lazy,omitempty"`
 	Quarantined []QuarantinedFile `json:"quarantined,omitempty"`
 }
 
@@ -205,23 +193,24 @@ type QuarantinedFile struct {
 	Renamed bool   `json:"renamed"`
 }
 
-// DefaultEagerVersions is how many of the newest versions LoadStore reads
-// and verifies at load time: the latest version (what Reload serves) plus
-// one rollback candidate. Older versions are registered lazily — their
-// files are opened, verified and decoded only on the first Get — so a
-// store directory holding months of history costs two file reads at boot,
-// not a full-directory parse.
+// DefaultEagerVersions is how many healthy versions LoadStore holds: the
+// latest (what Reload serves) plus one rollback candidate. Older files are
+// never opened, so a store directory holding months of history costs two
+// file reads at boot, not a full-directory parse.
 const DefaultEagerVersions = 2
 
-// LoadStore reads a directory written by SaveStore back into a Store. The
-// newest DefaultEagerVersions versions are read and verified now; older
-// files are registered by path and verified on first Get, which
-// quarantines them exactly as an eager load would. Files that fail to
-// read, decode, or checksum are quarantined — renamed to *.quarantined
-// and listed in the report — and the remaining versions load; gaps in the
-// version sequence are tolerated for the same reason. A model-%06d.json
-// file (the retired JSON disk format) is quarantined with that reason.
-// The error is non-nil only when the directory itself cannot be read.
+// LoadStore reads a directory written by SaveStore back into a Store. It
+// walks the model-%06d.pack files newest first, reading and verifying
+// each, and stops once it holds DefaultEagerVersions healthy versions.
+// A file that fails to read, decode, or checksum on the way is
+// quarantined — renamed to *.quarantined and listed in the report — and
+// the walk goes on to the next older file; gaps in the version sequence
+// are tolerated for the same reason. A model-%06d.json file (the retired
+// JSON disk format) is quarantined with that reason, and any other name
+// is a foreign file and skipped. The store numbers its next version past
+// every model-%06d.pack and model-%06d.pack.quarantined name listed, so a
+// publish never reuses a quarantined version's number. The error is
+// non-nil only when the directory itself cannot be read.
 func LoadStore(dir string) (*Store, *LoadReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -238,34 +227,35 @@ func LoadStore(dir string) (*Store, *LoadReport, error) {
 		name := e.Name()
 		if v, ok := storeFileVersion(name, ".pack"); ok {
 			files = append(files, vf{v, name})
+			st.top = max(st.top, v)
+		} else if v, ok := storeFileVersion(name, ".pack.quarantined"); ok {
+			st.top = max(st.top, v)
 		} else if _, ok := storeFileVersion(name, ".json"); ok {
 			rep.Quarantined = append(rep.Quarantined, quarantineFile(filepath.Join(dir, name),
 				"JSON store file: the format is retired and never loaded; republish the model as a scoutpack"))
 		}
 	}
-	slices.SortFunc(files, func(a, b vf) int { return a.v - b.v })
+	slices.SortFunc(files, func(a, b vf) int { return b.v - a.v })
 
-	for i, f := range files {
-		path := filepath.Join(dir, f.name)
-		if len(files)-i > DefaultEagerVersions {
-			// Old version: register by path, defer the read to first Get.
-			st.models = append(st.models, Model{Version: f.v, path: path})
-			rep.Lazy = append(rep.Lazy, f.v)
-			continue
+	for _, f := range files {
+		if len(st.models) == DefaultEagerVersions {
+			break
 		}
+		path := filepath.Join(dir, f.name)
 		m, reason := loadModelFile(path, f.v)
 		if reason != "" {
 			rep.Quarantined = append(rep.Quarantined, quarantineFile(path, reason))
 			continue
 		}
-		st.models = append(st.models, m)
-		rep.Loaded = append(rep.Loaded, m.Version)
+		st.models = slices.Insert(st.models, 0, m)
+		rep.Loaded = slices.Insert(rep.Loaded, 0, m.Version)
 	}
 	return st, rep, nil
 }
 
 // storeFileVersion parses the version out of a store file name,
-// model-<version><ext>.
+// model-%06d<ext>. Any other spelling of a number — a sign, too few
+// digits, a leading zero past six — is not a store name.
 func storeFileVersion(name, ext string) (int, bool) {
 	num, ok := strings.CutPrefix(name, "model-")
 	if !ok {
@@ -275,7 +265,7 @@ func storeFileVersion(name, ext string) (int, bool) {
 		return 0, false
 	}
 	v, err := strconv.Atoi(num)
-	return v, err == nil
+	return v, err == nil && v >= 0 && fmt.Sprintf("%06d", v) == num
 }
 
 // quarantineFile renames a refused model file to <name>.quarantined and

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,6 +31,32 @@ func testPack(body string) []byte {
 	return append(pack, sections...)
 }
 
+// storedVersion returns a copy of the model a store holds for version v.
+// The store's one reader is Latest; these tests look past it.
+func storedVersion(st *Store, v int) (Model, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, m := range st.models {
+		if m.Version == v {
+			m.Snapshot = bytes.Clone(m.Snapshot)
+			return m, true
+		}
+	}
+	return Model{}, false
+}
+
+// damageFile cuts a file to half its length, as a torn write would.
+func damageFile(t testing.TB, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSaveLoadStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
@@ -45,32 +72,56 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 	if loaded.Versions() != 2 || len(rep.Loaded) != 2 || len(rep.Quarantined) != 0 {
 		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
 	}
-	m, ok := loaded.Get(2)
-	if !ok || !bytes.Equal(m.Snapshot, testPack("two")) || m.Team != "PhyNet" {
+	m, ok := loaded.Latest()
+	if !ok || m.Version != 2 || !bytes.Equal(m.Snapshot, testPack("two")) || m.Team != "PhyNet" {
 		t.Fatalf("v2 = %+v", m)
 	}
 }
 
+// TestLoadStoreIgnoresForeignFiles: a name that is not model-%06d.pack
+// (or a retired model-%06d.json) is not the store's, whatever it holds.
+// It is neither loaded nor quarantined, and stays where it is. Each row
+// puts one beside a healthy model-000001.pack; the last three hold a
+// healthy v1 file under a name that only parses as a number.
 func TestLoadStoreIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
 	st := NewStore()
 	st.Put("X", testPack("s"))
-	if err := SaveStore(st, dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A leftover temp file from a crashed save must also be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "model-000002.pack.tmp"), []byte("half"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, rep, err := LoadStore(dir)
+	v1, err := encodePackFile(Model{Version: 1, Team: "X", Snapshot: testPack("s")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Versions() != 1 || len(rep.Quarantined) != 0 {
-		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"README.txt", []byte("hi")},
+		// A leftover temp file from a crashed save.
+		{"model-000002.pack.tmp", []byte("half")},
+		// A negative number: -1 would skip the name/version check.
+		{"model--1.pack", v1},
+		// Too few digits: v1 would load twice.
+		{"model-1.pack", v1},
+		{"model-+00001.pack", v1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := SaveStore(st, dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, tc.name), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, rep, err := LoadStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Versions() != 1 || !slices.Equal(rep.Loaded, []int{1}) || len(rep.Quarantined) != 0 {
+				t.Fatalf("versions = %d, report = %+v, want v1 alone", loaded.Versions(), rep)
+			}
+			if _, err := os.Stat(filepath.Join(dir, tc.name)); err != nil {
+				t.Fatalf("the foreign file moved: %v", err)
+			}
+		})
 	}
 }
 
@@ -93,14 +144,11 @@ func TestLoadStoreToleratesGaps(t *testing.T) {
 	if loaded.Versions() != 2 || len(rep.Quarantined) != 0 {
 		t.Fatalf("versions = %d (report %+v), want the 2 surviving files", loaded.Versions(), rep)
 	}
-	if _, ok := loaded.Get(2); ok {
+	if _, ok := storedVersion(loaded, 2); ok {
 		t.Fatal("the deleted version must not resurrect")
 	}
-	if m, ok := loaded.Get(3); !ok || !bytes.Equal(m.Snapshot, testPack("c")) {
-		t.Fatalf("v3 = %+v, %v", m, ok)
-	}
-	if m, ok := loaded.Latest(); !ok || m.Version != 3 {
-		t.Fatalf("latest = %+v", m)
+	if m, ok := loaded.Latest(); !ok || m.Version != 3 || !bytes.Equal(m.Snapshot, testPack("c")) {
+		t.Fatalf("latest = %+v, %v", m, ok)
 	}
 	// Publishing into the gapped store continues after the highest version.
 	if v := loaded.Put("X", testPack("d")); v != 4 {
@@ -161,6 +209,69 @@ func TestLoadStoreQuarantinesCorruptFiles(t *testing.T) {
 	}
 	if again.Versions() != 1 || len(rep2.Quarantined) != 0 {
 		t.Fatalf("second load: versions = %d, report = %+v", again.Versions(), rep2)
+	}
+}
+
+// TestLoadStoreAllDamagedIsEmpty: a store whose every file is damaged
+// holds nothing, however many files there are — one more than LoadStore
+// holds is no different from one — so a server over it trains afresh.
+func TestLoadStoreAllDamagedIsEmpty(t *testing.T) {
+	dir := t.TempDir()
+	st := NewStore()
+	for v := 1; v <= DefaultEagerVersions+1; v++ {
+		st.Put("X", testPack(fmt.Sprintf("v%d", v)))
+	}
+	if err := SaveStore(st, dir); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= DefaultEagerVersions+1; v++ {
+		damageFile(t, filepath.Join(dir, fmt.Sprintf("model-%06d.pack", v)))
+	}
+	loaded, rep, err := LoadStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Versions() != 0 || len(rep.Loaded) != 0 || len(rep.Quarantined) != DefaultEagerVersions+1 {
+		t.Fatalf("versions = %d, report = %+v, want every file quarantined", loaded.Versions(), rep)
+	}
+	if m, ok := loaded.Latest(); ok {
+		t.Fatalf("latest = v%d from a store of damaged files", m.Version)
+	}
+}
+
+// TestPutNeverReusesQuarantinedVersion: a version published into a store
+// loaded around damaged files is numbered past every one of them — those
+// this load quarantines, and those an earlier load set aside.
+func TestPutNeverReusesQuarantinedVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		damaged []int
+	}{
+		{"newest damaged", []int{2}},
+		{"all damaged", []int{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := NewStore()
+			st.Put("X", testPack("a"))
+			st.Put("X", testPack("b"))
+			if err := SaveStore(st, dir); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range tc.damaged {
+				damageFile(t, filepath.Join(dir, fmt.Sprintf("model-%06d.pack", v)))
+			}
+			// The second load finds the damaged files already renamed.
+			for load := 1; load <= 2; load++ {
+				loaded, rep, err := LoadStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := loaded.Put("X", testPack("c")); got != 3 {
+					t.Fatalf("load %d (report %+v): Put numbered v%d, want v3", load, rep, got)
+				}
+			}
+		})
 	}
 }
 
@@ -235,28 +346,20 @@ func TestSaveStoreEmptyOK(t *testing.T) {
 }
 
 // TestSaveStorePartialFailureStillDurable: a save that fails midway
-// (here: a lazy model whose backing file is gone) must still return an
-// error, AND the versions committed before the failure must remain
-// present and loadable. That those renames are also durable — the
-// deferred directory sync runs on the error path too — is
-// TestSaveStoreCrashConsistency's to show: a real directory cannot crash.
+// (here: a v2 that is not a scoutpack) must still return an error, AND
+// the versions committed before the failure must remain present and
+// loadable. That those renames are also durable — the deferred directory
+// sync runs on the error path too — is TestSaveStoreCrashConsistency's to
+// show: a real directory cannot crash.
 func TestSaveStorePartialFailureStillDurable(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
 	st.Put("PhyNet", testPack("one"))
-	// Append an unmaterializable model: Snapshot nil and a backing path
-	// that does not exist, so SaveStore's materialization via Get fails
-	// after v1 has already been written and renamed.
-	st.mu.Lock()
-	st.models = append(st.models, Model{
-		Version: 2,
-		Team:    "PhyNet",
-		path:    filepath.Join(dir, "never-existed.pack"),
-	})
-	st.mu.Unlock()
+	// v2 fails the save after v1 has already been written and renamed.
+	st.Put("PhyNet", []byte("not a scoutpack"))
 
 	if err := SaveStore(st, dir); err == nil {
-		t.Fatal("SaveStore should fail on the unmaterializable model")
+		t.Fatal("SaveStore should fail on the non-scoutpack v2")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "model-000001.pack")); err != nil {
 		t.Fatalf("v1 should be committed despite the later failure: %v", err)
@@ -265,7 +368,7 @@ func TestSaveStorePartialFailureStillDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := loaded.Get(1); !ok || !bytes.Equal(m.Snapshot, testPack("one")) {
+	if m, ok := loaded.Latest(); !ok || m.Version != 1 || !bytes.Equal(m.Snapshot, testPack("one")) {
 		t.Fatalf("v1 not loadable after partial save: %+v", m)
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,8 +60,8 @@ func TestSaveLoadPackRoundTrip(t *testing.T) {
 	if len(rep.Loaded) != 1 || len(rep.Quarantined) != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	m, ok := loaded.Get(1)
-	if !ok || !bytes.Equal(m.Snapshot, pack) {
+	m, ok := loaded.Latest()
+	if !ok || m.Version != 1 || !bytes.Equal(m.Snapshot, pack) {
 		t.Fatal("pack bytes did not survive the round trip")
 	}
 	if m.Team != "PhyNet" || !m.TrainedAt.Equal(time.Unix(1700000000, 0)) {
@@ -119,11 +119,11 @@ func TestPackPayloadVerifiedOnLoad(t *testing.T) {
 	}
 }
 
-// TestLoadStoreLazyVersions pins the eager/lazy split: only the newest
-// DefaultEagerVersions files are read at load time; older versions are
-// registered by path, materialize on first Get, and quarantine on first
-// Get when their file is damaged.
-func TestLoadStoreLazyVersions(t *testing.T) {
+// TestLoadStoreOpensOnlyNewestHealthy pins the one load path: LoadStore
+// walks the files newest first, quarantines a damaged one on the way, and
+// stops once it holds DefaultEagerVersions healthy versions. An older
+// file damaged after the save is neither read nor renamed.
+func TestLoadStoreOpensOnlyNewestHealthy(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
 	for i := 1; i <= 5; i++ {
@@ -132,61 +132,25 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
+	damageFile(t, filepath.Join(dir, "model-000005.pack"))
+	path1 := filepath.Join(dir, "model-000001.pack")
+	damageFile(t, path1)
 
-	loaded, rep, err := LoadStore(dir) // 2 eager
+	loaded, rep, err := LoadStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rep.Loaded); got != 2 {
-		t.Fatalf("eager loads = %v, want the newest 2", rep.Loaded)
+	if !slices.Equal(rep.Loaded, []int{3, 4}) || loaded.Versions() != 2 {
+		t.Fatalf("loaded %v (%d held), want v3 and v4", rep.Loaded, loaded.Versions())
 	}
-	if got := len(rep.Lazy); got != 3 {
-		t.Fatalf("lazy registrations = %v, want 3", rep.Lazy)
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Name != "model-000005.pack" || !rep.Quarantined[0].Renamed {
+		t.Fatalf("quarantined %+v, want model-000005.pack alone", rep.Quarantined)
 	}
-	if loaded.Versions() != 5 {
-		t.Fatalf("versions = %d, want all 5 visible", loaded.Versions())
-	}
-	// Latest never touches the lazy files.
-	if m, ok := loaded.Latest(); !ok || m.Version != 5 || !bytes.Equal(m.Snapshot, testPack("sssss")) {
+	if m, ok := loaded.Latest(); !ok || m.Version != 4 || !bytes.Equal(m.Snapshot, testPack("ssss")) {
 		t.Fatalf("latest = %+v", m)
 	}
-
-	// Damage v1 on disk AFTER the load: an eager loader would have caught
-	// it already; the lazy path must catch it on first Get.
-	path1 := filepath.Join(dir, "model-000001.pack")
-	data, err := os.ReadFile(path1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path1, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := loaded.Get(1); ok {
-		t.Fatal("damaged lazy version must not load")
-	}
-	q := loaded.QuarantinedLazy()
-	if len(q) != 1 || q[0].Reason == "" || !q[0].Renamed {
-		t.Fatalf("lazy quarantine report = %+v", q)
-	}
-	if _, err := os.Stat(path1 + ".quarantined"); err != nil {
-		t.Fatalf("damaged file not set aside: %v", err)
-	}
-	if loaded.Versions() != 4 {
-		t.Fatalf("versions after quarantine = %d, want 4", loaded.Versions())
-	}
-	// A healthy lazy version materializes on first Get and stays cached.
-	m, ok := loaded.Get(2)
-	if !ok || !bytes.Equal(m.Snapshot, testPack("ss")) || m.Team != "X" {
-		t.Fatalf("lazy v2 = %+v, %v", m, ok)
-	}
-	if err := os.Remove(filepath.Join(dir, "model-000002.pack")); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := loaded.Get(2); !ok || !bytes.Equal(m.Snapshot, testPack("ss")) {
-		t.Fatalf("materialized v2 must not re-read its file: %+v, %v", m, ok)
-	}
-	if drained := loaded.QuarantinedLazy(); len(drained) != 0 {
-		t.Fatalf("quarantine report must drain: %+v", drained)
+	if _, err := os.Stat(path1); err != nil {
+		t.Fatalf("the damaged v1 was set aside, so it was read: %v", err)
 	}
 }
 
@@ -304,11 +268,10 @@ func TestReloadStoreHook(t *testing.T) {
 	}
 }
 
-// TestReloadLogsLazyQuarantine: a Reload whose Latest falls through a
-// damaged lazily registered version quarantines that file, and the
-// server's log names it with its reason, as scoutd's log names the eager
-// quarantines from LoadReport.
-func TestReloadLogsLazyQuarantine(t *testing.T) {
+// TestReloadFallsThroughDamagedVersions: a Reload over v1..v4 whose v4,
+// v3 and v2 are damaged serves v1, and the load report names each of the
+// three files with the reason it was refused.
+func TestReloadFallsThroughDamagedVersions(t *testing.T) {
 	_, pack := packFixture(t)
 	dir := t.TempDir()
 	pub := NewStore()
@@ -318,24 +281,18 @@ func TestReloadLogsLazyQuarantine(t *testing.T) {
 	if err := SaveStore(pub, dir); err != nil {
 		t.Fatal(err)
 	}
-	// v4 and v3 are read eagerly, v2 lazily; v1 is the one healthy file.
+	var want []QuarantinedFile
 	for _, v := range []int{4, 3, 2} {
-		path := filepath.Join(dir, fmt.Sprintf("model-%06d.pack", v))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		name := fmt.Sprintf("model-%06d.pack", v)
+		damageFile(t, filepath.Join(dir, name))
+		_, reason := loadModelFile(filepath.Join(dir, name), v)
+		if reason == "" {
+			t.Fatalf("the damaged v%d verifies", v)
 		}
-		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, reason := loadModelFile(filepath.Join(dir, "model-000002.pack"), 2)
-	if reason == "" {
-		t.Fatal("the damaged v2 verifies")
+		want = append(want, QuarantinedFile{Name: name, Reason: reason, Renamed: true})
 	}
 	gen, _, _ := testEnv(t)
-	var logged bytes.Buffer
-	srv := NewServer(gen.Topology(), gen.Telemetry(), NewStore(), log.New(&logged, "", 0))
+	srv := NewServer(gen.Topology(), gen.Telemetry(), NewStore(), nil)
 	var rep *LoadReport
 	srv.ReloadStore = func() (st *Store, err error) {
 		st, rep, err = LoadStore(dir)
@@ -347,15 +304,9 @@ func TestReloadLogsLazyQuarantine(t *testing.T) {
 	if got := srv.current.Load().version; got != 1 {
 		t.Fatalf("served v%d, want v1", got)
 	}
-	if len(rep.Quarantined) != 2 || len(rep.Lazy) != 2 {
-		t.Fatalf("load report %+v, want v4 and v3 quarantined eagerly and v2, v1 lazy", rep)
+	if !slices.Equal(rep.Loaded, []int{1}) || !slices.Equal(rep.Quarantined, want) {
+		t.Fatalf("load report %+v, want v1 loaded and %+v quarantined", rep, want)
 	}
-	for _, l := range strings.Split(logged.String(), "\n") {
-		if strings.Contains(l, "model-000002.pack") && strings.Contains(l, reason) {
-			return
-		}
-	}
-	t.Fatalf("log does not name the lazily quarantined model-000002.pack with its reason %q:\n%s", reason, logged.String())
 }
 
 // TestReadModelFileRejectsDamage pins that ReadModelFile is a full

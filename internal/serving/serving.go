@@ -30,11 +30,6 @@ type Model struct {
 	Team      string    `json:"team"`
 	TrainedAt time.Time `json:"trained_at"`
 	Snapshot  []byte    `json:"snapshot"`
-
-	// path is set on store entries registered lazily by LoadStore:
-	// the on-disk file backing this version, read and verified on first
-	// access. Empty for models published in-process or loaded eagerly.
-	path string
 }
 
 // Store keeps versioned model snapshots (the "highly available storage
@@ -42,9 +37,10 @@ type Model struct {
 type Store struct {
 	mu     sync.Mutex
 	models []Model
-	// lazyQuarantined records files that failed verification when a lazy
-	// entry was first materialized; see QuarantinedLazy.
-	lazyQuarantined []QuarantinedFile
+	// top is the highest version number Put has handed out or LoadStore
+	// saw among its directory's store files, quarantined ones included.
+	// Put numbers past it.
+	top int
 
 	// Now stamps TrainedAt on published models. It defaults to time.Now;
 	// tests inject a fixed clock so snapshot metadata — and therefore
@@ -67,86 +63,25 @@ func (st *Store) Put(team string, snapshot []byte) int {
 	if st.Now == nil { // zero-value Stores still work
 		st.Now = time.Now
 	}
-	v := 1
-	if n := len(st.models); n > 0 {
-		v = st.models[n-1].Version + 1
-	}
+	st.top++
 	st.models = append(st.models, Model{
-		Version: v, Team: team, TrainedAt: st.Now().UTC(),
+		Version: st.top, Team: team, TrainedAt: st.Now().UTC(),
 		Snapshot: bytes.Clone(snapshot),
 	})
-	return v
+	return st.top
 }
 
 // Latest returns the newest model (ok == false when empty). The returned
 // Snapshot is the caller's to keep: it never aliases store-internal bytes.
-// A lazily-registered newest version is materialized first; if its file
-// turns out to be damaged it is quarantined and the next-newest healthy
-// version answers instead.
 func (st *Store) Latest() (Model, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for len(st.models) > 0 {
-		i := len(st.models) - 1
-		if st.materializeLocked(i) {
-			return copyModel(st.models[i]), true
-		}
+	if len(st.models) == 0 {
+		return Model{}, false
 	}
-	return Model{}, false
-}
-
-// Get returns a specific version. Like Latest, the Snapshot is a copy.
-// Lookup is by the model's Version field, not position: stores reloaded
-// around quarantined files may hold non-contiguous versions. Lazy entries
-// are read and verified here, on first access; a damaged file is
-// quarantined exactly as an eager load would have, and Get answers false.
-func (st *Store) Get(version int) (Model, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := range st.models {
-		if st.models[i].Version == version {
-			if !st.materializeLocked(i) {
-				return Model{}, false
-			}
-			return copyModel(st.models[i]), true
-		}
-	}
-	return Model{}, false
-}
-
-// materializeLocked ensures models[i] holds its snapshot bytes, reading
-// and verifying the backing file for lazy entries. On verification
-// failure the file is quarantined, the entry is dropped from the store,
-// and false is returned. Callers hold st.mu.
-func (st *Store) materializeLocked(i int) bool {
-	m := &st.models[i]
-	if m.Snapshot != nil || m.path == "" {
-		return m.Snapshot != nil
-	}
-	loaded, reason := loadModelFile(m.path, m.Version)
-	if reason != "" {
-		st.lazyQuarantined = append(st.lazyQuarantined, quarantineFile(m.path, reason))
-		st.models = append(st.models[:i], st.models[i+1:]...)
-		return false
-	}
-	loaded.path = m.path
-	*m = loaded
-	return true
-}
-
-// QuarantinedLazy drains the quarantine events produced by lazy loads
-// since the last call — the deferred complement of LoadReport.Quarantined.
-func (st *Store) QuarantinedLazy() []QuarantinedFile {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := st.lazyQuarantined
-	st.lazyQuarantined = nil
-	return out
-}
-
-func copyModel(m Model) Model {
+	m := st.models[len(st.models)-1]
 	m.Snapshot = bytes.Clone(m.Snapshot)
-	return m
+	return m, true
 }
 
 // Versions returns the number of stored versions.
@@ -361,8 +296,7 @@ func (logDiscard) Write(p []byte) (int, error) { return len(p), nil }
 // format: a snapshot that is not a scoutpack is refused, and the model
 // already served stays. The restore is timed with the server's clock and
 // exported as scout_model_load_duration_seconds, alongside the snapshot's
-// size. Each lazily registered file Latest finds damaged on the way is
-// logged with its reason.
+// size.
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -374,11 +308,6 @@ func (s *Server) Reload() error {
 		s.store = st
 	}
 	m, ok := s.store.Latest()
-	// Latest quarantines a damaged lazy file it falls through; nothing else
-	// would report it.
-	for _, q := range s.store.QuarantinedLazy() {
-		s.logger.Printf("store: quarantined %s on first read: %s", q.Name, q.Reason)
-	}
 	if !ok {
 		return fmt.Errorf("serving: store is empty")
 	}

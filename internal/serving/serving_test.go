@@ -234,11 +234,11 @@ func TestStoreVersioning(t *testing.T) {
 	if v1 != 1 || v2 != 2 {
 		t.Fatalf("versions %d %d", v1, v2)
 	}
-	m, ok := st.Get(1)
+	m, ok := storedVersion(st, 1)
 	if !ok || string(m.Snapshot) != "a" {
 		t.Fatalf("get v1: %v %v", m, ok)
 	}
-	if _, ok := st.Get(3); ok {
+	if _, ok := storedVersion(st, 3); ok {
 		t.Fatal("v3 should not exist")
 	}
 	latest, _ := st.Latest()
