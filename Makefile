@@ -179,12 +179,18 @@ soak-smoke:
 # format, exercised end to end. The summary must report scoutpack
 # version 2, and inspect must refuse — exit non-zero, naming the checksum
 # — a copy with one byte flipped and a copy with its last byte cut.
+# Then the store itself is damaged: the first scoutd stops, a byte of
+# model-000001.pack flips, and a second scoutd boots on the same -store.
+# It must log the file's quarantine by name with the checksum reason, set
+# it aside as model-000001.pack.quarantined, retrain, publish
+# model-000002.pack — never reusing the quarantined number — and serve
+# model_version 2.
 pack-smoke:
 	$(GO) build -o /tmp/scouts-pack-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-pack-scoutctl ./cmd/scoutctl
 	@set -e; dir=$$(mktemp -d); \
 	/tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir & \
-	pid=$$!; trap "kill $$pid 2>/dev/null || true; rm -rf $$dir" EXIT; \
+	pid=$$!; pid2=; trap 'kill $$pid $$pid2 2>/dev/null || true; rm -rf $$dir' EXIT; \
 	for i in $$(seq 1 120); do \
 		curl -fsS http://127.0.0.1:8094/v1/health >/dev/null 2>&1 && break; \
 		sleep 1; \
@@ -207,7 +213,27 @@ pack-smoke:
 		*checksum*) echo "pack-smoke: inspect refused the $$bad copy: $$out";; \
 		*) echo "pack-smoke: inspect refused the $$bad copy without naming the checksum: $$out"; exit 1;; \
 		esac; \
-	done
+	done; \
+	kill -TERM $$pid; wait $$pid || true; \
+	printf "$$(printf '\\%03o' $$((byte ^ 1)))" | dd of=$$pack bs=1 seek=$$mid conv=notrunc 2>/dev/null; \
+	/tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir 2>$$dir/reboot.log & \
+	pid2=$$!; \
+	for i in $$(seq 1 120); do \
+		curl -fsS http://127.0.0.1:8094/v1/health >/dev/null 2>&1 && break; \
+		sleep 1; \
+	done; \
+	cat $$dir/reboot.log; \
+	if ! grep 'model-000001\.pack' $$dir/reboot.log | grep -q checksum; then \
+		echo "pack-smoke: the reboot did not log model-000001.pack's quarantine with the checksum reason"; exit 1; \
+	fi; \
+	for f in model-000001.pack.quarantined model-000002.pack; do \
+		if [ ! -f $$dir/$$f ]; then echo "pack-smoke: the reboot left no $$f in the store: $$(ls $$dir)"; exit 1; fi; \
+	done; \
+	model=$$(curl -fsS http://127.0.0.1:8094/v1/model); \
+	case "$$model" in \
+	*'"model_version":2'*) echo "pack-smoke: the reboot serves $$model";; \
+	*) echo "pack-smoke: the reboot serves $$model, want model_version 2"; exit 1;; \
+	esac
 
 # Fleet smoke: the resilient-gateway kill test with real processes. The
 # in-process halves (loadgen -fleet plumbing, the gateway's own kill
