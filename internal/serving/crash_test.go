@@ -347,12 +347,11 @@ func (l *loaded) check(want map[int][]byte, earlier int, mustHave []int) string 
 // and after it returns — and under every injected failure of one
 // operation. Each directory the model permits at each crash point is
 // written out, loaded with LoadStore, and every store file in it read
-// back. Every one
-// must load without error or quarantine, keep the versions that were
-// durable before the save bit-identical, hold each new version whole or
-// not at all, and — once saveStore has returned nil, or an error other
-// than a failed directory sync — hold every version whose rename it
-// completed. The test logs how many (crash point, outcome) pairs it
+// back. Every one must load without error or quarantine, keep the
+// versions that were durable before the save bit-identical, hold each new
+// version whole or not at all, and — once saveStore has returned nil, or
+// an error other than a failed directory sync — hold every version whose
+// rename it completed. The test logs how many (crash point, outcome) pairs it
 // checked.
 func TestSaveStoreCrashConsistency(t *testing.T) {
 	shapes := []struct {

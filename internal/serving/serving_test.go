@@ -234,12 +234,8 @@ func TestStoreVersioning(t *testing.T) {
 	if v1 != 1 || v2 != 2 {
 		t.Fatalf("versions %d %d", v1, v2)
 	}
-	m, ok := storedVersion(st, 1)
-	if !ok || string(m.Snapshot) != "a" {
-		t.Fatalf("get v1: %v %v", m, ok)
-	}
-	if _, ok := storedVersion(st, 3); ok {
-		t.Fatal("v3 should not exist")
+	if len(st.models) != 2 || string(st.models[0].Snapshot) != "a" {
+		t.Fatalf("stored %+v, want v1 %q and v2", st.models, "a")
 	}
 	latest, _ := st.Latest()
 	if string(latest.Snapshot) != "b" {
