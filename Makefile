@@ -46,8 +46,11 @@ race:
 # (a hint in [0, max], saturating, against math/big), of the scoutpack
 # (SCPK) and store-file (SDP1) decoders (never panic, checksums re-sealed so
 # mutations get past them; what they accept re-encodes to a fixed point), of
-# the strict request decoders (what they accept json.Unmarshal accepts
-# alike; over the cap is 413) and of loadgen's Prometheus scrape parser
+# the strict request decoder (what it accepts json.Unmarshal accepts alike;
+# over the cap is 413 or the 400 of the bytes before it), of the predict
+# codec the daemons run (for any body, either shape, over the cap included,
+# the answer and value Decode gives, and json.Marshal of what it accepts
+# taken whole by the lexer) and of loadgen's Prometheus scrape parser
 # (reads back every non-bucket sample the registry writes) on top of their
 # committed corpora (which plain `go test` replays, and whose pack inputs
 # a TestFuzzCorpusReaches in each package pins to the check each one's file
@@ -67,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScoutpack$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPackFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serving
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStrict$$' -fuzztime 10s ./internal/httpx
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictCodec$$' -fuzztime 10s ./internal/httpx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s ./cmd/loadgen
 
 # The paper's Table 1 and §7.1 headline, regenerated at one worker and at

@@ -1,12 +1,15 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"scouts/internal/faults"
 	"scouts/internal/serving"
 )
 
@@ -85,5 +88,55 @@ func TestFreshGatewayExportsPanicCounter(t *testing.T) {
 	g.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if want := "scout_gw_http_panics_recovered_total 0\n"; !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("/metrics lacks %q", want)
+	}
+}
+
+// TestFarFutureTimeIsRelayed: a trigger time past serving.MaxTriggerTime
+// sent through the gateway comes back at once as the replica's own 400,
+// and the replica pulled no monitoring for it — no breaker tripped. Past
+// about 9.2·10^17 hours a replica's window pull never ended.
+func TestFarFutureTimeIsRelayed(t *testing.T) {
+	gen, log, store := fleetEnv(t)
+	srv := serving.NewServer(gen.Topology(), faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{}), store, nil)
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(srv.Handler())
+	defer replica.Close()
+	g := newTestGateway(t, Config{Replicas: []ReplicaConfig{{Name: "a", Team: "phynet", URL: replica.URL}}})
+	in := log.Incidents[300]
+	body, err := json.Marshal(serving.PredictRequest{Title: in.Title, Body: in.Body, Time: 1e19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no answer through the gateway after 5s")
+	}
+	want := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(want, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || want.Code != http.StatusBadRequest || rec.Body.String() != want.Body.String() {
+		t.Fatalf("gateway answered %d %s; the replica answers %d %s", rec.Code, rec.Body.String(), want.Code, want.Body.String())
+	}
+	metrics := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(metrics, httptest.NewRequest("GET", "/metrics", nil))
+	trips := 0
+	for _, line := range strings.Split(metrics.Body.String(), "\n") {
+		if strings.HasPrefix(line, "scout_breaker_trips_total{") {
+			trips++
+			if !strings.HasSuffix(line, " 0") {
+				t.Fatalf("a breaker tripped: %s", line)
+			}
+		}
+	}
+	if trips == 0 {
+		t.Fatal("the replica exports no scout_breaker_trips_total series")
 	}
 }

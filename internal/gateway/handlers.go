@@ -10,7 +10,7 @@ import (
 	"sync"
 
 	"scouts/internal/faults"
-	"scouts/internal/serving"
+	"scouts/internal/httpx"
 )
 
 // maxGwBody caps client request bodies at the gateway (matches the
@@ -116,8 +116,8 @@ func queryValue(query, key string) string {
 // parameter is optional and, when given, must name the fleet's team; the
 // body is validated for shape, then forwarded byte for byte.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req serving.PredictRequest
-	raw, ok := g.web.DecodeBytes(w, r, maxGwBody, &req)
+	var req httpx.PredictRequest
+	raw, ok := g.web.ReadPredict(w, r, maxGwBody, &req)
 	if !ok {
 		return
 	}

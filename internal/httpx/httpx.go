@@ -1,11 +1,14 @@
 // Package httpx is the HTTP spine scoutd (internal/serving) and scoutgw
 // (internal/gateway) both mount, so that an endpoint is a decode call plus
 // a handler. It owns the decisions every daemon endpoint shares: the JSON
-// envelope (WriteJSON, WriteError), the capped strict decode (Decode,
-// DecodeBytes), the instrumented mux with its JSON 404 (Mux — the only
-// code that touches http.ServeMux, so no route can go unobserved), panic
-// recovery (Recover), and the hardened server + signal-driven drain both
-// mains run (Serve).
+// envelope (WriteJSON, WriteError, and WriteBody for an answer encoded by
+// hand), the capped strict decode (Decode), the predict API's request
+// types and their codec (DecodePredict, DecodeBatch, ReadPredict: a
+// lexer for the canonical bodies json.Marshal writes, with Decode's
+// strict path behind it for every other body), the instrumented mux with
+// its JSON 404 (Mux — the only code that touches http.ServeMux, so no
+// route can go unobserved), panic recovery (Recover), and the hardened
+// server + signal-driven drain both mains run (Serve).
 package httpx
 
 import (
@@ -55,8 +58,7 @@ type errorBody struct {
 
 // encodeBufs pools the response-encoding buffers: encoding into a pooled
 // buffer and writing it once keeps the per-request JSON garbage out of the
-// predict hot path (json.NewEncoder per response was one of the larger
-// allocation sources) and lets us set Content-Length.
+// hot path and lets us set Content-Length.
 var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // WriteJSON answers status with v encoded as JSON.
@@ -65,23 +67,36 @@ func (sp *Spine) WriteJSON(w http.ResponseWriter, status int, v any) {
 	defer encodeBufs.Put(buf)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		// Should be unreachable for our response types; fail the request
-		// rather than emit a truncated body. Written by hand, not via
-		// http.Error: that would label the JSON body text/plain, and the
-		// error-path contract is that EVERY error response is
-		// application/json.
-		sp.logger.Printf("httpx: encoding response: %v", err)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"internal encoding failure"}` + "\n"))
+		sp.WriteEncodeError(w, err)
 		return
 	}
+	sp.WriteBody(w, status, buf.Bytes())
+}
+
+// WriteBody answers status with body, JSON the caller encoded itself —
+// newline included, as json.Encoder ends a value — under the headers
+// WriteJSON sets. body is not retained.
+func (sp *Spine) WriteBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		sp.logger.Printf("httpx: writing response: %v", err)
 	}
+}
+
+// WriteEncodeError answers the 500 of a response that could not be
+// encoded — encoding/json's err, or a hand encoder's refusal of what
+// encoding/json would refuse. It should be unreachable for our response
+// types; the request fails rather than emit a truncated body. Written by
+// hand, not via http.Error: that would label the JSON body text/plain,
+// and the error-path contract is that EVERY error response is
+// application/json.
+func (sp *Spine) WriteEncodeError(w http.ResponseWriter, err error) {
+	sp.logger.Printf("httpx: encoding response: %v", err)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	_, _ = w.Write([]byte(`{"error":"internal encoding failure"}` + "\n"))
 }
 
 // WriteError answers status with the {"error": msg} envelope.
@@ -96,7 +111,14 @@ func (sp *Spine) WriteError(w http.ResponseWriter, status int, msg string) {
 // response: 413 when the cap tripped, 400 for malformed, unknown-field or
 // trailing-data JSON.
 func (sp *Spine) Decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := strictDecoder(http.MaxBytesReader(w, r.Body, limit))
+	return sp.decodeStrict(w, http.MaxBytesReader(w, r.Body, limit), v)
+}
+
+// decodeStrict is Decode's strict path over any reader of the body: the
+// definition every faster decoder of a request body falls back to.
+func (sp *Spine) decodeStrict(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
 		// The body must end here: Token reads to EOF through whitespace,
@@ -113,35 +135,8 @@ func (sp *Spine) Decode(w http.ResponseWriter, r *http.Request, limit int64, v a
 	return false
 }
 
-// DecodeBytes is Decode for a handler that forwards the body verbatim: the
-// whole body is read under the cap, checked by decoding it into v, and
-// returned.
-func (sp *Spine) DecodeBytes(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err == nil {
-		dec := strictDecoder(bytes.NewReader(raw))
-		if err = dec.Decode(v); err == nil && len(bytes.TrimLeft(raw[dec.InputOffset():], jsonSpace)) > 0 {
-			err = errTrailingData
-		}
-	}
-	if err != nil {
-		sp.rejectBody(w, err)
-		return nil, false
-	}
-	return raw, true
-}
-
-// jsonSpace is the whitespace JSON allows between tokens.
-const jsonSpace = " \t\r\n"
-
 // errTrailingData refuses a body that goes on after its JSON value.
 var errTrailingData = errors.New("data after the JSON value")
-
-func strictDecoder(body io.Reader) *json.Decoder {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	return dec
-}
 
 func (sp *Spine) rejectBody(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError

@@ -14,13 +14,14 @@ import (
 
 // TestBatchHandlerAllocations pins what one item of a 32-item
 // /v1/predict:batch costs in allocations, handler in, recorder out, in
-// steady state: 21 measured (JSON decoding of the item's strings ≈ 7,
-// Scout.predict 8, the response 3, the envelope's share 3) where the same
-// request cost 119 before the answer path stopped formatting and ranking;
-// the budget leaves the decoder's share some slack. (A non-race file: the
-// race detector makes sync.Pool drop items at random.)
+// steady state: 15.1–15.3 measured (the item's strings, Scout.predict 8,
+// the recommendation 1, the envelope's share) where encoding/json's
+// reflection — decoding the request, walking a PredictResponse built for
+// it — made it 19.3, and the same request cost 119 before the answer path
+// stopped formatting and ranking. (A non-race file: the race detector
+// makes sync.Pool drop items at random.)
 func TestBatchHandlerAllocations(t *testing.T) {
-	const batchSize, budgetPerItem = 32, 26
+	const batchSize, budgetPerItem = 32, 16
 	srv, _, _ := trainAndServe(t)
 	h := srv.Handler()
 	var bodies [][]byte
@@ -69,11 +70,13 @@ func TestRecommendationAllocations(t *testing.T) {
 // TestPredictHandlerAllocations pins what one /v1/predict costs through
 // the whole Handler() chain — shedding and the deadline guard armed, as
 // scoutd runs it — recorder and test request included (scoutbench's
-// serving.handler_allocs): 65–71 by request over these eight, mean 67.75,
-// where the guard's goroutine, channel and per-request buffer made it
-// 67–73, mean 69.75. The mean is the ceiling, so it fails if they return.
+// serving.handler_allocs): 54–57 by request over these eight, mean 56,
+// where encoding/json's reflection — the request's decoder, the
+// PredictResponse built for its encoder — made it 65–71, mean 67.75, and
+// the deadline guard's goroutine, channel and per-request buffer 67–73
+// before that. The ceiling is the mean plus one.
 func TestPredictHandlerAllocations(t *testing.T) {
-	const requests, budget = 8, 68.0
+	const requests, budget = 8, 57.0
 	srv, _, _ := trainAndServe(t)
 	srv.MaxInFlight, srv.RequestTimeout = 64, 10*time.Second
 	h := srv.Handler()

@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"scouts/internal/faults"
 )
 
 // TestErrorResponsesAreJSON pins the error-path contract end to end:
@@ -144,5 +148,97 @@ func TestRequestIDsAreUnique(t *testing.T) {
 			t.Fatalf("request ID %q repeated", rid)
 		}
 		seen[rid] = true
+	}
+}
+
+// answerWithin serves one request on its own goroutine and fails the test
+// if no answer comes back in time: the defect it guards against is a
+// handler that never returns.
+func answerWithin(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+	}()
+	select {
+	case <-done:
+		return rec
+	case <-time.After(5 * time.Second):
+		t.Fatalf("POST %s %s: no answer after 5s", path, body)
+		return nil
+	}
+}
+
+// breakerTrips sums scout_breaker_trips_total over every dataset.
+func breakerTrips(t *testing.T, h http.Handler) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	sum, series := 0.0, 0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if !strings.HasPrefix(line, "scout_breaker_trips_total{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("scrape line %q: %v", line, err)
+		}
+		sum += v
+		series++
+	}
+	if series == 0 {
+		t.Fatal("/metrics carries no scout_breaker_trips_total series")
+	}
+	return sum
+}
+
+// TestFarFutureTimeIsRefused: a trigger time past MaxTriggerTime answers
+// 400 at once — alone, and as a per-item error inside a batch whose other
+// items are scored — and pulls no monitoring, so no dataset's breaker
+// trips. Past about 9.2·10^17 hours the monitoring windows' tick index
+// overflowed and a pull never ended: the handler kept its MaxInFlight
+// slot for good. MaxTriggerTime itself is served.
+func TestFarFutureTimeIsRefused(t *testing.T) {
+	gen, log, _ := testEnv(t)
+	_, store, _ := trainAndServe(t)
+	srv := NewServer(gen.Topology(), faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{}), store, nil)
+	srv.MaxInFlight, srv.RequestTimeout = 64, 10*time.Second
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	in := log.Incidents[300]
+	item := func(at string) string {
+		return `{"title":` + quoteJSON(in.Title) + `,"body":` + quoteJSON(in.Body) + `,"time":` + at + `}`
+	}
+	const msg = "time exceeds the largest trigger time, 1e9 model hours"
+	t.Run("single", func(t *testing.T) {
+		for _, at := range []string{"1.0000000000000002e9", "1e17", "1e19", "1e300", "1.7976931348623157e308"} {
+			rec := answerWithin(t, h, "/v1/predict", item(at))
+			var eb struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); rec.Code != http.StatusBadRequest || err != nil || eb.Error != msg {
+				t.Fatalf("time %s: %d %s, want 400 %q", at, rec.Code, rec.Body.String(), msg)
+			}
+		}
+		if rec := answerWithin(t, h, "/v1/predict", item("1e9")); rec.Code != http.StatusOK {
+			t.Fatalf("time 1e9: %d %s", rec.Code, rec.Body.String())
+		}
+	})
+	t.Run("batch item", func(t *testing.T) {
+		rec := answerWithin(t, h, "/v1/predict:batch", `{"items":[`+item("1000")+`,`+item("1e19")+`,`+item("1e9")+`]}`)
+		var resp BatchPredictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || len(resp.Results) != 3 {
+			t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
+		}
+		for i, r := range resp.Results {
+			if refused := i == 1; refused != (r.Error == msg) || refused == (r.Prediction != nil) {
+				t.Fatalf("batch item %d: %+v", i, r)
+			}
+		}
+	})
+	if trips := breakerTrips(t, h); trips != 0 {
+		t.Fatalf("%v breaker trips", trips)
 	}
 }

@@ -112,20 +112,21 @@ func (tr *Trainer) TrainAndPublish(opt core.TrainOptions) (*core.Scout, int, err
 }
 
 // PredictRequest is the online API's input: the incident as the incident
-// manager sees it.
-type PredictRequest struct {
-	Title      string   `json:"title"`
-	Body       string   `json:"body"`
-	Components []string `json:"components,omitempty"`
-	// Time is the trigger time in model hours. It is required and must be
-	// positive: "now" is meaningless for the synthetic substrate, and a
-	// zero Time would score the incident against the wrong monitoring
-	// window, so missing/negative values are rejected with 400.
-	Time float64 `json:"time"`
-}
+// manager sees it. It is the predict codec's type (internal/httpx), which
+// the gateway decodes too.
+type PredictRequest = httpx.PredictRequest
+
+// MaxTriggerTime is the largest trigger time, in model hours, a
+// prediction accepts: about 114 000 years, far past any incident, and far
+// below the 9.2·10^17 hours where the monitoring windows' tick index
+// (time over cloudsim's 0.1 h tick) overflows an int and a window pull
+// never ends. A larger time answers 400 before any monitoring is pulled.
+const MaxTriggerTime = 1e9
 
 // PredictResponse is the online API's output: the Scout's full answer with
-// the §8 operator guidance attached.
+// the §8 operator guidance attached. It and the batch types below are the
+// wire types clients decode into; the handlers append their encoding
+// straight from core.Prediction (encode.go) without building them.
 type PredictResponse struct {
 	Team           string   `json:"team"`
 	Verdict        string   `json:"verdict"`
@@ -151,23 +152,9 @@ type DataHealthInfo struct {
 	MaxStalenessHours float64  `json:"max_staleness_hours"`
 }
 
-func healthInfo(h *core.DataHealth) *DataHealthInfo {
-	if h == nil {
-		return nil
-	}
-	return &DataHealthInfo{
-		ImputedFraction:   h.ImputedFraction(),
-		DatasetCoverage:   h.DatasetCoverage(),
-		DatasetsDown:      h.DatasetsDown,
-		MaxStalenessHours: h.MaxStaleness,
-	}
-}
-
 // BatchPredictRequest is the input of POST /v1/predict:batch: up to
 // MaxBatchItems incidents scored against one model load.
-type BatchPredictRequest struct {
-	Items []PredictRequest `json:"items"`
-}
+type BatchPredictRequest = httpx.BatchPredictRequest
 
 // BatchItemResult is the per-item answer: exactly one of Prediction and
 // Error is set. Item-level validation failures do not fail the batch.
@@ -527,22 +514,10 @@ func validatePredict(req *PredictRequest) string {
 	if req.Time <= 0 {
 		return "time is required and must be positive (trigger time in model hours)"
 	}
-	return ""
-}
-
-func (m *servingModel) response(p core.Prediction) PredictResponse {
-	return PredictResponse{
-		Team:           m.scout.Team(),
-		Verdict:        string(p.Verdict),
-		Responsible:    p.Responsible,
-		Confidence:     p.Confidence,
-		Model:          p.Model,
-		Components:     p.Components,
-		Explanation:    p.Explanation,
-		Recommendation: recommendation(m.scout.Team(), &p),
-		ModelVersion:   m.version,
-		DataHealth:     healthInfo(p.Health),
+	if req.Time > MaxTriggerTime {
+		return "time exceeds the largest trigger time, 1e9 model hours"
 	}
+	return ""
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -552,7 +527,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictRequest
-	if !s.web.Decode(w, r, maxPredictBody, &req) {
+	if !s.web.DecodePredict(w, r, maxPredictBody, &req) {
 		return
 	}
 	if msg := validatePredict(&req); msg != "" {
@@ -561,7 +536,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.observeTime(req.Time)
 	p := m.scout.PredictCtx(r.Context(), req.Title, req.Body, req.Components, req.Time)
-	s.web.WriteJSON(w, http.StatusOK, m.response(p))
+	bp := answerBufs.Get().(*[]byte)
+	answer, err := m.appendPrediction((*bp)[:0], &p)
+	s.writeAnswer(w, append(answer, '\n'), err)
+	*bp = answer[:0]
+	answerBufs.Put(bp)
 }
 
 // handlePredictBatch scores up to MaxBatchItems incidents in one call. The
@@ -578,7 +557,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchPredictRequest
-	if !s.web.Decode(w, r, maxBatchBody, &req) {
+	if !s.web.DecodeBatch(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -590,18 +569,13 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d items; max is %d", len(req.Items), MaxBatchItems))
 		return
 	}
-	resp := BatchPredictResponse{
-		ModelVersion: m.version,
-		Results:      make([]BatchItemResult, len(req.Items)),
-	}
 	// Validate every item first, then score the valid ones in batched
 	// Scout calls.
 	valid := make([]int, 0, len(req.Items))
 	batch := make([]core.BatchRequest, 0, len(req.Items))
 	for i := range req.Items {
 		it := &req.Items[i]
-		if msg := validatePredict(it); msg != "" {
-			resp.Results[i].Error = msg
+		if validatePredict(it) != "" {
 			continue
 		}
 		valid = append(valid, i)
@@ -610,6 +584,16 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		s.observeTime(it.Time)
 	}
+	// The answer — a BatchPredictResponse, Results[i] for Items[i] — is
+	// appended as each chunk is scored: every item up to the chunk's last,
+	// an invalid one as its validation error.
+	bp := answerBufs.Get().(*[]byte)
+	answer := append((*bp)[:0], `{"model_version":`...)
+	defer func() { *bp = answer[:0]; answerBufs.Put(bp) }()
+	answer = strconv.AppendInt(answer, int64(m.version), 10)
+	answer = append(answer, `,"results":[`...)
+	next := 0 // the next item to append
+	var err error
 	// Score in chunks and honor the request deadline between chunks: once
 	// the context expires (withDeadline has already answered 503),
 	// finishing the batch would burn CPU on an answer nobody receives.
@@ -620,12 +604,36 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		hi := min(lo+chunk, len(batch))
-		for k, p := range m.scout.PredictBatchCtx(ctx, batch[lo:hi]) {
-			pr := m.response(p)
-			resp.Results[valid[lo+k]].Prediction = &pr
+		preds := m.scout.PredictBatchCtx(ctx, batch[lo:hi])
+		for k := 0; k < len(preds) && err == nil; k++ {
+			i := valid[lo+k]
+			answer = appendInvalid(answer, req.Items, next, i)
+			if i > 0 {
+				answer = append(answer, ',')
+			}
+			answer = append(answer, `{"prediction":`...)
+			answer, err = m.appendPrediction(answer, &preds[k])
+			answer = append(answer, '}')
+			next = i + 1
 		}
 	}
-	s.web.WriteJSON(w, http.StatusOK, resp)
+	answer = appendInvalid(answer, req.Items, next, len(req.Items))
+	answer = append(answer, "]}\n"...)
+	s.writeAnswer(w, answer, err)
+}
+
+// appendInvalid appends the results of items[from:to], all of which
+// failed validation, to a batch answer.
+func appendInvalid(dst []byte, items []PredictRequest, from, to int) []byte {
+	for i := from; i < to; i++ {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"error":`...)
+		dst = appendString(dst, validatePredict(&items[i]))
+		dst = append(dst, '}')
+	}
+	return dst
 }
 
 // recommendation renders the §8 operator-facing fine print, in one buffer:
