@@ -183,6 +183,8 @@ soak-smoke:
 # format, exercised end to end. The summary must report scoutpack
 # version 2, and inspect must refuse — exit non-zero, naming the checksum
 # — a copy with one byte flipped and a copy with its last byte cut.
+# The README's quick-start `scoutctl predict` then runs against the same
+# scoutd: it must exit 0 and print a "verdict" field.
 # Then the store itself is damaged: the first scoutd stops, a byte of
 # model-000001.pack flips, and a second scoutd boots on the same -store.
 # It must log the file's quarantine by name with the checksum reason, set
@@ -218,6 +220,15 @@ pack-smoke:
 		*) echo "pack-smoke: inspect refused the $$bad copy without naming the checksum: $$out"; exit 1;; \
 		esac; \
 	done; \
+	if ! out=$$(/tmp/scouts-pack-scoutctl -addr http://127.0.0.1:8094 predict \
+		-title "Packet corruption alarms on tor2.c3.dc1" \
+		-body "FCS errors above threshold in cluster c3.dc1" -time 2000 2>&1); then \
+		echo "pack-smoke: the README's scoutctl predict failed: $$out"; exit 1; \
+	fi; \
+	case "$$out" in \
+	*'"verdict"'*) echo "pack-smoke: the README's scoutctl predict answers $$out";; \
+	*) echo "pack-smoke: the README's scoutctl predict printed no verdict: $$out"; exit 1;; \
+	esac; \
 	kill -TERM $$pid; wait $$pid || true; \
 	printf "$$(printf '\\%03o' $$((byte ^ 1)))" | dd of=$$pack bs=1 seek=$$mid conv=notrunc 2>/dev/null; \
 	/tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir 2>$$dir/reboot.log & \

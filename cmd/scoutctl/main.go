@@ -126,7 +126,8 @@ func predict(addr string, args []string) error {
 	return dump(resp)
 }
 
-// dump pretty-prints a JSON response body.
+// dump pretty-prints a JSON response body, or prints it raw when it is
+// not JSON, and fails on an error status either way.
 func dump(resp *http.Response) error {
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -134,11 +135,10 @@ func dump(resp *http.Response) error {
 	}
 	var buf bytes.Buffer
 	if err := json.Indent(&buf, raw, "", "  "); err != nil {
-		// Not JSON: print raw.
 		fmt.Println(string(raw))
-		return nil
+	} else {
+		fmt.Println(buf.String())
 	}
-	fmt.Println(buf.String())
 	if resp.StatusCode >= 400 {
 		return fmt.Errorf("server returned %s", resp.Status)
 	}

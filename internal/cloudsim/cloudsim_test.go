@@ -144,7 +144,7 @@ func TestTraceCalibration(t *testing.T) {
 	// (b) A large share of incidents passing through PhyNet are not
 	// PhyNet's to resolve (paper: 58% involve wasted time; median 35% of
 	// daily incidents are innocent waypoints).
-	through := log.Involving(TeamPhyNet)
+	through := log.Filter(func(in *incident.Incident) bool { return in.WentThrough(TeamPhyNet) })
 	waypoint := 0
 	for _, in := range through {
 		if in.OwnerLabel != TeamPhyNet {

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -97,6 +100,28 @@ func TestConfigRegexDelimiters(t *testing.T) {
 	}
 	if !strings.Contains(cfg.Excludes[0].Re.String(), "maint") {
 		t.Fatal("exclude regex lost")
+	}
+}
+
+// TestStorageConfigsParse: two FuzzParseConfig seeds are the Storage
+// team's configurations, storage_starter being the starter a second Scout
+// is built from. The fuzz target returns early on an input the parser
+// refuses, so a parser change that turned them away would pass it
+// silently; here both must parse.
+func TestStorageConfigsParse(t *testing.T) {
+	for _, name := range []string{"storage_scout", "storage_starter"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzParseConfig", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		src, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(value, "string("), ")"))
+		if err != nil {
+			t.Fatalf("%s: not a one-value string corpus file: %v", name, err)
+		}
+		if cfg, err := ParseConfig(src); err != nil || cfg.Team != "Storage" {
+			t.Errorf("%s: ParseConfig = %v, %v; want the Storage team's configuration", name, cfg, err)
+		}
 	}
 }
 

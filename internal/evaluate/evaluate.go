@@ -17,9 +17,9 @@ import (
 
 // Predictor is anything that can answer for an incident; *core.Scout
 // implements it, and the Scout Master simulations use synthetic ones.
-// Run fans predictions out across goroutines, so implementations must be
-// safe for concurrent PredictIncident calls (a trained Scout is: it is
-// read-only at inference).
+// RunWorkers fans predictions out across goroutines, so implementations
+// must be safe for concurrent PredictIncident calls (a trained Scout is:
+// it is read-only at inference).
 type Predictor interface {
 	PredictIncident(in *incident.Incident) core.Prediction
 }
@@ -80,21 +80,15 @@ func OverheadDistribution(ins []*incident.Incident, team string) []float64 {
 	return out
 }
 
-// Run evaluates a predictor over a test set for the given team. baseline
-// supplies the Figure 6 overhead distribution (normally the training
-// trace); rng drives overhead sampling for false positives. Predictions
-// fan out over runtime.GOMAXPROCS(0) goroutines; see RunWorkers.
-func Run(p Predictor, test []*incident.Incident, team string, baseline []float64, rng *rand.Rand) Result {
-	return RunWorkers(p, test, team, baseline, rng, 0)
-}
-
-// RunWorkers is Run with an explicit worker count (0 selects
-// runtime.GOMAXPROCS(0)). The expensive phase — one prediction per
-// incident — runs in parallel into index-addressed slots; the scoring
-// phase then consumes them sequentially in incident order, so every rng
-// draw for false-positive overhead sampling happens in the same order as
-// a fully sequential run and the Result is bit-identical at any worker
-// count.
+// RunWorkers evaluates a predictor over a test set for the given team.
+// baseline supplies the Figure 6 overhead distribution (normally the
+// training trace); rng drives overhead sampling for false positives;
+// workers caps the prediction fan-out (0 selects runtime.GOMAXPROCS(0)).
+// The expensive phase — one prediction per incident — runs in parallel
+// into index-addressed slots; the scoring phase then consumes them
+// sequentially in incident order, so every rng draw for false-positive
+// overhead sampling happens in the same order as a fully sequential run
+// and the Result is bit-identical at any worker count.
 func RunWorkers(p Predictor, test []*incident.Incident, team string, baseline []float64, rng *rand.Rand, workers int) Result {
 	preds := parallel.Map(workers, len(test), func(i int) core.Prediction {
 		return p.PredictIncident(test[i])

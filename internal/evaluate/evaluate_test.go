@@ -44,7 +44,7 @@ func TestGainInComputation(t *testing.T) {
 		incident.Hop{Team: "Storage", Enter: 0, Exit: 3},
 		incident.Hop{Team: team, Enter: 3, Exit: 4},
 	)
-	r := Run(fixedPredictor{answers: map[string]bool{"a": true}}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)))
+	r := RunWorkers(fixedPredictor{answers: map[string]bool{"a": true}}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)), 1)
 	if len(r.GainIn) != 1 || math.Abs(r.GainIn[0]-0.75) > 1e-9 {
 		t.Fatalf("gain-in = %v, want [0.75]", r.GainIn)
 	}
@@ -61,7 +61,7 @@ func TestFalseNegativeZeroGain(t *testing.T) {
 		incident.Hop{Team: "Storage", Enter: 0, Exit: 3},
 		incident.Hop{Team: team, Enter: 3, Exit: 4},
 	)
-	r := Run(fixedPredictor{answers: map[string]bool{"a": false}}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)))
+	r := RunWorkers(fixedPredictor{answers: map[string]bool{"a": false}}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)), 1)
 	if r.GainIn[0] != 0 {
 		t.Fatalf("FN should yield zero gain, got %v", r.GainIn)
 	}
@@ -80,7 +80,7 @@ func TestGainOutComputation(t *testing.T) {
 		incident.Hop{Team: team, Enter: 0, Exit: 2},
 		incident.Hop{Team: "Storage", Enter: 2, Exit: 4},
 	)
-	r := Run(fixedPredictor{answers: map[string]bool{"b": false}}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)))
+	r := RunWorkers(fixedPredictor{answers: map[string]bool{"b": false}}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)), 1)
 	if len(r.GainOut) != 1 || math.Abs(r.GainOut[0]-0.5) > 1e-9 {
 		t.Fatalf("gain-out = %v", r.GainOut)
 	}
@@ -94,7 +94,7 @@ func TestFalsePositiveSamplesOverhead(t *testing.T) {
 		incident.Hop{Team: "Storage", Enter: 0, Exit: 4},
 	)
 	baseline := []float64{0.3}
-	r := Run(fixedPredictor{answers: map[string]bool{"c": true}}, []*incident.Incident{in}, team, baseline, rand.New(rand.NewSource(1)))
+	r := RunWorkers(fixedPredictor{answers: map[string]bool{"c": true}}, []*incident.Incident{in}, team, baseline, rand.New(rand.NewSource(1)), 1)
 	if len(r.OverheadIn) != 1 || r.OverheadIn[0] != 0.3 {
 		t.Fatalf("overhead = %v, want sampled 0.3", r.OverheadIn)
 	}
@@ -102,7 +102,7 @@ func TestFalsePositiveSamplesOverhead(t *testing.T) {
 
 func TestFallbackSkipped(t *testing.T) {
 	in := mkIncident("d", team, incident.Hop{Team: team, Enter: 0, Exit: 1})
-	r := Run(fixedPredictor{}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)))
+	r := RunWorkers(fixedPredictor{}, []*incident.Incident{in}, team, nil, rand.New(rand.NewSource(1)), 1)
 	if r.Evaluated != 0 || r.Skipped != 1 {
 		t.Fatalf("evaluated=%d skipped=%d", r.Evaluated, r.Skipped)
 	}
@@ -113,8 +113,8 @@ func TestCorrectOnAlreadyCorrect(t *testing.T) {
 	a := mkIncident("a", team, incident.Hop{Team: team, Enter: 0, Exit: 2})
 	// Non-PhyNet incident never touching PhyNet.
 	b := mkIncident("b", "DNS", incident.Hop{Team: "DNS", Enter: 0, Exit: 2})
-	r := Run(fixedPredictor{answers: map[string]bool{"a": true, "b": false}},
-		[]*incident.Incident{a, b}, team, nil, rand.New(rand.NewSource(1)))
+	r := RunWorkers(fixedPredictor{answers: map[string]bool{"a": true, "b": false}},
+		[]*incident.Incident{a, b}, team, nil, rand.New(rand.NewSource(1)), 1)
 	if r.CorrectOnAlreadyCorrect != 1 {
 		t.Fatalf("correct-on-correct = %v", r.CorrectOnAlreadyCorrect)
 	}
@@ -188,10 +188,6 @@ func TestRunWorkersDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d result differs from workers=1:\n%+v\nvs\n%+v", w, got, want)
 		}
-	}
-	// And the legacy entry point is the same computation.
-	if seq := Run(p, ins, team, baseline, rand.New(rand.NewSource(42))); !reflect.DeepEqual(want, seq) {
-		t.Fatal("Run and RunWorkers disagree")
 	}
 }
 

@@ -212,11 +212,6 @@ func (l *Log) ByDay() (days []int, groups map[int][]*Incident) {
 	return days, groups
 }
 
-// Involving returns incidents that passed through the team.
-func (l *Log) Involving(team string) []*Incident {
-	return l.Filter(func(in *Incident) bool { return in.WentThrough(team) })
-}
-
 // OwnedBy returns incidents whose recorded owner is the team.
 func (l *Log) OwnedBy(team string) []*Incident {
 	return l.Filter(func(in *Incident) bool { return in.OwnerLabel == team })

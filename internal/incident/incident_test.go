@@ -104,8 +104,8 @@ func TestLogQueries(t *testing.T) {
 	if len(groups[1]) != 1 || groups[1][0].ID != "INC-1" {
 		t.Fatalf("groups = %v", groups)
 	}
-	if got := l.Involving("PhyNet"); len(got) != 1 {
-		t.Fatalf("Involving = %d", len(got))
+	if got := l.Filter(func(in *Incident) bool { return in.WentThrough("PhyNet") }); len(got) != 1 {
+		t.Fatalf("Filter(WentThrough) = %d", len(got))
 	}
 	if got := l.OwnedBy("Storage"); len(got) != 1 || got[0].ID != "INC-2" {
 		t.Fatalf("OwnedBy = %v", got)

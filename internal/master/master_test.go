@@ -94,6 +94,9 @@ func TestRouteDecision(t *testing.T) {
 			{Team: "A", Responsible: true, Confidence: 0.99, Usable: false},
 			{Team: "B", Responsible: true, Confidence: 0.85, Usable: true},
 		}, "B", "only B's Scout claimed it"},
+		{"a lone claim wins whatever the dependency edges", New(underpin, 0.8), []Answer{
+			{Team: "PhyNet", Responsible: true, Confidence: 0.9, Usable: true},
+		}, "PhyNet", "only PhyNet's Scout claimed it"},
 		{"the claimant the other two depend on wins", New(underpin, 0.8), []Answer{
 			{Team: "Storage", Responsible: true, Confidence: 0.99, Usable: true},
 			{Team: "SLB", Responsible: true, Confidence: 0.95, Usable: true},

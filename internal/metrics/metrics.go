@@ -193,7 +193,7 @@ type SummaryStats struct {
 	P1, P10, P25, P50, P75, P90, P99 float64
 }
 
-// SummaryNames lists the feature names of SummaryStats in Vector() order.
+// SummaryNames lists the feature names of SummaryStats in VectorInto order.
 var SummaryNames = []string{
 	"mean", "std", "min", "max", "p1", "p10", "p25", "p50", "p75", "p90", "p99",
 }
@@ -221,13 +221,6 @@ func SummarizeInPlace(xs []float64) SummaryStats {
 		P90:  Quantile(xs, 0.90),
 		P99:  Quantile(xs, 0.99),
 	}
-}
-
-// Vector flattens the statistics in SummaryNames order.
-func (s SummaryStats) Vector() []float64 {
-	out := make([]float64, len(SummaryNames))
-	s.VectorInto(out)
-	return out
 }
 
 // VectorInto writes the statistics into dst (len(SummaryNames) cells) in

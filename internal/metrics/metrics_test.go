@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -97,14 +98,19 @@ func TestSummarizeKnown(t *testing.T) {
 	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-12 {
 		t.Fatalf("std = %v", s.Std)
 	}
-	if len(s.Vector()) != len(SummaryNames) {
-		t.Fatalf("vector length %d != names %d", len(s.Vector()), len(SummaryNames))
+	v := make([]float64, len(SummaryNames))
+	s.VectorInto(v)
+	for name, want := range map[string]float64{"mean": 3, "min": 1, "max": 5, "p50": 3} {
+		if got := v[slices.Index(SummaryNames, name)]; got != want {
+			t.Fatalf("VectorInto: %s = %v, want %v", name, got, want)
+		}
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := SummarizeInPlace(nil)
-	for i, v := range s.Vector() {
+	vec := make([]float64, len(SummaryNames))
+	SummarizeInPlace(nil).VectorInto(vec)
+	for i, v := range vec {
 		if v != 0 {
 			t.Fatalf("empty summary has non-zero %s = %v", SummaryNames[i], v)
 		}

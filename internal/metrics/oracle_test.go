@@ -227,7 +227,9 @@ func checkAgainstOracle(t testing.TB, xs []float64) {
 			t.Fatalf("n=%d: sorted[%d] = %v, the stdlib sort has %v\ninput %v", len(xs), i, got[i], wantSorted[i], xs)
 		}
 	}
-	g, w := gotStats.Vector(), want.Vector()
+	g, w := make([]float64, len(SummaryNames)), make([]float64, len(SummaryNames))
+	gotStats.VectorInto(g)
+	want.VectorInto(w)
 	for i := range w {
 		if !same(g[i], w[i], exact) {
 			t.Fatalf("n=%d: %s = %v (%#x), the old path has %v (%#x)\ninput %v", len(xs), SummaryNames[i],

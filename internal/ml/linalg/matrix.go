@@ -29,21 +29,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: FromRows requires a non-empty row set")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -61,28 +46,6 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Row(i int) []float64 {
 	out := make([]float64, m.Cols)
 	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Mul returns the matrix product m * other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := New(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			base := k * other.Cols
-			outBase := i * other.Cols
-			for j := 0; j < other.Cols; j++ {
-				out.Data[outBase+j] += a * other.Data[base+j]
-			}
-		}
-	}
 	return out
 }
 

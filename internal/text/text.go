@@ -62,10 +62,8 @@ func Tokenize(s string) []string {
 
 // Vocabulary maps tokens to dense feature indices.
 type Vocabulary struct {
-	Index   map[string]int
-	Words   []string
-	DocFreq []int // number of documents containing each word
-	NumDocs int
+	Index map[string]int
+	Words []string
 }
 
 // VocabOptions control vocabulary fitting.
@@ -113,11 +111,10 @@ func BuildVocabulary(docs [][]string, opt VocabOptions) *Vocabulary {
 	if len(cands) > opt.MaxWords {
 		cands = cands[:opt.MaxWords]
 	}
-	v := &Vocabulary{Index: map[string]int{}, NumDocs: len(docs)}
+	v := &Vocabulary{Index: map[string]int{}}
 	for _, c := range cands {
 		v.Index[c.w] = len(v.Words)
 		v.Words = append(v.Words, c.w)
-		v.DocFreq = append(v.DocFreq, c.c)
 	}
 	return v
 }

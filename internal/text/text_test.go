@@ -42,17 +42,16 @@ func TestTokenizeEmptyAndStopwords(t *testing.T) {
 }
 
 func TestBuildVocabularyMinDocFreq(t *testing.T) {
+	// "reboot" occurs twice but in one document, so it is dropped: the
+	// threshold counts documents, not occurrences.
 	docs := [][]string{
 		{"latency", "spike"},
 		{"latency", "drop"},
-		{"reboot"},
+		{"reboot", "reboot"},
 	}
 	v := BuildVocabulary(docs, VocabOptions{MinDocFreq: 2})
 	if v.Size() != 1 || v.Words[0] != "latency" {
 		t.Fatalf("vocab: %v", v.Words)
-	}
-	if v.NumDocs != 3 || v.DocFreq[0] != 2 {
-		t.Fatalf("df bookkeeping wrong: %+v", v)
 	}
 }
 

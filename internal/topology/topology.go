@@ -202,21 +202,6 @@ func (t *Topology) ClusterOf(name string) string {
 	return ""
 }
 
-// Descendants returns every component under name (excluding name itself).
-func (t *Topology) Descendants(name string) []string {
-	var out []string
-	var walk func(n string)
-	walk = func(n string) {
-		for _, ch := range t.children[n] {
-			out = append(out, ch)
-			walk(ch)
-		}
-	}
-	walk(name)
-	sort.Strings(out)
-	return out
-}
-
 // DescendantsOfType returns the components of one type under name, sorted
 // by name (nil when there are none). The slice is shared with every other
 // caller and must not be modified.

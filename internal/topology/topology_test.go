@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -83,7 +84,7 @@ func TestDescendants(t *testing.T) {
 	if len(switches) != 3 {
 		t.Fatalf("switches under c1.dc1 = %d", len(switches))
 	}
-	all := topo.Descendants("dc1")
+	all := descendants(topo, "dc1")
 	// dc1 has 2 clusters * (3 switches + 4 servers + 8 VMs) + 2 clusters.
 	if len(all) != 2+2*(3+4+8) {
 		t.Fatalf("descendants of dc1 = %d", len(all))
@@ -100,11 +101,27 @@ func TestChildrenSorted(t *testing.T) {
 	}
 }
 
+// descendants returns every component under name (excluding name itself),
+// sorted: the subtree walk the DescendantsOfType index is checked against.
+func descendants(t *Topology, name string) []string {
+	var out []string
+	var walk func(n string)
+	walk = func(n string) {
+		for _, ch := range t.children[n] {
+			out = append(out, ch)
+			walk(ch)
+		}
+	}
+	walk(name)
+	sort.Strings(out)
+	return out
+}
+
 // oldDescendantsOfType is DescendantsOfType as it read before Build indexed
 // the answers: the sorted subtree walk, filtered.
 func oldDescendantsOfType(t *Topology, name string, typ ComponentType) []string {
 	var out []string
-	for _, d := range t.Descendants(name) {
+	for _, d := range descendants(t, name) {
 		if t.components[d].Type == typ {
 			out = append(out, d)
 		}
