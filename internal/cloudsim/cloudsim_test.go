@@ -276,3 +276,31 @@ func TestDataSourceInterface(t *testing.T) {
 		t.Fatalf("want the 12 Table 2 datasets, got %d", len(ds))
 	}
 }
+
+// TestGenerateRefusesSecondCall: the telemetry a Generator hands out is read
+// without a lock once Generate returns, so a second call, which would add
+// anomalies to a world that may already be serving, must panic before it
+// touches anything.
+func TestGenerateRefusesSecondCall(t *testing.T) {
+	g := New(Params{Seed: 5, Days: 10, IncidentsPerDay: 4})
+	g.Generate()
+	count := func() int {
+		n := 0
+		for _, as := range g.Telemetry().anomalies {
+			n += len(as)
+		}
+		return n
+	}
+	before := count()
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		g.Generate()
+		return false
+	}()
+	if !panicked {
+		t.Fatalf("a second Generate was accepted: the world's anomalies went from %d to %d", before, count())
+	}
+	if after := count(); after != before {
+		t.Fatalf("the refused Generate still moved the world's anomalies from %d to %d", before, after)
+	}
+}

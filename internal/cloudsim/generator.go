@@ -71,7 +71,8 @@ type Generator struct {
 	switchesByCluster map[string][]string
 	serversByCluster  map[string][]string
 
-	nextID int
+	nextID    int
+	generated bool
 }
 
 // New creates a generator (and its topology + telemetry).
@@ -116,9 +117,14 @@ func (g *Generator) Telemetry() *Telemetry { return g.tel }
 // Topology returns the generated topology.
 func (g *Generator) Topology() *topology.Topology { return g.topo }
 
-// Generate produces the full incident trace. It can be called once per
-// generator (anomalies accumulate in the telemetry model).
+// Generate produces the full incident trace and registers each incident's
+// anomalies in the telemetry model before it returns. A second call
+// panics: the telemetry may already be serving by then.
 func (g *Generator) Generate() *incident.Log {
+	if g.generated {
+		panic("cloudsim: Generate called twice on one Generator")
+	}
+	g.generated = true
 	log := &incident.Log{}
 	t := 24.0 // start on day 1 so look-back windows never go negative
 	horizon := float64(g.params.Days) * 24
