@@ -58,14 +58,14 @@ func TestAnomalyShiftsSeries(t *testing.T) {
 	tel := g.Telemetry()
 	comp := "srv1.c1.dc1"
 	before := tel.SeriesWindow(DSPingmesh, comp, 50, 52)
-	tel.AddAnomaly(Anomaly{Component: comp, Start: 50, End: 52,
+	shifted := NewTelemetry(g.Topology(), 3, Anomaly{Component: comp, Start: 50, End: 52,
 		Effects: []Effect{{Dataset: DSPingmesh, MeanShift: 5}}})
-	after := tel.SeriesWindow(DSPingmesh, comp, 50, 52)
+	after := shifted.SeriesWindow(DSPingmesh, comp, 50, 52)
 	if metrics.Mean(after)-metrics.Mean(before) < 4.5 {
 		t.Fatalf("anomaly shift not visible: %v -> %v", metrics.Mean(before), metrics.Mean(after))
 	}
 	// Outside the window nothing changes.
-	out := tel.SeriesWindow(DSPingmesh, comp, 54, 56)
+	out := shifted.SeriesWindow(DSPingmesh, comp, 54, 56)
 	if math.Abs(metrics.Mean(out)-metrics.Mean(before)) > 0.2 {
 		t.Fatal("anomaly leaked outside its interval")
 	}
@@ -76,9 +76,9 @@ func TestAnomalyEventBurst(t *testing.T) {
 	tel := g.Telemetry()
 	comp := "tor1.c1.dc1"
 	quiet := tel.EventsWindow(DSSyslog, comp, 100, 104)
-	tel.AddAnomaly(Anomaly{Component: comp, Start: 100, End: 104,
+	burst := NewTelemetry(g.Topology(), 4, Anomaly{Component: comp, Start: 100, End: 104,
 		Effects: []Effect{{Dataset: DSSyslog, EventRate: 30}}})
-	busy := tel.EventsWindow(DSSyslog, comp, 100, 104)
+	busy := burst.EventsWindow(DSSyslog, comp, 100, 104)
 	if len(busy) < len(quiet)+5 {
 		t.Fatalf("event burst missing: quiet=%d busy=%d", len(quiet), len(busy))
 	}

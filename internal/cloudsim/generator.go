@@ -110,16 +110,16 @@ func New(p Params) *Generator {
 	return g
 }
 
-// Telemetry returns the telemetry source (with all anomalies registered so
-// far).
+// Telemetry returns the telemetry source. Its anomalies arrive while
+// Generate runs; read it after Generate returns.
 func (g *Generator) Telemetry() *Telemetry { return g.tel }
 
 // Topology returns the generated topology.
 func (g *Generator) Topology() *topology.Topology { return g.topo }
 
-// Generate produces the full incident trace and registers each incident's
-// anomalies in the telemetry model before it returns. A second call
-// panics: the telemetry may already be serving by then.
+// Generate produces the full incident trace and freezes the telemetry
+// model: it registers each incident's anomalies before it returns, and the
+// telemetry is read without a lock afterwards. A second call panics.
 func (g *Generator) Generate() *incident.Log {
 	if g.generated {
 		panic("cloudsim: Generate called twice on one Generator")
@@ -241,7 +241,7 @@ func (g *Generator) generateOne(t float64) *incident.Incident {
 		g.makeGeneric(f)
 	}
 	for _, a := range f.anomalies {
-		g.tel.AddAnomaly(a)
+		g.tel.add(a)
 	}
 
 	g.nextID++

@@ -156,21 +156,22 @@ func TestHoistedHashMatchesStringKeyed(t *testing.T) {
 // oracleTelemetry is a simulator with every kind of input the append path
 // has to get right: overlapping anomalies on a switch and a server.
 func oracleTelemetry() *Telemetry {
-	tel := New(Params{Seed: 11, Days: 20, IncidentsPerDay: 6}).Telemetry()
-	tel.AddAnomaly(Anomaly{Component: "tor1.c1.dc1", Start: 40, End: 44, Effects: []Effect{
-		{Dataset: DSTemp, MeanShift: 12, StdScale: 3},
-		{Dataset: DSSyslog, EventRate: 40, EventKind: "LINK_FLAP"},
-		{Dataset: DSFCS, EventRate: 9},
-	}})
-	tel.AddAnomaly(Anomaly{Component: "tor1.c1.dc1", Start: 42, End: 43, Effects: []Effect{
-		{Dataset: DSTemp, MeanShift: -3},
-		{Dataset: DSPFC, StdScale: 5},
-	}})
-	tel.AddAnomaly(Anomaly{Component: "srv2.c1.dc1", Start: 41.5, End: 47, Effects: []Effect{
-		{Dataset: DSPingmesh, MeanShift: 4, StdScale: 2},
-		{Dataset: DSReboots, EventRate: 3},
-	}})
-	return tel
+	topo := New(Params{Seed: 11, Days: 20, IncidentsPerDay: 6}).Topology()
+	return NewTelemetry(topo, 11,
+		Anomaly{Component: "tor1.c1.dc1", Start: 40, End: 44, Effects: []Effect{
+			{Dataset: DSTemp, MeanShift: 12, StdScale: 3},
+			{Dataset: DSSyslog, EventRate: 40, EventKind: "LINK_FLAP"},
+			{Dataset: DSFCS, EventRate: 9},
+		}},
+		Anomaly{Component: "tor1.c1.dc1", Start: 42, End: 43, Effects: []Effect{
+			{Dataset: DSTemp, MeanShift: -3},
+			{Dataset: DSPFC, StdScale: 5},
+		}},
+		Anomaly{Component: "srv2.c1.dc1", Start: 41.5, End: 47, Effects: []Effect{
+			{Dataset: DSPingmesh, MeanShift: 4, StdScale: 2},
+			{Dataset: DSReboots, EventRate: 3},
+		}},
+	)
 }
 
 var oracleWindows = []struct{ from, to float64 }{

@@ -3,7 +3,6 @@ package cloudsim
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"scouts/internal/monitoring"
 	"scouts/internal/topology"
@@ -93,23 +92,21 @@ type Anomaly struct {
 
 // Telemetry is a deterministic, lazily-synthesized monitoring data source:
 // any window of any series can be queried at any time and the same window
-// always returns the same values. Fault anomalies registered by the trace
-// generator perturb the affected series. Telemetry implements
-// monitoring.DataSource.
+// always returns the same values. Fault anomalies perturb the affected
+// series; they arrive through NewTelemetry or, for a Generator's world,
+// before Generate returns, and every read goes without a lock. Telemetry
+// implements monitoring.DataSource.
 type Telemetry struct {
-	topo  *topology.Topology
-	seed  uint64
-	specs []datasetSpec
-	byDS  map[string]*datasetSpec
-
-	// mu guards anomalies; the dataset registry (specs, byDS) is fixed at
-	// construction and read without it.
-	mu        sync.RWMutex
+	topo      *topology.Topology
+	seed      uint64
+	specs     []datasetSpec
+	byDS      map[string]*datasetSpec
 	anomalies map[string][]*Anomaly // keyed by component
 }
 
-// NewTelemetry builds the telemetry model for a topology.
-func NewTelemetry(topo *topology.Topology, seed int64) *Telemetry {
+// NewTelemetry builds the telemetry model for a topology, perturbed by the
+// given anomalies.
+func NewTelemetry(topo *topology.Topology, seed int64, anomalies ...Anomaly) *Telemetry {
 	t := &Telemetry{
 		topo:      topo,
 		seed:      uint64(seed),
@@ -129,6 +126,9 @@ func NewTelemetry(topo *topology.Topology, seed int64) *Telemetry {
 		}
 		t.byDS[s.desc.Name] = s
 	}
+	for _, a := range anomalies {
+		t.add(a)
+	}
 	return t
 }
 
@@ -141,21 +141,18 @@ func (t *Telemetry) Datasets() []monitoring.Descriptor {
 	return out
 }
 
-// AddAnomaly registers a fault's telemetry perturbation.
-func (t *Telemetry) AddAnomaly(a Anomaly) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// add registers a fault's telemetry perturbation; only construction and
+// Generate call it, before anything reads.
+func (t *Telemetry) add(a Anomaly) {
 	cp := a
 	t.anomalies[a.Component] = append(t.anomalies[a.Component], &cp)
 }
 
-// relevantAnomalies snapshots the anomalies that touch (dataset, component)
-// anywhere inside [from, to), so window synthesis takes the lock once. They
+// relevantAnomalies collects the anomalies that touch (dataset, component)
+// anywhere inside [from, to), so window synthesis filters them once. They
 // are appended to buf — callers pass a small stack array, so the usual
 // handful of overlapping faults costs no allocation.
 func (t *Telemetry) relevantAnomalies(buf []*Anomaly, dataset, component string, from, to float64) []*Anomaly {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	for _, a := range t.anomalies[component] {
 		if a.End <= from || a.Start >= to {
 			continue

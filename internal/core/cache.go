@@ -47,15 +47,6 @@ type memo struct {
 // NewFeatureCache creates an empty cache.
 func NewFeatureCache() *FeatureCache { return &FeatureCache{} }
 
-// Len returns the number of cached incidents.
-func (c *FeatureCache) Len() int {
-	n := 0
-	if c != nil {
-		c.m.Range(func(_, _ any) bool { n++; return true })
-	}
-	return n
-}
-
 // Features returns the incident's feature vector at creation time, over
 // its full component list — nil when an exclusion rule or the component
 // gate stops the incident before a model — from the cache when it holds

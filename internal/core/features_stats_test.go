@@ -24,8 +24,7 @@ func TestFeaturizeStatsPathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := gen.Telemetry()
-	tel.AddAnomaly(cloudsim.Anomaly{
+	tel := cloudsim.NewTelemetry(gen.Topology(), 5, cloudsim.Anomaly{
 		Component: "tor1.c1.dc1",
 		Start:     40,
 		End:       44,

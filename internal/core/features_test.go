@@ -118,14 +118,14 @@ func TestClassTagMerging(t *testing.T) {
 
 func TestFeaturizeDetectsAnomaly(t *testing.T) {
 	fb, gen := newBuilder(t)
-	tel := gen.Telemetry()
-	ex := fb.Extract("t", "problem near tor1.c1.dc1 in c1.dc1", nil)
-
-	healthy := fb.Featurize(ex, 100)
-	tel.AddAnomaly(cloudsim.Anomaly{
+	tel := cloudsim.NewTelemetry(gen.Topology(), 1, cloudsim.Anomaly{
 		Component: "tor1.c1.dc1", Start: 198, End: 201,
 		Effects: []cloudsim.Effect{{Dataset: cloudsim.DSIfCounters, MeanShift: 50}},
 	})
+	fb = NewFeatureBuilder(fb.cfg, gen.Topology(), tel)
+	ex := fb.Extract("t", "problem near tor1.c1.dc1 in c1.dc1", nil)
+
+	healthy := fb.Featurize(ex, 100)
 	faulty := fb.Featurize(ex, 200)
 
 	names := fb.FeatureNames()

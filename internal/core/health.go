@@ -102,9 +102,6 @@ func (s *Scout) degradedPrediction(h DataHealth, ex Extraction) (Prediction, boo
 // before serving traffic; the policy is read on every prediction).
 func (s *Scout) SetDegradationPolicy(p DegradationPolicy) { s.degrade = p }
 
-// Degradation returns the active degradation policy.
-func (s *Scout) Degradation() DegradationPolicy { return s.degrade }
-
 // sourceHealth assembles the dataset-availability picture without
 // featurizing — the health report of the CPD+ and gate paths.
 func (s *Scout) sourceHealth(t float64) DataHealth {

@@ -149,8 +149,8 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 					}
 				}
 			}
-			if cache.Len() != oldCache.Len() {
-				t.Fatalf("cache holds %d incidents, the old one %d", cache.Len(), oldCache.Len())
+			if cacheLen(cache) != oldCache.Len() {
+				t.Fatalf("cache holds %d incidents, the old one %d", cacheLen(cache), oldCache.Len())
 			}
 			requireKinds(t, seen, tc.kinds...)
 		})
@@ -191,8 +191,8 @@ func TestPredictCachedMatchesOldPathConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if cache.Len() != len(ins) {
-		t.Fatalf("cache holds %d incidents, want %d", cache.Len(), len(ins))
+	if cacheLen(cache) != len(ins) {
+		t.Fatalf("cache holds %d incidents, want %d", cacheLen(cache), len(ins))
 	}
 }
 

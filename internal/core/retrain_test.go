@@ -66,7 +66,7 @@ func TestFeatureCacheSpeedsRetraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := cache.Len()
+	warm := cacheLen(cache)
 	if warm == 0 {
 		t.Fatal("cache not populated")
 	}
@@ -74,7 +74,7 @@ func TestFeatureCacheSpeedsRetraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != warm {
+	if cacheLen(cache) != warm {
 		t.Fatal("second training grew the cache; it should have been fully warm")
 	}
 	for _, in := range f.test[:40] {

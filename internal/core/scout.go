@@ -682,9 +682,6 @@ func (s *Scout) Forest() *forest.Forest { return s.rf }
 // Team returns the configured team name.
 func (s *Scout) Team() string { return s.cfg.Team }
 
-// TrainMeans returns the per-feature training means (serving imputation).
-func (s *Scout) TrainMeans() []float64 { return append([]float64(nil), s.trainMeans...) }
-
 // TopFeatures returns the n most important features of the supervised
 // model, for reports.
 func (s *Scout) TopFeatures(n int) []string {

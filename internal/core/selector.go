@@ -53,10 +53,9 @@ func (p SelectorParams) withDefaults() SelectorParams {
 // selectorExample is one meta-training example: incident text plus whether
 // the preliminary RF got it wrong.
 type selectorExample struct {
-	doc      string
-	rfWrong  bool
-	id       string
-	docToken []string
+	doc     string
+	rfWrong bool
+	id      string
 }
 
 // trainSelector fits the meta-model. With no examples (or a single class)

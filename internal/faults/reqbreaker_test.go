@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -105,63 +103,5 @@ func TestReqBreakerSuccessResetsStreak(t *testing.T) {
 	}
 	if b.State() != StateClosed || b.Trips() != 0 {
 		t.Fatalf("alternating outcomes tripped the breaker: %s/%d", b.State(), b.Trips())
-	}
-}
-
-func TestFlakyTransportSchedule(t *testing.T) {
-	inner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer inner.Close()
-
-	ft := &FlakyTransport{S: FlakySchedule{
-		DropEvery:     4, // indices 3, 7, 11, ...
-		Burst5xxEvery: 8, // indices 0, 1 of every 8
-		Burst5xxLen:   2,
-		RetryAfterSec: 3,
-	}}
-	client := &http.Client{Transport: ft}
-
-	var codes []int
-	var drops int
-	for i := 0; i < 16; i++ {
-		resp, err := client.Get(inner.URL)
-		if err != nil {
-			drops++
-			codes = append(codes, 0)
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if got := resp.Header.Get("Retry-After"); got != "3" {
-				t.Fatalf("synthetic 503 Retry-After = %q, want 3", got)
-			}
-		}
-		codes = append(codes, resp.StatusCode)
-		resp.Body.Close()
-	}
-	want := []int{503, 503, 200, 0, 200, 200, 200, 0, 503, 503, 200, 0, 200, 200, 200, 0}
-	for i := range want {
-		if codes[i] != want[i] {
-			t.Fatalf("request %d answered %d, want %d (full: %v)", i, codes[i], want[i], codes)
-		}
-	}
-	if drops != 4 {
-		t.Fatalf("drops = %d, want 4", drops)
-	}
-	if ft.Requests() != 16 {
-		t.Fatalf("transport saw %d requests, want 16", ft.Requests())
-	}
-}
-
-func TestFlakyTransportStallRespectsContext(t *testing.T) {
-	ft := &FlakyTransport{S: FlakySchedule{StallEvery: 1, Stall: time.Hour}}
-	client := &http.Client{Transport: ft, Timeout: 50 * time.Millisecond}
-	start := time.Now()
-	_, err := client.Get("http://127.0.0.1:1") // never reached: stall first
-	if err == nil {
-		t.Fatal("stalled request should fail under the client timeout")
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("stall ignored the request context")
 	}
 }

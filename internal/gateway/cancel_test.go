@@ -96,7 +96,7 @@ func TestClientGoneMidBackoffIs499(t *testing.T) {
 		HedgeAfter: -1,
 	}, func(r *http.Request) (*http.Response, error) {
 		attempts.Add(1)
-		return nil, faults.ErrFlakyDrop
+		return nil, errDrop
 	}, "primary", "second")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -64,7 +64,8 @@ type Config struct {
 	Seed int64
 
 	// Client issues upstream requests; nil uses a dedicated transport.
-	// Tests wire a faults.FlakyTransport here.
+	// Its Transport may be any http.RoundTripper: tests script upstream
+	// faults there.
 	Client *http.Client
 	// Now is the gateway's clock (time.Now). Injected so library code
 	// never reads the wall clock directly and tests control latency

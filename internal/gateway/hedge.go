@@ -16,7 +16,6 @@ type latencyWindow struct {
 	mu      sync.Mutex
 	samples []time.Duration // ring buffer
 	next    int
-	filled  bool
 	dirty   int
 	cached  time.Duration
 }
@@ -42,7 +41,6 @@ func (w *latencyWindow) Observe(d time.Duration) {
 	} else {
 		w.samples[w.next] = d
 		w.next = (w.next + 1) % windowSize
-		w.filled = true
 	}
 	w.dirty++
 }
@@ -62,11 +60,4 @@ func (w *latencyWindow) P99() time.Duration {
 		w.dirty = 0
 	}
 	return w.cached
-}
-
-// Count returns how many samples the window currently holds.
-func (w *latencyWindow) Count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.samples)
 }

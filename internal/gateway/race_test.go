@@ -28,6 +28,9 @@ import (
 // inner loop: the interesting schedules — the timer firing as the primary
 // settles — are hit by repetition, under -race.
 
+// errDrop is the transport error a scripted upstream drops a request with.
+var errDrop = errors.New("gateway test: request dropped")
+
 // script is an http.RoundTripper that is one function of the request.
 type script func(*http.Request) (*http.Response, error)
 
@@ -102,7 +105,7 @@ func TestHedgeNotLaunchedWhenPrimaryFailsFast(t *testing.T) {
 	const hedgeAfter = 100 * time.Millisecond
 	g, h, title := raceFixture(t, Config{HedgeAfter: hedgeAfter}, func(r *http.Request) (*http.Response, error) {
 		if r.URL.Host == "primary" {
-			return nil, faults.ErrFlakyDrop
+			return nil, errDrop
 		}
 		return answer(r, 200, `{"hedge":true}`)
 	}, "primary", "hedge")
@@ -132,7 +135,7 @@ func TestHedgeAnswersWhenPrimaryFailsMidRace(t *testing.T) {
 	g, h, title := raceFixture(t, Config{HedgeAfter: time.Millisecond}, func(r *http.Request) (*http.Response, error) {
 		if r.URL.Host == "primary" {
 			<-*hedgeOut.Load()
-			return nil, faults.ErrFlakyDrop
+			return nil, errDrop
 		}
 		close(*hedgeOut.Load())
 		if err := sleepOrCancel(r, time.Millisecond); err != nil {
@@ -219,7 +222,7 @@ func TestHedgeNeedsASecondCandidate(t *testing.T) {
 		if err := sleepOrCancel(r, 3*time.Millisecond); err != nil {
 			return nil, err
 		}
-		return nil, faults.ErrFlakyDrop
+		return nil, errDrop
 	}
 	// A single-replica shard: the timer fires, finds nobody, skips nobody.
 	g, h, title := raceFixture(t, Config{HedgeAfter: time.Millisecond}, slowThenFail, "primary")
@@ -244,10 +247,10 @@ func TestHedgeNeedsASecondCandidate(t *testing.T) {
 	g, h, _ = raceFixture(t, Config{HedgeAfter: time.Millisecond}, func(r *http.Request) (*http.Response, error) {
 		if r.URL.Host == "primary" {
 			<-*hedgeOut.Load()
-			return nil, faults.ErrFlakyDrop
+			return nil, errDrop
 		}
 		close(*hedgeOut.Load())
-		return nil, faults.ErrFlakyDrop
+		return nil, errDrop
 	}, "primary", "drained", "hedge")
 	g.Drain("drained", false)
 	title = ""
@@ -327,7 +330,7 @@ func TestHedgeTimerRacesPrimarySettling(t *testing.T) {
 	g, h, title := raceFixture(t, Config{HedgeAfter: hedgeAfter}, func(r *http.Request) (*http.Response, error) {
 		if r.URL.Host == "primary" {
 			time.Sleep(hedgeAfter + time.Duration(round.Load()%5-2)*20*time.Microsecond)
-			return nil, faults.ErrFlakyDrop
+			return nil, errDrop
 		}
 		return answer(r, 200, `{"hedge":true}`)
 	}, "primary", "hedge")

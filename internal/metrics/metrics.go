@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"scouts/internal/floatsort"
 )
@@ -90,31 +89,11 @@ func NewCDF(sample []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// Len returns the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// sort.SearchFloat64s finds the first index with sorted[i] >= x; walk
-	// forward over ties so we count values <= x.
-	i := sort.SearchFloat64s(c.sorted, x)
-	for i < len(c.sorted) && c.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th sample quantile, q in [0, 1], with linear
 // interpolation between order statistics.
 func (c *CDF) Quantile(q float64) float64 {
 	return Quantile(c.sorted, q)
 }
-
-// Mean returns the sample mean.
-func (c *CDF) Mean() float64 { return Mean(c.sorted) }
 
 // Points samples the CDF at n evenly spaced probabilities and returns
 // (value, probability) pairs, convenient for printing figure series.

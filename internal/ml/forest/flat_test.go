@@ -121,17 +121,17 @@ func TestDimensionMismatchGuard(t *testing.T) {
 	defer func() { logf = orig }()
 
 	short := []float64{1}
-	if got := f.PredictProb(short); got != f.Prior() {
-		t.Fatalf("short vector should answer the prior %v, got %v", f.Prior(), got)
+	if got := f.PredictProb(short); got != f.flat.prior {
+		t.Fatalf("short vector should answer the prior %v, got %v", f.flat.prior, got)
 	}
 	prior, contribs := f.Explain(short)
-	if prior != f.Prior() || contribs != nil {
+	if prior != f.flat.prior || contribs != nil {
 		t.Fatalf("short-vector Explain = (%v, %v), want (prior, nil)", prior, contribs)
 	}
 	xs := probeVectors(4, 32)
 	xs[2] = short // one bad vector answers the prior; its neighbours are untouched
 	out := f.PredictProbBatch(xs, nil)
-	if out[2] != f.Prior() {
+	if out[2] != f.flat.prior {
 		t.Fatalf("batch bad item should answer the prior, got %v", out[2])
 	}
 	for _, i := range []int{0, 1, 3} {
@@ -142,10 +142,10 @@ func TestDimensionMismatchGuard(t *testing.T) {
 	if len(logged) == 0 || !strings.Contains(logged[0], "dimension mismatch") {
 		t.Fatalf("mismatches must be logged, got %v", logged)
 	}
-	if f.Prior() <= 0 || f.Prior() >= 1 {
-		t.Fatalf("xor prior should be interior, got %v", f.Prior())
+	if f.flat.prior <= 0 || f.flat.prior >= 1 {
+		t.Fatalf("xor prior should be interior, got %v", f.flat.prior)
 	}
-	if math.IsNaN(f.Prior()) {
+	if math.IsNaN(f.flat.prior) {
 		t.Fatal("prior is NaN")
 	}
 }

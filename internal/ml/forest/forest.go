@@ -174,13 +174,6 @@ func growTrees(d *mlcore.Dataset, p Params, build func(idx []int, tp *treeParams
 	return trees, imp
 }
 
-// Trainer returns an mlcore.Trainer that trains forests with the params.
-func Trainer(p Params) mlcore.Trainer {
-	return mlcore.TrainerFunc(func(d *mlcore.Dataset) (mlcore.Classifier, error) {
-		return Train(d, p)
-	})
-}
-
 // PredictProb returns the forest's positive-class probability for x,
 // traversing the flat SoA kernel (flat.go). A vector of the wrong
 // dimension answers the training prior with a logged error instead of
@@ -212,16 +205,6 @@ func (f *Forest) PredictProbBatch(xs [][]float64, out []float64) []float64 {
 		out[i] = f.PredictProb(x)
 	}
 	return out
-}
-
-// Prior returns the forest's training prior: the mean root-node positive
-// fraction across trees — the probability the forest answers when it
-// cannot trust the input vector.
-func (f *Forest) Prior() float64 {
-	if f.flat == nil {
-		return 0
-	}
-	return f.flat.prior
 }
 
 // Predict implements mlcore.Classifier: the label and a confidence in

@@ -220,18 +220,6 @@ func TestPredictionBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestTrainerInterface(t *testing.T) {
-	tr := Trainer(Params{NumTrees: 5, Seed: 15})
-	d := xorDataset(100, 0.1, rand.New(rand.NewSource(16)))
-	clf, err := tr.Train(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, conf := clf.Predict([]float64{1, 0, 0}); conf < 0.5 {
-		t.Fatal("trainer produced unusable classifier")
-	}
-}
-
 // depth returns the maximum depth of the tree (root = 0).
 func (t *tree) depth() int {
 	var walk func(n, d int) int

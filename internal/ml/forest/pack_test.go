@@ -61,8 +61,8 @@ func TestPackRoundTripBitIdentity(t *testing.T) {
 				t.Fatalf("importance %d drifted: %v vs %v", i, gi[i], wi[i])
 			}
 		}
-		if back.Prior() != f.Prior() {
-			t.Fatalf("prior drifted: %v vs %v", back.Prior(), f.Prior())
+		if back.flat.prior != f.flat.prior {
+			t.Fatalf("prior drifted: %v vs %v", back.flat.prior, f.flat.prior)
 		}
 		xs := probeVectors(100, 43)
 		got := back.PredictProbBatch(xs, nil)

@@ -42,8 +42,6 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
 // splitCtx is the per-tree working state of the split kernel. All buffers
 // are sized once per (tree, dataset) and reused for every node, so
 // bestSplit and the node partition run with zero allocations. A splitCtx

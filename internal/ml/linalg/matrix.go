@@ -66,17 +66,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// Transpose returns the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
 	lu    *Matrix

@@ -41,17 +41,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := a.Transpose()
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("shape: %dx%d", at.Rows, at.Cols)
-	}
-	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Fatalf("transpose values wrong: %+v", at)
-	}
-}
-
 func TestSolveKnownSystem(t *testing.T) {
 	a := fromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
 	f, err := Factorize(a)

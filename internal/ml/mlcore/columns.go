@@ -6,18 +6,6 @@ import (
 	"scouts/internal/parallel"
 )
 
-// Col materializes one feature column of the dataset (cols[i] =
-// Samples[i].X[f]). It allocates a fresh slice on every call; training
-// kernels that need the column-major view repeatedly should build a
-// Columns once instead.
-func (d *Dataset) Col(f int) []float64 {
-	out := make([]float64, len(d.Samples))
-	for i, s := range d.Samples {
-		out[i] = s.X[f]
-	}
-	return out
-}
-
 // Columns is an immutable column-major view of a dataset plus, per
 // feature, the rows in presorted order — the one-time O(dim · n log n)
 // presort after which CART split finding never compares values to order a
@@ -98,9 +86,6 @@ func (c *Columns) Dim() int { return len(c.features) }
 
 // Len returns the number of rows.
 func (c *Columns) Len() int { return c.n }
-
-// Features returns the feature names (aliased, read-only).
-func (c *Columns) Features() []string { return c.features }
 
 // Col returns feature f's value column (aliased, read-only).
 func (c *Columns) Col(f int) []float64 { return c.vals[f*c.n : (f+1)*c.n] }

@@ -65,25 +65,6 @@ func (d *Dataset) MustAdd(s Sample) {
 	}
 }
 
-// Positives returns the number of samples with Y == true.
-func (d *Dataset) Positives() int {
-	n := 0
-	for _, s := range d.Samples {
-		if s.Y {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns a dataset sharing feature vectors but with an independent
-// sample slice, so callers can reweight or subset without aliasing.
-func (d *Dataset) Clone() *Dataset {
-	c := &Dataset{Features: d.Features, Samples: make([]Sample, len(d.Samples))}
-	copy(c.Samples, d.Samples)
-	return c
-}
-
 // Subset returns a dataset containing the samples at the given indices.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	out := &Dataset{Features: d.Features, Samples: make([]Sample, 0, len(idx))}

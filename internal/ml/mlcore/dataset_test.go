@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// positives counts the samples with Y == true.
+func positives(d *Dataset) int {
+	n := 0
+	for _, s := range d.Samples {
+		if s.Y {
+			n++
+		}
+	}
+	return n
+}
+
 func synth(n int, posFrac float64, rng *rand.Rand) *Dataset {
 	d := NewDataset([]string{"a", "b"})
 	for i := 0; i < n; i++ {
@@ -41,10 +52,10 @@ func TestPaperSplitFractions(t *testing.T) {
 	if train.Len()+test.Len() != d.Len() {
 		t.Fatalf("split loses samples: %d + %d != %d", train.Len(), test.Len(), d.Len())
 	}
-	totPos := d.Positives()
+	totPos := positives(d)
 	totNeg := d.Len() - totPos
-	posFrac := float64(train.Positives()) / float64(totPos)
-	negFrac := float64(train.Len()-train.Positives()) / float64(totNeg)
+	posFrac := float64(positives(train)) / float64(totPos)
+	negFrac := float64(train.Len()-positives(train)) / float64(totNeg)
 	if math.Abs(posFrac-0.5) > 0.03 {
 		t.Errorf("positive train fraction %v, want ~0.5", posFrac)
 	}
@@ -182,7 +193,7 @@ func TestSubsetAndFilter(t *testing.T) {
 		t.Fatal("subset wrong")
 	}
 	pos := d.Filter(func(s Sample) bool { return s.Y })
-	if pos.Len() != d.Positives() {
+	if pos.Len() != positives(d) {
 		t.Fatal("filter wrong")
 	}
 }

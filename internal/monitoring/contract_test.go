@@ -20,8 +20,8 @@ type liveSource struct {
 // the simulator behind a chaos schedule whose only fault lies outside every
 // window below.
 func liveSources(t *testing.T) []liveSource {
-	tel := cloudsim.New(cloudsim.Params{Seed: 3, Days: 5, IncidentsPerDay: 4}).Telemetry()
-	tel.AddAnomaly(cloudsim.Anomaly{Component: "tor1.c1.dc1", Start: 20, End: 70, Effects: []cloudsim.Effect{
+	topo := cloudsim.New(cloudsim.Params{Seed: 3, Days: 5, IncidentsPerDay: 4}).Topology()
+	tel := cloudsim.NewTelemetry(topo, 3, cloudsim.Anomaly{Component: "tor1.c1.dc1", Start: 20, End: 70, Effects: []cloudsim.Effect{
 		{Dataset: cloudsim.DSTemp, MeanShift: 9, StdScale: 2},
 		{Dataset: cloudsim.DSSyslog, EventRate: 5},
 	}})

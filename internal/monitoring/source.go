@@ -1,8 +1,11 @@
 // Package monitoring is the monitoring-data contract of §5.1: the registry
 // types every dataset is declared with (resource locator, component
 // associations, TIME_SERIES or EVENT data type, optional class tag) and the
-// read interfaces the Scout pulls feature inputs through. It holds no data
-// of its own; the sources live in internal/cloudsim and internal/faults.
+// read interfaces the Scout pulls feature inputs through. A pull answers
+// what the Scout reads and nothing more: a baseline window's mean and
+// standard deviation (Stats), a current window's values, an event count.
+// The package holds no data of its own; the sources live in
+// internal/cloudsim and internal/faults.
 //
 // Times throughout are normalized model hours (float64), matching the
 // paper's normalized investigation times.

@@ -2,48 +2,25 @@ package monitoring
 
 import "scouts/internal/metrics"
 
-// Stats are the windowed aggregates featurization consumes instead of raw
-// sample windows: count, sum, sum of squares, min, max, plus the derived
-// mean and (sample) standard deviation.
-//
-// Mean and Std are carried as fields rather than recomputed by the consumer
-// so the producer fixes the arithmetic: every source in the tree
+// Stats are what §5.2's normalization reads of a baseline window: its mean
+// and (sample) standard deviation. Every source in the tree
 // (cloudsim.Telemetry, faults.Chaos, the adapter below) reduces the raw
-// values with StatsOf, whose two-pass mean/std is bit-identical to
-// metrics.Mean/metrics.StdDev. Moments derived from running sums would be
-// equal only up to floating-point association (see DESIGN.md §7.2).
+// values with StatsOf, so the producer fixes the arithmetic; moments from
+// running sums would be equal only up to floating-point association
+// (DESIGN.md §7.2).
 type Stats struct {
-	Count int
-	Sum   float64
-	SumSq float64
-	Min   float64
-	Max   float64
-	Mean  float64
-	Std   float64
+	Mean float64
+	Std  float64
 }
 
-// StatsOf computes the window aggregates of raw values in one pass plus the
-// two-pass mean/std of the metrics package, so downstream arithmetic is
-// bit-identical to code that materialized the window and called
-// metrics.Mean/metrics.StdDev on it. Empty input returns the zero Stats.
+// StatsOf is metrics.Mean and metrics.StdDev of vals, so downstream
+// arithmetic is bit-identical to code that materialized the window and
+// called them on it. Empty input returns the zero Stats.
 func StatsOf(vals []float64) Stats {
 	if len(vals) == 0 {
 		return Stats{}
 	}
-	st := Stats{Count: len(vals), Min: vals[0], Max: vals[0]}
-	for _, v := range vals {
-		st.Sum += v
-		st.SumSq += v * v
-		if v < st.Min {
-			st.Min = v
-		}
-		if v > st.Max {
-			st.Max = v
-		}
-	}
-	st.Mean = metrics.Mean(vals)
-	st.Std = metrics.StdDev(vals)
-	return st
+	return Stats{Mean: metrics.Mean(vals), Std: metrics.StdDev(vals)}
 }
 
 // StatsSource is the aggregate-query capability a DataSource may offer.

@@ -45,7 +45,7 @@ func (plain) EventsWindow(dataset, component string, from, to float64) []EventRe
 type capable struct{ plain }
 
 func (capable) WindowStats(string, string, float64, float64) (Stats, bool) {
-	return Stats{Count: -1}, true
+	return Stats{Mean: -1}, true
 }
 func (capable) EventCount(string, string, float64, float64) int { return -1 }
 func (capable) AppendSeries(dst []float64, _, _ string, _, _ float64) []float64 {

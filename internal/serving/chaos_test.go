@@ -760,7 +760,7 @@ func TestDegradationOverHTTP(t *testing.T) {
 
 	var in *incident.Incident
 	for _, cand := range logTrace.Incidents[300:] {
-		if p := srv.PredictIncident(cand); p.Model != "exclude-rule" && len(p.Components) > 0 {
+		if p := srv.current.Load().scout.PredictIncident(cand); p.Model != "exclude-rule" && len(p.Components) > 0 {
 			in = cand
 			break
 		}

@@ -18,7 +18,6 @@ import (
 
 	"scouts/internal/core"
 	"scouts/internal/httpx"
-	"scouts/internal/incident"
 	"scouts/internal/monitoring"
 	"scouts/internal/telemetry"
 	"scouts/internal/topology"
@@ -338,14 +337,6 @@ func (s *Server) install(scout *core.Scout, version int) {
 	s.tel.reloads.Inc()
 }
 
-// Scout returns the currently-served Scout (nil before Reload).
-func (s *Server) Scout() *core.Scout {
-	if m := s.current.Load(); m != nil {
-		return m.scout
-	}
-	return nil
-}
-
 // Handler returns the REST mux:
 //
 //	GET  /v1/health  -> {"status":"ok"|"degraded","model_version":N,...}
@@ -660,13 +651,4 @@ func recommendation(team string, p *core.Prediction) string {
 		"Attention: known false negatives occur for transient issues, when an incident is created "+
 		"after the problem has already been resolved, and if the incident is too broad in scope."...)
 	return string(out)
-}
-
-// PredictIncident lets the serving model be used as an evaluate.Predictor.
-func (s *Server) PredictIncident(in *incident.Incident) core.Prediction {
-	m := s.current.Load()
-	if m == nil {
-		return core.Prediction{Verdict: core.VerdictFallback, Model: "none"}
-	}
-	return m.scout.PredictIncident(in)
 }

@@ -67,7 +67,7 @@ func trainAndServe(t testing.TB) (*Server, *Store, *core.Scout) {
 func TestSnapshotRoundTripAgreement(t *testing.T) {
 	srv, _, scout := trainAndServe(t)
 	_, log, _ := testEnv(t)
-	restored := srv.Scout()
+	restored := srv.current.Load().scout
 	agree := 0
 	n := 0
 	for _, in := range log.Incidents[300:] {

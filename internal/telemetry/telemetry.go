@@ -53,9 +53,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -96,15 +93,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Label is one metric dimension. Values are escaped at render time;

@@ -101,9 +101,6 @@ func TrainNLPRouter(docs []string, teams []string, opt VocabOptions) (*NLPRouter
 	return r, nil
 }
 
-// Teams returns the known team labels.
-func (r *NLPRouter) Teams() []string { return append([]string(nil), r.teams...) }
-
 // Rank scores every team for the incident text and returns the ranked list
 // (posterior probabilities summing to 1) plus the categorical confidence.
 func (r *NLPRouter) Rank(doc string) ([]TeamScore, ConfidenceBand) {

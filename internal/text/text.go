@@ -122,17 +122,6 @@ func BuildVocabulary(docs [][]string, opt VocabOptions) *Vocabulary {
 // Size returns the vocabulary size.
 func (v *Vocabulary) Size() int { return len(v.Words) }
 
-// Counts returns the bag-of-words count vector for a tokenized document.
-func (v *Vocabulary) Counts(doc []string) []float64 {
-	x := make([]float64, v.Size())
-	for _, w := range doc {
-		if i, ok := v.Index[w]; ok {
-			x[i]++
-		}
-	}
-	return x
-}
-
 // ImportantWords ranks vocabulary words by chi-square association with a
 // binary label over the corpus and returns the top k. The Scout's model
 // selector builds its meta-features from these words (§5.3).

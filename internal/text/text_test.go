@@ -72,16 +72,6 @@ func TestBuildVocabularyMaxWords(t *testing.T) {
 	}
 }
 
-func TestCounts(t *testing.T) {
-	docs := [][]string{{"x", "x", "y"}, {"y", "z"}, {"z"}, {"z", "x"}}
-	v := BuildVocabulary(docs, VocabOptions{MinDocFreq: 1})
-	c := v.Counts([]string{"x", "x", "unknown"})
-	xi := v.Index["x"]
-	if c[xi] != 2 {
-		t.Fatalf("count of x = %v", c[xi])
-	}
-}
-
 func TestImportantWordsFindDiscriminative(t *testing.T) {
 	var docs [][]string
 	var labels []bool

@@ -165,9 +165,6 @@ func (t *Topology) Names(typ ComponentType) []string {
 	return out
 }
 
-// Len returns the total number of components.
-func (t *Topology) Len() int { return len(t.components) }
-
 // Children returns the direct children of a component, sorted.
 func (t *Topology) Children(name string) []string {
 	out := append([]string(nil), t.children[name]...)

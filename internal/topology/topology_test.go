@@ -29,8 +29,8 @@ func TestBuildCounts(t *testing.T) {
 	if got := len(topo.Names(TypeVM)); got != 32 {
 		t.Fatalf("VMs = %d", got)
 	}
-	if topo.Len() != 2+4+12+16+32 {
-		t.Fatalf("total = %d", topo.Len())
+	if len(topo.components) != 2+4+12+16+32 {
+		t.Fatalf("total = %d", len(topo.components))
 	}
 }
 
