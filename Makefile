@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke repro-check bench bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke ci clean
+.PHONY: all build vet fmt-check test race alloc-check fuzz-smoke repro-check bench bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke ci clean
 
 all: ci
 
@@ -32,6 +32,20 @@ test:
 # subtests drawing kernels, running sums included, from the one pool.
 race:
 	$(GO) test -race ./...
+
+# The allocation gates: every test whose name holds "Alloc", run without
+# -race — each skips itself under the detector or is built !race, so
+# `race` runs none of them. The packages are the ones under ./internal/...
+# that hold a gate, named so that smoke-test fails when one of them answers
+# "[no tests to run]" (a package without a gate answers it too): a renamed
+# gate fails instead of dropping out. A new gate in another package adds
+# its package here.
+ALLOC_PKGS = ./internal/cloudsim ./internal/core ./internal/faults ./internal/floatsort \
+	./internal/gateway ./internal/httpx ./internal/metrics ./internal/ml/cpd ./internal/ml/forest \
+	./internal/serving ./internal/telemetry ./internal/text ./internal/topology
+
+alloc-check:
+	$(call smoke-test,-run 'Alloc' -count 1 $(ALLOC_PKGS))
 
 # Fuzz smoke: ten seconds each of the change-point kernel's differential
 # fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib
@@ -304,7 +318,7 @@ fleet-smoke:
 		-c 4 -duration 6s -kill-pid $$p2 -kill-after 2s -out FLEET_SMOKE.json
 	@cat FLEET_SMOKE.json
 
-ci: vet fmt-check build race fuzz-smoke repro-check bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
+ci: vet fmt-check build race alloc-check fuzz-smoke repro-check bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

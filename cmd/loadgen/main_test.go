@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"maps"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -300,4 +301,15 @@ func FuzzParseProm(f *testing.F) {
 			t.Fatalf("parsed %v, want %v from\n%s", got, want, b.String())
 		}
 	})
+}
+
+// metricNames returns a scrape's series keys, sorted, for a failure
+// message.
+func metricNames(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	slices.Sort(names)
+	return names
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -218,15 +217,4 @@ func hasLeLabel(series string) bool {
 		labels, ok = strings.CutPrefix(rest[i+1:], ",")
 	}
 	return false
-}
-
-// metricNames returns the sorted series keys — handy for tests and for
-// eyeballing what a scrape carried.
-func metricNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -80,10 +80,10 @@ func TestPredictBatchConcurrent(t *testing.T) {
 // detector holds it to that.
 type orderObserver struct {
 	ctx  context.Context
-	seen []*Prediction
+	seen []Prediction
 }
 
-func (o *orderObserver) ObservePrediction(ctx context.Context, p *Prediction) {
+func (o *orderObserver) ObservePrediction(ctx context.Context, p Prediction) {
 	o.ctx = ctx
 	o.seen = append(o.seen, p)
 }
@@ -102,8 +102,11 @@ func TestPredictBatchObserverOrder(t *testing.T) {
 	if len(obs.seen) != len(out) {
 		t.Fatalf("observer called %d times for %d items", len(obs.seen), len(out))
 	}
+	// An answer's Components are its own extraction's array: the same
+	// array is the same answer.
 	for i := range out {
-		if obs.seen[i] != &out[i] {
+		seen := obs.seen[i]
+		if !reflect.DeepEqual(seen, out[i]) || len(seen.Components) > 0 && &seen.Components[0] != &out[i].Components[0] {
 			t.Fatalf("observer call %d was not shown item %d", i, i)
 		}
 	}
@@ -117,7 +120,7 @@ func TestPredictBatchObserverOrder(t *testing.T) {
 // instead of panicking in tree traversal.
 func TestPredictRFBoundaryGuard(t *testing.T) {
 	f := getFixture(t)
-	p := f.scout.predictRF([]float64{1, 2, 3}, Extraction{})
+	p := f.scout.predictRF([]float64{1, 2, 3}, &Extraction{})
 	if p.Verdict != VerdictFallback || p.Usable() {
 		t.Fatalf("mismatched vector should fall back, got %+v", p)
 	}

@@ -203,3 +203,30 @@ func TestEvaluateWorkersIdentical(t *testing.T) {
 		t.Fatalf("confusion differs: workers=1 %s vs workers=8 %s", seq.String(), par.String())
 	}
 }
+
+// TestPredictCachedComponentsAreTheCallers: a live answer's Components are
+// its request's own extraction, but the cache keeps a replay's, so a
+// replay answer carries a copy — a caller writing into one does not change
+// the next answer for that incident.
+func TestPredictCachedComponentsAreTheCallers(t *testing.T) {
+	f := getFixture(t)
+	cache := NewFeatureCache()
+	checked := 0
+	for _, in := range f.test[:60] {
+		first := f.scout.PredictCached(in, cache)
+		if len(first.Components) == 0 {
+			continue
+		}
+		want := append([]string(nil), first.Components...)
+		for i := range first.Components {
+			first.Components[i] = "scribbled"
+		}
+		if got := f.scout.PredictCached(in, cache).Components; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: after a write into an earlier answer, the replay answers %v, want %v", in.ID, got, want)
+		}
+		checked++
+	}
+	if checked < 30 {
+		t.Fatalf("only %d replay answers carried components", checked)
+	}
+}

@@ -15,11 +15,13 @@ import (
 // Extract as it read while every extractor ran FindAllString over a text
 // joined per call, candidates were deduplicated through a map made per call
 // and topology.Ancestors built a slice per component. Kept verbatim as the
-// reference the prefiltered, pooled Extract is compared against; so is the
-// growing All.
+// reference the prefiltered, pooled Extract is compared against — save that
+// its per-type map, once filled, is laid out as an Extraction holds its runs
+// — and so is the growing All.
 
 func (fb *FeatureBuilder) oldExtract(title, body string, mentioned []string) Extraction {
-	ex := Extraction{ByType: map[topology.ComponentType][]string{}}
+	var ex Extraction
+	byType := map[topology.ComponentType][]string{}
 	for _, rule := range fb.cfg.Excludes {
 		switch rule.Field {
 		case "TITLE":
@@ -50,7 +52,7 @@ func (fb *FeatureBuilder) oldExtract(title, body string, mentioned []string) Ext
 				return
 			}
 		}
-		ex.ByType[comp.Type] = append(ex.ByType[comp.Type], name)
+		byType[comp.Type] = append(byType[comp.Type], name)
 	}
 	for _, typ := range typeOrder {
 		re, ok := fb.cfg.Extractors[typ]
@@ -70,31 +72,35 @@ func (fb *FeatureBuilder) oldExtract(title, body string, mentioned []string) Ext
 	// Dependency expansion through the topology abstraction: a VM implies
 	// its host server; a server implies its ToR; everything implies its
 	// cluster and DC (§5.1).
-	for _, vm := range ex.ByType[topology.TypeVM] {
+	for _, vm := range byType[topology.TypeVM] {
 		if srv := fb.topo.ServerOfVM(vm); srv != "" {
 			consider(srv)
 		}
 	}
-	for _, srv := range ex.ByType[topology.TypeServer] {
+	for _, srv := range byType[topology.TypeServer] {
 		if tor := fb.topo.ToROfServer(srv); tor != "" {
 			consider(tor)
 		}
 	}
 	for _, typ := range typeOrder {
-		for _, c := range ex.ByType[typ] {
+		for _, c := range byType[typ] {
 			for _, anc := range fb.topo.Ancestors(c) {
 				consider(anc)
 			}
 		}
 	}
 	for _, typ := range typeOrder {
-		sort.Strings(ex.ByType[typ])
+		sort.Strings(byType[typ])
 	}
 
-	ex.Devices = append(ex.Devices, ex.ByType[topology.TypeVM]...)
-	ex.Devices = append(ex.Devices, ex.ByType[topology.TypeServer]...)
-	ex.Devices = append(ex.Devices, ex.ByType[topology.TypeSwitch]...)
-	hasScope := len(ex.ByType[topology.TypeCluster]) > 0 || len(ex.ByType[topology.TypeDC]) > 0
+	ex.Devices = append(ex.Devices, byType[topology.TypeVM]...)
+	ex.Devices = append(ex.Devices, byType[topology.TypeServer]...)
+	ex.Devices = append(ex.Devices, byType[topology.TypeSwitch]...)
+	hasScope := len(byType[topology.TypeCluster]) > 0 || len(byType[topology.TypeDC]) > 0
+	for k, typ := range typeOrder {
+		ex.names = append(ex.names, byType[typ]...)
+		ex.ends[k] = len(ex.names)
+	}
 	ex.Broad = len(ex.Devices) == 0 && hasScope
 	ex.Empty = len(ex.Devices) == 0 && !hasScope
 	return ex
@@ -103,7 +109,7 @@ func (fb *FeatureBuilder) oldExtract(title, body string, mentioned []string) Ext
 func oldAll(e Extraction) []string {
 	var out []string
 	for _, typ := range typeOrder {
-		out = append(out, e.ByType[typ]...)
+		out = append(out, e.OfType(typ)...)
 	}
 	return out
 }
@@ -187,8 +193,8 @@ func TestExtractMatchesOldPath(t *testing.T) {
 			if all, oldAll := got.All(), oldAll(want); !reflect.DeepEqual(all, oldAll) {
 				t.Fatalf("%s: %s: All() = %v, old %v", name, what, all, oldAll)
 			}
-			for typ, list := range got.ByType {
-				if cap(list) != len(list) {
+			for _, typ := range typeOrder {
+				if list := got.OfType(typ); cap(list) != len(list) {
 					t.Fatalf("%s: %s: the %s list is not clipped: an append would run into its neighbour", name, what, typ)
 				}
 			}
@@ -242,8 +248,8 @@ func TestExtractionOwnsItsNames(t *testing.T) {
 }
 
 // TestExtractAllocations pins Extract's steady-state allocations: the joined
-// text, the Extraction's map (two objects) and the one array its lists are
-// carved from — and All's single slice.
+// text and the one array the Extraction's runs are laid out in (4 while a
+// map of the runs, two objects, sat beside it) — and All's single slice.
 func TestExtractAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -254,7 +260,7 @@ func TestExtractAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := NewFeatureBuilder(cfg, gen.Topology(), faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{}))
-	const budget = 4
+	const budget = 2
 	for _, tc := range []struct{ name, title, body string }{
 		{"one device", "Packet corruption alarms on tor1.c1.dc1", "FCS errors above threshold"},
 		{"a VM and its chain", "vm3.c2.dc1 unreachable", "VM vm3.c2.dc1 on srv2.c2.dc1 cannot reach tor1.c2.dc1 in cluster c2.dc1"},

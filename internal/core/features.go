@@ -17,8 +17,11 @@ import (
 // Extraction is the result of running the configuration's component
 // extractors and exclusion rules over an incident's text (§5.1, §5.3).
 type Extraction struct {
-	// ByType holds the validated components per component type.
-	ByType map[topology.ComponentType][]string
+	// names holds the validated components in one array, type by type in
+	// typeOrder, each type's run sorted; ends[k] is where typeOrder[k]'s
+	// run ends. OfType reads a run.
+	names []string
+	ends  [len(typeOrder)]int
 	// Devices are the device-level components (VMs, servers, switches) —
 	// the set that decides narrow vs broad scope for CPD+ (§5.2.2).
 	Devices []string
@@ -33,20 +36,27 @@ type Extraction struct {
 	Empty bool
 }
 
-// All returns every extracted component, in a slice of the caller's own.
-func (e Extraction) All() []string {
-	n := 0
-	for _, typ := range typeOrder {
-		n += len(e.ByType[typ])
-	}
-	if n == 0 {
+// OfType returns the validated components of one type: a read-only view
+// of the extraction's own array, clipped, so an append copies instead of
+// running into the next type's run.
+func (e *Extraction) OfType(t topology.ComponentType) []string {
+	k := typeSlot(t)
+	if k < 0 {
 		return nil
 	}
-	out := make([]string, 0, n)
-	for _, typ := range typeOrder {
-		out = append(out, e.ByType[typ]...)
+	from := 0
+	if k > 0 {
+		from = e.ends[k-1]
 	}
-	return out
+	return e.names[from:e.ends[k]:e.ends[k]]
+}
+
+// All returns every extracted component, in a slice of the caller's own.
+func (e *Extraction) All() []string {
+	if len(e.names) == 0 {
+		return nil
+	}
+	return slices.Clone(e.names)
 }
 
 // typeOrder fixes the canonical component-type ordering of the feature
@@ -349,30 +359,27 @@ func (fb *FeatureBuilder) extract(text, title, body string, mentioned []string) 
 		}
 	}
 
-	// The Extraction's lists are carved out of one array in typeOrder, each
-	// sorted, so the devices are its head; every list is clipped to its
-	// length, so an append to one copies instead of running into the next.
+	// The Extraction's runs are one array in typeOrder, each sorted, so the
+	// devices are its head.
 	total := 0
 	for k := range sc.byType {
 		slices.Sort(sc.byType[k])
 		sc.byType[k] = slices.Compact(sc.byType[k])
 		total += len(sc.byType[k])
 	}
-	ex.ByType = make(map[topology.ComponentType][]string, len(typeOrder))
-	names := make([]string, 0, total)
-	for k, typ := range typeOrder {
-		if k == deviceTypes && len(names) > 0 {
-			ex.Devices = names[:len(names):len(names)]
-		}
-		if list := sc.byType[k]; len(list) > 0 {
-			from := len(names)
-			names = append(names, list...)
-			ex.ByType[typ] = names[from:len(names):len(names)]
-			sc.byType[k] = list[:0]
-		}
+	if total > 0 {
+		ex.names = make([]string, 0, total)
+	}
+	for k, list := range sc.byType {
+		ex.names = append(ex.names, list...)
+		ex.ends[k] = len(ex.names)
+		sc.byType[k] = list[:0]
 	}
 	fb.extracting.Put(sc)
-	hasScope := len(names) > len(ex.Devices)
+	if devices := ex.ends[deviceTypes-1]; devices > 0 {
+		ex.Devices = ex.names[:devices:devices]
+	}
+	hasScope := len(ex.names) > len(ex.Devices)
 	ex.Broad = len(ex.Devices) == 0 && hasScope
 	ex.Empty = len(ex.Devices) == 0 && !hasScope
 	return ex
@@ -418,8 +425,8 @@ func (fb *FeatureBuilder) accept(sc *extractScratch, comp *topology.Component) {
 // tag covers (§5.2 "all data with the same ... 'cluster' tag is combined").
 // The answer lives in sc.segs, overwriting the previous one; the segments
 // alias the Extraction's and the topology index's slices.
-func (fb *FeatureBuilder) contributors(sc *featScratch, ex Extraction, typ topology.ComponentType) []segment {
-	own := ex.ByType[typ]
+func (fb *FeatureBuilder) contributors(sc *featScratch, ex *Extraction, typ topology.ComponentType) []segment {
+	own := ex.OfType(typ)
 	segs := sc.segs[:0]
 	switch typ {
 	case topology.TypeCluster:
@@ -470,7 +477,7 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 	T := fb.cfg.LookbackHours
 	slot := 0
 	for _, typ := range fb.types {
-		segs := fb.contributors(sc, ex, typ)
+		segs := fb.contributors(sc, &ex, typ)
 		for _, g := range fb.groups {
 			if !g.coversScope(typ) {
 				continue
@@ -515,7 +522,7 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 			slot += len(metrics.SummaryNames)
 			sc.merged = merged // keep the grown capacity for the next group
 		}
-		x[slot] = float64(len(ex.ByType[typ]))
+		x[slot] = float64(len(ex.OfType(typ)))
 		slot++
 	}
 	fb.scratch.Put(sc)
@@ -558,9 +565,9 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 	// The components examined, as typed segments (see FeaturizeInto): the
 	// devices, which is ex.Devices by type, then the cluster scope.
 	segs := append(make([]segment, 0, 8), // room for one cluster's scope
-		segment{topology.TypeVM, ex.ByType[topology.TypeVM]},
-		segment{topology.TypeServer, ex.ByType[topology.TypeServer]},
-		segment{topology.TypeSwitch, ex.ByType[topology.TypeSwitch]})
+		segment{topology.TypeVM, ex.OfType(topology.TypeVM)},
+		segment{topology.TypeServer, ex.OfType(topology.TypeServer)},
+		segment{topology.TypeSwitch, ex.OfType(topology.TypeSwitch)})
 	if ex.Broad {
 		// Cap the per-cluster device sample: change-point detection is
 		// the expensive path and the cluster-level model consumes
@@ -572,14 +579,14 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 			}
 			return xs
 		}
-		clusters := ex.ByType[topology.TypeCluster]
+		clusters := ex.OfType(topology.TypeCluster)
 		for i, cl := range clusters {
 			segs = append(segs,
 				segment{topology.TypeCluster, clusters[i : i+1]},
 				segment{topology.TypeSwitch, cap8(fb.topo.DescendantsOfType(cl, topology.TypeSwitch))},
 				segment{topology.TypeServer, cap8(fb.topo.DescendantsOfType(cl, topology.TypeServer))})
 		}
-		for _, dc := range ex.ByType[topology.TypeDC] {
+		for _, dc := range ex.OfType(topology.TypeDC) {
 			segs = append(segs, segment{topology.TypeCluster, cap8(fb.topo.DescendantsOfType(dc, topology.TypeCluster))})
 		}
 	} else {

@@ -25,17 +25,17 @@ func TestExtractFromText(t *testing.T) {
 	if ex.Empty || ex.Excluded {
 		t.Fatalf("extraction failed: %+v", ex)
 	}
-	if got := ex.ByType[topology.TypeVM]; len(got) != 1 || got[0] != "vm3.c2.dc1" {
+	if got := ex.OfType(topology.TypeVM); len(got) != 1 || got[0] != "vm3.c2.dc1" {
 		t.Fatalf("vm = %v", got)
 	}
-	if got := ex.ByType[topology.TypeSwitch]; len(got) != 1 {
+	if got := ex.OfType(topology.TypeSwitch); len(got) != 1 {
 		t.Fatalf("switch = %v", got)
 	}
 	// Ancestors expanded: cluster + dc present.
-	if got := ex.ByType[topology.TypeCluster]; len(got) != 1 || got[0] != "c2.dc1" {
+	if got := ex.OfType(topology.TypeCluster); len(got) != 1 || got[0] != "c2.dc1" {
 		t.Fatalf("cluster = %v", got)
 	}
-	if got := ex.ByType[topology.TypeDC]; len(got) != 1 || got[0] != "dc1" {
+	if got := ex.OfType(topology.TypeDC); len(got) != 1 || got[0] != "dc1" {
 		t.Fatalf("dc = %v", got)
 	}
 }
@@ -232,7 +232,7 @@ func TestExcludedComponentDropped(t *testing.T) {
 			t.Fatalf("excluded component leaked: %v", ex.All())
 		}
 	}
-	if len(ex.ByType[topology.TypeSwitch]) != 1 {
-		t.Fatalf("switches = %v", ex.ByType[topology.TypeSwitch])
+	if len(ex.OfType(topology.TypeSwitch)) != 1 {
+		t.Fatalf("switches = %v", ex.OfType(topology.TypeSwitch))
 	}
 }

@@ -83,18 +83,18 @@ func (p DegradationPolicy) degradeReason(h DataHealth) string {
 // degradedPrediction answers with the legacy-routing fallback when the
 // policy rejects the health report. ok is true when the prediction should
 // be used (i.e. the Scout must NOT answer through a model).
-func (s *Scout) degradedPrediction(h DataHealth, ex Extraction) (Prediction, bool) {
+func (s *Scout) degradedPrediction(h DataHealth, ex *Extraction) (Prediction, bool) {
 	reason := s.degrade.degradeReason(h)
 	if reason == "" {
 		return Prediction{}, false
 	}
-	hc := h
 	return Prediction{
 		Verdict:     VerdictFallback,
 		Model:       "none",
-		Components:  ex.All(),
+		Components:  ex.names,
 		Explanation: "degraded monitoring: " + reason + "; deferring to the legacy routing process",
-		Health:      &hc,
+		Health:      h,
+		HasHealth:   true,
 	}, true
 }
 

@@ -158,7 +158,7 @@ func TestBatchMatchesSingleUnderChaos(t *testing.T) {
 		if !reflect.DeepEqual(batch[i], single) {
 			t.Fatalf("incident %s: batch %+v != single %+v", in.ID, batch[i], single)
 		}
-		if single.Health != nil {
+		if single.HasHealth {
 			if f := single.Health.ImputedFraction(); math.IsNaN(f) || f < 0 || f > 1 {
 				t.Fatalf("imputed fraction %v out of range", f)
 			}
@@ -177,7 +177,7 @@ func TestDegradationPolicyFallsBack(t *testing.T) {
 	if !p.Usable() {
 		t.Fatalf("disabled policy must keep answering, got %+v", p)
 	}
-	if p.Health == nil || p.Health.DatasetCoverage() != 0 {
+	if !p.HasHealth || p.Health.DatasetCoverage() != 0 {
 		t.Fatalf("model verdict should carry the outage in its health report: %+v", p.Health)
 	}
 
@@ -189,7 +189,7 @@ func TestDegradationPolicyFallsBack(t *testing.T) {
 	if !strings.Contains(p.Explanation, "degraded monitoring") {
 		t.Fatalf("fallback should explain the degradation: %s", p.Explanation)
 	}
-	if p.Health == nil {
+	if !p.HasHealth {
 		t.Fatal("degraded fallback must carry its health report")
 	}
 
@@ -210,7 +210,7 @@ func TestDegradationPolicyStaleness(t *testing.T) {
 	in := modelIncident(t, f)
 
 	p := s.Predict(in.Title, in.Body, in.InitialComponents, in.CreatedAt)
-	if p.Health == nil || p.Health.MaxStaleness != 10 {
+	if !p.HasHealth || p.Health.MaxStaleness != 10 {
 		t.Fatalf("health should admit the 10h lag: %+v", p.Health)
 	}
 	if !p.Usable() {

@@ -39,7 +39,7 @@ func (fb *FeatureBuilder) oldContributors(ex Extraction, typ topology.ComponentT
 	switch typ {
 	case topology.TypeCluster:
 		var out []string
-		for _, cl := range ex.ByType[typ] {
+		for _, cl := range ex.OfType(typ) {
 			out = append(out, cl)
 			out = append(out, fb.topo.DescendantsOfType(cl, topology.TypeSwitch)...)
 			out = append(out, fb.topo.DescendantsOfType(cl, topology.TypeServer)...)
@@ -47,13 +47,13 @@ func (fb *FeatureBuilder) oldContributors(ex Extraction, typ topology.ComponentT
 		return out
 	case topology.TypeDC:
 		var out []string
-		for _, dc := range ex.ByType[typ] {
+		for _, dc := range ex.OfType(typ) {
 			out = append(out, dc)
 			out = append(out, fb.topo.DescendantsOfType(dc, topology.TypeCluster)...)
 		}
 		return out
 	default:
-		return ex.ByType[typ]
+		return ex.OfType(typ)
 	}
 }
 
@@ -99,7 +99,7 @@ func (fb *FeatureBuilder) oldFeaturize(planned bool, ex Extraction, t float64) [
 			metrics.SummarizeInPlace(slices.Clone(merged)).VectorInto(x[slot : slot+len(metrics.SummaryNames)])
 			slot += len(metrics.SummaryNames)
 		}
-		x[slot] = float64(len(ex.ByType[typ]))
+		x[slot] = float64(len(ex.OfType(typ)))
 		slot++
 	}
 	return x
@@ -139,12 +139,12 @@ func (fb *FeatureBuilder) oldCPDInput(planned bool, ex Extraction, t float64) cp
 			}
 			return xs
 		}
-		for _, cl := range ex.ByType[topology.TypeCluster] {
+		for _, cl := range ex.OfType(topology.TypeCluster) {
 			comps = append(comps, cl)
 			comps = append(comps, cap8(fb.topo.DescendantsOfType(cl, topology.TypeSwitch))...)
 			comps = append(comps, cap8(fb.topo.DescendantsOfType(cl, topology.TypeServer))...)
 		}
-		for _, dc := range ex.ByType[topology.TypeDC] {
+		for _, dc := range ex.OfType(topology.TypeDC) {
 			comps = append(comps, cap8(fb.topo.DescendantsOfType(dc, topology.TypeCluster))...)
 		}
 	} else {
@@ -329,7 +329,7 @@ func TestFeaturizeIntoAllocations(t *testing.T) {
 	} {
 		ex := fb.Extract(tc.name, tc.body, nil)
 		n := 0
-		for _, seg := range fb.contributors(new(featScratch), ex, topology.TypeCluster) {
+		for _, seg := range fb.contributors(new(featScratch), &ex, topology.TypeCluster) {
 			n += len(seg.comps)
 		}
 		if n < tc.minComps {

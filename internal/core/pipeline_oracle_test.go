@@ -87,7 +87,7 @@ func (s *Scout) oldPredictCached(in *incident.Incident, cache *oldFeatureCache) 
 			Explanation: fmt.Sprintf("model selector flagged this as new/rare (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
 		}
 	}
-	return s.predictRF(e.x, e.ex)
+	return s.predictRF(e.x, &e.ex)
 }
 
 // oldPredictWithModel forces one model path ("rf" or "cpd+"), bypassing the
@@ -103,24 +103,24 @@ func (s *Scout) oldPredictWithModel(model, title, body string, mentioned []strin
 	}
 	if model == "cpd+" {
 		h := s.sourceHealth(t)
-		if p, bad := s.degradedPrediction(h, ex); bad {
+		if p, bad := s.degradedPrediction(h, &ex); bad {
 			return p
 		}
 		label, conf, why := s.cpdPlus.Predict(s.fb.CPDInput(ex, t))
 		return Prediction{
 			Verdict: verdictFor(label), Responsible: label, Confidence: conf,
 			Model: "cpd+", Components: ex.All(), Explanation: why,
-			Health: &h,
+			Health: h, HasHealth: true,
 		}
 	}
 	v := s.getVec()
 	defer s.putVec(v)
 	h := s.featurizeWithImputationInto(v, &memo{ex: ex}, t)
-	if p, bad := s.degradedPrediction(h, ex); bad {
+	if p, bad := s.degradedPrediction(h, &ex); bad {
 		return p
 	}
-	p := s.predictRF(*v, ex)
-	p.Health = &h
+	p := s.predictRF(*v, &ex)
+	p.Health, p.HasHealth = h, true
 	return p
 }
 

@@ -144,7 +144,7 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 					old := s.oldPredictCached(in, oldCache)
 					got := s.PredictCached(in, cache)
 					seen[checkJoined(t, in.ID, s.Team(), old, got)]++
-					if (got.Health == nil) != (got.Model == "exclude-rule" || got.Model == "none") {
+					if !got.HasHealth != (got.Model == "exclude-rule" || got.Model == "none") {
 						t.Fatalf("%s: health report %v on a %q answer", in.ID, got.Health, got.Model)
 					}
 				}
@@ -206,7 +206,7 @@ func TestPredictWithModelMatchesOldPath(t *testing.T) {
 			old := f.scout.oldPredictWithModel(model, in.Title, in.Body, in.InitialComponents, in.CreatedAt)
 			got := f.scout.PredictWithModel(model, in.Title, in.Body, in.InitialComponents, in.CreatedAt)
 			seen[checkJoined(t, model+" "+in.ID, f.scout.Team(), old, got)]++
-			if !reflect.DeepEqual(got.Health, old.Health) {
+			if !reflect.DeepEqual(got.Health, old.Health) || got.HasHealth != old.HasHealth {
 				t.Fatalf("%s %s: health %+v, old %+v", model, in.ID, got.Health, old.Health)
 			}
 		}
@@ -252,7 +252,7 @@ func TestPredictCachedIsTheServedPipeline(t *testing.T) {
 					if !reflect.DeepEqual(got, live) {
 						t.Fatalf("%s:\n memoised %+v\n served   %+v", in.ID, got, live)
 					}
-					if got.Health != nil && got.Health.ImputedSlots > 0 {
+					if got.HasHealth && got.Health.ImputedSlots > 0 {
 						imputed++
 					}
 					if strings.HasPrefix(got.Explanation, "degraded monitoring: ") {

@@ -41,13 +41,16 @@ type Prediction struct {
 	Responsible bool
 	Confidence  float64 // in [0.5, 1] for model verdicts
 	Model       string  // "rf", "cpd+", "exclude-rule", "none"
+	// Components are the extracted components the answer examined:
+	// read-only, and on the request path the extraction's own array.
 	Components  []string
 	Explanation string
-	// Health, when present, reports the monitoring data quality behind the
-	// answer: imputed feature fraction, unavailable datasets, admitted
-	// staleness (§6). Gate verdicts (excluded, no components) carry none —
-	// they never consult monitoring.
-	Health *DataHealth
+	// Health, when HasHealth is set, reports the monitoring data quality
+	// behind the answer: imputed feature fraction, unavailable datasets,
+	// admitted staleness (§6). Gate verdicts (excluded, no components)
+	// carry none — they never consult monitoring.
+	Health    DataHealth
+	HasHealth bool
 }
 
 // Usable reports whether the prediction can drive routing (fallback
@@ -301,9 +304,10 @@ func Train(opt TrainOptions) (*Scout, error) {
 // imputation to the request that suffered them. Implementations run on
 // the predict hot path: they must be lock-free and allocation-free for
 // non-fallback predictions (atomic counter bumps; logging only on the
-// cold fallback branch).
+// cold fallback branch). The prediction comes by value, so handing it to
+// the observer does not move the caller's answer to the heap.
 type PredictObserver interface {
-	ObservePrediction(ctx context.Context, p *Prediction)
+	ObservePrediction(ctx context.Context, p Prediction)
 }
 
 // SetObserver installs the prediction observer (nil disables). Install
@@ -326,7 +330,7 @@ func (s *Scout) Predict(title, body string, mentioned []string, t float64) Predi
 func (s *Scout) PredictCtx(ctx context.Context, title, body string, mentioned []string, t float64) Prediction {
 	p := s.predictText(s.selector, title, body, mentioned, t)
 	if s.obs != nil {
-		s.obs.ObservePrediction(ctx, &p)
+		s.obs.ObservePrediction(ctx, p)
 	}
 	return p
 }
@@ -353,21 +357,21 @@ func (s *Scout) predict(decider DeciderModel, text string, m *memo, t float64) P
 	}
 	if useCPD, pWrong := decider.UseCPD(text); useCPD {
 		h := s.sourceHealth(t)
-		if p, bad := s.degradedPrediction(h, m.ex); bad {
+		if p, bad := s.degradedPrediction(h, &m.ex); bad {
 			return p
 		}
 		p := s.predictCPDPath(m, t, pWrong)
-		p.Health = &h
+		p.Health, p.HasHealth = h, true
 		return p
 	}
 	v := s.getVec()
 	defer s.putVec(v)
 	h := s.featurizeWithImputationInto(v, m, t)
-	if p, bad := s.degradedPrediction(h, m.ex); bad {
+	if p, bad := s.degradedPrediction(h, &m.ex); bad {
 		return p
 	}
-	p := s.predictRF(*v, m.ex)
-	p.Health = &h
+	p := s.predictRF(*v, &m.ex)
+	p.Health, p.HasHealth = h, true
 	return p
 }
 
@@ -409,7 +413,7 @@ func (s *Scout) predictBatch(ctx context.Context, reqs []BatchRequest, workers i
 	})
 	if s.obs != nil {
 		for i := range out {
-			s.obs.ObservePrediction(ctx, &out[i])
+			s.obs.ObservePrediction(ctx, out[i])
 		}
 	}
 	return out
@@ -460,7 +464,7 @@ func (s *Scout) predictCPDPath(m *memo, t, pWrong float64) Prediction {
 		Responsible: label,
 		Confidence:  conf,
 		Model:       "cpd+",
-		Components:  m.ex.All(),
+		Components:  m.ex.names,
 		Explanation: fmt.Sprintf("model selector flagged this as a new/rare incident (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
 	}
 }
@@ -470,7 +474,7 @@ func (s *Scout) predictCPDPath(m *memo, t, pWrong float64) Prediction {
 // (a feature cache built for a different configuration, a corrupted
 // snapshot) defers to legacy routing instead of reaching — and formerly
 // panicking in — tree traversal.
-func (s *Scout) predictRF(x []float64, ex Extraction) Prediction {
+func (s *Scout) predictRF(x []float64, ex *Extraction) Prediction {
 	if len(x) != len(s.rf.Features()) {
 		return Prediction{
 			Verdict: VerdictFallback,
@@ -485,7 +489,7 @@ func (s *Scout) predictRF(x []float64, ex Extraction) Prediction {
 		Responsible: label,
 		Confidence:  conf,
 		Model:       "rf",
-		Components:  ex.All(),
+		Components:  ex.names,
 		Explanation: s.explainRF(x, label),
 	}
 }
@@ -537,9 +541,15 @@ func incidentRequests(ins []*incident.Incident) []BatchRequest {
 // Note the cache key is the incident ID and cached extraction uses the
 // incident's full component list, so PredictCached reflects the
 // steady-state information surface (as the training pipeline does): it
-// answers what Predict answers given in.Components.
+// answers what Predict answers given in.Components. The cache keeps the
+// memo's Extraction, so the answer's Components are a copy of its own.
 func (s *Scout) PredictCached(in *incident.Incident, cache *FeatureCache) Prediction {
-	return s.predict(s.selector, in.Text(), cache.memo(s.fb, in), in.CreatedAt)
+	m := cache.memo(s.fb, in)
+	p := s.predict(s.selector, in.Text(), m, in.CreatedAt)
+	if p.Components != nil {
+		p.Components = m.ex.All()
+	}
+	return p
 }
 
 func verdictFor(responsible bool) Verdict {

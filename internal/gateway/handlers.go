@@ -73,13 +73,21 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 		h["Content-Type"] = ct[:1]
 	}
 	h["X-Scout-Replica"] = fr.replica.nameHeader
+	// The upstream's length is kept when it is one value and the body's;
+	// an absent one is not parsed, so it costs no error value.
 	cl := fr.header["Content-Length"]
-	if n, err := strconv.Atoi(fr.header.Get("Content-Length")); err != nil || n != len(fr.body) || len(cl) != 1 {
+	if len(cl) != 1 || !declaresLength(cl[0], len(fr.body)) {
 		cl = []string{strconv.Itoa(len(fr.body))}
 	}
 	h["Content-Length"] = cl
 	w.WriteHeader(fr.status)
 	_, _ = w.Write(fr.body)
+}
+
+// declaresLength reports whether a Content-Length value reads as n.
+func declaresLength(v string, n int) bool {
+	got, err := strconv.Atoi(v)
+	return err == nil && got == n
 }
 
 // shardKey places an incident on the ring: stable per incident, so the

@@ -73,11 +73,15 @@ func (sp *Spine) WriteJSON(w http.ResponseWriter, status int, v any) {
 	sp.WriteBody(w, status, buf.Bytes())
 }
 
+// jsonContentType is the Content-Type value of every JSON answer; shared,
+// read-only.
+var jsonContentType = []string{"application/json"}
+
 // WriteBody answers status with body, JSON the caller encoded itself —
 // newline included, as json.Encoder ends a value — under the headers
 // WriteJSON sets. body is not retained.
 func (sp *Spine) WriteBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {

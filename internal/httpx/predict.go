@@ -34,11 +34,17 @@ type BatchPredictRequest struct {
 
 // bodyBufs pools the request-body buffers of DecodePredict and
 // DecodeBatch. Nothing decoded from a body aliases it, so a buffer goes
-// back as soon as its request is decoded.
+// back as soon as its request is decoded — unless a large body grew it
+// past MaxPooledBuffer.
 var bodyBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
+
+// MaxPooledBuffer is the largest capacity a pooled request or answer
+// buffer may keep: a larger one is left to the collector, so one large
+// batch does not pin its buffer in a pool for every later request.
+const MaxPooledBuffer = 64 << 10
 
 // DecodePredict decodes a POST /v1/predict body into req, under limit,
 // with Decode's contract: it answers false after writing Decode's
@@ -62,9 +68,11 @@ func (sp *Spine) DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64
 // from the body itself: its answer depends only on that stream.
 func (sp *Spine) decodePooled(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	bp := bodyBufs.Get().(*[]byte)
-	defer bodyBufs.Put(bp)
 	raw, err := readBody((*bp)[:0], http.MaxBytesReader(w, r.Body, limit))
-	*bp = raw[:0]
+	if cap(raw) <= MaxPooledBuffer {
+		*bp = raw[:0]
+		defer bodyBufs.Put(bp)
+	}
 	if err == nil && parseCanonical(raw, v) {
 		return true
 	}
@@ -144,7 +152,11 @@ func parseCanonical(body []byte, v any) bool {
 // ParsePredict decodes body into the zero value req without reflection
 // when body is entirely in canonical form, and reports whether it was. A
 // canonical body decodes exactly as the strict decoder (Decode) decodes
-// it; what json.Marshal writes for a PredictRequest always is one.
+// it; what json.Marshal writes for a PredictRequest always is one. Every
+// string of the body is unescaped into one arena the size of the body, and
+// each field is a substring of it: the strings are copies, never views of
+// body, and the request costs at most two allocations — the arena and
+// Components.
 // Canonical form is one JSON object, optionally surrounded and spaced by
 // JSON whitespace, holding:
 //
@@ -167,7 +179,9 @@ func ParsePredict(body []byte, req *PredictRequest) bool {
 
 // ParseBatch is ParsePredict for a BatchPredictRequest: one object whose
 // only key is items, an array of canonical PredictRequest objects or null.
-// Items is one exactly sized slice, as is every item's Components.
+// Items is one exactly sized slice, and every item's Components is cut,
+// clipped, from one more, so a batch costs at most three allocations
+// whatever its item count.
 func ParseBatch(body []byte, req *BatchPredictRequest) bool {
 	l := lexer{b: body}
 	if !l.eat('{') {
@@ -191,6 +205,14 @@ type lexer struct {
 	b   []byte
 	i   int
 	dry bool
+	// arena holds every string decoded so far, back to back. It is grown
+	// to len(b) before the first write, and unescaping never lengthens a
+	// string, so it never moves: each decoded string is a substring of it.
+	arena strings.Builder
+	// names is what is left of the arena Components lists are cut from;
+	// listed counts, in a dry walk, the strings of the lists it passes.
+	names  []string
+	listed int
 }
 
 // space skips JSON whitespace.
@@ -319,7 +341,7 @@ func (l *lexer) itemList() ([]PredictRequest, bool) {
 		return nil, false
 	}
 	start, dry := l.i, l.dry
-	l.dry = true
+	l.dry, l.listed = true, 0
 	n, ok := l.items(nil)
 	l.dry = dry
 	if !ok || dry {
@@ -327,6 +349,7 @@ func (l *lexer) itemList() ([]PredictRequest, bool) {
 	}
 	l.i = start
 	list := make([]PredictRequest, n)
+	l.names = make([]string, l.listed)
 	_, ok = l.items(list)
 	return list, ok
 }
@@ -361,9 +384,11 @@ func (l *lexer) items(dst []PredictRequest) (int, bool) {
 	}
 }
 
-// strList lexes an array of strings into one exactly sized slice: a dry
-// walk counts the strings, a second builds them. Like encoding/json, it
-// returns an empty, non-nil slice for [].
+// strList lexes an array of strings into one exactly sized, clipped
+// slice: a dry walk counts the strings, a second builds them. The slice is
+// cut from the names a batch's dry walk sized, or made for the one list of
+// a single request. Like encoding/json, it returns an empty, non-nil slice
+// for [].
 func (l *lexer) strList() ([]string, bool) {
 	if !l.at('[') {
 		return nil, false
@@ -373,10 +398,15 @@ func (l *lexer) strList() ([]string, bool) {
 	n, ok := l.strs(nil)
 	l.dry = dry
 	if !ok || dry {
+		l.listed += n
 		return nil, ok
 	}
+	if l.names == nil || len(l.names) < n {
+		l.names = make([]string, n)
+	}
+	list := l.names[:n:n]
+	l.names = l.names[n:]
 	l.i = start
-	list := make([]string, n)
 	_, ok = l.strs(list)
 	return list, ok
 }
@@ -410,23 +440,26 @@ func (l *lexer) strs(dst []string) (int, bool) {
 }
 
 // str lexes one canonical string and returns its value — "" in a dry
-// walk. A string with no escape is one copy of its bytes; one with
-// escapes is sized by its scan and written once.
+// walk — unescaped into the arena.
 func (l *lexer) str() (string, bool) {
 	if !l.eat('"') {
 		return "", false
 	}
 	start := l.i
-	size, escaped, ok := l.scanString()
-	if !ok || l.dry {
+	escaped, ok := l.scanString()
+	if !ok || l.dry || l.i-1 == start {
 		return "", ok
 	}
 	raw := l.b[start : l.i-1]
-	if !escaped {
-		return string(raw), true
+	sb := &l.arena
+	if sb.Cap() == 0 {
+		sb.Grow(len(l.b))
 	}
-	var sb strings.Builder
-	sb.Grow(size)
+	from := sb.Len()
+	if !escaped {
+		sb.Write(raw)
+		return sb.String()[from:], true
+	}
 	for i := 0; i < len(raw); {
 		c := raw[i]
 		if c != '\\' {
@@ -455,55 +488,51 @@ func (l *lexer) str() (string, bool) {
 		}
 		i += 2
 	}
-	return sb.String(), true
+	return sb.String()[from:], true
 }
 
 // scanString walks a string body from just after its opening quote to
-// just past its closing one, reporting the decoded size and whether any
-// escape occurs. It refuses what is not canonical: a control character,
-// invalid UTF-8, an unknown escape, a lone surrogate, an unclosed string.
-func (l *lexer) scanString() (size int, escaped, ok bool) {
+// just past its closing one, reporting whether any escape occurs. It
+// refuses what is not canonical: a control character, invalid UTF-8, an
+// unknown escape, a lone surrogate, an unclosed string.
+func (l *lexer) scanString() (escaped, ok bool) {
 	b := l.b
 	for i := l.i; i < len(b); {
 		c := b[i]
 		switch {
 		case c == '"':
 			l.i = i + 1
-			return size, escaped, true
+			return escaped, true
 		case c == '\\':
 			escaped = true
 			if i+1 == len(b) {
-				return 0, false, false
+				return false, false
 			}
 			switch b[i+1] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				size++
 				i += 2
 			case 'u':
-				r, n := escapedRune(b[i:])
+				_, n := escapedRune(b[i:])
 				if n == 0 {
-					return 0, false, false
+					return false, false
 				}
-				size += utf8.RuneLen(r)
 				i += n
 			default:
-				return 0, false, false
+				return false, false
 			}
 		case c < ' ':
-			return 0, false, false
+			return false, false
 		case c < utf8.RuneSelf:
-			size++
 			i++
 		default:
 			r, n := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && n == 1 {
-				return 0, false, false
+				return false, false
 			}
-			size += n
 			i += n
 		}
 	}
-	return 0, false, false
+	return false, false
 }
 
 // escapedRune decodes the \uXXXX escape at the head of b — with the

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -136,6 +137,29 @@ func FuzzPredictCodec(f *testing.F) {
 		if !want.ok {
 			return
 		}
+		// The decoded strings are copies: overwriting the bytes lexed
+		// leaves the value as it was.
+		scratch := bytes.Clone(body)
+		var lexed any
+		if batch {
+			var v BatchPredictRequest
+			if ParseBatch(scratch, &v) {
+				lexed = v
+			}
+		} else {
+			var v PredictRequest
+			if ParsePredict(scratch, &v) {
+				lexed = v
+			}
+		}
+		if lexed != nil {
+			for i := range scratch {
+				scratch[i] = 'x'
+			}
+			if !reflect.DeepEqual(lexed, want.value) {
+				t.Fatalf("%q: overwriting the body changed the lexed value to %+v, want %+v", body, lexed, want.value)
+			}
+		}
 		if batch {
 			v := want.value.(BatchPredictRequest)
 			for i := range v.Items {
@@ -227,6 +251,29 @@ func TestParseTakesMarshalledRequests(t *testing.T) {
 	for _, it := range got.Items {
 		if cap(it.Components) != len(it.Components) {
 			t.Fatalf("Components has capacity %d for %d names", cap(it.Components), len(it.Components))
+		}
+	}
+}
+
+// TestBodyPoolStaysBounded: one large batch body must not leave a buffer
+// of its size in the body pool for every later request. The collector is
+// off, so nothing the decoder put back is dropped before the pool is
+// drained.
+func TestBodyPoolStaysBounded(t *testing.T) {
+	sp, _ := testSpine()
+	item := `{"title":"` + strings.Repeat("x", 1024) + `","time":1}`
+	body := []byte(`{"items":[` + strings.Repeat(item+",", 99) + item + `]}`)
+	if len(body) <= MaxPooledBuffer {
+		t.Fatalf("a %d-byte body does not outgrow the pool's cap", len(body))
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var req BatchPredictRequest
+	if !sp.DecodeBatch(httptest.NewRecorder(), post(body), 1<<20, &req) || len(req.Items) != 100 {
+		t.Fatal("the large batch was refused")
+	}
+	for i := 0; i < 64; i++ {
+		if c := cap(*bodyBufs.Get().(*[]byte)); c > MaxPooledBuffer {
+			t.Fatalf("the body pool handed back a buffer of %d bytes, cap %d", c, MaxPooledBuffer)
 		}
 	}
 }

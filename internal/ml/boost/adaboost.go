@@ -218,6 +218,3 @@ func (a *AdaBoost) Predict(x []float64) (bool, float64) {
 	}
 	return m >= 0, conf
 }
-
-// Rounds reports the number of stumps actually trained.
-func (a *AdaBoost) Rounds() int { return len(a.stumps) }

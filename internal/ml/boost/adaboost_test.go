@@ -74,7 +74,7 @@ func TestAdaBoostBeatsSingleStump(t *testing.T) {
 	}
 	if acc(full) <= acc(single) {
 		t.Fatalf("boosting should beat one stump: single %v, full %v (rounds=%d)",
-			acc(single), acc(full), full.Rounds())
+			acc(single), acc(full), len(full.stumps))
 	}
 	if acc(full) < 0.99 {
 		t.Fatalf("boosted ensemble should fit the staircase, acc = %v", acc(full))

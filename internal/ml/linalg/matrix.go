@@ -42,13 +42,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v []float64) []float64 {
 	if m.Cols != len(v) {

@@ -14,14 +14,19 @@ import (
 
 // TestBatchHandlerAllocations pins what one item of a 32-item
 // /v1/predict:batch costs in allocations, handler in, recorder out, in
-// steady state: 15.1–15.3 measured (the item's strings, Scout.predict 8,
-// the recommendation 1, the envelope's share) where encoding/json's
-// reflection — decoding the request, walking a PredictResponse built for
-// it — made it 19.3, and the same request cost 119 before the answer path
-// stopped formatting and ranking. (A non-race file: the race detector
-// makes sync.Pool drop items at random.)
+// steady state: 5.1 measured — Scout.predict 4 (the joined text, the
+// component array, the explanation, and the registry copy the health
+// report reads off a source without a health view, as this bare simulator
+// is), and the item's share of the request: one string arena, one list
+// arena, the slices and the envelope. It was 15.1–15.3 while each string
+// and list of the request was an allocation of its own, Scout.predict
+// made 8 and the recommendation was a string; 19.3 while encoding/json's
+// reflection decoded the request and walked a PredictResponse built for
+// it; and 119 before the answer path stopped formatting and ranking. The
+// ceiling, 6, fails a one-allocation-per-item regression. (A non-race
+// file: the race detector makes sync.Pool drop items at random.)
 func TestBatchHandlerAllocations(t *testing.T) {
-	const batchSize, budgetPerItem = 32, 16
+	const batchSize, budgetPerItem = 32, 6
 	srv, _, _ := trainAndServe(t)
 	h := srv.Handler()
 	var bodies [][]byte
@@ -50,19 +55,20 @@ func TestBatchHandlerAllocations(t *testing.T) {
 	}
 }
 
-// TestRecommendationAllocations: the §8 fine print of a usable answer
-// allocates the string it returns and nothing else; a fallback's is a
-// constant.
+// TestRecommendationAllocations: the §8 fine print, usable answer or
+// fallback, is appended into the caller's buffer without allocating (it
+// allocated the string it returned until it was rendered straight into
+// the answer).
 func TestRecommendationAllocations(t *testing.T) {
 	usable := core.Prediction{Verdict: core.VerdictResponsible, Responsible: true, Confidence: 0.93, Components: make([]string, 12)}
 	fallback := core.Prediction{Verdict: core.VerdictFallback}
+	buf := make([]byte, 0, 512)
 	for _, c := range []struct {
 		name string
 		p    *core.Prediction
-		want float64
-	}{{"usable", &usable, 1}, {"fallback", &fallback, 0}} {
-		if got := testing.AllocsPerRun(100, func() { recommendation("PhyNet", c.p) }); got != c.want {
-			t.Errorf("recommendation of a %s answer: %v allocations, want %v", c.name, got, c.want)
+	}{{"usable", &usable}, {"fallback", &fallback}} {
+		if got := testing.AllocsPerRun(100, func() { buf = appendRecommendation(buf[:0], "PhyNet", c.p) }); got != 0 {
+			t.Errorf("the recommendation of a %s answer: %v allocations, want 0", c.name, got)
 		}
 	}
 }
@@ -70,13 +76,16 @@ func TestRecommendationAllocations(t *testing.T) {
 // TestPredictHandlerAllocations pins what one /v1/predict costs through
 // the whole Handler() chain — shedding and the deadline guard armed, as
 // scoutd runs it — recorder and test request included (scoutbench's
-// serving.handler_allocs): 54–57 by request over these eight, mean 56,
-// where encoding/json's reflection — the request's decoder, the
-// PredictResponse built for its encoder — made it 65–71, mean 67.75, and
-// the deadline guard's goroutine, channel and per-request buffer 67–73
-// before that. The ceiling is the mean plus one.
+// serving.handler_allocs): 45–46 by request over these eight, mean 45.75,
+// where a string and a list per request field, Scout.predict's 8, the
+// answer moved to the heap by the observer, the recommendation's string
+// and a Content-Type slice per answer made it 54–57, mean 56;
+// encoding/json's reflection — the request's decoder, the PredictResponse
+// built for its encoder — 65–71, mean 67.75; and the deadline guard's
+// goroutine, channel and per-request buffer 67–73 before that. The
+// ceiling is the mean plus one.
 func TestPredictHandlerAllocations(t *testing.T) {
-	const requests, budget = 8, 57.0
+	const requests, budget = 8, 46.75
 	srv, _, _ := trainAndServe(t)
 	srv.MaxInFlight, srv.RequestTimeout = 64, 10*time.Second
 	h := srv.Handler()

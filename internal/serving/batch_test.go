@@ -8,13 +8,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"scouts/internal/core"
 	"scouts/internal/faults"
+	"scouts/internal/httpx"
 	"scouts/internal/monitoring"
 )
 
@@ -426,5 +429,39 @@ func TestBatchStopsBetweenChunksOnceTheRequestIsGone(t *testing.T) {
 	}
 	if scored != 32 {
 		t.Fatalf("%.0f items scored for a request gone during the first 32", scored)
+	}
+}
+
+// TestPooledBuffersStayBounded: one large batch — an answer past
+// httpx.MaxPooledBuffer, served under the deadline guard — must not leave
+// a buffer of its size in the answer pool or the guard pool for every
+// later request. The collector is off, so nothing the handler put back is
+// dropped before the pools are drained.
+func TestPooledBuffersStayBounded(t *testing.T) {
+	srv, _, _ := trainAndServe(t)
+	srv.RequestTimeout = 10 * time.Second
+	h := srv.Handler()
+	reqs := heldOutRequests(t)
+	items := make([]PredictRequest, MaxBatchItems)
+	for i := range items {
+		items[i] = reqs[i%len(reqs)]
+	}
+	body, err := json.Marshal(BatchPredictRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/predict:batch", bytes.NewReader(body)))
+	if w.Code != http.StatusOK || w.Body.Len() <= httpx.MaxPooledBuffer {
+		t.Fatalf("status %d, a %d-byte answer: not a large batch answered", w.Code, w.Body.Len())
+	}
+	for i := 0; i < 64; i++ {
+		if c := cap(*answerBufs.Get().(*[]byte)); c > httpx.MaxPooledBuffer {
+			t.Fatalf("the answer pool handed back a buffer of %d bytes, cap %d", c, httpx.MaxPooledBuffer)
+		}
+		if c := cap(deadlineGuards.Get().(*deadlineGuard).body); c > httpx.MaxPooledBuffer {
+			t.Fatalf("the guard pool handed back a body of %d bytes, cap %d", c, httpx.MaxPooledBuffer)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"scouts/internal/core"
+	"scouts/internal/httpx"
 )
 
 // The predict answers are appended straight from core.Prediction into a
@@ -17,11 +18,21 @@ import (
 // encoding/json stays the definition (encode_test.go holds the encoder to
 // it) — without building those values for reflection to walk.
 
-// answerBufs pools the answer buffers.
+// answerBufs pools the answer buffers, each empty (putAnswerBuf).
 var answerBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
+
+// putAnswerBuf returns the buffer an answer was appended into, emptied,
+// unless it grew past httpx.MaxPooledBuffer: one large batch answer must
+// not pin its buffer in the pool.
+func putAnswerBuf(bp *[]byte, answer []byte) {
+	if cap(answer) <= httpx.MaxPooledBuffer {
+		*bp = answer[:0]
+		answerBufs.Put(bp)
+	}
+}
 
 // writeAnswer answers 200 with an appended answer, json.Encoder's
 // newline included — or, when the encoder refused a value, with the 500
@@ -57,10 +68,11 @@ func (m *servingModel) appendPrediction(dst []byte, p *core.Prediction) ([]byte,
 	dst = append(dst, `,"explanation":`...)
 	dst = appendString(dst, p.Explanation)
 	dst = append(dst, `,"recommendation":`...)
-	dst = appendString(dst, recommendation(team, p))
+	var rec [512]byte
+	dst = appendString(dst, appendRecommendation(rec[:0], team, p))
 	dst = append(dst, `,"model_version":`...)
 	dst = strconv.AppendInt(dst, int64(m.version), 10)
-	if h := p.Health; h != nil {
+	if h := &p.Health; p.HasHealth {
 		dst = append(dst, `,"data_health":{"imputed_fraction":`...)
 		if dst, err = appendFloat(dst, h.ImputedFraction()); err != nil {
 			return dst, err
@@ -123,7 +135,9 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 // HTML-safe (<, > and & as \u003c, \u003e, \u0026), U+2028 and U+2029
 // escaped, each byte of invalid UTF-8 replaced by \ufffd, the short
 // escapes for \b \f \n \r \t, \u00XX for the other control characters.
-func appendString(dst []byte, s string) []byte {
+// s may be text rendered into a buffer: a string and its bytes append
+// alike.
+func appendString[S string | []byte](dst []byte, s S) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	start := 0
@@ -154,7 +168,8 @@ func appendString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		// At most one rune's bytes are converted: no copy of s is made.
+		c, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		if c == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, `\ufffd`...)

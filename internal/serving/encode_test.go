@@ -29,14 +29,15 @@ func (m *servingModel) response(p core.Prediction) PredictResponse {
 		Explanation:    p.Explanation,
 		Recommendation: recommendation(m.scout.Team(), &p),
 		ModelVersion:   m.version,
-		DataHealth:     healthInfo(p.Health),
+		DataHealth:     healthInfo(p),
 	}
 }
 
-func healthInfo(h *core.DataHealth) *DataHealthInfo {
-	if h == nil {
+func healthInfo(p core.Prediction) *DataHealthInfo {
+	if !p.HasHealth {
 		return nil
 	}
+	h := p.Health
 	return &DataHealthInfo{
 		ImputedFraction:   h.ImputedFraction(),
 		DatasetCoverage:   h.DatasetCoverage(),
@@ -80,7 +81,7 @@ func TestAnswerMatchesEncodingJSON(t *testing.T) {
 	for _, in := range log.Incidents[300:] {
 		p := m.scout.Predict(in.Title, in.Body, in.Components, in.CreatedAt)
 		check(in.ID, m, p)
-		if p.Health != nil {
+		if p.HasHealth {
 			withHealth++
 		}
 	}
@@ -126,11 +127,12 @@ func TestAnswerMatchesEncodingJSON(t *testing.T) {
 			Explanation: text(),
 		}
 		if i%3 != 0 {
-			p.Health = &core.DataHealth{
+			p.Health = core.DataHealth{
 				ImputedSlots: rng.Intn(5), TotalSlots: rng.Intn(5),
 				DatasetsDown: names(), DatasetsTotal: rng.Intn(5) - 1,
 				MaxStaleness: float(),
 			}
+			p.HasHealth = true
 		}
 		if i%7 == 0 {
 			p.Verdict = core.Verdict(text())

@@ -186,13 +186,13 @@ func TestObserverZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	preds := []core.Prediction{
 		{Verdict: core.VerdictResponsible, Model: "rf"},
-		{Verdict: core.VerdictNotResponsible, Model: "cpd+", Health: &core.DataHealth{ImputedSlots: 3, TotalSlots: 10}},
+		{Verdict: core.VerdictNotResponsible, Model: "cpd+", Health: core.DataHealth{ImputedSlots: 3, TotalSlots: 10}, HasHealth: true},
 		{Verdict: core.VerdictFallback, Model: "none", Explanation: "degraded"},
 		{Verdict: core.VerdictExcluded, Model: "exclude-rule"},
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		for i := range preds {
-			srv.ObservePrediction(ctx, &preds[i])
+			srv.ObservePrediction(ctx, preds[i])
 		}
 	}); n != 0 {
 		t.Fatalf("ObservePrediction allocates %.1f objects per run, want 0", n)

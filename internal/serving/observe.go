@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"scouts/internal/core"
+	"scouts/internal/httpx"
 	"scouts/internal/monitoring"
 	"scouts/internal/telemetry"
 )
@@ -265,14 +266,10 @@ var deadlineGuards = sync.Pool{New: func() any {
 	return &deadlineGuard{bufferedResponse: bufferedResponse{header: http.Header{}}}
 }}
 
-// maxPooledBody keeps one large batch answer from pinning its buffer in
-// the pool.
-const maxPooledBody = 64 << 10
-
 // recycle wipes every trace of the request and returns g to the pool.
 func (g *deadlineGuard) recycle() {
 	clear(g.header)
-	if cap(g.body) > maxPooledBody {
+	if cap(g.body) > httpx.MaxPooledBuffer {
 		g.body = nil
 	}
 	g.body = g.body[:0]
@@ -323,13 +320,13 @@ func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
 // bumps for every prediction (model mix, fallbacks, imputation), plus a
 // structured log line — carrying the request ID the middleware minted —
 // on the cold fallback branch. The non-fallback path allocates nothing.
-func (s *Server) ObservePrediction(ctx context.Context, p *core.Prediction) {
+func (s *Server) ObservePrediction(ctx context.Context, p core.Prediction) {
 	if c, ok := s.tel.predByModel[p.Model]; ok {
 		c.Inc()
 	} else {
 		s.tel.predOther.Inc()
 	}
-	if h := p.Health; h != nil && h.ImputedSlots > 0 {
+	if h := &p.Health; p.HasHealth && h.ImputedSlots > 0 {
 		s.tel.imputedPredictions.Inc()
 		s.tel.imputedSlots.Add(int64(h.ImputedSlots))
 	}

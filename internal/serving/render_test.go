@@ -27,6 +27,13 @@ func oldRecommendation(team string, p core.Prediction) string {
 		team, len(p.Components), verb, team, p.Confidence)
 }
 
+// recommendation is the fine print as a string, rendered where the
+// encoder renders it: into a stack buffer.
+func recommendation(team string, p *core.Prediction) string {
+	var arr [512]byte
+	return string(appendRecommendation(arr[:0], team, p))
+}
+
 // TestRecommendationMatchesSprintf: byte for byte, over the held-out
 // predictions of the serving fixture and over generated ones — confidences
 // at the corners (±0, subnormals, ±Inf, NaN), on rounding edges and across

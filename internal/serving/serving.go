@@ -528,10 +528,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.observeTime(req.Time)
 	p := m.scout.PredictCtx(r.Context(), req.Title, req.Body, req.Components, req.Time)
 	bp := answerBufs.Get().(*[]byte)
-	answer, err := m.appendPrediction((*bp)[:0], &p)
-	s.writeAnswer(w, append(answer, '\n'), err)
-	*bp = answer[:0]
-	answerBufs.Put(bp)
+	answer, err := m.appendPrediction(*bp, &p)
+	answer = append(answer, '\n')
+	s.writeAnswer(w, answer, err)
+	putAnswerBuf(bp, answer)
 }
 
 // handlePredictBatch scores up to MaxBatchItems incidents in one call. The
@@ -579,8 +579,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	// appended as each chunk is scored: every item up to the chunk's last,
 	// an invalid one as its validation error.
 	bp := answerBufs.Get().(*[]byte)
-	answer := append((*bp)[:0], `{"model_version":`...)
-	defer func() { *bp = answer[:0]; answerBufs.Put(bp) }()
+	answer := append(*bp, `{"model_version":`...)
+	defer func() { putAnswerBuf(bp, answer) }()
 	answer = strconv.AppendInt(answer, int64(m.version), 10)
 	answer = append(answer, `,"results":[`...)
 	next := 0 // the next item to append
@@ -627,14 +627,12 @@ func appendInvalid(dst []byte, items []PredictRequest, from, to int) []byte {
 	return dst
 }
 
-// recommendation renders the §8 operator-facing fine print, in one buffer:
-// the string is its only allocation.
-func recommendation(team string, p *core.Prediction) string {
+// appendRecommendation appends the §8 operator-facing fine print to dst.
+func appendRecommendation(dst []byte, team string, p *core.Prediction) []byte {
 	if !p.Usable() {
-		return "The Scout could not extract components; use the existing routing process."
+		return append(dst, "The Scout could not extract components; use the existing routing process."...)
 	}
-	var arr [512]byte
-	out := append(arr[:0], "The "...)
+	out := append(dst, "The "...)
 	out = append(out, team...)
 	out = append(out, " Scout investigated "...)
 	out = strconv.AppendInt(out, int64(len(p.Components)), 10)
@@ -650,5 +648,5 @@ func recommendation(team string, p *core.Prediction) string {
 	out = append(out, ". We recommend not using this output if confidence is below 0.80. "+
 		"Attention: known false negatives occur for transient issues, when an incident is created "+
 		"after the problem has already been resolved, and if the incident is too broad in scope."...)
-	return string(out)
+	return out
 }
