@@ -3,9 +3,13 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,5 +142,74 @@ func TestFarFutureTimeIsRelayed(t *testing.T) {
 	}
 	if trips == 0 {
 		t.Fatal("the replica exports no scout_breaker_trips_total series")
+	}
+}
+
+// TestConfigClientContract: send hands requests to Config.Client's
+// Transport and nothing else, so New refuses a Client that sets a
+// Timeout, a Jar or a CheckRedirect, which would go unheeded; the per-try
+// timeout bounds an attempt, and an upstream redirect is relayed to the
+// client, not followed.
+func TestConfigClientContract(t *testing.T) {
+	reps := []ReplicaConfig{{Name: "a", Team: "phynet", URL: "http://a.invalid"}}
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*http.Client{
+		"Timeout":       {Timeout: time.Second},
+		"Jar":           {Jar: jar},
+		"CheckRedirect": {CheckRedirect: func(*http.Request, []*http.Request) error { return nil }},
+	} {
+		if _, err := New(Config{Replicas: reps, Client: c}); err == nil || !strings.Contains(err.Error(), "may set only Transport") {
+			t.Errorf("a Client with a %s: New answered %v, want a refusal", name, err)
+		}
+	}
+	for _, c := range []*http.Client{nil, {}, {Transport: http.DefaultTransport}} {
+		if _, err := New(Config{Replicas: reps, Client: c}); err != nil {
+			t.Errorf("Client %+v refused: %v", c, err)
+		}
+	}
+
+	const moved = `{"moved":true}`
+	var elsewhere atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/predict" {
+			elsewhere.Add(1)
+			return
+		}
+		w.Header().Set("Location", "/elsewhere")
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusTemporaryRedirect)
+		_, _ = io.WriteString(w, moved)
+	}))
+	defer replica.Close()
+	g := newTestGateway(t, Config{Replicas: []ReplicaConfig{{Name: "a", Team: "phynet", URL: replica.URL}}})
+	defer g.transport.(*http.Transport).CloseIdleConnections()
+	w := doPredict(t, g.Handler(), "", "incident 1")
+	if w.Code != http.StatusTemporaryRedirect || w.Body.String() != moved || elsewhere.Load() != 0 {
+		t.Fatalf("a 307 came back as %d %q with %d requests to its Location; want it relayed, not followed", w.Code, w.Body.String(), elsewhere.Load())
+	}
+}
+
+// TestRefusedConnectionIs502 pins the 502 of a replica that refuses the
+// connection to the text Client.Do gave it: the transport's error wrapped
+// in a *url.Error naming the method and the URL.
+func TestRefusedConnectionIs502(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	g := newTestGateway(t, Config{
+		Replicas:    []ReplicaConfig{{Name: "a", Team: "phynet", URL: "http://" + addr}},
+		MaxAttempts: 1, HedgeAfter: -1,
+	})
+	w := doPredict(t, g.Handler(), "", "incident 1")
+	want := `{"error":"team phynet: Post \"http://` + addr + `/v1/predict\": dial tcp ` + addr + `: connect: connection refused",` +
+		`"fleet_health":{"replicas_total":1,"replicas_up":1,"degraded":true,"skipped":[{"replica":"a","reason":"unreachable"}]}}` + "\n"
+	if w.Code != http.StatusBadGateway || w.Body.String() != want {
+		t.Fatalf("answered %d %s\nwant 502 %s", w.Code, w.Body.String(), want)
 	}
 }

@@ -18,10 +18,12 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/bits"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scouts/internal/faults"
@@ -63,9 +65,13 @@ type Config struct {
 	// schedule (1).
 	Seed int64
 
-	// Client issues upstream requests; nil uses a dedicated transport.
-	// Its Transport may be any http.RoundTripper: tests script upstream
-	// faults there.
+	// Client's Transport carries upstream requests (http.DefaultTransport
+	// when nil); a nil Client uses a dedicated transport that asks for no
+	// compression. The Transport may be any http.RoundTripper: tests
+	// script upstream faults there. Requests go to it directly, so New
+	// refuses a Client that sets anything else: PerTryTimeout is the
+	// timeout, there are no cookies, and an upstream reply is relayed,
+	// never followed.
 	Client *http.Client
 	// Now is the gateway's clock (time.Now). Injected so library code
 	// never reads the wall clock directly and tests control latency
@@ -114,22 +120,36 @@ const (
 // buffer (batch responses are the largest legitimate payload).
 const maxUpstreamBody = 16 << 20
 
-// jsonContentType is the Content-Type value of every upstream request
-// with a body; shared, read-only.
-var jsonContentType = []string{"application/json"}
+// maxReplicas bounds a fleet: a round's tried set is one bit per
+// replica in a uint64.
+const maxReplicas = 64
+
+// upstreamPaths are the replica routes the gateway calls; New builds
+// every replica's URL for each.
+var upstreamPaths = []string{"/v1/predict", "/v1/health", "/v1/reload"}
+
+// The header maps of upstream requests, with a body and without: shared
+// by every request and read-only, as the transport only reads them.
+var (
+	jsonRequestHeader  = http.Header{"Content-Type": {"application/json"}}
+	emptyRequestHeader = http.Header{}
+)
 
 // Gateway routes incidents to a scoutd fleet. Build with New, mount
 // Handler(), and optionally run RunProber for active health checking.
 type Gateway struct {
-	cfg    Config
-	client *http.Client
-	now    func() time.Time
-	logger *log.Logger
+	cfg       Config
+	transport http.RoundTripper
+	now       func() time.Time
+	logger    *log.Logger
 
 	replicas map[string]*replica
-	order    []string // replica names, config order
-	team     string   // the one team every replica serves
+	reps     []*replica // config order, indexed as the ring indexes names
+	order    []string   // replica names, config order
+	team     string     // the one team every replica serves
 	ring     *ring
+	// races recycles raceStates, hedge timer included.
+	races sync.Pool
 
 	backoff *backoffSource
 	lat     *latencyWindow
@@ -144,9 +164,11 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("gateway: no replicas configured")
 	}
+	if len(cfg.Replicas) > maxReplicas {
+		return nil, fmt.Errorf("gateway: %d replicas configured, at most %d", len(cfg.Replicas), maxReplicas)
+	}
 	g := &Gateway{
 		cfg:      cfg,
-		client:   cfg.Client,
 		now:      cfg.Now,
 		logger:   cfg.Logger,
 		replicas: make(map[string]*replica, len(cfg.Replicas)),
@@ -154,14 +176,20 @@ func New(cfg Config) (*Gateway, error) {
 		backoff:  newBackoffSource(cfg.Seed),
 		lat:      newLatencyWindow(),
 	}
-	if g.client == nil {
-		g.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
+	switch c := cfg.Client; {
+	case c == nil:
+		g.transport = &http.Transport{MaxIdleConnsPerHost: 16, DisableCompression: true}
+	case c.Timeout != 0 || c.Jar != nil || c.CheckRedirect != nil:
+		return nil, errors.New("gateway: Config.Client may set only Transport: PerTryTimeout bounds each attempt, and upstream replies are relayed, never followed")
+	case c.Transport == nil:
+		g.transport = http.DefaultTransport
+	default:
+		g.transport = c.Transport
 	}
 	if g.logger == nil {
 		g.logger = log.New(io.Discard, "", 0)
 	}
-	reps := make([]*replica, 0, len(cfg.Replicas))
-	for _, rc := range cfg.Replicas {
+	for i, rc := range cfg.Replicas {
 		if rc.Name == "" || rc.Team == "" || rc.URL == "" {
 			return nil, fmt.Errorf("gateway: replica needs name, team and url (got %+v)", rc)
 		}
@@ -180,18 +208,34 @@ func New(cfg Config) (*Gateway, error) {
 		if (base.Scheme != "http" && base.Scheme != "https") || base.Host == "" {
 			return nil, fmt.Errorf("gateway: replica %q: url %q is not http(s)://host[:port]", rc.Name, rc.URL)
 		}
+		// Client.Do would send them as basic auth; the transport does not.
+		if base.User != nil {
+			return nil, fmt.Errorf("gateway: replica %q: url %q carries credentials, which the gateway does not send", rc.Name, rc.URL)
+		}
 		base.Host = strings.TrimSuffix(base.Host, ":") // as http.NewRequest does
 		rep := &replica{
-			cfg: rc, base: base, nameHeader: []string{rc.Name},
-			breaker: faults.NewReqBreaker(cfg.Breaker, cfg.Now),
+			cfg: rc, bit: 1 << i, urls: make(map[string]*url.URL, len(upstreamPaths)),
+			nameHeader: []string{rc.Name},
+			breaker:    faults.NewReqBreaker(cfg.Breaker, cfg.Now),
+		}
+		for _, path := range upstreamPaths {
+			u := *base
+			u.Path += path
+			rep.urls[path] = &u
 		}
 		rep.healthy.Store(true) // optimistic until the first probe says otherwise
 		g.replicas[rc.Name] = rep
 		g.order = append(g.order, rc.Name)
-		reps = append(reps, rep)
+		g.reps = append(g.reps, rep)
 	}
 	g.ring = newRing(g.order)
-	g.tel = newGwMetrics(reps)
+	g.races.New = func() any {
+		st := &raceState{g: g}
+		st.timer = time.AfterFunc(time.Hour, st.launchHedge)
+		st.timer.Stop()
+		return st
+	}
+	g.tel = newGwMetrics(g.reps)
 	g.web = httpx.New(g.tel.reg, "scout_gw_http", gwEndpoints, g.logger)
 	return g, nil
 }
@@ -255,21 +299,21 @@ func (u *upstreamResult) outcomeLabel() string {
 	}
 }
 
-// send issues one attempt under the per-try timeout and buffers the
-// response. The request is assembled from the replica's URL as parsed in
-// New — what http.NewRequestWithContext builds, less a parse per attempt.
+// send issues one attempt under ctx, the attempt's own (per-try timeout
+// included), and buffers the response. The request is built from the
+// replica's URL for path as New made it, on the shared header maps, and
+// goes straight to the transport: what Client.Do sent, less the copy of
+// the headers it made per request, with a failure wrapped as Client.Do
+// wrapped it.
 func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, body []byte) upstreamResult {
-	tctx, cancel := context.WithTimeout(ctx, g.cfg.PerTryTimeout)
-	defer cancel()
-	u := *rep.base
-	u.Path += path
+	u := rep.urls[path]
 	req := (&http.Request{
-		Method: method, URL: &u, Host: u.Host,
+		Method: method, URL: u, Host: u.Host,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header),
-	}).WithContext(tctx)
+		Header: emptyRequestHeader,
+	}).WithContext(ctx)
 	if len(body) > 0 {
-		req.Header["Content-Type"] = jsonContentType
+		req.Header = jsonRequestHeader
 		req.ContentLength = int64(len(body))
 		// The transport rewinds through GetBody when it has to replay the
 		// request on a fresh connection.
@@ -277,9 +321,9 @@ func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, b
 		req.Body, _ = req.GetBody()
 	}
 	start := g.now()
-	resp, err := g.client.Do(req)
+	resp, err := g.transport.RoundTrip(req)
 	if err != nil {
-		return upstreamResult{err: err}
+		return upstreamResult{err: &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}}
 	}
 	defer resp.Body.Close()
 	var b []byte
@@ -302,25 +346,25 @@ func (g *Gateway) send(ctx context.Context, rep *replica, method, path string, b
 // pick walks the shard's ring order and admits the first replica that is
 // not draining, has budget headroom, and whose breaker passes. Every
 // rejection is named in the returned skip list.
-func (g *Gateway) pick(key string, exclude map[string]bool) (*replica, bool, []FleetSkip) {
+func (g *Gateway) pick(key, exclude uint64) (*replica, bool, []FleetSkip) {
 	var skips []FleetSkip
-	for _, name := range g.ring.Shard(key) {
-		if exclude[name] {
+	for _, i := range g.ring.Shard(key) {
+		rep := g.reps[i]
+		if exclude&rep.bit != 0 {
 			continue
 		}
-		rep := g.replicas[name]
 		if rep.draining.Load() {
-			skips = append(skips, FleetSkip{Replica: name, Reason: skipDraining})
+			skips = append(skips, FleetSkip{Replica: rep.cfg.Name, Reason: skipDraining})
 			continue
 		}
 		if !rep.acquire(g.cfg.ReplicaBudget) {
-			skips = append(skips, FleetSkip{Replica: name, Reason: skipSaturated})
+			skips = append(skips, FleetSkip{Replica: rep.cfg.Name, Reason: skipSaturated})
 			continue
 		}
 		pass, probe := rep.breaker.Allow()
 		if !pass {
 			rep.release()
-			skips = append(skips, FleetSkip{Replica: name, Reason: skipBreakerOpen})
+			skips = append(skips, FleetSkip{Replica: rep.cfg.Name, Reason: skipBreakerOpen})
 			continue
 		}
 		return rep, probe, skips
@@ -355,13 +399,35 @@ type attemptOutcome struct {
 // outcome's zero res would read as usable.)
 func (o *attemptOutcome) won() bool { return !o.void && o.res.usable() }
 
+// try is one attempt's context: the request's under the per-try timeout.
+// lost is set, before cancel, by whoever ends the try for the race — the
+// hedge that won, or the round returning with the hedge still out — and
+// makes its failure void. A per-try timeout sets nothing: it stays the
+// replica's failure.
+type try struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	lost   atomic.Bool
+}
+
+func (t *try) start(ctx context.Context, timeout time.Duration) {
+	t.ctx, t.cancel = context.WithTimeout(ctx, timeout)
+}
+
+// abandon ends the try for the race.
+func (t *try) abandon() {
+	t.lost.Store(true)
+	t.cancel()
+}
+
 // attempt runs one admitted try on the caller's goroutine: send, then
-// finish. If send panics (a transport bug) finish never runs, so the books
-// are settled here on the way out — budget slot back, a failure on the
-// breaker, probe slot included — and the panic keeps unwinding; otherwise
-// ReplicaBudget such panics would mark a healthy replica saturated for
-// good and one would wedge its breaker half-open.
-func (g *Gateway) attempt(cctx context.Context, rep *replica, probe bool, method, path string, body []byte) attemptOutcome {
+// finish; ctx is the request's. If send panics (a transport bug) finish
+// never runs, so the books are settled here on the way out — budget slot
+// back, a failure on the breaker, probe slot included — and the panic
+// keeps unwinding; otherwise ReplicaBudget such panics would mark a
+// healthy replica saturated for good and one would wedge its breaker
+// half-open.
+func (g *Gateway) attempt(ctx context.Context, t *try, rep *replica, probe bool, method, path string, body []byte) attemptOutcome {
 	sent := false
 	defer func() {
 		if !sent {
@@ -370,20 +436,20 @@ func (g *Gateway) attempt(cctx context.Context, rep *replica, probe bool, method
 			g.tel.replica(rep.cfg.Name).outcome("error").Inc()
 		}
 	}()
-	res := g.send(cctx, rep, method, path, body)
+	res := g.send(t.ctx, rep, method, path, body)
 	sent = true
-	return g.finish(cctx, rep, probe, res)
+	return g.finish(ctx, t, rep, probe, res)
 }
 
 // finish settles one in-flight attempt: breaker feedback (or a void
 // release for cancelled losers), budget release, metrics, and the
 // latency sample that feeds the hedge delay.
-func (g *Gateway) finish(cctx context.Context, rep *replica, probe bool, res upstreamResult) attemptOutcome {
-	if res.err != nil && cctx.Err() != nil {
-		// Cancelled mid-flight — by the race winner or by the client going
-		// away. Either way the replica answered nothing; feeding this to
-		// the breaker as a failure would let hedging trip breakers on
-		// healthy replicas.
+func (g *Gateway) finish(ctx context.Context, t *try, rep *replica, probe bool, res upstreamResult) attemptOutcome {
+	if res.err != nil && (ctx.Err() != nil || t.lost.Load()) {
+		// Cancelled mid-flight — by the race or by the client going away.
+		// Either way the replica answered nothing; feeding this to the
+		// breaker as a failure would let hedging trip breakers on healthy
+		// replicas.
 		rep.breaker.Release(probe)
 		rep.release()
 		return attemptOutcome{rep: rep, void: true}
@@ -398,19 +464,34 @@ func (g *Gateway) finish(cctx context.Context, rep *replica, probe bool, res ups
 	return attemptOutcome{res: res, rep: rep}
 }
 
-// hedgeState is what a race's two parties share. mu orders the hedge
-// timer's one decision — launch only while the primary is still out —
-// against the primary settling, and with it ownership of the tried set:
-// the timer's callback may touch it only under mu with primarySettled
-// false, the caller's goroutine only outside that window.
-type hedgeState struct {
+// raceState is what one attempt round's two parties share: the caller's
+// goroutine, which runs the primary, and the hedge timer's callback. The
+// round's fields are set before the timer is armed and only read while it
+// is. mu orders the callback's one decision — launch only while the
+// primary is still out — against the primary settling, and with it
+// ownership of tried: the callback may touch it only under mu with
+// primarySettled false, the caller's goroutine only outside that window.
+// States are pooled per gateway with their timer; one is recycled only
+// when Stop reports that its callback never ran.
+type raceState struct {
+	g     *Gateway
+	timer *time.Timer
+
+	ctx          context.Context
+	key          uint64
+	method, path string
+	body         []byte
+	primary      try
+
 	mu             sync.Mutex
 	primarySettled bool
+	tried          uint64
 	skips          []FleetSkip
 	// done is non-nil once a hedge is in flight and closed when it has
 	// settled; out is valid from then on.
-	done chan struct{}
-	out  attemptOutcome
+	done  chan struct{}
+	hedge try
+	out   attemptOutcome
 }
 
 // race runs one attempt round: the primary request, on the caller's
@@ -421,51 +502,30 @@ type hedgeState struct {
 // A primary that fails with no hedge out returns at once; with one out it
 // waits for it. Returns the winning outcome, or the primary's failure
 // once every launched attempt has failed, plus any skips from hedge
-// candidate selection.
-func (g *Gateway) race(ctx context.Context, key string, tried map[string]bool,
+// candidate selection; the hedge's replica joins tried.
+func (g *Gateway) race(ctx context.Context, key uint64, tried *uint64,
 	primary *replica, primaryProbe bool, method, path string, body []byte, canHedge bool,
 ) (attemptOutcome, []FleetSkip) {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var h hedgeState
+	st := g.races.Get().(*raceState)
+	st.ctx, st.key, st.method, st.path, st.body, st.tried = ctx, key, method, path, body, *tried
+	st.primary.start(ctx, g.cfg.PerTryTimeout)
 	if canHedge {
-		timer := time.AfterFunc(g.hedgeDelay(), func() {
-			h.mu.Lock()
-			if h.primarySettled || cctx.Err() != nil {
-				h.mu.Unlock()
-				return
-			}
-			rep, probe, skips := g.pick(key, tried)
-			h.skips = skips
-			if rep == nil {
-				h.mu.Unlock()
-				return
-			}
-			tried[rep.cfg.Name] = true
-			h.done = make(chan struct{})
-			h.mu.Unlock()
-
-			g.tel.replica(rep.cfg.Name).hedges.Inc()
-			defer close(h.done)
-			h.out = g.hedgeAttempt(cctx, rep, probe, method, path, body)
-			if h.out.won() {
-				cancel() // the primary comes back void
-			}
-		})
-		defer timer.Stop()
+		st.timer.Reset(g.hedgeDelay())
 	}
+	defer st.end(canHedge)
 
-	out := g.attempt(cctx, primary, primaryProbe, method, path, body)
-	h.mu.Lock()
-	h.primarySettled = true // from here the timer's callback cannot launch
-	skips, hedged := h.skips, h.done
-	h.mu.Unlock()
+	out := g.attempt(ctx, &st.primary, primary, primaryProbe, method, path, body)
+	st.mu.Lock()
+	st.primarySettled = true // from here the timer's callback cannot launch
+	skips, hedged := st.skips, st.done
+	*tried = st.tried
+	st.mu.Unlock()
 	if hedged != nil && !out.won() {
 		select {
 		case <-hedged:
-			if h.out.won() {
-				g.tel.replica(h.out.rep.cfg.Name).hedgeWins.Inc()
-				return h.out, skips
+			if st.out.won() {
+				g.tel.replica(st.out.rep.cfg.Name).hedgeWins.Inc()
+				return st.out, skips
 			}
 		case <-ctx.Done():
 			// Client gone: the hedge settles on its own, void.
@@ -478,12 +538,61 @@ func (g *Gateway) race(ctx context.Context, key string, tried map[string]bool,
 	return out, skips
 }
 
+// end closes the round, a panicking primary's included: the primary's
+// context is released and a hedge still out is abandoned. The state goes
+// back to the pool only if the hedge timer was never armed or Stop
+// reports that its callback never ran; otherwise the callback holds it.
+func (st *raceState) end(armed bool) {
+	st.primary.cancel()
+	if armed && !st.timer.Stop() {
+		st.mu.Lock()
+		st.primarySettled = true
+		hedged := st.done != nil
+		st.mu.Unlock()
+		if hedged {
+			st.hedge.abandon()
+		}
+		return
+	}
+	*st = raceState{g: st.g, timer: st.timer}
+	st.g.races.Put(st)
+}
+
+// launchHedge is the hedge timer's callback: unless the primary has
+// settled or the client has gone, it admits the next candidate and runs
+// the hedge on the timer's goroutine.
+func (st *raceState) launchHedge() {
+	g := st.g
+	st.mu.Lock()
+	if st.primarySettled || st.ctx.Err() != nil {
+		st.mu.Unlock()
+		return
+	}
+	rep, probe, skips := g.pick(st.key, st.tried)
+	st.skips = skips
+	if rep == nil {
+		st.mu.Unlock()
+		return
+	}
+	st.tried |= rep.bit
+	st.hedge.start(st.ctx, g.cfg.PerTryTimeout)
+	st.done = make(chan struct{})
+	st.mu.Unlock()
+
+	g.tel.replica(rep.cfg.Name).hedges.Inc()
+	defer close(st.done)
+	st.out = g.hedgeAttempt(st.ctx, &st.hedge, rep, probe, st.method, st.path, st.body)
+	if st.out.won() {
+		st.primary.abandon() // the primary comes back void
+	}
+}
+
 // hedgeAttempt is attempt for the hedge, which runs on the timer's
 // goroutine: guarded, and the race is told a panicked attempt failed.
-func (g *Gateway) hedgeAttempt(cctx context.Context, rep *replica, probe bool, method, path string, body []byte) attemptOutcome {
+func (g *Gateway) hedgeAttempt(ctx context.Context, t *try, rep *replica, probe bool, method, path string, body []byte) attemptOutcome {
 	out := attemptOutcome{res: upstreamResult{err: errHedgePanicked}, rep: rep}
 	g.guarded(method, path, func() {
-		out = g.attempt(cctx, rep, probe, method, path, body)
+		out = g.attempt(ctx, t, rep, probe, method, path, body)
 	})
 	return out
 }
@@ -544,13 +653,13 @@ func (fr *forwardResult) shed() bool {
 // retriable gates the retry loop (and hedging) — only idempotent calls
 // may be re-sent, because a retry after an ambiguous failure re-executes
 // the request.
-func (g *Gateway) forward(ctx context.Context, key, method, path string, body []byte, retriable bool) forwardResult {
+func (g *Gateway) forward(ctx context.Context, key uint64, method, path string, body []byte, retriable bool) forwardResult {
 	maxAttempts := g.cfg.MaxAttempts
 	if !retriable {
 		maxAttempts = 1
 	}
 	canHedge := retriable && g.cfg.HedgeAfter >= 0
-	tried := make(map[string]bool, len(g.order))
+	var tried uint64 // a bit per replica, rep.bit
 	var allSkips []FleetSkip
 	var lastHint time.Duration
 	var lastErr string
@@ -560,10 +669,10 @@ func (g *Gateway) forward(ctx context.Context, key, method, path string, body []
 				return forwardResult{errStatus: 499, errMsg: "client went away: " + err.Error(), skips: allSkips}
 			}
 			lastHint = 0
-			if len(tried) >= len(g.order) {
+			if bits.OnesCount64(tried) >= len(g.reps) {
 				// Every replica in the shard has been tried; give them all
 				// another chance rather than refusing to route.
-				clear(tried)
+				tried = 0
 			}
 		}
 		rep, probe, skips := g.pick(key, tried)
@@ -572,11 +681,11 @@ func (g *Gateway) forward(ctx context.Context, key, method, path string, body []
 			lastErr = "no replica available"
 			continue
 		}
-		tried[rep.cfg.Name] = true
+		tried |= rep.bit
 		if attempt > 1 {
 			g.tel.replica(rep.cfg.Name).retries.Inc()
 		}
-		out, hedgeSkips := g.race(ctx, key, tried, rep, probe, method, path, body, canHedge)
+		out, hedgeSkips := g.race(ctx, key, &tried, rep, probe, method, path, body, canHedge)
 		allSkips = append(allSkips, hedgeSkips...)
 		if out.res.usable() {
 			return forwardResult{status: out.res.status, header: out.res.header, body: out.res.body, replica: out.rep, skips: allSkips}

@@ -24,7 +24,7 @@ func TestRingShardOrderAndCoverage(t *testing.T) {
 	seen := map[string]int{}
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("incident-%d", i)
-		order := r.Shard(key)
+		order := r.shardNames(hashKey(key))
 		if len(order) != 3 {
 			t.Fatalf("Shard(%q) returned %d candidates, want 3", key, len(order))
 		}
@@ -37,7 +37,7 @@ func TestRingShardOrderAndCoverage(t *testing.T) {
 		}
 		seen[order[0]]++
 		// Stability: the same key shards identically every time.
-		again := r.Shard(key)
+		again := r.shardNames(hashKey(key))
 		for j := range order {
 			if order[j] != again[j] {
 				t.Fatalf("Shard(%q) unstable: %v then %v", key, order, again)
@@ -57,7 +57,7 @@ func TestRingRemovalMovesOnlyOrphanedKeys(t *testing.T) {
 	moved := 0
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("incident-%d", i)
-		was, is := before.Shard(key)[0], after.Shard(key)[0]
+		was, is := before.shardNames(hashKey(key))[0], after.shardNames(hashKey(key))[0]
 		if was == "b" {
 			continue // orphaned keys must move somewhere
 		}
@@ -171,7 +171,7 @@ func keyOwnedBy(t *testing.T, g *Gateway, team, want string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		title := fmt.Sprintf("incident %d", i)
-		if g.ring.Shard(shardKey(team, title, ""))[0] == want {
+		if g.ring.shardNames(hashParts(team, title, ""))[0] == want {
 			return title
 		}
 	}
@@ -550,6 +550,9 @@ func TestNewRejectsBadFleets(t *testing.T) {
 		{"other scheme", []ReplicaConfig{rc("a", "phynet", "ftp://h:1")}, `replica "a": url "ftp://h:1"`},
 		{"no host", []ReplicaConfig{rc("a", "phynet", "http:///v1")}, `replica "a": url "http:///v1"`},
 		{"unparseable url", []ReplicaConfig{rc("a", "phynet", "http://h:1/%zz")}, `replica "a": parse`},
+		{"credentials in the url", []ReplicaConfig{rc("a", "phynet", "http://u:p@h:1")}, `replica "a": url "http://u:p@h:1" carries credentials`},
+		{"64 replicas", fleetOf(64), ""},
+		{"65 replicas", fleetOf(65), "65 replicas configured, at most 64"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := New(Config{Replicas: tc.replicas})
@@ -563,6 +566,14 @@ func TestNewRejectsBadFleets(t *testing.T) {
 			}
 		})
 	}
+}
+
+func fleetOf(n int) []ReplicaConfig {
+	var reps []ReplicaConfig
+	for i := 0; i < n; i++ {
+		reps = append(reps, ReplicaConfig{Name: fmt.Sprint("r", i), Team: "phynet", URL: fmt.Sprint("http://h:", 1+i)})
+	}
+	return reps
 }
 
 func TestReloadFansOutOnceWithoutRetry(t *testing.T) {

@@ -90,13 +90,17 @@ func declaresLength(v string, n int) bool {
 	return err == nil && got == n
 }
 
-// shardKey places an incident on the ring: stable per incident, so the
-// same incident keeps hitting the same replica (and its caches) while
-// distinct incidents spread across the failover set. The team prefix is
-// the same for every incident of a fleet; it stays because dropping it
-// would move most incidents to another replica (DESIGN.md §14.1).
-func shardKey(team, title, body string) string {
-	return team + "\x00" + title + "\x00" + body
+// hashParts places an incident on the ring: FNV-1a 64 of
+// team + "\x00" + title + "\x00" + body, hashed in parts so the key is
+// never built. Stable per incident, so the same incident keeps hitting the
+// same replica (and its caches) while distinct incidents spread across the
+// failover set. The team prefix is the same for every incident of a fleet;
+// it stays because dropping it would move most incidents to another
+// replica (DESIGN.md §14.1).
+func hashParts(team, title, body string) uint64 {
+	h := fnv1a(fnv1a(fnvOffset64, team), "\x00")
+	h = fnv1a(fnv1a(h, title), "\x00")
+	return fnv1a(h, body)
 }
 
 // queryValue is url.ParseQuery(query).Get(key) without the map: the first
@@ -133,7 +137,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		g.relay(w, forwardResult{errStatus: http.StatusNotFound, errMsg: "no replicas serve team " + team})
 		return
 	}
-	fr := g.forward(r.Context(), shardKey(g.team, req.Title, req.Body), http.MethodPost, "/v1/predict", raw, true)
+	fr := g.forward(r.Context(), hashParts(g.team, req.Title, req.Body), http.MethodPost, "/v1/predict", raw, true)
 	g.relay(w, fr)
 }
 
@@ -222,7 +226,10 @@ func (g *Gateway) reloadReplica(ctx context.Context, name string) reloadResult {
 		res.Error = skipBreakerOpen
 		return res
 	}
-	out := g.attempt(ctx, rep, probe, http.MethodPost, "/v1/reload", nil)
+	var t try
+	t.start(ctx, g.cfg.PerTryTimeout)
+	defer t.cancel()
+	out := g.attempt(ctx, &t, rep, probe, http.MethodPost, "/v1/reload", nil)
 	switch {
 	case out.void:
 		res.Error = "cancelled"

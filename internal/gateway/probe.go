@@ -45,7 +45,9 @@ func (g *Gateway) probeOne(ctx context.Context, rep *replica) {
 		// the probe slot — nothing useful to learn right now.
 		return
 	}
-	res := g.send(ctx, rep, http.MethodGet, "/v1/health", nil)
+	tctx, cancel := context.WithTimeout(ctx, g.cfg.PerTryTimeout)
+	res := g.send(tctx, rep, http.MethodGet, "/v1/health", nil)
+	cancel()
 	if res.err != nil && ctx.Err() != nil {
 		rep.breaker.Release(probe)
 		return

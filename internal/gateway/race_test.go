@@ -256,7 +256,7 @@ func TestHedgeNeedsASecondCandidate(t *testing.T) {
 	title = ""
 	for i := 0; title == ""; i++ {
 		cand := "incident " + strconv.Itoa(i)
-		if slices.Equal(g.ring.Shard(shardKey("phynet", cand, "")), []string{"primary", "drained", "hedge"}) {
+		if slices.Equal(g.ring.shardNames(hashParts("phynet", cand, "")), []string{"primary", "drained", "hedge"}) {
 			title = cand
 		}
 	}

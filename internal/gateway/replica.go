@@ -26,9 +26,13 @@ type ReplicaConfig struct {
 type replica struct {
 	cfg     ReplicaConfig
 	breaker *faults.ReqBreaker
-	// base is cfg.URL parsed once; nameHeader is the X-Scout-Replica value
-	// every relayed answer of this replica carries. Both are read-only.
-	base       *url.URL
+	// bit is the replica's bit in a round's tried set: 1 << its config
+	// index, which is its index on the ring.
+	bit uint64
+	// urls holds cfg.URL joined with each of upstreamPaths, built once;
+	// nameHeader is the X-Scout-Replica value every relayed answer of this
+	// replica carries. Both are read-only.
+	urls       map[string]*url.URL
 	nameHeader []string
 
 	// inflight counts requests the gateway currently has outstanding to

@@ -1,14 +1,13 @@
 package gateway
 
 import (
-	"hash/fnv"
 	"slices"
 	"strconv"
 	"strings"
 )
 
 // ring is a consistent-hash ring over replica names with virtual nodes.
-// Shard(key) returns every distinct replica in ring-walk order from the
+// Shard(h) returns every distinct replica in ring-walk order from the
 // key's position — the caller applies bounded-load placement by taking
 // the first candidate that is healthy and under budget, so a hot shard's
 // overflow spills to the *next* replica on the ring (stable spillover)
@@ -17,14 +16,12 @@ import (
 // keeps per-replica caches and breaker state meaningful across fleet
 // changes.
 type ring struct {
-	// points are the virtual nodes, sorted by hash.
-	points []ringPoint
-	names  []string // distinct replica names, config order
-}
-
-type ringPoint struct {
-	hash uint64
-	name string
+	// hashes are the virtual nodes' hashes, ascending.
+	hashes []uint64
+	// walks[i] is the walk from virtual node i: every replica, by index
+	// into names, in the order the ring meets them. Read-only.
+	walks [][]int
+	names []string // distinct replica names, config order
 }
 
 // vnodesPerReplica balances shard spread against ring size; 64 keeps the
@@ -32,18 +29,21 @@ type ringPoint struct {
 const vnodesPerReplica = 64
 
 // newRing builds the ring from replica names (order-insensitive: the
-// placement depends only on the name set).
+// placement depends only on the name set) and walks it once from every
+// virtual node.
 func newRing(names []string) *ring {
+	type point struct {
+		hash uint64
+		rep  int
+	}
 	r := &ring{names: slices.Clone(names)}
-	for _, name := range names {
+	points := make([]point, 0, len(names)*vnodesPerReplica)
+	for i, name := range names {
 		for v := 0; v < vnodesPerReplica; v++ {
-			r.points = append(r.points, ringPoint{
-				hash: hashKey(name + "#" + strconv.Itoa(v)),
-				name: name,
-			})
+			points = append(points, point{hash: hashKey(name + "#" + strconv.Itoa(v)), rep: i})
 		}
 	}
-	slices.SortFunc(r.points, func(a, b ringPoint) int {
+	slices.SortFunc(points, func(a, b point) int {
 		if a.hash != b.hash {
 			if a.hash < b.hash {
 				return -1
@@ -52,46 +52,57 @@ func newRing(names []string) *ring {
 		}
 		// Hash ties (vanishingly rare) break by name so the ring is a
 		// pure function of the name set.
-		return strings.Compare(a.name, b.name)
+		return strings.Compare(names[a.rep], names[b.rep])
 	})
+	n := len(names)
+	flat := make([]int, 0, len(points)*n)
+	seen := make([]bool, n)
+	for i := range points {
+		r.hashes = append(r.hashes, points[i].hash)
+		clear(seen)
+		walk := flat[len(flat):]
+		for k := 0; k < len(points) && len(walk) < n; k++ {
+			p := points[(i+k)%len(points)]
+			if !seen[p.rep] {
+				seen[p.rep] = true
+				walk = append(walk, p.rep)
+			}
+		}
+		flat = flat[:len(flat)+len(walk)]
+		r.walks = append(r.walks, walk[:len(walk):len(walk)])
+	}
 	return r
+}
+
+// FNV-1a 64's parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the FNV-1a 64 hash h.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // hashKey is FNV-1a 64: stable across processes and platforms, so a
 // fleet of gateways shards identically without coordination.
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
-}
+func hashKey(key string) uint64 { return fnv1a(fnvOffset64, key) }
 
-// Shard returns the distinct replica names in ring order starting at the
-// key's successor. The first entry is the key's owner; later entries are
-// the bounded-load spillover sequence. The returned slice is freshly
-// allocated and the caller's to keep.
-func (r *ring) Shard(key string) []string {
-	if len(r.points) == 0 {
+// Shard returns the distinct replicas, as indices into the ring's names,
+// in ring order starting at the successor of the key hash h. The first
+// entry is the key's owner; later entries are the bounded-load spillover
+// sequence. The slice is the ring's own, shared by every caller:
+// read-only.
+func (r *ring) Shard(h uint64) []int {
+	if len(r.hashes) == 0 {
 		return nil
 	}
-	h := hashKey(key)
 	// First virtual node clockwise of h (successor), wrapping.
-	i, _ := slices.BinarySearchFunc(r.points, h, func(p ringPoint, h uint64) int {
-		if p.hash < h {
-			return -1
-		}
-		if p.hash > h {
-			return 1
-		}
-		return 0
-	})
-	out := make([]string, 0, len(r.names))
-	seen := make(map[string]bool, len(r.names))
-	for k := 0; k < len(r.points) && len(out) < len(r.names); k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if !seen[p.name] {
-			seen[p.name] = true
-			out = append(out, p.name)
-		}
-	}
-	return out
+	i, _ := slices.BinarySearch(r.hashes, h)
+	return r.walks[i%len(r.hashes)]
 }

@@ -3,6 +3,7 @@ package httpx
 import (
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"scouts/internal/telemetry"
@@ -85,6 +86,10 @@ type statusWriter struct {
 	code int
 }
 
+// statusWriters recycles the instrument's writers: one lives exactly as
+// long as its handler's ServeHTTP call.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
+
 func (w *statusWriter) WriteHeader(code int) {
 	if w.code == 0 {
 		w.code = code
@@ -111,7 +116,8 @@ func (m *Mux) instrument(endpoint string, next http.Handler) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := m.clock()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		sw.ResponseWriter = w
 		done := false
 		// Observation is deferred so a panicking handler still records a
 		// sample (as a 500; Recover owns the response).
@@ -119,6 +125,8 @@ func (m *Mux) instrument(endpoint string, next http.Handler) http.Handler {
 			elapsed := m.clock().Sub(start)
 			em.dur.ObserveDuration(elapsed)
 			status := sw.code
+			*sw = statusWriter{}
+			statusWriters.Put(sw)
 			if status == 0 {
 				status = http.StatusOK
 			}

@@ -566,6 +566,52 @@ func TestDeadlineOverrunHoldsShedSlot(t *testing.T) {
 	}
 }
 
+// TestDeadlineHonoursParentDeadline: a request whose context already
+// carries a deadline earlier than RequestTimeout is answered the JSON 503
+// at that earlier deadline, while its handler is still parked, and is
+// counted once.
+func TestDeadlineHonoursParentDeadline(t *testing.T) {
+	const parentDeadline = 30 * time.Millisecond
+	release := make(chan struct{})
+	returned := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/park", func(http.ResponseWriter, *http.Request) {
+		defer close(returned)
+		<-release
+	})
+	srv := NewServer(nil, nil, NewStore(), nil)
+	srv.RequestTimeout = time.Minute
+	guarded := srv.web.Recover(srv.withDeadline(mux))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), parentDeadline)
+		defer cancel()
+		guarded.ServeHTTP(w, r.WithContext(ctx))
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	start := time.Now()
+	code, hdr, body := dialWire(t, ts).get("/park")
+	took := time.Since(start)
+	if code != http.StatusServiceUnavailable || body != deadline503 || hdr.Get("Content-Type") != "application/json" {
+		t.Fatalf("answered %d %q (%s), want the JSON 503", code, body, hdr.Get("Content-Type"))
+	}
+	if took < parentDeadline {
+		t.Fatalf("answered after %v, before the request's own deadline of %v", took, parentDeadline)
+	}
+	select {
+	case <-returned:
+		t.Fatal("the handler returned before it was released: the 503 was not the watchdog's")
+	default:
+	}
+	release <- struct{}{}
+	<-returned
+	ts.Close() // waits for the handler chain to unwind
+	if got := srv.tel.timeouts.Value(); got != 1 {
+		t.Fatalf("timeout counter = %d, want 1", got)
+	}
+}
+
 // TestDeadlineIgnoresClientHangup: net/http cancels the request context
 // when the client disconnects; that is not an overrun — nothing is counted
 // and no 503 is written to the dead connection.

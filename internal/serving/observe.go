@@ -177,11 +177,13 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 // which runs every handler on a goroutine of its own — with the same
 // client-visible semantics through the spine's envelope and no launch: the
 // handler runs on the connection's goroutine against a pooled buffered
-// response while the request context carries the deadline, and a watchdog
-// registered on that context is the only other party. On overrun the
-// watchdog answers the real writer with a 503 application/json body at
-// the deadline, while the handler is still out, and the handler's context
-// expires so in-flight scoring stops at the next chunk boundary.
+// response while the request context carries the deadline, and the
+// guard's watchdog timer, armed for that deadline, is the only other
+// party. On overrun the watchdog answers the real writer with a 503
+// application/json body at the deadline, while the handler is still out,
+// and the handler's context expires so in-flight scoring stops at the
+// next chunk boundary. The deadline is the context's: a request that
+// arrives with an earlier one is answered at that one.
 //
 // Who writes to w is decided under the guard's mutex: the watchdog only
 // if the handler has not settled, the handler's side only if the watchdog
@@ -196,13 +198,15 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 		ctx, cancel := context.WithTimeout(r.Context(), s.RequestTimeout)
 		defer cancel()
 		g := deadlineGuards.Get().(*deadlineGuard)
-		stop := context.AfterFunc(ctx, func() { s.watchDeadline(ctx, g, w) })
+		g.s, g.ctx, g.w = s, ctx, w
+		deadline, _ := ctx.Deadline()
+		g.timer.Reset(time.Until(deadline))
 		returned := false
 		// Deferred so that a panicking handler settles the guard on its way
 		// to Recover, which then owns the response unless the watchdog
 		// already answered.
 		defer func() {
-			idle := stop()
+			idle := g.timer.Stop()
 			g.mu.Lock()
 			g.settled = true
 			answered := g.answered
@@ -215,7 +219,7 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 				}
 			}
 			if idle {
-				// The watchdog never started, so nothing else holds g.
+				// The watchdog never ran, so nothing else holds g.
 				g.recycle()
 			}
 		}()
@@ -224,12 +228,15 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 	})
 }
 
-// watchDeadline is the deadline watchdog, run on its own goroutine once
-// the request context ends. Only an expired deadline is an overrun: when
-// the client hung up (net/http cancels the request context) nothing
-// overran and nobody is left to answer.
-func (s *Server) watchDeadline(ctx context.Context, g *deadlineGuard, w http.ResponseWriter) {
-	if ctx.Err() != context.DeadlineExceeded {
+// watchDeadline is the guard's timer callback, run on a goroutine of its
+// own at the deadline. The context's own timer is due at the same instant
+// and may not have fired yet, so the watchdog waits for the context to
+// end: only an expired deadline is an overrun. When the client hung up
+// (net/http cancels the request context) or the handler has returned,
+// nothing overran and nobody is left to answer.
+func (g *deadlineGuard) watchDeadline() {
+	<-g.ctx.Done()
+	if g.ctx.Err() != context.DeadlineExceeded {
 		return
 	}
 	g.mu.Lock()
@@ -238,8 +245,8 @@ func (s *Server) watchDeadline(ctx context.Context, g *deadlineGuard, w http.Res
 		return
 	}
 	g.answered = true
-	s.refuseOverrun(w)
-	if f, ok := w.(http.Flusher); ok {
+	g.s.refuseOverrun(g.w)
+	if f, ok := g.w.(http.Flusher); ok {
 		f.Flush() // the handler may hold the connection long after this
 	}
 }
@@ -250,20 +257,30 @@ func (s *Server) refuseOverrun(w http.ResponseWriter) {
 }
 
 // deadlineGuard is one request's state under withDeadline: the handler's
-// buffered response and the two flags, under mu, that decide who answers
-// the real writer.
+// buffered response, the watchdog timer with what its callback needs, and
+// the two flags, under mu, that decide who answers the real writer.
 type deadlineGuard struct {
 	bufferedResponse
+	// timer runs watchDeadline; made once per guard, armed per request.
+	// s, ctx and w are the request's, set before the timer is armed.
+	timer *time.Timer
+	s     *Server
+	ctx   context.Context
+	w     http.ResponseWriter
+
 	mu sync.Mutex
 	// settled: the handler returned or panicked; the watchdog must not
 	// write. answered: the watchdog wrote the 503; nothing else may.
 	settled, answered bool
 }
 
-// deadlineGuards recycles guards between requests (header map and body
-// buffer included) when the watchdog never ran.
+// deadlineGuards recycles guards between requests (timer, header map and
+// body buffer included) when the watchdog never ran.
 var deadlineGuards = sync.Pool{New: func() any {
-	return &deadlineGuard{bufferedResponse: bufferedResponse{header: http.Header{}}}
+	g := &deadlineGuard{bufferedResponse: bufferedResponse{header: http.Header{}}}
+	g.timer = time.AfterFunc(time.Hour, g.watchDeadline)
+	g.timer.Stop()
+	return g
 }}
 
 // recycle wipes every trace of the request and returns g to the pool.
@@ -274,6 +291,7 @@ func (g *deadlineGuard) recycle() {
 	}
 	g.body = g.body[:0]
 	g.code = 0
+	g.s, g.ctx, g.w = nil, nil, nil
 	g.settled, g.answered = false, false
 	deadlineGuards.Put(g)
 }

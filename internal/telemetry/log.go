@@ -10,10 +10,23 @@ import (
 	"time"
 )
 
-// ctxKey is the private context-key namespace.
-type ctxKey int
+// requestIDKey is the private context key RequestID looks up.
+type requestIDKey struct{}
 
-const requestIDKey ctxKey = iota
+// requestIDCtx carries a request ID. It answers its key with itself, a
+// pointer, so stamping an ID costs this one object: context.WithValue
+// would box the string on top of its own node.
+type requestIDCtx struct {
+	context.Context
+	id string
+}
+
+func (c *requestIDCtx) Value(key any) any {
+	if key == (requestIDKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
 
 // WithRequestID stamps a request ID into the context. The serving
 // middleware generates the ID once per request; everything downstream —
@@ -21,14 +34,16 @@ const requestIDKey ctxKey = iota
 // with RequestID, so one incident's trip through the stack is grep-able
 // end to end.
 func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
+	return &requestIDCtx{Context: ctx, id: id}
 }
 
 // RequestID returns the context's request ID, or "" when none was set
 // (library calls outside a request, tests).
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	if c, _ := ctx.Value(requestIDKey{}).(*requestIDCtx); c != nil {
+		return c.id
+	}
+	return ""
 }
 
 // Field is one key/value pair of a structured log line. Fields render in
