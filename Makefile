@@ -53,7 +53,9 @@ alloc-check:
 # (the binary section both Scout snapshot envelopes carry) and of its
 # split kernel (small training sets grown
 # against the seed kernel and at two worker counts), of the extractors'
-# match finder (against FindAllString, for any pattern regexp compiles),
+# match finder (against FindAllString, for any pattern regexp compiles), of
+# the tokenizer (the substring cut against the rune-by-rune builder it
+# replaced, over invalid UTF-8 and case mappings that change byte length),
 # of the configuration parser (never panics; what it accepts builds a
 # FeatureBuilder that extracts as the old path does), of the gateway's
 # Retry-After reader
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzForestTrain$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/ml/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzFindAll$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzScoutpack$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPackFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serving

@@ -14,7 +14,7 @@
 // Forest training runs on the presorted-columns split kernel and
 // featurization on the O(log n) window-aggregate layer (DESIGN.md §7);
 // results are bit-identical to the seed kernels at any -workers value
-// (the kernels' historical speedups are tabulated in DESIGN.md §7.6).
+// (the kernels' historical speedups are recorded in CHANGES.md).
 package main
 
 import (

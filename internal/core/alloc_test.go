@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"scouts/internal/cloudsim"
 	"scouts/internal/monitoring"
 	"scouts/internal/topology"
 )
@@ -49,4 +50,59 @@ func TestAnswerPathAllocations(t *testing.T) {
 	if len(matches) != 3 {
 		t.Errorf("findAll found %q, want three switches", matches)
 	}
+}
+
+// TestFeatureBuilderAllocations pins the cost of a feature layout, which a
+// retrain cycle pays twice (Train, then the reload's Restore): the names are
+// cut from one string and the extractors' finders come built with the
+// Config. 107 allocations measured on the PhyNet configuration over the
+// simulator (1 356 when each name was formatted and each builder compiled
+// its finders); the ceiling allows 5 more. A name formatted per feature
+// (190 of them) or a finder compiled per builder exceeds it.
+func TestFeatureBuilderAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	gen := cloudsim.New(cloudsim.Params{Seed: 3, Days: 5, IncidentsPerDay: 4})
+	gen.Generate()
+	cfg, err := ParseConfig(DefaultPhyNetConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 112
+	if got := testing.AllocsPerRun(20, func() { NewFeatureBuilder(cfg, gen.Topology(), gen.Telemetry()) }); got > ceiling {
+		t.Errorf("NewFeatureBuilder: %v allocations, ceiling %d", got, ceiling)
+	}
+}
+
+// TestTrainAllocations pins what one core.Train allocates on a small fixed
+// world at one worker: the dataset, the four forests and the model's own
+// buffers, with per-tree, per-token and per-pull scratch reused. 1 764
+// allocations measured (10 922 before the scratch was reused); the ceiling
+// allows 3 % more. One more allocation per selector token, per CPD+ pull or
+// per tree (300 of them) exceeds it.
+func TestTrainAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	gen := cloudsim.New(cloudsim.Params{Seed: 3, Days: 20, IncidentsPerDay: 6})
+	log := gen.Generate()
+	cfg, err := ParseConfig(DefaultPhyNetConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := TrainOptions{
+		Config: cfg, Topology: gen.Topology(), Source: gen.Telemetry(),
+		Incidents: log.Incidents, Seed: 4, Workers: 1,
+	}
+	const ceiling = 1817
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := Train(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("Train: %v allocations, ceiling %d", got, ceiling)
+	}
+	t.Logf("Train: %v allocations", got)
 }

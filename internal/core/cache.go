@@ -39,8 +39,8 @@ type memo struct {
 	// vector instead.
 	x []float64
 	// cpdX is the slot for the CPD+ vector, empty until one is first
-	// needed. Behind a pointer so that a request's memo (nil: no slot)
-	// is not forced to the heap by the slot's atomic accesses.
+	// needed; nil outside a cache. Behind a pointer so that a request's
+	// memo is not forced to the heap by the slot's atomic accesses.
 	cpdX *atomic.Pointer[[]float64]
 }
 
@@ -67,13 +67,14 @@ func (c *FeatureCache) memo(fb *FeatureBuilder, in *incident.Incident) *memo {
 			return v.(*memo)
 		}
 	}
-	m := &memo{ex: fb.Extract(in.Title, in.Body, in.Components), cpdX: new(atomic.Pointer[[]float64])}
+	m := &memo{ex: fb.Extract(in.Title, in.Body, in.Components)}
 	if !m.ex.Excluded && !m.ex.Empty {
 		m.x = fb.Featurize(m.ex, in.CreatedAt)
 	}
 	if c == nil {
-		return m
+		return m // no slot: nobody else will ask for its CPD+ vector
 	}
+	m.cpdX = new(atomic.Pointer[[]float64])
 	v, _ := c.m.LoadOrStore(in.ID, m)
 	return v.(*memo)
 }

@@ -47,7 +47,7 @@ type Config struct {
 	// the evaluation uses two hours).
 	LookbackHours float64
 	// Extractors map component types to the regular expressions that find
-	// them in incident text (§5.1).
+	// them in incident text (§5.1); ParseConfig builds the finders from them.
 	Extractors map[topology.ComponentType]*regexp.Regexp
 	// Monitoring lists the datasets this Scout uses. Empty means "every
 	// dataset the data source advertises".
@@ -58,6 +58,9 @@ type Config struct {
 	// most this many device-level components keeps an incident "narrow"
 	// for CPD+ (default 5).
 	MaxDevicesNarrow int
+	// finders holds one read-only match enumerator per extractor, by
+	// typeOrder position, shared by every FeatureBuilder of the Config.
+	finders [len(typeOrder)]*finder
 }
 
 // ParseConfig parses the Scout configuration DSL:
@@ -163,20 +166,15 @@ func (c *Config) parseLet(rest string) error {
 		return err
 	}
 	typ := topology.ComponentType(strings.ToLower(name))
-	valid := false
-	for _, t := range topology.AllTypes {
-		if typ == t {
-			valid = true
-		}
-	}
-	if !valid {
+	k := typeSlot(typ) // typeOrder holds every component type
+	if k < 0 {
 		return fmt.Errorf("unknown component type %q", name)
 	}
 	re, err := regexp.Compile(value)
 	if err != nil {
 		return fmt.Errorf("bad regex for %s: %w", name, err)
 	}
-	c.Extractors[typ] = re
+	c.Extractors[typ], c.finders[k] = re, newFinder(re)
 	return nil
 }
 

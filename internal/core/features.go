@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -87,6 +86,9 @@ type featureGroup struct {
 	name     string
 	datasets []monitoring.Descriptor
 	isEvent  bool
+	// slots lists the vector indices the group owns, used for mean
+	// imputation when its monitoring system disappears.
+	slots []int
 }
 
 func (g featureGroup) coversType(t topology.ComponentType) bool {
@@ -141,17 +143,12 @@ type FeatureBuilder struct {
 	groups []featureGroup
 	types  []topology.ComponentType // component types present in the layout
 	names  []string
-	// slot maps (type, group, stat) to the vector index; built once.
-	slotOf map[string]int
-	// groupSlots lists the vector indices belonging to each group name,
-	// used for mean imputation when a monitoring system disappears.
-	groupSlots map[string][]int
 	// scratch pools FeaturizeInto's working buffers (*featScratch), so
 	// concurrent featurization does not regrow them per (request, group).
 	scratch sync.Pool
-	// finders holds one match enumerator per configured extractor, by
-	// typeOrder position (nil where the configuration has none), and
-	// extracting pools Extract's working lists (*extractScratch).
+	// finders is the configuration's match enumerators, by typeOrder
+	// position (nil where it has no extractor), and extracting pools
+	// Extract's working lists (*extractScratch).
 	finders    [len(typeOrder)]*finder
 	extracting sync.Pool
 }
@@ -187,11 +184,10 @@ type segment struct {
 func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.DataSource) *FeatureBuilder {
 	fb := &FeatureBuilder{
 		cfg: cfg, topo: topo, source: source,
-		stats:      monitoring.StatsSourceOf(source),
-		series:     monitoring.SeriesAppenderOf(source),
-		health:     monitoring.HealthReporterOf(source),
-		slotOf:     map[string]int{},
-		groupSlots: map[string][]int{},
+		stats:   monitoring.StatsSourceOf(source),
+		series:  monitoring.SeriesAppenderOf(source),
+		health:  monitoring.HealthReporterOf(source),
+		finders: cfg.finders,
 	}
 
 	// Group datasets by class tag.
@@ -229,11 +225,9 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 	// The PhyNet Scout has no VM features because PhyNet monitors no VM
 	// data (§5.2).
 	for k, typ := range typeOrder {
-		re, ok := cfg.Extractors[typ]
-		if !ok {
+		if fb.finders[k] == nil {
 			continue
 		}
-		fb.finders[k] = newFinder(re)
 		covered := false
 		for _, g := range fb.groups {
 			if g.coversScope(typ) {
@@ -246,30 +240,37 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 		}
 	}
 
-	// Build the flat name layout.
-	add := func(group, name string) {
-		fb.slotOf[name] = len(fb.names)
-		fb.names = append(fb.names, name)
-		if group != "" {
-			fb.groupSlots[group] = append(fb.groupSlots[group], len(fb.names)-1)
-		}
-	}
+	// Build the flat name layout. The names are written into one string and
+	// cut from it once the layout is complete.
+	var arena strings.Builder
+	var ends []int
 	for _, typ := range fb.types {
-		for _, g := range fb.groups {
+		for k := range fb.groups {
+			g := &fb.groups[k]
 			if !g.coversScope(typ) {
 				continue
 			}
+			stats := metrics.SummaryNames
 			if g.isEvent {
-				add(g.name, fmt.Sprintf("%s.%s.count", typ, g.name))
-				continue
+				stats = []string{"count"}
 			}
-			for _, stat := range metrics.SummaryNames {
-				add(g.name, fmt.Sprintf("%s.%s.%s", typ, g.name, stat))
+			for _, stat := range stats {
+				g.slots = append(g.slots, len(ends))
+				for _, part := range [...]string{string(typ), ".", g.name, ".", stat} {
+					arena.WriteString(part)
+				}
+				ends = append(ends, arena.Len())
 			}
 		}
 		// The per-type component count (§5.2: it helps the model judge
 		// whether a percentile shift is significant).
-		add("", fmt.Sprintf("%s.ncomponents", typ))
+		arena.WriteString(string(typ) + ".ncomponents")
+		ends = append(ends, arena.Len())
+	}
+	all, from := arena.String(), 0
+	fb.names = make([]string, len(ends))
+	for i, end := range ends {
+		fb.names[i], from = all[from:end], end
 	}
 	return fb
 }
@@ -288,7 +289,12 @@ func (fb *FeatureBuilder) Groups() []string {
 
 // GroupSlots returns the vector indices owned by a feature group.
 func (fb *FeatureBuilder) GroupSlots(group string) []int {
-	return append([]int(nil), fb.groupSlots[group]...)
+	for _, g := range fb.groups {
+		if g.name == group {
+			return slices.Clone(g.slots)
+		}
+	}
+	return nil
 }
 
 // Extract runs the configured extractors and exclusion rules on incident
@@ -556,11 +562,7 @@ func normalizeInPlace(cur []float64, base monitoring.Stats, baseOK bool) {
 // and event counts for the implicated devices, or — for broad incidents —
 // for every switch and server in the implicated clusters.
 func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
-	in := cpd.Input{
-		Broad:  ex.Broad,
-		Series: map[string][][]float64{},
-		Events: map[string][]float64{},
-	}
+	in := cpd.Input{Broad: ex.Broad}
 	T := fb.cfg.LookbackHours
 	// The components examined, as typed segments (see FeaturizeInto): the
 	// devices, which is ex.Devices by type, then the cluster scope.
@@ -602,21 +604,23 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 	}
 	// The doubled windows are carved out of one arena rather than pulled as
 	// a slice each. left bounds how many windows are still to come; the
-	// first one's length then sizes the arena for all of them.
-	left := 0
+	// first one's length then sizes the arena for all of them. The pulls
+	// are counted with them, so the list is made once.
+	left, pulls := 0, 0
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
-			if d.Type == monitoring.Event {
-				continue
-			}
 			for _, seg := range segs {
-				if d.CoversType(seg.typ) {
+				if !d.CoversType(seg.typ) {
+					continue
+				}
+				pulls += len(seg.comps)
+				if d.Type != monitoring.Event {
 					left += len(seg.comps)
 				}
 			}
 		}
 	}
-	var arena []float64
+	in.Pulls = make([]cpd.Pull, 0, pulls)
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
 			for _, seg := range segs {
@@ -626,24 +630,22 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 				for _, comp := range seg.comps {
 					if d.Type == monitoring.Event {
 						n := fb.stats.EventCount(d.Name, comp, t-T, t)
-						in.Events[d.Name] = append(in.Events[d.Name], float64(n))
+						in.Pulls = append(in.Pulls, cpd.Pull{Dataset: d.Name, Event: true, Count: float64(n)})
 						continue
 					}
 					// Use the doubled window so the change point (fault
 					// onset) sits inside the series.
 					left--
-					start := len(arena)
-					arena = fb.series.AppendSeries(arena, d.Name, comp, t-2*T, t)
-					n := len(arena) - start
+					start := len(in.Values)
+					in.Values = fb.series.AppendSeries(in.Values, d.Name, comp, t-2*T, t)
+					n := len(in.Values) - start
 					if n == 0 {
 						continue
 					}
 					if start == 0 {
-						arena = slices.Grow(arena, n*left)
+						in.Values = slices.Grow(in.Values, n*left)
 					}
-					// Clipped, so a consumer appending to one series cannot
-					// write into the next.
-					in.Series[d.Name] = append(in.Series[d.Name], arena[start:len(arena):len(arena)])
+					in.Pulls = append(in.Pulls, cpd.Pull{Dataset: d.Name, From: start, To: len(in.Values)})
 				}
 			}
 		}

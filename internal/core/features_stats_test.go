@@ -51,7 +51,7 @@ func TestFeaturizeStatsPathBitIdentical(t *testing.T) {
 						tc.title, at, fast.FeatureNames()[i], xf[i], xs[i])
 				}
 			}
-			cf, cs := fast.CPDInput(ex, at), slow.CPDInput(ex, at)
+			cf, cs := evidenceOf(fast.CPDInput(ex, at)), evidenceOf(slow.CPDInput(ex, at))
 			if len(cf.Events) != len(cs.Events) {
 				t.Fatalf("%s: CPD event datasets differ: %d vs %d", tc.title, len(cf.Events), len(cs.Events))
 			}

@@ -161,7 +161,7 @@ func TestFeaturizeComponentCounts(t *testing.T) {
 func TestCPDInputShapes(t *testing.T) {
 	fb, _ := newBuilder(t)
 	narrow := fb.Extract("t", "tor1.c1.dc1 alarms", nil)
-	in := fb.CPDInput(narrow, 100)
+	in := evidenceOf(fb.CPDInput(narrow, 100))
 	if in.Broad {
 		t.Fatal("narrow extraction produced broad input")
 	}
@@ -174,7 +174,7 @@ func TestCPDInputShapes(t *testing.T) {
 	}
 
 	broad := fb.Extract("t", "cluster c1.dc1 degraded", nil)
-	bin := fb.CPDInput(broad, 100)
+	bin := evidenceOf(fb.CPDInput(broad, 100))
 	if !bin.Broad {
 		t.Fatal("broad extraction should produce broad input")
 	}

@@ -63,13 +63,13 @@ func TestImputationUnderFullOutage(t *testing.T) {
 
 	wantImputed := 0
 	for _, g := range s.fb.groups {
-		for _, slot := range s.fb.groupSlots[g.name] {
+		for _, slot := range g.slots {
 			if x[slot] != s.trainMeans[slot] {
 				t.Fatalf("slot %d (%s) = %v, want training mean %v",
 					slot, s.fb.names[slot], x[slot], s.trainMeans[slot])
 			}
 		}
-		wantImputed += len(s.fb.groupSlots[g.name])
+		wantImputed += len(g.slots)
 	}
 	if h.ImputedSlots != wantImputed {
 		t.Fatalf("ImputedSlots = %d, want %d", h.ImputedSlots, wantImputed)
@@ -109,7 +109,7 @@ func TestImputationUnderPartialOutage(t *testing.T) {
 	x, want := *v, *vClean
 
 	imputed := map[int]bool{}
-	for _, slot := range s.fb.groupSlots[darkGroup.name] {
+	for _, slot := range darkGroup.slots {
 		imputed[slot] = true
 		if x[slot] != s.trainMeans[slot] {
 			t.Fatalf("dark slot %d (%s) = %v, want training mean %v",
@@ -122,8 +122,8 @@ func TestImputationUnderPartialOutage(t *testing.T) {
 				i, s.fb.names[i], x[i], want[i])
 		}
 	}
-	if h.ImputedSlots != len(s.fb.groupSlots[darkGroup.name]) {
-		t.Fatalf("ImputedSlots = %d, want %d", h.ImputedSlots, len(s.fb.groupSlots[darkGroup.name]))
+	if h.ImputedSlots != len(darkGroup.slots) {
+		t.Fatalf("ImputedSlots = %d, want %d", h.ImputedSlots, len(darkGroup.slots))
 	}
 	if len(h.DatasetsDown) != len(names) {
 		t.Fatalf("DatasetsDown = %v, want the %d darkened datasets", h.DatasetsDown, len(names))

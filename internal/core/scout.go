@@ -191,7 +191,7 @@ func Train(opt TrainOptions) (*Scout, error) {
 		return nil, fmt.Errorf("core: none of the %d incidents had extractable components", len(opt.Incidents))
 	}
 
-	d := mlcore.NewDataset(s.fb.FeatureNames())
+	d := &mlcore.Dataset{Features: s.fb.FeatureNames(), Samples: make([]mlcore.Sample, 0, len(rows))}
 	for _, r := range rows {
 		d.MustAdd(mlcore.Sample{
 			X:    r.x,
@@ -223,17 +223,13 @@ func Train(opt TrainOptions) (*Scout, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: preliminary forest: %w", err)
 		}
-		var examples []selectorExample
-		for _, i := range holdIdx {
+		examples := make([]selectorExample, len(holdIdx))
+		s.selDocs, s.selWrong = make([]string, len(holdIdx)), make([]bool, len(holdIdx))
+		for k, i := range holdIdx {
 			smp := d.Samples[i]
 			pred, _ := pre.Predict(smp.X)
-			examples = append(examples, selectorExample{
-				doc:     rows[i].in.Text(),
-				rfWrong: pred != smp.Y,
-				id:      smp.ID,
-			})
-			s.selDocs = append(s.selDocs, rows[i].in.Text())
-			s.selWrong = append(s.selWrong, pred != smp.Y)
+			examples[k] = selectorExample{doc: rows[i].in.Text(), rfWrong: pred != smp.Y, id: smp.ID}
+			s.selDocs[k], s.selWrong[k] = examples[k].doc, examples[k].rfWrong
 		}
 		opt.Selector.Forest.Seed = opt.Seed + 1
 		s.selector, selErr = trainSelector(examples, opt.Selector)
@@ -585,10 +581,10 @@ func (s *Scout) featurizeWithImputationInto(v *[]float64, m *memo, t float64) Da
 		if slices.Contains(live, true) {
 			continue
 		}
-		for _, slot := range s.fb.groupSlots[g.name] {
+		for _, slot := range g.slots {
 			x[slot] = s.trainMeans[slot]
 		}
-		h.ImputedSlots += len(s.fb.groupSlots[g.name])
+		h.ImputedSlots += len(g.slots)
 	}
 	return h
 }

@@ -83,7 +83,7 @@ func trainSelector(examples []selectorExample, p SelectorParams) (*Selector, err
 		return s, nil
 	}
 	s.words = text.NewWordCounter(important)
-	d := mlcore.NewDataset(s.words.Names())
+	d := &mlcore.Dataset{Features: s.words.Names(), Samples: make([]mlcore.Sample, 0, len(examples))}
 	for i, ex := range examples {
 		d.MustAdd(mlcore.Sample{X: s.words.Featurize(docs[i]), Y: labels[i], ID: ex.id})
 	}

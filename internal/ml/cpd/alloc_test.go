@@ -9,8 +9,8 @@ import (
 
 // In steady state — the scratch pool warm, the generator's template derived
 // — a Detect allocates only the result slice of a series with a change
-// point, and HasChange nothing: whatever the length of the series or the
-// number of permutations. (A non-race file: the race detector makes
+// point, and countChanges and HasChange nothing: whatever the length of the
+// series or the number of permutations. (A non-race file: the race detector makes
 // sync.Pool drop items at random.)
 func TestDetectAllocationsConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -26,6 +26,7 @@ func TestDetectAllocationsConstant(t *testing.T) {
 			}{
 				{"Detect(stationary)", func() { Detect(flat, p) }, 0},
 				{"Detect(shifted)", func() { Detect(shifted, p) }, 1},
+				{"countChanges(shifted)", func() { countChanges(shifted, p) }, 0},
 				{"HasChange(shifted)", func() { HasChange(shifted, p) }, 0},
 			} {
 				if got := testing.AllocsPerRun(20, c.run); got != c.want {

@@ -21,6 +21,7 @@ package cpd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,14 +67,27 @@ func (p Params) withDefaults() Params {
 func Detect(series []float64, p Params) []int {
 	p = p.withDefaults()
 	k := acquire(len(series), p.Seed)
+	k.points = k.points[:0]
+	k.segment(series, 0, p)
 	var out []int
-	k.segment(series, 0, p, &out)
-	kernels.Put(k)
-	sort.Ints(out)
-	if len(out) > p.MaxPoints {
-		out = out[:p.MaxPoints]
+	if len(k.points) > 0 {
+		out = slices.Clone(k.points)
+		sort.Ints(out)
 	}
+	kernels.Put(k)
 	return out
+}
+
+// countChanges is len(Detect(series, p)), which CPD+'s features count,
+// without the list.
+func countChanges(series []float64, p Params) int {
+	p = p.withDefaults()
+	k := acquire(len(series), p.Seed)
+	k.points = k.points[:0]
+	k.segment(series, 0, p)
+	n := len(k.points)
+	kernels.Put(k)
+	return n
 }
 
 // HasChange reports whether the series contains at least one significant
@@ -128,6 +142,8 @@ type kernel struct {
 	// settled counts the candidates energy decided: the tests read it to
 	// show that the band is reached, and that it is rare.
 	settled int
+	// points collects segment's change points, at most MaxPoints.
+	points []int
 
 	src source
 	rng *rand.Rand // over &src
@@ -170,17 +186,17 @@ func acquire(n int, seed int64) *kernel {
 	return k
 }
 
-func (k *kernel) segment(series []float64, offset int, p Params, out *[]int) {
-	if len(*out) >= p.MaxPoints || len(series) < 2*p.MinSegment {
+func (k *kernel) segment(series []float64, offset int, p Params) {
+	if len(k.points) >= p.MaxPoints || len(series) < 2*p.MinSegment {
 		return
 	}
 	idx, stat := k.bestSplit(series, p.MinSegment)
 	if idx < 0 || !k.significant(len(series), stat, p) {
 		return
 	}
-	*out = append(*out, offset+idx)
-	k.segment(series[:idx], offset, p, out)
-	k.segment(series[idx:], offset+idx, p, out)
+	k.points = append(k.points, offset+idx)
+	k.segment(series[:idx], offset, p)
+	k.segment(series[idx:], offset+idx, p)
 }
 
 // bestSplit finds the split index maximizing the scaled energy statistic

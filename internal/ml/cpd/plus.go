@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"scouts/internal/ml/forest"
@@ -20,11 +19,24 @@ type Input struct {
 	// change-point-combination model; narrow ones use the conservative
 	// any-signal rule (§5.2.2).
 	Broad bool
-	// Series maps dataset name -> one time series per implicated component.
-	Series map[string][][]float64
-	// Events maps dataset name -> per-implicated-component event counts.
-	Events map[string][]float64
+	// Pulls lists the evidence in the order it was pulled: one entry per
+	// time series and one per event count of an implicated component.
+	Pulls []Pull
+	// Values holds the points of every series, back to back.
+	Values []float64
 }
+
+// Pull is one monitoring query's answer in an Input: an event count
+// (Event, Count) or a series, the Input's Values[From:To].
+type Pull struct {
+	Dataset  string
+	Event    bool
+	Count    float64
+	From, To int
+}
+
+// series returns a series pull's points, clipped: an append copies them.
+func (in *Input) series(pl *Pull) []float64 { return in.Values[pl.From:pl.To:pl.To] }
 
 // PlusParams configure CPD+.
 type PlusParams struct {
@@ -60,23 +72,26 @@ func featureNames(datasets []string) []string {
 // Featurize converts an Input into the fixed-length broad-incident vector
 // (average change-point and event rates per dataset). Callers that retrain
 // frequently cache these vectors: change-point detection is the expensive
-// step. Datasets must be sorted (TrainPlusVectors sorts them).
+// step. Datasets must be sorted (TrainPlusVectors refuses them otherwise).
 func (p PlusParams) Featurize(in Input) []float64 {
 	x := make([]float64, 0, 2*len(p.Datasets))
 	for _, ds := range p.Datasets {
-		var cps, nSeries float64
-		for _, series := range in.Series[ds] {
-			cps += float64(len(Detect(series, p.Detector)))
-			nSeries++
+		var cps, nSeries, ev, nComp float64
+		for i := range in.Pulls {
+			pl := &in.Pulls[i]
+			switch {
+			case pl.Dataset != ds:
+			case pl.Event:
+				ev += pl.Count
+				nComp++
+			default:
+				cps += float64(countChanges(in.series(pl), p.Detector))
+				nSeries++
+			}
 		}
 		avgCP := 0.0
 		if nSeries > 0 {
 			avgCP = cps / nSeries
-		}
-		var ev, nComp float64
-		for _, c := range in.Events[ds] {
-			ev += c
-			nComp++
 		}
 		avgEv := 0.0
 		if nComp > 0 {
@@ -89,15 +104,18 @@ func (p PlusParams) Featurize(in Input) []float64 {
 
 // TrainPlusVectors fits CPD+ from pre-featurized broad examples (see
 // PlusParams.Featurize). The vectors must have been produced with the same
-// sorted Datasets list and Detector parameters.
+// Datasets list, which must be sorted, and the same Detector parameters.
 func TrainPlusVectors(xs [][]float64, ys []bool, p PlusParams) (*Plus, error) {
 	if len(p.Datasets) == 0 {
 		return nil, ErrNoDatasets
 	}
-	sort.Strings(p.Datasets)
-	d := mlcore.NewDataset(featureNames(p.Datasets))
+	if !slices.IsSorted(p.Datasets) {
+		// The vectors are laid out in this order: sorting would misname them.
+		return nil, fmt.Errorf("cpd: PlusParams.Datasets must be sorted, got %v", p.Datasets)
+	}
+	d := &mlcore.Dataset{Features: featureNames(p.Datasets), Samples: make([]mlcore.Sample, 0, len(xs))}
 	for i, x := range xs {
-		d.MustAdd(mlcore.Sample{X: x, Y: ys[i], ID: fmt.Sprintf("cpd-%d", i)})
+		d.MustAdd(mlcore.Sample{X: x, Y: ys[i]})
 	}
 	var rf *forest.Forest
 	if d.Len() > 0 {
@@ -150,17 +168,21 @@ func (c *Plus) predictNarrow(in Input) (bool, float64, string) {
 	var eventHits, changeHits []string
 	var totalEvents float64
 	for _, ds := range c.params.Datasets {
-		for comp, n := range in.Events[ds] {
-			totalEvents += n
-			if n > 0 {
-				eventHits = append(eventHits, fmt.Sprintf("%s: %g events on component #%d", ds, n, comp))
-			}
-		}
-	}
-	for _, ds := range c.params.Datasets {
-		for comp, series := range in.Series[ds] {
-			if HasChange(series, c.params.Detector) {
-				changeHits = append(changeHits, fmt.Sprintf("%s: distribution change on component #%d", ds, comp))
+		events, series := 0, 0 // the dataset's components so far, by kind
+		for i := range in.Pulls {
+			switch pl := &in.Pulls[i]; {
+			case pl.Dataset != ds:
+			case pl.Event:
+				totalEvents += pl.Count
+				if pl.Count > 0 {
+					eventHits = append(eventHits, fmt.Sprintf("%s: %g events on component #%d", ds, pl.Count, events))
+				}
+				events++
+			default:
+				if HasChange(in.series(pl), c.params.Detector) {
+					changeHits = append(changeHits, fmt.Sprintf("%s: distribution change on component #%d", ds, series))
+				}
+				series++
 			}
 		}
 	}

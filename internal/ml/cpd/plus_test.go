@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,9 +22,45 @@ func plusParams() PlusParams {
 	}
 }
 
-// healthyInput builds an input with stationary series and no events.
-func healthyInput(broad bool, rng *rand.Rand) Input {
-	in := Input{Broad: broad, Series: map[string][][]float64{}, Events: map[string][]float64{}}
+// mapInput is Input as it read before it was flat: per dataset, its series
+// and its event counts, each in pull order. The tests write evidence in it
+// and the oracles read it.
+type mapInput struct {
+	Broad  bool
+	Series map[string][][]float64
+	Events map[string][]float64
+}
+
+// flat pulls m's evidence into an Input, dataset by dataset in sorted
+// order, each one's series before its event counts.
+func (m mapInput) flat() Input {
+	in := Input{Broad: m.Broad}
+	var names []string
+	for ds := range m.Series {
+		names = append(names, ds)
+	}
+	for ds := range m.Events {
+		if _, ok := m.Series[ds]; !ok {
+			names = append(names, ds)
+		}
+	}
+	sort.Strings(names)
+	for _, ds := range names {
+		for _, series := range m.Series[ds] {
+			from := len(in.Values)
+			in.Values = append(in.Values, series...)
+			in.Pulls = append(in.Pulls, Pull{Dataset: ds, From: from, To: len(in.Values)})
+		}
+		for _, n := range m.Events[ds] {
+			in.Pulls = append(in.Pulls, Pull{Dataset: ds, Event: true, Count: n})
+		}
+	}
+	return in
+}
+
+// healthyEvidence builds stationary series and no events.
+func healthyEvidence(broad bool, rng *rand.Rand) mapInput {
+	m := mapInput{Broad: broad, Series: map[string][][]float64{}, Events: map[string][]float64{}}
 	for _, ds := range testDatasets[:2] {
 		var series [][]float64
 		for c := 0; c < 3; c++ {
@@ -33,22 +70,27 @@ func healthyInput(broad bool, rng *rand.Rand) Input {
 			}
 			series = append(series, s)
 		}
-		in.Series[ds] = series
+		m.Series[ds] = series
 	}
-	in.Events["syslog"] = []float64{0, 0, 0}
-	return in
+	m.Events["syslog"] = []float64{0, 0, 0}
+	return m
+}
+
+// healthyInput builds an input with stationary series and no events.
+func healthyInput(broad bool, rng *rand.Rand) Input {
+	return healthyEvidence(broad, rng).flat()
 }
 
 // faultyInput injects a mean shift and error events.
 func faultyInput(broad bool, rng *rand.Rand) Input {
-	in := healthyInput(broad, rng)
-	for c := range in.Series["ping"] {
+	m := healthyEvidence(broad, rng)
+	for c := range m.Series["ping"] {
 		for i := 30; i < 60; i++ {
-			in.Series["ping"][c][i] += 8
+			m.Series["ping"][c][i] += 8
 		}
 	}
-	in.Events["syslog"] = []float64{4, 2, 7}
-	return in
+	m.Events["syslog"] = []float64{4, 2, 7}
+	return m.flat()
 }
 
 // plusExample is one labelled training example for the broad-incident model.
@@ -327,5 +369,157 @@ func TestBroadExplanationMatchesOldPath(t *testing.T) {
 	check(Input{Broad: true})
 	if withSignals < 60 || bare == 0 {
 		t.Fatalf("compared %d explanations with signals and %d without", withSignals, bare)
+	}
+}
+
+// mapOf reads an Input back into per-dataset maps in pull order — the
+// shape the oracles below were written against.
+func mapOf(in Input) mapInput {
+	m := mapInput{Broad: in.Broad, Series: map[string][][]float64{}, Events: map[string][]float64{}}
+	for _, pl := range in.Pulls {
+		if pl.Event {
+			m.Events[pl.Dataset] = append(m.Events[pl.Dataset], pl.Count)
+		} else {
+			m.Series[pl.Dataset] = append(m.Series[pl.Dataset], in.Values[pl.From:pl.To])
+		}
+	}
+	return m
+}
+
+// oracleFeaturize is PlusParams.Featurize as it read over per-dataset maps,
+// kept verbatim as the oracle for the flat Input.
+func (p PlusParams) oracleFeaturize(in mapInput) []float64 {
+	x := make([]float64, 0, 2*len(p.Datasets))
+	for _, ds := range p.Datasets {
+		var cps, nSeries float64
+		for _, series := range in.Series[ds] {
+			cps += float64(len(Detect(series, p.Detector)))
+			nSeries++
+		}
+		avgCP := 0.0
+		if nSeries > 0 {
+			avgCP = cps / nSeries
+		}
+		var ev, nComp float64
+		for _, c := range in.Events[ds] {
+			ev += c
+			nComp++
+		}
+		avgEv := 0.0
+		if nComp > 0 {
+			avgEv = ev / nComp
+		}
+		x = append(x, avgCP, avgEv)
+	}
+	return x
+}
+
+// oraclePredictNarrow is predictNarrow as it read over per-dataset maps.
+func (c *Plus) oraclePredictNarrow(in mapInput) (bool, float64, string) {
+	var eventHits, changeHits []string
+	var totalEvents float64
+	for _, ds := range c.params.Datasets {
+		for comp, n := range in.Events[ds] {
+			totalEvents += n
+			if n > 0 {
+				eventHits = append(eventHits, fmt.Sprintf("%s: %g events on component #%d", ds, n, comp))
+			}
+		}
+	}
+	for _, ds := range c.params.Datasets {
+		for comp, series := range in.Series[ds] {
+			if HasChange(series, c.params.Detector) {
+				changeHits = append(changeHits, fmt.Sprintf("%s: distribution change on component #%d", ds, comp))
+			}
+		}
+	}
+	if totalEvents >= 2 || len(changeHits) >= 2 {
+		hits := append(eventHits, changeHits...)
+		return true, 0.9, "conservative rule fired: " + strings.Join(hits, "; ")
+	}
+	if totalEvents >= 1 && len(changeHits) >= 1 {
+		hits := append(eventHits, changeHits...)
+		return true, 0.8, "conservative rule fired (event corroborated by a change point): " + strings.Join(hits, "; ")
+	}
+	return false, 0.75, "conservative rule: no corroborated events or change points on implicated devices"
+}
+
+// TestFlatInputMatchesMapOracle: on random evidence — datasets interleaved
+// in any pull order, some outside the model's list, series of any length
+// with and without a shift, fractional and zero event counts — the flat
+// Input featurizes to the map oracle's vector bit for bit and the narrow
+// rule gives the oracle's label, confidence and explanation.
+func TestFlatInputMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pool := []string{"a", "b", "c", "d", "e"}
+	fired, points := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		var datasets []string
+		for _, ds := range pool {
+			if rng.Intn(3) > 0 {
+				datasets = append(datasets, ds)
+			}
+		}
+		if len(datasets) == 0 {
+			datasets = pool[:1]
+		}
+		plus := &Plus{params: PlusParams{Datasets: datasets, Detector: Params{Seed: int64(trial), Permutations: 29}}}
+		in := Input{Broad: rng.Intn(2) == 0}
+		for n := rng.Intn(14); n > 0; n-- {
+			ds := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				in.Pulls = append(in.Pulls, Pull{Dataset: ds, Event: true, Count: float64(rng.Intn(4)) * []float64{1, 0.5}[rng.Intn(2)]})
+				continue
+			}
+			from, size := len(in.Values), rng.Intn(41)
+			shift := float64(rng.Intn(2)) * 6
+			for i := 0; i < size; i++ {
+				v := rng.NormFloat64()
+				if i >= size/2 {
+					v += shift
+				}
+				in.Values = append(in.Values, v)
+			}
+			in.Pulls = append(in.Pulls, Pull{Dataset: ds, From: from, To: len(in.Values)})
+		}
+		m := mapOf(in)
+		got, want := plus.params.Featurize(in), plus.params.oracleFeaturize(m)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d features, oracle %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: feature %d is %v, oracle %v", trial, i, got[i], want[i])
+			}
+			if i%2 == 0 && got[i] > 0 {
+				points++
+			}
+		}
+		gl, gc, ge := plus.predictNarrow(in)
+		wl, wc, we := plus.oraclePredictNarrow(m)
+		if gl != wl || gc != wc || ge != we {
+			t.Fatalf("trial %d: narrow rule (%v, %v, %q), oracle (%v, %v, %q)", trial, gl, gc, ge, wl, wc, we)
+		}
+		if gl {
+			fired++
+		}
+	}
+	if fired < 50 || points < 50 {
+		t.Fatalf("only %d rule firings and %d datasets with change points in 300 trials", fired, points)
+	}
+}
+
+// TestTrainPlusVectorsRefusesUnsortedDatasets: the vectors were laid out in
+// the caller's dataset order, so a model that sorted the list would name
+// each column after another dataset. The list is refused and left alone.
+func TestTrainPlusVectorsRefusesUnsortedDatasets(t *testing.T) {
+	p := plusParams()
+	p.Datasets = []string{"zeta", "alpha"}
+	xs := [][]float64{{3, 0, 0, 0}, {0, 0, 0, 0}}
+	if _, err := TrainPlusVectors(xs, []bool{true, false}, p); err == nil {
+		t.Fatal("unsorted Datasets were accepted")
+	}
+	if !slices.Equal(p.Datasets, []string{"zeta", "alpha"}) {
+		t.Fatalf("the caller's Datasets became %v", p.Datasets)
 	}
 }

@@ -39,10 +39,11 @@ type flatForest struct {
 // tree's nodes breadth-first so sibling pairs are adjacent. Child indices
 // are rebased from per-tree to forest-wide, which costs one add at build
 // time and none at traversal time.
-func newFlatForest(trees []*tree) *flatForest {
-	total := 0
+func newFlatForest(trees []tree) *flatForest {
+	total, largest := 0, 0
 	for _, t := range trees {
 		total += len(t.nodes)
+		largest = max(largest, len(t.nodes))
 	}
 	ff := &flatForest{
 		feature:   make([]int32, total),
@@ -52,12 +53,14 @@ func newFlatForest(trees []*tree) *flatForest {
 		roots:     make([]int32, len(trees)),
 	}
 	base := int32(0)
+	// One renumbering and one queue, sized for the largest tree, serve all.
+	order := make([]int32, largest) // old index -> flat index
+	queue := make([]int32, 0, largest)
 	for t, tr := range trees {
 		ff.roots[t] = base
 		// Breadth-first renumbering: when a split is visited its children
 		// get the next two flat slots, so the pair is always adjacent.
-		order := make([]int32, len(tr.nodes)) // old index -> flat index
-		queue := make([]int32, 1, len(tr.nodes))
+		queue = append(queue[:0], 0)
 		order[0] = base // grow appends the root first
 		next := base + 1
 		for qi := 0; qi < len(queue); qi++ {

@@ -98,20 +98,20 @@ func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 	// carries no state from one tree to the next, so pool reuse order
 	// cannot perturb a tree and determinism is preserved).
 	scratch := sync.Pool{New: func() any { return newSplitCtx(cols) }}
-	trees, imp := growTrees(d, p, func(idx []int, tp *treeParams) *tree {
+	trees, imp := growTrees(d, p, func(tp *treeParams) tree {
 		ctx := scratch.Get().(*splitCtx)
 		defer scratch.Put(ctx)
-		ctx.reset(idx)
+		tp.draw(ctx.idx)
 		return buildTree(ctx, tp)
 	})
 	return &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)}, nil
 }
 
-// growTrees is Train's growing step: it grows p's pointer trees, each by
-// build from its bootstrap draw, and returns them in tree order with the
-// normalized feature importance. Train flattens the trees and drops them;
-// the test oracles keep them.
-func growTrees(d *mlcore.Dataset, p Params, build func(idx []int, tp *treeParams) *tree) ([]*tree, []float64) {
+// growTrees is Train's growing step: it grows p's trees, each by build from
+// its parameters (whose draw is the tree's bootstrap sample), and returns
+// them in tree order with the normalized feature importance. Train
+// flattens the trees and drops them; the test oracles keep them.
+func growTrees(d *mlcore.Dataset, p Params, build func(tp *treeParams) tree) ([]tree, []float64) {
 	p = p.withDefaults()
 	mtry := p.MTry
 	if mtry <= 0 {
@@ -124,40 +124,31 @@ func growTrees(d *mlcore.Dataset, p Params, build func(idx []int, tp *treeParams
 	// only on p.Seed, so the parallel schedule below cannot perturb it and
 	// tree t is grown from the same generator state at any worker count.
 	seedGen := newRNG(uint64(p.Seed))
-	seeds := make([]uint64, p.NumTrees)
-	for t := range seeds {
-		seeds[t] = seedGen.next()
+	tps := make([]treeParams, p.NumTrees)
+	// Each tree accumulates importance privately, in its own row of one
+	// block; the merge below runs in tree order so the floating-point sums
+	// are identical for every worker count (float addition is not
+	// associative — a shared accumulator or per-worker accumulators would
+	// make importances schedule-dependent).
+	dim := d.Dim()
+	treeImp := make([]float64, p.NumTrees*dim)
+	for t := range tps {
+		tps[t] = treeParams{
+			maxDepth:  p.MaxDepth,
+			minLeaf:   p.MinLeaf,
+			mtry:      mtry,
+			featImp:   treeImp[t*dim : (t+1)*dim : (t+1)*dim],
+			rng:       newRNG(seedGen.next()),
+			bootstrap: !p.DisableBootstrap,
+		}
 	}
-	trees := make([]*tree, p.NumTrees)
-	// Each tree accumulates importance privately; the merge below runs in
-	// tree order so the floating-point sums are identical for every worker
-	// count (float addition is not associative — a shared accumulator or
-	// per-worker accumulators would make importances schedule-dependent).
-	treeImp := make([][]float64, p.NumTrees)
+	trees := make([]tree, p.NumTrees)
 	parallel.For(p.Workers, p.NumTrees, func(t int) {
-		tp := &treeParams{
-			maxDepth: p.MaxDepth,
-			minLeaf:  p.MinLeaf,
-			mtry:     mtry,
-			featImp:  make([]float64, d.Dim()),
-			rng:      newRNG(seeds[t]),
-		}
-		idx := make([]int, d.Len())
-		if p.DisableBootstrap {
-			for i := range idx {
-				idx[i] = i
-			}
-		} else {
-			for i := range idx {
-				idx[i] = tp.rng.intn(d.Len())
-			}
-		}
-		trees[t] = build(idx, tp)
-		treeImp[t] = tp.featImp
+		trees[t] = build(&tps[t])
 	})
-	imp := make([]float64, d.Dim())
-	for _, ti := range treeImp {
-		for i, v := range ti {
+	imp := make([]float64, dim)
+	for t := range tps {
+		for i, v := range tps[t].featImp {
 			imp[i] += v
 		}
 	}

@@ -27,8 +27,14 @@ func TrainReference(d *mlcore.Dataset, p Params) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, ErrEmptyTrainingSet
 	}
-	trees, imp := growTrees(d, p, func(idx []int, tp *treeParams) *tree {
-		return buildTreeReference(d, idx, tp)
+	trees, imp := growTrees(d, p, func(tp *treeParams) tree {
+		draw := make([]int32, d.Len())
+		tp.draw(draw)
+		idx := make([]int, len(draw))
+		for i, row := range draw {
+			idx[i] = int(row)
+		}
+		return *buildTreeReference(d, idx, tp)
 	})
 	return &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)}, nil
 }
@@ -37,21 +43,29 @@ func TrainReference(d *mlcore.Dataset, p Params) (*Forest, error) {
 // flattened from.
 type PointerForest struct {
 	*Forest
-	trees []*tree
+	trees []tree
 }
 
 // TrainPointer is Train keeping the pointer trees: it runs Train's growing
 // step with Train's split kernel, and flattens the trees as Train does.
 func TrainPointer(d *mlcore.Dataset, p Params) *PointerForest {
 	cols := mlcore.NewColumns(d, p.Workers)
-	trees, imp := growTrees(d, p, func(idx []int, tp *treeParams) *tree {
+	trees, imp := growTrees(d, p, func(tp *treeParams) tree {
 		ctx := newSplitCtx(cols)
-		ctx.reset(idx)
+		tp.draw(ctx.idx)
 		return buildTree(ctx, tp)
 	})
 	return &PointerForest{
 		Forest: &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)},
 		trees:  trees,
+	}
+}
+
+// reset loads a sample multiset of the test's own into the context, in
+// draw order, in place of a tree's draw.
+func (c *splitCtx) reset(idx []int) {
+	for i, row := range idx {
+		c.idx[i] = int32(row)
 	}
 }
 

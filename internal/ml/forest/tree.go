@@ -21,8 +21,20 @@ type treeParams struct {
 	minLeaf     float64 // minimum total weight in a leaf
 	mtry        int     // features considered per split; <=0 means all
 	featImp     []float64
-	rng         *rng
+	rng         rng
 	minImpurity float64
+	bootstrap   bool // draw resamples the rows; without it every row once
+}
+
+// draw writes the tree's sample of len(dst) rows into dst in draw order:
+// a bootstrap resample from the tree's generator, or every row once.
+func (p *treeParams) draw(dst []int32) {
+	for i := range dst {
+		dst[i] = int32(i)
+		if p.bootstrap {
+			dst[i] = int32(p.rng.intn(len(dst)))
+		}
+	}
 }
 
 // rng is a tiny splitmix64 generator. The forest trains trees in parallel
@@ -30,7 +42,7 @@ type treeParams struct {
 // contention and keeps training fully deterministic given the seed.
 type rng struct{ state uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{state: seed ^ 0x9E3779B97F4A7C15} }
+func newRNG(seed uint64) rng { return rng{state: seed ^ 0x9E3779B97F4A7C15} }
 
 func (r *rng) next() uint64 {
 	r.state += 0x9E3779B97F4A7C15
@@ -68,6 +80,7 @@ type splitCtx struct {
 	counts []int32 // per-dataset-row multiplicity in the node (zeroed after use)
 	side   []uint8 // per-dataset-row split side of the current node (1=left)
 	perm   []int   // feature-sampling scratch
+	nodes  []node  // the tree being grown; buildTree copies it out
 }
 
 func newSplitCtx(cols *mlcore.Columns) *splitCtx {
@@ -84,14 +97,6 @@ func newSplitCtx(cols *mlcore.Columns) *splitCtx {
 		counts:  make([]int32, n),
 		side:    make([]uint8, n),
 		perm:    make([]int, cols.Dim()),
-	}
-}
-
-// reset loads one tree's sample multiset (the bootstrap draw) into the
-// context in draw order.
-func (c *splitCtx) reset(idx []int) {
-	for i, row := range idx {
-		c.idx[i] = int32(row)
 	}
 }
 
@@ -141,12 +146,13 @@ func (c *splitCtx) arrange(f int) []int32 {
 	return dst[:pos]
 }
 
-// buildTree grows a tree over the sample rows loaded into ctx.
-func buildTree(ctx *splitCtx, p *treeParams) *tree {
-	t := &tree{}
+// buildTree grows a tree over the sample rows loaded into ctx, in the
+// context's node buffer, and returns a copy the size of the tree.
+func buildTree(ctx *splitCtx, p *treeParams) tree {
+	ctx.nodes = ctx.nodes[:0]
 	wSum, wPos := ctx.nodeSums(0, ctx.n)
-	t.grow(ctx, p, 0, ctx.n, 0, wSum, wPos)
-	return t
+	ctx.grow(p, 0, ctx.n, 0, wSum, wPos)
+	return tree{nodes: append([]node(nil), ctx.nodes...)}
 }
 
 // nodeSums accumulates total and positive weight over idx[lo:hi] in
@@ -175,33 +181,33 @@ func (c *splitCtx) nodeSums(lo, hi int) (wSum, wPos float64) {
 }
 
 // grow appends a subtree for the node range [lo, hi) — whose weight sums
-// the caller already accumulated — and returns its root node index.
-func (t *tree) grow(ctx *splitCtx, p *treeParams, lo, hi, depth int, wSum, wPos float64) int {
-	me := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum)})
+// the caller already accumulated — to c.nodes; it returns its root index.
+func (c *splitCtx) grow(p *treeParams, lo, hi, depth int, wSum, wPos float64) int {
+	me := len(c.nodes)
+	c.nodes = append(c.nodes, node{feature: -1, prob: safeDiv(wPos, wSum)})
 
 	if depth >= p.maxDepth || wSum <= p.minLeaf || wPos == 0 || wPos == wSum {
 		return me
 	}
-	feat, thr, gain := bestSplit(ctx, p, lo, hi, wSum, wPos)
+	feat, thr, gain := bestSplit(c, p, lo, hi, wSum, wPos)
 	if feat < 0 || gain <= p.minImpurity {
 		return me
 	}
-	mid := ctx.partitionIdx(lo, hi, feat, thr)
+	mid := c.partitionIdx(lo, hi, feat, thr)
 	if mid == lo || mid == hi {
 		return me
 	}
-	lSum, lPos := ctx.nodeSums(lo, mid)
-	rSum, rPos := ctx.nodeSums(mid, hi)
+	lSum, lPos := c.nodeSums(lo, mid)
+	rSum, rPos := c.nodeSums(mid, hi)
 	if p.featImp != nil {
 		p.featImp[feat] += gain * wSum
 	}
-	t.nodes[me].feature = feat
-	t.nodes[me].threshold = thr
-	l := t.grow(ctx, p, lo, mid, depth+1, lSum, lPos)
-	t.nodes[me].left = l
-	r := t.grow(ctx, p, mid, hi, depth+1, rSum, rPos)
-	t.nodes[me].right = r
+	c.nodes[me].feature = feat
+	c.nodes[me].threshold = thr
+	l := c.grow(p, lo, mid, depth+1, lSum, lPos)
+	c.nodes[me].left = l
+	r := c.grow(p, mid, hi, depth+1, rSum, rPos)
+	c.nodes[me].right = r
 	return me
 }
 

@@ -29,35 +29,35 @@ var stopwords = map[string]bool{
 // Tokenize lower-cases the text and splits it into alphanumeric tokens,
 // dropping stopwords and single characters. Machine-generated names such as
 // "vm3.c10.dc2" are kept intact (dots and dashes inside identifiers do not
-// split) so component mentions survive tokenization.
+// split) so component mentions survive tokenization. Each token is a
+// substring of the lower-cased text: the runes a token accepts are
+// contiguous in it, and an invalid byte, which decodes as U+FFFD, ends the
+// open token like any other separator.
 func Tokenize(s string) []string {
 	s = strings.ToLower(s)
 	var out []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() == 0 {
-			return
-		}
-		tok := strings.Trim(b.String(), ".-")
-		b.Reset()
-		if len(tok) < 2 || stopwords[tok] {
-			return
-		}
-		out = append(out, tok)
-	}
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(r)
-		case (r == '.' || r == '-' || r == '_') && b.Len() > 0:
-			// Keep intra-identifier punctuation.
-			b.WriteRune(r)
-		default:
-			flush()
+	open := -1 // where the open token starts, -1 when none is open
+	for i, r := range s {
+		word := unicode.IsLetter(r) || unicode.IsDigit(r)
+		if open < 0 && word {
+			open = i
+		} else if open >= 0 && !word && r != '.' && r != '-' && r != '_' { // not intra-identifier punctuation
+			out, open = appendToken(out, s[open:i]), -1
 		}
 	}
-	flush()
+	if open >= 0 {
+		out = appendToken(out, s[open:])
+	}
 	return out
+}
+
+// appendToken closes a token: it loses its trailing '.' and '-', and is
+// kept unless shorter than two bytes or a stopword.
+func appendToken(out []string, tok string) []string {
+	if tok = strings.Trim(tok, ".-"); len(tok) < 2 || stopwords[tok] {
+		return out
+	}
+	return append(out, tok)
 }
 
 // Vocabulary maps tokens to dense feature indices.
@@ -83,8 +83,9 @@ func BuildVocabulary(docs [][]string, opt VocabOptions) *Vocabulary {
 		opt.MaxWords = 4096
 	}
 	df := map[string]int{}
+	seen := map[string]bool{}
 	for _, doc := range docs {
-		seen := map[string]bool{}
+		clear(seen)
 		for _, w := range doc {
 			if !seen[w] {
 				seen[w] = true
@@ -134,11 +135,12 @@ func ImportantWords(docs [][]string, labels []bool, vocab *Vocabulary, k int) []
 	// Per-word: document counts in positive / negative class.
 	posCount := make([]int, vocab.Size())
 	negCount := make([]int, vocab.Size())
+	// seenIn[i] is one more than the last document word i was counted in.
+	seenIn := make([]int, vocab.Size())
 	for d, doc := range docs {
-		seen := map[int]bool{}
 		for _, w := range doc {
-			if i, ok := vocab.Index[w]; ok && !seen[i] {
-				seen[i] = true
+			if i, ok := vocab.Index[w]; ok && seenIn[i] != d+1 {
+				seenIn[i] = d + 1
 				if labels[d] {
 					posCount[i]++
 				} else {
@@ -206,11 +208,14 @@ func (wc *WordCounter) countToken(x []float64, buf []byte, kept int) {
 	}
 }
 
-// NewWordCounter builds a counter over the given words.
+// NewWordCounter builds a counter over the given words. It copies them into
+// one string of its own: a token is a substring of its whole document.
 func NewWordCounter(words []string) *WordCounter {
-	wc := &WordCounter{words: append([]string(nil), words...), index: map[string]int{}}
-	for i, w := range wc.words {
-		wc.index[w] = i
+	wc := &WordCounter{words: make([]string, len(words)), index: map[string]int{}}
+	all := strings.Join(words, "")
+	for i, w := range words {
+		wc.words[i], all = all[:len(w)], all[len(w):]
+		wc.index[wc.words[i]] = i
 		wc.longest = max(wc.longest, len(w))
 	}
 	return wc

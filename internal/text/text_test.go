@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode"
+	"unsafe"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -180,5 +182,74 @@ func TestFeaturizeTextAllocations(t *testing.T) {
 	}
 	if !slices.Equal(x, []float64{1, 2, 2, 1}) {
 		t.Fatalf("counts %v", x)
+	}
+}
+
+// oracleTokenize is Tokenize as it read while it grew each token in a
+// strings.Builder, rune by rune, kept verbatim as the oracle for the
+// substring-cutting Tokenize.
+func oracleTokenize(s string) []string {
+	s = strings.ToLower(s)
+	var out []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() == 0 {
+			return
+		}
+		tok := strings.Trim(b.String(), ".-")
+		b.Reset()
+		if len(tok) < 2 || stopwords[tok] {
+			return
+		}
+		out = append(out, tok)
+	}
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(r)
+		case (r == '.' || r == '-' || r == '_') && b.Len() > 0:
+			b.WriteRune(r)
+		default:
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// FuzzTokenize holds Tokenize to the builder oracle for any input: the same
+// tokens, in order. Its seeds cover invalid UTF-8, the upper-case runes
+// whose lower-case form has another byte length (İ, the Kelvin sign),
+// punctuation around and inside identifiers, and stopwords.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range []string{
+		"", "\xff", "ab\xffcd", "\xc3ab", "ab\xe2\x82cd", "é\xff1", "ab�cd",
+		"İstanbul İİ", "Kelvin KK", "İ.x K-9",
+		"..a-b..", "-ab-", "a.-", "_x", "x_", "__ab__", "tor1.c1.dc1.",
+		"the THE an And please", "The VM vm3.c10.dc2 is unable to connect to storage!",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Tokenize(s), oracleTokenize(s); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, oracle %q", s, got, want)
+		}
+	})
+}
+
+// TestWordCounterKeepsNoDocument: the counter's words equal the tokens they
+// came from but share no bytes with the document, so a kept counter does
+// not keep its corpus.
+func TestWordCounterKeepsNoDocument(t *testing.T) {
+	doc := strings.Repeat("padding ", 100) + "latency spike"
+	wc := NewWordCounter(Tokenize(doc)[99:])
+	if !slices.Equal(wc.Names(), []string{"padding", "latency", "spike"}) {
+		t.Fatalf("words %q", wc.Names())
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+	for _, w := range wc.Names() {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(w))); p >= lo && p < lo+uintptr(len(doc)) {
+			t.Fatalf("word %q is a view of its document", w)
+		}
 	}
 }
