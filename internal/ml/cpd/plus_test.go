@@ -448,7 +448,8 @@ func (c *Plus) oraclePredictNarrow(in mapInput) (bool, float64, string) {
 // in any pull order, some outside the model's list, series of any length
 // with and without a shift, fractional and zero event counts — the flat
 // Input featurizes to the map oracle's vector bit for bit and the narrow
-// rule gives the oracle's label, confidence and explanation.
+// rule gives the oracle's label, confidence and explanation; every series
+// it hands the detector is clipped.
 func TestFlatInputMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pool := []string{"a", "b", "c", "d", "e"}
@@ -481,6 +482,11 @@ func TestFlatInputMatchesMapOracle(t *testing.T) {
 				in.Values = append(in.Values, v)
 			}
 			in.Pulls = append(in.Pulls, Pull{Dataset: ds, From: from, To: len(in.Values)})
+		}
+		for j := range in.Pulls {
+			if s := in.series(&in.Pulls[j]); cap(s) != len(s) {
+				t.Fatalf("trial %d: series %d is not clipped: an append would run into its neighbour", trial, j)
+			}
 		}
 		m := mapOf(in)
 		got, want := plus.params.Featurize(in), plus.params.oracleFeaturize(m)
