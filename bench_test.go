@@ -43,7 +43,7 @@ func BenchmarkAblationSelectorGates(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full := l.Scout.Evaluate(l.Test)
+		full := l.Scout.EvaluateWorkers(l.Test, 0)
 		raw := l.EvalVectors(l.Scout.Forest())
 		if i == 0 {
 			b.Logf("\nablation: full pipeline F1=%.3f vs ungated RF on cached vectors F1=%.3f",

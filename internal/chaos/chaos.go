@@ -1,4 +1,4 @@
-package faults
+package chaos
 
 import (
 	"math"
@@ -7,20 +7,20 @@ import (
 	"scouts/internal/monitoring"
 )
 
-// Chaos wraps a monitoring.DataSource and executes a fault Schedule
+// Source wraps a monitoring.DataSource and executes a fault Schedule
 // against it: blackouts and flaps answer empty windows, staleness shifts
 // queries into the past, and corruption rewrites series values with
 // seeded NaNs and spikes. The wrapper keeps the dataset *registry* intact
 // — Datasets() always lists everything the inner source registers — so a
-// Scout restored against a Chaos source keeps its trained feature layout;
+// Scout restored against a chaos Source keeps its trained feature layout;
 // availability is reported through the monitoring.HealthReporter
 // capability instead, which is what featurization imputes against.
 //
 // Every decision is a pure function of (schedule, seed, query window), so
-// identical queries always see identical faults. Chaos implements
+// identical queries always see identical faults. Source implements
 // monitoring.DataSource, monitoring.StatsSource, monitoring.SeriesAppender
 // and monitoring.HealthReporter.
-type Chaos struct {
+type Source struct {
 	inner  monitoring.DataSource
 	stats  monitoring.StatsSource
 	series monitoring.SeriesAppender
@@ -33,11 +33,11 @@ type Chaos struct {
 	ClusterOf func(component string) string
 }
 
-// NewChaos builds a chaos wrapper over inner with a fault schedule. The
+// New builds a chaos wrapper over inner with a fault schedule. The
 // seed drives only corruption sampling; two wrappers with the same
 // (schedule, seed) are interchangeable.
-func NewChaos(inner monitoring.DataSource, sched Schedule, seed int64) *Chaos {
-	return &Chaos{
+func New(inner monitoring.DataSource, sched Schedule, seed int64) *Source {
+	return &Source{
 		inner:  inner,
 		stats:  monitoring.StatsSourceOf(inner),
 		series: monitoring.SeriesAppenderOf(inner),
@@ -48,10 +48,10 @@ func NewChaos(inner monitoring.DataSource, sched Schedule, seed int64) *Chaos {
 
 // Datasets implements monitoring.DataSource. The registry is passed
 // through untouched: an outage hides data, not the dataset's existence.
-func (c *Chaos) Datasets() []monitoring.Descriptor { return c.inner.Datasets() }
+func (c *Source) Datasets() []monitoring.Descriptor { return c.inner.Datasets() }
 
 // down reports whether the dataset is dark for this component at time t.
-func (c *Chaos) down(dataset, component string, t float64) bool {
+func (c *Source) down(dataset, component string, t float64) bool {
 	cluster := ""
 	if c.ClusterOf != nil && component != "" {
 		cluster = c.ClusterOf(component)
@@ -62,14 +62,14 @@ func (c *Chaos) down(dataset, component string, t float64) bool {
 // SeriesWindow implements monitoring.DataSource with the schedule applied:
 // dark windows answer nil, stale windows answer the past, corrupted
 // windows carry seeded NaNs and spikes.
-func (c *Chaos) SeriesWindow(dataset, component string, from, to float64) []float64 {
+func (c *Source) SeriesWindow(dataset, component string, from, to float64) []float64 {
 	return c.AppendSeries(nil, dataset, component, from, to)
 }
 
 // AppendSeries implements monitoring.SeriesAppender with the schedule
 // applied. Corruption rewrites only the values this call appended — they
 // are copies the inner source handed over, never its own storage.
-func (c *Chaos) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
+func (c *Source) AppendSeries(dst []float64, dataset, component string, from, to float64) []float64 {
 	if c.down(dataset, component, to) {
 		return dst
 	}
@@ -92,7 +92,7 @@ var statsScratch = sync.Pool{New: func() any { return new([64]float64) }}
 // aggregates are recomputed from the corrupted series so WindowStats and
 // SeriesWindow never disagree about the same window; otherwise the inner
 // source's aggregate fast path answers (shifted when stale).
-func (c *Chaos) WindowStats(dataset, component string, from, to float64) (monitoring.Stats, bool) {
+func (c *Source) WindowStats(dataset, component string, from, to float64) (monitoring.Stats, bool) {
 	if c.down(dataset, component, to) {
 		return monitoring.Stats{}, false
 	}
@@ -112,7 +112,7 @@ func (c *Chaos) WindowStats(dataset, component string, from, to float64) (monito
 // EventsWindow implements monitoring.DataSource: dark windows answer nil,
 // stale windows answer the past (the old event timestamps are kept — a
 // frozen pipeline serves old records, it does not re-stamp them).
-func (c *Chaos) EventsWindow(dataset, component string, from, to float64) []monitoring.EventRecord {
+func (c *Source) EventsWindow(dataset, component string, from, to float64) []monitoring.EventRecord {
 	if c.down(dataset, component, to) {
 		return nil
 	}
@@ -121,7 +121,7 @@ func (c *Chaos) EventsWindow(dataset, component string, from, to float64) []moni
 }
 
 // EventCount implements monitoring.StatsSource.
-func (c *Chaos) EventCount(dataset, component string, from, to float64) int {
+func (c *Source) EventCount(dataset, component string, from, to float64) int {
 	if c.down(dataset, component, to) {
 		return 0
 	}
@@ -133,7 +133,7 @@ func (c *Chaos) EventCount(dataset, component string, from, to float64) int {
 // blackout does not mark the dataset globally unavailable — the dataset
 // still answers for other clusters, and per-component emptiness is the
 // accurate signal there.
-func (c *Chaos) DatasetHealth(dataset string, t float64) monitoring.DatasetHealth {
+func (c *Source) DatasetHealth(dataset string, t float64) monitoring.DatasetHealth {
 	return monitoring.DatasetHealth{
 		Dataset:   dataset,
 		Available: !c.sched.blackoutAt(dataset, "", t) && !c.sched.flapDownAt(dataset, t),
@@ -142,7 +142,7 @@ func (c *Chaos) DatasetHealth(dataset string, t float64) monitoring.DatasetHealt
 }
 
 // HealthSnapshot implements monitoring.HealthReporter.
-func (c *Chaos) HealthSnapshot(t float64) []monitoring.DatasetHealth {
+func (c *Source) HealthSnapshot(t float64) []monitoring.DatasetHealth {
 	ds := c.inner.Datasets()
 	out := make([]monitoring.DatasetHealth, len(ds))
 	for i, d := range ds {
@@ -154,7 +154,7 @@ func (c *Chaos) HealthSnapshot(t float64) []monitoring.DatasetHealth {
 // corrupt rewrites vals in place. Each sample's fate hashes its index
 // anchored at the window start, so a fixed query window is always corrupted
 // identically.
-func (c *Chaos) corrupt(vals []float64, cr *Corruption, dataset, component string, from float64) {
+func (c *Source) corrupt(vals []float64, cr *Corruption, dataset, component string, from float64) {
 	scale := cr.SpikeScale
 	if scale == 0 {
 		scale = 10
@@ -173,10 +173,10 @@ func (c *Chaos) corrupt(vals []float64, cr *Corruption, dataset, component strin
 
 // Interface conformance checks.
 var (
-	_ monitoring.DataSource     = (*Chaos)(nil)
-	_ monitoring.StatsSource    = (*Chaos)(nil)
-	_ monitoring.SeriesAppender = (*Chaos)(nil)
-	_ monitoring.HealthReporter = (*Chaos)(nil)
+	_ monitoring.DataSource     = (*Source)(nil)
+	_ monitoring.StatsSource    = (*Source)(nil)
+	_ monitoring.SeriesAppender = (*Source)(nil)
+	_ monitoring.HealthReporter = (*Source)(nil)
 )
 
 // --- deterministic hashing (the cloudsim construction) ------------------

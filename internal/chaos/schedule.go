@@ -1,15 +1,14 @@
-// Package faults is the deterministic fault-injection and graceful-
-// degradation layer: a seeded, schedule-driven chaos wrapper around any
-// monitoring.DataSource (the Table 2 failure modes — datasets going dark,
-// lagging, or corrupting — as reproducible schedules over model time) and
-// a per-dataset circuit breaker that turns observed outages into an
-// availability signal featurization can impute against.
+// Package chaos is the lab's deterministic fault-injection plane: a
+// seeded, schedule-driven wrapper around any monitoring.DataSource that
+// replays the Table 2 failure modes — datasets going dark, lagging, or
+// corrupting — as reproducible schedules over model time. The outage-curve
+// experiment and the serving, core and breaker tests drive it; no daemon
+// links it.
 //
 // Everything in the package is a pure function of (schedule, seed, query
 // time): there are no wall-clock reads and no global randomness, so a
-// chaos run replays bit-identically — the property the outage-curve
-// experiment and the serving chaos tests are built on.
-package faults
+// chaos run replays bit-identically.
+package chaos
 
 import "math"
 
@@ -61,7 +60,7 @@ type Flap struct {
 	Duty    float64 // fraction of each period the dataset is up, in (0, 1)
 }
 
-// Schedule is the full fault plan a Chaos source executes.
+// Schedule is the full fault plan a Source executes.
 type Schedule struct {
 	Blackouts   []Blackout
 	Stalenesses []Staleness

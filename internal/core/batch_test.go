@@ -38,7 +38,7 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 		singles[i] = f.scout.PredictIncident(in)
 	}
 	for name, scout := range batchScouts(t, f) {
-		batch := scout.PredictIncidentBatch(ins)
+		batch := scout.PredictBatch(incidentRequests(ins))
 		if len(batch) != len(ins) {
 			t.Fatalf("%s: batch answered %d of %d items", name, len(batch), len(ins))
 		}
@@ -59,11 +59,11 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 func TestPredictBatchConcurrent(t *testing.T) {
 	f := getFixture(t)
 	ins := f.test[:60]
-	want := f.scout.PredictIncidentBatch(ins)
+	want := f.scout.PredictBatch(incidentRequests(ins))
 	for name, scout := range batchScouts(t, f) {
 		done := make(chan []Prediction, 4)
 		for g := 0; g < 4; g++ {
-			go func() { done <- scout.PredictIncidentBatch(ins) }()
+			go func() { done <- scout.PredictBatch(incidentRequests(ins)) }()
 		}
 		for g := 0; g < 4; g++ {
 			got := <-done

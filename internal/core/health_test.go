@@ -6,34 +6,34 @@ import (
 	"strings"
 	"testing"
 
-	"scouts/internal/faults"
+	"scouts/internal/chaos"
 	"scouts/internal/incident"
 )
 
 // restoreAgainst rebinds the shared fixture's trained Scout to another
 // data source through the snapshot path (the registry is identical, so
 // the trained layout survives).
-func restoreAgainst(t *testing.T, f *fixture, sched faults.Schedule, seed int64) (*Scout, *faults.Chaos) {
+func restoreAgainst(t *testing.T, f *fixture, sched chaos.Schedule, seed int64) (*Scout, *chaos.Source) {
 	t.Helper()
 	snap, err := f.scout.SnapshotPack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos := faults.NewChaos(f.gen.Telemetry(), sched, seed)
-	s, err := Restore(snap, f.gen.Topology(), chaos)
+	src := chaos.New(f.gen.Telemetry(), sched, seed)
+	s, err := Restore(snap, f.gen.Topology(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, chaos
+	return s, src
 }
 
 // blackoutAll darkens every named dataset for all time.
-func blackoutAll(names []string) faults.Schedule {
-	var bs []faults.Blackout
+func blackoutAll(names []string) chaos.Schedule {
+	var bs []chaos.Blackout
 	for _, n := range names {
-		bs = append(bs, faults.Blackout{Dataset: n, Start: 0, End: faults.Forever})
+		bs = append(bs, chaos.Blackout{Dataset: n, Start: 0, End: chaos.Forever})
 	}
-	return faults.Schedule{Blackouts: bs}
+	return chaos.Schedule{Blackouts: bs}
 }
 
 // modelIncident returns a test incident that reaches a model (neither
@@ -97,7 +97,7 @@ func TestImputationUnderPartialOutage(t *testing.T) {
 		names = append(names, d.Name)
 	}
 	s, _ := restoreAgainst(t, f, blackoutAll(names), 1)
-	clean, _ := restoreAgainst(t, f, faults.Schedule{}, 1)
+	clean, _ := restoreAgainst(t, f, chaos.Schedule{}, 1)
 
 	in := modelIncident(t, f)
 	ex := s.fb.Extract(in.Title, in.Body, in.InitialComponents)
@@ -138,12 +138,12 @@ func TestBatchMatchesSingleUnderChaos(t *testing.T) {
 	// NaN-heavy corruption plus a partial blackout: the batch path must
 	// answer exactly what the single path answers, health reports included.
 	names := f.scout.Builder().DatasetNames()
-	sched := faults.Schedule{
-		Blackouts: []faults.Blackout{{Dataset: names[0], Start: 0, End: faults.Forever}},
+	sched := chaos.Schedule{
+		Blackouts: []chaos.Blackout{{Dataset: names[0], Start: 0, End: chaos.Forever}},
 	}
 	for _, n := range names[1:] {
 		sched.Corruptions = append(sched.Corruptions,
-			faults.Corruption{Dataset: n, Start: 0, End: faults.Forever, NaNProb: 0.5, SpikeProb: 0.2})
+			chaos.Corruption{Dataset: n, Start: 0, End: chaos.Forever, NaNProb: 0.5, SpikeProb: 0.2})
 	}
 	s, _ := restoreAgainst(t, f, sched, 99)
 
@@ -202,11 +202,11 @@ func TestDegradationPolicyFallsBack(t *testing.T) {
 
 func TestDegradationPolicyStaleness(t *testing.T) {
 	f := getFixture(t)
-	var st []faults.Staleness
+	var st []chaos.Staleness
 	for _, n := range f.scout.Builder().DatasetNames() {
-		st = append(st, faults.Staleness{Dataset: n, Start: 0, End: faults.Forever, Lag: 10})
+		st = append(st, chaos.Staleness{Dataset: n, Start: 0, End: chaos.Forever, Lag: 10})
 	}
-	s, _ := restoreAgainst(t, f, faults.Schedule{Stalenesses: st}, 1)
+	s, _ := restoreAgainst(t, f, chaos.Schedule{Stalenesses: st}, 1)
 	in := modelIncident(t, f)
 
 	p := s.Predict(in.Title, in.Body, in.InitialComponents, in.CreatedAt)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"scouts/internal/chaos"
 	"scouts/internal/cloudsim"
 	"scouts/internal/faults"
 	"scouts/internal/incident"
@@ -222,14 +223,14 @@ func bitsEqual(a, b []float64) bool {
 // gates) see the same call sequence on both sides.
 func oracleSources(gen *cloudsim.Generator) map[string]func() monitoring.DataSource {
 	tel := gen.Telemetry()
-	sched := faults.Schedule{
-		Blackouts:   []faults.Blackout{{Dataset: cloudsim.DSTemp, Start: 60, End: 90}},
-		Flaps:       []faults.Flap{{Dataset: cloudsim.DSPFC, Start: 0, End: faults.Forever, Period: 7, Duty: 0.6}},
-		Stalenesses: []faults.Staleness{{Dataset: cloudsim.DSPingmesh, Start: 100, End: 160, Lag: 5}},
-		Corruptions: []faults.Corruption{{Dataset: cloudsim.DSIfCounters, Start: 0, End: faults.Forever, NaNProb: 0.05, SpikeProb: 0.1}},
+	sched := chaos.Schedule{
+		Blackouts:   []chaos.Blackout{{Dataset: cloudsim.DSTemp, Start: 60, End: 90}},
+		Flaps:       []chaos.Flap{{Dataset: cloudsim.DSPFC, Start: 0, End: chaos.Forever, Period: 7, Duty: 0.6}},
+		Stalenesses: []chaos.Staleness{{Dataset: cloudsim.DSPingmesh, Start: 100, End: 160, Lag: 5}},
+		Corruptions: []chaos.Corruption{{Dataset: cloudsim.DSIfCounters, Start: 0, End: chaos.Forever, NaNProb: 0.05, SpikeProb: 0.1}},
 	}
-	chaos := func() *faults.Chaos {
-		c := faults.NewChaos(tel, sched, 3)
+	faulty := func() *chaos.Source {
+		c := chaos.New(tel, sched, 3)
 		c.ClusterOf = gen.Topology().ClusterOf
 		return c
 	}
@@ -242,7 +243,7 @@ func oracleSources(gen *cloudsim.Generator) map[string]func() monitoring.DataSou
 			return faults.NewBreaker(tel, faults.BreakerParams{})
 		},
 		"breaker+chaos": func() monitoring.DataSource {
-			return faults.NewBreaker(chaos(), faults.BreakerParams{Trip: 4, Cooldown: 3, StaleAfter: 2})
+			return faults.NewBreaker(faulty(), faults.BreakerParams{Trip: 4, Cooldown: 3, StaleAfter: 2})
 		},
 	}
 }

@@ -40,7 +40,7 @@ func TestRetrainWithBoostAndDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := retrained.Evaluate(f.test)
+	c := retrained.EvaluateWorkers(f.test, 0)
 	if c.F1() < 0.88 {
 		t.Fatalf("retraining with §8 weighting should stay accurate, F1 = %v", c.F1())
 	}

@@ -511,14 +511,9 @@ func (s *Scout) PredictIncident(in *incident.Incident) Prediction {
 	return s.Predict(in.Title, in.Body, in.InitialComponents, in.CreatedAt)
 }
 
-// PredictIncidentBatch classifies incidents at their creation time through
-// the batch path; element i is exactly PredictIncident(ins[i]).
-func (s *Scout) PredictIncidentBatch(ins []*incident.Incident) []Prediction {
-	return s.PredictBatch(incidentRequests(ins))
-}
-
 // incidentRequests is the incidents as batch items: the inputs
-// PredictIncident scores them on.
+// PredictIncident scores them on. Element i of PredictBatch over them is
+// exactly PredictIncident(ins[i]).
 func incidentRequests(ins []*incident.Incident) []BatchRequest {
 	reqs := make([]BatchRequest, len(ins))
 	for i, in := range ins {
@@ -616,16 +611,11 @@ func (s *Scout) explainRF(x []float64, label bool) string {
 // leave them out.
 func isCountFeature(feature string) bool { return strings.HasSuffix(feature, ".ncomponents") }
 
-// Evaluate runs the Scout over a set of incidents (at their creation time)
-// and returns the confusion matrix over usable verdicts, mirroring §7's
-// accuracy metrics. Fallback verdicts are skipped, as in the paper's
-// evaluation.
-func (s *Scout) Evaluate(ins []*incident.Incident) metrics.Confusion {
-	return s.EvaluateWorkers(ins, 0)
-}
-
-// EvaluateWorkers is Evaluate with an explicit worker count (0 selects
-// runtime.GOMAXPROCS(0)). Predictions fan out over the incidents — a
+// EvaluateWorkers runs the Scout over a set of incidents (at their
+// creation time) on the given number of workers (0 selects
+// runtime.GOMAXPROCS(0)) and returns the confusion matrix over usable
+// verdicts, mirroring §7's accuracy metrics. Fallback verdicts are skipped,
+// as in the paper's evaluation. Predictions fan out over the incidents — a
 // trained Scout is read-only at inference — and the confusion matrix is
 // folded sequentially in incident order.
 func (s *Scout) EvaluateWorkers(ins []*incident.Incident, workers int) metrics.Confusion {

@@ -60,7 +60,7 @@ func getFixture(t testing.TB) *fixture {
 
 func TestScoutAccuracyOnHeldOut(t *testing.T) {
 	f := getFixture(t)
-	c := f.scout.Evaluate(f.test)
+	c := f.scout.EvaluateWorkers(f.test, 0)
 	t.Logf("held-out confusion: %s over %d incidents", c.String(), c.Total())
 	if c.F1() < 0.9 {
 		t.Fatalf("PhyNet Scout F1 = %v, want >= 0.9 (paper: 0.98)", c.F1())
@@ -155,7 +155,7 @@ func TestEvaluateSkipsFallback(t *testing.T) {
 		ID: "X", Title: "vague", Body: "nothing specific",
 		OwnerLabel: "PhyNet", CreatedAt: 500,
 	}
-	c := f.scout.Evaluate([]*incident.Incident{in})
+	c := f.scout.EvaluateWorkers([]*incident.Incident{in}, 0)
 	if c.Total() != 0 {
 		t.Fatalf("fallback incidents must be skipped, got %s", c.String())
 	}
@@ -214,7 +214,7 @@ func TestImputationOnDeprecatedDataset(t *testing.T) {
 	if down := s.PredictIncident(in).Health.DatasetsDown; !slices.Contains(down, "pingmesh") {
 		t.Fatalf("datasets down %v, want pingmesh among them", down)
 	}
-	c := s.Evaluate(f.test)
+	c := s.EvaluateWorkers(f.test, 0)
 	if c.F1() < 0.8 {
 		t.Fatalf("losing one monitor should degrade gracefully, F1 = %v", c.F1())
 	}

@@ -215,7 +215,7 @@ func (f Figure13Result) String() string {
 // Figure13 computes the distances over the test feature matrix.
 func Figure13(lab *Lab) Figure13Result {
 	pos, neg := splitByLabel(lab.TestX, lab.TestY)
-	wp, wn, cr := metrics.ClassDistances(pos, neg, 20000)
+	wp, wn, cr := ClassDistances(pos, neg, 20000)
 	return Figure13Result{
 		WithinPos: cdfSeries("within PhyNet", wp, 11),
 		WithinNeg: cdfSeries("within non-PhyNet", wn, 11),
@@ -266,7 +266,7 @@ func Figure14(lab *Lab) Figure14Result {
 			return out
 		}
 		pos, neg := splitByLabel(lab.TestX, lab.TestY)
-		wp, wn, cr := metrics.ClassDistances(project(pos), project(neg), 20000)
+		wp, wn, cr := ClassDistances(project(pos), project(neg), 20000)
 		out.PerType[typ] = Figure13Result{
 			WithinPos: cdfSeries("within PhyNet", wp, 11),
 			WithinNeg: cdfSeries("within non-PhyNet", wn, 11),

@@ -63,7 +63,7 @@ type Lab struct {
 	Train, Test []*incident.Incident
 
 	Scout *core.Scout
-	NLP   *text.NLPRouter
+	NLP   *NLPRouter
 
 	// Cache memoizes featurization: NewLab fills it with every incident of
 	// the trace (training memoises the train split, buildMatrices the test
@@ -135,7 +135,7 @@ func NewLab(p LabParams) (*Lab, error) {
 		docs = append(docs, in.Text())
 		teams = append(teams, in.OwnerLabel)
 	}
-	lab.NLP, err = text.TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 2})
+	lab.NLP, err = TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func renderSeries(title string, series []Series) string {
 
 // cdfSeries samples an empirical CDF at n evenly spaced quantiles.
 func cdfSeries(name string, sample []float64, n int) Series {
-	c := metrics.NewCDF(sample)
+	c := NewCDF(sample)
 	return Series{Name: name, Points: c.Points(n)}
 }
 

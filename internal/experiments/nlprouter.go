@@ -1,10 +1,12 @@
-package text
+package experiments
 
 import (
 	"cmp"
 	"errors"
 	"math"
 	"slices"
+
+	"scouts/internal/text"
 )
 
 // ConfidenceBand is the categorical confidence the legacy NLP recommender
@@ -39,12 +41,13 @@ type TeamScore struct {
 	Score float64 // posterior probability
 }
 
-// NLPRouter is the legacy multi-class incident router: a multinomial naive
-// Bayes classifier over incident text. It reproduces the baseline's
+// NLPRouter is the legacy multi-class incident router, the paper's
+// baseline (§7: high precision, low recall; it sees only the incident
+// text): a multinomial naive Bayes classifier over incident text. It reproduces the baseline's
 // behaviour profile: decent precision on clearly-worded incidents, poor
 // recall when the text describes symptoms rather than causes.
 type NLPRouter struct {
-	vocab    *Vocabulary
+	vocab    *text.Vocabulary
 	teams    []string
 	teamIdx  map[string]int
 	logPrior []float64
@@ -52,18 +55,18 @@ type NLPRouter struct {
 }
 
 // ErrNoTrainingData is returned when TrainNLPRouter receives no documents.
-var ErrNoTrainingData = errors.New("text: no training documents")
+var ErrNoTrainingData = errors.New("experiments: no training documents")
 
 // TrainNLPRouter fits the multinomial NB router on (document, team) pairs.
-func TrainNLPRouter(docs []string, teams []string, opt VocabOptions) (*NLPRouter, error) {
+func TrainNLPRouter(docs []string, teams []string, opt text.VocabOptions) (*NLPRouter, error) {
 	if len(docs) == 0 || len(docs) != len(teams) {
 		return nil, ErrNoTrainingData
 	}
 	tokenized := make([][]string, len(docs))
 	for i, d := range docs {
-		tokenized[i] = Tokenize(d)
+		tokenized[i] = text.Tokenize(d)
 	}
-	vocab := BuildVocabulary(tokenized, opt)
+	vocab := text.BuildVocabulary(tokenized, opt)
 	r := &NLPRouter{vocab: vocab, teamIdx: map[string]int{}}
 	for _, t := range teams {
 		if _, ok := r.teamIdx[t]; !ok {
@@ -104,7 +107,7 @@ func TrainNLPRouter(docs []string, teams []string, opt VocabOptions) (*NLPRouter
 // Rank scores every team for the incident text and returns the ranked list
 // (posterior probabilities summing to 1) plus the categorical confidence.
 func (r *NLPRouter) Rank(doc string) ([]TeamScore, ConfidenceBand) {
-	tokens := Tokenize(doc)
+	tokens := text.Tokenize(doc)
 	scores := make([]float64, len(r.teams))
 	for t := range r.teams {
 		s := r.logPrior[t]

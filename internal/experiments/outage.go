@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"slices"
 
+	"scouts/internal/chaos"
 	"scouts/internal/core"
-	"scouts/internal/faults"
 	"scouts/internal/incident"
 )
 
@@ -131,21 +131,25 @@ func OutageCurve(lab *Lab, minCoverage float64) (*OutageCurveResult, error) {
 	for i := range alive {
 		alive[i] = true
 	}
+	reqs := make([]core.BatchRequest, len(pop))
+	for i, in := range pop {
+		reqs[i] = core.BatchRequest{Title: in.Title, Body: in.Body, Components: in.InitialComponents, Time: in.CreatedAt}
+	}
 	for dark := 0; dark <= len(order); dark++ {
-		var sched faults.Schedule
+		var sched chaos.Schedule
 		for _, name := range order[:dark] {
-			sched.Blackouts = append(sched.Blackouts, faults.Blackout{
-				Dataset: name, Start: 0, End: faults.Forever,
+			sched.Blackouts = append(sched.Blackouts, chaos.Blackout{
+				Dataset: name, Start: 0, End: chaos.Forever,
 			})
 		}
-		chaos := faults.NewChaos(lab.Gen.Telemetry(), sched, lab.Params.Seed)
-		s, err := core.Restore(snap, lab.Gen.Topology(), chaos)
+		src := chaos.New(lab.Gen.Telemetry(), sched, lab.Params.Seed)
+		s, err := core.Restore(snap, lab.Gen.Topology(), src)
 		if err != nil {
 			return nil, err
 		}
 		s.SetDegradationPolicy(core.DegradationPolicy{MinCoverage: minCoverage})
 
-		preds := s.PredictIncidentBatch(pop)
+		preds := s.PredictBatch(reqs)
 		correctNow, fallbacks, retained := 0, 0, 0
 		for i, p := range preds {
 			truth := pop[i].OwnerLabel == Team

@@ -276,7 +276,7 @@ func (h HeadlineResult) String() string {
 // teams of the historical path (support triage is not an engineering
 // assignment).
 func Headline(lab *Lab) HeadlineResult {
-	scout := lab.Scout.Evaluate(lab.Test)
+	scout := lab.Scout.EvaluateWorkers(lab.Test, 0)
 	var base metrics.Confusion
 	for _, in := range lab.Test {
 		if len(in.Hops) == 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"scouts/internal/chaos"
 	"scouts/internal/cloudsim"
 	"scouts/internal/monitoring"
 )
@@ -17,19 +18,19 @@ type plainSource struct{ monitoring.DataSource }
 // equivalenceSchedule exercises every clause the wrappers handle: a whole-
 // dataset blackout, a cluster-scoped one, a flap, staleness beyond and
 // within the breaker's tolerance, and NaN/spike corruption.
-func equivalenceSchedule() Schedule {
-	return Schedule{
-		Blackouts: []Blackout{
+func equivalenceSchedule() chaos.Schedule {
+	return chaos.Schedule{
+		Blackouts: []chaos.Blackout{
 			{Dataset: cloudsim.DSTemp, Start: 30, End: 37},
 			{Dataset: cloudsim.DSCPU, Cluster: "c1.dc1", Start: 20, End: 60},
 		},
-		Flaps: []Flap{{Dataset: cloudsim.DSPFC, Start: 10, End: 80, Period: 3, Duty: 0.5}},
-		Stalenesses: []Staleness{
+		Flaps: []chaos.Flap{{Dataset: cloudsim.DSPFC, Start: 10, End: 80, Period: 3, Duty: 0.5}},
+		Stalenesses: []chaos.Staleness{
 			{Dataset: cloudsim.DSPingmesh, Start: 40, End: 55, Lag: 6},
-			{Dataset: cloudsim.DSCanary, Start: 0, End: Forever, Lag: 1},
+			{Dataset: cloudsim.DSCanary, Start: 0, End: chaos.Forever, Lag: 1},
 		},
-		Corruptions: []Corruption{
-			{Dataset: cloudsim.DSIfCounters, Start: 0, End: Forever, NaNProb: 0.1, SpikeProb: 0.1},
+		Corruptions: []chaos.Corruption{
+			{Dataset: cloudsim.DSIfCounters, Start: 0, End: chaos.Forever, NaNProb: 0.1, SpikeProb: 0.1},
 		},
 	}
 }
@@ -129,14 +130,14 @@ func TestBreakerAppendSeriesEquivalence(t *testing.T) {
 	var drivers []*driver
 	for _, pull := range []string{"old", "window", "append"} {
 		drivers = append(drivers,
-			&driver{name: "native/" + pull, pull: pull, b: NewBreaker(NewChaos(tel, sched, seed), equivalenceParams)},
-			&driver{name: "plain/" + pull, pull: pull, b: NewBreaker(NewChaos(plainSource{tel}, sched, seed), equivalenceParams)})
+			&driver{name: "native/" + pull, pull: pull, b: NewBreaker(chaos.New(tel, sched, seed), equivalenceParams)},
+			&driver{name: "plain/" + pull, pull: pull, b: NewBreaker(chaos.New(plainSource{tel}, sched, seed), equivalenceParams)})
 	}
 	for _, d := range drivers {
-		d.b.inner.(*Chaos).ClusterOf = tel.Topology().ClusterOf
+		d.b.inner.(*chaos.Source).ClusterOf = tel.Topology().ClusterOf
 	}
 	// ref answers what the chaos layer alone says, without moving any gate.
-	ref := NewChaos(tel, sched, seed)
+	ref := chaos.New(tel, sched, seed)
 	ref.ClusterOf = tel.Topology().ClusterOf
 
 	comps := []string{"tor1.c1.dc1", "srv1.c1.dc1", "srv3.c2.dc1", "agg1.c2.dc2", "c1.dc1", "c3.dc2", "vm1.c1.dc1", "nosuch"}
@@ -267,9 +268,9 @@ func sameStats(a, b monitoring.Stats) bool {
 func TestBreakerAppendSeriesConcurrent(t *testing.T) {
 	tel := equivalenceTelemetry()
 	sched := equivalenceSchedule()
-	chaos := NewChaos(tel, sched, 5)
-	ref := NewChaos(tel, sched, 5)
-	b := NewBreaker(chaos, equivalenceParams)
+	src := chaos.New(tel, sched, 5)
+	ref := chaos.New(tel, sched, 5)
+	b := NewBreaker(src, equivalenceParams)
 	series := []string{cloudsim.DSTemp, cloudsim.DSPFC, cloudsim.DSPingmesh, cloudsim.DSIfCounters, cloudsim.DSCPU, cloudsim.DSCanary}
 	comps := []string{"tor1.c1.dc1", "srv1.c1.dc1", "c1.dc1", "agg1.c2.dc2", "vm1.c1.dc1"}
 
@@ -316,7 +317,7 @@ func TestAppendSeriesAllocations(t *testing.T) {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	tel := equivalenceTelemetry()
-	chaos := NewChaos(tel, equivalenceSchedule(), 7)
+	src := chaos.New(tel, equivalenceSchedule(), 7)
 	b := NewBreaker(tel, equivalenceParams)
 	dst := make([]float64, 0, 64)
 	events := tel.EventCount(cloudsim.DSSyslog, "tor1.c1.dc1", 40, 42)
@@ -330,11 +331,11 @@ func TestAppendSeriesAllocations(t *testing.T) {
 		want int
 	}{
 		{"Chaos.AppendSeries (corrupted)", func() int {
-			dst = chaos.AppendSeries(dst[:0], cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42)
+			dst = src.AppendSeries(dst[:0], cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42)
 			return len(dst)
 		}, 20},
 		{"Chaos.AppendSeries (stale)", func() int {
-			dst = chaos.AppendSeries(dst[:0], cloudsim.DSCanary, "c1.dc1", 48, 50)
+			dst = src.AppendSeries(dst[:0], cloudsim.DSCanary, "c1.dc1", 48, 50)
 			return len(dst)
 		}, 20},
 		{"Breaker.AppendSeries", func() int {
@@ -366,8 +367,8 @@ func TestAppendSeriesAllocations(t *testing.T) {
 // copy, never the storage of a source that hands out its own slice.
 func TestChaosAppendSeriesLeavesInnerAlone(t *testing.T) {
 	shared := &sharedSliceSource{vals: []float64{1, 2, 3, 4, 5, 6, 7, 8}}
-	c := NewChaos(shared, Schedule{Corruptions: []Corruption{
-		{Dataset: "lat", Start: 0, End: Forever, NaNProb: 0.5, SpikeProb: 0.5},
+	c := chaos.New(shared, chaos.Schedule{Corruptions: []chaos.Corruption{
+		{Dataset: "lat", Start: 0, End: chaos.Forever, NaNProb: 0.5, SpikeProb: 0.5},
 	}}, 2)
 	got := c.AppendSeries([]float64{42}, "lat", "s1", 0, 8)
 	if len(got) != 9 || got[0] != 42 {

@@ -1,3 +1,10 @@
+// Package faults holds the circuit breakers the daemons run: a
+// per-dataset Breaker that turns observed monitoring outages into an
+// availability signal featurization can impute against, and a
+// request-level ReqBreaker the gateway keeps per replica. The per-dataset
+// gates run on model hours, never on the wall clock, so a run over the
+// same source replays bit-identically; the lab's fault schedules that
+// drive them in tests live in internal/chaos.
 package faults
 
 import (

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"testing"
+
+	"scouts/internal/chaos"
 )
 
 func breakerOver(src *fakeSource, p BreakerParams) *Breaker {
@@ -144,10 +146,10 @@ func TestBreakerHalfOpenProbeReopens(t *testing.T) {
 
 func TestBreakerStaleAfterTrips(t *testing.T) {
 	src := &fakeSource{}
-	chaos := NewChaos(src, Schedule{
-		Stalenesses: []Staleness{{Dataset: "lat", Start: 0, End: Forever, Lag: 8}},
+	dark := chaos.New(src, chaos.Schedule{
+		Stalenesses: []chaos.Staleness{{Dataset: "lat", Start: 0, End: chaos.Forever, Lag: 8}},
 	}, 1)
-	b := NewBreaker(chaos, BreakerParams{Trip: 2, Cooldown: 5, StaleAfter: 4})
+	b := NewBreaker(dark, BreakerParams{Trip: 2, Cooldown: 5, StaleAfter: 4})
 
 	// Windows answer (the frozen past), but the admitted lag exceeds the
 	// tolerance, so each one counts as a failure.

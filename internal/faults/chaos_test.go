@@ -1,3 +1,8 @@
+// The chaos plane (internal/chaos) is tested here, beside the breaker
+// tests that inject their faults with it: both run over fakeSource and
+// the equivalence telemetry, and the breaker's contract is stated against
+// the faults chaos.Source injects.
+
 package faults
 
 import (
@@ -5,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"scouts/internal/chaos"
 	"scouts/internal/cloudsim"
 	"scouts/internal/monitoring"
 	"scouts/internal/topology"
@@ -49,8 +55,8 @@ func (f *fakeSource) EventsWindow(dataset, component string, from, to float64) [
 
 func TestChaosBlackoutFullDataset(t *testing.T) {
 	src := &fakeSource{}
-	c := NewChaos(src, Schedule{
-		Blackouts: []Blackout{{Dataset: "lat", Start: 10, End: 20}},
+	c := chaos.New(src, chaos.Schedule{
+		Blackouts: []chaos.Blackout{{Dataset: "lat", Start: 10, End: 20}},
 	}, 1)
 
 	if got := c.SeriesWindow("lat", "s1", 5, 8); len(got) == 0 {
@@ -79,8 +85,8 @@ func TestChaosBlackoutFullDataset(t *testing.T) {
 
 func TestChaosClusterScopedBlackout(t *testing.T) {
 	src := &fakeSource{}
-	c := NewChaos(src, Schedule{
-		Blackouts: []Blackout{{Dataset: "lat", Cluster: "cl1", Start: 0, End: Forever}},
+	c := chaos.New(src, chaos.Schedule{
+		Blackouts: []chaos.Blackout{{Dataset: "lat", Cluster: "cl1", Start: 0, End: chaos.Forever}},
 	}, 1)
 	c.ClusterOf = func(comp string) string {
 		if comp == "s1" {
@@ -103,8 +109,8 @@ func TestChaosClusterScopedBlackout(t *testing.T) {
 
 func TestChaosStaleness(t *testing.T) {
 	src := &fakeSource{}
-	c := NewChaos(src, Schedule{
-		Stalenesses: []Staleness{{Dataset: "lat", Start: 100, End: Forever, Lag: 10}},
+	c := chaos.New(src, chaos.Schedule{
+		Stalenesses: []chaos.Staleness{{Dataset: "lat", Start: 100, End: chaos.Forever, Lag: 10}},
 	}, 1)
 
 	want := src.SeriesWindow("lat", "s1", 110, 115)
@@ -126,8 +132,8 @@ func TestChaosStaleness(t *testing.T) {
 
 func TestChaosCorruptionDeterministic(t *testing.T) {
 	src := &fakeSource{}
-	allNaN := NewChaos(src, Schedule{
-		Corruptions: []Corruption{{Dataset: "lat", Start: 0, End: Forever, NaNProb: 1}},
+	allNaN := chaos.New(src, chaos.Schedule{
+		Corruptions: []chaos.Corruption{{Dataset: "lat", Start: 0, End: chaos.Forever, NaNProb: 1}},
 	}, 7)
 	for _, v := range allNaN.SeriesWindow("lat", "s1", 2, 8) {
 		if !math.IsNaN(v) {
@@ -135,8 +141,8 @@ func TestChaosCorruptionDeterministic(t *testing.T) {
 		}
 	}
 
-	allSpike := NewChaos(src, Schedule{
-		Corruptions: []Corruption{{Dataset: "lat", Start: 0, End: Forever, SpikeProb: 1, SpikeScale: 3}},
+	allSpike := chaos.New(src, chaos.Schedule{
+		Corruptions: []chaos.Corruption{{Dataset: "lat", Start: 0, End: chaos.Forever, SpikeProb: 1, SpikeScale: 3}},
 	}, 7)
 	clean := src.SeriesWindow("lat", "s1", 2, 8)
 	for i, v := range allSpike.SeriesWindow("lat", "s1", 2, 8) {
@@ -145,8 +151,8 @@ func TestChaosCorruptionDeterministic(t *testing.T) {
 		}
 	}
 
-	mixed := NewChaos(src, Schedule{
-		Corruptions: []Corruption{{Dataset: "lat", Start: 0, End: Forever, NaNProb: 0.3, SpikeProb: 0.2}},
+	mixed := chaos.New(src, chaos.Schedule{
+		Corruptions: []chaos.Corruption{{Dataset: "lat", Start: 0, End: chaos.Forever, NaNProb: 0.3, SpikeProb: 0.2}},
 	}, 7)
 	a := mixed.SeriesWindow("lat", "s1", 0, 50)
 	b := mixed.SeriesWindow("lat", "s1", 0, 50)
@@ -170,7 +176,7 @@ func TestChaosCorruptionDeterministic(t *testing.T) {
 	// Over an allocation-free source the corrupted aggregates are the
 	// corrupted series' own, bit for bit, and a look-back window costs no
 	// allocation.
-	real := NewChaos(equivalenceTelemetry(), equivalenceSchedule(), 7)
+	real := chaos.New(equivalenceTelemetry(), equivalenceSchedule(), 7)
 	const ds, comp = cloudsim.DSIfCounters, "tor1.c1.dc1" // corrupted throughout
 	for _, w := range [][2]float64{{40, 42}, {38, 40}, {0, 2}, {41.05, 43.05}} {
 		got, ok := real.WindowStats(ds, comp, w[0], w[1])
@@ -189,8 +195,8 @@ func TestChaosCorruptionDeterministic(t *testing.T) {
 
 func TestChaosFlap(t *testing.T) {
 	src := &fakeSource{}
-	c := NewChaos(src, Schedule{
-		Flaps: []Flap{{Dataset: "lat", Start: 0, End: Forever, Period: 10, Duty: 0.5}},
+	c := chaos.New(src, chaos.Schedule{
+		Flaps: []chaos.Flap{{Dataset: "lat", Start: 0, End: chaos.Forever, Period: 10, Duty: 0.5}},
 	}, 1)
 
 	// Phase [0, 0.5) of each period is up, [0.5, 1) is down.
@@ -213,9 +219,9 @@ func TestChaosFlap(t *testing.T) {
 
 func TestChaosEventGating(t *testing.T) {
 	src := &fakeSource{}
-	c := NewChaos(src, Schedule{
-		Blackouts:   []Blackout{{Dataset: "err", Start: 10, End: 20}},
-		Stalenesses: []Staleness{{Dataset: "err", Start: 30, End: Forever, Lag: 5}},
+	c := chaos.New(src, chaos.Schedule{
+		Blackouts:   []chaos.Blackout{{Dataset: "err", Start: 10, End: 20}},
+		Stalenesses: []chaos.Staleness{{Dataset: "err", Start: 30, End: chaos.Forever, Lag: 5}},
 	}, 1)
 
 	if got := c.EventsWindow("err", "sw1", 12, 15); got != nil {

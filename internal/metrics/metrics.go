@@ -1,7 +1,8 @@
 // Package metrics implements the evaluation metrics used throughout the
 // paper: precision/recall/F1 for binary classifiers (§7 "Accuracy Metrics"),
-// empirical CDFs and percentile summaries for the figure reproductions, and
-// the Euclidean class-distance analyses of Appendix B (Figures 13–14).
+// quantiles, and the percentile summaries the Scout's features are made of
+// (§5.2). The figures' empirical CDFs and Appendix B's Euclidean
+// class-distance analyses are lab code (internal/experiments).
 package metrics
 
 import (
@@ -76,42 +77,8 @@ func (c *Confusion) String() string {
 		c.TP, c.FP, c.TN, c.FN, c.Precision(), c.Recall(), c.F1())
 }
 
-// CDF is an empirical cumulative distribution built from a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF. The input slice is copied.
-func NewCDF(sample []float64) *CDF {
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	floatsort.Sort(s)
-	return &CDF{sorted: s}
-}
-
-// Quantile returns the q-th sample quantile, q in [0, 1], with linear
-// interpolation between order statistics.
-func (c *CDF) Quantile(q float64) float64 {
-	return Quantile(c.sorted, q)
-}
-
-// Points samples the CDF at n evenly spaced probabilities and returns
-// (value, probability) pairs, convenient for printing figure series.
-func (c *CDF) Points(n int) [][2]float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out = append(out, [2]float64{c.Quantile(q), q})
-	}
-	return out
-}
-
 // Quantile computes the q-th quantile of an ALREADY SORTED sample with
-// linear interpolation. It is exported so callers that maintain sorted data
-// can avoid the CDF allocation.
+// linear interpolation.
 func Quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -209,70 +176,4 @@ func (s SummaryStats) VectorInto(dst []float64) {
 	dst[0], dst[1], dst[2], dst[3] = s.Mean, s.Std, s.Min, s.Max
 	dst[4], dst[5], dst[6], dst[7] = s.P1, s.P10, s.P25, s.P50
 	dst[8], dst[9], dst[10] = s.P75, s.P90, s.P99
-}
-
-// Euclidean returns the Euclidean distance between two feature vectors.
-func Euclidean(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("metrics: Euclidean dimension mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// ClassDistances computes the three distance distributions of Figure 13:
-// pairwise distances within the positive class, within the negative class,
-// and across the two classes. To keep the computation bounded for large
-// samples, at most maxPairs pairs are used per distribution, taken in a
-// deterministic stride over the pair space.
-func ClassDistances(pos, neg [][]float64, maxPairs int) (withinPos, withinNeg, cross []float64) {
-	withinPos = pairDistances(pos, pos, true, maxPairs)
-	withinNeg = pairDistances(neg, neg, true, maxPairs)
-	cross = pairDistances(pos, neg, false, maxPairs)
-	return withinPos, withinNeg, cross
-}
-
-func pairDistances(a, b [][]float64, same bool, maxPairs int) []float64 {
-	if maxPairs <= 0 {
-		maxPairs = 1 << 20
-	}
-	var total int
-	if same {
-		total = len(a) * (len(a) - 1) / 2
-	} else {
-		total = len(a) * len(b)
-	}
-	if total <= 0 {
-		return nil
-	}
-	stride := 1
-	if total > maxPairs {
-		stride = (total + maxPairs - 1) / maxPairs
-	}
-	out := make([]float64, 0, min(total, maxPairs))
-	k := 0
-	if same {
-		for i := 0; i < len(a); i++ {
-			for j := i + 1; j < len(a); j++ {
-				if k%stride == 0 {
-					out = append(out, Euclidean(a[i], a[j]))
-				}
-				k++
-			}
-		}
-	} else {
-		for i := 0; i < len(a); i++ {
-			for j := 0; j < len(b); j++ {
-				if k%stride == 0 {
-					out = append(out, Euclidean(a[i], b[j]))
-				}
-				k++
-			}
-		}
-	}
-	return out
 }

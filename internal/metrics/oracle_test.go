@@ -140,7 +140,7 @@ var shapes = []struct {
 		sort.Float64s(xs[:h])
 		sort.Sort(sort.Reverse(sort.Float64Slice(xs[h:])))
 	}},
-	// What faults.Chaos does to a window: a sample in ten multiplied by ten,
+	// What chaos.Source does to a window: a sample in ten multiplied by ten,
 	// and (the second shape) one in twenty a NaN as well.
 	{"spikes", func(xs []float64, rng *rand.Rand) {
 		for i := range xs {

@@ -21,7 +21,6 @@ package cpd
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,25 +60,8 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Detect returns the indices of statistically significant change points in
-// the series, sorted ascending. An index i means the distribution of
-// series[:i] differs from series[i:].
-func Detect(series []float64, p Params) []int {
-	p = p.withDefaults()
-	k := acquire(len(series), p.Seed)
-	k.points = k.points[:0]
-	k.segment(series, 0, p)
-	var out []int
-	if len(k.points) > 0 {
-		out = slices.Clone(k.points)
-		sort.Ints(out)
-	}
-	kernels.Put(k)
-	return out
-}
-
-// countChanges is len(Detect(series, p)), which CPD+'s features count,
-// without the list.
+// countChanges returns the number of statistically significant change
+// points in the series, which CPD+'s features count.
 func countChanges(series []float64, p Params) int {
 	p = p.withDefaults()
 	k := acquire(len(series), p.Seed)
@@ -101,7 +83,7 @@ func HasChange(series []float64, p Params) bool {
 	return found
 }
 
-// kernel is the scratch of one Detect or HasChange call. Binary
+// kernel is the scratch of one countChanges or HasChange call. Binary
 // segmentation works on one segment at a time — best split, permutation
 // test, then the two sub-segments — so one set of buffers sized for the
 // whole series serves every segment and every permutation.
@@ -162,7 +144,7 @@ const (
 	first
 )
 
-// kernels pools the scratch, generator included: a Detect that finds no
+// kernels pools the scratch, generator included: a detection that finds no
 // change point allocates nothing.
 var kernels = sync.Pool{New: func() any {
 	k := new(kernel)
@@ -471,7 +453,7 @@ func (k *kernel) significant(n int, observed float64, p Params) bool {
 // source replicates the generator behind rand.NewSource — the additive
 // lagged Fibonacci x[t] = x[t-607] + x[t-273] over uint64 — as a value that
 // can be copied: seeding math/rand's own runs a 607-step multiplicative
-// generator, and every Detect of a training wants the same stream again.
+// generator, and every detection of a training wants the same stream again.
 // Only the recurrence is assumed; the state comes from the real generator,
 // whose stream the Go 1 compatibility promise freezes.
 type source struct {

@@ -3,9 +3,29 @@ package cpd
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Detect returns the indices of statistically significant change points in
+// the series, sorted ascending. An index i means the distribution of
+// series[:i] differs from series[i:]. Only tests list the change points;
+// CPD+ counts them (countChanges).
+func Detect(series []float64, p Params) []int {
+	p = p.withDefaults()
+	k := acquire(len(series), p.Seed)
+	k.points = k.points[:0]
+	k.segment(series, 0, p)
+	var out []int
+	if len(k.points) > 0 {
+		out = slices.Clone(k.points)
+		sort.Ints(out)
+	}
+	kernels.Put(k)
+	return out
+}
 
 func step(n1, n2 int, mu1, mu2, sigma float64, rng *rand.Rand) []float64 {
 	out := make([]float64, 0, n1+n2)

@@ -96,7 +96,7 @@ var seriesGens = []struct {
 		return fill(n, func(int) float64 { return c })
 	}},
 	{"telemetry", func(rng *rand.Rand, n int) []float64 { return telemetryShaped(rng, n, 3) }},
-	// Values no clean feed produces but faults.Chaos corruption and
+	// Values no clean feed produces but chaos.Source corruption and
 	// overflowing counters do.
 	{"special", func(rng *rand.Rand, n int) []float64 {
 		special := [...]float64{

@@ -1,5 +1,6 @@
 // Package linalg provides small dense-matrix kernels used by the ML
-// substrates (covariance estimation, solving linear systems, determinants).
+// substrates (covariance estimation, solving linear systems, determinants)
+// and the per-feature Standardizer the scale-sensitive baselines share.
 // It is deliberately minimal: the models in this repository work on feature
 // vectors with tens to a few hundred dimensions, so simple O(n^3) dense
 // algorithms with partial pivoting are both adequate and predictable.

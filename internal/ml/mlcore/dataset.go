@@ -74,17 +74,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return out
 }
 
-// Filter returns a dataset of samples for which keep returns true.
-func (d *Dataset) Filter(keep func(Sample) bool) *Dataset {
-	out := &Dataset{Features: d.Features}
-	for _, s := range d.Samples {
-		if keep(s) {
-			out.Samples = append(out.Samples, s)
-		}
-	}
-	return out
-}
-
 // Classifier is a trained binary model. Predict returns the predicted label
 // and a confidence in [0.5, 1] for that label (the paper reports an
 // "independent confidence score" with every Scout answer).
@@ -104,11 +93,6 @@ type TrainerFunc func(train *Dataset) (Classifier, error)
 
 // Train implements Trainer.
 func (f TrainerFunc) Train(d *Dataset) (Classifier, error) { return f(d) }
-
-// Window returns the samples with Time in [from, to).
-func (d *Dataset) Window(from, to float64) *Dataset {
-	return d.Filter(func(s Sample) bool { return s.Time >= from && s.Time < to })
-}
 
 // AgeDecay multiplies every sample's weight by exp(-age/scale) where age is
 // measured from 'now' in the dataset's time unit. This implements the §8
@@ -139,63 +123,4 @@ func (d *Dataset) Boost(ids map[string]bool, factor float64) {
 			d.Samples[i].Weight = d.Samples[i].W() * factor
 		}
 	}
-}
-
-// Standardizer performs per-feature z-score normalization fit on a training
-// set; models that are scale-sensitive (KNN, MLP, SVM, QDA) use it so their
-// accuracy is not an artifact of feature magnitudes.
-type Standardizer struct {
-	Mean, Std []float64
-}
-
-// FitStandardizer estimates per-feature mean and std from the dataset.
-func FitStandardizer(d *Dataset) *Standardizer {
-	dim := d.Dim()
-	s := &Standardizer{Mean: make([]float64, dim), Std: make([]float64, dim)}
-	if d.Len() == 0 {
-		for j := range s.Std {
-			s.Std[j] = 1
-		}
-		return s
-	}
-	for _, smp := range d.Samples {
-		for j, v := range smp.X {
-			s.Mean[j] += v
-		}
-	}
-	for j := range s.Mean {
-		s.Mean[j] /= float64(d.Len())
-	}
-	for _, smp := range d.Samples {
-		for j, v := range smp.X {
-			dv := v - s.Mean[j]
-			s.Std[j] += dv * dv
-		}
-	}
-	for j := range s.Std {
-		s.Std[j] = math.Sqrt(s.Std[j] / float64(d.Len()))
-		if s.Std[j] < 1e-12 {
-			s.Std[j] = 1
-		}
-	}
-	return s
-}
-
-// Apply standardizes a single vector (allocating a new one).
-func (s *Standardizer) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.Mean[j]) / s.Std[j]
-	}
-	return out
-}
-
-// ApplyDataset returns a standardized copy of the dataset.
-func (s *Standardizer) ApplyDataset(d *Dataset) *Dataset {
-	out := &Dataset{Features: d.Features, Samples: make([]Sample, len(d.Samples))}
-	for i, smp := range d.Samples {
-		out.Samples[i] = smp
-		out.Samples[i].X = s.Apply(smp.X)
-	}
-	return out
 }

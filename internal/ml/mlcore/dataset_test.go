@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // positives counts the samples with Y == true.
@@ -137,55 +136,6 @@ func TestBoost(t *testing.T) {
 	}
 }
 
-func TestStandardizer(t *testing.T) {
-	d := NewDataset([]string{"a", "b"})
-	d.MustAdd(Sample{X: []float64{0, 100}})
-	d.MustAdd(Sample{X: []float64{10, 100}})
-	d.MustAdd(Sample{X: []float64{20, 100}})
-	s := FitStandardizer(d)
-	std := s.ApplyDataset(d)
-	if math.Abs(std.Samples[0].X[0]+std.Samples[2].X[0]) > 1e-9 {
-		t.Fatal("standardized extremes should be symmetric")
-	}
-	// Constant feature: std forced to 1, so values become 0.
-	for _, smp := range std.Samples {
-		if smp.X[1] != 0 {
-			t.Fatalf("constant feature should standardize to 0, got %v", smp.X[1])
-		}
-	}
-	// Original dataset untouched.
-	if d.Samples[0].X[0] != 0 {
-		t.Fatal("ApplyDataset must not mutate the input")
-	}
-}
-
-// Property: standardized features have ~zero mean and unit variance for any
-// non-degenerate sample.
-func TestStandardizerProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := NewDataset([]string{"x"})
-		n := 5 + rng.Intn(50)
-		for i := 0; i < n; i++ {
-			d.MustAdd(Sample{X: []float64{rng.NormFloat64()*50 + 10}})
-		}
-		std := FitStandardizer(d).ApplyDataset(d)
-		mean, varsum := 0.0, 0.0
-		for _, s := range std.Samples {
-			mean += s.X[0]
-		}
-		mean /= float64(n)
-		for _, s := range std.Samples {
-			varsum += (s.X[0] - mean) * (s.X[0] - mean)
-		}
-		varsum /= float64(n)
-		return math.Abs(mean) < 1e-8 && math.Abs(varsum-1) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSubsetAndFilter(t *testing.T) {
 	d := synth(20, 0.5, rand.New(rand.NewSource(10)))
 	sub := d.Subset([]int{0, 5, 19})
@@ -198,9 +148,25 @@ func TestSubsetAndFilter(t *testing.T) {
 	}
 }
 
-// The §7 random split and the by-time split of a Dataset. Only these tests
-// use them: the experiments split incidents, not datasets (experiments.NewLab,
-// experiments.Replay).
+// Filter, Window and the §7 random and by-time splits of a Dataset. Only
+// these tests use them: the experiments split incidents, not datasets
+// (experiments.NewLab, experiments.Replay).
+
+// Filter returns a dataset of samples for which keep returns true.
+func (d *Dataset) Filter(keep func(Sample) bool) *Dataset {
+	out := &Dataset{Features: d.Features}
+	for _, s := range d.Samples {
+		if keep(s) {
+			out.Samples = append(out.Samples, s)
+		}
+	}
+	return out
+}
+
+// Window returns the samples with Time in [from, to).
+func (d *Dataset) Window(from, to float64) *Dataset {
+	return d.Filter(func(s Sample) bool { return s.Time >= from && s.Time < to })
+}
 
 // SplitOptions control PaperSplit, mirroring §7: the data is split randomly;
 // to counter class imbalance only NegTrainFraction of the non-team incidents

@@ -26,7 +26,7 @@ var DefaultParams = Params{K: 5, Standardize: true}
 // KNN is a trained k-nearest-neighbours classifier.
 type KNN struct {
 	params Params
-	std    *mlcore.Standardizer
+	std    *linalg.Standardizer
 	xs     [][]float64
 	ys     []bool
 	ws     []float64
@@ -46,7 +46,7 @@ func Train(d *mlcore.Dataset, p Params) (*KNN, error) {
 	k := &KNN{params: p}
 	work := d
 	if p.Standardize {
-		k.std = mlcore.FitStandardizer(d)
+		k.std = linalg.FitStandardizer(d)
 		work = k.std.ApplyDataset(d)
 	}
 	for _, s := range work.Samples {

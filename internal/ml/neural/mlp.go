@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 
+	"scouts/internal/ml/linalg"
 	"scouts/internal/ml/mlcore"
 )
 
@@ -50,7 +51,7 @@ func (p Params) withDefaults() Params {
 // MLP is a trained one-hidden-layer perceptron with tanh activations and a
 // sigmoid output.
 type MLP struct {
-	std    *mlcore.Standardizer
+	std    *linalg.Standardizer
 	w1     [][]float64 // hidden x in
 	b1     []float64
 	w2     []float64 // 1 x hidden
@@ -68,7 +69,7 @@ func Train(d *mlcore.Dataset, p Params) (*MLP, error) {
 	}
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	std := mlcore.FitStandardizer(d)
+	std := linalg.FitStandardizer(d)
 	work := std.ApplyDataset(d)
 	dim := d.Dim()
 

@@ -53,7 +53,7 @@ type Params struct {
 // OneClass is a trained one-class SVM.
 type OneClass struct {
 	params Params
-	std    *mlcore.Standardizer
+	std    *linalg.Standardizer
 	sv     [][]float64
 	alpha  []float64
 	rho    float64
@@ -91,7 +91,7 @@ func Fit(xs [][]float64, p Params) (*OneClass, error) {
 	for _, x := range xs {
 		d.MustAdd(mlcore.Sample{X: x})
 	}
-	std := mlcore.FitStandardizer(d)
+	std := linalg.FitStandardizer(d)
 	work := make([][]float64, n)
 	for i, x := range xs {
 		work[i] = std.Apply(x)

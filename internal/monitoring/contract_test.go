@@ -3,6 +3,7 @@ package monitoring_test
 import (
 	"testing"
 
+	"scouts/internal/chaos"
 	"scouts/internal/cloudsim"
 	"scouts/internal/faults"
 	"scouts/internal/monitoring"
@@ -25,11 +26,11 @@ func liveSources(t *testing.T) []liveSource {
 		{Dataset: cloudsim.DSTemp, MeanShift: 9, StdScale: 2},
 		{Dataset: cloudsim.DSSyslog, EventRate: 5},
 	}})
-	later := faults.Schedule{Blackouts: []faults.Blackout{{Dataset: cloudsim.DSTemp, Start: 500, End: 600}}}
+	later := chaos.Schedule{Blackouts: []chaos.Blackout{{Dataset: cloudsim.DSTemp, Start: 500, End: 600}}}
 	out := []liveSource{
 		{name: "telemetry", src: tel},
 		{name: "breaker", src: faults.NewBreaker(tel, faults.BreakerParams{})},
-		{name: "chaos", src: faults.NewChaos(tel, later, 1)},
+		{name: "chaos", src: chaos.New(tel, later, 1)},
 	}
 	for i := range out {
 		native, ok := out[i].src.(monitoring.StatsSource)

@@ -18,7 +18,7 @@ type DatasetHealth struct {
 }
 
 // HealthReporter is an optional capability of a DataSource: time-aware
-// per-dataset availability and staleness. faults.Breaker and faults.Chaos
+// per-dataset availability and staleness. faults.Breaker and chaos.Source
 // implement it; a source that cannot lose data (the plain cloud simulator,
 // cloudsim.Telemetry) simply does not, and consumers then fall back to
 // registry presence (Datasets()) as the availability signal, which is how

@@ -80,7 +80,7 @@ type EventRecord struct {
 // DataSource is the read interface the Scout framework pulls monitoring
 // data through. The cloud simulator (cloudsim.Telemetry) implements it with
 // deterministic lazy synthesis so a nine-month trace needs no storage; the
-// fault plane's decorators (faults.Breaker, faults.Chaos) wrap any
+// fault plane's decorators (faults.Breaker, chaos.Source) wrap any
 // implementation.
 type DataSource interface {
 	// Datasets lists the registered dataset descriptors.

@@ -4,7 +4,7 @@ import "scouts/internal/metrics"
 
 // Stats are what §5.2's normalization reads of a baseline window: its mean
 // and (sample) standard deviation. Every source in the tree
-// (cloudsim.Telemetry, faults.Chaos, the adapter below) reduces the raw
+// (cloudsim.Telemetry, chaos.Source, the adapter below) reduces the raw
 // values with StatsOf, so the producer fixes the arithmetic; moments from
 // running sums would be equal only up to floating-point association
 // (DESIGN.md §7.2).
@@ -26,7 +26,7 @@ func StatsOf(vals []float64) Stats {
 // StatsSource is the aggregate-query capability a DataSource may offer.
 // Featurization prefers it over SeriesWindow/EventsWindow: a capable source
 // answers without materializing the raw window (cloudsim.Telemetry
-// synthesizes into a stack scratch; faults.Breaker and faults.Chaos forward
+// synthesizes into a stack scratch; faults.Breaker and chaos.Source forward
 // to the source they wrap), which removes the window copies from the
 // per-incident hot path.
 type StatsSource interface {

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"scouts/internal/chaos"
 	"scouts/internal/core"
 	"scouts/internal/faults"
 	"scouts/internal/incident"
@@ -41,12 +42,12 @@ func chaosSource(t *testing.T, seed int64) (monitoring.DataSource, []string) {
 	}
 	sort.Strings(names)
 	dark := names[:len(names)/2]
-	var sched faults.Schedule
+	var sched chaos.Schedule
 	for _, n := range dark {
-		sched.Blackouts = append(sched.Blackouts, faults.Blackout{Dataset: n, Start: 0, End: faults.Forever})
+		sched.Blackouts = append(sched.Blackouts, chaos.Blackout{Dataset: n, Start: 0, End: chaos.Forever})
 	}
-	chaos := faults.NewChaos(gen.Telemetry(), sched, seed)
-	return faults.NewBreaker(chaos, faults.BreakerParams{Trip: 8, Cooldown: 2}), dark
+	src := chaos.New(gen.Telemetry(), sched, seed)
+	return faults.NewBreaker(src, faults.BreakerParams{Trip: 8, Cooldown: 2}), dark
 }
 
 // The chaos tests share one clean-trained snapshot (training is the
@@ -790,13 +791,13 @@ func callerNames() string {
 // floor: answers must be fallback verdicts that explain themselves.
 func TestDegradationOverHTTP(t *testing.T) {
 	gen, logTrace, cfg := testEnv(t)
-	var sched faults.Schedule
+	var sched chaos.Schedule
 	for _, d := range gen.Telemetry().Datasets() {
 		if cfg.UsesDataset(d.Name) {
-			sched.Blackouts = append(sched.Blackouts, faults.Blackout{Dataset: d.Name, Start: 0, End: faults.Forever})
+			sched.Blackouts = append(sched.Blackouts, chaos.Blackout{Dataset: d.Name, Start: 0, End: chaos.Forever})
 		}
 	}
-	srv := chaosServe(t, faults.NewChaos(gen.Telemetry(), sched, 1))
+	srv := chaosServe(t, chaos.New(gen.Telemetry(), sched, 1))
 	srv.Degradation = core.DegradationPolicy{MinCoverage: 0.5}
 	if err := srv.Reload(); err != nil { // re-apply the tightened policy
 		t.Fatal(err)

@@ -1,10 +1,17 @@
-package text
+// NLPRouter, the paper's legacy-router baseline, is lab code
+// (internal/experiments); its tests run here, over the tokenizer and
+// vocabulary it is built from.
+
+package text_test
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"scouts/internal/experiments"
+	"scouts/internal/text"
 )
 
 // corpus builds a synthetic ticket corpus with team-specific vocabulary and
@@ -32,7 +39,7 @@ func corpus(n int, rng *rand.Rand) (docs []string, teams []string) {
 func TestNLPRouterLearnsVocabulary(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	docs, teams := corpus(600, rng)
-	r, err := TrainNLPRouter(docs, teams, VocabOptions{MinDocFreq: 2})
+	r, err := experiments.TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +59,7 @@ func TestNLPRouterLearnsVocabulary(t *testing.T) {
 func TestNLPRouterRankIsDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	docs, teams := corpus(200, rng)
-	r, err := TrainNLPRouter(docs, teams, VocabOptions{MinDocFreq: 1})
+	r, err := experiments.TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,27 +82,27 @@ func TestNLPRouterRankIsDistribution(t *testing.T) {
 func TestNLPRouterConfidenceBands(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	docs, teams := corpus(600, rng)
-	r, err := TrainNLPRouter(docs, teams, VocabOptions{MinDocFreq: 2})
+	r, err := experiments.TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Strongly team-specific text should be confident; vague text should
 	// not be High.
 	_, strong := r.Rank("switch tor link packet loss bgp switch link")
-	if strong == Low {
+	if strong == experiments.Low {
 		t.Fatalf("strong PhyNet text got %v confidence", strong)
 	}
 	_, vague := r.Rank("incident reported customers impacted")
-	if vague == High {
+	if vague == experiments.High {
 		t.Fatal("pure boilerplate should not be High confidence")
 	}
 }
 
 func TestNLPRouterErrors(t *testing.T) {
-	if _, err := TrainNLPRouter(nil, nil, VocabOptions{}); err != ErrNoTrainingData {
+	if _, err := experiments.TrainNLPRouter(nil, nil, text.VocabOptions{}); err != experiments.ErrNoTrainingData {
 		t.Fatalf("want ErrNoTrainingData, got %v", err)
 	}
-	if _, err := TrainNLPRouter([]string{"a"}, []string{"t1", "t2"}, VocabOptions{}); err != ErrNoTrainingData {
+	if _, err := experiments.TrainNLPRouter([]string{"a"}, []string{"t1", "t2"}, text.VocabOptions{}); err != experiments.ErrNoTrainingData {
 		t.Fatalf("mismatched lengths should error, got %v", err)
 	}
 }
@@ -103,7 +110,7 @@ func TestNLPRouterErrors(t *testing.T) {
 func TestNLPRouterUnknownWordsFallBackToPrior(t *testing.T) {
 	docs := []string{"disk failure storage", "disk mount error", "switch loss", "packet drop switch", "switch flap", "switch down"}
 	teams := []string{"Storage", "Storage", "PhyNet", "PhyNet", "PhyNet", "PhyNet"}
-	r, err := TrainNLPRouter(docs, teams, VocabOptions{MinDocFreq: 1})
+	r, err := experiments.TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestNLPRouterUnknownWordsFallBackToPrior(t *testing.T) {
 }
 
 func TestConfidenceBandString(t *testing.T) {
-	for b, want := range map[ConfidenceBand]string{Low: "low", Medium: "medium", High: "high"} {
+	for b, want := range map[experiments.ConfidenceBand]string{experiments.Low: "low", experiments.Medium: "medium", experiments.High: "high"} {
 		if got := fmt.Sprint(b); got != want {
 			t.Errorf("band %d prints %q want %q", b, got, want)
 		}

@@ -1,9 +1,8 @@
 // Package text provides the natural-language machinery the paper's systems
-// need: tokenization, vocabularies, bag-of-words and TF-IDF features, the
-// "important words" meta-features used by the Scout's model selector
-// (method of Potharaju & Jain [58]), and the legacy NLP-based multi-class
-// incident-routing recommender that serves as the paper's baseline (§7:
-// high precision, low recall; it sees only the incident text).
+// need: tokenization, vocabularies, bag-of-words and TF-IDF features, and
+// the "important words" meta-features used by the Scout's model selector
+// (method of Potharaju & Jain [58]). The legacy NLP router that serves as
+// the paper's baseline is built on them in the lab (internal/experiments).
 package text
 
 import (
