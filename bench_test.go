@@ -1,10 +1,10 @@
-// The benchmarks nothing else in the tree measures: the split kernel and
-// one retrain cycle's core.Train (scoutbench times training only as a
-// whole; these take a CPU profile), and DESIGN.md §4's selector-gate
-// ablation. Every table and figure is printed by `go run ./cmd/repro`
-// and asserted by internal/experiments' tests; serving, featurization and
-// forest inference are timed by the repository benchmark (BENCHMARK.json,
-// cmd/scoutbench).
+// The benchmarks nothing else in the tree measures: the split kernel, one
+// retrain cycle's core.Train and its train → pack → reload (scoutbench
+// times training only as a whole; these take a CPU or memory profile), and
+// DESIGN.md §4's selector-gate ablation. Every table and figure is printed
+// by `go run ./cmd/repro` and asserted by internal/experiments' tests;
+// serving, featurization and forest inference are timed by the repository
+// benchmark (BENCHMARK.json, cmd/scoutbench).
 package scouts_test
 
 import (
@@ -73,24 +73,54 @@ func BenchmarkBestSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainWindow times the core.Train of one scoutbench retrain
-// cycle: scoutbench's world (cloudsim seed 7, 90 days at 10 incidents a
-// day, the §7 split), the newest 200 incidents of the train split, a seed
-// that moves every cycle. ROADMAP.md's "Where a retrain cycle's time goes"
-// is this benchmark under -cpuprofile.
-func BenchmarkTrainWindow(b *testing.B) {
+// trainWindow is one scoutbench retrain cycle's training: scoutbench's
+// world (cloudsim seed 7, 90 days at 10 incidents a day, the §7 split) and
+// the newest 200 incidents of the train split, at the first cycle's seed.
+func trainWindow(b *testing.B) (*experiments.Lab, core.TrainOptions) {
 	l, err := experiments.NewLab(experiments.LabParams{Seed: 7, Days: 90, IncidentsPerDay: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.TrainOptions{
+	return l, core.TrainOptions{
 		Config: l.Cfg, Topology: l.Gen.Topology(), Source: l.Gen.Telemetry(),
 		Incidents: l.Train[max(0, len(l.Train)-200):], Seed: 9,
 	}
+}
+
+// BenchmarkTrainWindow times the core.Train of one scoutbench retrain
+// cycle, with a seed that moves every cycle. ROADMAP.md's "Where a retrain
+// cycle's time goes" is this benchmark under -cpuprofile.
+func BenchmarkTrainWindow(b *testing.B) {
+	_, opts := trainWindow(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Train(opts); err != nil {
+			b.Fatal(err)
+		}
+		opts.Seed++
+	}
+}
+
+// BenchmarkRetrainCycle is the model's share of a scoutbench retrain
+// cycle: core.Train on BenchmarkTrainWindow's window, SnapshotPack, and the
+// reload's core.Restore, whose pack carries the configuration already
+// served. Its allocs/op are ROADMAP.md's "Where a retrain cycle's
+// allocations go"; each stage's own count is its -memprofile share.
+func BenchmarkRetrainCycle(b *testing.B) {
+	l, opts := trainWindow(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc, err := core.Train(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pack, err := sc.SnapshotPack()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Restore(pack, l.Gen.Topology(), l.Gen.Telemetry()); err != nil {
 			b.Fatal(err)
 		}
 		opts.Seed++

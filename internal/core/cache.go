@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"scouts/internal/incident"
+	"scouts/internal/parallel"
 )
 
 // FeatureCache memoizes per-incident extraction results, feature vectors
@@ -67,16 +68,46 @@ func (c *FeatureCache) memo(fb *FeatureBuilder, in *incident.Incident) *memo {
 			return v.(*memo)
 		}
 	}
-	m := &memo{ex: fb.Extract(in.Title, in.Body, in.Components)}
-	if !m.ex.Excluded && !m.ex.Empty {
-		m.x = fb.Featurize(m.ex, in.CreatedAt)
-	}
+	m := new(memo)
+	m.fill(fb, in, nil)
 	if c == nil {
 		return m // no slot: nobody else will ask for its CPD+ vector
 	}
 	m.cpdX = new(atomic.Pointer[[]float64])
 	v, _ := c.m.LoadOrStore(in.ID, m)
 	return v.(*memo)
+}
+
+// memos returns every incident's memo, in order, filled by workers. Outside
+// a cache the memos and their feature vectors are carved from one block
+// each, which only the training that asked keeps; the workers fill disjoint
+// slots, so the answer is the same at any worker count.
+func (c *FeatureCache) memos(workers int, fb *FeatureBuilder, ins []*incident.Incident) []*memo {
+	out := make([]*memo, len(ins))
+	if c != nil {
+		parallel.For(workers, len(ins), func(i int) { out[i] = c.memo(fb, ins[i]) })
+		return out
+	}
+	dim := len(fb.names)
+	block, xs := make([]memo, len(ins)), make([]float64, len(ins)*dim)
+	parallel.For(workers, len(ins), func(i int) {
+		out[i] = &block[i]
+		out[i].fill(fb, ins[i], xs[i*dim:(i+1)*dim:(i+1)*dim])
+	})
+	return out
+}
+
+// fill extracts the incident and, unless that gates it, featurizes it: into
+// x when it is given, into a vector of its own otherwise.
+func (m *memo) fill(fb *FeatureBuilder, in *incident.Incident, x []float64) {
+	m.ex = fb.Extract(in.Title, in.Body, in.Components)
+	switch {
+	case m.ex.Excluded || m.ex.Empty:
+	case x == nil:
+		m.x = fb.Featurize(m.ex, in.CreatedAt)
+	default:
+		m.x = fb.FeaturizeInto(x, m.ex, in.CreatedAt)
+	}
 }
 
 // cpdVector returns the incident's CPD+ vector, running compute — the

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"scouts/internal/ml/cpd"
 	"scouts/internal/ml/forest"
@@ -84,18 +85,16 @@ func (p *scoutParts) forests() [3]packForest {
 	return [...]packForest{{"FRST", "routing", &p.rf}, {"CRST", "CPD+", &p.cpd}, {"SRST", "selector", &p.sel}}
 }
 
-// encodeForests hands put each present forest's binary section, by tag,
-// in layout order.
-func (p *scoutParts) encodeForests(put func(tag string, blob []byte)) error {
+// eachForest hands put each present forest, by tag, in layout order — both
+// envelopes' forest writer — and names the forest in put's error.
+func (p *scoutParts) eachForest(put func(tag string, f *forest.Forest) error) error {
 	for _, sec := range p.forests() {
 		if *sec.f == nil {
 			continue
 		}
-		blob, err := (*sec.f).AppendBinary(nil)
-		if err != nil {
+		if err := put(sec.tag, *sec.f); err != nil {
 			return fmt.Errorf("core: packing %s forest: %w", sec.what, err)
 		}
-		put(sec.tag, blob)
 	}
 	return nil
 }
@@ -152,16 +151,27 @@ func (s *Scout) SnapshotPack() ([]byte, error) {
 }
 
 // assemblePack writes the header with a checksum placeholder, then the
-// sections, then the sha256 over everything after the checksum field.
+// sections, then the sha256 over everything after the checksum field. The
+// buffer is sized once: each forest section is BinaryLen long.
 func assemblePack(p scoutParts) ([]byte, error) {
 	meta, err := json.Marshal(p.meta)
 	if err != nil {
 		return nil, fmt.Errorf("core: packing snapshot meta: %w", err)
 	}
-	buf := binary.LittleEndian.AppendUint32([]byte(scoutpackMagic), scoutpackVersion)
-	buf = append(buf, make([]byte, sha256.Size)...)
+	size := scoutpackHeaderLen + section.HeaderLen + len(meta)
+	p.eachForest(func(_ string, f *forest.Forest) error {
+		size += section.HeaderLen + f.BinaryLen()
+		return nil
+	})
+	buf := make([]byte, scoutpackHeaderLen, size)
+	copy(buf, scoutpackMagic)
+	binary.LittleEndian.PutUint32(buf[4:], scoutpackVersion)
 	buf = section.Append(buf, "META", meta)
-	if err := p.encodeForests(func(tag string, blob []byte) { buf = section.Append(buf, tag, blob) }); err != nil {
+	if err := p.eachForest(func(tag string, f *forest.Forest) (err error) {
+		buf = section.AppendHeader(buf, tag, f.BinaryLen())
+		buf, err = f.AppendBinary(buf)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	sum := sha256.Sum256(buf[scoutpackHeaderLen:])
@@ -208,13 +218,35 @@ func decodeScoutpack(data []byte) (scoutParts, error) {
 	return p, nil
 }
 
+// servedConfig is the configuration restore last parsed. A reload nearly
+// always carries the configuration already served, and parsing one
+// compiles every extractor's regexp three times. Nothing writes a Config
+// once ParseConfig has returned it, and a Scout never hands its own out, so
+// the Scouts restored from one configuration text share its parse.
+var servedConfig atomic.Pointer[Config]
+
+// restoredConfig returns src parsed: the configuration restore last parsed
+// when src is its text, ParseConfig's answer otherwise. Only a
+// configuration that parses is kept.
+func restoredConfig(src string) (*Config, error) {
+	if cfg := servedConfig.Load(); cfg != nil && cfg.Source == src {
+		return cfg, nil
+	}
+	cfg, err := ParseConfig(src)
+	if err != nil {
+		return nil, err
+	}
+	servedConfig.Store(cfg)
+	return cfg, nil
+}
+
 // restore rebuilds a Scout from its parts against a topology and data
 // source — both snapshot envelopes' last step, and where the parts are
 // checked against each other and against the source's feature layout. The
 // forests are the loaded flat arrays as they are, so either snapshot of
 // the result reproduces its input byte for byte.
 func (p scoutParts) restore(topo *topology.Topology, source monitoring.DataSource) (*Scout, error) {
-	cfg, err := ParseConfig(p.meta.ConfigSource)
+	cfg, err := restoredConfig(p.meta.ConfigSource)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot config: %w", err)
 	}

@@ -12,8 +12,10 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"scouts/internal/cloudsim"
 	"scouts/internal/incident"
 	"scouts/internal/ml/cpd"
 	"scouts/internal/ml/forest"
@@ -437,4 +439,70 @@ func TestFuzzCorpusReaches(t *testing.T) {
 			t.Errorf("%s: got %v, want an error containing %q", name, err, substr)
 		}
 	}
+}
+
+// TestRestoreReusesOnlyItsConfiguration restores the packs of two
+// configurations — another team, and a switch extractor that misses the
+// aggregation switches — in turn, A, B, A, and then from concurrent
+// restores: every restored Scout answers the held-out incidents as the Scout
+// trained on a fresh parse of its configuration does, team included. A reload
+// reuses the configuration restore last parsed only when its text is the
+// pack's.
+func TestRestoreReusesOnlyItsConfiguration(t *testing.T) {
+	gen := cloudsim.New(cloudsim.Params{Seed: 5, Days: 30, IncidentsPerDay: 8})
+	log := gen.Generate()
+	other := strings.Replace(DefaultPhyNetConfig, "TEAM PhyNet;", "TEAM Storage;", 1)
+	other = strings.Replace(other, `(?:tor|agg)\d+`, `tor\d+`, 1)
+	if other == DefaultPhyNetConfig {
+		t.Fatal("the second configuration is the first")
+	}
+	train, test := log.Incidents[:len(log.Incidents)/2], log.Incidents[len(log.Incidents)/2:]
+	var scouts [2]*Scout
+	var packs [2][]byte
+	for i, src := range []string{DefaultPhyNetConfig, other} {
+		cfg, err := ParseConfig(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scouts[i], err = Train(TrainOptions{Config: cfg, Topology: gen.Topology(), Source: gen.Telemetry(), Incidents: train, Seed: 6}); err != nil {
+			t.Fatal(err)
+		}
+		if packs[i], err = scouts[i].SnapshotPack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check restores pack i and reports every way it differs from scouts[i];
+	// it may run on any goroutine.
+	check := func(i int) {
+		got, err := Restore(packs[i], gen.Topology(), gen.Telemetry())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		want := scouts[i]
+		if got.Team() != want.Team() {
+			t.Errorf("pack %d restored as %s's Scout, want %s's", i, got.Team(), want.Team())
+		}
+		for _, in := range test {
+			g, w := got.PredictIncident(in), want.PredictIncident(in)
+			if g.Verdict != w.Verdict || g.Responsible != w.Responsible || g.Model != w.Model ||
+				math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) ||
+				g.Explanation != w.Explanation || !slices.Equal(g.Components, w.Components) {
+				t.Errorf("pack %d, incident %s: answered %+v, want %+v", i, in.ID, g, w)
+				return
+			}
+		}
+	}
+	for _, i := range []int{0, 1, 0} {
+		check(i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(g % 2)
+		}()
+	}
+	wg.Wait()
 }

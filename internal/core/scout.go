@@ -156,11 +156,13 @@ func Train(opt TrainOptions) (*Scout, error) {
 	if opt.Detector.Permutations == 0 {
 		// A fidelity setting, not a speed cap: at 29 permutations the
 		// smallest p-value the test can reach is 1/30, one permutation from
-		// alpha = 0.05, where cpd's default is 99. Since the running-sum scan
-		// (PR 27) a 40-point Detect at 99 costs 24 µs against the 26 µs that
-		// 29 used to (BenchmarkDetect n=40: 26.5 → 9.4 µs at 29, 98 → 24 µs
-		// at 99). The number moves in ROADMAP direction 1 step 2, as a
-		// reviewed golden diff.
+		// alpha = 0.05, where cpd's default is 99. Since the running-sum
+		// scans a 40-point Detect at 99 costs about what 29 cost without
+		// them (BenchmarkDetect n=40: 26.5 → 9.4 µs at 29 and 98 → 24 µs at
+		// 99 with the permutation test's, PR 27; then, on a box where 29
+		// read 14.7 µs, 14.7 → 9.4 at 29 and 38.4 → 27.9 at 99 with the
+		// best split's, PR 48). The number moves in ROADMAP direction 1
+		// step 2, as a reviewed golden diff.
 		opt.Detector.Permutations = 29
 	}
 	s := &Scout{cfg: opt.Config}
@@ -177,10 +179,8 @@ func Train(opt TrainOptions) (*Scout, error) {
 		*memo
 	}
 	workers := parallel.Workers(opt.Workers)
-	memos := parallel.Map(workers, len(opt.Incidents), func(i int) *memo {
-		return opt.Cache.memo(s.fb, opt.Incidents[i])
-	})
-	var rows []row
+	memos := opt.Cache.memos(workers, s.fb, opt.Incidents)
+	rows := make([]row, 0, len(memos))
 	for i, m := range memos {
 		if m.x == nil {
 			continue // gated: no vector

@@ -68,9 +68,18 @@ func trainSelector(examples []selectorExample, p SelectorParams) (*Selector, err
 	}
 	docs := make([][]string, len(examples))
 	labels := make([]bool, len(examples))
+	// One token list for the pass, each document a run of it. A token is
+	// two bytes at least and a separator ends it, which sizes the list.
+	size := 0
+	for _, ex := range examples {
+		size += (len(ex.doc) + 1) / 3
+	}
+	tokens := make([]string, 0, size)
 	anyWrong := false
 	for i, ex := range examples {
-		docs[i] = text.Tokenize(ex.doc)
+		from := len(tokens)
+		tokens = text.AppendTokens(tokens, ex.doc)
+		docs[i] = tokens[from:len(tokens):len(tokens)]
 		labels[i] = ex.rfWrong
 		anyWrong = anyWrong || ex.rfWrong
 	}

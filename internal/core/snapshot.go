@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"scouts/internal/ml/forest"
 	"scouts/internal/monitoring"
 	"scouts/internal/topology"
 )
@@ -31,7 +32,10 @@ func (s *Scout) Snapshot() ([]byte, error) {
 		return nil, err
 	}
 	dto := snapshotDTO{packMetaDTO: p.meta, Forests: map[string][]byte{}}
-	if err := p.encodeForests(func(tag string, blob []byte) { dto.Forests[tag] = blob }); err != nil {
+	if err := p.eachForest(func(tag string, f *forest.Forest) (err error) {
+		dto.Forests[tag], err = f.AppendBinary(nil)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	return json.Marshal(dto)

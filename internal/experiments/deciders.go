@@ -36,7 +36,7 @@ func buildDecider(kind DeciderKind, docs []string, rfWrong []bool, seed int64) (
 	}
 	tokenized := make([][]string, len(docs))
 	for i, d := range docs {
-		tokenized[i] = text.Tokenize(d)
+		tokenized[i] = text.AppendTokens(nil, d)
 	}
 	vocab := text.BuildVocabulary(tokenized, text.VocabOptions{MinDocFreq: 2, MaxWords: 512})
 	words := text.ImportantWords(tokenized, rfWrong, vocab, 60)
@@ -97,7 +97,7 @@ type boostDecider struct {
 }
 
 func (d boostDecider) UseCPD(doc string) (bool, float64) {
-	wrong, conf := d.model.Predict(d.wc.Featurize(text.Tokenize(doc)))
+	wrong, conf := d.model.Predict(d.wc.Featurize(text.AppendTokens(nil, doc)))
 	p := conf
 	if !wrong {
 		p = 1 - conf
@@ -112,7 +112,7 @@ type svmDecider struct {
 }
 
 func (d svmDecider) UseCPD(doc string) (bool, float64) {
-	inlier, conf := d.model.Predict(d.wc.Featurize(text.Tokenize(doc)))
+	inlier, conf := d.model.Predict(d.wc.Featurize(text.AppendTokens(nil, doc)))
 	p := conf
 	if inlier {
 		p = 1 - conf

@@ -64,7 +64,7 @@ func TrainNLPRouter(docs []string, teams []string, opt text.VocabOptions) (*NLPR
 	}
 	tokenized := make([][]string, len(docs))
 	for i, d := range docs {
-		tokenized[i] = text.Tokenize(d)
+		tokenized[i] = text.AppendTokens(nil, d)
 	}
 	vocab := text.BuildVocabulary(tokenized, opt)
 	r := &NLPRouter{vocab: vocab, teamIdx: map[string]int{}}
@@ -104,10 +104,10 @@ func TrainNLPRouter(docs []string, teams []string, opt text.VocabOptions) (*NLPR
 	return r, nil
 }
 
-// Rank scores every team for the incident text and returns the ranked list
-// (posterior probabilities summing to 1) plus the categorical confidence.
-func (r *NLPRouter) Rank(doc string) ([]TeamScore, ConfidenceBand) {
-	tokens := text.Tokenize(doc)
+// posterior scores every team for the incident text: the posterior
+// probabilities, in team order, softmaxed via log-sum-exp.
+func (r *NLPRouter) posterior(doc string) []float64 {
+	tokens := text.AppendTokens(nil, doc)
 	scores := make([]float64, len(r.teams))
 	for t := range r.teams {
 		s := r.logPrior[t]
@@ -118,7 +118,6 @@ func (r *NLPRouter) Rank(doc string) ([]TeamScore, ConfidenceBand) {
 		}
 		scores[t] = s
 	}
-	// Softmax via log-sum-exp.
 	maxS := math.Inf(-1)
 	for _, s := range scores {
 		if s > maxS {
@@ -130,9 +129,19 @@ func (r *NLPRouter) Rank(doc string) ([]TeamScore, ConfidenceBand) {
 		scores[t] = math.Exp(scores[t] - maxS)
 		z += scores[t]
 	}
+	for t := range scores {
+		scores[t] /= z
+	}
+	return scores
+}
+
+// Rank scores every team for the incident text and returns the ranked list
+// (posterior probabilities summing to 1) plus the categorical confidence.
+func (r *NLPRouter) Rank(doc string) ([]TeamScore, ConfidenceBand) {
+	scores := r.posterior(doc)
 	out := make([]TeamScore, len(r.teams))
 	for t, name := range r.teams {
-		out[t] = TeamScore{Team: name, Score: scores[t] / z}
+		out[t] = TeamScore{Team: name, Score: scores[t]}
 	}
 	slices.SortFunc(out, func(a, b TeamScore) int {
 		if a.Score != b.Score {
@@ -143,10 +152,17 @@ func (r *NLPRouter) Rank(doc string) ([]TeamScore, ConfidenceBand) {
 	return out, band(out)
 }
 
-// Route returns only the top team and the confidence band.
-func (r *NLPRouter) Route(doc string) (string, ConfidenceBand) {
-	ranked, b := r.Rank(doc)
-	return ranked[0].Team, b
+// Route returns the team Rank lists first — the largest posterior, and of
+// equal ones the name that sorts first — without ranking the others.
+func (r *NLPRouter) Route(doc string) string {
+	scores := r.posterior(doc)
+	top := 0
+	for t := 1; t < len(scores); t++ {
+		if c := cmp.Compare(scores[t], scores[top]); c > 0 || c == 0 && r.teams[t] < r.teams[top] {
+			top = t
+		}
+	}
+	return r.teams[top]
 }
 
 func band(ranked []TeamScore) ConfidenceBand {

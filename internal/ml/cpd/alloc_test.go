@@ -73,3 +73,37 @@ func TestKernelAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestBestSplitExactCallsAllocationFree pins what bestSplit costs beyond
+// its running sums: energy at about one candidate a window where the exact
+// scan called it at all 31 of a 40-point window, and no allocation.
+// Telemetry-shaped windows have one candidate near the top; event-like
+// ones sometimes tie a second with it to the bit.
+func TestBestSplitExactCallsAllocationFree(t *testing.T) {
+	const n, minSeg, windows = 40, 5, 2000
+	for _, c := range []struct {
+		name    string
+		gen     func(rng *rand.Rand, n int) []float64
+		ceiling float64
+	}{
+		{"telemetry", func(rng *rand.Rand, n int) []float64 { return telemetryShaped(rng, n, 3) }, 1.05},
+		{"events", eventShaped, 1.1},
+	} {
+		rng := rand.New(rand.NewSource(19))
+		k := acquire(n, 0)
+		before := k.settled
+		for w := 0; w < windows; w++ {
+			k.bestSplit(c.gen(rng, n), minSeg)
+		}
+		if mean := float64(k.settled-before) / windows; mean > c.ceiling {
+			t.Errorf("%s: %.3f exact energy calls a bestSplit over %d windows, ceiling %.2f", c.name, mean, windows, c.ceiling)
+		} else {
+			t.Logf("%s: %.3f exact energy calls a bestSplit over %d windows", c.name, mean, windows)
+		}
+		series := c.gen(rng, n)
+		if got := testing.AllocsPerRun(20, func() { k.bestSplit(series, minSeg) }); got != 0 {
+			t.Errorf("%s: bestSplit makes %.0f allocations, want 0", c.name, got)
+		}
+		kernels.Put(k)
+	}
+}

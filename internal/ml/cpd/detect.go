@@ -92,9 +92,9 @@ func HasChange(series []float64, p Params) bool {
 // position knows its sorted position, and the split is one byte per sorted
 // position saying which side of it that value is on. The two sorted halves
 // the energy statistic is evaluated over are the two subsequences of sorted
-// that side selects. That is the exact tier, and all of bestSplit; the
-// permutation test's own scan (reaches) walks the running sums below and
-// comes here for the candidates they cannot decide.
+// that side selects. That is the exact tier: bestSplit and the permutation
+// test's scan (reaches) walk the running sums below and come here only for
+// the candidates those cannot decide.
 type kernel struct {
 	// sorted is the current segment sorted ascending.
 	sorted []float64
@@ -114,21 +114,23 @@ type kernel struct {
 	xs         []xvalue
 	ys, prefix []float64
 
-	// What prepare leaves for reaches: total is the sum of |a - b| over the
-	// segment's unordered pairs, dist[p] the sum of |sorted[p] - a| over its
-	// values a, ratio[j] is (n-j)/j, scale 2/n, and delta twice the bound on
-	// |statistic - energy| at any candidate split, +Inf where none holds.
-	// moved holds the values a scan has taken across the split, in order.
-	dist, ratio, moved  []float64
-	total, scale, delta float64
-	// settled counts the candidates energy decided: the tests read it to
-	// show that the band is reached, and that it is rare.
+	// What prepare leaves for the running-sum scans: total is the sum of
+	// |a - b| over the segment's unordered pairs, dist[p] the sum of
+	// |sorted[p] - a| over its values a, ratio[j] is (n-j)/j, scale 2/n, and
+	// delta twice the bound on |statistic - energy| at any candidate split,
+	// +Inf where none holds. moved holds the values a scan has taken across
+	// the split, in order; run[nx] is bestSplit's running statistic at the
+	// candidate with nx values before the split.
+	dist, ratio, moved, run []float64
+	total, scale, delta     float64
+	// settled counts the candidates energy decided, in bestSplit and in
+	// reaches: the tests read it to show that the band is reached, and that
+	// it is rare.
 	settled int
 	// points collects segment's change points, at most MaxPoints.
 	points []int
 
 	src source
-	rng *rand.Rand // over &src
 }
 
 // xvalue is a value before the split and the count of values from the
@@ -146,11 +148,7 @@ const (
 
 // kernels pools the scratch, generator included: a detection that finds no
 // change point allocates nothing.
-var kernels = sync.Pool{New: func() any {
-	k := new(kernel)
-	k.rng = rand.New(&k.src)
-	return k
-}}
+var kernels = sync.Pool{New: func() any { return new(kernel) }}
 
 // acquire returns a kernel with room for n points and its generator at the
 // start of seed's stream.
@@ -158,8 +156,8 @@ func acquire(n int, seed int64) *kernel {
 	k := kernels.Get().(*kernel)
 	k.src.Seed(seed ^ 0x5bd1e995)
 	if len(k.sorted) < n {
-		f := make([]float64, 6*n+1)
-		k.sorted, k.ys, k.dist, k.ratio, k.moved, k.prefix = f[:n], f[n:2*n], f[2*n:3*n], f[3*n:4*n], f[4*n:5*n], f[5*n:]
+		f := make([]float64, 7*n+1)
+		k.sorted, k.ys, k.dist, k.ratio, k.moved, k.run, k.prefix = f[:n], f[n:2*n], f[2*n:3*n], f[3*n:4*n], f[4*n:5*n], f[5*n:6*n], f[6*n:]
 		i := make([]int32, 2*n)
 		k.rank, k.perm = i[:n], i[n:]
 		k.xs = make([]xvalue, n)
@@ -182,18 +180,21 @@ func (k *kernel) segment(series []float64, offset int, p Params) {
 }
 
 // bestSplit finds the split index maximizing the scaled energy statistic
-// and leaves the segment's sorted values and ranks behind for significant.
-// It returns (-1, 0) when the series is too short or no split scores above
-// zero.
+// and leaves the segment's sorted values, ranks and prepared sums behind for
+// significant. It returns (-1, 0) when the series is too short or no split
+// scores above zero.
 //
-// The segment is sorted once. A scan then walks the candidate splits left
-// to right, marking one more sorted position as before the split each step,
-// and evaluates the statistic in O(n) per candidate with no branch that
-// depends on a value: O(n²) per scan and no allocation, for series bounded
-// by the Scout look-back window (tens to a couple hundred points). energy
-// sums the values a per-candidate sort of both halves would produce, in
-// the same order, so every statistic is bit-identical to computing each
-// split from scratch.
+// The segment is sorted once and prepared as the permutation test's is. One
+// pass of running sums then gives every candidate's statistic within delta/2
+// of energy, and energy — the one definition of the statistic — is asked
+// only at the candidates whose running statistic is within delta of the
+// largest: a candidate further below it scores strictly less than the
+// candidate that holds it, so it is neither the arg-max nor tied with it.
+// Among those asked, the largest energy wins and the first index breaks an
+// exact tie, as the exact scan over every candidate did. With delta +Inf,
+// or a NaN among the running statistics, every candidate is asked and the
+// pass is that scan. No allocation: the running statistics live in the
+// kernel's scratch.
 func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 	n := len(series)
 	if n < 2*minSeg {
@@ -208,18 +209,37 @@ func (k *kernel) bestSplit(series []float64, minSeg int) (int, float64) {
 		return -1, 0
 	}
 	k.index(series)
-	rank := k.rank[:n]
-	k.start(rank, minSeg)
-	best, bestStat := -1, 0.0
-	for i := minSeg; ; i++ {
-		if q := k.energy(n, i); q > bestStat {
-			best, bestStat = i, q
+	k.prepare(n, minSeg)
+	rank, run := k.rank[:n], k.run[:n]
+	top := math.Inf(-1)
+	s := sums{0, k.total}
+	for i, r := range rank[:n-minSeg] {
+		s = k.cross(s, i, r)
+		if nx := i + 1; nx >= minSeg {
+			run[nx] = k.statistic(s, n, nx)
+			top = max(top, run[nx])
 		}
-		if i == n-minSeg {
-			return best, bestStat
-		}
-		k.side[rank[i]] |= before
 	}
+	// A candidate passed over has run < top - delta, so energy < top -
+	// delta/2, and the candidate holding top has energy >= top - delta/2.
+	floor := top - k.delta
+	best, bestStat, at := -1, 0.0, -1
+	for nx := minSeg; nx <= n-minSeg; nx++ {
+		if run[nx] < floor {
+			continue
+		}
+		if at == nx-1 {
+			k.side[rank[at]] |= before
+		} else {
+			k.start(rank, nx)
+		}
+		at = nx
+		k.settled++
+		if q := k.energy(n, nx); q > bestStat {
+			best, bestStat = nx, q
+		}
+	}
+	return best, bestStat
 }
 
 // reaches reports whether any candidate split of the segment prepare last
@@ -383,8 +403,9 @@ func split(sorted []float64, side []uint8, xs []xvalue, ys []float64) {
 	}
 }
 
-// prepare readies reaches for the n-point segment bestSplit last sorted:
-// the sums the multiset fixes, and delta.
+// prepare readies the running-sum scans for the n-point segment in sorted —
+// bestSplit's, then every shuffle's in reaches: the sums the multiset
+// fixes, and delta.
 //
 // Every sum is of non-negative terms — a value's distances to the values
 // below it grow by (count below) * gap from one sorted position to the next,
@@ -423,21 +444,18 @@ func (k *kernel) prepare(n, minSeg int) {
 }
 
 // significant runs a permutation test on the n-point segment bestSplit was
-// last called on: the observed statistic is compared with the best-split
-// statistic of shuffles of the segment. Shuffling the ranks is shuffling
-// the values.
+// last called on, over the sums bestSplit prepared: the observed statistic
+// is compared with the best-split statistic of shuffles of the segment.
+// Shuffling the ranks is shuffling the values.
 func (k *kernel) significant(n int, observed float64, p Params) bool {
 	if observed <= 0 {
 		return false
 	}
-	k.prepare(n, p.MinSegment)
 	perm := k.perm[:n]
 	copy(perm, k.rank[:n])
 	geq := 0
 	for i := 0; i < p.Permutations; i++ {
-		k.rng.Shuffle(n, func(a, b int) {
-			perm[a], perm[b] = perm[b], perm[a]
-		})
+		k.src.shuffle(perm)
 		if k.reaches(perm, p.MinSegment, observed) {
 			geq++
 			// Early exit: p-value already above alpha.
@@ -521,3 +539,23 @@ func (s *source) Uint64() uint64 {
 
 // Int63 returns the stream's next value without its top bit.
 func (s *source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+// shuffle permutes xs as (*rand.Rand).Shuffle over s permutes them, drawing
+// the same values: for i from the end down, swap xs[i] with xs[j], j drawn
+// from [0, i] by math/rand's int31n — Lemire's multiply-shift on the top 32
+// bits of Int63, redrawn while the low product falls below 2³² mod (i+1).
+// Calling it directly saves the Rand's interface call per draw and the swap
+// closure per swap. Lengths beyond 2³¹ are not a segment's.
+func (s *source) shuffle(xs []int32) {
+	for i := len(xs) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(uint32(s.Int63()>>31)) * uint64(n)
+		if low := uint32(prod); low < n {
+			for thresh := -n % n; low < thresh; low = uint32(prod) {
+				prod = uint64(uint32(s.Int63()>>31)) * uint64(n)
+			}
+		}
+		j := prod >> 32
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+}

@@ -212,6 +212,9 @@ func FuzzBestSplit(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add(floatBytes(1, 2, 3, 4, 5, 101, 102, 103, 104, 105), uint8(4))
 	f.Add(floatBytes(0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 1, 1), uint8(0))
+	for _, c := range bandCases {
+		f.Add(floatBytes(c.series...), uint8(c.minSeg-1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seg uint8) {
 		const maxLen = 256
 		series := make([]float64, 0, maxLen)
@@ -223,6 +226,69 @@ func FuzzBestSplit(f *testing.F) {
 		checkScan(t, series, minSeg, true)
 		checkDetect(t, series, Params{MinSegment: minSeg, Permutations: 19, Seed: int64(seg)})
 	})
+}
+
+// bandCases are series where energy, not the running sums, decides
+// bestSplit's arg-max (detect.go): two candidates with bit-equal statistics,
+// the later holding the running maximum; a running maximum strictly above
+// the running statistic of the exact arg-max; and an offset so large that
+// every candidate is in the band.
+var bandCases = []struct {
+	name   string
+	series []float64
+	minSeg int
+}{
+	{"exact tie, the later running", []float64{0, 2, 0, 0, 0, 0, 2, 0}, 2},
+	{"running arg-max not exact", offsetBy(1e12, 1, 2, 1, 1, 2, 1, 2, 2, 2, 1), 1},
+	{"all in the band", offsetBy(1e15, 0, 1, 2, 0, 2, 1, 2, 0), 2},
+}
+
+func offsetBy(base float64, offsets ...float64) []float64 {
+	for i := range offsets {
+		offsets[i] += base
+	}
+	return offsets
+}
+
+// TestBestSplitBand holds each of bandCases to what it is there for, so the
+// corpus entries FuzzBestSplit takes from them keep reaching the band, and
+// to the oracle.
+func TestBestSplitBand(t *testing.T) {
+	for _, c := range bandCases {
+		n, minSeg := len(c.series), c.minSeg
+		k := acquire(n, 0)
+		before := k.settled
+		idx, stat := k.bestSplit(c.series, minSeg)
+		asked, runArg := k.settled-before, minSeg
+		for nx := minSeg; nx <= n-minSeg; nx++ {
+			if k.run[nx] > k.run[runArg] {
+				runArg = nx
+			}
+		}
+		runAbove := idx >= 0 && k.run[runArg] > k.run[idx]
+		ties := 0
+		for nx := minSeg; nx <= n-minSeg; nx++ {
+			if math.Float64bits(energyStat(c.series[:nx], c.series[nx:])) == math.Float64bits(stat) {
+				ties++
+			}
+		}
+		kernels.Put(k)
+		var holds bool
+		switch c.name {
+		case "exact tie, the later running":
+			holds = ties == 2 && runArg > idx
+		case "running arg-max not exact":
+			holds = runAbove && asked < n-2*minSeg+1
+		case "all in the band":
+			holds = asked == n-2*minSeg+1
+		}
+		if !holds {
+			t.Errorf("%s: arg-max %d, running arg-max %d, %d candidates asked, %d with its statistic: not the case it names",
+				c.name, idx, runArg, asked, ties)
+		}
+		checkScan(t, c.series, minSeg, false)
+		checkScan(t, c.series, minSeg, true)
+	}
 }
 
 func floatBytes(vs ...float64) []byte {

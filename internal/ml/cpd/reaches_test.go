@@ -69,9 +69,10 @@ func eventShaped(rng *rand.Rand, n int) []float64 {
 }
 
 // eachPermutation runs the permutation test's set-up on series as
-// significant does — best split, prepare, then p.Permutations shuffles of the
-// ranks from p.Seed's stream, never stopping early — and hands visit each
-// one with the observed statistic. A series without a best split is skipped.
+// significant does — best split (which prepares), then p.Permutations
+// shuffles of the ranks from p.Seed's stream, never stopping early — and
+// hands visit each one with the observed statistic. A series without a best
+// split is skipped.
 func eachPermutation(series []float64, p Params, visit func(k *kernel, perm []int32, observed float64)) {
 	p = p.withDefaults()
 	n := len(series)
@@ -81,13 +82,10 @@ func eachPermutation(series []float64, p Params, visit func(k *kernel, perm []in
 	if idx < 0 {
 		return
 	}
-	k.prepare(n, p.MinSegment)
 	perm := k.perm[:n]
 	copy(perm, k.rank[:n])
 	for i := 0; i < p.Permutations; i++ {
-		k.rng.Shuffle(n, func(a, b int) {
-			perm[a], perm[b] = perm[b], perm[a]
-		})
+		k.src.shuffle(perm)
 		visit(k, perm, observed)
 	}
 }

@@ -3,12 +3,13 @@ package cpd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // The replica's contract is math/rand's stream: the same Uint64 and Int63
-// values as rand.NewSource(seed), hence the same Shuffles, for as long as
-// anyone draws. 2 000 draws wrap the 607-value ring three times; the seeds
+// values as rand.NewSource(seed), and the same Shuffles as a rand.Rand over
+// it, for as long as anyone draws. 2 000 draws wrap the 607-value ring three times; the seeds
 // include the ones math/rand's seeding folds (it reduces modulo 2³¹−1 and
 // maps zero to 89482311).
 func TestSourceMatchesMathRand(t *testing.T) {
@@ -44,16 +45,19 @@ func TestSourceMatchesMathRand(t *testing.T) {
 		if seeded.Load() != template || *template != before {
 			t.Fatalf("seed %d: the template was replaced or written to", seed)
 		}
-		got, ref := rand.New(&s), rand.New(rand.NewSource(seed))
-		var a, b [40]int32
-		for i := range a {
-			a[i], b[i] = int32(i), int32(i)
-		}
+		// shuffle is (*rand.Rand).Shuffle over the stream, at lengths from
+		// the trivial to past the 40 of a look-back window.
+		ref := rand.New(rand.NewSource(seed))
 		for round := 0; round < 100; round++ {
-			got.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+			n := []int{0, 1, 2, 3, 40, 40, 40, 257}[round%8]
+			a, b := make([]int32, n), make([]int32, n)
+			for i := range a {
+				a[i], b[i] = int32(i), int32(i)
+			}
+			s.shuffle(a)
 			ref.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-			if a != b {
-				t.Fatalf("seed %d, shuffle %d: %v, math/rand %v", seed, round, a, b)
+			if !slices.Equal(a, b) {
+				t.Fatalf("seed %d, shuffle %d of %d: %v, math/rand %v", seed, round, n, a, b)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"scouts/internal/section"
 )
@@ -43,37 +44,65 @@ var packLayout = []section.Spec{
 }
 
 // AppendBinary appends the forest's binary snapshot to buf and returns
-// the extended slice. The payload is exactly the flat inference arrays;
-// an untrained forest has none and errors.
+// the extended slice, growing buf at most once, by BinaryLen. The payload
+// is exactly the flat inference arrays; an untrained forest has none and
+// errors.
 func (f *Forest) AppendBinary(buf []byte) ([]byte, error) {
 	ff := f.flat
 	if ff == nil || len(ff.roots) == 0 {
 		return nil, errors.New("forest: no flat view to pack (untrained forest)")
 	}
-	feat := binary.LittleEndian.AppendUint32(nil, uint32(len(f.features)))
+	buf = slices.Grow(buf, f.BinaryLen())
+	buf = section.AppendHeader(buf, "FEAT", f.featLen())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.features)))
 	for _, name := range f.features {
-		feat = binary.LittleEndian.AppendUint32(feat, uint32(len(name)))
-		feat = append(feat, name...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
+		buf = append(buf, name...)
 	}
-	buf = section.Append(buf, "FEAT", feat)
-	buf = section.Append(buf, "IMPT", appendF64s(nil, f.imp))
-	buf = section.Append(buf, "NDFT", appendI32s(nil, ff.feature))
-	buf = section.Append(buf, "NDTH", appendF64s(nil, ff.threshold))
-	buf = section.Append(buf, "NDKD", appendI32s(nil, ff.kids))
-	buf = section.Append(buf, "NDPB", appendF64s(nil, ff.prob))
-	buf = section.Append(buf, "ROOT", appendI32s(nil, ff.roots))
-	buf = section.Append(buf, "PRIR", appendF64s(nil, []float64{ff.prior}))
+	buf = appendF64s(buf, "IMPT", f.imp)
+	buf = appendI32s(buf, "NDFT", ff.feature)
+	buf = appendF64s(buf, "NDTH", ff.threshold)
+	buf = appendI32s(buf, "NDKD", ff.kids)
+	buf = appendF64s(buf, "NDPB", ff.prob)
+	buf = appendI32s(buf, "ROOT", ff.roots)
+	buf = appendF64s(buf, "PRIR", []float64{ff.prior})
 	return buf, nil
 }
 
-func appendF64s(buf []byte, vs []float64) []byte {
+// BinaryLen is the length of the section list AppendBinary appends: 0 for
+// an untrained forest, which has none.
+func (f *Forest) BinaryLen() int {
+	ff := f.flat
+	if ff == nil || len(ff.roots) == 0 {
+		return 0
+	}
+	// NDFT, NDTH, NDKD and NDPB take 4 + 8 + 4 + 8 bytes a node.
+	return len(packLayout)*section.HeaderLen + f.featLen() + 8*len(f.imp) +
+		24*len(ff.feature) + 4*len(ff.roots) + 8
+}
+
+// featLen is the FEAT payload's length: the count, then each name and its
+// length.
+func (f *Forest) featLen() int {
+	n := 4
+	for _, name := range f.features {
+		n += 4 + len(name)
+	}
+	return n
+}
+
+// appendF64s appends the section tag holding vs.
+func appendF64s(buf []byte, tag string, vs []float64) []byte {
+	buf = section.AppendHeader(buf, tag, 8*len(vs))
 	for _, v := range vs {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
 
-func appendI32s(buf []byte, vs []int32) []byte {
+// appendI32s appends the section tag holding vs.
+func appendI32s(buf []byte, tag string, vs []int32) []byte {
+	buf = section.AppendHeader(buf, tag, 4*len(vs))
 	for _, v := range vs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
@@ -102,18 +131,20 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 	if dim < 0 || dim > len(feat)/4 {
 		return nil, errors.New("forest: FEAT name count overruns section")
 	}
+	// The names are cut from one string of the section's bytes.
+	all, off := string(feat), 0
 	features := make([]string, 0, dim)
 	for i := 0; i < dim; i++ {
-		if len(feat) < 4 {
+		if len(feat)-off < 4 {
 			return nil, errors.New("forest: FEAT name count overruns section")
 		}
-		n := int(binary.LittleEndian.Uint32(feat))
-		feat = feat[4:]
-		if n < 0 || n > len(feat) {
+		n := int(binary.LittleEndian.Uint32(feat[off:]))
+		off += 4
+		if n < 0 || n > len(feat)-off {
 			return nil, errors.New("forest: FEAT name length overruns section")
 		}
-		features = append(features, string(feat[:n]))
-		feat = feat[n:]
+		features = append(features, all[off:off+n])
+		off += n
 	}
 
 	imp, err := readF64s(secs["IMPT"], "IMPT")

@@ -57,9 +57,9 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // splitCtx is the per-tree working state of the split kernel. All buffers
 // are sized once per (tree, dataset) and reused for every node, so
 // bestSplit and the node partition run with zero allocations. A splitCtx
-// is reset per tree and may be pooled across trees: reset loads idx, every
-// other buffer is written before it is read, and counts is back to zero
-// after every node.
+// may be pooled across trees: a tree's draw loads idx, every other buffer
+// but kept is written before it is read, counts is back to zero after
+// every node, and kept only grows.
 //
 // idx[lo:hi] holds the rows of the node being grown in insertion order —
 // the exact order the reference kernel's leftIdx/rightIdx slices would
@@ -81,6 +81,7 @@ type splitCtx struct {
 	side   []uint8 // per-dataset-row split side of the current node (1=left)
 	perm   []int   // feature-sampling scratch
 	nodes  []node  // the tree being grown; buildTree copies it out
+	kept   []node  // the block buildTree copies trees into
 }
 
 func newSplitCtx(cols *mlcore.Columns) *splitCtx {
@@ -147,12 +148,20 @@ func (c *splitCtx) arrange(f int) []int32 {
 }
 
 // buildTree grows a tree over the sample rows loaded into ctx, in the
-// context's node buffer, and returns a copy the size of the tree.
+// context's node buffer, and returns a copy the size of the tree, cut from
+// the context's current block. A tree that does not fit starts a block
+// twice the last one's size, so the trees a context grows share a few
+// blocks and none is moved once kept.
 func buildTree(ctx *splitCtx, p *treeParams) tree {
 	ctx.nodes = ctx.nodes[:0]
 	wSum, wPos := ctx.nodeSums(0, ctx.n)
 	ctx.grow(p, 0, ctx.n, 0, wSum, wPos)
-	return tree{nodes: append([]node(nil), ctx.nodes...)}
+	if n := len(ctx.nodes); cap(ctx.kept)-len(ctx.kept) < n {
+		ctx.kept = make([]node, 0, max(2*cap(ctx.kept), n))
+	}
+	from := len(ctx.kept)
+	ctx.kept = append(ctx.kept, ctx.nodes...)
+	return tree{nodes: ctx.kept[from:len(ctx.kept):len(ctx.kept)]}
 }
 
 // nodeSums accumulates total and positive weight over idx[lo:hi] in

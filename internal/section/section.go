@@ -21,7 +21,8 @@ import (
 	"math"
 )
 
-const headerLen = 8 // tag[4] | u32 length
+// HeaderLen is a section's length before its payload: tag[4] | u32 length.
+const HeaderLen = 8
 
 // Spec is one section of a format, in the format's fixed order.
 type Spec struct {
@@ -29,17 +30,22 @@ type Spec struct {
 	Optional bool
 }
 
-// Append appends one section to buf and returns the extended slice. The
-// tag must be four bytes and the payload under 4 GiB; the writers' tags
-// are constants and their payloads model-sized, so either failing is a
-// bug, and Append panics.
+// Append appends one section to buf and returns the extended slice.
 func Append(buf []byte, tag string, payload []byte) []byte {
-	if len(tag) != 4 || uint64(len(payload)) > math.MaxUint32 {
-		panic(fmt.Sprintf("section: cannot append %q with %d payload bytes", tag, len(payload)))
+	return append(AppendHeader(buf, tag, len(payload)), payload...)
+}
+
+// AppendHeader appends the header of a section whose n payload bytes the
+// caller appends next: a writer that sizes its buffer once writes each
+// payload in place. The tag must be four bytes and the payload under
+// 4 GiB; the writers' tags are constants and their payloads model-sized,
+// so either failing is a bug, and AppendHeader panics.
+func AppendHeader(buf []byte, tag string, n int) []byte {
+	if len(tag) != 4 || n < 0 || uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("section: cannot append %q with %d payload bytes", tag, n))
 	}
 	buf = append(buf, tag...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, uint32(n))
 }
 
 // Read splits data into the sections layout names and returns their
@@ -49,7 +55,7 @@ func Read(data []byte, layout []Spec) (map[string][]byte, error) {
 	secs := make(map[string][]byte, len(layout))
 	next := 0 // the first layout entry the next section may be
 	for off := 0; off < len(data); {
-		if len(data)-off < headerLen {
+		if len(data)-off < HeaderLen {
 			return nil, fmt.Errorf("section header truncated: %d bytes at offset %d", len(data)-off, off)
 		}
 		tag := string(data[off : off+4])
@@ -64,7 +70,7 @@ func Read(data []byte, layout []Spec) (map[string][]byte, error) {
 			return nil, err
 		}
 		n := binary.LittleEndian.Uint32(data[off+4:])
-		off += headerLen
+		off += HeaderLen
 		if uint64(n) > uint64(len(data)-off) {
 			return nil, fmt.Errorf("section %q claims %d bytes, only %d remain", tag, n, len(data)-off)
 		}

@@ -46,7 +46,10 @@ func TestNLPRouterLearnsVocabulary(t *testing.T) {
 	testDocs, testTeams := corpus(300, rng)
 	correct := 0
 	for i := range testDocs {
-		top, _ := r.Route(testDocs[i])
+		top := r.Route(testDocs[i])
+		if ranked, _ := r.Rank(testDocs[i]); top != ranked[0].Team {
+			t.Fatalf("%q: Route %s, Rank lists %s first", testDocs[i], top, ranked[0].Team)
+		}
 		if top == testTeams[i] {
 			correct++
 		}
@@ -118,6 +121,25 @@ func TestNLPRouterUnknownWordsFallBackToPrior(t *testing.T) {
 	// With no known words, the prior should dominate: PhyNet has 4/6 docs.
 	if ranked[0].Team != "PhyNet" {
 		t.Fatalf("prior should win on unknown text, got %v", ranked[0].Team)
+	}
+}
+
+// Teams of equal prior score text none of them has seen alike, to the bit:
+// Rank's sort then orders them by name, and Route picks the same one.
+func TestNLPRouterRouteBreaksTiesByName(t *testing.T) {
+	docs := []string{"disk failure", "disk mount", "vip probe", "vip nat", "switch loss", "switch flap"}
+	teams := []string{"Storage", "Storage", "SLB", "SLB", "PhyNet", "PhyNet"}
+	r, err := experiments.TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const novel = "zzz qqq completely-novel-text"
+	ranked, _ := r.Rank(novel)
+	if ranked[0].Score != ranked[2].Score || ranked[0].Team != "PhyNet" {
+		t.Fatalf("Rank(%q) = %v, want three equal scores, PhyNet first", novel, ranked)
+	}
+	if got := r.Route(novel); got != "PhyNet" {
+		t.Fatalf("Route(%q) = %s, want PhyNet", novel, got)
 	}
 }
 

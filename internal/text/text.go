@@ -25,16 +25,16 @@ var stopwords = map[string]bool{
 	"hi": true, "hello": true, "thanks": true, "thank": true, "you": true,
 }
 
-// Tokenize lower-cases the text and splits it into alphanumeric tokens,
-// dropping stopwords and single characters. Machine-generated names such as
-// "vm3.c10.dc2" are kept intact (dots and dashes inside identifiers do not
-// split) so component mentions survive tokenization. Each token is a
-// substring of the lower-cased text: the runes a token accepts are
-// contiguous in it, and an invalid byte, which decodes as U+FFFD, ends the
-// open token like any other separator.
-func Tokenize(s string) []string {
+// AppendTokens lower-cases the text, splits it into alphanumeric tokens,
+// dropping stopwords and single characters, and appends them to out: a
+// caller tokenizing many documents keeps them in one list, each document a
+// run of it. Machine-generated names such as "vm3.c10.dc2" are kept intact
+// (dots and dashes inside identifiers do not split) so component mentions
+// survive tokenization. Each token is a substring of the lower-cased text:
+// the runes a token accepts are contiguous in it, and an invalid byte,
+// which decodes as U+FFFD, ends the open token like any other separator.
+func AppendTokens(out []string, s string) []string {
 	s = strings.ToLower(s)
-	var out []string
 	open := -1 // where the open token starts, -1 when none is open
 	for i, r := range s {
 		word := unicode.IsLetter(r) || unicode.IsDigit(r)
@@ -196,8 +196,8 @@ type WordCounter struct {
 }
 
 // countToken counts a closed token — the first kept bytes of buf, unless it
-// outgrew buf — as Tokenize and Featurize would: not when shorter than two
-// bytes, a stopword or untracked.
+// outgrew buf — as AppendTokens and Featurize would: not when shorter than
+// two bytes, a stopword or untracked.
 func (wc *WordCounter) countToken(x []float64, buf []byte, kept int) {
 	if kept < 2 || kept > len(buf) || stopwords[string(buf[:kept])] {
 		return
@@ -234,10 +234,11 @@ func (wc *WordCounter) Featurize(doc []string) []float64 {
 	return x
 }
 
-// FeaturizeText is Featurize(Tokenize(s)) counted straight off the text: no
+// FeaturizeText is Featurize(AppendTokens(nil, s)) counted straight off the
+// text: no
 // lower-cased copy, no token strings, no token list. The counts land in x
 // when it has the room (a caller's stack vector) and the filled vector is
-// returned. It applies Tokenize's rules rune by rune — lower-case first,
+// returned. It applies AppendTokens' rules rune by rune — lower-case first,
 // letters and digits open and extend a token, '.', '-' and '_' extend an
 // open one, anything else closes it; a closed token loses its trailing '.'
 // and '-', and is dropped when shorter than two bytes or a stopword — and

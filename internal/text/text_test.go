@@ -12,7 +12,7 @@ import (
 )
 
 func TestTokenizeBasics(t *testing.T) {
-	got := Tokenize("The VM vm3.c10.dc2 is unable to connect to storage!")
+	got := tokenize("The VM vm3.c10.dc2 is unable to connect to storage!")
 	want := []string{"vm", "vm3.c10.dc2", "unable", "connect", "storage"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -20,14 +20,14 @@ func TestTokenizeBasics(t *testing.T) {
 }
 
 func TestTokenizeKeepsIdentifiers(t *testing.T) {
-	got := Tokenize("switch tor-2.c4.dc1 rebooted")
+	got := tokenize("switch tor-2.c4.dc1 rebooted")
 	if len(got) != 3 || got[1] != "tor-2.c4.dc1" {
 		t.Fatalf("identifier mangled: %v", got)
 	}
 }
 
 func TestTokenizeTrimsPunctuation(t *testing.T) {
-	got := Tokenize("latency spiked... badly.")
+	got := tokenize("latency spiked... badly.")
 	want := []string{"latency", "spiked", "badly"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v", got)
@@ -35,10 +35,10 @@ func TestTokenizeTrimsPunctuation(t *testing.T) {
 }
 
 func TestTokenizeEmptyAndStopwords(t *testing.T) {
-	if got := Tokenize("the a an is to"); len(got) != 0 {
+	if got := tokenize("the a an is to"); len(got) != 0 {
 		t.Fatalf("stopwords leaked: %v", got)
 	}
-	if got := Tokenize(""); len(got) != 0 {
+	if got := tokenize(""); len(got) != 0 {
 		t.Fatalf("empty input: %v", got)
 	}
 }
@@ -107,10 +107,10 @@ func TestWordCounter(t *testing.T) {
 }
 
 // TestFeaturizeTextMatchesTokenize: counting tracked words straight off the
-// text equals Featurize(Tokenize(s)) — over hand cases for each of
-// Tokenize's rules and over generated texts mixing them — for counters
-// whose words fit the stack buffer, outgrow it, or are words Tokenize never
-// emits.
+// text equals Featurize of the text's tokens — over hand cases for each of
+// AppendTokens' rules and over generated texts mixing them — for counters
+// whose words fit the stack buffer, outgrow it, or are words AppendTokens
+// never emits.
 func TestFeaturizeTextMatchesTokenize(t *testing.T) {
 	long := strings.Repeat("x", 70)
 	counters := map[string]*WordCounter{
@@ -136,11 +136,11 @@ func TestFeaturizeTextMatchesTokenize(t *testing.T) {
 	}
 	check := func(name string, wc *WordCounter, s string) {
 		t.Helper()
-		want := wc.Featurize(Tokenize(s))
+		want := wc.Featurize(tokenize(s))
 		var stack [8]float64
 		got := wc.FeaturizeText(stack[:0], s)
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: FeaturizeText(%q) = %v, Featurize(Tokenize) = %v (tokens %q)", name, s, got, want, Tokenize(s))
+			t.Fatalf("%s: FeaturizeText(%q) = %v, Featurize(tokens) = %v (tokens %q)", name, s, got, want, tokenize(s))
 		}
 		dirty := []float64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
 		if got := wc.FeaturizeText(dirty, s); !slices.Equal(got, want) {
@@ -185,9 +185,12 @@ func TestFeaturizeTextAllocations(t *testing.T) {
 	}
 }
 
-// oracleTokenize is Tokenize as it read while it grew each token in a
+// tokenize is one document's tokens.
+func tokenize(s string) []string { return AppendTokens(nil, s) }
+
+// oracleTokenize is the tokenizer as it read while it grew each token in a
 // strings.Builder, rune by rune, kept verbatim as the oracle for the
-// substring-cutting Tokenize.
+// substring-cutting AppendTokens.
 func oracleTokenize(s string) []string {
 	s = strings.ToLower(s)
 	var out []string
@@ -217,10 +220,11 @@ func oracleTokenize(s string) []string {
 	return out
 }
 
-// FuzzTokenize holds Tokenize to the builder oracle for any input: the same
-// tokens, in order. Its seeds cover invalid UTF-8, the upper-case runes
-// whose lower-case form has another byte length (İ, the Kelvin sign),
-// punctuation around and inside identifiers, and stopwords.
+// FuzzTokenize holds AppendTokens to the builder oracle for any input: the
+// same tokens, in order, appended after what the list held. Its seeds cover
+// invalid UTF-8, the upper-case runes whose lower-case form has another byte
+// length (İ, the Kelvin sign), punctuation around and inside identifiers,
+// and stopwords.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range []string{
 		"", "\xff", "ab\xffcd", "\xc3ab", "ab\xe2\x82cd", "é\xff1", "ab�cd",
@@ -231,8 +235,12 @@ func FuzzTokenize(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		if got, want := Tokenize(s), oracleTokenize(s); !slices.Equal(got, want) {
-			t.Fatalf("Tokenize(%q) = %q, oracle %q", s, got, want)
+		want := oracleTokenize(s)
+		if got := tokenize(s); !slices.Equal(got, want) {
+			t.Fatalf("AppendTokens(nil, %q) = %q, oracle %q", s, got, want)
+		}
+		if got := AppendTokens([]string{"held"}, s); got[0] != "held" || !slices.Equal(got[1:], want) {
+			t.Fatalf("AppendTokens([held], %q) = %q, oracle %q after held", s, got, want)
 		}
 	})
 }
@@ -242,7 +250,7 @@ func FuzzTokenize(f *testing.F) {
 // not keep its corpus.
 func TestWordCounterKeepsNoDocument(t *testing.T) {
 	doc := strings.Repeat("padding ", 100) + "latency spike"
-	wc := NewWordCounter(Tokenize(doc)[99:])
+	wc := NewWordCounter(tokenize(doc)[99:])
 	if !slices.Equal(wc.Names(), []string{"padding", "latency", "spike"}) {
 		t.Fatalf("words %q", wc.Names())
 	}
