@@ -53,11 +53,14 @@ alloc-check:
 # (the binary section both Scout snapshot envelopes carry) and of its
 # split kernel (small training sets grown
 # against the seed kernel and at two worker counts), of the extractors'
-# match finder (against FindAllString, for any pattern regexp compiles), of
+# match finder (against FindAllString, for any pattern regexp compiles, and
+# Extract with that pattern against the join-based oracle), of
 # the tokenizer (the substring cut against the rune-by-rune builder it
 # replaced, over invalid UTF-8 and case mappings that change byte length),
+# of an incident's text read in two parts (title, then body, tokenized and
+# counted as their join with a line break is),
 # of the configuration parser (never panics; what it accepts builds a
-# FeatureBuilder that extracts as the old path does), of the gateway's
+# FeatureBuilder that extracts as the old and join-based paths do), of the gateway's
 # Retry-After reader
 # (a hint in [0, max], saturating, against math/big), of the scoutpack
 # (SCPK) and store-file (SDP1) decoders (never panic, checksums re-sealed so
@@ -83,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFindAll$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitText$$' -fuzztime 10s ./internal/text
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzScoutpack$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPackFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serving

@@ -128,7 +128,10 @@ func TestStorageConfigsParse(t *testing.T) {
 // FuzzParseConfig: the configuration is the operator's file (and, once a
 // daemon takes -config, a boundary). ParseConfig never panics, and whatever
 // it accepts builds a FeatureBuilder whose extractors run: its patterns go
-// through the finder's analysis and two derived compilations.
+// through the finder's analysis and two derived compilations, and extract
+// what the old path and the join-based one (joinExtract) do — the committed
+// line_break_extractors input anchors its patterns on the line break
+// between title and body.
 func FuzzParseConfig(f *testing.F) {
 	f.Add(DefaultPhyNetConfig) // the rest of the corpus is testdata/fuzz/FuzzParseConfig
 	gen := cloudsim.New(cloudsim.Params{Seed: 1, Days: 2, IncidentsPerDay: 2})
@@ -151,5 +154,8 @@ func FuzzParseConfig(f *testing.F) {
 		if got, want := fb.Extract(title, body, []string{"srv1.c1.dc1"}), fb.oldExtract(title, body, []string{"srv1.c1.dc1"}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Extract %+v, old path %+v", got, want)
 		}
+		// Names on each side of the line break, each on a line of its own.
+		checkJoinExtract(t, fb, title, body, []string{"srv1.c1.dc1"})
+		checkJoinExtract(t, fb, "planned work on tor1.c1.dc1", "dc1\nc1.dc1\n vm1.c1.dc1 ", nil)
 	})
 }

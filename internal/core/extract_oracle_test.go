@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -104,6 +106,96 @@ func (fb *FeatureBuilder) oldExtract(title, body string, mentioned []string) Ext
 	ex.Broad = len(ex.Devices) == 0 && hasScope
 	ex.Empty = len(ex.Devices) == 0 && !hasScope
 	return ex
+}
+
+// joinExtract is Extract as it read while the extractors ran over the text
+// joined per call, title + "\n" + body, and each Extraction made an array of
+// its own. Kept as the reference for the path that copies the text into the
+// pooled scratch's buffer and carves the array from the scratch's block —
+// save that it collects in a scratch of its own and hands the finder the
+// joined text's bytes (checkFinder holds the finder to FindAllString).
+func (fb *FeatureBuilder) joinExtract(title, body string, mentioned []string) Extraction {
+	text := title + "\n" + body
+	var ex Extraction
+	for _, rule := range fb.cfg.Excludes {
+		switch rule.Field {
+		case "TITLE":
+			if rule.Re.MatchString(title) {
+				ex.Excluded = true
+			}
+		case "BODY":
+			if rule.Re.MatchString(body) {
+				ex.Excluded = true
+			}
+		}
+	}
+
+	sc := new(extractScratch)
+	for _, f := range fb.finders {
+		if f == nil {
+			continue
+		}
+		for _, m := range f.findAll(nil, []byte(text)) {
+			fb.consider(sc, string(m))
+		}
+	}
+	for _, m := range mentioned {
+		fb.consider(sc, m)
+	}
+	for _, vm := range sc.byType[typeSlot(topology.TypeVM)] {
+		if srv := fb.topo.ServerOfVM(vm); srv != "" {
+			fb.consider(sc, srv)
+		}
+	}
+	for _, srv := range sc.byType[typeSlot(topology.TypeServer)] {
+		if tor := fb.topo.ToROfServer(srv); tor != "" {
+			fb.consider(sc, tor)
+		}
+	}
+	for k := range sc.byType {
+		for _, c := range sc.byType[k] {
+			comp, ok := fb.topo.Lookup(c)
+			for ok && comp.Parent != "" {
+				if comp, ok = fb.topo.Lookup(comp.Parent); ok {
+					fb.accept(sc, comp)
+				}
+			}
+		}
+	}
+
+	total := 0
+	for k := range sc.byType {
+		slices.Sort(sc.byType[k])
+		sc.byType[k] = slices.Compact(sc.byType[k])
+		total += len(sc.byType[k])
+	}
+	if total > 0 {
+		ex.names = make([]string, 0, total)
+	}
+	for k, list := range sc.byType {
+		ex.names = append(ex.names, list...)
+		ex.ends[k] = len(ex.names)
+	}
+	if devices := ex.ends[deviceTypes-1]; devices > 0 {
+		ex.Devices = ex.names[:devices:devices]
+	}
+	hasScope := len(ex.names) > len(ex.Devices)
+	ex.Broad = len(ex.Devices) == 0 && hasScope
+	ex.Empty = len(ex.Devices) == 0 && !hasScope
+	return ex
+}
+
+// checkJoinExtract compares Extract with joinExtract for one title and body
+// — the whole Extraction — and requires the result clipped where it must be.
+func checkJoinExtract(t testing.TB, fb *FeatureBuilder, title, body string, mentioned []string) {
+	t.Helper()
+	got, want := fb.Extract(title, body, mentioned), fb.joinExtract(title, body, mentioned)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("over %q + %q:\nExtract     %+v\njoinExtract %+v", title, body, got, want)
+	}
+	if cap(got.names) != len(got.names) || cap(got.Devices) != len(got.Devices) {
+		t.Fatalf("over %q + %q: the component array is not clipped", title, body)
+	}
 }
 
 func oldAll(e Extraction) []string {
@@ -223,8 +315,9 @@ func TestExtractMatchesOldPath(t *testing.T) {
 }
 
 // TestExtractionOwnsItsNames: nothing in a returned Extraction points into
-// the incident text or the pooled scratch — a FeatureCache keeps it, and the
-// next Extract reuses the scratch.
+// the incident text, and no later Extract writes what it holds — a
+// FeatureCache keeps it, and the next Extract reuses the scratch, whose
+// block the Extraction's array was cut from.
 func TestExtractionOwnsItsNames(t *testing.T) {
 	fb, gen := newBuilder(t)
 	topo := gen.Topology()
@@ -247,9 +340,53 @@ func TestExtractionOwnsItsNames(t *testing.T) {
 	}
 }
 
-// TestExtractAllocations pins Extract's steady-state allocations: the joined
-// text and the one array the Extraction's runs are laid out in (4 while a
-// map of the runs, two objects, sat beside it) — and All's single slice.
+// TestExtractConcurrentBlocks: goroutines extracting at once, each through
+// the pooled scratch of the moment and across many name blocks, keep
+// extractions that still equal joinExtract's once all are done — no region
+// of a block is handed out twice — and, under -race, no two goroutines
+// write one region.
+func TestExtractConcurrentBlocks(t *testing.T) {
+	gen := cloudsim.New(cloudsim.Params{Seed: 9, Days: 20, IncidentsPerDay: 10})
+	log := gen.Generate()
+	cfg, err := ParseConfig(DefaultPhyNetConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := NewFeatureBuilder(cfg, gen.Topology(), gen.Telemetry())
+	const goroutines = 8
+	got := make([][]Extraction, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, in := range log.Incidents {
+				got[g] = append(got[g], fb.Extract(in.Title, in.Body, in.Components))
+			}
+		}(g)
+	}
+	wg.Wait()
+	names := 0
+	for i, in := range log.Incidents {
+		want := fb.joinExtract(in.Title, in.Body, in.Components)
+		for g := range got {
+			if !reflect.DeepEqual(got[g][i], want) {
+				t.Fatalf("goroutine %d, incident %s:\nExtract     %+v\njoinExtract %+v", g, in.ID, got[g][i], want)
+			}
+		}
+		names += goroutines * len(want.names)
+	}
+	if names < 4*nameBlock {
+		t.Fatalf("only %d names extracted: the blocks did not roll over", names)
+	}
+}
+
+// TestExtractAllocations pins Extract's steady-state allocations: none. The
+// text is copied into the pooled scratch's buffer, and the Extraction's
+// array is cut from the scratch's block, which is made once in hundreds of
+// names (2 while the text was joined and each Extraction made its own
+// array, 4 while a map of the runs, two objects, sat beside them) — and
+// All's single slice.
 func TestExtractAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -260,7 +397,7 @@ func TestExtractAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := NewFeatureBuilder(cfg, gen.Topology(), faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{}))
-	const budget = 2
+	const budget = 0
 	for _, tc := range []struct{ name, title, body string }{
 		{"one device", "Packet corruption alarms on tor1.c1.dc1", "FCS errors above threshold"},
 		{"a VM and its chain", "vm3.c2.dc1 unreachable", "VM vm3.c2.dc1 on srv2.c2.dc1 cannot reach tor1.c2.dc1 in cluster c2.dc1"},

@@ -153,13 +153,21 @@ type FeatureBuilder struct {
 	extracting sync.Pool
 }
 
-// extractScratch is what one Extract call collects in. Nothing in it
-// outlives the call: the returned Extraction is copied out of it, because a
-// FeatureCache keeps Extractions for as long as it lives.
+// extractScratch is what one Extract call collects in. Only block outlives
+// the call, a region at a time: each Extraction's array is cut from it and
+// the scratch keeps only what lies beyond, so a region, once handed out, is
+// never written again — Extractions, the memos a FeatureCache keeps and
+// answers' Components share a block safely.
 type extractScratch struct {
-	matches []string                 // one extractor's matches: substrings of the text
+	text    []byte                   // title, '\n', body: the extractors' input
+	matches [][]byte                 // one extractor's matches: subslices of text
 	byType  [len(typeOrder)][]string // accepted components, the topology's own name strings
+	block   []string                 // what is left of the block names are cut from
 }
+
+// nameBlock is how many names a block holds: an extraction names a handful,
+// so one block serves dozens of them.
+const nameBlock = 512
 
 // featScratch is what one FeaturizeInto call works in.
 type featScratch struct {
@@ -298,15 +306,10 @@ func (fb *FeatureBuilder) GroupSlots(group string) []int {
 }
 
 // Extract runs the configured extractors and exclusion rules on incident
-// text (§5.1, §5.3).
+// text (§5.1, §5.3). The extractors read title, a line break and body,
+// copied into the scratch's buffer, and the component array is carved from
+// the scratch's block: an extraction allocates only when the block is full.
 func (fb *FeatureBuilder) Extract(title, body string, mentioned []string) Extraction {
-	return fb.extract(title+"\n"+body, title, body, mentioned)
-}
-
-// extract is Extract given the joined text the extractors run over,
-// title + "\n" + body, which the predict path builds once and also hands to
-// the model selector.
-func (fb *FeatureBuilder) extract(text, title, body string, mentioned []string) Extraction {
 	var ex Extraction
 	for _, rule := range fb.cfg.Excludes {
 		switch rule.Field {
@@ -325,16 +328,18 @@ func (fb *FeatureBuilder) extract(text, title, body string, mentioned []string) 
 	if sc == nil {
 		sc = new(extractScratch)
 	}
+	sc.text = append(append(append(sc.text[:0], title...), '\n'), body...)
 	for _, f := range fb.finders {
 		if f == nil {
 			continue
 		}
-		sc.matches = f.findAll(sc.matches[:0], text)
+		sc.matches = f.findAll(sc.matches[:0], sc.text)
 		for _, m := range sc.matches {
-			fb.consider(sc, m)
+			if comp, ok := fb.topo.LookupBytes(m); ok {
+				fb.accept(sc, comp)
+			}
 		}
 	}
-	clear(sc.matches) // the pool must not keep the text alive
 	// Structured mentions (the incident-management system also carries a
 	// component list; the deployed Scout uses both).
 	for _, m := range mentioned {
@@ -374,7 +379,10 @@ func (fb *FeatureBuilder) extract(text, title, body string, mentioned []string) 
 		total += len(sc.byType[k])
 	}
 	if total > 0 {
-		ex.names = make([]string, 0, total)
+		if len(sc.block) < total {
+			sc.block = make([]string, max(nameBlock, total))
+		}
+		ex.names, sc.block = sc.block[:0:total], sc.block[total:]
 	}
 	for k, list := range sc.byType {
 		ex.names = append(ex.names, list...)

@@ -7,7 +7,7 @@ import (
 )
 
 // finder enumerates an extractor's matches exactly as
-// re.FindAllString(text, -1) does, without running the pattern at every
+// re.FindAllIndex(text, -1) does, without running the pattern at every
 // position of the text. Go's regexp skips ahead only when a pattern begins
 // with a literal, and an extractor that opens with \b — as the PhyNet ones
 // do — has none, so the unanchored search restarts the backtracker at every
@@ -26,7 +26,7 @@ import (
 // which is all the look-ahead there is. The search resumes at each match's
 // end, as FindAll does; a pattern that can match the empty string is not
 // taken (FindAll's rules for empty matches are its own), nor is anything
-// else the analysis does not understand — those keep FindAllString.
+// else the analysis does not understand — those keep FindAllIndex.
 //
 // The patterns are ParseConfig's: compiled by regexp.Compile, so Perl
 // syntax and leftmost-first. A Regexp switched to leftmost-longest keeps
@@ -50,7 +50,7 @@ type finder struct {
 const maxFirstBytes = 4
 
 // newFinder analyses the pattern once; a pattern the prefilter does not
-// take, or takes with too wide a set to pay, keeps FindAllString.
+// take, or takes with too wide a set to pay, keeps FindAllIndex.
 func newFinder(re *regexp.Regexp) *finder {
 	if f := prefilter(re); f != nil {
 		width := 0
@@ -162,10 +162,13 @@ func leadByte(r rune) int {
 }
 
 // findAll appends the pattern's successive non-overlapping matches in text
-// to dst: what re.FindAllString(text, -1) returns, as substrings of text.
-func (f *finder) findAll(dst []string, text string) []string {
+// to dst: what re.FindAllIndex(text, -1) locates, as subslices of text.
+func (f *finder) findAll(dst [][]byte, text []byte) [][]byte {
 	if f.at0 == nil {
-		return append(dst, f.re.FindAllString(text, -1)...)
+		for _, loc := range f.re.FindAllIndex(text, -1) {
+			dst = append(dst, text[loc[0]:loc[1]])
+		}
+		return dst
 	}
 	// i only ever stands on a rune boundary as regexp steps them: 0, one
 	// decoded rune further, or the end of a match.
@@ -173,17 +176,17 @@ func (f *finder) findAll(dst []string, text string) []string {
 		b := text[i]
 		w := 1
 		if b >= utf8.RuneSelf {
-			_, w = utf8.DecodeRuneInString(text[i:])
+			_, w = utf8.DecodeRune(text[i:])
 		}
 		if f.first[b] {
 			if i == 0 {
-				if m := f.at0.FindString(text); m != "" {
+				if m := f.at0.Find(text); len(m) > 0 {
 					dst = append(dst, m)
 					w = len(m)
 				}
 			} else {
-				_, back := utf8.DecodeLastRuneInString(text[:i])
-				if m := f.after.FindString(text[i-back:]); m != "" {
+				_, back := utf8.DecodeLastRune(text[:i])
+				if m := f.after.Find(text[i-back:]); len(m) > 0 {
 					dst = append(dst, m[back:])
 					w = len(m) - back
 				}

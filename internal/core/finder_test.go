@@ -1,11 +1,13 @@
 package core
 
 import (
+	"maps"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
+	"scouts/internal/cloudsim"
 	"scouts/internal/topology"
 )
 
@@ -27,7 +29,9 @@ func finderPatterns(t testing.TB) []string {
 		`a*`, `\B`, `^dc\d+`, `(?i)vm\d+`, `(?m)^c\d+$`, `.`, `[^\x00-\x7f]+`,
 		`\Bdc\d+`, `é+\b`, `\x{FFFD}`, `[^a]`, `a|ab`, `(a|ab)(c|bcd)`, `dc\d+$`,
 		`\bc\d+\z`, `(?s)c.d`, `\pL\d`, `[\x{80}-\x{7ff}]x`, `(?:)`, `x{2,3}?`,
-		`(?U)c\d+`, `\d+\.`, `(?P<n>tor)\d`)
+		`(?U)c\d+`, `\d+\.`, `(?P<n>tor)\d`,
+		// Patterns that read the line break between title and body.
+		`(?m)dc\d+$`, `(?m)^(?:tor|agg)\d+\.c\d+\.dc\d+`, `\n[a-z]+\d`, `\s\S+\s`, `[^\n]+$`)
 }
 
 // finderTexts are its seed texts: names glued to word characters, to each
@@ -70,7 +74,8 @@ func TestFinderMatchesFindAllString(t *testing.T) {
 
 // checkFinder compares the finder newFinder builds — prefiltered or not —
 // and, where the analysis understands the pattern, the prefiltered one
-// whatever the width of its first-byte set, with FindAllString.
+// whatever the width of its first-byte set, with FindAllString over the
+// text.
 func checkFinder(t testing.TB, re *regexp.Regexp, text string) {
 	t.Helper()
 	want := re.FindAllString(text, -1)
@@ -78,7 +83,11 @@ func checkFinder(t testing.TB, re *regexp.Regexp, text string) {
 		if f == nil {
 			continue
 		}
-		if got := f.findAll(nil, text); !slices.Equal(got, want) {
+		var got []string
+		for _, m := range f.findAll(nil, []byte(text)) {
+			got = append(got, string(m))
+		}
+		if !slices.Equal(got, want) {
 			t.Fatalf("pattern %q (prefiltered: %v) over %q:\nfinder  %q\nregexp  %q", re, f.at0 != nil, text, got, want)
 		}
 	}
@@ -114,13 +123,22 @@ func TestFinderTakesTheExtractors(t *testing.T) {
 }
 
 // FuzzFindAll: for any pattern regexp compiles and any text, the finder
-// returns what FindAllString returns.
+// returns what FindAllString returns; and Extract, with the pattern as the
+// switch extractor beside PhyNet's others, returns what joinExtract does
+// with the text cut into title and body at its middle, and with either part
+// empty.
 func FuzzFindAll(f *testing.F) {
 	for _, p := range finderPatterns(f) {
 		for _, text := range finderTexts {
 			f.Add(p, text)
 		}
 	}
+	phynet, err := ParseConfig(DefaultPhyNetConfig)
+	if err != nil {
+		f.Fatal(err)
+	}
+	gen := cloudsim.New(cloudsim.Params{Seed: 1, Days: 2, IncidentsPerDay: 2})
+	topo, source := gen.Topology(), gen.Telemetry()
 	f.Fuzz(func(t *testing.T, pattern, text string) {
 		if len(pattern) > 64 || len(text) > 256 {
 			return // keep a backtracking run short
@@ -133,5 +151,15 @@ func FuzzFindAll(f *testing.F) {
 		// The same text behind one more rune: every match moves off offset 0.
 		checkFinder(t, re, "é"+text)
 		checkFinder(t, re, strings.Repeat(text, 2))
+
+		cfg := *phynet
+		cfg.Extractors = maps.Clone(phynet.Extractors)
+		cfg.Extractors[topology.TypeSwitch] = re
+		cfg.finders[typeSlot(topology.TypeSwitch)] = newFinder(re)
+		fb := NewFeatureBuilder(&cfg, topo, source)
+		mid := len(text) / 2
+		checkJoinExtract(t, fb, text[:mid], text[mid:], nil)
+		checkJoinExtract(t, fb, text, "", nil)
+		checkJoinExtract(t, fb, "", text, nil)
 	})
 }

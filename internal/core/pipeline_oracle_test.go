@@ -62,7 +62,7 @@ func (s *Scout) oldPredictCached(in *incident.Incident, cache *oldFeatureCache) 
 	if e.ex.Empty {
 		return Prediction{Verdict: VerdictFallback, Model: "none"}
 	}
-	useCPD, pWrong := s.selector.UseCPD(in.Text())
+	useCPD, pWrong := useCPDJoined(s.selector, in.Title, in.Body)
 	if useCPD {
 		var label bool
 		var conf float64

@@ -23,16 +23,16 @@ import (
 // selector almost never leaves the forest.
 type halfCPD struct{}
 
-func (halfCPD) UseCPD(doc string) (bool, float64) {
+func (halfCPD) UseCPD(title, body string) (bool, float64) {
 	h := fnv.New32a()
-	h.Write([]byte(doc))
+	h.Write([]byte(title + "\n" + body))
 	v := h.Sum32()
 	return v%2 == 0, float64(v%1000) / 1000
 }
 
 type alwaysCPD struct{}
 
-func (alwaysCPD) UseCPD(string) (bool, float64) { return true, 0.75 }
+func (alwaysCPD) UseCPD(_, _ string) (bool, float64) { return true, 0.75 }
 
 // The served wording, as gatePrediction and predictCPDPath write it.
 const (
@@ -332,7 +332,7 @@ func TestMemoOfAnotherLayoutFallsBack(t *testing.T) {
 	s, _ := restoreAgainst(t, f, blackoutAll(f.scout.Builder().DatasetNames()), 1)
 	in := modelIncident(t, f)
 	m := memo{ex: s.fb.Extract(in.Title, in.Body, in.Components), x: []float64{1, 2, 3}}
-	p := s.predict(forcedModel(false), in.Text(), &m, in.CreatedAt)
+	p := s.predict(forcedModel(false), in.Title, in.Body, &m, in.CreatedAt)
 	if p.Verdict != VerdictFallback || !strings.Contains(p.Explanation, "feature vector has 3 features") {
 		t.Fatalf("a three-slot memo answered %+v", p)
 	}

@@ -16,7 +16,32 @@ import (
 // to print three and formatted each with Sprintf: kept verbatim as the
 // reference the one-buffer path is compared against. oldPredict is
 // Scout.predict over oldExtract (extract_oracle_test.go), the text joined a
-// second time for the selector, and these.
+// second time for the selector (useCPDJoined), and these.
+
+// oldUseCPD is Selector.UseCPD as it read while the pipeline handed every
+// decider the joined text title + "\n" + body.
+func (s *Selector) oldUseCPD(incidentText string) (bool, float64) {
+	if s.rf == nil || s.words == nil {
+		return false, 0
+	}
+	// The default vocabulary (60 words) is counted into a stack vector.
+	var counts [64]float64
+	wrong, conf := s.rf.Predict(s.words.FeaturizeText(counts[:0], incidentText))
+	p := conf
+	if !wrong {
+		p = 1 - conf
+	}
+	return p > s.threshold, p
+}
+
+// useCPDJoined asks a decider as the old paths did: the Scout's own
+// selector over the joined text, any other decider as it is.
+func useCPDJoined(d DeciderModel, title, body string) (bool, float64) {
+	if sel, ok := d.(*Selector); ok {
+		return sel.oldUseCPD(title + "\n" + body)
+	}
+	return d.UseCPD(title, body)
+}
 
 func (s *Scout) oldExplainRF(x []float64, label bool) string {
 	_, contribs := s.rf.Explain(x)
@@ -61,7 +86,7 @@ func (s *Scout) oldPredict(title, body string, mentioned []string, t float64) Pr
 	if p, done := s.gatePrediction(ex); done {
 		return p
 	}
-	if useCPD, pWrong := s.selector.UseCPD(title + "\n" + body); useCPD {
+	if useCPD, pWrong := useCPDJoined(s.selector, title, body); useCPD {
 		h := s.sourceHealth(t)
 		if p, bad := s.degradedPrediction(h, &ex); bad {
 			return p
@@ -145,23 +170,25 @@ func TestPredictMatchesOldPath(t *testing.T) {
 
 // TestPredictAllocations pins the steady-state allocations of one prediction
 // through the random forest over the breaker-wrapped simulator — the
-// serving stack — to what the answer keeps: the joined text 1, the
-// Extraction's one name array 1 (the answer's Components are that array),
-// the explanation 1 — three. The feature vector is pooled and carried by
-// the pointer the pool holds, the health report travels in the Prediction
-// by value, and the request's memo stays on its stack. The model selector
-// adds nothing: live, it counts its words into a stack vector. An
+// serving stack — to what the answer keeps: the explanation, one. The
+// extractors read the text copied into the pooled scratch, the Extraction's
+// array (the answer's Components) is cut from the scratch's block, made once
+// in hundreds of names, the feature vector is pooled and carried by the
+// pointer the pool holds, the health report travels in the Prediction by
+// value, and the request's memo stays on its stack. The model selector adds
+// nothing: live, it counts title and body into a stack vector. An
 // explanation whose strongest signals tie reads them off the full ranking,
-// one allocation more; none of the predictions measured here does. The
-// same call cost 8 while the Extraction carried a map (two objects), the
-// answer a copy of its components and a pointer to its health report, and
-// 47 while the explanation ranked and formatted and every extractor's
-// matches, ancestors and seen-set were built per call.
+// one allocation more; none of the predictions measured here does. The same
+// call cost 3 while the text was joined and each Extraction made its own
+// array, 8 while the Extraction carried a map (two objects), the answer a
+// copy of its components and a pointer to its health report, and 47 while
+// the explanation ranked and formatted and every extractor's matches,
+// ancestors and seen-set were built per call.
 func TestPredictAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const budget = 3
+	const budget = 1
 	f := getFixture(t)
 	scout, err := Train(TrainOptions{
 		Config:    f.scout.cfg,

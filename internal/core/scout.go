@@ -108,8 +108,10 @@ type Scout struct {
 	// monitoring system is unavailable at inference time (§6).
 	trainMeans []float64
 	// Selector meta-training data, retained so alternative decider models
-	// can be fitted for comparison (Figure 8).
-	selDocs  []string
+	// can be fitted for comparison (Figure 8): each holdout example's
+	// position in the incidents the Scout trained on, and whether the
+	// preliminary forest got it wrong.
+	selHeld  []int
 	selWrong []bool
 	// degrade decides when monitoring has degraded too far to answer
 	// through a model (zero value: never).
@@ -176,6 +178,7 @@ func Train(opt TrainOptions) (*Scout, error) {
 	// and everything trained on it — bit-identical at any worker count.
 	type row struct {
 		in *incident.Incident
+		at int // the incident's position in opt.Incidents
 		*memo
 	}
 	workers := parallel.Workers(opt.Workers)
@@ -185,7 +188,7 @@ func Train(opt TrainOptions) (*Scout, error) {
 		if m.x == nil {
 			continue // gated: no vector
 		}
-		rows = append(rows, row{in: opt.Incidents[i], memo: m})
+		rows = append(rows, row{in: opt.Incidents[i], at: i, memo: m})
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("core: none of the %d incidents had extractable components", len(opt.Incidents))
@@ -224,12 +227,12 @@ func Train(opt TrainOptions) (*Scout, error) {
 			return nil, fmt.Errorf("core: preliminary forest: %w", err)
 		}
 		examples := make([]selectorExample, len(holdIdx))
-		s.selDocs, s.selWrong = make([]string, len(holdIdx)), make([]bool, len(holdIdx))
+		s.selHeld, s.selWrong = make([]int, len(holdIdx)), make([]bool, len(holdIdx))
 		for k, i := range holdIdx {
-			smp := d.Samples[i]
+			smp, in := d.Samples[i], rows[i].in
 			pred, _ := pre.Predict(smp.X)
-			examples[k] = selectorExample{doc: rows[i].in.Text(), rfWrong: pred != smp.Y, id: smp.ID}
-			s.selDocs[k], s.selWrong[k] = examples[k].doc, examples[k].rfWrong
+			examples[k] = selectorExample{title: in.Title, body: in.Body, rfWrong: pred != smp.Y, id: smp.ID}
+			s.selHeld[k], s.selWrong[k] = rows[i].at, examples[k].rfWrong
 		}
 		opt.Selector.Forest.Seed = opt.Seed + 1
 		s.selector, selErr = trainSelector(examples, opt.Selector)
@@ -331,12 +334,10 @@ func (s *Scout) PredictCtx(ctx context.Context, title, body string, mentioned []
 	return p
 }
 
-// predictText answers for an incident known only by its text and mentions:
-// the extractors and the decider read the same joined text.
+// predictText answers for an incident known only by its text and mentions.
 func (s *Scout) predictText(decider DeciderModel, title, body string, mentioned []string, t float64) Prediction {
-	text := title + "\n" + body
-	m := memo{ex: s.fb.extract(text, title, body, mentioned)}
-	return s.predict(decider, text, &m, t)
+	m := memo{ex: s.fb.Extract(title, body, mentioned)}
+	return s.predict(decider, title, body, &m, t)
 }
 
 // predict is the §5.3 pipeline, and the only place its order is written
@@ -347,11 +348,11 @@ func (s *Scout) predictText(decider DeciderModel, title, body string, mentioned 
 // holding only the extraction; PredictWithModel a constant decider;
 // PredictCached the retraining memo, whose vectors stand in for the ones a
 // request computes (memo.x, memo.cpdVector).
-func (s *Scout) predict(decider DeciderModel, text string, m *memo, t float64) Prediction {
+func (s *Scout) predict(decider DeciderModel, title, body string, m *memo, t float64) Prediction {
 	if p, done := s.gatePrediction(m.ex); done {
 		return p
 	}
-	if useCPD, pWrong := decider.UseCPD(text); useCPD {
+	if useCPD, pWrong := decider.UseCPD(title, body); useCPD {
 		h := s.sourceHealth(t)
 		if p, bad := s.degradedPrediction(h, &m.ex); bad {
 			return p
@@ -536,7 +537,7 @@ func incidentRequests(ins []*incident.Incident) []BatchRequest {
 // memo's Extraction, so the answer's Components are a copy of its own.
 func (s *Scout) PredictCached(in *incident.Incident, cache *FeatureCache) Prediction {
 	m := cache.memo(s.fb, in)
-	p := s.predict(s.selector, in.Text(), m, in.CreatedAt)
+	p := s.predict(s.selector, in.Title, in.Body, m, in.CreatedAt)
 	if p.Components != nil {
 		p.Components = m.ex.All()
 	}
@@ -643,7 +644,7 @@ func (s *Scout) PredictWithModel(model, title, body string, mentioned []string, 
 type forcedModel bool
 
 // UseCPD implements DeciderModel.
-func (f forcedModel) UseCPD(string) (bool, float64) {
+func (f forcedModel) UseCPD(_, _ string) (bool, float64) {
 	if f {
 		return true, 1
 	}
@@ -660,10 +661,15 @@ func (s *Scout) SetDecider(d DeciderModel) {
 }
 
 // SelectorExamples returns the selector's meta-training data: the held-out
-// incident texts and whether the preliminary RF misclassified each. Used
+// incidents, taken from trained — the incidents the Scout was trained on,
+// in their order — and whether the preliminary RF misclassified each. Used
 // to fit alternative decider models.
-func (s *Scout) SelectorExamples() (docs []string, rfWrong []bool) {
-	return append([]string(nil), s.selDocs...), append([]bool(nil), s.selWrong...)
+func (s *Scout) SelectorExamples(trained []*incident.Incident) (held []*incident.Incident, rfWrong []bool) {
+	held = make([]*incident.Incident, len(s.selHeld))
+	for k, i := range s.selHeld {
+		held[k] = trained[i]
+	}
+	return held, append([]bool(nil), s.selWrong...)
 }
 
 // FeatureNames exposes the feature layout (diagnostics, deflation study).

@@ -50,12 +50,12 @@ func (p SelectorParams) withDefaults() SelectorParams {
 	return p
 }
 
-// selectorExample is one meta-training example: incident text plus whether
-// the preliminary RF got it wrong.
+// selectorExample is one meta-training example: the incident's title and
+// body plus whether the preliminary RF got it wrong.
 type selectorExample struct {
-	doc     string
-	rfWrong bool
-	id      string
+	title, body string
+	rfWrong     bool
+	id          string
 }
 
 // trainSelector fits the meta-model. With no examples (or a single class)
@@ -68,17 +68,18 @@ func trainSelector(examples []selectorExample, p SelectorParams) (*Selector, err
 	}
 	docs := make([][]string, len(examples))
 	labels := make([]bool, len(examples))
-	// One token list for the pass, each document a run of it. A token is
-	// two bytes at least and a separator ends it, which sizes the list.
+	// One token list for the pass, each document — title, then body — a run
+	// of it. A token is two bytes at least and a separator ends it, which
+	// sizes the list (as if the two parts were joined by a line break).
 	size := 0
 	for _, ex := range examples {
-		size += (len(ex.doc) + 1) / 3
+		size += (len(ex.title) + len(ex.body) + 2) / 3
 	}
 	tokens := make([]string, 0, size)
 	anyWrong := false
 	for i, ex := range examples {
 		from := len(tokens)
-		tokens = text.AppendTokens(tokens, ex.doc)
+		tokens = text.AppendTokens(text.AppendTokens(tokens, ex.title), ex.body)
 		docs[i] = tokens[from:len(tokens):len(tokens)]
 		labels[i] = ex.rfWrong
 		anyWrong = anyWrong || ex.rfWrong
@@ -106,13 +107,16 @@ func trainSelector(examples []selectorExample, p SelectorParams) (*Selector, err
 
 // UseCPD reports whether the incident should be routed to CPD+ and the
 // selector's estimate of P(the RF would be wrong).
-func (s *Selector) UseCPD(incidentText string) (bool, float64) {
+func (s *Selector) UseCPD(title, body string) (bool, float64) {
 	if s.rf == nil || s.words == nil {
 		return false, 0
 	}
-	// The default vocabulary (60 words) is counted into a stack vector.
+	// The default vocabulary (60 words) is counted into a stack vector,
+	// title and then body: what their join with a line break counts.
 	var counts [64]float64
-	wrong, conf := s.rf.Predict(s.words.FeaturizeText(counts[:0], incidentText))
+	x := s.words.FeaturizeText(counts[:0], title)
+	s.words.CountText(x, body)
+	wrong, conf := s.rf.Predict(x)
 	p := conf
 	if !wrong {
 		p = 1 - conf
@@ -123,9 +127,9 @@ func (s *Selector) UseCPD(incidentText string) (bool, float64) {
 // DeciderModel abstracts the selector's inner classifier so the Figure 8
 // experiment can swap it (bag-of-words RF, AdaBoost, one-class SVMs).
 type DeciderModel interface {
-	// UseCPD decides whether the incident should use the unsupervised
-	// path.
-	UseCPD(incidentText string) (bool, float64)
+	// UseCPD decides, from the incident's title and body, whether it
+	// should use the unsupervised path.
+	UseCPD(title, body string) (bool, float64)
 }
 
 // Interface conformance.

@@ -10,13 +10,15 @@ func selectorExamples(n int) []selectorExample {
 	for i := 0; i < n; i++ {
 		// "Known" incidents: network wording, RF gets them right.
 		out = append(out, selectorExample{
-			doc:     "switch packet loss detected on tor in cluster, drops rising",
+			title:   "switch packet loss detected",
+			body:    "on tor in cluster, drops rising",
 			rfWrong: false,
 			id:      fmt.Sprintf("known-%d", i),
 		})
 		// "Novel" incidents: new vocabulary, RF gets them wrong.
 		out = append(out, selectorExample{
-			doc:     "optics brownout marginal receive power transceiver flaps",
+			title:   "optics brownout",
+			body:    "marginal receive power transceiver flaps",
 			rfWrong: true,
 			id:      fmt.Sprintf("novel-%d", i),
 		})
@@ -29,11 +31,11 @@ func TestSelectorLearnsNovelty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	use, p := sel.UseCPD("optics brownout on new transceiver, marginal power")
+	use, p := sel.UseCPD("optics brownout on new transceiver", "marginal power")
 	if !use {
 		t.Fatalf("selector should route novel wording to CPD+ (p=%v)", p)
 	}
-	use, _ = sel.UseCPD("switch packet loss, drops rising in cluster")
+	use, _ = sel.UseCPD("switch packet loss", "drops rising in cluster")
 	if use {
 		t.Fatal("selector should keep known wording on the RF path")
 	}
@@ -44,7 +46,7 @@ func TestSelectorEmptyExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	use, p := sel.UseCPD("anything at all")
+	use, p := sel.UseCPD("anything", "at all")
 	if use || p != 0 {
 		t.Fatal("untrained selector must trust the RF")
 	}
@@ -53,13 +55,13 @@ func TestSelectorEmptyExamples(t *testing.T) {
 func TestSelectorAllCorrectDegrades(t *testing.T) {
 	var ex []selectorExample
 	for i := 0; i < 20; i++ {
-		ex = append(ex, selectorExample{doc: "switch loss", rfWrong: false})
+		ex = append(ex, selectorExample{title: "switch loss", rfWrong: false})
 	}
 	sel, err := trainSelector(ex, SelectorParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if use, _ := sel.UseCPD("switch loss"); use {
+	if use, _ := sel.UseCPD("switch loss", ""); use {
 		t.Fatal("nothing to learn: selector should never fire")
 	}
 }
@@ -114,7 +116,7 @@ func TestSnapshotRejectsCustomDecider(t *testing.T) {
 
 type alwaysRF struct{}
 
-func (alwaysRF) UseCPD(string) (bool, float64) { return false, 0 }
+func (alwaysRF) UseCPD(_, _ string) (bool, float64) { return false, 0 }
 
 // restoredSelector extracts the selector from a restored scout (test-only).
 func restoredSelector(s *Scout) DeciderModel { return s.selector }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scouts/internal/core"
+	"scouts/internal/incident"
 	"scouts/internal/ml/boost"
 	"scouts/internal/ml/mlcore"
 	"scouts/internal/ml/svm"
@@ -28,15 +29,16 @@ var AllDeciders = []DeciderKind{
 }
 
 // buildDecider fits a decider variant from the Scout's selector
-// meta-training data. DeciderBagOfWords returns nil: the Scout already
-// carries it.
-func buildDecider(kind DeciderKind, docs []string, rfWrong []bool, seed int64) (core.DeciderModel, error) {
+// meta-training data: the held-out incidents, each tokenized title and then
+// body, and whether the preliminary RF got each wrong. DeciderBagOfWords
+// returns nil: the Scout already carries it.
+func buildDecider(kind DeciderKind, held []*incident.Incident, rfWrong []bool, seed int64) (core.DeciderModel, error) {
 	if kind == DeciderBagOfWords {
 		return nil, nil
 	}
-	tokenized := make([][]string, len(docs))
-	for i, d := range docs {
-		tokenized[i] = text.AppendTokens(nil, d)
+	tokenized := make([][]string, len(held))
+	for i, in := range held {
+		tokenized[i] = incidentTokens(in.Title, in.Body)
 	}
 	vocab := text.BuildVocabulary(tokenized, text.VocabOptions{MinDocFreq: 2, MaxWords: 512})
 	words := text.ImportantWords(tokenized, rfWrong, vocab, 60)
@@ -48,7 +50,7 @@ func buildDecider(kind DeciderKind, docs []string, rfWrong []bool, seed int64) (
 	switch kind {
 	case DeciderAdaBoost:
 		d := mlcore.NewDataset(wc.Names())
-		for i := range docs {
+		for i := range held {
 			d.MustAdd(mlcore.Sample{X: wc.Featurize(tokenized[i]), Y: rfWrong[i]})
 		}
 		model, err := boost.Train(d, boost.Params{Rounds: 60})
@@ -62,7 +64,7 @@ func buildDecider(kind DeciderKind, docs []string, rfWrong []bool, seed int64) (
 		// temperament: polynomial is conservative, RBF aggressive
 		// (Appendix B).
 		var known [][]float64
-		for i := range docs {
+		for i := range held {
 			if !rfWrong[i] {
 				known = append(known, wc.Featurize(tokenized[i]))
 			}
@@ -87,7 +89,7 @@ func buildDecider(kind DeciderKind, docs []string, rfWrong []bool, seed int64) (
 // trustRF always keeps the supervised path.
 type trustRF struct{}
 
-func (trustRF) UseCPD(string) (bool, float64) { return false, 0 }
+func (trustRF) UseCPD(_, _ string) (bool, float64) { return false, 0 }
 
 // boostDecider routes to CPD+ when the boosted ensemble predicts the RF
 // would be wrong.
@@ -96,8 +98,8 @@ type boostDecider struct {
 	model *boost.AdaBoost
 }
 
-func (d boostDecider) UseCPD(doc string) (bool, float64) {
-	wrong, conf := d.model.Predict(d.wc.Featurize(text.AppendTokens(nil, doc)))
+func (d boostDecider) UseCPD(title, body string) (bool, float64) {
+	wrong, conf := d.model.Predict(d.wc.Featurize(incidentTokens(title, body)))
 	p := conf
 	if !wrong {
 		p = 1 - conf
@@ -111,11 +113,17 @@ type svmDecider struct {
 	model *svm.OneClass
 }
 
-func (d svmDecider) UseCPD(doc string) (bool, float64) {
-	inlier, conf := d.model.Predict(d.wc.Featurize(text.AppendTokens(nil, doc)))
+func (d svmDecider) UseCPD(title, body string) (bool, float64) {
+	inlier, conf := d.model.Predict(d.wc.Featurize(incidentTokens(title, body)))
 	p := conf
 	if inlier {
 		p = 1 - conf
 	}
 	return !inlier, p
+}
+
+// incidentTokens is an incident's tokens, title then body: the tokens of
+// incidentText, without the join.
+func incidentTokens(title, body string) []string {
+	return text.AppendTokens(text.AppendTokens(nil, title), body)
 }

@@ -96,8 +96,8 @@ func Replay(lab *Lab, opt ReplayOptions) ([]F1Point, error) {
 					return nil, err
 				}
 				if opt.Decider != DeciderBagOfWords {
-					docs, wrong := s.SelectorExamples()
-					d, err := buildDecider(opt.Decider, docs, wrong, lab.Params.Seed+int64(day))
+					held, wrong := s.SelectorExamples(train)
+					d, err := buildDecider(opt.Decider, held, wrong, lab.Params.Seed+int64(day))
 					if err != nil {
 						return nil, err
 					}

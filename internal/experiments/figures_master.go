@@ -124,7 +124,7 @@ func StorageScout(lab *Lab) StorageScoutResult {
 		// storage symptom (disks, mounts, latency — the classic
 		// storage-or-network ambiguity) pulls a storage engineer in. That
 		// buys near-perfect recall at mediocre precision.
-		text := strings.ToLower(in.Text())
+		text := strings.ToLower(incidentText(in))
 		claim := strings.Contains(text, "disk") || strings.Contains(text, "storage") ||
 			strings.Contains(text, "mount")
 		c.Add(claim, in.OwnerLabel == cloudsim.TeamStorage)

@@ -132,7 +132,7 @@ func NewLab(p LabParams) (*Lab, error) {
 	// The legacy NLP recommender trains on the same incidents' text.
 	var docs, teams []string
 	for _, in := range lab.Train {
-		docs = append(docs, in.Text())
+		docs = append(docs, incidentText(in))
 		teams = append(teams, in.OwnerLabel)
 	}
 	lab.NLP, err = TrainNLPRouter(docs, teams, text.VocabOptions{MinDocFreq: 2})

@@ -6,8 +6,13 @@ import (
 	"math"
 	"slices"
 
+	"scouts/internal/incident"
 	"scouts/internal/text"
 )
+
+// incidentText is the full text a text-based router sees: title and body
+// on lines of their own.
+func incidentText(in *incident.Incident) string { return in.Title + "\n" + in.Body }
 
 // ConfidenceBand is the categorical confidence the legacy NLP recommender
 // attaches to its ranked list (§7: "along with categorical — high, medium,

@@ -64,7 +64,7 @@ func Table1(lab *Lab) Table1Result {
 		var t triple
 		t.rf = lab.Scout.PredictWithModel("rf", in.Title, in.Body, in.InitialComponents, in.CreatedAt)
 		t.cpd = lab.Scout.PredictWithModel("cpd+", in.Title, in.Body, in.InitialComponents, in.CreatedAt)
-		t.nlpTop = lab.NLP.Route(in.Text())
+		t.nlpTop = lab.NLP.Route(incidentText(in))
 		return t
 	})
 	var rf, cpdC, nlp metrics.Confusion

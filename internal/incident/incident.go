@@ -98,9 +98,6 @@ type Incident struct {
 	RootCause string
 }
 
-// Text returns the full text a text-based router sees.
-func (in *Incident) Text() string { return in.Title + "\n" + in.Body }
-
 // TotalTime is the end-to-end investigation time across all hops.
 func (in *Incident) TotalTime() float64 {
 	var t float64

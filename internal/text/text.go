@@ -235,16 +235,15 @@ func (wc *WordCounter) Featurize(doc []string) []float64 {
 }
 
 // FeaturizeText is Featurize(AppendTokens(nil, s)) counted straight off the
-// text: no
-// lower-cased copy, no token strings, no token list. The counts land in x
-// when it has the room (a caller's stack vector) and the filled vector is
-// returned. It applies AppendTokens' rules rune by rune — lower-case first,
-// letters and digits open and extend a token, '.', '-' and '_' extend an
-// open one, anything else closes it; a closed token loses its trailing '.'
-// and '-', and is dropped when shorter than two bytes or a stopword — and
-// holds the open token, lower-cased, in a buffer as long as the longest
-// tracked word (64 bytes at least, on the stack): a token that outgrows it
-// is no tracked word.
+// text: no lower-cased copy, no token strings, no token list. The counts
+// land in x when it has the room (a caller's stack vector) and the filled
+// vector is returned. It applies AppendTokens' rules rune by rune —
+// lower-case first, letters and digits open and extend a token, '.', '-'
+// and '_' extend an open one, anything else closes it; a closed token loses
+// its trailing '.' and '-', and is dropped when shorter than two bytes or a
+// stopword — and holds the open token, lower-cased, in a buffer as long as
+// the longest tracked word (64 bytes at least, on the stack): a token that
+// outgrows it is no tracked word.
 func (wc *WordCounter) FeaturizeText(x []float64, s string) []float64 {
 	if cap(x) >= len(wc.words) {
 		x = x[:len(wc.words)]
@@ -252,6 +251,16 @@ func (wc *WordCounter) FeaturizeText(x []float64, s string) []float64 {
 	} else {
 		x = make([]float64, len(wc.words))
 	}
+	wc.CountText(x, s)
+	return x
+}
+
+// CountText is FeaturizeText adding to the counts x already holds, one cell
+// per tracked word, instead of clearing them: a document given in parts is
+// counted part by part. Counting t, then b, equals FeaturizeText over t, a
+// line break and b, because a line break closes a token as the end of a
+// part does.
+func (wc *WordCounter) CountText(x []float64, s string) {
 	var stack [64]byte
 	buf := stack[:]
 	if wc.longest > len(buf) {
@@ -284,5 +293,4 @@ func (wc *WordCounter) FeaturizeText(x []float64, s string) []float64 {
 		}
 	}
 	wc.countToken(x, buf, kept)
-	return x
 }

@@ -245,6 +245,40 @@ func FuzzTokenize(f *testing.F) {
 	})
 }
 
+// FuzzSplitText: an incident's title and body, tokenized or counted one
+// after the other, give what their join title + "\n" + body gives — the
+// model selector and the lab's deciders read the two parts in turn instead
+// of joining them. The counter tracks the join's own tokens beside words
+// that outgrow the stack buffer. Its seeds cover a token on each side of the
+// break, trailing punctuation before it, invalid UTF-8 and case mappings
+// that change byte length at its edges, and line breaks inside a part.
+func FuzzSplitText(f *testing.F) {
+	long := strings.Repeat("x", 70)
+	for _, s := range [][2]string{
+		{"", ""}, {"ab", ""}, {"", "ab"}, {"ab", "cd"}, {"ab.", "-cd"}, {"tor1.c1.dc1.", "_x"},
+		{"ab\xff", "\xc3cd"}, {"\xe2\x82", "\xacab"}, {"İ", "İx"}, {"K", "k"}, {"ǅ", "ǆ"},
+		{"Packet loss on tor2.c3.dc1", "FCS errors in cluster c3.dc1\nsee srv12.c3.dc1"},
+		{"the\nThe", "\n\nab"}, {long, "." + long}, {"é" + long, long + "é"},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, title, body string) {
+		joined := title + "\n" + body
+		want := tokenize(joined)
+		if got := AppendTokens(tokenize(title), body); !slices.Equal(got, want) {
+			t.Fatalf("AppendTokens(AppendTokens(nil, %q), %q) = %q, AppendTokens(nil, join) = %q", title, body, got, want)
+		}
+		words := append(slices.Clone(want), "ab", long, long+".y")
+		slices.Sort(words)
+		wc := NewWordCounter(slices.Compact(words))
+		x := wc.FeaturizeText(nil, title)
+		wc.CountText(x, body)
+		if join := wc.FeaturizeText(nil, joined); !slices.Equal(x, join) {
+			t.Fatalf("counting %q then %q gives %v, FeaturizeText(join) %v", title, body, x, join)
+		}
+	})
+}
+
 // TestWordCounterKeepsNoDocument: the counter's words equal the tokens they
 // came from but share no bytes with the document, so a kept counter does
 // not keep its corpus.

@@ -153,6 +153,12 @@ func (t *Topology) Lookup(name string) (*Component, bool) {
 	return c, ok
 }
 
+// LookupBytes is Lookup for a name held in bytes; it copies nothing.
+func (t *Topology) LookupBytes(name []byte) (*Component, bool) {
+	c, ok := t.components[string(name)]
+	return c, ok
+}
+
 // Names returns all component names of a type, sorted.
 func (t *Topology) Names(typ ComponentType) []string {
 	var out []string
