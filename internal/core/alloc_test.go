@@ -10,9 +10,9 @@ import (
 
 // TestAnswerPathAllocations gives the Scout's own hot functions one row each
 // (FeaturizeInto has TestFeaturizeIntoAllocations): the extractors' match
-// finder appending into a buffer with room and the window normalisation
-// allocate nothing, and the operator-facing explanation allocates the string
-// it returns and nothing else.
+// finder appending into a buffer with room, the window normalisation and
+// the operator-facing explanation — its signals kept in the answer, its
+// text appended into a buffer with room — allocate nothing.
 func TestAnswerPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -33,6 +33,8 @@ func TestAnswerPathAllocations(t *testing.T) {
 		}
 	}
 	i := 0
+	var p Prediction
+	why := make([]byte, 0, 512)
 	for _, c := range []struct {
 		name string
 		want float64
@@ -41,7 +43,8 @@ func TestAnswerPathAllocations(t *testing.T) {
 		{"finder.findAll", 0, func() { matches = switches.findAll(matches[:0], text) }},
 		{"normalizeInPlace", 0, func() { normalizeInPlace(window, monitoring.Stats{Mean: 3, Std: 2}, true) }},
 		{"normalizeInPlace (no baseline)", 0, func() { normalizeInPlace(window, monitoring.Stats{}, false) }},
-		{"explainRF", 1, func() { s.explainRF(xs[i%len(xs)], i&1 == 0); i++ }},
+		{"explainRF", 0, func() { s.explainRF(&p, xs[i%len(xs)]); i++ }},
+		{"AppendExplanation", 0, func() { why = p.AppendExplanation(why[:0]) }},
 	} {
 		if got := testing.AllocsPerRun(50, c.run); got != c.want {
 			t.Errorf("%s: %v allocations per call, want %v", c.name, got, c.want)

@@ -124,7 +124,7 @@ func TestPredictRFBoundaryGuard(t *testing.T) {
 	if p.Verdict != VerdictFallback || p.Usable() {
 		t.Fatalf("mismatched vector should fall back, got %+v", p)
 	}
-	if p.Explanation == "" {
+	if p.Explanation() == "" {
 		t.Fatal("boundary rejection should explain itself")
 	}
 }

@@ -18,8 +18,8 @@ func BenchmarkExtract(b *testing.B) {
 }
 
 // BenchmarkExplain times feature vector in → operator-facing explanation out
-// (the top three signals, rendered) over the held-out incidents' vectors,
-// cycled for the same reason.
+// (the top three signals kept in an answer, then appended as text) over the
+// held-out incidents' vectors, cycled for the same reason.
 func BenchmarkExplain(b *testing.B) {
 	f := getFixture(b)
 	s := f.scout
@@ -29,9 +29,13 @@ func BenchmarkExplain(b *testing.B) {
 			xs = append(xs, s.fb.Featurize(ex, in.CreatedAt))
 		}
 	}
+	var p Prediction
+	why := make([]byte, 0, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.explainRF(xs[i%len(xs)], i&1 == 0)
+		p.Responsible = i&1 == 0
+		s.explainRF(&p, xs[i%len(xs)])
+		why = p.AppendExplanation(why[:0])
 	}
 }

@@ -89,12 +89,12 @@ func (s *Scout) degradedPrediction(h DataHealth, ex *Extraction) (Prediction, bo
 		return Prediction{}, false
 	}
 	return Prediction{
-		Verdict:     VerdictFallback,
-		Model:       "none",
-		Components:  ex.names,
-		Explanation: "degraded monitoring: " + reason + "; deferring to the legacy routing process",
-		Health:      h,
-		HasHealth:   true,
+		Verdict:    VerdictFallback,
+		Model:      "none",
+		Components: ex.names,
+		Text:       "degraded monitoring: " + reason + "; deferring to the legacy routing process",
+		Health:     h,
+		HasHealth:  true,
 	}, true
 }
 

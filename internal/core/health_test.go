@@ -186,8 +186,8 @@ func TestDegradationPolicyFallsBack(t *testing.T) {
 	if p.Verdict != VerdictFallback || p.Usable() {
 		t.Fatalf("full outage under MinCoverage=0.5 must fall back, got %+v", p)
 	}
-	if !strings.Contains(p.Explanation, "degraded monitoring") {
-		t.Fatalf("fallback should explain the degradation: %s", p.Explanation)
+	if !strings.Contains(p.Explanation(), "degraded monitoring") {
+		t.Fatalf("fallback should explain the degradation: %s", p.Explanation())
 	}
 	if !p.HasHealth {
 		t.Fatal("degraded fallback must carry its health report")

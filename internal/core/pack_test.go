@@ -125,7 +125,7 @@ func requireSameAnswers(t *testing.T, got, want *Scout, ins []*incident.Incident
 	for _, in := range ins {
 		g, w := got.PredictIncident(in), want.PredictIncident(in)
 		if g.Verdict != w.Verdict || g.Responsible != w.Responsible || g.Model != w.Model ||
-			math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) || g.Explanation != w.Explanation {
+			math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) || g.Explanation() != w.Explanation() {
 			t.Fatalf("incident %s: answered %+v, want %+v", in.ID, g, w)
 		}
 	}
@@ -487,7 +487,7 @@ func TestRestoreReusesOnlyItsConfiguration(t *testing.T) {
 			g, w := got.PredictIncident(in), want.PredictIncident(in)
 			if g.Verdict != w.Verdict || g.Responsible != w.Responsible || g.Model != w.Model ||
 				math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) ||
-				g.Explanation != w.Explanation || !slices.Equal(g.Components, w.Components) {
+				g.Explanation() != w.Explanation() || !slices.Equal(g.Components, w.Components) {
 				t.Errorf("pack %d, incident %s: answered %+v, want %+v", i, in.ID, g, w)
 				return
 			}

@@ -84,7 +84,7 @@ func (s *Scout) oldPredictCached(in *incident.Incident, cache *oldFeatureCache) 
 		return Prediction{
 			Verdict: verdictFor(label), Responsible: label, Confidence: conf,
 			Model: "cpd+", Components: e.ex.All(),
-			Explanation: fmt.Sprintf("model selector flagged this as new/rare (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
+			Text: fmt.Sprintf("model selector flagged this as new/rare (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
 		}
 	}
 	return s.predictRF(e.x, &e.ex)
@@ -109,7 +109,7 @@ func (s *Scout) oldPredictWithModel(model, title, body string, mentioned []strin
 		label, conf, why := s.cpdPlus.Predict(s.fb.CPDInput(ex, t))
 		return Prediction{
 			Verdict: verdictFor(label), Responsible: label, Confidence: conf,
-			Model: "cpd+", Components: ex.All(), Explanation: why,
+			Model: "cpd+", Components: ex.All(), Text: why,
 			Health: h, HasHealth: true,
 		}
 	}

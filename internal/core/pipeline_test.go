@@ -59,24 +59,24 @@ const (
 //	             gains the selector prefix at P(RF wrong)=1.00.
 func joinedExplanation(team string, old, got Prediction) (kind string, ok bool) {
 	switch {
-	case got.Explanation == old.Explanation:
+	case got.Explanation() == old.Explanation():
 		return "same", true
-	case old.Explanation == "" && old.Verdict == VerdictExcluded:
-		return "gate", got.Explanation == excludedWording+team
-	case old.Explanation == "" && old.Verdict == VerdictFallback:
-		return "gate", got.Explanation == emptyWording
+	case old.Explanation() == "" && old.Verdict == VerdictExcluded:
+		return "gate", got.Explanation() == excludedWording+team
+	case old.Explanation() == "" && old.Verdict == VerdictFallback:
+		return "gate", got.Explanation() == emptyWording
 	case old.Model != "cpd+":
 		return "", false
-	case strings.HasPrefix(old.Explanation, oldCachedPrefix):
-		want := selectorPrefix + strings.TrimPrefix(old.Explanation, oldCachedPrefix)
-		if got.Explanation == want {
+	case strings.HasPrefix(old.Explanation(), oldCachedPrefix):
+		want := selectorPrefix + strings.TrimPrefix(old.Explanation(), oldCachedPrefix)
+		if got.Explanation() == want {
 			return "selector", true
 		}
 		head, cached := strings.CutSuffix(want, oldVectorWhy)
-		rest, ok := strings.CutPrefix(got.Explanation, head+broadWhy)
+		rest, ok := strings.CutPrefix(got.Explanation(), head+broadWhy)
 		return "signals", cached && ok && (rest == "" || strings.HasPrefix(rest, "; top signals: "))
 	default:
-		return "forced", got.Explanation == selectorPrefix+"1.00); CPD+: "+old.Explanation
+		return "forced", got.Explanation() == selectorPrefix+"1.00); CPD+: "+old.Explanation()
 	}
 }
 
@@ -95,7 +95,7 @@ func checkJoined(t *testing.T, what string, team string, old, got Prediction) st
 	}
 	kind, ok := joinedExplanation(team, old, got)
 	if !ok {
-		t.Fatalf("%s: explanation\n new %q\n old %q", what, got.Explanation, old.Explanation)
+		t.Fatalf("%s: explanation\n new %q\n old %q", what, got.Explanation(), old.Explanation())
 	}
 	return kind
 }
@@ -184,7 +184,7 @@ func TestPredictCachedMatchesOldPathConcurrent(t *testing.T) {
 					return
 				}
 				if _, ok := joinedExplanation(s.Team(), want[i], got); !ok {
-					t.Errorf("%s: explanation\n new %q\n old %q", ins[i].ID, got.Explanation, want[i].Explanation)
+					t.Errorf("%s: explanation\n new %q\n old %q", ins[i].ID, got.Explanation(), want[i].Explanation())
 					return
 				}
 			}
@@ -255,7 +255,7 @@ func TestPredictCachedIsTheServedPipeline(t *testing.T) {
 					if got.HasHealth && got.Health.ImputedSlots > 0 {
 						imputed++
 					}
-					if strings.HasPrefix(got.Explanation, "degraded monitoring: ") {
+					if strings.HasPrefix(got.Explanation(), "degraded monitoring: ") {
 						degraded++
 					}
 				}
@@ -303,8 +303,8 @@ func TestNoBroadForestLiveEqualsMemoised(t *testing.T) {
 	drifted := 0
 	for _, in := range broad {
 		live := s.Predict(in.Title, in.Body, in.Components, in.CreatedAt)
-		if !strings.Contains(live.Explanation, "CPD+: no broad-incident model trained; conservative rule") {
-			t.Fatalf("%s: served answer did not come from the narrow rule: %q", in.ID, live.Explanation)
+		if !strings.Contains(live.Explanation(), "CPD+: no broad-incident model trained; conservative rule") {
+			t.Fatalf("%s: served answer did not come from the narrow rule: %q", in.ID, live.Explanation())
 		}
 		for pass := 0; pass < 2; pass++ {
 			if got := s.PredictCached(in, cache); !reflect.DeepEqual(got, live) {
@@ -333,7 +333,7 @@ func TestMemoOfAnotherLayoutFallsBack(t *testing.T) {
 	in := modelIncident(t, f)
 	m := memo{ex: s.fb.Extract(in.Title, in.Body, in.Components), x: []float64{1, 2, 3}}
 	p := s.predict(forcedModel(false), in.Title, in.Body, &m, in.CreatedAt)
-	if p.Verdict != VerdictFallback || !strings.Contains(p.Explanation, "feature vector has 3 features") {
+	if p.Verdict != VerdictFallback || !strings.Contains(p.Explanation(), "feature vector has 3 features") {
 		t.Fatalf("a three-slot memo answered %+v", p)
 	}
 }

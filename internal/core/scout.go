@@ -43,8 +43,12 @@ type Prediction struct {
 	Model       string  // "rf", "cpd+", "exclude-rule", "none"
 	// Components are the extracted components the answer examined:
 	// read-only, and on the request path the extraction's own array.
-	Components  []string
-	Explanation string
+	Components []string
+	// Text is the explanation of a gate, fallback or CPD+ answer. An RF
+	// answer leaves it empty and keeps what its explanation is rendered
+	// from (rf); Explanation and AppendExplanation give any answer's.
+	Text string
+	rf   rfExplanation
 	// Health, when HasHealth is set, reports the monitoring data quality
 	// behind the answer: imputed feature fraction, unavailable datasets,
 	// admitted staleness (§6). Gate verdicts (excluded, no components)
@@ -56,6 +60,47 @@ type Prediction struct {
 // Usable reports whether the prediction can drive routing (fallback
 // verdicts cannot).
 func (p Prediction) Usable() bool { return p.Verdict != VerdictFallback }
+
+// rfExplanation is what an RF answer's explanation is rendered from: the
+// team the forest points to or away from, set on RF answers only, and its
+// strongest signals, taken before the feature vector went back to its pool.
+type rfExplanation struct {
+	team    string
+	signals [3]forest.Contribution
+	n       int
+}
+
+// Explanation is the answer's operator-facing explanation (§8), for logs
+// and tests. The served answer appends it instead (AppendExplanation), so
+// an RF answer's text is never made as a string there.
+func (p Prediction) Explanation() string {
+	if p.Text != "" || p.rf.team == "" {
+		return p.Text
+	}
+	var buf [512]byte
+	return string(p.AppendExplanation(buf[:0]))
+}
+
+// AppendExplanation appends the answer's explanation to dst: Text, or an
+// RF answer's rendered from its signals — the monitoring signals that drove
+// the decision and the fine print about known failure modes.
+func (p Prediction) AppendExplanation(dst []byte) []byte {
+	if p.Text != "" || p.rf.team == "" {
+		return append(dst, p.Text...)
+	}
+	dst = append(dst, "random forest points "...)
+	if p.Responsible {
+		dst = append(dst, "to "...)
+	} else {
+		dst = append(dst, "away from "...)
+	}
+	dst = append(dst, p.rf.team...)
+	if p.rf.n > 0 {
+		dst = append(dst, "; strongest signals: "...)
+		dst = forest.AppendSignals(dst, p.rf.signals[:p.rf.n])
+	}
+	return append(dst, ". Known false negatives: transient issues already resolved, symptoms not covered by monitoring, incidents too broad in scope."...)
+}
 
 // TrainOptions configure Scout training.
 type TrainOptions struct {
@@ -426,14 +471,14 @@ func (s *Scout) gatePrediction(ex Extraction) (p Prediction, done bool) {
 			Responsible: false,
 			Confidence:  1,
 			Model:       "exclude-rule",
-			Explanation: "an operator EXCLUDE rule marks this incident out of scope for " + s.cfg.Team,
+			Text:        "an operator EXCLUDE rule marks this incident out of scope for " + s.cfg.Team,
 		}, true
 	}
 	if ex.Empty {
 		return Prediction{
-			Verdict:     VerdictFallback,
-			Model:       "none",
-			Explanation: "no components could be extracted from the incident; deferring to the legacy routing process",
+			Verdict: VerdictFallback,
+			Model:   "none",
+			Text:    "no components could be extracted from the incident; deferring to the legacy routing process",
 		}, true
 	}
 	return Prediction{}, false
@@ -462,7 +507,7 @@ func (s *Scout) predictCPDPath(m *memo, t, pWrong float64) Prediction {
 		Confidence:  conf,
 		Model:       "cpd+",
 		Components:  m.ex.names,
-		Explanation: fmt.Sprintf("model selector flagged this as a new/rare incident (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
+		Text:        fmt.Sprintf("model selector flagged this as a new/rare incident (P(RF wrong)=%.2f); CPD+: %s", pWrong, why),
 	}
 }
 
@@ -476,19 +521,28 @@ func (s *Scout) predictRF(x []float64, ex *Extraction) Prediction {
 		return Prediction{
 			Verdict: VerdictFallback,
 			Model:   "none",
-			Explanation: fmt.Sprintf("feature vector has %d features but the model was trained on %d; deferring to the legacy routing process",
+			Text: fmt.Sprintf("feature vector has %d features but the model was trained on %d; deferring to the legacy routing process",
 				len(x), len(s.rf.Features())),
 		}
 	}
 	label, conf := s.rf.Predict(x)
-	return Prediction{
+	p := Prediction{
 		Verdict:     verdictFor(label),
 		Responsible: label,
 		Confidence:  conf,
 		Model:       "rf",
 		Components:  ex.names,
-		Explanation: s.explainRF(x, label),
 	}
+	s.explainRF(&p, x)
+	return p
+}
+
+// explainRF keeps in an RF answer what its explanation is rendered from
+// (§8): the team, and the forest's strongest signals for x with the count
+// features left out.
+func (s *Scout) explainRF(p *Prediction, x []float64) {
+	p.rf.team = s.cfg.Team
+	p.rf.n = len(s.rf.TopSignals(p.rf.signals[:0], x, len(p.rf.signals), isCountFeature))
 }
 
 // getVec draws a feature vector from the pool (or allocates the first
@@ -583,28 +637,6 @@ func (s *Scout) featurizeWithImputationInto(v *[]float64, m *memo, t float64) Da
 		h.ImputedSlots += len(g.slots)
 	}
 	return h
-}
-
-// explainRF renders the paper's operator-facing explanation (§8): the
-// monitoring signals that drove the decision and the fine print about known
-// failure modes — in one buffer, the string being its only allocation.
-func (s *Scout) explainRF(x []float64, label bool) string {
-	var arr [512]byte
-	out := append(arr[:0], "random forest points "...)
-	if label {
-		out = append(out, "to "...)
-	} else {
-		out = append(out, "away from "...)
-	}
-	out = append(out, s.cfg.Team...)
-	bare := len(out)
-	out = append(out, "; strongest signals: "...)
-	n := len(out)
-	if out = s.rf.AppendTopSignals(out, x, 3, isCountFeature); len(out) == n {
-		out = out[:bare]
-	}
-	out = append(out, ". Known false negatives: transient issues already resolved, symptoms not covered by monitoring, incidents too broad in scope."...)
-	return string(out)
 }
 
 // isCountFeature names the per-type component counts. They confuse

@@ -79,7 +79,7 @@ func TestPredictionShape(t *testing.T) {
 			if p.Confidence < 0.5 || p.Confidence > 1 {
 				t.Fatalf("confidence %v out of range", p.Confidence)
 			}
-			if p.Explanation == "" {
+			if p.Explanation() == "" {
 				t.Fatal("model verdicts must carry an explanation")
 			}
 			if len(p.Components) == 0 {
@@ -97,8 +97,8 @@ func TestExplanationOmitsComponentCounts(t *testing.T) {
 	f := getFixture(t)
 	for _, in := range f.test[:80] {
 		p := f.scout.PredictIncident(in)
-		if strings.Contains(p.Explanation, "ncomponents") {
-			t.Fatalf("explanation leaks count features (§8): %s", p.Explanation)
+		if strings.Contains(p.Explanation(), "ncomponents") {
+			t.Fatalf("explanation leaks count features (§8): %s", p.Explanation())
 		}
 	}
 }

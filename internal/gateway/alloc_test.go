@@ -21,10 +21,11 @@ import (
 // error value, the shape check's json.Decoder 71, and the primary's
 // goroutine and channel, a URL parse per attempt, io.ReadAll's doubling
 // and three Header.Sets 79 before that. The ceiling is the measure plus
-// one. (A non-race file: the race detector makes sync.Pool drop items at
-// random.)
+// a half, so one allocation more per request exceeds it (a ceiling of the
+// measure plus one let it pass). (A non-race file: the race detector makes
+// sync.Pool drop items at random.)
 func TestGatewayHandlerAllocations(t *testing.T) {
-	const budget = 43
+	const budget = 42.5
 	_, h, title := raceFixture(t, Config{}, func(r *http.Request) (*http.Response, error) {
 		return answer(r, 200, `{"team":"phynet","verdict":"responsible","confidence":0.91}`+"\n")
 	}, "a", "b", "c")
@@ -35,7 +36,7 @@ func TestGatewayHandlerAllocations(t *testing.T) {
 	})
 	t.Logf("%.0f allocations per request", allocs)
 	if allocs > budget {
-		t.Errorf("%.0f allocations per request, budget %d", allocs, budget)
+		t.Errorf("%.0f allocations per request, budget %.1f", allocs, budget)
 	}
 }
 

@@ -67,9 +67,9 @@ func TestExplainTopMatchesExplain(t *testing.T) {
 				for _, skip := range []func(string) bool{nil, skipCounts} {
 					want := oldTop(contribs, k, skip)
 					held := []Contribution{{Feature: "held", Value: 9}}
-					got := f.explainTop(held, x, k, skip)
+					got := f.TopSignals(held, x, k, skip)
 					if !sameContribs(got[:1], held) || !sameContribs(got[1:], want) {
-						t.Fatalf("trees=%d k=%d: explainTop %v, head of Explain %v", p.NumTrees, k, got, want)
+						t.Fatalf("trees=%d k=%d: TopSignals %v, head of Explain %v", p.NumTrees, k, got, want)
 					}
 					if s := string(f.AppendTopSignals([]byte("x: "), x, k, skip)); s != "x: "+oldSignals(want) {
 						t.Fatalf("trees=%d k=%d: AppendTopSignals %q, old rendering %q", p.NumTrees, k, s, "x: "+oldSignals(want))

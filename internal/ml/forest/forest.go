@@ -295,10 +295,11 @@ func (f *Forest) finishExplain(prior float64, raw []float64) (float64, []Contrib
 	return prior, contribs
 }
 
-// explainTop appends to top the first k contributions of Explain(x)'s
+// TopSignals appends to top the first k contributions of Explain(x)'s
 // ranking whose feature skip (when non-nil) does not reject: what an
-// explanation prints, without ranking the features it will not print.
-func (f *Forest) explainTop(top []Contribution, x []float64, k int, skip func(feature string) bool) []Contribution {
+// explanation prints, without ranking the features it will not print. Each
+// Feature is the forest's own name string, so an answer can keep them.
+func (f *Forest) TopSignals(top []Contribution, x []float64, k int, skip func(feature string) bool) []Contribution {
 	if f.treeCount() == 0 || k <= 0 {
 		return top
 	}
@@ -312,7 +313,7 @@ func (f *Forest) explainTop(top []Contribution, x []float64, k int, skip func(fe
 	return top
 }
 
-// selectTop is explainTop over accumulated contributions. The k are kept by
+// selectTop is TopSignals over accumulated contributions. The k are kept by
 // insertion on strict >. Two candidates of equal magnitude have no order of
 // their own — Explain's is whatever its unstable sort leaves — so when a
 // candidate ties with a kept one the answer is read off that very sort
@@ -366,14 +367,19 @@ func (f *Forest) sortedTop(top []Contribution, raw *rawContribs, k int, skip fun
 }
 
 // AppendTopSignals appends the k strongest signals behind the prediction
-// for x as an operator reads them — "feature (+0.123), feature (-0.045)",
-// the first k of Explain(x)'s ranking that skip (when non-nil) does not
-// reject, each with its signed contribution to three decimals — and
-// nothing when there are none. The random-forest and CPD+ explanations both
-// print this list.
+// for x as an operator reads them (AppendSignals of TopSignals). CPD+'s
+// explanation prints this list; the random forest's answer keeps the
+// TopSignals and renders them when it is written.
 func (f *Forest) AppendTopSignals(dst []byte, x []float64, k int, skip func(feature string) bool) []byte {
 	var buf [4]Contribution
-	for i, c := range f.explainTop(buf[:0], x, k, skip) {
+	return AppendSignals(dst, f.TopSignals(buf[:0], x, k, skip))
+}
+
+// AppendSignals appends signals as an operator reads them — "feature
+// (+0.123), feature (-0.045)", each with its signed contribution to three
+// decimals — and nothing when there are none.
+func AppendSignals(dst []byte, signals []Contribution) []byte {
+	for i, c := range signals {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}

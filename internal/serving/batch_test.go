@@ -434,7 +434,7 @@ func TestBatchStopsBetweenChunksOnceTheRequestIsGone(t *testing.T) {
 
 // TestPooledBuffersStayBounded: one large batch — an answer past
 // httpx.MaxPooledBuffer, served under the deadline guard — must not leave
-// a buffer of its size in the answer pool or the guard pool for every
+// a buffer of its size in the answer pool or the record pool for every
 // later request. The collector is off, so nothing the handler put back is
 // dropped before the pools are drained.
 func TestPooledBuffersStayBounded(t *testing.T) {
@@ -460,8 +460,8 @@ func TestPooledBuffersStayBounded(t *testing.T) {
 		if c := cap(*answerBufs.Get().(*[]byte)); c > httpx.MaxPooledBuffer {
 			t.Fatalf("the answer pool handed back a buffer of %d bytes, cap %d", c, httpx.MaxPooledBuffer)
 		}
-		if c := cap(deadlineGuards.Get().(*deadlineGuard).body); c > httpx.MaxPooledBuffer {
-			t.Fatalf("the guard pool handed back a body of %d bytes, cap %d", c, httpx.MaxPooledBuffer)
+		if c := cap(requestCtxs.Get().(*requestCtx).body); c > httpx.MaxPooledBuffer {
+			t.Fatalf("the record pool handed back a body of %d bytes, cap %d", c, httpx.MaxPooledBuffer)
 		}
 	}
 }

@@ -66,7 +66,14 @@ func (m *servingModel) appendPrediction(dst []byte, p *core.Prediction) ([]byte,
 		dst = appendStrings(dst, p.Components)
 	}
 	dst = append(dst, `,"explanation":`...)
-	dst = appendString(dst, p.Explanation)
+	if p.Text != "" {
+		dst = appendString(dst, p.Text)
+	} else {
+		// An RF answer's explanation is rendered here, as the
+		// recommendation is: into a stack buffer, never a string.
+		var why [512]byte
+		dst = appendString(dst, p.AppendExplanation(why[:0]))
+	}
 	dst = append(dst, `,"recommendation":`...)
 	var rec [512]byte
 	dst = appendString(dst, appendRecommendation(rec[:0], team, p))

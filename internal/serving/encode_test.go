@@ -26,7 +26,7 @@ func (m *servingModel) response(p core.Prediction) PredictResponse {
 		Confidence:     p.Confidence,
 		Model:          p.Model,
 		Components:     p.Components,
-		Explanation:    p.Explanation,
+		Explanation:    p.Explanation(),
 		Recommendation: recommendation(m.scout.Team(), &p),
 		ModelVersion:   m.version,
 		DataHealth:     healthInfo(p),
@@ -124,7 +124,7 @@ func TestAnswerMatchesEncodingJSON(t *testing.T) {
 			Confidence:  float(),
 			Model:       text(),
 			Components:  names(),
-			Explanation: text(),
+			Text:        text(),
 		}
 		if i%3 != 0 {
 			p.Health = core.DataHealth{

@@ -187,7 +187,7 @@ func TestObserverZeroAlloc(t *testing.T) {
 	preds := []core.Prediction{
 		{Verdict: core.VerdictResponsible, Model: "rf"},
 		{Verdict: core.VerdictNotResponsible, Model: "cpd+", Health: core.DataHealth{ImputedSlots: 3, TotalSlots: 10}, HasHealth: true},
-		{Verdict: core.VerdictFallback, Model: "none", Explanation: "degraded"},
+		{Verdict: core.VerdictFallback, Model: "none", Text: "degraded"},
 		{Verdict: core.VerdictExcluded, Model: "exclude-rule"},
 	}
 	if n := testing.AllocsPerRun(200, func() {

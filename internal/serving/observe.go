@@ -150,24 +150,31 @@ func (s *Server) Metrics() *telemetry.Registry { return s.tel.reg }
 
 // nextRequestID mints a per-request ID: the instance prefix (set by the
 // binary; empty in tests keeps IDs short and deterministic) plus a
-// process-monotonic sequence number. No randomness, no wall clock.
+// process-monotonic sequence number. No randomness, no wall clock. The ID
+// is built on the stack, so the string is its one allocation.
 func (s *Server) nextRequestID() string {
 	n := s.reqSeq.Add(1)
+	var buf [64]byte
+	id := append(buf[:0], 'r')
 	if s.InstanceID != "" {
-		return s.InstanceID + "-" + strconv.FormatUint(n, 10)
+		id = append(append(buf[:0], s.InstanceID...), '-')
 	}
-	return "r" + strconv.FormatUint(n, 10)
+	return string(strconv.AppendUint(id, n, 10))
 }
 
 // withRequestID is the outermost middleware: every request — including
 // ones later shed, timed out or panicking — gets an ID, echoed in the
-// X-Request-Id response header and propagated through the request
-// context into the batch scorer and the access log.
+// X-Request-Id response header and carried by the request's record, the
+// context the rest of the chain, the batch scorer and the access log see
+// (telemetry.RequestID reads it there). The record is drawn here and
+// released when the chain returns.
 func (s *Server) withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := s.nextRequestID()
-		w.Header().Set("X-Request-Id", rid)
-		next.ServeHTTP(w, r.WithContext(telemetry.WithRequestID(r.Context(), rid)))
+		c := newRequestCtx(r.Context())
+		c.id = s.nextRequestID()
+		w.Header().Set("X-Request-Id", c.id)
+		next.ServeHTTP(w, r.WithContext(c))
+		c.release()
 	})
 }
 
@@ -176,16 +183,17 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 // Content-Type, so Go content-sniffs our JSON error as text/plain, and
 // which runs every handler on a goroutine of its own — with the same
 // client-visible semantics through the spine's envelope and no launch: the
-// handler runs on the connection's goroutine against a pooled buffered
-// response while the request context carries the deadline, and the
-// guard's watchdog timer, armed for that deadline, is the only other
-// party. On overrun the watchdog answers the real writer with a 503
-// application/json body at the deadline, while the handler is still out,
-// and the handler's context expires so in-flight scoring stops at the
-// next chunk boundary. The deadline is the context's: a request that
-// arrives with an earlier one is answered at that one.
+// handler runs on the connection's goroutine against the record's buffered
+// response while the record, the request's context, carries the deadline,
+// and the record's watchdog timer, armed for that deadline, is the only
+// other party. On overrun the watchdog expires the context and answers the
+// real writer with a 503 application/json body at the deadline, while the
+// handler is still out, so in-flight scoring stops at the next chunk
+// boundary. The deadline is the earlier of the parent context's and now +
+// RequestTimeout: a request that arrives with an earlier one is answered
+// at that one.
 //
-// Who writes to w is decided under the guard's mutex: the watchdog only
+// Who writes to w is decided under the record's mutex: the watchdog only
 // if the handler has not settled, the handler's side only if the watchdog
 // has not answered — and then the buffer only if the deadline still
 // stands, so a handler that gave up because its context expired (the
@@ -193,60 +201,65 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 // first. A request that overran keeps its connection and its MaxInFlight
 // slot until its handler actually returns: the slot bounds work, and an
 // abandoned handler is still work.
+//
+// Under Handler() the record is withRequestID's; served without it (as
+// tests do), withDeadline draws and releases one of its own.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.RequestTimeout)
-		defer cancel()
-		g := deadlineGuards.Get().(*deadlineGuard)
-		g.s, g.ctx, g.w = s, ctx, w
-		deadline, _ := ctx.Deadline()
-		g.timer.Reset(time.Until(deadline))
+		c, shared := r.Context().(*requestCtx)
+		if !shared {
+			c = newRequestCtx(r.Context())
+			r = r.WithContext(c)
+		}
+		c.s, c.w = s, w
+		c.deadline = time.Now().Add(s.RequestTimeout)
+		if d, ok := c.parent.Deadline(); ok && d.Before(c.deadline) {
+			c.deadline = d
+		}
+		c.armed = true
+		c.timer.Reset(time.Until(c.deadline))
 		returned := false
-		// Deferred so that a panicking handler settles the guard on its way
+		// Deferred so that a panicking handler settles the record on its way
 		// to Recover, which then owns the response unless the watchdog
 		// already answered.
 		defer func() {
-			idle := g.timer.Stop()
-			g.mu.Lock()
-			g.settled = true
-			answered := g.answered
-			g.mu.Unlock()
+			idle := c.timer.Stop()
+			c.mu.Lock()
+			c.settled = true
+			c.kept = c.kept || !idle // the watchdog ran, and may still hold c
+			answered := c.answered
+			c.mu.Unlock()
 			if returned && !answered {
-				if ctx.Err() == context.DeadlineExceeded {
+				if c.Err() == context.DeadlineExceeded {
 					s.refuseOverrun(w)
 				} else {
-					g.copyTo(w)
+					c.copyTo(w)
 				}
 			}
-			if idle {
-				// The watchdog never ran, so nothing else holds g.
-				g.recycle()
+			if !shared {
+				c.release()
 			}
 		}()
-		next.ServeHTTP(&g.bufferedResponse, r.WithContext(ctx))
+		next.ServeHTTP(&c.bufferedResponse, r)
 		returned = true
 	})
 }
 
-// watchDeadline is the guard's timer callback, run on a goroutine of its
-// own at the deadline. The context's own timer is due at the same instant
-// and may not have fired yet, so the watchdog waits for the context to
-// end: only an expired deadline is an overrun. When the client hung up
-// (net/http cancels the request context) or the handler has returned,
-// nothing overran and nobody is left to answer.
-func (g *deadlineGuard) watchDeadline() {
-	<-g.ctx.Done()
-	if g.ctx.Err() != context.DeadlineExceeded {
+// watchDeadline is the record's timer callback, run on a goroutine of its
+// own at the deadline: it expires the context, then answers the overrun.
+// When the client hung up first (net/http cancels the parent context) or
+// the handler has settled, nothing overran or nobody is left to answer.
+func (c *requestCtx) watchDeadline() {
+	c.state.CompareAndSwap(ctxLive, ctxExpired)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closeDone()
+	if c.settled || c.Err() != context.DeadlineExceeded {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.settled {
-		return
-	}
-	g.answered = true
-	g.s.refuseOverrun(g.w)
-	if f, ok := g.w.(http.Flusher); ok {
+	c.answered = true
+	c.s.refuseOverrun(c.w)
+	if f, ok := c.w.(http.Flusher); ok {
 		f.Flush() // the handler may hold the connection long after this
 	}
 }
@@ -256,44 +269,167 @@ func (s *Server) refuseOverrun(w http.ResponseWriter) {
 	s.web.WriteError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 }
 
-// deadlineGuard is one request's state under withDeadline: the handler's
-// buffered response, the watchdog timer with what its callback needs, and
-// the two flags, under mu, that decide who answers the real writer.
-type deadlineGuard struct {
+// requestCtx is one request's record, and it is the request's
+// context.Context: the ID withRequestID minted, the deadline withDeadline
+// armed, the handler's buffered response, the watchdog timer with what its
+// callback needs, and the flags, under mu, that decide who answers the
+// real writer. Records are pooled, so whatever the chain hands the
+// request's context to must be done with it when the chain returns —
+// net/http's own rule for the request.
+type requestCtx struct {
+	parent context.Context
+	id     string
+
 	bufferedResponse
-	// timer runs watchDeadline; made once per guard, armed per request.
-	// s, ctx and w are the request's, set before the timer is armed.
-	timer *time.Timer
-	s     *Server
-	ctx   context.Context
-	w     http.ResponseWriter
+	// timer runs watchDeadline; made once per record, armed per request.
+	// s, w, deadline and armed are set before the timer is armed.
+	timer    *time.Timer
+	s        *Server
+	w        http.ResponseWriter
+	deadline time.Time
+	armed    bool
+	// state is ctxLive until the watchdog expires the context
+	// (ctxExpired) or the request ends with a Done channel handed out
+	// (ctxEnded), whichever comes first.
+	state atomic.Int32
 
 	mu sync.Mutex
 	// settled: the handler returned or panicked; the watchdog must not
 	// write. answered: the watchdog wrote the 503; nothing else may.
 	settled, answered bool
+	// done is made by the first Done call and closed by whichever of the
+	// parent's end, the watchdog and the request's end comes first; stop
+	// unregisters it from the parent.
+	done chan struct{}
+	stop func() bool
+	// kept: the watchdog ran or a Done channel was handed out, so another
+	// party may still hold the record and it must not be pooled again.
+	kept bool
 }
 
-// deadlineGuards recycles guards between requests (timer, header map and
-// body buffer included) when the watchdog never ran.
-var deadlineGuards = sync.Pool{New: func() any {
-	g := &deadlineGuard{bufferedResponse: bufferedResponse{header: http.Header{}}}
-	g.timer = time.AfterFunc(time.Hour, g.watchDeadline)
-	g.timer.Stop()
-	return g
+// The values of requestCtx.state.
+const (
+	ctxLive int32 = iota
+	ctxExpired
+	ctxEnded
+)
+
+// requestCtxs recycles records between requests (timer, header map and
+// body buffer included).
+var requestCtxs = sync.Pool{New: func() any {
+	c := &requestCtx{bufferedResponse: bufferedResponse{header: http.Header{}}}
+	c.timer = time.AfterFunc(time.Hour, c.watchDeadline)
+	c.timer.Stop()
+	return c
 }}
 
-// recycle wipes every trace of the request and returns g to the pool.
-func (g *deadlineGuard) recycle() {
-	clear(g.header)
-	if cap(g.body) > httpx.MaxPooledBuffer {
-		g.body = nil
+// newRequestCtx draws a record for a request whose context is parent.
+func newRequestCtx(parent context.Context) *requestCtx {
+	c := requestCtxs.Get().(*requestCtx)
+	c.parent = parent
+	return c
+}
+
+// Deadline is the armed deadline, or the parent's before withDeadline
+// arms one.
+func (c *requestCtx) Deadline() (time.Time, bool) {
+	if c.armed {
+		return c.deadline, true
 	}
-	g.body = g.body[:0]
-	g.code = 0
-	g.s, g.ctx, g.w = nil, nil, nil
-	g.settled, g.answered = false, false
-	deadlineGuards.Put(g)
+	return c.parent.Deadline()
+}
+
+// Err reports the parent's error first (Canceled when the client hung up),
+// then DeadlineExceeded once the watchdog has fired.
+func (c *requestCtx) Err() error {
+	if err := c.parent.Err(); err != nil {
+		return err
+	}
+	switch c.state.Load() {
+	case ctxExpired:
+		return context.DeadlineExceeded
+	case ctxEnded:
+		return context.Canceled
+	}
+	return nil
+}
+
+// Done makes the context's channel on first use, and only then registers
+// it on the parent: the predict and batch paths poll Err instead, so a
+// served request never makes one.
+func (c *requestCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		c.kept = true
+		if c.Err() != nil {
+			c.closeDone()
+		} else {
+			c.stop = context.AfterFunc(c.parent, func() {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				c.closeDone()
+			})
+		}
+	}
+	return c.done
+}
+
+// closeDone closes a Done channel that was handed out, once. c.mu is held.
+func (c *requestCtx) closeDone() {
+	if c.done == nil {
+		return
+	}
+	select {
+	case <-c.done:
+	default:
+		close(c.done)
+	}
+}
+
+// Value answers telemetry.RequestIDKey with the record itself once it
+// carries an ID, and forwards every other key to the parent.
+func (c *requestCtx) Value(key any) any {
+	if key == (telemetry.RequestIDKey{}) && c.id != "" {
+		return c
+	}
+	return c.parent.Value(key)
+}
+
+// RequestID is the ID withRequestID minted.
+func (c *requestCtx) RequestID() string { return c.id }
+
+// release ends the request for the record's owner. A record nobody else
+// can hold — the watchdog never ran and no Done channel was handed out —
+// is wiped of every trace of the request and pooled; otherwise its Done
+// channel closes, as a cancelled context's does, and the garbage collector
+// takes it.
+func (c *requestCtx) release() {
+	c.mu.Lock()
+	kept, stop := c.kept, c.stop
+	if c.done != nil {
+		c.state.CompareAndSwap(ctxLive, ctxEnded)
+		c.closeDone()
+	}
+	c.mu.Unlock()
+	if kept {
+		if stop != nil {
+			stop()
+		}
+		return
+	}
+	clear(c.header)
+	if cap(c.body) > httpx.MaxPooledBuffer {
+		c.body = nil
+	}
+	c.body = c.body[:0]
+	c.code = 0
+	c.parent, c.id, c.s, c.w = nil, "", nil, nil
+	c.deadline, c.armed = time.Time{}, false
+	c.state.Store(ctxLive)
+	c.settled, c.answered = false, false
+	requestCtxs.Put(c)
 }
 
 // bufferedResponse is withDeadline's parking space for the handler's
@@ -354,7 +490,7 @@ func (s *Server) ObservePrediction(ctx context.Context, p core.Prediction) {
 			s.Access.Log("prediction_fallback",
 				telemetry.F("request_id", telemetry.RequestID(ctx)),
 				telemetry.F("model", p.Model),
-				telemetry.F("explanation", p.Explanation),
+				telemetry.F("explanation", p.Explanation()),
 			)
 		}
 	}

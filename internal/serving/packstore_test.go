@@ -209,7 +209,7 @@ func TestReloadRefusesJSONSnapshot(t *testing.T) {
 		t.Fatalf("a refused reload replaced the served model (now v%d)", m.version)
 	}
 	in := log.Incidents[400]
-	if got, want := srv.current.Load().scout.PredictIncident(in), scout.PredictIncident(in); got.Verdict != want.Verdict || got.Confidence != want.Confidence || got.Explanation != want.Explanation {
+	if got, want := srv.current.Load().scout.PredictIncident(in), scout.PredictIncident(in); got.Verdict != want.Verdict || got.Confidence != want.Confidence || got.Explanation() != want.Explanation() {
 		t.Fatalf("served model answers %+v, want %+v", got, want)
 	}
 }

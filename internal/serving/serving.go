@@ -370,7 +370,11 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/predict", "/v1/predict", http.HandlerFunc(s.handlePredict))
 	mux.Handle("POST /v1/predict:batch", "/v1/predict:batch", http.HandlerFunc(s.handlePredictBatch))
 	mux.Handle("GET /metrics", "/metrics", s.tel.reg)
-	var h http.Handler = mux
+	return s.harden(mux)
+}
+
+// harden puts h under the hardening chain Handler() serves the mux under.
+func (s *Server) harden(h http.Handler) http.Handler {
 	if s.RequestTimeout > 0 {
 		h = s.withDeadline(h)
 	}

@@ -10,38 +10,20 @@ import (
 	"time"
 )
 
-// requestIDKey is the private context key RequestID looks up.
-type requestIDKey struct{}
-
-// requestIDCtx carries a request ID. It answers its key with itself, a
-// pointer, so stamping an ID costs this one object: context.WithValue
-// would box the string on top of its own node.
-type requestIDCtx struct {
-	context.Context
-	id string
-}
-
-func (c *requestIDCtx) Value(key any) any {
-	if key == (requestIDKey{}) {
-		return c
-	}
-	return c.Context.Value(key)
-}
-
-// WithRequestID stamps a request ID into the context. The serving
-// middleware generates the ID once per request; everything downstream —
-// the batch scorer, degradation fallbacks, access logs — reads it back
-// with RequestID, so one incident's trip through the stack is grep-able
-// end to end.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return &requestIDCtx{Context: ctx, id: id}
-}
+// RequestIDKey is the context key RequestID looks up. A context that
+// carries a request ID answers it with a value whose RequestID method
+// returns the ID: the serving middleware's per-request record answers
+// with itself, so stamping an ID adds no context node.
+type RequestIDKey struct{}
 
 // RequestID returns the context's request ID, or "" when none was set
-// (library calls outside a request, tests).
+// (library calls outside a request, tests). The serving middleware mints
+// the ID once per request; everything downstream — the batch scorer,
+// degradation fallbacks, access logs — reads it back here, so one
+// incident's trip through the stack is grep-able end to end.
 func RequestID(ctx context.Context) string {
-	if c, _ := ctx.Value(requestIDKey{}).(*requestIDCtx); c != nil {
-		return c.id
+	if c, _ := ctx.Value(RequestIDKey{}).(interface{ RequestID() string }); c != nil {
+		return c.RequestID()
 	}
 	return ""
 }

@@ -193,14 +193,36 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// requestIDCtx stamps a request ID into a context as the serving
+// middleware's record does: it answers RequestIDKey with itself.
+type requestIDCtx struct {
+	context.Context
+	id string
+}
+
+func (c *requestIDCtx) RequestID() string { return c.id }
+
+func (c *requestIDCtx) Value(key any) any {
+	if key == (RequestIDKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 func TestRequestIDContext(t *testing.T) {
 	ctx := context.Background()
 	if RequestID(ctx) != "" {
 		t.Fatal("empty context should carry no request ID")
 	}
-	ctx = WithRequestID(ctx, "inst-42")
+	ctx = &requestIDCtx{Context: ctx, id: "inst-42"}
 	if got := RequestID(ctx); got != "inst-42" {
 		t.Fatalf("RequestID = %q", got)
+	}
+	// A context derived from the carrier still answers its ID.
+	child, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if got := RequestID(child); got != "inst-42" {
+		t.Fatalf("RequestID of a child context = %q", got)
 	}
 }
 
