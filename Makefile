@@ -198,26 +198,28 @@ chaos-smoke:
 soak-smoke:
 	$(call smoke-test,-run 'TestLoadgenSoak|TestParseProm' -count 1 ./cmd/loadgen)
 
-# Pack/inspect smoke: boots a tiny scoutd against an empty -store (it
-# trains and publishes a scoutpack), then drives scoutctl inspect at the
+# Pack/inspect smoke: scoutctl train publishes a tiny model into an empty
+# -store, a scoutd boots on it, and scoutctl inspect is driven at the
 # published file — the CLI surface of the DESIGN.md §12 binary model
 # format, exercised end to end. The summary must report scoutpack
 # version 2, and inspect must refuse — exit non-zero, naming the checksum
 # — a copy with one byte flipped and a copy with its last byte cut.
 # The README's quick-start `scoutctl predict` then runs against the same
 # scoutd: it must exit 0 and print a "verdict" field.
-# Then the store itself is damaged: the first scoutd stops, a byte of
+# Then the store itself is damaged: the scoutd stops, a byte of
 # model-000001.pack flips, and a second scoutd boots on the same -store.
 # It must log the file's quarantine by name with the checksum reason, set
-# it aside as model-000001.pack.quarantined, retrain, publish
-# model-000002.pack — never reusing the quarantined number — and serve
-# model_version 2.
+# it aside as model-000001.pack.quarantined, and — with nothing left to
+# serve — exit non-zero naming scoutctl train. A second train must then
+# publish model-000002.pack, never reusing the quarantined number, and a
+# third scoutd serve model_version 2.
 pack-smoke:
 	$(GO) build -o /tmp/scouts-pack-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-pack-scoutctl ./cmd/scoutctl
-	@set -e; dir=$$(mktemp -d); \
-	/tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir & \
-	pid=$$!; pid2=; trap 'kill $$pid $$pid2 2>/dev/null || true; rm -rf $$dir' EXIT; \
+	@set -e; dir=$$(mktemp -d); pid=; pid3=; \
+	trap 'kill $$pid $$pid3 2>/dev/null || true; rm -rf $$dir' EXIT; \
+	/tmp/scouts-pack-scoutctl train -days 5 -rate 4 -store $$dir; \
+	/tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir & pid=$$!; \
 	for i in $$(seq 1 120); do \
 		curl -fsS http://127.0.0.1:8094/v1/health >/dev/null 2>&1 && break; \
 		sleep 1; \
@@ -252,23 +254,32 @@ pack-smoke:
 	esac; \
 	kill -TERM $$pid; wait $$pid || true; \
 	printf "$$(printf '\\%03o' $$((byte ^ 1)))" | dd of=$$pack bs=1 seek=$$mid conv=notrunc 2>/dev/null; \
-	/tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir 2>$$dir/reboot.log & \
-	pid2=$$!; \
+	if timeout 60 /tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir 2>$$dir/reboot.log; then \
+		cat $$dir/reboot.log; echo "pack-smoke: scoutd exited 0 on a store with nothing servable"; exit 1; \
+	fi; \
+	cat $$dir/reboot.log; \
+	if ! grep -q 'scoutctl train' $$dir/reboot.log; then \
+		echo "pack-smoke: the reboot on a damaged store did not exit naming scoutctl train"; exit 1; \
+	fi; \
+	if ! grep 'model-000001\.pack' $$dir/reboot.log | grep -q checksum; then \
+		echo "pack-smoke: the reboot did not log model-000001.pack's quarantine with the checksum reason"; exit 1; \
+	fi; \
+	if [ ! -f $$dir/model-000001.pack.quarantined ]; then \
+		echo "pack-smoke: the reboot left no model-000001.pack.quarantined in the store: $$(ls $$dir)"; exit 1; \
+	fi; \
+	/tmp/scouts-pack-scoutctl train -days 5 -rate 4 -store $$dir; \
+	if [ ! -f $$dir/model-000002.pack ]; then \
+		echo "pack-smoke: the second train left no model-000002.pack in the store: $$(ls $$dir)"; exit 1; \
+	fi; \
+	/tmp/scouts-pack-scoutd -addr 127.0.0.1:8094 -days 5 -rate 4 -store $$dir & pid3=$$!; \
 	for i in $$(seq 1 120); do \
 		curl -fsS http://127.0.0.1:8094/v1/health >/dev/null 2>&1 && break; \
 		sleep 1; \
 	done; \
-	cat $$dir/reboot.log; \
-	if ! grep 'model-000001\.pack' $$dir/reboot.log | grep -q checksum; then \
-		echo "pack-smoke: the reboot did not log model-000001.pack's quarantine with the checksum reason"; exit 1; \
-	fi; \
-	for f in model-000001.pack.quarantined model-000002.pack; do \
-		if [ ! -f $$dir/$$f ]; then echo "pack-smoke: the reboot left no $$f in the store: $$(ls $$dir)"; exit 1; fi; \
-	done; \
 	model=$$(curl -fsS http://127.0.0.1:8094/v1/model); \
 	case "$$model" in \
-	*'"model_version":2'*) echo "pack-smoke: the reboot serves $$model";; \
-	*) echo "pack-smoke: the reboot serves $$model, want model_version 2"; exit 1;; \
+	*'"model_version":2'*) echo "pack-smoke: the third scoutd serves $$model";; \
+	*) echo "pack-smoke: the third scoutd serves $$model, want model_version 2"; exit 1;; \
 	esac
 
 # Fleet smoke: the resilient-gateway kill test with real processes. The
@@ -277,16 +288,17 @@ pack-smoke:
 # timer firing as the primary settles is hit) run first under the race
 # detector. scoutgw must then refuse two fleets it could not serve — two
 # teams, and a replica URL with no scheme — by exiting non-zero before it
-# listens. Then three scoutd replicas
-# share one -store (the first boot trains and publishes, the other two
-# load the same scoutpack), scoutgw fronts them, and loadgen -fleet
-# SIGTERMs the middle replica two seconds into a six-second burst. The
+# listens. Then scoutctl train publishes one scoutpack, three scoutd
+# replicas boot together on that -store, scoutgw fronts them, and
+# loadgen -fleet SIGTERMs the middle replica two seconds into a
+# six-second burst. The
 # SLO is zero failed non-shed requests: every client answer is a 200, a
 # 4xx, or an honored 429 — never a transport error or 5xx — with the
 # gateway's retries/hedges/breaker trips reported in FLEET_SMOKE.json.
 fleet-smoke:
 	$(call smoke-test,-race -run 'TestDriveHonors429|TestDriveSheds|TestJudgeFleet|TestLoadgenFleet' -count 1 ./cmd/loadgen)
 	$(call smoke-test,-race -run 'TestFleetSurvivesReplicaKillMidBurst|TestHedge|TestAttemptPanic|TestNoGoroutineUnderGatewayHandler' -count 1 ./internal/gateway)
+	$(GO) build -o /tmp/scouts-fleet-scoutctl ./cmd/scoutctl
 	$(GO) build -o /tmp/scouts-fleet-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-fleet-scoutgw ./cmd/scoutgw
 	@for bad in '-replica a=phynet=http://127.0.0.1:8105 -replica b=storage=http://127.0.0.1:8106' \
@@ -300,14 +312,11 @@ fleet-smoke:
 	$(GO) build -o /tmp/scouts-fleet-loadgen ./cmd/loadgen
 	@set -e; dir=$$(mktemp -d); \
 	trap 'kill $$p1 $$p2 $$p3 $$pg 2>/dev/null || true; rm -rf $$dir' EXIT; \
+	/tmp/scouts-fleet-scoutctl train -days 5 -rate 4 -store $$dir; \
 	/tmp/scouts-fleet-scoutd -addr 127.0.0.1:8101 -days 5 -rate 4 -store $$dir & p1=$$!; \
-	for i in $$(seq 1 120); do \
-		curl -fsS http://127.0.0.1:8101/v1/health >/dev/null 2>&1 && break; \
-		sleep 1; \
-	done; \
 	/tmp/scouts-fleet-scoutd -addr 127.0.0.1:8102 -days 5 -rate 4 -store $$dir & p2=$$!; \
 	/tmp/scouts-fleet-scoutd -addr 127.0.0.1:8103 -days 5 -rate 4 -store $$dir & p3=$$!; \
-	for port in 8102 8103; do \
+	for port in 8101 8102 8103; do \
 		for i in $$(seq 1 120); do \
 			curl -fsS http://127.0.0.1:$$port/v1/health >/dev/null 2>&1 && break; \
 			sleep 1; \

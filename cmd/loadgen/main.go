@@ -21,9 +21,9 @@
 // assert "nothing but 2xx/4xx/429 came back and the server stayed up".
 //
 // The request corpus is generated from the same synthetic cloud simulator
-// scoutd trains on (matching -seed/-days/-rate reproduces its incident
-// titles and components; mismatches still score, they just answer through
-// the fallback paths more often). -mode single posts one incident per
+// scoutctl train and scoutd build (matching -seed/-days/-rate reproduces
+// their incident titles and components; mismatches still score, they just
+// answer through the fallback paths more often). -mode single posts one incident per
 // /v1/predict call; -mode batch posts -batch incidents per
 // /v1/predict:batch call. Latency is per HTTP request either way, so
 // batch percentiles amortize -batch predictions per sample.

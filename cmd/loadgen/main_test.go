@@ -27,14 +27,19 @@ func newTestServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := serving.NewStore()
-	tr := &serving.Trainer{Store: store}
-	if _, _, err := tr.TrainAndPublish(core.TrainOptions{
+	scout, err := core.Train(core.TrainOptions{
 		Config: cfg, Topology: gen.Topology(), Source: gen.Telemetry(),
 		Incidents: trace.Incidents, Seed: 1,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	snap, err := scout.SnapshotPack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := serving.NewStore()
+	store.Put(scout.Team(), snap)
 	source := faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{})
 	srv := serving.NewServer(gen.Topology(), source, store, nil)
 	if err := srv.Reload(); err != nil {

@@ -1,21 +1,22 @@
-// Command scoutd trains a PhyNet Scout over a synthetic cloud and serves
-// predictions over REST — the online half of the §6 deployment.
+// Command scoutd serves a PhyNet Scout's predictions over REST — the
+// online half of the §6 deployment; scoutctl train is the offline half.
 //
 // Usage:
 //
-//	scoutd [-addr :8080] [-seed 7] [-days 90] [-rate 10] [-workers 0]
+//	scoutd -store DIR [-addr :8080] [-seed 7] [-days 90] [-rate 10]
 //	       [-max-inflight 64] [-request-timeout 10s] [-min-coverage 0.25]
-//	       [-instance scoutd] [-access-log] [-store DIR]
+//	       [-instance scoutd] [-access-log]
 //
-// -store points at a SaveStore directory. When it holds a healthy model
-// version, scoutd serves the newest one instead of training at boot —
-// scoutpack (.pack) versions load through the zero-re-derivation binary
-// path — and POST /v1/reload re-reads the directory, so versions
-// published by another process (an offline trainer) are picked up live.
-// Each damaged file a load quarantines is logged by name and reason. When
-// no healthy version is left, scoutd trains once, publishes the model into
-// the directory as a scoutpack numbered past every quarantined one, and
-// serves the scout it just trained directly (no snapshot round trip).
+// -store points at the directory scoutctl train publishes into. scoutd
+// serves its newest healthy scoutpack version, and POST /v1/reload
+// re-reads the directory, so a version published later is picked up live.
+// Each damaged file a load quarantines is logged by name and reason. With
+// no servable version (no -store, an empty directory, or every file
+// quarantined) scoutd exits non-zero, naming scoutctl train, before it
+// builds the world. -seed, -days and -rate build the synthetic cloud whose
+// monitoring the Scout pulls at request time; they must equal the ones
+// the pack was trained with (scoutctl train logs the scoutd line to run),
+// and nothing checks that yet.
 //
 // Endpoints:
 //
@@ -43,14 +44,14 @@
 // request ID every response echoes in X-Request-Id) to stderr; -instance
 // prefixes those request IDs so replicas never collide.
 //
-// Startup training uses the presorted-columns split kernel, and request-time
-// featurization answers window statistics through the monitoring aggregate
-// layer instead of copying raw points (DESIGN.md §7) — keeping /v1/predict
-// latency flat as telemetry history grows.
+// Request-time featurization answers window statistics through the
+// monitoring aggregate layer instead of copying raw points (DESIGN.md §7),
+// keeping /v1/predict latency flat as telemetry history grows.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -68,16 +69,15 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 7, "world seed")
-	days := flag.Int("days", 90, "days of synthetic incident history to train on")
+	days := flag.Int("days", 90, "days of synthetic cloud history to serve monitoring from")
 	rate := flag.Float64("rate", 10, "incidents per day")
-	workers := flag.Int("workers", 0, "training/featurization workers (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently-served requests; excess sheds with 429 (0 = unbounded)")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline; overruns answer 503 (0 = none)")
 	retryAfterBase := flag.Duration("retry-after-base", time.Second, "base Retry-After hint on 429 sheds; grows with sustained saturation")
 	minCoverage := flag.Float64("min-coverage", 0.25, "monitoring-coverage floor below which predictions fall back (0 = disabled)")
 	instance := flag.String("instance", "scoutd", "instance ID prefixed to request IDs (X-Request-Id)")
 	accessLog := flag.Bool("access-log", false, "write one structured JSON line per request to stderr")
-	storeDir := flag.String("store", "", "model store directory: serve from it when populated, publish into it after training")
+	storeDir := flag.String("store", "", "model store directory to serve from (required; scoutctl train publishes into it)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "scoutd: ", log.LstdFlags)
@@ -87,7 +87,7 @@ func main() {
 		instance:       *instance, accessLog: *accessLog,
 		storeDir: *storeDir,
 	}
-	if err := run(*addr, *seed, *days, *rate, *workers, opts, logger); err != nil {
+	if err := run(*addr, *seed, *days, *rate, opts, logger); err != nil {
 		logger.Fatal(err)
 	}
 }
@@ -103,59 +103,29 @@ type servingOptions struct {
 	storeDir       string
 }
 
-func run(addr string, seed int64, days int, rate float64, workers int, opts servingOptions, logger *log.Logger) error {
+func run(addr string, seed int64, days int, rate float64, opts servingOptions, logger *log.Logger) error {
+	// The store is read before the world is built: with nothing to serve,
+	// scoutd refuses at once.
+	if opts.storeDir == "" {
+		return errors.New("-store DIR is required: publish a model with `scoutctl train -store DIR`, then serve it with `scoutd -store DIR`")
+	}
+	store, err := serving.OpenStore(opts.storeDir, logger)
+	if err == nil && store.Versions() == 0 {
+		err = errors.New("no servable model version")
+	}
+	if err != nil {
+		return fmt.Errorf("store %s: %w; publish one with `scoutctl train -store %s`", opts.storeDir, err, opts.storeDir)
+	}
+
 	logger.Printf("generating %d days of synthetic cloud history (seed %d)", days, seed)
 	gen := cloudsim.New(cloudsim.Params{Seed: seed, Days: days, IncidentsPerDay: rate})
 	trace := gen.Generate()
 	logger.Printf("%d incidents generated", trace.Len())
 
-	cfg, err := core.ParseConfig(core.DefaultPhyNetConfig)
-	if err != nil {
-		return err
-	}
-
-	// A populated -store directory replaces boot-time training: serve the
-	// newest stored version (scoutpacks load with zero re-derivation).
-	store := serving.NewStore()
-	if opts.storeDir != "" {
-		if loaded, err := loadStore(opts.storeDir, logger); err == nil {
-			store = loaded
-		} else if !os.IsNotExist(err) {
-			logger.Printf("store: %v (continuing with boot-time training)", err)
-		}
-	}
-
-	var scout *core.Scout
-	var version int
-	if store.Versions() == 0 {
-		trainer := &serving.Trainer{Store: store}
-		start := time.Now()
-		var err error
-		scout, version, err = trainer.TrainAndPublish(core.TrainOptions{
-			Config:    cfg,
-			Topology:  gen.Topology(),
-			Source:    gen.Telemetry(),
-			Incidents: trace.Incidents,
-			Seed:      seed,
-			Workers:   workers,
-		})
-		if err != nil {
-			return fmt.Errorf("training: %w", err)
-		}
-		logger.Printf("trained %s scout v%d in %v (top features: %v)",
-			scout.Team(), version, time.Since(start).Round(time.Millisecond), scout.TopFeatures(3))
-		if opts.storeDir != "" {
-			if err := serving.SaveStore(store, opts.storeDir); err != nil {
-				return fmt.Errorf("publishing to %s: %w", opts.storeDir, err)
-			}
-			logger.Printf("published scoutpack v%d to %s", version, opts.storeDir)
-		}
-	}
-
-	// Serve through a circuit breaker even though training used the raw
-	// source: request-time featurization must degrade in bounded time when
-	// a dataset goes dark, and the breaker's per-dataset state is part of
-	// the /metrics surface (scout_breaker_state, scout_breaker_trips_total).
+	// Serve through a circuit breaker: request-time featurization must
+	// degrade in bounded time when a dataset goes dark, and the breaker's
+	// per-dataset state is part of the /metrics surface
+	// (scout_breaker_state, scout_breaker_trips_total).
 	source := faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{})
 	srv := serving.NewServer(gen.Topology(), source, store, logger)
 	srv.MaxInFlight = opts.maxInflight
@@ -163,37 +133,17 @@ func run(addr string, seed int64, days int, rate float64, workers int, opts serv
 	srv.RetryAfterBase = opts.retryAfterBase
 	srv.Degradation = core.DegradationPolicy{MinCoverage: opts.minCoverage}
 	srv.InstanceID = opts.instance
-	if opts.storeDir != "" {
-		dir := opts.storeDir
-		srv.ReloadStore = func() (*serving.Store, error) { return loadStore(dir, logger) }
-	}
 	if opts.accessLog {
 		al := telemetry.NewLogger(os.Stderr, telemetry.F("component", "scoutd"), telemetry.F("instance", opts.instance))
 		al.Now = time.Now
 		srv.Access = al
 	}
-	if scout != nil {
-		// The scout we just trained already has its flat inference views —
-		// installing it directly skips the snapshot restore (and its flat
-		// re-derivation) a Reload would pay.
-		srv.Install(scout, version)
-		logger.Printf("serving: installed freshly-trained scout v%d", version)
-	} else if err := srv.Reload(); err != nil {
+	if err := srv.Reload(); err != nil {
 		return err
 	}
+	// From here on POST /v1/reload re-reads the directory, so a version
+	// published by scoutctl train is picked up live.
+	srv.ReloadStore = func() (*serving.Store, error) { return serving.OpenStore(opts.storeDir, logger) }
 
 	return httpx.Serve(context.Background(), addr, srv.Handler(), logger, nil)
-}
-
-// loadStore loads the -store directory and logs each file it quarantined,
-// by name and reason.
-func loadStore(dir string, logger *log.Logger) (*serving.Store, error) {
-	st, rep, err := serving.LoadStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range rep.Quarantined {
-		logger.Printf("store: quarantined %s: %s", q.Name, q.Reason)
-	}
-	return st, nil
 }

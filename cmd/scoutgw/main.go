@@ -41,7 +41,7 @@ import (
 	"strings"
 	"time"
 
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 	"scouts/internal/gateway"
 	"scouts/internal/httpx"
 )
@@ -88,7 +88,7 @@ func main() {
 		ReplicaBudget: *replicaBudget,
 		HedgeAfter:    *hedgeAfter,
 		ProbeInterval: *probeInterval,
-		Breaker:       faults.ReqBreakerParams{Trip: *breakerTrip, Cooldown: *breakerCooldown},
+		Breaker:       circuit.ReqBreakerParams{Trip: *breakerTrip, Cooldown: *breakerCooldown},
 		Seed:          *seed,
 		Logger:        logger,
 	}, logger); err != nil {

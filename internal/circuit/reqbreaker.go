@@ -1,4 +1,4 @@
-package faults
+package circuit
 
 import (
 	"sync"
@@ -6,7 +6,7 @@ import (
 )
 
 // ReqBreakerParams tune a request-level circuit breaker (the wall-clock
-// sibling of BreakerParams, which runs on model hours).
+// sibling of faults.BreakerParams, which runs on model hours).
 type ReqBreakerParams struct {
 	// Trip is how many consecutive failed requests open the breaker.
 	// Default 5.
@@ -30,10 +30,10 @@ func (p ReqBreakerParams) withDefaults() ReqBreakerParams {
 // traffic: the gateway keeps one per replica, so a replica that fails
 // Trip requests in a row stops receiving traffic until a cooldown
 // elapses and a single probe request proves it recovered. It runs the
-// same machine (and single-occupancy half-open probe slot) as the
-// per-dataset Breaker; the difference is the time base — a replica
-// breaker cools down in wall-clock time since its construction, read
-// through an injected clock so tests and deterministic replays never
+// same Machine (and single-occupancy half-open probe slot) as the
+// per-dataset faults.Breaker; the difference is the time base — a
+// replica breaker cools down in wall-clock time since its construction,
+// read through an injected clock so tests and deterministic replays never
 // touch time.Now themselves.
 type ReqBreaker struct {
 	p     ReqBreakerParams
@@ -41,13 +41,13 @@ type ReqBreaker struct {
 	epoch time.Time
 
 	mu sync.Mutex
-	m  machine[time.Duration]
+	m  Machine[time.Duration]
 }
 
 // NewReqBreaker builds a closed breaker reading time through now (which
 // must be non-nil; binaries pass time.Now, tests a fake).
 func NewReqBreaker(p ReqBreakerParams, now func() time.Time) *ReqBreaker {
-	return &ReqBreaker{p: p.withDefaults(), now: now, epoch: now(), m: machine[time.Duration]{state: StateClosed}}
+	return &ReqBreaker{p: p.withDefaults(), now: now, epoch: now(), m: NewMachine[time.Duration]()}
 }
 
 // Allow reports whether a request may be sent. probe marks the request
@@ -58,15 +58,15 @@ func NewReqBreaker(p ReqBreakerParams, now func() time.Time) *ReqBreaker {
 func (b *ReqBreaker) Allow() (pass, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.m.allow(b.now().Sub(b.epoch), b.p.Cooldown, true)
+	return b.m.Allow(b.now().Sub(b.epoch), b.p.Cooldown, true)
 }
 
 // Record feeds one allowed request's outcome into the state machine,
-// releasing the probe slot when the request held it; see machine.record.
+// releasing the probe slot when the request held it; see Machine.Record.
 func (b *ReqBreaker) Record(ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.m.record(b.now().Sub(b.epoch), b.p.Trip, ok, probe)
+	b.m.Record(b.now().Sub(b.epoch), b.p.Trip, ok, probe)
 }
 
 // Release abandons an allowed request without recording an outcome:
@@ -81,7 +81,7 @@ func (b *ReqBreaker) Release(probe bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.m.probing = false
+	b.m.Release()
 }
 
 // State reads the effective state: an open breaker past its cooldown
@@ -89,12 +89,12 @@ func (b *ReqBreaker) Release(probe bool) {
 func (b *ReqBreaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.m.stateAt(b.now().Sub(b.epoch), b.p.Cooldown)
+	return b.m.StateAt(b.now().Sub(b.epoch), b.p.Cooldown)
 }
 
 // Trips returns how many times the breaker has opened.
 func (b *ReqBreaker) Trips() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.m.trips
+	return b.m.Trips()
 }

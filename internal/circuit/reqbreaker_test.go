@@ -1,4 +1,4 @@
-package faults
+package circuit
 
 import (
 	"sync"

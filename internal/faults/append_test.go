@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scouts/internal/chaos"
+	"scouts/internal/circuit"
 	"scouts/internal/cloudsim"
 	"scouts/internal/monitoring"
 )
@@ -171,8 +172,8 @@ func TestBreakerAppendSeriesEquivalence(t *testing.T) {
 		// Whether begin will let this step's observed query through, and
 		// whether as the half-open probe (between steps no probe is in
 		// flight, so the slot is free).
-		probing := g0 != nil && (g0.state == StateHalfOpen || (g0.state == StateOpen && to-g0.openedAt >= equivalenceParams.Cooldown))
-		passes := g0 == nil || g0.state == StateClosed || probing
+		probing := g0 != nil && g0.StateAt(to, equivalenceParams.Cooldown) == circuit.StateHalfOpen
+		passes := g0 == nil || g0.StateAt(to, equivalenceParams.Cooldown) != circuit.StateOpen
 
 		var first []float64
 		var firstStats monitoring.Stats
@@ -226,14 +227,14 @@ func TestBreakerAppendSeriesEquivalence(t *testing.T) {
 		for _, name := range datasets {
 			want := drivers[0].b.lookup(name)
 			for _, d := range drivers {
-				if g := d.b.lookup(name); g != nil && g.quiet.Load() != (g.state == StateClosed && g.fails == 0) {
+				if g := d.b.lookup(name); g != nil && g.quiet.Load() != g.Quiet() {
 					t.Fatalf("step %d (op %d on %s/%s): gate %q of %s publishes quiet=%v for %+v",
-						step, op, ds, comp, name, d.name, g.quiet.Load(), g.machine)
+						step, op, ds, comp, name, d.name, g.quiet.Load(), g.Machine)
 				}
 			}
 			for _, d := range drivers[1:] {
 				got := d.b.lookup(name)
-				if (got == nil) != (want == nil) || (got != nil && got.machine != want.machine) {
+				if (got == nil) != (want == nil) || (got != nil && got.Machine != want.Machine) {
 					t.Fatalf("step %d (op %d on %s/%s): gate %q of %s is %+v, of %s %+v",
 						step, op, ds, comp, name, d.name, got, drivers[0].name, want)
 				}

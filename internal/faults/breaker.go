@@ -1,10 +1,9 @@
-// Package faults holds the circuit breakers the daemons run: a
-// per-dataset Breaker that turns observed monitoring outages into an
-// availability signal featurization can impute against, and a
-// request-level ReqBreaker the gateway keeps per replica. The per-dataset
-// gates run on model hours, never on the wall clock, so a run over the
-// same source replays bit-identically; the lab's fault schedules that
-// drive them in tests live in internal/chaos.
+// Package faults holds the per-dataset circuit Breaker scoutd serves its
+// monitoring through: observed monitoring outages become an availability
+// signal featurization can impute against. Its gates run internal/circuit's
+// Machine on model hours, never on the wall clock, so a run over the same
+// source replays bit-identically; the lab's fault schedules that drive
+// them in tests live in internal/chaos.
 package faults
 
 import (
@@ -12,24 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"scouts/internal/circuit"
 	"scouts/internal/monitoring"
-)
-
-// State is a circuit breaker's position.
-type State string
-
-// The classic three breaker states.
-const (
-	// StateClosed: the dataset is trusted; queries flow and failures are
-	// counted.
-	StateClosed State = "closed"
-	// StateOpen: the dataset tripped; queries short-circuit to empty
-	// answers (which featurization imputes over) until the cooldown
-	// elapses.
-	StateOpen State = "open"
-	// StateHalfOpen: the cooldown elapsed; probe queries flow again. One
-	// success closes the breaker, one failure re-opens it.
-	StateHalfOpen State = "half-open"
 )
 
 // BreakerParams tune the per-dataset circuit breakers.
@@ -61,102 +44,14 @@ func (p BreakerParams) withDefaults() BreakerParams {
 	return p
 }
 
-// timeBase is what a machine measures cooldowns in: model hours for the
-// per-dataset gates, time since construction for a ReqBreaker.
-type timeBase interface{ ~float64 | ~int64 }
-
-// machine is the closed → open → half-open state machine under both
-// breakers. It keeps no clock and no lock: callers pass the current time
-// in their own base and hold their own mutex, so the per-dataset gates
-// replay deterministically from query windows (model hours, never the wall
-// clock) while replica breakers cool down in injected wall time.
-type machine[T timeBase] struct {
-	state    State
-	fails    int
-	openedAt T
-	trips    int
-	// probing marks the single half-open probe slot as taken: exactly one
-	// in-flight query may test a recovering target, every concurrent
-	// observed query short-circuits until the probe's outcome lands in
-	// record. Two racing probes would double-count a failure (re-opening
-	// the breaker twice) or let a burst through a target that is still down.
-	probing bool
-}
-
-// allow decides whether a query at time now may pass, moving an open
-// machine past its cooldown to half-open. An observed query — one whose
-// outcome will be fed back through record — takes the probe slot while
-// half-open (probe == true) or short-circuits when the slot is taken. An
-// unobserved query never takes the slot: while a probe is in flight it
-// flows — the target is being tested, not trusted, and an extra read
-// costs nothing the probe is not already risking.
-func (m *machine[T]) allow(now, cooldown T, observed bool) (pass, probe bool) {
-	switch m.state {
-	case StateOpen:
-		if now-m.openedAt < cooldown {
-			return false, false
-		}
-		m.state = StateHalfOpen
-	case StateHalfOpen:
-		if observed && m.probing {
-			return false, false
-		}
-	default:
-		return true, false
-	}
-	if observed {
-		m.probing = true
-	}
-	return true, observed
-}
-
-// record feeds one allowed query's outcome into the machine, releasing the
-// probe slot when the query held it. A success closes the machine; a
-// failed probe (or any failure while half-open) re-opens it immediately;
-// trip consecutive closed-state failures open it.
-func (m *machine[T]) record(now T, trip int, ok, probe bool) {
-	if probe {
-		m.probing = false
-	}
-	if ok {
-		m.fails = 0
-		m.state = StateClosed
-		return
-	}
-	if !probe && m.state != StateHalfOpen {
-		m.fails++
-		if m.fails < trip {
-			return
-		}
-	}
-	m.state = StateOpen
-	m.openedAt = now
-	m.trips++
-	m.fails = 0
-}
-
-// stateAt reads the effective state at time now without advancing the
-// machine: an open machine past its cooldown reports half-open, matching
-// what the next allow would decide.
-func (m *machine[T]) stateAt(now, cooldown T) State {
-	if m.state == StateOpen && now-m.openedAt >= cooldown {
-		return StateHalfOpen
-	}
-	return m.state
-}
-
-// quiet reports whether allow would pass any query without side effect and
-// a successful non-probe record would change nothing: closed, no streak.
-func (m *machine[T]) quiet() bool { return m.state == StateClosed && m.fails == 0 }
-
 // gate is one dataset's breaker, on model hours. quiet publishes
-// machine.quiet() to callers that do not hold the Breaker's mutex: it is
+// Machine.Quiet() to callers that do not hold the Breaker's mutex: it is
 // cleared under the mutex before the machine is touched and set again after,
 // so a caller that reads it true acts on a machine that was quiet at that
 // instant, and no transition can be half-seen.
 type gate struct {
 	quiet atomic.Bool
-	machine[float64]
+	circuit.Machine[float64]
 }
 
 // Breaker wraps a monitoring.DataSource with a per-dataset circuit
@@ -204,7 +99,7 @@ func NewBreaker(inner monitoring.DataSource, p BreakerParams) *Breaker {
 }
 
 func newGate() *gate {
-	g := &gate{machine: machine[float64]{state: StateClosed}}
+	g := &gate{Machine: circuit.NewMachine[float64]()}
 	g.quiet.Store(true)
 	return g
 }
@@ -242,13 +137,13 @@ func (b *Breaker) lockGate(g *gate) {
 }
 
 func (b *Breaker) unlockGate(g *gate) {
-	g.quiet.Store(g.machine.quiet())
+	g.quiet.Store(g.Quiet())
 	b.mu.Unlock()
 }
 
 // begin decides whether an observed query (one whose outcome will be fed
 // back through record) at time t may pass gate g to the inner source; see
-// machine.allow. The probe slot is released by record, which every
+// Machine.Allow. The probe slot is released by record, which every
 // begin(pass=true) caller invokes after its inner query returns. A quiet
 // gate passes without the lock: allow would change nothing.
 func (b *Breaker) begin(g *gate, t float64) (pass, probe bool) {
@@ -257,7 +152,7 @@ func (b *Breaker) begin(g *gate, t float64) (pass, probe bool) {
 	}
 	b.lockGate(g)
 	defer b.unlockGate(g)
-	return g.allow(t, b.p.Cooldown, true)
+	return g.Allow(t, b.p.Cooldown, true)
 }
 
 // beginPassive decides whether an unobserved query (events; their silence
@@ -269,7 +164,7 @@ func (b *Breaker) beginPassive(dataset string, t float64) bool {
 	}
 	b.lockGate(g)
 	defer b.unlockGate(g)
-	pass, _ := g.allow(t, b.p.Cooldown, false)
+	pass, _ := g.Allow(t, b.p.Cooldown, false)
 	return pass
 }
 
@@ -282,7 +177,7 @@ func (b *Breaker) record(g *gate, t float64, ok, probe bool) {
 	}
 	b.lockGate(g)
 	defer b.unlockGate(g)
-	g.record(t, b.p.Trip, ok, probe)
+	g.Record(t, b.p.Trip, ok, probe)
 }
 
 // tooStale reports whether the inner source admits to unacceptable lag.
@@ -357,14 +252,14 @@ func (b *Breaker) EventCount(dataset, component string, from, to float64) int {
 
 // stateAt reads a gate's effective state at time t without advancing the
 // machine: an open gate past its cooldown reports half-open.
-func (b *Breaker) stateAt(dataset string, t float64) (State, int) {
+func (b *Breaker) stateAt(dataset string, t float64) (circuit.State, int) {
 	g := b.lookup(dataset)
 	if g == nil {
-		return StateClosed, 0
+		return circuit.StateClosed, 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return g.stateAt(t, b.p.Cooldown), g.trips
+	return g.StateAt(t, b.p.Cooldown), g.Trips()
 }
 
 // DatasetHealth implements monitoring.HealthReporter: the inner source's
@@ -374,12 +269,12 @@ func (b *Breaker) DatasetHealth(dataset string, t float64) monitoring.DatasetHea
 	if b.health != nil {
 		h = b.health.DatasetHealth(dataset, t)
 	}
-	state := StateClosed
+	state := circuit.StateClosed
 	if g := b.lookup(dataset); g != nil && !g.quiet.Load() {
 		state, _ = b.stateAt(dataset, t)
 	}
 	h.Breaker = string(state)
-	if state == StateOpen {
+	if state == circuit.StateOpen {
 		h.Available = false
 	}
 	return h
@@ -403,7 +298,7 @@ func (b *Breaker) Trips(dataset string) int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return g.trips
+	return g.Trips()
 }
 
 // Interface conformance checks.

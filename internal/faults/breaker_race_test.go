@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"scouts/internal/circuit"
 	"scouts/internal/monitoring"
 	"scouts/internal/topology"
 )
@@ -54,7 +55,7 @@ func TestBreakerHalfOpenSingleProbeSlot(t *testing.T) {
 	close(src.release) // failures answer immediately
 	b.SeriesWindow("lat", "s0", 0, 10)
 	b.SeriesWindow("lat", "s0", 0, 10)
-	if st, _ := b.stateAt("lat", 10); st != StateOpen {
+	if st, _ := b.stateAt("lat", 10); st != circuit.StateOpen {
 		t.Fatal("breaker should be open after two failures")
 	}
 	<-src.entered
@@ -93,7 +94,7 @@ func TestBreakerHalfOpenSingleProbeSlot(t *testing.T) {
 	if got := <-probeDone; len(got) == 0 {
 		t.Fatal("the probe itself should have answered")
 	}
-	if st, _ := b.stateAt("lat", 16); st != StateClosed {
+	if st, _ := b.stateAt("lat", 16); st != circuit.StateClosed {
 		t.Fatal("successful probe should close the breaker")
 	}
 	if got := b.SeriesWindow("lat", "s0", 10, 16); len(got) == 0 {
@@ -113,14 +114,14 @@ func TestBreakerFailedProbeReleasesSlot(t *testing.T) {
 	b.SeriesWindow("lat", "s0", 0, 10)
 	b.SeriesWindow("lat", "s0", 0, 10)  // open @10
 	b.SeriesWindow("lat", "s0", 10, 16) // failed probe, re-open @16
-	if st, _ := b.stateAt("lat", 16); st != StateOpen {
+	if st, _ := b.stateAt("lat", 16); st != circuit.StateOpen {
 		t.Fatal("failed probe should re-open")
 	}
 	src.empty.Store(false)
 	if got := b.SeriesWindow("lat", "s0", 16, 22); len(got) == 0 {
 		t.Fatal("next cooldown's probe should pass (slot must have been released)")
 	}
-	if st, _ := b.stateAt("lat", 22); st != StateClosed {
+	if st, _ := b.stateAt("lat", 22); st != circuit.StateClosed {
 		t.Fatal("successful second probe should close the breaker")
 	}
 }
@@ -234,7 +235,7 @@ func TestBreakerQuietPathConcurrent(t *testing.T) {
 			if !pull(w, i+w, ds, comps[(i*7+w)%len(comps)], now) {
 				t.Errorf("caller %d: healthy %s short-circuited at %v", w, ds, now)
 			}
-			if h := b.DatasetHealth(ds, now); !h.Available || h.Breaker != string(StateClosed) {
+			if h := b.DatasetHealth(ds, now); !h.Available || h.Breaker != string(circuit.StateClosed) {
 				t.Errorf("caller %d: healthy %s reports %+v", w, ds, h)
 			}
 		}
@@ -256,7 +257,7 @@ func TestBreakerQuietPathConcurrent(t *testing.T) {
 		}
 		healthy(w, src.downAt, src.downAt+0.5)
 	})
-	if st, _ := b.stateAt("flaky", src.downAt); st != StateOpen {
+	if st, _ := b.stateAt("flaky", src.downAt); st != circuit.StateOpen {
 		t.Fatalf("after %d failed windows flaky is %s, want open", callers, st)
 	}
 	// Inside the cooldown every query short-circuits.
@@ -266,7 +267,7 @@ func TestBreakerQuietPathConcurrent(t *testing.T) {
 			if pull(w, i+w, "flaky", comps[i%len(comps)], now) {
 				t.Errorf("caller %d: flaky answered at %v inside its cooldown", w, now)
 			}
-			if h := b.DatasetHealth("flaky", now); h.Available || h.Breaker != string(StateOpen) {
+			if h := b.DatasetHealth("flaky", now); h.Available || h.Breaker != string(circuit.StateOpen) {
 				t.Errorf("caller %d: flaky inside its cooldown reports %+v", w, h)
 			}
 		}
@@ -305,7 +306,7 @@ func TestBreakerQuietPathConcurrent(t *testing.T) {
 			t.Errorf("Trips(%q) = %d, want %d", ds, n, want)
 		}
 		if g := b.lookup(ds); !g.quiet.Load() {
-			t.Errorf("%s ends the run without a quiet gate: %+v", ds, g.machine)
+			t.Errorf("%s ends the run without a quiet gate: %+v", ds, g.Machine)
 		}
 	}
 }

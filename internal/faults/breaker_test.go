@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scouts/internal/chaos"
+	"scouts/internal/circuit"
 )
 
 func breakerOver(src *fakeSource, p BreakerParams) *Breaker {
@@ -18,12 +19,12 @@ func TestBreakerTripsOnConsecutiveEmptyWindows(t *testing.T) {
 		if got := b.SeriesWindow("lat", "dead", 0, 3); got != nil {
 			t.Fatalf("empty component answered %v", got)
 		}
-		if st, _ := b.stateAt("lat", 3); st != StateClosed {
+		if st, _ := b.stateAt("lat", 3); st != circuit.StateClosed {
 			t.Fatalf("after %d failures state = %s, want closed", i+1, st)
 		}
 	}
 	b.SeriesWindow("lat", "dead", 0, 3) // third consecutive failure
-	if st, _ := b.stateAt("lat", 3); st != StateOpen {
+	if st, _ := b.stateAt("lat", 3); st != circuit.StateOpen {
 		t.Fatal("three consecutive empty windows should open the breaker")
 	}
 	if h := b.DatasetHealth("lat", 3); h.Available || h.Breaker != "open" {
@@ -56,7 +57,7 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	}
 	b.SeriesWindow("lat", "dead", 0, 3)
 	b.SeriesWindow("lat", "dead", 0, 3)
-	if st, _ := b.stateAt("lat", 3); st != StateClosed {
+	if st, _ := b.stateAt("lat", 3); st != circuit.StateClosed {
 		t.Fatal("a success between failures must reset the trip streak")
 	}
 }
@@ -88,7 +89,7 @@ func TestBreakerStreakIsCallerBlind(t *testing.T) {
 	}
 	planned := breakerOver(src, BreakerParams{Trip: 3, Cooldown: 5})
 	ask(planned, "live", "live") // the same two callers, asking only what answers
-	if st, _ := planned.stateAt("lat", 3); st != StateClosed || planned.Trips("lat") != 0 {
+	if st, _ := planned.stateAt("lat", 3); st != circuit.StateClosed || planned.Trips("lat") != 0 {
 		t.Fatal("answerable queries must leave the gate closed")
 	}
 }
@@ -99,7 +100,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 
 	b.SeriesWindow("lat", "dead", 0, 10)
 	b.SeriesWindow("lat", "dead", 0, 10)
-	if st, _ := b.stateAt("lat", 10); st != StateOpen {
+	if st, _ := b.stateAt("lat", 10); st != circuit.StateOpen {
 		t.Fatal("breaker should be open")
 	}
 	// Inside the cooldown the breaker stays open and short-circuits.
@@ -107,13 +108,13 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 		t.Fatalf("cooldown leaked %v", got)
 	}
 	// Past the cooldown the next query is a probe; health reads half-open.
-	if st, _ := b.stateAt("lat", 16); st != StateHalfOpen {
+	if st, _ := b.stateAt("lat", 16); st != circuit.StateHalfOpen {
 		t.Fatal("past cooldown the breaker should read half-open")
 	}
 	if got := b.SeriesWindow("lat", "live", 10, 16); len(got) == 0 {
 		t.Fatal("probe query should reach the recovered source")
 	}
-	if st, _ := b.stateAt("lat", 16); st != StateClosed {
+	if st, _ := b.stateAt("lat", 16); st != circuit.StateClosed {
 		t.Fatal("successful probe should close the breaker")
 	}
 	if trips := b.Trips("lat"); trips != 1 {
@@ -132,7 +133,7 @@ func TestBreakerHalfOpenProbeReopens(t *testing.T) {
 	if got := b.SeriesWindow("lat", "dead", 10, 16); got != nil {
 		t.Fatalf("probe answered %v", got)
 	}
-	if st, _ := b.stateAt("lat", 16); st != StateOpen {
+	if st, _ := b.stateAt("lat", 16); st != circuit.StateOpen {
 		t.Fatal("failed probe should re-open the breaker")
 	}
 	if trips := b.Trips("lat"); trips != 2 {
@@ -155,7 +156,7 @@ func TestBreakerStaleAfterTrips(t *testing.T) {
 	// tolerance, so each one counts as a failure.
 	b.WindowStats("lat", "s1", 20, 25)
 	b.WindowStats("lat", "s1", 20, 25)
-	if st, _ := b.stateAt("lat", 25); st != StateOpen {
+	if st, _ := b.stateAt("lat", 25); st != circuit.StateOpen {
 		t.Fatal("stale windows should trip the breaker")
 	}
 	// The health overlay combines inner staleness and breaker state.
@@ -175,7 +176,7 @@ func TestBreakerEventSilenceIsNotFailure(t *testing.T) {
 		b.EventsWindow("err", "sw1", 0, 0) // empty window
 		b.EventCount("err", "sw1", 0, 0)
 	}
-	if st, _ := b.stateAt("err", 0); st != StateClosed {
+	if st, _ := b.stateAt("err", 0); st != circuit.StateClosed {
 		t.Fatal("event silence must not trip the breaker")
 	}
 }

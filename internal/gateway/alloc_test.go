@@ -44,13 +44,14 @@ func TestGatewayHandlerAllocations(t *testing.T) {
 // hop, which the canned RoundTripper above cannot see: the gateway's own
 // http.Transport to a loopback httptest.Server replica with a canned
 // answer, both ends of the connection and the replica's net/http server
-// included. 106 measured; 131 while send went through Client.Do and the
-// transport asked for gzip. Either alone fails the ceiling, the measure
-// plus one: Client.Do back in send reads 112, and compression back on
-// the default transport 110 — the request's Accept-Encoding header,
-// written and parsed for an answer nobody compresses.
+// included. 106 measured, at every -cpu and -count tried; 131 while send
+// went through Client.Do and the transport asked for gzip. The ceiling is
+// the measure plus a half, so one more allocation a hop fails it — as
+// does either of those: Client.Do back in send reads 112, and compression
+// back on the default transport 110 — the request's Accept-Encoding
+// header, written and parsed for an answer nobody compresses.
 func TestGatewayHopAllocations(t *testing.T) {
-	const budget = 107
+	const budget = 106.5
 	const canned = `{"team":"phynet","verdict":"responsible","confidence":0.91}` + "\n"
 	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header()["Content-Type"] = []string{"application/json"}
@@ -67,6 +68,6 @@ func TestGatewayHopAllocations(t *testing.T) {
 	})
 	t.Logf("%.0f allocations per request", allocs)
 	if allocs > budget {
-		t.Errorf("%.0f allocations per request, budget %d", allocs, budget)
+		t.Errorf("%.0f allocations per request, budget %.1f", allocs, budget)
 	}
 }

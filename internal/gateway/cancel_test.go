@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 )
 
 // Cancellation: every gateway function that carries a context and can
@@ -67,7 +67,7 @@ func TestRunProberStopsOnCancel(t *testing.T) {
 	entered := make(chan struct{})
 	g, _, _ = raceFixture(t, Config{
 		ProbeInterval: time.Millisecond,
-		Breaker:       faults.ReqBreakerParams{Trip: 1, Cooldown: time.Minute},
+		Breaker:       circuit.ReqBreakerParams{Trip: 1, Cooldown: time.Minute},
 	}, hung(entered), "a")
 	ctx, cancel = context.WithCancel(context.Background())
 	within(t, 2*time.Second, "RunProber mid-probe", func() {
@@ -77,7 +77,7 @@ func TestRunProberStopsOnCancel(t *testing.T) {
 		}()
 		g.RunProber(ctx)
 	})
-	if br := g.replicas["a"].breaker; br.State() != faults.StateClosed || br.Trips() != 0 {
+	if br := g.replicas["a"].breaker; br.State() != circuit.StateClosed || br.Trips() != 0 {
 		t.Fatalf("a cancelled probe moved the breaker: %s, %d trips", br.State(), br.Trips())
 	}
 	if n := g.tel.replica("a").probes.Value(); n != 0 {
@@ -145,7 +145,7 @@ func TestReloadFanOutToHungReplica(t *testing.T) {
 		}
 		return answer(r, 200, `{"status":"ok"}`)
 	}
-	breaker := faults.ReqBreakerParams{Trip: 1, Cooldown: time.Minute}
+	breaker := circuit.ReqBreakerParams{Trip: 1, Cooldown: time.Minute}
 
 	g, h, _ := raceFixture(t, Config{Breaker: breaker}, s, "live", "hung")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -159,7 +159,7 @@ func TestReloadFanOutToHungReplica(t *testing.T) {
 		t.Fatalf("client gone: answered %d %+v, want 502 %+v", code, rows, want)
 	}
 	settled(t, g)
-	if br := g.replicas["hung"].breaker; br.State() != faults.StateClosed {
+	if br := g.replicas["hung"].breaker; br.State() != circuit.StateClosed {
 		t.Fatalf("a cancelled reload moved the breaker: %s", br.State())
 	}
 
@@ -172,7 +172,7 @@ func TestReloadFanOutToHungReplica(t *testing.T) {
 		t.Fatalf("per-try timeout: answered %d %+v, want 502 with the hung row timed out", code, rows)
 	}
 	settled(t, g)
-	if br := g.replicas["hung"].breaker; br.State() != faults.StateOpen {
+	if br := g.replicas["hung"].breaker; br.State() != circuit.StateOpen {
 		t.Fatalf("a timed-out reload is a failure; breaker is %s", br.State())
 	}
 }

@@ -48,15 +48,24 @@ func fleetEnv(t testing.TB) (*cloudsim.Generator, *incident.Log, *serving.Store)
 			fleetErr = err
 			return
 		}
-		fleetTank = serving.NewStore()
-		tr := &serving.Trainer{Store: fleetTank}
-		_, _, fleetErr = tr.TrainAndPublish(core.TrainOptions{
+		scout, err := core.Train(core.TrainOptions{
 			Config:    cfg,
 			Topology:  fleetGen.Topology(),
 			Source:    fleetGen.Telemetry(),
 			Incidents: fleetLog.Incidents[:300],
 			Seed:      1,
 		})
+		if err != nil {
+			fleetErr = err
+			return
+		}
+		snap, err := scout.SnapshotPack()
+		if err != nil {
+			fleetErr = err
+			return
+		}
+		fleetTank = serving.NewStore()
+		fleetTank.Put(scout.Team(), snap)
 	})
 	if fleetErr != nil {
 		t.Fatal(fleetErr)

@@ -26,7 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 	"scouts/internal/httpx"
 	"scouts/internal/telemetry"
 )
@@ -58,7 +58,7 @@ type Config struct {
 	// disables hedging.
 	HedgeAfter time.Duration
 	// Breaker tunes the per-replica circuit breakers (Trip 5, Cooldown 2s).
-	Breaker faults.ReqBreakerParams
+	Breaker circuit.ReqBreakerParams
 	// ProbeInterval is the active health-probe period for RunProber (1s).
 	ProbeInterval time.Duration
 	// Seed seeds the backoff jitter; a fixed seed replays the same
@@ -216,7 +216,7 @@ func New(cfg Config) (*Gateway, error) {
 		rep := &replica{
 			cfg: rc, bit: 1 << i, urls: make(map[string]*url.URL, len(upstreamPaths)),
 			nameHeader: []string{rc.Name},
-			breaker:    faults.NewReqBreaker(cfg.Breaker, cfg.Now),
+			breaker:    circuit.NewReqBreaker(cfg.Breaker, cfg.Now),
 		}
 		for _, path := range upstreamPaths {
 			u := *base
@@ -735,7 +735,7 @@ func (g *Gateway) fleetHealth(skips []FleetSkip, answered bool) FleetHealth {
 	up := 0
 	for _, name := range g.order {
 		rep := g.replicas[name]
-		if !rep.draining.Load() && rep.breaker.State() != faults.StateOpen && rep.healthy.Load() {
+		if !rep.draining.Load() && rep.breaker.State() != circuit.StateOpen && rep.healthy.Load() {
 			up++
 		}
 	}

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 	"scouts/internal/serving"
 )
 
@@ -262,7 +262,7 @@ func TestFailoverToNextReplica(t *testing.T) {
 		MaxAttempts: 3,
 		RetryBase:   time.Millisecond, RetryMax: 5 * time.Millisecond,
 		HedgeAfter: -1, // isolate the retry path
-		Breaker:    faults.ReqBreakerParams{Trip: 2, Cooldown: time.Minute},
+		Breaker:    circuit.ReqBreakerParams{Trip: 2, Cooldown: time.Minute},
 	})
 	h := g.Handler()
 	title := keyOwnedBy(t, g, "phynet", "dead")
@@ -284,7 +284,7 @@ func TestFailoverToNextReplica(t *testing.T) {
 	// A second failed attempt trips the dead replica's breaker (Trip=2);
 	// after that the gateway routes around it without even dialing.
 	_ = doPredict(t, h, "phynet", title)
-	if st := g.replicas["dead"].breaker.State(); st != faults.StateOpen {
+	if st := g.replicas["dead"].breaker.State(); st != circuit.StateOpen {
 		t.Fatalf("dead breaker = %s after %d failures, want open", st, 2)
 	}
 	dials := g.tel.replica("dead").outcome("error").Value()
@@ -315,7 +315,7 @@ func TestBusyReplicaRetriesElsewhereAndBreakerStaysClosed(t *testing.T) {
 		MaxAttempts: 3,
 		RetryBase:   time.Millisecond, RetryMax: 10 * time.Millisecond, // caps the honored 1s hint
 		HedgeAfter: -1,
-		Breaker:    faults.ReqBreakerParams{Trip: 2, Cooldown: time.Minute},
+		Breaker:    circuit.ReqBreakerParams{Trip: 2, Cooldown: time.Minute},
 	})
 	title := keyOwnedBy(t, g, "phynet", "busy")
 	w := doPredict(t, g.Handler(), "phynet", title)
@@ -326,7 +326,7 @@ func TestBusyReplicaRetriesElsewhereAndBreakerStaysClosed(t *testing.T) {
 		t.Fatalf("busy outcomes = %d, want 1", n)
 	}
 	// A 429 is a live replica shedding — it must not feed the breaker.
-	if st := g.replicas["busy"].breaker.State(); st != faults.StateClosed {
+	if st := g.replicas["busy"].breaker.State(); st != circuit.StateClosed {
 		t.Fatalf("breaker = %s after a 429, want closed", st)
 	}
 }
@@ -347,7 +347,7 @@ func TestBreakerRecoversThroughProbe(t *testing.T) {
 	g := newTestGateway(t, Config{
 		Replicas:    []ReplicaConfig{{Name: "a", Team: "phynet", URL: rep.ts.URL}},
 		MaxAttempts: 1, HedgeAfter: -1,
-		Breaker: faults.ReqBreakerParams{Trip: 2, Cooldown: 30 * time.Millisecond},
+		Breaker: circuit.ReqBreakerParams{Trip: 2, Cooldown: 30 * time.Millisecond},
 	})
 	h := g.Handler()
 	for i := 0; i < 2; i++ {
@@ -355,7 +355,7 @@ func TestBreakerRecoversThroughProbe(t *testing.T) {
 			t.Fatalf("failing replica answered %d, want 502 relayed as gateway failure", w.Code)
 		}
 	}
-	if st := g.replicas["a"].breaker.State(); st != faults.StateOpen {
+	if st := g.replicas["a"].breaker.State(); st != circuit.StateOpen {
 		t.Fatalf("breaker = %s, want open", st)
 	}
 	// Inside the cooldown the gateway does not dial at all.
@@ -372,7 +372,7 @@ func TestBreakerRecoversThroughProbe(t *testing.T) {
 	if w := doPredict(t, h, "", "incident"); w.Code != http.StatusOK {
 		t.Fatalf("probe request answered %d, want 200", w.Code)
 	}
-	if st := g.replicas["a"].breaker.State(); st != faults.StateClosed {
+	if st := g.replicas["a"].breaker.State(); st != circuit.StateClosed {
 		t.Fatalf("breaker = %s after successful probe, want closed", st)
 	}
 }
@@ -402,7 +402,7 @@ func TestHedgeWinsAndLoserIsCancelledWithoutBreakerPoison(t *testing.T) {
 		},
 		MaxAttempts: 2,
 		HedgeAfter:  10 * time.Millisecond,
-		Breaker:     faults.ReqBreakerParams{Trip: 1, Cooldown: time.Minute},
+		Breaker:     circuit.ReqBreakerParams{Trip: 1, Cooldown: time.Minute},
 	})
 	title := keyOwnedBy(t, g, "phynet", "slow")
 	start := time.Now()
@@ -429,7 +429,7 @@ func TestHedgeWinsAndLoserIsCancelledWithoutBreakerPoison(t *testing.T) {
 		t.Fatal("loser request was never cancelled")
 	}
 	time.Sleep(50 * time.Millisecond) // let the loser's finish() settle
-	if st := g.replicas["slow"].breaker.State(); st != faults.StateClosed {
+	if st := g.replicas["slow"].breaker.State(); st != circuit.StateClosed {
 		t.Fatalf("loser cancellation poisoned the breaker: %s", st)
 	}
 	if n := g.replicas["slow"].breaker.Trips(); n != 0 {
@@ -619,7 +619,7 @@ func TestProberUpdatesHealthAndBreaker(t *testing.T) {
 
 	g := newTestGateway(t, Config{
 		Replicas: []ReplicaConfig{{Name: "a", Team: "phynet", URL: rep.ts.URL}},
-		Breaker:  faults.ReqBreakerParams{Trip: 2, Cooldown: 10 * time.Millisecond},
+		Breaker:  circuit.ReqBreakerParams{Trip: 2, Cooldown: 10 * time.Millisecond},
 	})
 	ctx := context.Background()
 	g.probeAll(ctx)
@@ -632,14 +632,14 @@ func TestProberUpdatesHealthAndBreaker(t *testing.T) {
 	if g.replicas["a"].healthy.Load() {
 		t.Fatal("failing replica still marked healthy")
 	}
-	if st := g.replicas["a"].breaker.State(); st != faults.StateOpen {
+	if st := g.replicas["a"].breaker.State(); st != circuit.StateOpen {
 		t.Fatalf("probe failures must feed the breaker: %s", st)
 	}
 	// Recovery: past the cooldown the prober takes the probe slot itself.
 	failing.Store(false)
 	time.Sleep(15 * time.Millisecond)
 	g.probeAll(ctx)
-	if st := g.replicas["a"].breaker.State(); st != faults.StateClosed {
+	if st := g.replicas["a"].breaker.State(); st != circuit.StateClosed {
 		t.Fatalf("prober did not recover the breaker: %s", st)
 	}
 	if n := g.tel.replica("a").probeFail.Value(); n != 2 {

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"sync"
 
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 	"scouts/internal/httpx"
 )
 
@@ -149,7 +149,7 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	usable := 0
 	for _, name := range g.order {
 		row := g.replicas[name].health()
-		if !row.Draining && row.Breaker != string(faults.StateOpen) {
+		if !row.Draining && row.Breaker != string(circuit.StateOpen) {
 			usable++
 		}
 		rows = append(rows, row)

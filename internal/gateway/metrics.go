@@ -1,7 +1,7 @@
 package gateway
 
 import (
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 	"scouts/internal/telemetry"
 )
 
@@ -90,9 +90,9 @@ func newGwMetrics(replicas []*replica) *gwMetrics {
 			"Replica circuit-breaker state: 0 closed, 1 half-open, 2 open.",
 			func() float64 {
 				switch r.breaker.State() {
-				case faults.StateOpen:
+				case circuit.StateOpen:
 					return 2
-				case faults.StateHalfOpen:
+				case circuit.StateHalfOpen:
 					return 1
 				default:
 					return 0

@@ -19,7 +19,7 @@ import (
 	"testing"
 	"time"
 
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 )
 
 // The race's rules (DESIGN.md §14.2), each under a scripted upstream with
@@ -76,7 +76,7 @@ func raceFixture(t *testing.T, cfg Config, s script, names ...string) (*Gateway,
 		cfg.MaxAttempts = 1 // one round: what a response says is what race returned
 	}
 	if cfg.Breaker.Trip == 0 {
-		cfg.Breaker = faults.ReqBreakerParams{Trip: 1 << 30, Cooldown: time.Minute}
+		cfg.Breaker = circuit.ReqBreakerParams{Trip: 1 << 30, Cooldown: time.Minute}
 	}
 	g := newTestGateway(t, cfg)
 	return g, g.Handler(), keyOwnedBy(t, g, "phynet", names[0])
@@ -205,13 +205,13 @@ func TestHedgeBothFailReportsThePrimary(t *testing.T) {
 	a, b := make(chan struct{}), make(chan struct{})
 	hedgeOut.Store(&a)
 	hedgeFailed.Store(&b)
-	g, h, title = raceFixture(t, Config{HedgeAfter: time.Millisecond, Breaker: faults.ReqBreakerParams{Trip: 1, Cooldown: time.Minute}}, s, "primary", "hedge")
+	g, h, title = raceFixture(t, Config{HedgeAfter: time.Millisecond, Breaker: circuit.ReqBreakerParams{Trip: 1, Cooldown: time.Minute}}, s, "primary", "hedge")
 	if w := doPredict(t, h, "", title); w.Code != http.StatusBadGateway {
 		t.Fatalf("answered %d", w.Code)
 	}
 	settled(t, g)
 	for _, name := range g.order {
-		if br := g.replicas[name].breaker; br.State() != faults.StateOpen || br.Trips() != 1 {
+		if br := g.replicas[name].breaker; br.State() != circuit.StateOpen || br.Trips() != 1 {
 			t.Fatalf("%s breaker: %s after %d trips, want open after 1", name, br.State(), br.Trips())
 		}
 	}
@@ -288,7 +288,7 @@ func TestHedgeClientGoneMidRace(t *testing.T) {
 	// hedge is out — and the round must end there: 499, nothing recorded.
 	g, h, title := raceFixture(t, Config{
 		HedgeAfter: time.Millisecond,
-		Breaker:    faults.ReqBreakerParams{Trip: 1, Cooldown: time.Minute}, // any recorded failure would show
+		Breaker:    circuit.ReqBreakerParams{Trip: 1, Cooldown: time.Minute}, // any recorded failure would show
 	}, func(r *http.Request) (*http.Response, error) {
 		<-r.Context().Done()
 		return nil, r.Context().Err()
@@ -309,7 +309,7 @@ func TestHedgeClientGoneMidRace(t *testing.T) {
 	}
 	settled(t, g)
 	for _, name := range g.order {
-		if br := g.replicas[name].breaker; br.State() != faults.StateClosed || br.Trips() != 0 {
+		if br := g.replicas[name].breaker; br.State() != circuit.StateClosed || br.Trips() != 0 {
 			t.Fatalf("%s breaker moved: %s, %d trips", name, br.State(), br.Trips())
 		}
 		for _, o := range upstreamOutcomes {
@@ -382,7 +382,7 @@ func TestAttemptPanicSettlesTheBooks(t *testing.T) {
 	logs := &syncBuffer{}
 	g, h, title := raceFixture(t, Config{
 		HedgeAfter: -1,
-		Breaker:    faults.ReqBreakerParams{Trip: 1 << 30, Cooldown: time.Minute},
+		Breaker:    circuit.ReqBreakerParams{Trip: 1 << 30, Cooldown: time.Minute},
 		Logger:     log.New(logs, "", 0),
 	}, func(r *http.Request) (*http.Response, error) {
 		if panicking.Load() {
@@ -426,7 +426,7 @@ func TestAttemptPanicSettlesTheBooks(t *testing.T) {
 	panicking.Store(true)
 	g, h, title = raceFixture(t, Config{
 		HedgeAfter: -1,
-		Breaker:    faults.ReqBreakerParams{Trip: 1, Cooldown: cooldown},
+		Breaker:    circuit.ReqBreakerParams{Trip: 1, Cooldown: cooldown},
 		Now:        func() time.Time { return time.Unix(0, clock.Load()) },
 	}, func(r *http.Request) (*http.Response, error) {
 		if panicking.Load() {
@@ -438,12 +438,12 @@ func TestAttemptPanicSettlesTheBooks(t *testing.T) {
 	doPredict(t, h, "", title) // opens it
 	clock.Add(int64(cooldown))
 	doPredict(t, h, "", title) // the half-open probe, panicking
-	if br.State() != faults.StateOpen || br.Trips() != 2 {
+	if br.State() != circuit.StateOpen || br.Trips() != 2 {
 		t.Fatalf("after a panicking probe the breaker is %s with %d trips, want open with 2", br.State(), br.Trips())
 	}
 	panicking.Store(false)
 	clock.Add(int64(cooldown))
-	if w := doPredict(t, h, "", title); w.Code != http.StatusOK || br.State() != faults.StateClosed {
+	if w := doPredict(t, h, "", title); w.Code != http.StatusOK || br.State() != circuit.StateClosed {
 		t.Fatalf("the next probe answered %d and left the breaker %s", w.Code, br.State())
 	}
 }
@@ -458,7 +458,7 @@ func TestHedgePanicIsRecovered(t *testing.T) {
 	logs := &syncBuffer{}
 	g, h, title := raceFixture(t, Config{
 		HedgeAfter: time.Millisecond,
-		Breaker:    faults.ReqBreakerParams{Trip: 1, Cooldown: time.Minute},
+		Breaker:    circuit.ReqBreakerParams{Trip: 1, Cooldown: time.Minute},
 		Logger:     log.New(logs, "", 0),
 	}, func(r *http.Request) (*http.Response, error) {
 		if r.URL.Host == "hedge" {
@@ -490,7 +490,7 @@ func TestHedgePanicIsRecovered(t *testing.T) {
 			t.Errorf("scrape lacks %q", want)
 		}
 	}
-	if br := g.replicas["hedge"].breaker; br.State() != faults.StateOpen || br.Trips() != 1 {
+	if br := g.replicas["hedge"].breaker; br.State() != circuit.StateOpen || br.Trips() != 1 {
 		t.Fatalf("hedge breaker: %s, %d trips; the panic is a failure of that replica", br.State(), br.Trips())
 	}
 

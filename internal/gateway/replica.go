@@ -4,7 +4,7 @@ import (
 	"net/url"
 	"sync/atomic"
 
-	"scouts/internal/faults"
+	"scouts/internal/circuit"
 )
 
 // ReplicaConfig names one scoutd replica in the fleet: which team's
@@ -25,7 +25,7 @@ type ReplicaConfig struct {
 // drain flag, and the last active-probe verdict.
 type replica struct {
 	cfg     ReplicaConfig
-	breaker *faults.ReqBreaker
+	breaker *circuit.ReqBreaker
 	// bit is the replica's bit in a round's tried set: 1 << its config
 	// index, which is its index on the ring.
 	bit uint64

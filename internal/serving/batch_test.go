@@ -301,13 +301,10 @@ func TestBatchPredictDuringHotSwap(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	tr := &Trainer{Store: store}
-	if _, _, err := tr.TrainAndPublish(core.TrainOptions{
+	trainAndPut(t, store, core.TrainOptions{
 		Config: cfg, Topology: gen.Topology(), Source: gen.Telemetry(),
 		Incidents: log.Incidents[:320], Seed: 7,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	var breq BatchPredictRequest
 	for _, in := range log.Incidents[len(log.Incidents)-8:] {

@@ -363,7 +363,7 @@ func TestSaveStoreCrashConsistency(t *testing.T) {
 		// earlier versions put v1 past DefaultEagerVersions, so the store
 		// does not hold it and the save leaves its file alone.
 		{"publish", 3, 1},
-		// A first save, as scoutd's first boot does with one version. With
+		// A first save, as scoutctl train does into an empty store. With
 		// two, a version renamed before a later failure is new, so losing
 		// it shows.
 		{"first save", 0, 2},

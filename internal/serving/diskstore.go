@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"slices"
@@ -198,6 +199,19 @@ type QuarantinedFile struct {
 // never opened, so a store directory holding months of history costs two
 // file reads at boot, not a full-directory parse.
 const DefaultEagerVersions = 2
+
+// OpenStore is LoadStore for a command: it logs each file the load
+// quarantined, by name and reason, in place of returning the report.
+func OpenStore(dir string, logger *log.Logger) (*Store, error) {
+	st, rep, err := LoadStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, q := range rep.Quarantined {
+		logger.Printf("store: quarantined %s: %s", q.Name, q.Reason)
+	}
+	return st, nil
+}
 
 // LoadStore reads a directory written by SaveStore back into a Store. It
 // walks the model-%06d.pack files newest first, reading and verifying

@@ -40,16 +40,13 @@ func (c *fakeClock) Now() time.Time {
 func TestMetricsEndpoint(t *testing.T) {
 	gen, log, cfg := testEnv(t)
 	store := NewStore()
-	tr := &Trainer{Store: store}
-	if _, _, err := tr.TrainAndPublish(core.TrainOptions{
+	trainAndPut(t, store, core.TrainOptions{
 		Config:    cfg,
 		Topology:  gen.Topology(),
 		Source:    gen.Telemetry(),
 		Incidents: log.Incidents[:300],
 		Seed:      1,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	br := faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{})
 	srv := NewServer(gen.Topology(), br, store, nil)
 	srv.Clock = (&fakeClock{t: time.Unix(0, 0), step: 5 * time.Millisecond}).Now

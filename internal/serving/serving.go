@@ -90,26 +90,6 @@ func (st *Store) Versions() int {
 	return len(st.models)
 }
 
-// Trainer is the offline component: it trains Scouts and publishes their
-// scoutpack snapshots to a store.
-type Trainer struct {
-	Store *Store
-}
-
-// TrainAndPublish trains a Scout and stores its snapshot, returning the
-// scout and the published version.
-func (tr *Trainer) TrainAndPublish(opt core.TrainOptions) (*core.Scout, int, error) {
-	scout, err := core.Train(opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	snap, err := scout.SnapshotPack()
-	if err != nil {
-		return nil, 0, err
-	}
-	return scout, tr.Store.Put(scout.Team(), snap), nil
-}
-
 // PredictRequest is the online API's input: the incident as the incident
 // manager sees it. It is the predict codec's type (internal/httpx), which
 // the gateway decodes too.
@@ -310,31 +290,15 @@ func (s *Server) Reload() error {
 		return fmt.Errorf("serving: restoring v%d: %w", m.Version, err)
 	}
 	s.tel.setLoadStats(clock().Sub(start), len(m.Snapshot))
-	s.install(scout, m.Version)
-	s.logger.Printf("serving: loaded %s scout v%d", m.Team, m.Version)
-	return nil
-}
-
-// Install serves an already-restored Scout. The training path uses it to
-// publish the scout it just trained without a snapshot round trip: a
-// trained Scout is the model its pack restores to (core's
-// TestScoutpackRepackIdempotent). Version is bookkeeping only; it
-// should match what the store would report for this model.
-func (s *Server) Install(scout *core.Scout, version int) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	s.install(scout, version)
-}
-
-// install applies the server-owned policies and swaps the model in.
-// Restore/Train build fresh Scouts, so the degradation policy and
-// observer must be re-applied on every load.
-func (s *Server) install(scout *core.Scout, version int) {
+	// Restore builds a fresh Scout, so the server-owned policies are
+	// applied on every load before the model is swapped in.
 	scout.SetDegradationPolicy(s.Degradation)
 	scout.SetObserver(s)
-	s.current.Store(&servingModel{scout: scout, version: version})
-	s.tel.modelVersion.Set(int64(version))
+	s.current.Store(&servingModel{scout: scout, version: m.Version})
+	s.tel.modelVersion.Set(int64(m.Version))
 	s.tel.reloads.Inc()
+	s.logger.Printf("serving: loaded %s scout v%d", m.Team, m.Version)
+	return nil
 }
 
 // Handler returns the REST mux:

@@ -39,21 +39,32 @@ func testEnv(t testing.TB) (*cloudsim.Generator, *incident.Log, *core.Config) {
 	return envGen, envLog, envCfg
 }
 
+// trainAndPut trains a Scout and publishes its scoutpack to store, as
+// scoutctl train does, returning the scout and the published version.
+func trainAndPut(t testing.TB, store *Store, opt core.TrainOptions) (*core.Scout, int) {
+	t.Helper()
+	scout, err := core.Train(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := scout.SnapshotPack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scout, store.Put(scout.Team(), snap)
+}
+
 func trainAndServe(t testing.TB) (*Server, *Store, *core.Scout) {
 	t.Helper()
 	gen, log, cfg := testEnv(t)
 	store := NewStore()
-	tr := &Trainer{Store: store}
-	scout, version, err := tr.TrainAndPublish(core.TrainOptions{
+	scout, version := trainAndPut(t, store, core.TrainOptions{
 		Config:    cfg,
 		Topology:  gen.Topology(),
 		Source:    gen.Telemetry(),
 		Incidents: log.Incidents[:300],
 		Seed:      1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if version != store.Versions() {
 		t.Fatalf("version %d, store has %d", version, store.Versions())
 	}
@@ -200,14 +211,10 @@ func TestServeBeforeLoad(t *testing.T) {
 func TestHotSwap(t *testing.T) {
 	srv, store, _ := trainAndServe(t)
 	gen, log, cfg := testEnv(t)
-	tr := &Trainer{Store: store}
-	_, v2, err := tr.TrainAndPublish(core.TrainOptions{
+	_, v2 := trainAndPut(t, store, core.TrainOptions{
 		Config: cfg, Topology: gen.Topology(), Source: gen.Telemetry(),
 		Incidents: log.Incidents[:350], Seed: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/reload", "application/json", nil)
