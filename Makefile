@@ -42,7 +42,7 @@ race:
 # its package here.
 ALLOC_PKGS = ./internal/cloudsim ./internal/core ./internal/faults ./internal/floatsort \
 	./internal/gateway ./internal/httpx ./internal/metrics ./internal/ml/cpd ./internal/ml/forest \
-	./internal/serving ./internal/telemetry ./internal/text ./internal/topology
+	./internal/parallel ./internal/serving ./internal/telemetry ./internal/text ./internal/topology
 
 alloc-check:
 	$(call smoke-test,-run 'Alloc' -count 1 $(ALLOC_PKGS))

@@ -8,6 +8,7 @@
 package scouts_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -105,24 +106,39 @@ func BenchmarkTrainWindow(b *testing.B) {
 // BenchmarkRetrainCycle is the model's share of a scoutbench retrain
 // cycle: core.Train on BenchmarkTrainWindow's window, SnapshotPack, and the
 // reload's core.Restore, whose pack carries the configuration already
-// served. Its allocs/op are ROADMAP.md's "Where a retrain cycle's
-// allocations go"; each stage's own count is its -memprofile share.
+// served. Its allocs/op and each stage's own count — train-allocs/op,
+// pack-allocs/op and restore-allocs/op, read from the runtime's malloc
+// counter around the stage — are ROADMAP.md's "Where a retrain cycle's
+// allocations go".
 func BenchmarkRetrainCycle(b *testing.B) {
 	l, opts := trainWindow(b)
+	var stages [3]uint64 // train, pack, restore
+	var ms runtime.MemStats
+	mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m0 := mallocs()
 		sc, err := core.Train(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		m1 := mallocs()
 		pack, err := sc.SnapshotPack()
 		if err != nil {
 			b.Fatal(err)
 		}
+		m2 := mallocs()
 		if _, err := core.Restore(pack, l.Gen.Topology(), l.Gen.Telemetry()); err != nil {
 			b.Fatal(err)
 		}
+		m3 := mallocs()
+		stages[0] += m1 - m0
+		stages[1] += m2 - m1
+		stages[2] += m3 - m2
 		opts.Seed++
+	}
+	for k, name := range [...]string{"train", "pack", "restore"} {
+		b.ReportMetric(float64(stages[k])/float64(b.N), name+"-allocs/op")
 	}
 }

@@ -198,9 +198,15 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 		finders: cfg.finders,
 	}
 
-	// Group datasets by class tag.
-	byGroup := map[string][]monitoring.Descriptor{}
-	for _, d := range source.Datasets() {
+	// Group datasets by class tag: sorted by group key, a group is a run,
+	// its datasets in the order the source lists them.
+	type keyed struct {
+		key string
+		d   monitoring.Descriptor
+	}
+	datasets := source.Datasets()
+	all := make([]keyed, 0, len(datasets))
+	for _, d := range datasets {
 		if !cfg.UsesDataset(d.Name) {
 			continue
 		}
@@ -212,26 +218,35 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 		if class != "" {
 			key = "class:" + class
 		}
-		byGroup[key] = append(byGroup[key], d)
+		all = append(all, keyed{key, d})
 	}
-	var keys []string
-	for k := range byGroup {
-		keys = append(keys, k)
+	slices.SortStableFunc(all, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	descs, runs := make([]monitoring.Descriptor, len(all)), 0
+	for i, k := range all {
+		descs[i] = k.d
+		if i == 0 || k.key != all[i-1].key {
+			runs++
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ds := byGroup[k]
-		name := strings.TrimPrefix(k, "class:")
+	fb.groups = make([]featureGroup, 0, runs)
+	for from := 0; from < len(all); {
+		to := from + 1
+		for to < len(all) && all[to].key == all[from].key {
+			to++
+		}
+		ds := descs[from:to:to]
 		fb.groups = append(fb.groups, featureGroup{
-			name:     name,
+			name:     strings.TrimPrefix(all[from].key, "class:"),
 			datasets: ds,
 			isEvent:  ds[0].Type == monitoring.Event,
 		})
+		from = to
 	}
 
 	// Component types: those with an extractor AND any covering dataset.
 	// The PhyNet Scout has no VM features because PhyNet monitors no VM
 	// data (§5.2).
+	fb.types = make([]topology.ComponentType, 0, len(typeOrder))
 	for k, typ := range typeOrder {
 		if fb.finders[k] == nil {
 			continue
@@ -248,21 +263,49 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 		}
 	}
 
-	// Build the flat name layout. The names are written into one string and
-	// cut from it once the layout is complete.
+	// Build the flat name layout. A first pass sizes it; then each group's
+	// slots are a run of one block, and the names are written into one
+	// string and cut from it once the layout is complete.
+	statsOf := func(g *featureGroup) []string {
+		if g.isEvent {
+			return eventStats
+		}
+		return metrics.SummaryNames
+	}
+	const count = ".ncomponents"
+	names, size := 0, 0
+	for _, typ := range fb.types {
+		for k := range fb.groups {
+			if g := &fb.groups[k]; g.coversScope(typ) {
+				for _, stat := range statsOf(g) {
+					names++
+					size += len(typ) + len(g.name) + len(stat) + 2
+				}
+			}
+		}
+		names++
+		size += len(typ) + len(count)
+	}
+	block := make([]int, names-len(fb.types)) // every name but the counts is a slot
+	for k := range fb.groups {
+		g, n := &fb.groups[k], 0
+		for _, typ := range fb.types {
+			if g.coversScope(typ) {
+				n += len(statsOf(g))
+			}
+		}
+		g.slots, block = block[:0:n], block[n:]
+	}
 	var arena strings.Builder
-	var ends []int
+	arena.Grow(size)
+	ends := make([]int, 0, names)
 	for _, typ := range fb.types {
 		for k := range fb.groups {
 			g := &fb.groups[k]
 			if !g.coversScope(typ) {
 				continue
 			}
-			stats := metrics.SummaryNames
-			if g.isEvent {
-				stats = []string{"count"}
-			}
-			for _, stat := range stats {
+			for _, stat := range statsOf(g) {
 				g.slots = append(g.slots, len(ends))
 				for _, part := range [...]string{string(typ), ".", g.name, ".", stat} {
 					arena.WriteString(part)
@@ -272,16 +315,20 @@ func NewFeatureBuilder(cfg *Config, topo *topology.Topology, source monitoring.D
 		}
 		// The per-type component count (§5.2: it helps the model judge
 		// whether a percentile shift is significant).
-		arena.WriteString(string(typ) + ".ncomponents")
+		arena.WriteString(string(typ))
+		arena.WriteString(count)
 		ends = append(ends, arena.Len())
 	}
-	all, from := arena.String(), 0
+	layout, from := arena.String(), 0
 	fb.names = make([]string, len(ends))
 	for i, end := range ends {
-		fb.names[i], from = all[from:end], end
+		fb.names[i], from = layout[from:end], end
 	}
 	return fb
 }
+
+// eventStats is the one statistic of an event group: its count.
+var eventStats = []string{"count"}
 
 // FeatureNames returns the layout's feature names.
 func (fb *FeatureBuilder) FeatureNames() []string { return fb.names }
@@ -570,7 +617,16 @@ func normalizeInPlace(cur []float64, base monitoring.Stats, baseOK bool) {
 // and event counts for the implicated devices, or — for broad incidents —
 // for every switch and server in the implicated clusters.
 func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
-	in := cpd.Input{Broad: ex.Broad}
+	var in cpd.Input
+	fb.CPDInputInto(&in, ex, t)
+	return in
+}
+
+// CPDInputInto is CPDInput writing into a caller-owned Input, whose pull
+// list and value arena it reuses: a caller assembling the evidence of many
+// incidents in turn allocates only while they grow.
+func (fb *FeatureBuilder) CPDInputInto(in *cpd.Input, ex Extraction, t float64) {
+	in.Broad, in.Pulls, in.Values = ex.Broad, in.Pulls[:0], in.Values[:0]
 	T := fb.cfg.LookbackHours
 	// The components examined, as typed segments (see FeaturizeInto): the
 	// devices, which is ex.Devices by type, then the cluster scope.
@@ -613,7 +669,7 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 	// The doubled windows are carved out of one arena rather than pulled as
 	// a slice each. left bounds how many windows are still to come; the
 	// first one's length then sizes the arena for all of them. The pulls
-	// are counted with them, so the list is made once.
+	// are counted with them, so the list grows once at most.
 	left, pulls := 0, 0
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
@@ -628,7 +684,7 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 			}
 		}
 	}
-	in.Pulls = make([]cpd.Pull, 0, pulls)
+	in.Pulls = slices.Grow(in.Pulls, pulls)
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
 			for _, seg := range segs {
@@ -658,7 +714,6 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 			}
 		}
 	}
-	return in
 }
 
 // datasetCount counts the datasets the builder consumes.
@@ -733,7 +788,7 @@ func (fb *FeatureBuilder) GroupDatasets(group string) []string {
 
 // DatasetNames lists the dataset names the builder consumes (sorted).
 func (fb *FeatureBuilder) DatasetNames() []string {
-	var out []string
+	out := make([]string, 0, fb.datasetCount())
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
 			out = append(out, d.Name)

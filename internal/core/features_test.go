@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"scouts/internal/cloudsim"
+	"scouts/internal/ml/cpd"
 	"scouts/internal/topology"
 )
 
@@ -180,6 +182,27 @@ func TestCPDInputShapes(t *testing.T) {
 	}
 	if len(bin.Series[cloudsim.DSPingmesh]) == 0 {
 		t.Fatal("broad input should sample the cluster's servers")
+	}
+}
+
+// TestCPDInputIntoReuses: one Input reused over incidents of every shape,
+// larger and smaller in turn, holds what a fresh CPDInput assembles for
+// each — no pull or point of the incident before survives.
+func TestCPDInputIntoReuses(t *testing.T) {
+	fb, _ := newBuilder(t)
+	var in cpd.Input
+	for _, text := range []string{
+		"cluster c1.dc1 and cluster c2.dc1 degraded", "tor1.c1.dc1 alarms",
+		"datacenter dc1 unreachable", "cluster c1.dc1 degraded",
+		"tor1.c1.dc1 and tor2.c2.dc1 alarms", "nothing known here",
+	} {
+		ex := fb.Extract("t", text, nil)
+		want := fb.CPDInput(ex, 100)
+		fb.CPDInputInto(&in, ex, 100)
+		if in.Broad != want.Broad || !slices.Equal(in.Pulls, want.Pulls) || !slices.Equal(in.Values, want.Values) {
+			t.Fatalf("%q: the reused input holds %d pulls and %d points, CPDInput %d and %d",
+				text, len(in.Pulls), len(in.Values), len(want.Pulls), len(want.Values))
+		}
 	}
 }
 

@@ -261,13 +261,22 @@ func Train(opt TrainOptions) (*Scout, error) {
 		d.Boost(opt.BoostIDs, opt.BoostFactor)
 	}
 
+	// One trainer grows the four forests. The main supervised model, which
+	// trains on everything, is the largest, so it goes first: the
+	// trainer's buffers, sized for it, then serve the other three.
+	var trainer forest.Trainer
+	rf, err := trainer.Train(d, opt.Forest)
+	if err != nil {
+		return nil, fmt.Errorf("core: main forest: %w", err)
+	}
+	s.rf = rf
+
 	// Selector meta-training: fit a preliminary forest on ~70%, label the
 	// held-out 30% by whether that forest got them right, and train the
 	// decider on those labels (§5.3 meta-learning).
 	fitIdx, holdIdx := holdoutSplit(d.Len(), opt.Seed)
-	var selErr error
 	if len(fitIdx) > 0 && len(holdIdx) > 0 {
-		pre, err := forest.Train(d.Subset(fitIdx), opt.Forest)
+		pre, err := trainer.Train(d.Subset(fitIdx), opt.Forest)
 		if err != nil {
 			return nil, fmt.Errorf("core: preliminary forest: %w", err)
 		}
@@ -280,20 +289,12 @@ func Train(opt TrainOptions) (*Scout, error) {
 			s.selHeld[k], s.selWrong[k] = rows[i].at, examples[k].rfWrong
 		}
 		opt.Selector.Forest.Seed = opt.Seed + 1
-		s.selector, selErr = trainSelector(examples, opt.Selector)
-		if selErr != nil {
-			return nil, selErr
+		if s.selector, err = trainSelector(examples, opt.Selector, &trainer); err != nil {
+			return nil, err
 		}
 	} else {
 		s.selector = &Selector{}
 	}
-
-	// The main supervised model trains on everything.
-	rf, err := forest.Train(d, opt.Forest)
-	if err != nil {
-		return nil, fmt.Errorf("core: main forest: %w", err)
-	}
-	s.rf = rf
 
 	// CPD+ trains its cluster-level forest on broad incidents. Featurized
 	// vectors (the change-point detection output) are cached: they are the
@@ -306,24 +307,31 @@ func Train(opt TrainOptions) (*Scout, error) {
 	// The MaxCPDExamples cap is order-dependent, so pick the training rows
 	// sequentially, then run the expensive change-point featurization of
 	// the missing vectors in parallel (index-addressed, order preserved).
-	var cpdRows []row
+	// Each worker assembles evidence in one Input it reuses, and the
+	// vectors are carved from one block, which a cache keeps with the
+	// vectors it is given: TrainPlusVectors copies them into its columns.
+	cpdRows := make([]row, 0, min(len(rows), opt.MaxCPDExamples))
 	for _, r := range rows {
 		if !r.ex.Broad || len(cpdRows) >= opt.MaxCPDExamples {
 			continue
 		}
 		cpdRows = append(cpdRows, r)
 	}
-	cpdXs := parallel.Map(workers, len(cpdRows), func(i int) []float64 {
+	dim := 2 * len(plusParams.Datasets)
+	inputs, block := make([]cpd.Input, workers), make([]float64, len(cpdRows)*dim)
+	cpdXs := make([][]float64, len(cpdRows))
+	parallel.ForWorker(workers, len(cpdRows), func(w, i int) {
 		r := cpdRows[i]
-		return r.cpdVector(func() []float64 {
-			return plusParams.Featurize(s.fb.CPDInput(r.ex, r.in.CreatedAt))
+		cpdXs[i] = r.cpdVector(func() []float64 {
+			s.fb.CPDInputInto(&inputs[w], r.ex, r.in.CreatedAt)
+			return plusParams.FeaturizeInto(block[i*dim:(i+1)*dim:(i+1)*dim], inputs[w])
 		})
 	})
 	cpdYs := make([]bool, len(cpdRows))
 	for i, r := range cpdRows {
 		cpdYs[i] = r.in.OwnerLabel == opt.Config.Team
 	}
-	plus, err := cpd.TrainPlusVectors(cpdXs, cpdYs, plusParams)
+	plus, err := cpd.TrainPlusVectors(cpdXs, cpdYs, plusParams, &trainer)
 	if err != nil {
 		return nil, fmt.Errorf("core: CPD+: %w", err)
 	}

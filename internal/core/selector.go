@@ -58,9 +58,10 @@ type selectorExample struct {
 	id          string
 }
 
-// trainSelector fits the meta-model. With no examples (or a single class)
-// it degrades to "always trust the RF".
-func trainSelector(examples []selectorExample, p SelectorParams) (*Selector, error) {
+// trainSelector fits the meta-model, growing its forest in tr's memory.
+// With no examples (or a single class) it degrades to "always trust the
+// RF".
+func trainSelector(examples []selectorExample, p SelectorParams, tr *forest.Trainer) (*Selector, error) {
 	p = p.withDefaults()
 	s := &Selector{threshold: p.Threshold}
 	if len(examples) == 0 {
@@ -69,17 +70,21 @@ func trainSelector(examples []selectorExample, p SelectorParams) (*Selector, err
 	docs := make([][]string, len(examples))
 	labels := make([]bool, len(examples))
 	// One token list for the pass, each document — title, then body — a run
-	// of it. A token is two bytes at least and a separator ends it, which
-	// sizes the list (as if the two parts were joined by a line break).
-	size := 0
+	// of it, cut from one lower-cased arena. A token is two bytes at least
+	// and a separator ends it, which sizes the list (as if the two parts
+	// were joined by a line break).
+	size, textLen := 0, 0
 	for _, ex := range examples {
 		size += (len(ex.title) + len(ex.body) + 2) / 3
+		textLen += len(ex.title) + len(ex.body)
 	}
 	tokens := make([]string, 0, size)
+	var tk text.Tokenizer
+	tk.Grow(textLen)
 	anyWrong := false
 	for i, ex := range examples {
 		from := len(tokens)
-		tokens = text.AppendTokens(text.AppendTokens(tokens, ex.title), ex.body)
+		tokens = tk.AppendTokens(tk.AppendTokens(tokens, ex.title), ex.body)
 		docs[i] = tokens[from:len(tokens):len(tokens)]
 		labels[i] = ex.rfWrong
 		anyWrong = anyWrong || ex.rfWrong
@@ -93,11 +98,16 @@ func trainSelector(examples []selectorExample, p SelectorParams) (*Selector, err
 		return s, nil
 	}
 	s.words = text.NewWordCounter(important)
+	// The examples' count vectors are carved from one block: training copies
+	// them into its columns.
+	dim := len(s.words.Names())
+	counts := make([]float64, len(examples)*dim)
 	d := &mlcore.Dataset{Features: s.words.Names(), Samples: make([]mlcore.Sample, 0, len(examples))}
 	for i, ex := range examples {
-		d.MustAdd(mlcore.Sample{X: s.words.Featurize(docs[i]), Y: labels[i], ID: ex.id})
+		x := s.words.FeaturizeInto(counts[i*dim:(i+1)*dim:(i+1)*dim], docs[i])
+		d.MustAdd(mlcore.Sample{X: x, Y: labels[i], ID: ex.id})
 	}
-	rf, err := forest.Train(d, p.Forest)
+	rf, err := tr.Train(d, p.Forest)
 	if err != nil {
 		return nil, fmt.Errorf("selector: %w", err)
 	}
@@ -139,6 +149,7 @@ var _ DeciderModel = (*Selector)(nil)
 // sets (~70/30) for selector meta-training.
 func holdoutSplit(n int, seed int64) (fit, holdout []int) {
 	rng := rand.New(rand.NewSource(seed))
+	fit, holdout = make([]int, 0, n-n*3/10), make([]int, 0, n*3/10)
 	for _, i := range rng.Perm(n) {
 		if len(holdout) < n*3/10 {
 			holdout = append(holdout, i)

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"scouts/internal/ml/forest"
 )
 
 func selectorExamples(n int) []selectorExample {
@@ -27,7 +29,7 @@ func selectorExamples(n int) []selectorExample {
 }
 
 func TestSelectorLearnsNovelty(t *testing.T) {
-	sel, err := trainSelector(selectorExamples(30), SelectorParams{})
+	sel, err := trainSelector(selectorExamples(30), SelectorParams{}, new(forest.Trainer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestSelectorLearnsNovelty(t *testing.T) {
 }
 
 func TestSelectorEmptyExamples(t *testing.T) {
-	sel, err := trainSelector(nil, SelectorParams{})
+	sel, err := trainSelector(nil, SelectorParams{}, new(forest.Trainer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestSelectorAllCorrectDegrades(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ex = append(ex, selectorExample{title: "switch loss", rfWrong: false})
 	}
-	sel, err := trainSelector(ex, SelectorParams{})
+	sel, err := trainSelector(ex, SelectorParams{}, new(forest.Trainer))
 	if err != nil {
 		t.Fatal(err)
 	}

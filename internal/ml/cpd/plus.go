@@ -61,10 +61,27 @@ var ErrNoDatasets = errors.New("cpd: PlusParams.Datasets must be non-empty")
 
 // featureNames returns the RF feature layout: for every dataset, the average
 // change-point count per series and the average event count per component.
+// The names are written into one string and cut from it.
 func featureNames(datasets []string) []string {
+	const cps, evs = ".avg_changepoints", ".avg_events"
+	size := 0
+	for _, ds := range datasets {
+		size += 2*len(ds) + len(cps) + len(evs)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, ds := range datasets {
+		b.WriteString(ds)
+		b.WriteString(cps)
+		b.WriteString(ds)
+		b.WriteString(evs)
+	}
+	all := b.String()
 	out := make([]string, 0, 2*len(datasets))
 	for _, ds := range datasets {
-		out = append(out, ds+".avg_changepoints", ds+".avg_events")
+		n, m := len(ds)+len(cps), len(ds)+len(evs)
+		out = append(out, all[:n], all[n:n+m])
+		all = all[n+m:]
 	}
 	return out
 }
@@ -74,7 +91,18 @@ func featureNames(datasets []string) []string {
 // frequently cache these vectors: change-point detection is the expensive
 // step. Datasets must be sorted (TrainPlusVectors refuses them otherwise).
 func (p PlusParams) Featurize(in Input) []float64 {
-	x := make([]float64, 0, 2*len(p.Datasets))
+	return p.FeaturizeInto(nil, in)
+}
+
+// FeaturizeInto is Featurize writing into x when it has the room for the
+// vector's 2·len(Datasets) cells — a caller featurizing many inputs carves
+// their vectors from one block — and into a vector of its own otherwise.
+// Returns the filled vector.
+func (p PlusParams) FeaturizeInto(x []float64, in Input) []float64 {
+	if cap(x) < 2*len(p.Datasets) {
+		x = make([]float64, 0, 2*len(p.Datasets))
+	}
+	x = x[:0]
 	for _, ds := range p.Datasets {
 		var cps, nSeries, ev, nComp float64
 		for i := range in.Pulls {
@@ -103,9 +131,10 @@ func (p PlusParams) Featurize(in Input) []float64 {
 }
 
 // TrainPlusVectors fits CPD+ from pre-featurized broad examples (see
-// PlusParams.Featurize). The vectors must have been produced with the same
-// Datasets list, which must be sorted, and the same Detector parameters.
-func TrainPlusVectors(xs [][]float64, ys []bool, p PlusParams) (*Plus, error) {
+// PlusParams.Featurize), growing its broad-incident forest in tr's memory.
+// The vectors must have been produced with the same Datasets list, which
+// must be sorted, and the same Detector parameters.
+func TrainPlusVectors(xs [][]float64, ys []bool, p PlusParams, tr *forest.Trainer) (*Plus, error) {
 	if len(p.Datasets) == 0 {
 		return nil, ErrNoDatasets
 	}
@@ -120,7 +149,7 @@ func TrainPlusVectors(xs [][]float64, ys []bool, p PlusParams) (*Plus, error) {
 	var rf *forest.Forest
 	if d.Len() > 0 {
 		var err error
-		rf, err = forest.Train(d, p.Forest)
+		rf, err = tr.Train(d, p.Forest)
 		if err != nil {
 			return nil, fmt.Errorf("cpd: training broad-incident forest: %w", err)
 		}

@@ -117,7 +117,7 @@ func trainPlus(examples []plusExample, p PlusParams) (*Plus, error) {
 		xs = append(xs, p.Featurize(ex.In))
 		ys = append(ys, ex.Y)
 	}
-	return TrainPlusVectors(xs, ys, p)
+	return TrainPlusVectors(xs, ys, p, new(forest.Trainer))
 }
 
 // oldPredictVector is PredictVector as it read while it was a second broad
@@ -361,7 +361,7 @@ func TestBroadExplanationMatchesOldPath(t *testing.T) {
 		check(healthyInput(true, rng))
 	}
 	// A single-leaf forest splits on nothing: no signal to print.
-	stump, err := TrainPlusVectors([][]float64{make([]float64, 2*len(testDatasets))}, []bool{true}, plusParams())
+	stump, err := TrainPlusVectors([][]float64{make([]float64, 2*len(testDatasets))}, []bool{true}, plusParams(), new(forest.Trainer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestTrainPlusVectorsRefusesUnsortedDatasets(t *testing.T) {
 	p := plusParams()
 	p.Datasets = []string{"zeta", "alpha"}
 	xs := [][]float64{{3, 0, 0, 0}, {0, 0, 0, 0}}
-	if _, err := TrainPlusVectors(xs, []bool{true, false}, p); err == nil {
+	if _, err := TrainPlusVectors(xs, []bool{true, false}, p, new(forest.Trainer)); err == nil {
 		t.Fatal("unsorted Datasets were accepted")
 	}
 	if !slices.Equal(p.Datasets, []string{"zeta", "alpha"}) {

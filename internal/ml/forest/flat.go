@@ -3,7 +3,7 @@ package forest
 import "math"
 
 // flatForest is a forest's only in-memory representation once Train
-// returns: the pointer-addressed per-tree node slices growTrees builds,
+// returns: the pointer-addressed per-tree node slices Trainer.grow builds,
 // flattened once into one contiguous structure-of-arrays layout. The
 // binary section (pack.go) is these arrays written out as-is.
 //
@@ -35,11 +35,12 @@ type flatForest struct {
 	// forest's answer when it cannot trust the input vector
 }
 
-// newFlatForest flattens the trained pointer trees, re-ordering each
-// tree's nodes breadth-first so sibling pairs are adjacent. Child indices
-// are rebased from per-tree to forest-wide, which costs one add at build
-// time and none at traversal time.
-func newFlatForest(trees []tree) *flatForest {
+// flatten flattens the trained pointer trees, re-ordering each tree's
+// nodes breadth-first so sibling pairs are adjacent. Child indices are
+// rebased from per-tree to forest-wide, which costs one add at build time
+// and none at traversal time. The renumbering and the queue are the
+// trainer's scratch; the arrays are the forest's own.
+func (tr *Trainer) flatten(trees []tree) *flatForest {
 	total, largest := 0, 0
 	for _, t := range trees {
 		total += len(t.nodes)
@@ -54,8 +55,9 @@ func newFlatForest(trees []tree) *flatForest {
 	}
 	base := int32(0)
 	// One renumbering and one queue, sized for the largest tree, serve all.
-	order := make([]int32, largest) // old index -> flat index
-	queue := make([]int32, 0, largest)
+	tr.renumber = resize(tr.renumber, 2*largest)
+	order := tr.renumber[:largest] // old index -> flat index
+	queue := tr.renumber[largest:largest]
 	for t, tr := range trees {
 		ff.roots[t] = base
 		// Breadth-first renumbering: when a split is visited its children

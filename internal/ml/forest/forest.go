@@ -87,31 +87,59 @@ var logf = log.Printf
 // ErrEmptyTrainingSet is returned when Train is called with no samples.
 var ErrEmptyTrainingSet = errors.New("forest: empty training set")
 
+// Trainer is the working memory of forest training: the presorted columns,
+// a split context per worker, and one forest's per-tree parameters, trees
+// and importance rows. A caller training several forests in a row —
+// core.Train grows four — trains them through one Trainer, whose buffers
+// grow to the largest forest and serve every one, so a forest allocates
+// little beyond what it keeps (its flat arrays and importance). The zero
+// Trainer is ready; it trains one forest at a time.
+type Trainer struct {
+	cols  mlcore.Columns
+	ctxs  []*splitCtx // by worker
+	tps   []treeParams
+	trees []tree
+	imp   []float64 // the trees' importance rows, back to back
+	// renumber is flatten's scratch: a tree's renumbering, then its queue.
+	renumber []int32
+}
+
 // Train grows a random forest on the dataset.
 func Train(d *mlcore.Dataset, p Params) (*Forest, error) {
+	return new(Trainer).Train(d, p)
+}
+
+// Train grows a random forest on the dataset in the trainer's memory. The
+// kernel shares one read-only column-major presort across all trees and
+// gives each worker a split context; a context carries nothing from one
+// tree to the next, so which worker grows which tree cannot perturb a
+// tree and the forest is the same at any worker count.
+func (tr *Trainer) Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, ErrEmptyTrainingSet
 	}
-	cols := mlcore.NewColumns(d, p.Workers)
-	// The split kernel shares one read-only column-major presort across
-	// all trees and pools the per-tree scratch across workers (a scratch
-	// carries no state from one tree to the next, so pool reuse order
-	// cannot perturb a tree and determinism is preserved).
-	scratch := sync.Pool{New: func() any { return newSplitCtx(cols) }}
-	trees, imp := growTrees(d, p, func(tp *treeParams) tree {
-		ctx := scratch.Get().(*splitCtx)
-		defer scratch.Put(ctx)
+	p = p.withDefaults()
+	tr.cols.Load(d, p.Workers)
+	for len(tr.ctxs) < min(parallel.Workers(p.Workers), p.NumTrees) {
+		tr.ctxs = append(tr.ctxs, new(splitCtx))
+	}
+	for _, ctx := range tr.ctxs {
+		ctx.load(&tr.cols)
+	}
+	trees, imp := tr.grow(d, p, func(w int, tp *treeParams) tree {
+		ctx := tr.ctxs[w]
 		tp.draw(ctx.idx)
 		return buildTree(ctx, tp)
 	})
-	return &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)}, nil
+	return &Forest{features: d.Features, imp: imp, flat: tr.flatten(trees)}, nil
 }
 
-// growTrees is Train's growing step: it grows p's trees, each by build from
-// its parameters (whose draw is the tree's bootstrap sample), and returns
-// them in tree order with the normalized feature importance. Train
-// flattens the trees and drops them; the test oracles keep them.
-func growTrees(d *mlcore.Dataset, p Params, build func(tp *treeParams) tree) ([]tree, []float64) {
+// grow is Train's growing step: it grows p's trees, each by build on a
+// worker from its parameters (whose draw is the tree's bootstrap sample),
+// and returns them in tree order — in the trainer's memory, until its next
+// forest — with the normalized feature importance. Train flattens the
+// trees and drops them; the test oracles keep them.
+func (tr *Trainer) grow(d *mlcore.Dataset, p Params, build func(w int, tp *treeParams) tree) ([]tree, []float64) {
 	p = p.withDefaults()
 	mtry := p.MTry
 	if mtry <= 0 {
@@ -124,14 +152,15 @@ func growTrees(d *mlcore.Dataset, p Params, build func(tp *treeParams) tree) ([]
 	// only on p.Seed, so the parallel schedule below cannot perturb it and
 	// tree t is grown from the same generator state at any worker count.
 	seedGen := newRNG(uint64(p.Seed))
-	tps := make([]treeParams, p.NumTrees)
+	tps := resize(tr.tps, p.NumTrees)
 	// Each tree accumulates importance privately, in its own row of one
 	// block; the merge below runs in tree order so the floating-point sums
 	// are identical for every worker count (float addition is not
 	// associative — a shared accumulator or per-worker accumulators would
 	// make importances schedule-dependent).
 	dim := d.Dim()
-	treeImp := make([]float64, p.NumTrees*dim)
+	treeImp := resize(tr.imp, p.NumTrees*dim)
+	clear(treeImp)
 	for t := range tps {
 		tps[t] = treeParams{
 			maxDepth:  p.MaxDepth,
@@ -142,10 +171,11 @@ func growTrees(d *mlcore.Dataset, p Params, build func(tp *treeParams) tree) ([]
 			bootstrap: !p.DisableBootstrap,
 		}
 	}
-	trees := make([]tree, p.NumTrees)
-	parallel.For(p.Workers, p.NumTrees, func(t int) {
-		trees[t] = build(&tps[t])
+	trees := resize(tr.trees, p.NumTrees)
+	parallel.ForWorker(p.Workers, p.NumTrees, func(w, t int) {
+		trees[t] = build(w, &tps[t])
 	})
+	tr.tps, tr.imp, tr.trees = tps, treeImp, trees
 	imp := make([]float64, dim)
 	for t := range tps {
 		for i, v := range tps[t].featImp {
@@ -163,6 +193,16 @@ func growTrees(d *mlcore.Dataset, p Params, build func(tp *treeParams) tree) ([]
 		}
 	}
 	return trees, imp
+}
+
+// resize returns s with length n, reusing its array when it has the room.
+// What the array held is left in place: a caller overwrites it or relies
+// on it being zero.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // PredictProb returns the forest's positive-class probability for x,

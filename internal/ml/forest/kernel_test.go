@@ -63,7 +63,7 @@ func TestPresortedKernelMatchesReference(t *testing.T) {
 // allocates nothing, on the root and on a small node.
 func TestBestSplitZeroAllocs(t *testing.T) {
 	d := xorDataset(400, 0.1, rand.New(rand.NewSource(8)))
-	cols := mlcore.NewColumns(d, 1)
+	cols := columnsOf(d, 1)
 	ctx := newSplitCtx(cols)
 	idx := make([]int, d.Len())
 	for i := range idx {
@@ -127,7 +127,7 @@ func TestArrangeMatchesSpecification(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		d := tieDataset(100+rng.Intn(300), rng)
-		cols := mlcore.NewColumns(d, 2)
+		cols := columnsOf(d, 2)
 		ctx := newSplitCtx(cols)
 		ctx.reset(multiplicityDraw(d.Len(), rng))
 		tr := buildTree(ctx, &treeParams{maxDepth: 12, minLeaf: 1, mtry: 2, rng: newRNG(uint64(seed))})

@@ -15,7 +15,7 @@ import (
 //     it read when Params.ReferenceKernel selected this kernel;
 //   - the pointer-tree traversals tree.predict / tree.contributions behind
 //     PointerForest's PredictProbPointer / ExplainPointer, over the trees
-//     Train's growing step (growTrees) returns before Train flattens them.
+//     Train's growing step (Trainer.grow) returns before Train flattens them.
 //
 // The exported names exist for golden_test.go, which lives in package
 // forest_test because it imports the experiments lab.
@@ -27,7 +27,7 @@ func TrainReference(d *mlcore.Dataset, p Params) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, ErrEmptyTrainingSet
 	}
-	trees, imp := growTrees(d, p, func(tp *treeParams) tree {
+	trees, imp := new(Trainer).grow(d, p, func(_ int, tp *treeParams) tree {
 		draw := make([]int32, d.Len())
 		tp.draw(draw)
 		idx := make([]int, len(draw))
@@ -36,7 +36,7 @@ func TrainReference(d *mlcore.Dataset, p Params) (*Forest, error) {
 		}
 		return *buildTreeReference(d, idx, tp)
 	})
-	return &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)}, nil
+	return &Forest{features: d.Features, imp: imp, flat: new(Trainer).flatten(trees)}, nil
 }
 
 // PointerForest is a trained forest beside the pointer trees it was
@@ -49,16 +49,30 @@ type PointerForest struct {
 // TrainPointer is Train keeping the pointer trees: it runs Train's growing
 // step with Train's split kernel, and flattens the trees as Train does.
 func TrainPointer(d *mlcore.Dataset, p Params) *PointerForest {
-	cols := mlcore.NewColumns(d, p.Workers)
-	trees, imp := growTrees(d, p, func(tp *treeParams) tree {
+	cols := columnsOf(d, p.Workers)
+	trees, imp := new(Trainer).grow(d, p, func(_ int, tp *treeParams) tree {
 		ctx := newSplitCtx(cols)
 		tp.draw(ctx.idx)
 		return buildTree(ctx, tp)
 	})
 	return &PointerForest{
-		Forest: &Forest{features: d.Features, imp: imp, flat: newFlatForest(trees)},
+		Forest: &Forest{features: d.Features, imp: imp, flat: new(Trainer).flatten(trees)},
 		trees:  trees,
 	}
+}
+
+// columnsOf is the presorted view of d, as a Trainer loads it.
+func columnsOf(d *mlcore.Dataset, workers int) *mlcore.Columns {
+	c := new(mlcore.Columns)
+	c.Load(d, workers)
+	return c
+}
+
+// newSplitCtx is a split context loaded with cols, as a Trainer loads one.
+func newSplitCtx(cols *mlcore.Columns) *splitCtx {
+	c := new(splitCtx)
+	c.load(cols)
+	return c
 }
 
 // reset loads a sample multiset of the test's own into the context, in

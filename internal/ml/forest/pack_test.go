@@ -188,7 +188,7 @@ func TestPackEdgeCases(t *testing.T) {
 	f := &Forest{
 		features: []string{"only"},
 		imp:      []float64{1},
-		flat:     newFlatForest([]tree{*leaf, *split}),
+		flat:     new(Trainer).flatten([]tree{*leaf, *split}),
 	}
 
 	blob, err := f.AppendBinary(nil)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
+
+	"scouts/internal/ml/mlcore"
 )
 
 // TestParallelTrainingBitIdentical is the determinism contract of the
@@ -62,6 +64,38 @@ func TestParallelImportanceMatchesSequential(t *testing.T) {
 	for k := range i1 {
 		if i1[k] != i8[k] {
 			t.Fatalf("importance[%d]: workers=1 %v != workers=8 %v", k, i1[k], i8[k])
+		}
+	}
+}
+
+// TestTrainerReuseMatchesTrain: forests of different shapes trained in a
+// row through one Trainer — larger, smaller, weighted, then the first
+// again — are byte for byte the forests Train grows afresh, at one worker
+// and at three, so nothing a split context or the columns keep from one
+// forest reaches the next.
+func TestTrainerReuseMatchesTrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	big, small, ties := xorDataset(400, 0.1, rng), propertyDataset(90, rng), tieDataset(250, rng)
+	weighted := xorDataset(300, 0.2, rng)
+	for i := range weighted.Samples {
+		weighted.Samples[i].Weight = 0.5 + rng.Float64()
+	}
+	sets := []*mlcore.Dataset{big, small, ties, weighted, big}
+	for _, workers := range []int{1, 3} {
+		var tr Trainer
+		for k, d := range sets {
+			p := Params{NumTrees: 12 + 3*k, MaxDepth: 8, Seed: int64(k), Workers: workers}
+			want, err := Train(d, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tr.Train(d, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(packed(t, got, nil), packed(t, want, nil)) {
+				t.Fatalf("workers=%d: forest %d through a reused Trainer differs from Train's", workers, k)
+			}
 		}
 	}
 }

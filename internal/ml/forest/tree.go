@@ -55,11 +55,12 @@ func (r *rng) next() uint64 {
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // splitCtx is the per-tree working state of the split kernel. All buffers
-// are sized once per (tree, dataset) and reused for every node, so
+// are sized once per training set (load) and reused for every node, so
 // bestSplit and the node partition run with zero allocations. A splitCtx
-// may be pooled across trees: a tree's draw loads idx, every other buffer
-// but kept is written before it is read, counts is back to zero after
-// every node, and kept only grows.
+// serves tree after tree, of one forest and then of the next: a tree's
+// draw loads idx, every other buffer but the node blocks is written before
+// it is read, counts is back to zero after every node, and a block is
+// written again only by the next forest, once this one is flattened.
 //
 // idx[lo:hi] holds the rows of the node being grown in insertion order —
 // the exact order the reference kernel's leftIdx/rightIdx slices would
@@ -74,31 +75,37 @@ type splitCtx struct {
 	uniform bool      // cols.Uniform(): integer counting replaces weight sums
 	n       int       // rows per tree (== dataset length; bootstrap resamples)
 
-	idx    []int32 // node rows in insertion order
-	ord    []int32 // one feature's arrangement of the node (arrange)
-	tmp    []int32 // spill buffer for the stable idx partition
-	counts []int32 // per-dataset-row multiplicity in the node (zeroed after use)
-	side   []uint8 // per-dataset-row split side of the current node (1=left)
-	perm   []int   // feature-sampling scratch
-	nodes  []node  // the tree being grown; buildTree copies it out
-	kept   []node  // the block buildTree copies trees into
+	idx    []int32  // node rows in insertion order
+	ord    []int32  // one feature's arrangement of the node (arrange)
+	tmp    []int32  // spill buffer for the stable idx partition
+	counts []int32  // per-dataset-row multiplicity in the node (zeroed after use)
+	side   []uint8  // per-dataset-row split side of the current node (1=left)
+	perm   []int    // feature-sampling scratch
+	nodes  []node   // the tree being grown; buildTree copies it out
+	blocks [][]node // the blocks buildTree copies trees into, each twice the last
+	block  int      // the block now being filled
 }
 
-func newSplitCtx(cols *mlcore.Columns) *splitCtx {
+// load points the context at a training set's columns, regrowing its
+// buffers only when they are too small for it, and empties the node
+// blocks: the trees cut from them before belong to a forest already
+// flattened. counts needs no clearing: it is back to zero after every node,
+// and fresh memory is zero.
+func (c *splitCtx) load(cols *mlcore.Columns) {
 	n := cols.Len()
-	return &splitCtx{
-		cols:    cols,
-		w:       cols.Weights(),
-		y:       cols.Labels(),
-		uniform: cols.Uniform(),
-		n:       n,
-		idx:     make([]int32, n),
-		ord:     make([]int32, n+2), // +2: the expansion may overhang two slots
-		tmp:     make([]int32, n),
-		counts:  make([]int32, n),
-		side:    make([]uint8, n),
-		perm:    make([]int, cols.Dim()),
+	c.cols, c.w, c.y, c.uniform, c.n = cols, cols.Weights(), cols.Labels(), cols.Uniform(), n
+	c.idx = resize(c.idx, n)
+	c.ord = resize(c.ord, n+2) // +2: the expansion may overhang two slots
+	c.tmp = resize(c.tmp, n)
+	c.counts = resize(c.counts, n)
+	c.side = resize(c.side, n)
+	c.perm = resize(c.perm, cols.Dim())
+	// A tree over n drawn rows has at most 2n-1 nodes: every leaf holds one.
+	c.nodes = resize(c.nodes, 2*n)[:0]
+	for i := range c.blocks {
+		c.blocks[i] = c.blocks[i][:0]
 	}
+	c.block = 0
 }
 
 // countNode adds the node [lo, hi)'s row multiplicities into counts, the
@@ -149,19 +156,27 @@ func (c *splitCtx) arrange(f int) []int32 {
 
 // buildTree grows a tree over the sample rows loaded into ctx, in the
 // context's node buffer, and returns a copy the size of the tree, cut from
-// the context's current block. A tree that does not fit starts a block
-// twice the last one's size, so the trees a context grows share a few
-// blocks and none is moved once kept.
+// the context's current block. A tree that does not fit moves on to the
+// next block, made twice the size of the last when there is none, so the
+// trees of a forest share a few blocks, none is moved once kept, and the
+// next forest fills the same blocks again.
 func buildTree(ctx *splitCtx, p *treeParams) tree {
 	ctx.nodes = ctx.nodes[:0]
 	wSum, wPos := ctx.nodeSums(0, ctx.n)
 	ctx.grow(p, 0, ctx.n, 0, wSum, wPos)
-	if n := len(ctx.nodes); cap(ctx.kept)-len(ctx.kept) < n {
-		ctx.kept = make([]node, 0, max(2*cap(ctx.kept), n))
+	n := len(ctx.nodes)
+	if len(ctx.blocks) == 0 {
+		ctx.blocks = append(ctx.blocks, make([]node, 0, n))
 	}
-	from := len(ctx.kept)
-	ctx.kept = append(ctx.kept, ctx.nodes...)
-	return tree{nodes: ctx.kept[from:len(ctx.kept):len(ctx.kept)]}
+	for cap(ctx.blocks[ctx.block])-len(ctx.blocks[ctx.block]) < n {
+		if ctx.block++; ctx.block == len(ctx.blocks) {
+			ctx.blocks = append(ctx.blocks, make([]node, 0, max(2*cap(ctx.blocks[ctx.block-1]), n)))
+		}
+	}
+	kept := &ctx.blocks[ctx.block]
+	from := len(*kept)
+	*kept = append(*kept, ctx.nodes...)
+	return tree{nodes: (*kept)[from:len(*kept):len(*kept)]}
 }
 
 // nodeSums accumulates total and positive weight over idx[lo:hi] in

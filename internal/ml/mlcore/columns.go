@@ -26,21 +26,21 @@ type Columns struct {
 	order    []int32 // feature f's presort order at [f·n, (f+1)·n)
 }
 
-// NewColumns builds the column-major presorted view of d, fanning the
+// Load makes c the column-major presorted view of d, fanning the
 // per-feature sorts across up to `workers` goroutines (0 selects
 // GOMAXPROCS). The result is deterministic at any worker count: each
 // feature's order is an independent total order (value ascending, NaNs
-// first, ties broken by row index).
-func NewColumns(d *Dataset, workers int) *Columns {
+// first, ties broken by row index). c's arrays are reused where they have
+// the room — a trainer building views of several training sets in a row
+// keeps one Columns for all of them — so the views c gave out before (its
+// columns, orders, weights and labels) are overwritten.
+func (c *Columns) Load(d *Dataset, workers int) {
 	dim, n := d.Dim(), d.Len()
-	c := &Columns{
-		features: d.Features,
-		n:        n,
-		vals:     make([]float64, dim*n),
-		w:        make([]float64, n),
-		y:        make([]bool, n),
-		order:    make([]int32, dim*n),
-	}
+	c.features, c.n = d.Features, n
+	c.vals = slices.Grow(c.vals[:0], dim*n)[:dim*n]
+	c.w = slices.Grow(c.w[:0], n)[:n]
+	c.y = slices.Grow(c.y[:0], n)[:n]
+	c.order = slices.Grow(c.order[:0], dim*n)[:dim*n]
 	c.uniform = true
 	for i, s := range d.Samples {
 		c.w[i] = s.W()
@@ -78,7 +78,6 @@ func NewColumns(d *Dataset, workers int) *Columns {
 			return int(a - b)
 		})
 	})
-	return c
 }
 
 // Dim returns the feature dimensionality.

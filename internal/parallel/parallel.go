@@ -30,44 +30,78 @@ func Workers(n int) int {
 }
 
 // For runs fn(i) for every i in [0, n) using up to `workers` goroutines
-// (resolved through Workers). Items are handed out dynamically via an
-// atomic counter, so uneven item costs balance across workers. With
-// workers <= 1 — or n == 1 — it degrades to a plain loop on the calling
-// goroutine, which keeps single-core runs allocation-free and makes the
-// sequential path literally the same code path callers can diff against.
+// (resolved through Workers), the calling goroutine one of them. Items are
+// handed out dynamically via an atomic counter, so uneven item costs
+// balance across workers. With workers <= 1 — or n == 1 — it degrades to a
+// plain loop on the calling goroutine, which keeps single-core runs
+// allocation-free and makes the sequential path literally the same code
+// path callers can diff against. Otherwise a call allocates the loop's
+// shared state and one closure per goroutine it starts: 2 at two workers.
 //
 // fn must not panic across items it does not own and must treat shared
 // state as read-only; results should be written to index-addressed slots.
 func For(workers, n int, fn func(i int)) {
+	run(workers, n, fn, nil)
+}
+
+// ForWorker is For handing fn, with each index, the worker that runs it: w
+// is in [0, min(Workers(workers), n)) and no two calls with the same w
+// overlap, so a caller can keep per-worker scratch in a slice of that
+// length and reuse it from item to item. Which worker takes which item
+// varies from run to run: an item's result must not depend on w.
+func ForWorker(workers, n int, fn func(w, i int)) {
+	run(workers, n, nil, fn)
+}
+
+// loop is the state one For or ForWorker call shares with its goroutines.
+type loop struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	fn   func(i int)
+	fnw  func(w, i int)
+}
+
+func run(workers, n int, fn func(i int), fnw func(w, i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(Workers(workers), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			if fn != nil {
+				fn(i)
+			} else {
+				fnw(0, i)
+			}
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	l := &loop{n: n, fn: fn, fnw: fnw}
+	l.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			defer l.wg.Done()
+			l.work(w)
 		}()
 	}
-	wg.Wait()
+	defer l.wg.Wait() // even when an item panics on the caller
+	l.work(0)
+}
+
+// work runs items as worker w until none is left.
+func (l *loop) work(w int) {
+	for {
+		i := int(l.next.Add(1)) - 1
+		if i >= l.n {
+			return
+		}
+		if l.fn != nil {
+			l.fn(i)
+		} else {
+			l.fnw(w, i)
+		}
+	}
 }
 
 // Map runs fn over [0, n) with the given worker count and collects the

@@ -18,6 +18,28 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestForWorkerIndices: every index runs once, on a worker below the
+// resolved worker count, and no worker runs two items at once.
+func TestForWorkerIndices(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		n := 137
+		hits := make([]atomic.Int32, n)
+		busy := make([]atomic.Bool, min(workers, n))
+		ForWorker(workers, n, func(w, i int) {
+			if !busy[w].CompareAndSwap(false, true) {
+				t.Errorf("workers=%d: worker %d runs two items at once", workers, w)
+			}
+			hits[i].Add(1)
+			busy[w].Store(false)
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
+			}
+		}
+	}
+}
+
 func TestForEmpty(t *testing.T) {
 	called := false
 	For(4, 0, func(int) { called = true })

@@ -105,6 +105,14 @@ func (fs *crashFS) create(path string) (storeFile, error) {
 	return &crashFile{fs: fs, ino: ino, name: name}, nil
 }
 
+// exists reads the directory as the running process sees it. It changes
+// nothing, so it is no crash point, and it does not fail: a save that
+// cannot tell writes the file.
+func (fs *crashFS) exists(path string) bool {
+	_, ok := fs.state.live[filepath.Base(path)]
+	return ok
+}
+
 func (fs *crashFS) openDir(string) (storeDir, error) {
 	if err := fs.do("opendir"); err != nil {
 		return nil, err

@@ -44,9 +44,13 @@ func checksumOf(payload []byte) string {
 }
 
 // SaveStore persists every model version of a store to a directory, one
-// model-%06d.pack file per version. A version whose snapshot is not a
-// scoutpack is an error: the directory has one file format. The directory
-// is created if needed. Each file is written crash-safely: the bytes go to
+// model-%06d.pack file per version. A version whose file is already in the
+// directory under its name is not written again: a published version never
+// changes, and a store loaded from the directory numbers its new versions
+// past every file there, so a publish writes only the version it adds. A
+// version whose snapshot is not a scoutpack is an error: the directory has
+// one file format. The directory is created if needed. Each file is
+// written crash-safely: the bytes go to
 // a temp file in the same directory, the temp file is fsynced before the
 // atomic rename, and the directory itself is fsynced after, so a crash at
 // any instant leaves either the old file, the new file, or an ignorable
@@ -67,6 +71,7 @@ func SaveStore(st *Store, dir string) error {
 // a recording fake.
 type fileOps interface {
 	create(path string) (storeFile, error) // write-only, created or truncated
+	exists(path string) bool               // false also when it cannot tell
 	openDir(dir string) (storeDir, error)
 	rename(from, to string) error
 	remove(path string) error
@@ -103,6 +108,11 @@ func (osOps) openDir(dir string) (storeDir, error) {
 	return d, nil
 }
 
+func (osOps) exists(path string) bool {
+	_, err := os.Lstat(path)
+	return err == nil
+}
+
 func (osOps) rename(from, to string) error { return os.Rename(from, to) }
 func (osOps) remove(path string) error     { return os.Remove(path) }
 
@@ -120,7 +130,11 @@ func saveStore(ops fileOps, st *Store, dir string) (err error) {
 		if !core.IsScoutpack(m.Snapshot) {
 			return fmt.Errorf("serving: v%d is not a scoutpack snapshot; the store directory holds only scoutpacks (publish Scout.SnapshotPack)", m.Version)
 		}
-		if err := writePackFile(ops, dir, m); err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version))
+		if ops.exists(path) {
+			continue
+		}
+		if err := writePackFile(ops, path, m); err != nil {
 			return err
 		}
 	}
@@ -290,13 +304,13 @@ func quarantineFile(path, reason string) QuarantinedFile {
 	return q
 }
 
-// writePackFile writes one scoutpack model as model-%06d.pack, crash-safe.
-func writePackFile(ops fileOps, dir string, m Model) error {
+// writePackFile writes one scoutpack model to path, crash-safe.
+func writePackFile(ops fileOps, path string, m Model) error {
 	data, err := encodePackFile(m)
 	if err != nil {
 		return err
 	}
-	return writeFileSync(ops, filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version)), data)
+	return writeFileSync(ops, path, data)
 }
 
 // encodePackFile renders one model as the bytes of its .pack file — the

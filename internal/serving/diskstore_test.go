@@ -328,6 +328,61 @@ func TestSaveStoreEmptyOK(t *testing.T) {
 	}
 }
 
+// TestSaveStoreWritesOnlyNewVersions: a publish — a store holding the
+// version already saved, plus the one it adds — writes the added
+// version's file and touches no other. Through the recording fake, the
+// second save issues no operation on model-000001.pack; in a real
+// directory, the file keeps its inode.
+func TestSaveStoreWritesOnlyNewVersions(t *testing.T) {
+	fs := &crashFS{failAt: -1, state: fsState{live: map[string]int{}, durable: map[string]int{}}}
+	st := NewStore()
+	st.Put("PhyNet", testPack("one"))
+	if err := saveStore(fs, st, "store"); err != nil {
+		t.Fatal(err)
+	}
+	first := len(fs.ops)
+	st.Put("PhyNet", testPack("two"))
+	if err := saveStore(fs, st, "store"); err != nil {
+		t.Fatal(err)
+	}
+	second := fs.ops[first:]
+	var touched []string
+	for _, op := range second {
+		if strings.Contains(op, "model-000001") {
+			touched = append(touched, op)
+		}
+	}
+	if len(touched) > 0 {
+		t.Errorf("the second save issued %q on model-000001.pack, which the first one wrote", touched)
+	}
+	if !slices.Contains(second, "rename model-000002.pack.tmp model-000002.pack") {
+		t.Errorf("the second save did not commit model-000002.pack: %q", second)
+	}
+
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "model-000001.pack")
+	st = NewStore()
+	st.Put("PhyNet", testPack("one"))
+	if err := SaveStore(st, dir); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("PhyNet", testPack("two"))
+	if err := SaveStore(st, dir); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("the second save replaced model-000001.pack")
+	}
+}
+
 // TestSaveStorePartialFailureStillDurable: a save that fails midway
 // (here: a v2 that is not a scoutpack) must still return an error, AND
 // the versions committed before the failure must remain present and

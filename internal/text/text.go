@@ -34,7 +34,40 @@ var stopwords = map[string]bool{
 // the runes a token accepts are contiguous in it, and an invalid byte,
 // which decodes as U+FFFD, ends the open token like any other separator.
 func AppendTokens(out []string, s string) []string {
-	s = strings.ToLower(s)
+	return cutTokens(out, strings.ToLower(s))
+}
+
+// Tokenizer is AppendTokens lower-casing into one arena of its own instead
+// of a copy per text: a caller tokenizing a corpus sizes the arena once
+// (Grow) and its tokens are substrings of it. The arena only grows, so a
+// token, once cut, is never written again. The zero Tokenizer is ready.
+type Tokenizer struct{ arena strings.Builder }
+
+// Grow makes room in the arena for n more bytes of text. A text takes as
+// many bytes as it has, unless lower-casing changes a rune's length.
+func (tk *Tokenizer) Grow(n int) { tk.arena.Grow(n) }
+
+// AppendTokens is the package's AppendTokens, with the lower-cased text
+// written into the arena: rune by rune as strings.ToLower maps it, an
+// invalid byte becoming U+FFFD.
+func (tk *Tokenizer) AppendTokens(out []string, s string) []string {
+	from := tk.arena.Len()
+	for _, r := range s {
+		switch {
+		case 'A' <= r && r <= 'Z':
+			tk.arena.WriteByte(byte(r + 'a' - 'A'))
+		case r < utf8.RuneSelf:
+			tk.arena.WriteByte(byte(r))
+		default:
+			tk.arena.WriteRune(unicode.ToLower(r))
+		}
+	}
+	return cutTokens(out, tk.arena.String()[from:])
+}
+
+// cutTokens is AppendTokens past the lower-casing: it appends the tokens of
+// the lower-cased text s, each a substring of it.
+func cutTokens(out []string, s string) []string {
 	open := -1 // where the open token starts, -1 when none is open
 	for i, r := range s {
 		word := unicode.IsLetter(r) || unicode.IsDigit(r)
@@ -73,7 +106,10 @@ type VocabOptions struct {
 	MaxWords int
 }
 
-// BuildVocabulary fits a vocabulary over tokenized documents.
+// BuildVocabulary fits a vocabulary over tokenized documents. Its map and
+// lists are sized up front, the document frequencies for a quarter of the
+// corpus's tokens — a word repeats (a selector's 2 050 tokens hold 256
+// words).
 func BuildVocabulary(docs [][]string, opt VocabOptions) *Vocabulary {
 	if opt.MinDocFreq <= 0 {
 		opt.MinDocFreq = 2
@@ -81,14 +117,18 @@ func BuildVocabulary(docs [][]string, opt VocabOptions) *Vocabulary {
 	if opt.MaxWords <= 0 {
 		opt.MaxWords = 4096
 	}
-	df := map[string]int{}
-	seen := map[string]bool{}
+	tokens := 0
 	for _, doc := range docs {
-		clear(seen)
+		tokens += len(doc)
+	}
+	// A word counts once a document: last is one more than the last
+	// document it was counted in.
+	type freq struct{ docs, last int }
+	df := make(map[string]freq, tokens/4)
+	for d, doc := range docs {
 		for _, w := range doc {
-			if !seen[w] {
-				seen[w] = true
-				df[w]++
+			if f := df[w]; f.last != d+1 {
+				df[w] = freq{f.docs + 1, d + 1}
 			}
 		}
 	}
@@ -96,10 +136,10 @@ func BuildVocabulary(docs [][]string, opt VocabOptions) *Vocabulary {
 		w string
 		c int
 	}
-	var cands []wc
-	for w, c := range df {
-		if c >= opt.MinDocFreq {
-			cands = append(cands, wc{w, c})
+	cands := make([]wc, 0, len(df))
+	for w, f := range df {
+		if f.docs >= opt.MinDocFreq {
+			cands = append(cands, wc{w, f.docs})
 		}
 	}
 	slices.SortFunc(cands, func(a, b wc) int {
@@ -111,7 +151,7 @@ func BuildVocabulary(docs [][]string, opt VocabOptions) *Vocabulary {
 	if len(cands) > opt.MaxWords {
 		cands = cands[:opt.MaxWords]
 	}
-	v := &Vocabulary{Index: map[string]int{}}
+	v := &Vocabulary{Index: make(map[string]int, len(cands)), Words: make([]string, 0, len(cands))}
 	for _, c := range cands {
 		v.Index[c.w] = len(v.Words)
 		v.Words = append(v.Words, c.w)
@@ -210,7 +250,7 @@ func (wc *WordCounter) countToken(x []float64, buf []byte, kept int) {
 // NewWordCounter builds a counter over the given words. It copies them into
 // one string of its own: a token is a substring of its whole document.
 func NewWordCounter(words []string) *WordCounter {
-	wc := &WordCounter{words: make([]string, len(words)), index: map[string]int{}}
+	wc := &WordCounter{words: make([]string, len(words)), index: make(map[string]int, len(words))}
 	all := strings.Join(words, "")
 	for i, w := range words {
 		wc.words[i], all = all[:len(w)], all[len(w):]
@@ -225,12 +265,30 @@ func (wc *WordCounter) Names() []string { return wc.words }
 
 // Featurize counts occurrences of each tracked word in the document.
 func (wc *WordCounter) Featurize(doc []string) []float64 {
-	x := make([]float64, len(wc.words))
+	return wc.FeaturizeInto(nil, doc)
+}
+
+// FeaturizeInto is Featurize counting into x when it has the room — a
+// caller featurizing many documents carves their vectors from one block —
+// and into a vector of its own otherwise. Returns the filled vector.
+func (wc *WordCounter) FeaturizeInto(x []float64, doc []string) []float64 {
+	x = wc.zeroed(x)
 	for _, w := range doc {
 		if i, ok := wc.index[w]; ok {
 			x[i]++
 		}
 	}
+	return x
+}
+
+// zeroed returns x cleared to one cell per tracked word when it has the
+// room, a new vector otherwise.
+func (wc *WordCounter) zeroed(x []float64) []float64 {
+	if cap(x) < len(wc.words) {
+		return make([]float64, len(wc.words))
+	}
+	x = x[:len(wc.words)]
+	clear(x)
 	return x
 }
 
@@ -245,12 +303,7 @@ func (wc *WordCounter) Featurize(doc []string) []float64 {
 // the longest tracked word (64 bytes at least, on the stack): a token that
 // outgrows it is no tracked word.
 func (wc *WordCounter) FeaturizeText(x []float64, s string) []float64 {
-	if cap(x) >= len(wc.words) {
-		x = x[:len(wc.words)]
-		clear(x)
-	} else {
-		x = make([]float64, len(wc.words))
-	}
+	x = wc.zeroed(x)
 	wc.CountText(x, s)
 	return x
 }

@@ -221,7 +221,9 @@ func oracleTokenize(s string) []string {
 }
 
 // FuzzTokenize holds AppendTokens to the builder oracle for any input: the
-// same tokens, in order, appended after what the list held. Its seeds cover
+// same tokens, in order, appended after what the list held — and so does a
+// Tokenizer, twice over one arena, whose first tokens survive the second
+// text's lower-casing. Its seeds cover
 // invalid UTF-8, the upper-case runes whose lower-case form has another byte
 // length (İ, the Kelvin sign), punctuation around and inside identifiers,
 // and stopwords.
@@ -241,6 +243,12 @@ func FuzzTokenize(f *testing.F) {
 		}
 		if got := AppendTokens([]string{"held"}, s); got[0] != "held" || !slices.Equal(got[1:], want) {
 			t.Fatalf("AppendTokens([held], %q) = %q, oracle %q after held", s, got, want)
+		}
+		var tk Tokenizer
+		first := tk.AppendTokens(nil, s)
+		second := tk.AppendTokens([]string{"held"}, s)
+		if !slices.Equal(first, want) || second[0] != "held" || !slices.Equal(second[1:], want) {
+			t.Fatalf("Tokenizer.AppendTokens over %q = %q, then %q, oracle %q", s, first, second, want)
 		}
 	})
 }
@@ -275,6 +283,13 @@ func FuzzSplitText(f *testing.F) {
 		wc.CountText(x, body)
 		if join := wc.FeaturizeText(nil, joined); !slices.Equal(x, join) {
 			t.Fatalf("counting %q then %q gives %v, FeaturizeText(join) %v", title, body, x, join)
+		}
+		dirty := make([]float64, len(wc.Names()))
+		for i := range dirty {
+			dirty[i] = 7
+		}
+		if got := wc.FeaturizeInto(dirty, want); !slices.Equal(got, x) {
+			t.Fatalf("FeaturizeInto over a dirty vector gives %v for %q, FeaturizeText %v", got, want, x)
 		}
 	})
 }
