@@ -119,8 +119,11 @@ func (tr *Trainer) Train(d *mlcore.Dataset, p Params) (*Forest, error) {
 		return nil, ErrEmptyTrainingSet
 	}
 	p = p.withDefaults()
+	// Resolved once: the contexts are sized by it and grow's workers index
+	// them, so the two must not read GOMAXPROCS apart.
+	p.Workers = parallel.Workers(p.Workers)
 	tr.cols.Load(d, p.Workers)
-	for len(tr.ctxs) < min(parallel.Workers(p.Workers), p.NumTrees) {
+	for len(tr.ctxs) < min(p.Workers, p.NumTrees) {
 		tr.ctxs = append(tr.ctxs, new(splitCtx))
 	}
 	for _, ctx := range tr.ctxs {

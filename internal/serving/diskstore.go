@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -44,16 +45,16 @@ func checksumOf(payload []byte) string {
 }
 
 // SaveStore persists every model version of a store to a directory, one
-// model-%06d.pack file per version. A version whose file is already in the
-// directory under its name is not written again: a published version never
-// changes, and a store loaded from the directory numbers its new versions
-// past every file there, so a publish writes only the version it adds. A
-// version whose snapshot is not a scoutpack is an error: the directory has
-// one file format. The directory is created if needed. Each file is
-// written crash-safely: the bytes go to
-// a temp file in the same directory, the temp file is fsynced before the
-// atomic rename, and the directory itself is fsynced after, so a crash at
-// any instant leaves either the old file, the new file, or an ignorable
+// model-%06d.pack file per version. A version the store loaded from that
+// file, or saved to it, is not written again while the file is there: a
+// published version never changes, so a publish (load the directory, Put,
+// save) writes only the version it adds. Any other file under a version's
+// name is replaced. A version whose snapshot is not a scoutpack is an
+// error: the directory has one file format. The directory is created if
+// needed. Each file is written crash-safely: the bytes go to a temp file
+// in the same directory, the temp file is fsynced before the atomic
+// rename, and the directory itself is fsynced after, so a crash at any
+// instant leaves either the old file, the new file, or an ignorable
 // *.tmp — never a half-written model under the final name. The directory
 // sync is deferred so it also covers error returns: a save that fails on
 // version N must not leave versions 1..N-1 renamed but undurable. A nil
@@ -125,20 +126,32 @@ func saveStore(ops fileOps, st *Store, dir string) (err error) {
 	}()
 	st.mu.Lock()
 	models := append([]Model(nil), st.models...)
+	files := maps.Clone(st.files)
 	st.mu.Unlock()
 	for _, m := range models {
 		if !core.IsScoutpack(m.Snapshot) {
 			return fmt.Errorf("serving: v%d is not a scoutpack snapshot; the store directory holds only scoutpacks (publish Scout.SnapshotPack)", m.Version)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version))
-		if ops.exists(path) {
+		if files[m.Version] == path && ops.exists(path) {
 			continue
 		}
 		if err := writePackFile(ops, path, m); err != nil {
 			return err
 		}
+		st.recordFile(m.Version, path)
 	}
 	return nil
+}
+
+// recordFile notes that version v's bytes are in the store file at path.
+func (st *Store) recordFile(v int, path string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.files == nil {
+		st.files = map[int]string{}
+	}
+	st.files[v] = path
 }
 
 // timeLayout serializes TrainedAt in the pack envelope exactly as
@@ -276,6 +289,7 @@ func LoadStore(dir string) (*Store, *LoadReport, error) {
 			continue
 		}
 		st.models = slices.Insert(st.models, 0, m)
+		st.recordFile(m.Version, path)
 		rep.Loaded = slices.Insert(rep.Loaded, 0, m.Version)
 	}
 	return st, rep, nil

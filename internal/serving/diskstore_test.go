@@ -329,10 +329,11 @@ func TestSaveStoreEmptyOK(t *testing.T) {
 }
 
 // TestSaveStoreWritesOnlyNewVersions: a publish — a store holding the
-// version already saved, plus the one it adds — writes the added
+// versions it saved or loaded, plus the one it adds — writes the added
 // version's file and touches no other. Through the recording fake, the
 // second save issues no operation on model-000001.pack; in a real
-// directory, the file keeps its inode.
+// directory, a store loaded from it, given a version and saved back, leaves
+// model-000001.pack its inode.
 func TestSaveStoreWritesOnlyNewVersions(t *testing.T) {
 	fs := &crashFS{failAt: -1, state: fsState{live: map[string]int{}, durable: map[string]int{}}}
 	st := NewStore()
@@ -370,6 +371,10 @@ func TestSaveStoreWritesOnlyNewVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, _, err = LoadStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st.Put("PhyNet", testPack("two"))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
@@ -379,7 +384,31 @@ func TestSaveStoreWritesOnlyNewVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !os.SameFile(before, after) {
-		t.Error("the second save replaced model-000001.pack")
+		t.Error("the publish replaced model-000001.pack")
+	}
+}
+
+// TestSaveStoreReplacesForeignFile: a store that neither loaded nor saved
+// a version's file replaces it, so a new store saved over a directory
+// holding another v1 leaves its own v1 there.
+func TestSaveStoreReplacesForeignFile(t *testing.T) {
+	dir := t.TempDir()
+	stale := NewStore()
+	stale.Put("PhyNet", testPack("stale"))
+	if err := SaveStore(stale, dir); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore()
+	st.Put("PhyNet", testPack("fresh"))
+	if err := SaveStore(st, dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadModelFile(filepath.Join(dir, "model-000001.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Snapshot, testPack("fresh")) {
+		t.Error("the new store's v1 did not replace the v1 another store saved")
 	}
 }
 

@@ -98,16 +98,13 @@ func TestPackPayloadVerifiedOnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte AND refresh the envelope checksum, so only the
-	// scoutpack's own sha256 can catch it. (SaveStore leaves a version
-	// already on disk alone, so the file is rewritten here.)
+	// scoutpack's own sha256 can catch it.
 	path := filepath.Join(dir, "model-000001.pack")
 	damaged := append([]byte(nil), pack...)
 	damaged[len(damaged)/2] ^= 0x01
-	data, err := encodePackFile(Model{Version: 1, Team: "X", Snapshot: damaged})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	st2 := NewStore()
+	st2.Put("X", damaged)
+	if err := SaveStore(st2, dir); err != nil {
 		t.Fatal(err)
 	}
 	_, rep, err := LoadStore(dir)

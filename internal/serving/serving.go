@@ -40,6 +40,9 @@ type Store struct {
 	// saw among its directory's store files, quarantined ones included.
 	// Put numbers past it.
 	top int
+	// files maps a version to the store file it was loaded from or saved
+	// to: a save finds that version's bytes already there.
+	files map[int]string
 
 	// Now stamps TrainedAt on published models. It defaults to time.Now;
 	// tests inject a fixed clock so snapshot metadata — and therefore

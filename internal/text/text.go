@@ -30,26 +30,30 @@ var stopwords = map[string]bool{
 // caller tokenizing many documents keeps them in one list, each document a
 // run of it. Machine-generated names such as "vm3.c10.dc2" are kept intact
 // (dots and dashes inside identifiers do not split) so component mentions
-// survive tokenization. Each token is a substring of the lower-cased text:
-// the runes a token accepts are contiguous in it, and an invalid byte,
-// which decodes as U+FFFD, ends the open token like any other separator.
+// survive tokenization. It is a one-text Tokenizer: a caller tokenizing a
+// corpus keeps one Tokenizer instead.
 func AppendTokens(out []string, s string) []string {
-	return cutTokens(out, strings.ToLower(s))
+	var tk Tokenizer
+	tk.Grow(len(s))
+	return tk.AppendTokens(out, s)
 }
 
-// Tokenizer is AppendTokens lower-casing into one arena of its own instead
-// of a copy per text: a caller tokenizing a corpus sizes the arena once
-// (Grow) and its tokens are substrings of it. The arena only grows, so a
-// token, once cut, is never written again. The zero Tokenizer is ready.
+// Tokenizer lower-cases the texts it tokenizes into one arena of its own:
+// a caller tokenizing a corpus sizes the arena once (Grow) and its tokens
+// are substrings of it. The arena only grows, so a token, once cut, is
+// never written again. The zero Tokenizer is ready.
 type Tokenizer struct{ arena strings.Builder }
 
 // Grow makes room in the arena for n more bytes of text. A text takes as
 // many bytes as it has, unless lower-casing changes a rune's length.
 func (tk *Tokenizer) Grow(n int) { tk.arena.Grow(n) }
 
-// AppendTokens is the package's AppendTokens, with the lower-cased text
-// written into the arena: rune by rune as strings.ToLower maps it, an
-// invalid byte becoming U+FFFD.
+// AppendTokens appends the tokens of s to out, by the package's
+// AppendTokens rules. The text is written into the arena lower-cased rune
+// by rune, as strings.ToLower maps it, an invalid byte becoming U+FFFD;
+// each token is a substring of what was written: the runes a token
+// accepts are contiguous there, and U+FFFD ends the open token like any
+// other separator.
 func (tk *Tokenizer) AppendTokens(out []string, s string) []string {
 	from := tk.arena.Len()
 	for _, r := range s {
@@ -62,12 +66,7 @@ func (tk *Tokenizer) AppendTokens(out []string, s string) []string {
 			tk.arena.WriteRune(unicode.ToLower(r))
 		}
 	}
-	return cutTokens(out, tk.arena.String()[from:])
-}
-
-// cutTokens is AppendTokens past the lower-casing: it appends the tokens of
-// the lower-cased text s, each a substring of it.
-func cutTokens(out []string, s string) []string {
+	s = tk.arena.String()[from:]
 	open := -1 // where the open token starts, -1 when none is open
 	for i, r := range s {
 		word := unicode.IsLetter(r) || unicode.IsDigit(r)

@@ -221,12 +221,11 @@ func oracleTokenize(s string) []string {
 }
 
 // FuzzTokenize holds AppendTokens to the builder oracle for any input: the
-// same tokens, in order, appended after what the list held — and so does a
-// Tokenizer, twice over one arena, whose first tokens survive the second
-// text's lower-casing. Its seeds cover
-// invalid UTF-8, the upper-case runes whose lower-case form has another byte
-// length (İ, the Kelvin sign), punctuation around and inside identifiers,
-// and stopwords.
+// same tokens, in order — and a Tokenizer, twice over one arena, appends
+// them after what the list held, its first tokens surviving the second
+// text's lower-casing. Its seeds cover invalid UTF-8, the upper-case runes
+// whose lower-case form has another byte length (İ, the Kelvin sign),
+// punctuation around and inside identifiers, and stopwords.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range []string{
 		"", "\xff", "ab\xffcd", "\xc3ab", "ab\xe2\x82cd", "é\xff1", "ab�cd",
@@ -240,9 +239,6 @@ func FuzzTokenize(f *testing.F) {
 		want := oracleTokenize(s)
 		if got := tokenize(s); !slices.Equal(got, want) {
 			t.Fatalf("AppendTokens(nil, %q) = %q, oracle %q", s, got, want)
-		}
-		if got := AppendTokens([]string{"held"}, s); got[0] != "held" || !slices.Equal(got[1:], want) {
-			t.Fatalf("AppendTokens([held], %q) = %q, oracle %q after held", s, got, want)
 		}
 		var tk Tokenizer
 		first := tk.AppendTokens(nil, s)
