@@ -33,19 +33,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation gates: every test whose name holds "Alloc", run without
-# -race — each skips itself under the detector or is built !race, so
-# `race` runs none of them. The packages are the ones under ./internal/...
-# that hold a gate, named so that smoke-test fails when one of them answers
-# "[no tests to run]" (a package without a gate answers it too): a renamed
-# gate fails instead of dropping out. A new gate in another package adds
-# its package here.
-ALLOC_PKGS = ./internal/cloudsim ./internal/core ./internal/faults ./internal/floatsort \
-	./internal/gateway ./internal/httpx ./internal/metrics ./internal/ml/cpd ./internal/ml/forest \
-	./internal/parallel ./internal/serving ./internal/telemetry ./internal/text ./internal/topology
+# The allocation gates: every test whose name holds "Alloc", in each
+# package whose tests import internal/allocgate, the one gate. They run
+# without -race (allocgate.Check skips under the detector, so `race` runs
+# none of them), and each gate's "alloc <name> <measure>" line is printed
+# here, so every measure can be read in one place. A package that answers
+# "[no tests to run]" fails the target, and allocgate.Check fails a test
+# whose name lacks "Alloc", so a renamed gate cannot drop out unseen.
+ALLOC_PKGS = $(shell $(GO) list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... \
+	| awk '/ scouts\/internal\/allocgate( |$$)/ {print $$1}')
 
 alloc-check:
-	$(call smoke-test,-run 'Alloc' -count 1 $(ALLOC_PKGS))
+	@pkgs="$(ALLOC_PKGS)"; \
+	if [ -z "$$pkgs" ]; then echo "alloc-check: no package's tests import internal/allocgate"; exit 1; fi; \
+	out=$$($(GO) test -v -run 'Alloc' -count 1 $$pkgs 2>&1); status=$$?; \
+	if [ $$status -ne 0 ]; then echo "$$out"; exit $$status; fi; \
+	echo "$$out" | grep -E '^ +[^ ]+_test\.go:[0-9]+: alloc |^ok '; \
+	if echo "$$out" | grep -q 'no tests to run'; then \
+		echo "alloc-check: -run Alloc selects no test in a package whose tests import internal/allocgate"; exit 1; \
+	fi
 
 # Fuzz smoke: ten seconds each of the change-point kernel's differential
 # fuzz target, of the ordering kernel's (SummarizeInPlace against the stdlib

@@ -153,27 +153,6 @@ func TestHoistedHashMatchesStringKeyed(t *testing.T) {
 	}
 }
 
-// oracleTelemetry is a simulator with every kind of input the append path
-// has to get right: overlapping anomalies on a switch and a server.
-func oracleTelemetry() *Telemetry {
-	topo := New(Params{Seed: 11, Days: 20, IncidentsPerDay: 6}).Topology()
-	return NewTelemetry(topo, 11,
-		Anomaly{Component: "tor1.c1.dc1", Start: 40, End: 44, Effects: []Effect{
-			{Dataset: DSTemp, MeanShift: 12, StdScale: 3},
-			{Dataset: DSSyslog, EventRate: 40, EventKind: "LINK_FLAP"},
-			{Dataset: DSFCS, EventRate: 9},
-		}},
-		Anomaly{Component: "tor1.c1.dc1", Start: 42, End: 43, Effects: []Effect{
-			{Dataset: DSTemp, MeanShift: -3},
-			{Dataset: DSPFC, StdScale: 5},
-		}},
-		Anomaly{Component: "srv2.c1.dc1", Start: 41.5, End: 47, Effects: []Effect{
-			{Dataset: DSPingmesh, MeanShift: 4, StdScale: 2},
-			{Dataset: DSReboots, EventRate: 3},
-		}},
-	)
-}
-
 var oracleWindows = []struct{ from, to float64 }{
 	{40, 42},       // the Scout's look-back window
 	{38, 42},       // the doubled CPD+ window
@@ -190,7 +169,7 @@ var oracleWindows = []struct{ from, to float64 }{
 // append(prefix, SeriesWindow…), which is the old string-keyed synthesis,
 // which is what WindowStats reduces — and the prefix is never touched.
 func TestAppendSeriesMatchesOldWindow(t *testing.T) {
-	tel := oracleTelemetry()
+	tel := overlapTelemetry()
 	comps := []string{"tor1.c1.dc1", "agg1.c1.dc1", "srv2.c1.dc1", "vm1.c1.dc1", "c1.dc1", "c2.dc2", "dc1", "nosuch.c9.dc9"}
 	datasets := []string{"nosuch"}
 	for _, s := range specs() {
@@ -258,7 +237,7 @@ func TestAppendSeriesMatchesOldWindow(t *testing.T) {
 // TestEventsMatchOldWindow: the hoisted key in EventsWindow and EventCount
 // draws the same occurrences and the same in-tick offsets.
 func TestEventsMatchOldWindow(t *testing.T) {
-	tel := oracleTelemetry()
+	tel := overlapTelemetry()
 	comps := []string{"tor1.c1.dc1", "agg2.c3.dc2", "srv2.c1.dc1", "vm1.c1.dc1", "c1.dc1", "nosuch"}
 	events := 0
 	for _, s := range specs() {
@@ -283,48 +262,5 @@ func TestEventsMatchOldWindow(t *testing.T) {
 	}
 	if events < 100 {
 		t.Fatalf("the oracle compared only %d events", events)
-	}
-}
-
-// TestAppendSeriesAllocatesNothing: with room in the caller's buffer the
-// pull is allocation-free, overlapping anomalies included; SeriesWindow pays
-// exactly its result.
-func TestAppendSeriesAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not exact under the race detector")
-	}
-	tel := oracleTelemetry()
-	buf := make([]float64, 0, 256)
-	for _, tc := range []struct {
-		ds, comp string
-		from, to float64
-	}{
-		{DSTemp, "tor1.c1.dc1", 41, 43},     // two overlapping anomalies
-		{DSCPU, "srv1.c2.dc1", 100, 102},    // quiet
-		{DSPingmesh, "tor1.c1.dc1", 0, 2},   // uncovered
-		{DSCanary, "c1.dc1", 40, 50},        // 100 ticks
-		{DSTemp, "tor1.c1.dc1", 42, 42},     // empty
-		{DSSyslog, "tor1.c1.dc1", 40, 44},   // event dataset
-		{"nosuch", "tor1.c1.dc1", 40, 44},   // unknown
-		{DSTemp, "nosuch.c1.dc1", 40, 44},   // unknown component
-		{DSIfCounters, "agg1.c4.dc2", 7, 9}, // another cluster
-	} {
-		if n := testing.AllocsPerRun(50, func() {
-			buf = tel.AppendSeries(buf[:0], tc.ds, tc.comp, tc.from, tc.to)
-		}); n != 0 {
-			t.Errorf("AppendSeries(%s, %s, [%v,%v)) allocates %v times into a buffer with room", tc.ds, tc.comp, tc.from, tc.to, n)
-		}
-	}
-	var sink []float64
-	if n := testing.AllocsPerRun(50, func() {
-		sink = tel.SeriesWindow(DSTemp, "tor1.c1.dc1", 41, 43)
-	}); n != 1 || len(sink) != 20 {
-		t.Errorf("SeriesWindow allocates %v times for %d values, want 1 (the pre-sized result)", n, len(sink))
-	}
-	if n := testing.AllocsPerRun(50, func() { tel.WindowStats(DSCanary, "c1.dc1", 40, 46) }); n != 0 {
-		t.Errorf("WindowStats allocates %v times", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { tel.EventCount(DSSyslog, "tor1.c1.dc1", 40, 44) }); n != 0 {
-		t.Errorf("EventCount allocates %v times", n)
 	}
 }

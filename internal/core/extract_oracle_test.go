@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"scouts/internal/cloudsim"
-	"scouts/internal/faults"
 	"scouts/internal/topology"
 )
 
@@ -378,39 +377,6 @@ func TestExtractConcurrentBlocks(t *testing.T) {
 	}
 	if names < 4*nameBlock {
 		t.Fatalf("only %d names extracted: the blocks did not roll over", names)
-	}
-}
-
-// TestExtractAllocations pins Extract's steady-state allocations: none. The
-// text is copied into the pooled scratch's buffer, and the Extraction's
-// array is cut from the scratch's block, which is made once in hundreds of
-// names (2 while the text was joined and each Extraction made its own
-// array, 4 while a map of the runs, two objects, sat beside them) — and
-// All's single slice.
-func TestExtractAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not exact under the race detector")
-	}
-	gen := cloudsim.New(cloudsim.Params{Seed: 1, Days: 10, IncidentsPerDay: 5})
-	cfg, err := ParseConfig(DefaultPhyNetConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := NewFeatureBuilder(cfg, gen.Topology(), faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{}))
-	const budget = 0
-	for _, tc := range []struct{ name, title, body string }{
-		{"one device", "Packet corruption alarms on tor1.c1.dc1", "FCS errors above threshold"},
-		{"a VM and its chain", "vm3.c2.dc1 unreachable", "VM vm3.c2.dc1 on srv2.c2.dc1 cannot reach tor1.c2.dc1 in cluster c2.dc1"},
-		{"two clusters", "clusters c1.dc1 and c3.dc2 are degraded", "canary failures across dc1 and dc2"},
-	} {
-		mentioned := []string{"tor1.c1.dc1"}
-		var ex Extraction
-		if allocs := testing.AllocsPerRun(50, func() { ex = fb.Extract(tc.title, tc.body, mentioned) }); allocs > budget {
-			t.Errorf("%s: Extract allocates %v times per call in steady state, budget %d", tc.name, allocs, budget)
-		}
-		if allocs := testing.AllocsPerRun(50, func() { _ = ex.All() }); allocs > 1 {
-			t.Errorf("%s: All allocates %v times per call", tc.name, allocs)
-		}
 	}
 }
 

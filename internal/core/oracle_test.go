@@ -321,44 +321,3 @@ func compareWithOldPath(t *testing.T, name string, planned bool, cfg *Config, ge
 		t.Fatalf("%s: compared only %d vectors, %d CPD series and %d CPD event counts", name, vectors, series, events)
 	}
 }
-
-// TestFeaturizeIntoAllocations pins the steady-state allocation count of
-// FeaturizeInto over the breaker-wrapped simulator — the serving stack — at
-// zero: no series pull, no summarise and no contributor list allocates once
-// the pooled scratch has grown, whether one device contributes or two whole
-// clusters do.
-func TestFeaturizeIntoAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not exact under the race detector")
-	}
-	gen := cloudsim.New(cloudsim.Params{Seed: 1, Days: 10, IncidentsPerDay: 5})
-	gen.Generate() // registers the trace's anomalies
-	cfg, err := ParseConfig(DefaultPhyNetConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := NewFeatureBuilder(cfg, gen.Topology(), faults.NewBreaker(gen.Telemetry(), faults.BreakerParams{}))
-	x := make([]float64, len(fb.FeatureNames()))
-	for _, tc := range []struct {
-		name, body string
-		minComps   int
-	}{
-		{"one device", "tor1.c1.dc1 alarms", 1},
-		{"one cluster", "cluster c1.dc1 is degraded", 20},
-		{"two clusters", "clusters c1.dc1 and c3.dc2 are degraded", 40},
-	} {
-		ex := fb.Extract(tc.name, tc.body, nil)
-		n := 0
-		for _, seg := range fb.contributors(new(featScratch), &ex, topology.TypeCluster) {
-			n += len(seg.comps)
-		}
-		if n < tc.minComps {
-			t.Fatalf("%s: %d cluster contributors, want at least %d", tc.name, n, tc.minComps)
-		}
-		for _, at := range []float64{50, 120.5} {
-			if allocs := testing.AllocsPerRun(20, func() { fb.FeaturizeInto(x, ex, at) }); allocs != 0 {
-				t.Errorf("%s at t=%v: FeaturizeInto allocates %v times per call in steady state", tc.name, at, allocs)
-			}
-		}
-	}
-}

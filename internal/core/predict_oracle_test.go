@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"scouts/internal/cloudsim"
-	"scouts/internal/faults"
 	"scouts/internal/incident"
 	"scouts/internal/ml/forest"
 )
@@ -270,66 +269,5 @@ func TestExplanationMatchesStringOracle(t *testing.T) {
 	}
 	if p := (Prediction{Text: "kept as text"}); p.Explanation() != "kept as text" || string(p.AppendExplanation(nil)) != "kept as text" {
 		t.Errorf("a text explanation reads %q", p.Explanation())
-	}
-}
-
-// TestPredictAllocations pins the steady-state allocations of one prediction
-// through the random forest over the breaker-wrapped simulator — the
-// serving stack — at none. The extractors read the text copied into the
-// pooled scratch, the Extraction's array (the answer's Components) is cut
-// from the scratch's block, made once in hundreds of names, the feature
-// vector is pooled and carried by the pointer the pool holds, the health
-// report and the explanation's three signals — the forest's own name
-// strings — travel in the Prediction by value, and the request's memo stays
-// on its stack. The model selector adds nothing: live, it counts title and
-// body into a stack vector. An explanation whose strongest signals tie reads
-// them off the full ranking, one allocation more; none of the predictions
-// measured here does. The same call cost 1 while the answer carried its
-// explanation as a string, 3 while the text was joined and each Extraction
-// made its own array, 8 while the Extraction carried a map (two objects),
-// the answer a copy of its components and a pointer to its health report,
-// and 47 while the explanation ranked and formatted and every extractor's
-// matches, ancestors and seen-set were built per call.
-func TestPredictAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not exact under the race detector")
-	}
-	const budget = 0
-	f := getFixture(t)
-	scout, err := Train(TrainOptions{
-		Config:    f.scout.cfg,
-		Topology:  f.gen.Topology(),
-		Source:    faults.NewBreaker(f.gen.Telemetry(), faults.BreakerParams{}),
-		Incidents: f.train[:150],
-		Forest:    forest.Params{NumTrees: 60, MaxDepth: 14, Seed: 7},
-		Seed:      7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel := scout.selector.(*Selector); sel.rf == nil {
-		t.Fatal("the model selector of this world is not live")
-	}
-	measured, most := 0, 0.0
-	for _, in := range f.test[:60] {
-		p := scout.PredictIncident(in) // grows the pooled scratch
-		if p.Model != "rf" {
-			continue
-		}
-		allocs := testing.AllocsPerRun(10, func() { scout.PredictIncident(in) })
-		if allocs > budget {
-			// A collection inside the window empties the pools, and ten
-			// runs refill them: not the steady state. Measure again.
-			allocs = testing.AllocsPerRun(10, func() { scout.PredictIncident(in) })
-		}
-		if allocs > budget {
-			t.Errorf("incident %s: Predict allocates %v times in steady state, budget %d", in.ID, allocs, budget)
-		}
-		most = max(most, allocs)
-		measured++
-	}
-	t.Logf("%d random-forest predictions, at most %v allocations each", measured, most)
-	if measured < 30 {
-		t.Fatalf("only %d random-forest predictions measured", measured)
 	}
 }

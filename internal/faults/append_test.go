@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"scouts/internal/allocgate"
 	"scouts/internal/chaos"
 	"scouts/internal/circuit"
 	"scouts/internal/cloudsim"
@@ -309,14 +310,12 @@ func TestBreakerAppendSeriesConcurrent(t *testing.T) {
 
 // TestAppendSeriesAllocations: into a buffer with room, neither decorator's
 // pull allocates — the chaos layer corrupting or lagging a window, nor the
-// breaker gating and recording one it passes through — and the breaker's
-// other per-pull methods allocate nothing either. Each row also checks its
-// answer: the number of values or events, or 1 for window stats equal to
-// the source's or an available dataset.
+// breaker gating and recording one it passes through — and neither do the
+// chaos layer's stats over a corrupted window nor the breaker's other
+// per-pull methods. Each row also checks its answer: the number of values
+// or events, or 1 for window stats equal to the source's (the corrupted
+// series' own, for the chaos layer) or an available dataset.
 func TestAppendSeriesAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not exact under the race detector")
-	}
 	tel := equivalenceTelemetry()
 	src := chaos.New(tel, equivalenceSchedule(), 7)
 	b := NewBreaker(tel, equivalenceParams)
@@ -326,19 +325,26 @@ func TestAppendSeriesAllocations(t *testing.T) {
 		t.Fatal("the anomaly left no syslog events to count")
 	}
 	stats := monitoring.StatsOf(tel.SeriesWindow(cloudsim.DSTemp, "tor1.c1.dc1", 40, 42))
+	corrupted := monitoring.StatsOf(src.SeriesWindow(cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42))
 	for _, c := range []struct {
 		name string
 		run  func() int
 		want int
 	}{
-		{"Chaos.AppendSeries (corrupted)", func() int {
+		{"Chaos.AppendSeries/corrupted", func() int {
 			dst = src.AppendSeries(dst[:0], cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42)
 			return len(dst)
 		}, 20},
-		{"Chaos.AppendSeries (stale)", func() int {
+		{"Chaos.AppendSeries/stale", func() int {
 			dst = src.AppendSeries(dst[:0], cloudsim.DSCanary, "c1.dc1", 48, 50)
 			return len(dst)
 		}, 20},
+		{"Chaos.WindowStats/corrupted", func() int {
+			if st, ok := src.WindowStats(cloudsim.DSIfCounters, "tor1.c1.dc1", 40, 42); ok && sameStats(st, corrupted) {
+				return 1
+			}
+			return 0
+		}, 1},
 		{"Breaker.AppendSeries", func() int {
 			dst = b.AppendSeries(dst[:0], cloudsim.DSTemp, "tor1.c1.dc1", 40, 42)
 			return len(dst)
@@ -357,10 +363,10 @@ func TestAppendSeriesAllocations(t *testing.T) {
 			return 0
 		}, 1},
 	} {
-		var got int
-		if n := testing.AllocsPerRun(100, func() { got = c.run() }); n != 0 || got != c.want {
-			t.Errorf("%s: %v allocations for an answer of %d, want 0 for %d", c.name, n, got, c.want)
+		if got := c.run(); got != c.want {
+			t.Errorf("%s: an answer of %d, want %d", c.name, got, c.want)
 		}
+		allocgate.Check(t, "faults."+c.name, 0, func() { c.run() })
 	}
 }
 

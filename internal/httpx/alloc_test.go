@@ -1,19 +1,18 @@
-//go:build !race
-
 package httpx
 
 import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"scouts/internal/allocgate"
 )
 
 // TestParseAllocations pins what the predict codec allocates: every string
 // of a body is unescaped into one arena and every Components is cut from
-// one list, so a single request costs at most two allocations (the arena,
-// its Components) and a batch at most three (the arena, the list arena,
-// Items) whatever its item count — where each string and each list was
-// one of its own. (A non-race file, like every allocation gate here.)
+// one list, so a single request costs two allocations (the arena, its
+// Components) and a batch three (the arena, the list arena, Items)
+// whatever its item count.
 func TestParseAllocations(t *testing.T) {
 	item := func(i int) PredictRequest {
 		return PredictRequest{
@@ -27,14 +26,12 @@ func TestParseAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
+	allocgate.Check(t, "httpx.ParsePredict", 2, func() {
 		var req PredictRequest
 		if !ParsePredict(single, &req) {
 			t.Fatalf("the lexer refused %s", single)
 		}
-	}); allocs > 2 {
-		t.Errorf("ParsePredict: %v allocations, want at most 2", allocs)
-	}
+	})
 	for _, n := range []int{8, 32} {
 		var batch BatchPredictRequest
 		for i := 0; i < n; i++ {
@@ -44,13 +41,11 @@ func TestParseAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(50, func() {
+		allocgate.Check(t, fmt.Sprintf("httpx.ParseBatch/items=%d", n), 3, func() {
 			var req BatchPredictRequest
 			if !ParseBatch(body, &req) || len(req.Items) != n {
 				t.Fatalf("the lexer refused a %d-item batch", n)
 			}
-		}); allocs > 3 {
-			t.Errorf("ParseBatch of %d items: %v allocations, want at most 3", n, allocs)
-		}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"scouts/internal/allocgate"
 	"scouts/internal/telemetry"
 )
 
@@ -118,11 +119,8 @@ func (d *discard) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discard) WriteHeader(int)             {}
 
 // TestMuxAllocs pins the per-request cost of a 200 through Mux +
-// WriteJSON. The ceiling is what the pre-spine serving code (instrument +
-// writeJSON at the parent commit, measured with this same handler and
-// writer) allocated: 5 objects.
+// WriteJSON.
 func TestMuxAllocs(t *testing.T) {
-	const parentAllocs = 5
 	sp, _ := testSpine("/v1/health")
 	mux := sp.Mux(time.Now, nil)
 	mux.Handle("GET /v1/health", "/v1/health", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -130,9 +128,7 @@ func TestMuxAllocs(t *testing.T) {
 	}))
 	req := httptest.NewRequest("GET", "/v1/health", nil)
 	w := &discard{h: http.Header{}}
-	if n := testing.AllocsPerRun(500, func() { mux.ServeHTTP(w, req) }); n > parentAllocs {
-		t.Fatalf("a 200 through Mux + WriteJSON allocates %.0f objects, ceiling %d", n, parentAllocs)
-	}
+	allocgate.Check(t, "httpx.Mux", 2, func() { mux.ServeHTTP(w, req) })
 }
 
 // strictTarget is a request shape with the kinds of field the daemons

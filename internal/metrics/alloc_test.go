@@ -1,17 +1,16 @@
-//go:build !race
-
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"scouts/internal/allocgate"
 )
 
 // TestSummarizeInPlaceDoesNotAllocate guards the featurization hot path at
 // the merged-buffer sizes of the held-out corpus: SummarizeInPlace, the
-// deviation it takes around the mean it holds, and the vector it fills. It
-// lives in a non-race file because the race detector makes sync.Pool drop
-// items at random, and the ordering kernel's scratch is pooled.
+// deviation it takes around the mean it holds, and the vector it fills.
 func TestSummarizeInPlaceDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vec := make([]float64, len(SummaryNames))
@@ -29,9 +28,7 @@ func TestSummarizeInPlaceDoesNotAllocate(t *testing.T) {
 			{"stdDevAround", func() { benchSink.Std = stdDevAround(src, 0.5) }},
 			{"VectorInto", func() { benchSink.VectorInto(vec) }},
 		} {
-			if got := testing.AllocsPerRun(100, c.run); got != 0 {
-				t.Errorf("n=%d: %v allocs per %s, want 0", n, got, c.name)
-			}
+			allocgate.Check(t, fmt.Sprintf("metrics.%s/n=%d", c.name, n), 0, c.run)
 		}
 	}
 }

@@ -1,17 +1,17 @@
-//go:build !race
-
 package cpd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"scouts/internal/allocgate"
 )
 
 // In steady state — the scratch pool warm, the generator's template derived
 // — a Detect allocates only the result slice of a series with a change
 // point, and countChanges and HasChange nothing: whatever the length of the
-// series or the number of permutations. (A non-race file: the race detector makes
-// sync.Pool drop items at random.)
+// series or the number of permutations.
 func TestDetectAllocationsConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, perms := range []int{29, 99} {
@@ -22,16 +22,14 @@ func TestDetectAllocationsConstant(t *testing.T) {
 			for _, c := range []struct {
 				name string
 				run  func()
-				want float64
+				want int
 			}{
-				{"Detect(stationary)", func() { Detect(flat, p) }, 0},
-				{"Detect(shifted)", func() { Detect(shifted, p) }, 1},
-				{"countChanges(shifted)", func() { countChanges(shifted, p) }, 0},
-				{"HasChange(shifted)", func() { HasChange(shifted, p) }, 0},
+				{"Detect/stationary", func() { Detect(flat, p) }, 0},
+				{"Detect/shifted", func() { Detect(shifted, p) }, 1},
+				{"countChanges/shifted", func() { countChanges(shifted, p) }, 0},
+				{"HasChange/shifted", func() { HasChange(shifted, p) }, 0},
 			} {
-				if got := testing.AllocsPerRun(20, c.run); got != c.want {
-					t.Errorf("%s, n=%d, %d permutations: %.0f allocations, want %.0f", c.name, n, perms, got, c.want)
-				}
+				allocgate.Check(t, fmt.Sprintf("cpd.%s/n=%d/perms=%d", c.name, n, perms), c.want, c.run)
 			}
 		}
 	}
@@ -68,9 +66,7 @@ func TestKernelAllocations(t *testing.T) {
 		{"reaches", func() { k.reaches(shuffled, minSeg, observed) }},
 		{"source.Uint64", func() { k.src.Uint64() }},
 	} {
-		if got := testing.AllocsPerRun(20, c.run); got != 0 {
-			t.Errorf("kernel.%s: %.0f allocations, want 0", c.name, got)
-		}
+		allocgate.Check(t, "cpd.kernel."+c.name, 0, c.run)
 	}
 }
 
@@ -101,9 +97,7 @@ func TestBestSplitExactCallsAllocationFree(t *testing.T) {
 			t.Logf("%s: %.3f exact energy calls a bestSplit over %d windows", c.name, mean, windows)
 		}
 		series := c.gen(rng, n)
-		if got := testing.AllocsPerRun(20, func() { k.bestSplit(series, minSeg) }); got != 0 {
-			t.Errorf("%s: bestSplit makes %.0f allocations, want 0", c.name, got)
-		}
+		allocgate.Check(t, "cpd.kernel.bestSplit/"+c.name, 0, func() { k.bestSplit(series, minSeg) })
 		kernels.Put(k)
 	}
 }

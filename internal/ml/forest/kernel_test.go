@@ -3,11 +3,13 @@ package forest
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"scouts/internal/allocgate"
 	"scouts/internal/ml/mlcore"
 )
 
@@ -73,12 +75,7 @@ func TestBestSplitZeroAllocs(t *testing.T) {
 	tp := &treeParams{maxDepth: 8, minLeaf: 2, mtry: 2, rng: newRNG(5)}
 	for _, hi := range []int{ctx.n, ctx.n / 10} {
 		wSum, wPos := ctx.nodeSums(0, hi)
-		allocs := testing.AllocsPerRun(50, func() {
-			bestSplit(ctx, tp, 0, hi, wSum, wPos)
-		})
-		if allocs != 0 {
-			t.Fatalf("bestSplit over %d of %d rows allocates %.1f times per node, want 0", hi, ctx.n, allocs)
-		}
+		allocgate.Check(t, fmt.Sprintf("forest.bestSplit/rows=%d", hi), 0, func() { bestSplit(ctx, tp, 0, hi, wSum, wPos) })
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scouts/internal/allocgate"
 	"scouts/internal/ml/mlcore"
 )
 
@@ -134,7 +135,5 @@ func TestPredictProbBatchZeroAllocs(t *testing.T) {
 	xs := probeVectors(64, 57)
 	xs[5][1] = math.NaN()
 	out := make([]float64, len(xs))
-	if allocs := testing.AllocsPerRun(20, func() { f.PredictProbBatch(xs, out) }); allocs != 0 {
-		t.Fatalf("%v allocs per batch, want 0", allocs)
-	}
+	allocgate.Check(t, "forest.PredictProbBatch", 0, func() { f.PredictProbBatch(xs, out) })
 }

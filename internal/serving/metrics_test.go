@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"scouts/internal/allocgate"
 	"scouts/internal/core"
 	"scouts/internal/faults"
 	"scouts/internal/telemetry"
@@ -174,9 +175,9 @@ func quoteJSON(s string) string {
 	return b.String()
 }
 
-// TestObserverZeroAlloc guards the PR 3 invariant at the seam the
-// observer added: recording a prediction — the per-item work the batch
-// scorer now does on every element — must not allocate, whatever the
+// TestObserverZeroAlloc guards the allocation-free answer path at the
+// seam the observer added: recording a prediction — the per-item work the
+// batch scorer does on every element — must not allocate, whatever the
 // verdict, as long as no access logger is wired.
 func TestObserverZeroAlloc(t *testing.T) {
 	srv, _, _ := trainAndServe(t)
@@ -187,13 +188,11 @@ func TestObserverZeroAlloc(t *testing.T) {
 		{Verdict: core.VerdictFallback, Model: "none", Text: "degraded"},
 		{Verdict: core.VerdictExcluded, Model: "exclude-rule"},
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Check(t, "serving.ObservePrediction", 0, func() {
 		for i := range preds {
 			srv.ObservePrediction(ctx, preds[i])
 		}
-	}); n != 0 {
-		t.Fatalf("ObservePrediction allocates %.1f objects per run, want 0", n)
-	}
+	})
 }
 
 // TestHTTPMetricsUnderConcurrency hammers the instrumented handler from

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scouts/internal/allocgate"
 )
 
 // TestPrometheusGolden pins the exposition format byte for byte: stable
@@ -114,9 +116,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"Histogram.Observe", func() { h.Observe(0.003) }},
 		{"Histogram.ObserveDuration", func() { h.ObserveDuration(3 * time.Millisecond) }},
 	} {
-		if n := testing.AllocsPerRun(200, row.run); n != 0 {
-			t.Errorf("%s allocates %.1f objects per call, want 0", row.name, n)
-		}
+		allocgate.Check(t, "telemetry."+row.name, 0, row.run)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"unicode"
 	"unsafe"
+
+	"scouts/internal/allocgate"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -177,12 +179,10 @@ func TestFeaturizeTextAllocations(t *testing.T) {
 	wc := NewWordCounter([]string{"tor1.c1.dc1", "packet", "loss", "naïve"})
 	x := make([]float64, 4)
 	s := "Packet LOSS on TOR1.C1.DC1; naïve packet loss, FCS errors. The the THE " + strings.Repeat("y", 80)
-	if allocs := testing.AllocsPerRun(100, func() { x = wc.FeaturizeText(x, s) }); allocs != 0 {
-		t.Fatalf("FeaturizeText allocates %v times per call", allocs)
-	}
-	if !slices.Equal(x, []float64{1, 2, 2, 1}) {
+	if x = wc.FeaturizeText(x, s); !slices.Equal(x, []float64{1, 2, 2, 1}) {
 		t.Fatalf("counts %v", x)
 	}
+	allocgate.Check(t, "text.FeaturizeText", 0, func() { x = wc.FeaturizeText(x, s) })
 }
 
 // tokenize is one document's tokens.

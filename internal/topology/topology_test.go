@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"scouts/internal/allocgate"
 )
 
 func build(t *testing.T) *Topology {
@@ -170,14 +172,18 @@ func TestDescendantsIndexMatchesWalk(t *testing.T) {
 	}
 }
 
+// TestDescendantsOfTypeAllocatesNothing: a lookup hands out the
+// topology's own list, for a cluster, a datacenter or an unknown name.
 func TestDescendantsOfTypeAllocatesNothing(t *testing.T) {
 	topo := Build(Params{})
-	var n int
-	if allocs := testing.AllocsPerRun(100, func() {
+	n := 0
+	lookup := func() {
 		n += len(topo.DescendantsOfType("c1.dc1", TypeServer))
 		n += len(topo.DescendantsOfType("dc2", TypeCluster))
 		n += len(topo.DescendantsOfType("nosuch", TypeVM))
-	}); allocs != 0 || n == 0 {
-		t.Fatalf("DescendantsOfType allocates %v times per run (%d names seen)", allocs, n)
 	}
+	if lookup(); n == 0 {
+		t.Fatal("DescendantsOfType found no names")
+	}
+	allocgate.Check(t, "topology.DescendantsOfType", 0, lookup)
 }
