@@ -100,37 +100,40 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictCodec$$' -fuzztime 10s ./internal/httpx
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s ./cmd/loadgen
 
-# The paper's Table 1 and §7.1 headline, regenerated at one worker and at
-# four and compared with the one committed golden — a table must not depend
-# on how its work was fanned out; only the timing in each banner is
-# stripped. First slice of the paper-tables gate (the full -exp all gate is
-# a ROADMAP item).
-# Then the retraining replays of Figures 8 and 10 on a short world (90 days,
-# 8 incidents a day, ~6 s): the one gate on Replay, which scores every chunk
-# through Scout.PredictCached over the lab's shared FeatureCache. Its golden
-# was generated from the tree before the replay path joined the served
-# pipeline (PR 25), so it pins that join to the old answers.
-# Last, the Scout Master's deployment simulations of Figures 15 and 16 on
-# the default world and on a 60-day one (~2 s for both): the one gate on
-# the routing decision the simulation shares with Master.Route. Its golden
-# was generated from the tree before the simulation lost its own winner
-# loop, so it pins that join to the old answers too.
+# The whole paper: every experiment `repro -exp list` names except
+# latency (the one wall-clock experiment), on the default world, at one
+# worker and at four, against testdata/repro_paper.golden — a table must
+# not depend on how its work was fanned out; only the timing in each
+# banner is stripped. The list is derived, as alloc-check derives its
+# packages, so an experiment added later is gated the day it lands; an
+# empty list, or one that no longer names latency, fails the target, so a
+# renamed experiment cannot drop out unseen.
+# Then two worlds the default one does not cover. The retraining replays
+# of Figures 8 and 10 on a short world (90 days, 8 incidents a day): the
+# replay scores every chunk through Scout.PredictCached over the lab's
+# shared FeatureCache, and its golden was generated from the tree before
+# the replay path joined the served pipeline (PR 25). And the Scout
+# Master's deployment simulations of Figures 15 and 16 on a 60-day world,
+# whose golden was generated from the tree before the simulation lost its
+# own winner loop.
 repro-check:
-	@for w in 1 4; do \
-		echo "repro -exp table1,headline -workers $$w"; \
-		$(GO) run ./cmd/repro -exp table1,headline -workers $$w \
-			| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
-			| diff testdata/repro_table1_headline.golden - || exit 1; \
-	done
-	$(GO) run ./cmd/repro -exp fig8,fig10 -days 90 -rate 8 \
-		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
-		| diff testdata/repro_replay_fig8_fig10.golden -
-	@echo "repro -exp fig15,fig16 (default world, then -days 60 -rate 8)"
-	@{ echo "repro -exp fig15,fig16"; $(GO) run ./cmd/repro -exp fig15,fig16 || exit 1; \
-		echo "repro -exp fig15,fig16 -days 60 -rate 8"; \
-		$(GO) run ./cmd/repro -exp fig15,fig16 -days 60 -rate 8 || exit 1; } \
-		| sed -E 's/ \[[^] ]*\] ====$$/ ====/' \
-		| diff testdata/repro_master_fig15_fig16.golden -
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	$(GO) build -o $$dir/repro ./cmd/repro; \
+	names=$$($$dir/repro -exp list | awk '{print $$1}'); \
+	if ! echo "$$names" | grep -qx latency; then \
+		echo "repro-check: repro -exp list no longer names latency: $$names"; exit 1; \
+	fi; \
+	exps=$$(echo "$$names" | grep -vx latency | paste -sd, -); \
+	if [ -z "$$exps" ]; then echo "repro-check: repro -exp list names no experiment to gate"; exit 1; fi; \
+	strip() { sed -E 's/ \[[^] ]*\] ====$$/ ====/'; }; \
+	for w in 1 4; do \
+		echo "repro -exp $$exps -workers $$w"; \
+		$$dir/repro -exp $$exps -workers $$w | strip | diff testdata/repro_paper.golden -; \
+	done; \
+	echo "repro -exp fig8,fig10 -days 90 -rate 8"; \
+	$$dir/repro -exp fig8,fig10 -days 90 -rate 8 | strip | diff testdata/repro_replay_fig8_fig10.golden -; \
+	echo "repro -exp fig15,fig16 -days 60 -rate 8"; \
+	$$dir/repro -exp fig15,fig16 -days 60 -rate 8 | strip | diff testdata/repro_master_fig15_fig16.golden -
 
 # The repository's benchmark (BENCHMARK.json): every scoutbench workload,
 # end-to-end metrics and the per-layer budget, as a table. For one

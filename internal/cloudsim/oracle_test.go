@@ -104,16 +104,6 @@ func (t *Telemetry) oldEventsWindow(dataset, component string, from, to float64)
 	return out
 }
 
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-func allNames(topo *topology.Topology) []string {
-	var out []string
-	for _, typ := range topology.AllTypes {
-		out = append(out, topo.Names(typ)...)
-	}
-	return out
-}
-
 // TestHoistedHashMatchesStringKeyed: deriving every draw from the per-series
 // key is the same XOR in a different association, so unitAt/normAt must
 // equal the string-keyed forms to the bit — on random inputs and on every
@@ -127,9 +117,12 @@ func TestHoistedHashMatchesStringKeyed(t *testing.T) {
 		}
 		return string(b)
 	}
+	d := newDigest()
 	check := func(seed uint64, dataset, component string, k int) {
 		t.Helper()
 		key := seriesKey(dataset, component)
+		d.float(unitAt(seed, key, k))
+		d.float(normAt(seed, key, k))
 		if got, want := unitAt(seed, key, k), hashUnit(seed, dataset, component, k); !sameBits(got, want) {
 			t.Fatalf("unitAt(%#x, %q, %q, %d) = %v, string-keyed %v", seed, dataset, component, k, got, want)
 		}
@@ -151,6 +144,7 @@ func TestHoistedHashMatchesStringKeyed(t *testing.T) {
 			check(rng.Uint64(), s.desc.Name, name, rng.Intn(100_000))
 		}
 	}
+	d.check(t, "draws", "9e849d7ee43795a0a2cfc204d9cd24b50bb2d8a53f630b903605223aef053b92")
 }
 
 var oracleWindows = []struct{ from, to float64 }{
@@ -177,11 +171,13 @@ func TestAppendSeriesMatchesOldWindow(t *testing.T) {
 	}
 	prefix := []float64{math.NaN(), -1, 7.25}
 	nonEmpty, long := 0, 0
+	d := newDigest()
 	for _, ds := range datasets {
 		for _, comp := range comps {
 			for _, w := range oracleWindows {
 				want := tel.oldSeriesWindow(ds, comp, w.from, w.to)
 				got := tel.SeriesWindow(ds, comp, w.from, w.to)
+				d.series(got)
 				if (got == nil) != (want == nil) || len(got) != len(want) {
 					t.Fatalf("%s/%s [%v,%v): SeriesWindow has %d values (nil=%v), old %d (nil=%v)",
 						ds, comp, w.from, w.to, len(got), got == nil, len(want), want == nil)
@@ -232,6 +228,7 @@ func TestAppendSeriesMatchesOldWindow(t *testing.T) {
 	if nonEmpty < 50 || long < 10 {
 		t.Fatalf("the oracle compared only %d non-empty and %d >64-tick windows", nonEmpty, long)
 	}
+	d.check(t, "series", "b5a2db5757bff8645b470de0777c55d3f5acc80fcdac0c92de207ed9c87d77e6")
 }
 
 // TestEventsMatchOldWindow: the hoisted key in EventsWindow and EventCount
@@ -240,11 +237,13 @@ func TestEventsMatchOldWindow(t *testing.T) {
 	tel := overlapTelemetry()
 	comps := []string{"tor1.c1.dc1", "agg2.c3.dc2", "srv2.c1.dc1", "vm1.c1.dc1", "c1.dc1", "nosuch"}
 	events := 0
+	d := newDigest()
 	for _, s := range specs() {
 		for _, comp := range comps {
 			for _, w := range append(oracleWindows, struct{ from, to float64 }{0, 480}) {
 				want := tel.oldEventsWindow(s.desc.Name, comp, w.from, w.to)
 				got := tel.EventsWindow(s.desc.Name, comp, w.from, w.to)
+				d.events(got)
 				if len(got) != len(want) || (got == nil) != (want == nil) {
 					t.Fatalf("%s/%s [%v,%v): %d events, old %d", s.desc.Name, comp, w.from, w.to, len(got), len(want))
 				}
@@ -263,4 +262,5 @@ func TestEventsMatchOldWindow(t *testing.T) {
 	if events < 100 {
 		t.Fatalf("the oracle compared only %d events", events)
 	}
+	d.check(t, "events", "9de5b1d4390182515cfc287641bad2178f05c94d274cec1240a2884c3f243d7f")
 }

@@ -27,7 +27,9 @@ func batchScouts(t *testing.T, f *fixture) map[string]*Scout {
 // parallel.
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	f := getFixture(t)
-	ins := f.test[:120]
+	// Clipped, so the synthetics appended below cannot overwrite the shared
+	// fixture's held-out incidents 120 and 121 for the tests that follow.
+	ins := f.test[:120:120]
 	// Append gate-exercising synthetics so the batch mixes every path.
 	ins = append(ins,
 		&incident.Incident{ID: "excl", Title: "planned maintenance for rack", Body: "tor1.c1.dc1 will be upgraded", CreatedAt: 1000},

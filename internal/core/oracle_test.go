@@ -10,7 +10,6 @@ import (
 	"scouts/internal/faults"
 	"scouts/internal/incident"
 	"scouts/internal/metrics"
-	"scouts/internal/ml/cpd"
 	"scouts/internal/monitoring"
 	"scouts/internal/topology"
 )
@@ -125,26 +124,7 @@ func appendNormalized(dst, cur []float64, base monitoring.Stats, baseOK bool) []
 }
 
 // cpdEvidence is cpd.Input as it read before it was flat: per dataset, its
-// series and its event counts in pull order.
-type cpdEvidence struct {
-	Broad  bool
-	Series map[string][][]float64
-	Events map[string][]float64
-}
-
-// evidenceOf reads a flat cpd.Input back into per-dataset maps, each
-// series clipped as the Input hands it to the detector.
-func evidenceOf(in cpd.Input) cpdEvidence {
-	ev := cpdEvidence{Broad: in.Broad, Series: map[string][][]float64{}, Events: map[string][]float64{}}
-	for _, pl := range in.Pulls {
-		if pl.Event {
-			ev.Events[pl.Dataset] = append(ev.Events[pl.Dataset], pl.Count)
-		} else {
-			ev.Series[pl.Dataset] = append(ev.Series[pl.Dataset], in.Values[pl.From:pl.To:pl.To])
-		}
-	}
-	return ev
-}
+// series and its event counts in pull order (digest_test.go).
 
 func (fb *FeatureBuilder) oldCPDInput(planned bool, ex Extraction, t float64) cpdEvidence {
 	in := cpdEvidence{
@@ -262,16 +242,23 @@ func TestFeaturizeMatchesOldPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := map[string]string{
+		"simulator":     "a370cce580b1d7d93dad81ae990bc1b0730c79a3c799f24f9dc5292501289347",
+		"window-only":   "a370cce580b1d7d93dad81ae990bc1b0730c79a3c799f24f9dc5292501289347",
+		"breaker":       "a370cce580b1d7d93dad81ae990bc1b0730c79a3c799f24f9dc5292501289347",
+		"breaker+chaos": "42448024019d47fb308fb976f4b1dcbc964cc837951cff8209cec5b1861029cf",
+	}
 	for name, mk := range oracleSources(gen) {
-		compareWithOldPath(t, name, true, cfg, gen, log, mk)
+		compareWithOldPath(t, name, true, cfg, gen, log, mk, want[name])
 		if name == "simulator" || name == "breaker" {
-			compareWithOldPath(t, name+" (unplanned)", false, cfg, gen, log, mk)
+			compareWithOldPath(t, name+" (unplanned)", false, cfg, gen, log, mk, "")
 		}
 	}
 }
 
-func compareWithOldPath(t *testing.T, name string, planned bool, cfg *Config, gen *cloudsim.Generator, log *incident.Log, mk func() monitoring.DataSource) {
+func compareWithOldPath(t *testing.T, name string, planned bool, cfg *Config, gen *cloudsim.Generator, log *incident.Log, mk func() monitoring.DataSource, golden string) {
 	t.Helper()
+	d := newDigest()
 	oldFB := NewFeatureBuilder(cfg, gen.Topology(), mk())
 	newFB := NewFeatureBuilder(cfg, gen.Topology(), mk())
 	x := make([]float64, len(newFB.FeatureNames()))
@@ -293,8 +280,11 @@ func compareWithOldPath(t *testing.T, name string, planned bool, cfg *Config, ge
 			}
 		}
 		vectors++
+		d.floats(got)
 
-		wantIn, gotIn := oldFB.oldCPDInput(planned, ex, in.CreatedAt), evidenceOf(newFB.CPDInput(ex, in.CreatedAt))
+		flat := newFB.CPDInput(ex, in.CreatedAt)
+		d.cpdInput(flat)
+		wantIn, gotIn := oldFB.oldCPDInput(planned, ex, in.CreatedAt), evidenceOf(flat)
 		if gotIn.Broad != wantIn.Broad || len(gotIn.Series) != len(wantIn.Series) || len(gotIn.Events) != len(wantIn.Events) {
 			t.Fatalf("%s: incident %s CPD input shape differs", name, in.ID)
 		}
@@ -319,5 +309,8 @@ func compareWithOldPath(t *testing.T, name string, planned bool, cfg *Config, ge
 	}
 	if vectors < 50 || series < 500 || events < 100 {
 		t.Fatalf("%s: compared only %d vectors, %d CPD series and %d CPD event counts", name, vectors, series, events)
+	}
+	if planned {
+		d.check(t, name, golden)
 	}
 }

@@ -124,15 +124,17 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 		name    string
 		decider DeciderModel
 		kinds   []string
+		golden  string
 	}{
-		{"selector", nil, []string{"same", "gate"}},
-		{"half-cpd", halfCPD{}, []string{"same", "gate", "selector", "signals"}},
+		{"selector", nil, []string{"same", "gate"}, "8315bcb8ad4efabd632e9c897791204fef019bf08457c757b1fb711d2661d178"},
+		{"half-cpd", halfCPD{}, []string{"same", "gate", "selector", "signals"}, "c6de0415df583fdf4e269ccc676349d2eb03636af4825a088557315055696706"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := restoredOver(t, f, f.gen.Telemetry())
 			s.SetDecider(tc.decider)
 			cache, oldCache := NewFeatureCache(), newOldFeatureCache()
 			seen := map[string]int{}
+			d := newDigest()
 			// Given its full component list no held-out incident stops at a
 			// gate; these two do.
 			ins := append([]*incident.Incident{
@@ -144,6 +146,7 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 					old := s.oldPredictCached(in, oldCache)
 					got := s.PredictCached(in, cache)
 					seen[checkJoined(t, in.ID, s.Team(), old, got)]++
+					d.prediction(got)
 					if !got.HasHealth != (got.Model == "exclude-rule" || got.Model == "none") {
 						t.Fatalf("%s: health report %v on a %q answer", in.ID, got.Health, got.Model)
 					}
@@ -153,6 +156,7 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 				t.Fatalf("cache holds %d incidents, the old one %d", cacheLen(cache), oldCache.Len())
 			}
 			requireKinds(t, seen, tc.kinds...)
+			d.check(t, tc.name, tc.golden)
 		})
 	}
 }
@@ -200,12 +204,18 @@ func TestPredictCachedMatchesOldPathConcurrent(t *testing.T) {
 // answered, health report included.
 func TestPredictWithModelMatchesOldPath(t *testing.T) {
 	f := getFixture(t)
+	golden := map[string]string{
+		"rf":   "6462e5dcf10039ffb4d6d2991f09e751838e1a6c97010eec4fb31595bb075c18",
+		"cpd+": "5a83f6ca3468d57d95393799a2365810ffb621f9476007d48b2513ada03c6704",
+	}
 	for _, model := range []string{"rf", "cpd+"} {
 		seen := map[string]int{}
+		d := newDigest()
 		for _, in := range f.test {
 			old := f.scout.oldPredictWithModel(model, in.Title, in.Body, in.InitialComponents, in.CreatedAt)
 			got := f.scout.PredictWithModel(model, in.Title, in.Body, in.InitialComponents, in.CreatedAt)
 			seen[checkJoined(t, model+" "+in.ID, f.scout.Team(), old, got)]++
+			d.prediction(got)
 			if !reflect.DeepEqual(got.Health, old.Health) || got.HasHealth != old.HasHealth {
 				t.Fatalf("%s %s: health %+v, old %+v", model, in.ID, got.Health, old.Health)
 			}
@@ -215,6 +225,7 @@ func TestPredictWithModelMatchesOldPath(t *testing.T) {
 		} else {
 			requireKinds(t, seen, "gate", "forced")
 		}
+		d.check(t, model, golden[model])
 	}
 }
 

@@ -92,13 +92,6 @@ func (s *Scout) stringExplainRF(x []float64, label bool) string {
 	return string(out)
 }
 
-// plain is p with its explanation as Text, however the answer kept it: the
-// oracles' answers carry theirs as a string.
-func plain(p Prediction) Prediction {
-	p.Text, p.rf = p.Explanation(), rfExplanation{}
-	return p
-}
-
 func (s *Scout) oldPredictRF(x []float64, ex Extraction) Prediction {
 	label, conf := s.rf.Predict(x)
 	return Prediction{
@@ -154,8 +147,9 @@ func TestPredictMatchesOldPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := map[string]int{}
-	compare := func(s *Scout, ins []*incident.Incident) {
+	compare := func(s *Scout, ins []*incident.Incident, what, golden string) {
 		t.Helper()
+		d := newDigest()
 		var reqs []BatchRequest
 		var want []Prediction
 		for _, in := range ins {
@@ -165,6 +159,7 @@ func TestPredictMatchesOldPath(t *testing.T) {
 				t.Fatalf("incident %s:\nPredict %+v\nold     %+v", in.ID, plain(got), w)
 			}
 			models[got.Model]++
+			d.prediction(got)
 			reqs = append(reqs, BatchRequest{Title: in.Title, Body: in.Body, Components: in.InitialComponents, Time: in.CreatedAt})
 			want = append(want, w)
 		}
@@ -172,15 +167,18 @@ func TestPredictMatchesOldPath(t *testing.T) {
 			if !reflect.DeepEqual(plain(got), want[i]) {
 				t.Fatalf("PredictBatch item %d differs from the old answer path", i)
 			}
+			d.prediction(got)
 		}
+		d.check(t, what, golden)
 	}
-	compare(f.scout, append(append([]*incident.Incident(nil), f.train...), f.test...))
-	compare(live, log.Incidents)
+	compare(f.scout, append(append([]*incident.Incident(nil), f.train...), f.test...), "fixture", "0e7f4b7eb95ce4880e2c9ebaf0d74435f55022df7c3c69791abdc32a09088435")
+	compare(live, log.Incidents, "seed-3 world", "48484c1baecea0c8385449e81fdc15293dfead1259fa08e15c0a716a09c78072")
 	if models["rf"] < 1000 || models["cpd+"] < 3 || models["none"] == 0 {
 		t.Fatalf("predictions by model: %v", models)
 	}
 	s := f.scout
 	signals := 0
+	d := newDigest()
 	for _, in := range f.test {
 		ex := s.fb.Extract(in.Title, in.Body, in.Components)
 		if ex.Empty {
@@ -195,11 +193,13 @@ func TestPredictMatchesOldPath(t *testing.T) {
 				t.Fatalf("incident %s: explanation\n%q\nold\n%q", in.ID, got, w)
 			}
 			signals += strings.Count(got, " (")
+			d.text(got)
 		}
 	}
 	if signals < 1000 {
 		t.Fatalf("only %d signals rendered", signals)
 	}
+	d.check(t, "explanations", "6c9e0ef30e7ef3b3ce16852430862b987de181b6d6cdcf834ebe46f7616f3f58")
 }
 
 // TestExplanationMatchesStringOracle: every held-out RF answer's
