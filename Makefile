@@ -60,13 +60,13 @@ alloc-check:
 # split kernel (small training sets grown
 # against the seed kernel and at two worker counts), of the extractors'
 # match finder (against FindAllString, for any pattern regexp compiles, and
-# Extract with that pattern against the join-based oracle), of
+# Extract with that pattern against the old path, oldExtract), of
 # the tokenizer (the substring cut against the rune-by-rune builder it
 # replaced, over invalid UTF-8 and case mappings that change byte length),
 # of an incident's text read in two parts (title, then body, tokenized and
 # counted as their join with a line break is),
 # of the configuration parser (never panics; what it accepts builds a
-# FeatureBuilder that extracts as the old and join-based paths do), of the gateway's
+# FeatureBuilder that extracts as the old path does), of the gateway's
 # Retry-After reader
 # (a hint in [0, max], saturating, against math/big), of the scoutpack
 # (SCPK) and store-file (SDP1) decoders (never panic, checksums re-sealed so

@@ -3,7 +3,6 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -129,7 +128,7 @@ func TestStorageConfigsParse(t *testing.T) {
 // daemon takes -config, a boundary). ParseConfig never panics, and whatever
 // it accepts builds a FeatureBuilder whose extractors run: its patterns go
 // through the finder's analysis and two derived compilations, and extract
-// what the old path and the join-based one (joinExtract) do — the committed
+// what the old path (oldExtract) does, clipped — the committed
 // line_break_extractors input anchors its patterns on the line break
 // between title and body.
 func FuzzParseConfig(f *testing.F) {
@@ -151,11 +150,8 @@ func FuzzParseConfig(f *testing.F) {
 			}
 		}
 		title, body := "vm1.c1.dc1 unreachable é\xff", "tor1.c1.dc1 in c1.dc1, dc1; planned maintenance"
-		if got, want := fb.Extract(title, body, []string{"srv1.c1.dc1"}), fb.oldExtract(title, body, []string{"srv1.c1.dc1"}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Extract %+v, old path %+v", got, want)
-		}
+		checkExtract(t, fb, title, body, []string{"srv1.c1.dc1"})
 		// Names on each side of the line break, each on a line of its own.
-		checkJoinExtract(t, fb, title, body, []string{"srv1.c1.dc1"})
-		checkJoinExtract(t, fb, "planned work on tor1.c1.dc1", "dc1\nc1.dc1\n vm1.c1.dc1 ", nil)
+		checkExtract(t, fb, "planned work on tor1.c1.dc1", "dc1\nc1.dc1\n vm1.c1.dc1 ", nil)
 	})
 }

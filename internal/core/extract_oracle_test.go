@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,8 +16,9 @@ import (
 // joined per call, candidates were deduplicated through a map made per call
 // and topology.Ancestors built a slice per component. Kept verbatim as the
 // reference the prefiltered, pooled Extract is compared against — save that
-// its per-type map, once filled, is laid out as an Extraction holds its runs
-// — and so is the growing All.
+// its per-type map, once filled, is laid out as an Extraction holds its runs.
+// It is the differential reference of FuzzParseConfig and FuzzFindAll, which
+// run Extract on inputs no golden can enumerate.
 
 func (fb *FeatureBuilder) oldExtract(title, body string, mentioned []string) Extraction {
 	var ex Extraction
@@ -107,102 +107,17 @@ func (fb *FeatureBuilder) oldExtract(title, body string, mentioned []string) Ext
 	return ex
 }
 
-// joinExtract is Extract as it read while the extractors ran over the text
-// joined per call, title + "\n" + body, and each Extraction made an array of
-// its own. Kept as the reference for the path that copies the text into the
-// pooled scratch's buffer and carves the array from the scratch's block —
-// save that it collects in a scratch of its own and hands the finder the
-// joined text's bytes (checkFinder holds the finder to FindAllString).
-func (fb *FeatureBuilder) joinExtract(title, body string, mentioned []string) Extraction {
-	text := title + "\n" + body
-	var ex Extraction
-	for _, rule := range fb.cfg.Excludes {
-		switch rule.Field {
-		case "TITLE":
-			if rule.Re.MatchString(title) {
-				ex.Excluded = true
-			}
-		case "BODY":
-			if rule.Re.MatchString(body) {
-				ex.Excluded = true
-			}
-		}
-	}
-
-	sc := new(extractScratch)
-	for _, f := range fb.finders {
-		if f == nil {
-			continue
-		}
-		for _, m := range f.findAll(nil, []byte(text)) {
-			fb.consider(sc, string(m))
-		}
-	}
-	for _, m := range mentioned {
-		fb.consider(sc, m)
-	}
-	for _, vm := range sc.byType[typeSlot(topology.TypeVM)] {
-		if srv := fb.topo.ServerOfVM(vm); srv != "" {
-			fb.consider(sc, srv)
-		}
-	}
-	for _, srv := range sc.byType[typeSlot(topology.TypeServer)] {
-		if tor := fb.topo.ToROfServer(srv); tor != "" {
-			fb.consider(sc, tor)
-		}
-	}
-	for k := range sc.byType {
-		for _, c := range sc.byType[k] {
-			comp, ok := fb.topo.Lookup(c)
-			for ok && comp.Parent != "" {
-				if comp, ok = fb.topo.Lookup(comp.Parent); ok {
-					fb.accept(sc, comp)
-				}
-			}
-		}
-	}
-
-	total := 0
-	for k := range sc.byType {
-		slices.Sort(sc.byType[k])
-		sc.byType[k] = slices.Compact(sc.byType[k])
-		total += len(sc.byType[k])
-	}
-	if total > 0 {
-		ex.names = make([]string, 0, total)
-	}
-	for k, list := range sc.byType {
-		ex.names = append(ex.names, list...)
-		ex.ends[k] = len(ex.names)
-	}
-	if devices := ex.ends[deviceTypes-1]; devices > 0 {
-		ex.Devices = ex.names[:devices:devices]
-	}
-	hasScope := len(ex.names) > len(ex.Devices)
-	ex.Broad = len(ex.Devices) == 0 && hasScope
-	ex.Empty = len(ex.Devices) == 0 && !hasScope
-	return ex
-}
-
-// checkJoinExtract compares Extract with joinExtract for one title and body
-// — the whole Extraction — and requires the result clipped where it must be.
-func checkJoinExtract(t testing.TB, fb *FeatureBuilder, title, body string, mentioned []string) {
+// checkExtract compares Extract with oldExtract for one title and body —
+// the whole Extraction — and requires the result clipped where it must be.
+func checkExtract(t testing.TB, fb *FeatureBuilder, title, body string, mentioned []string) {
 	t.Helper()
-	got, want := fb.Extract(title, body, mentioned), fb.joinExtract(title, body, mentioned)
+	got, want := fb.Extract(title, body, mentioned), fb.oldExtract(title, body, mentioned)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("over %q + %q:\nExtract     %+v\njoinExtract %+v", title, body, got, want)
+		t.Fatalf("over %q + %q:\nExtract %+v\nold     %+v", title, body, got, want)
 	}
 	if cap(got.names) != len(got.names) || cap(got.Devices) != len(got.Devices) {
 		t.Fatalf("over %q + %q: the component array is not clipped", title, body)
 	}
-}
-
-func oldAll(e Extraction) []string {
-	var out []string
-	for _, typ := range typeOrder {
-		out = append(out, e.OfType(typ)...)
-	}
-	return out
 }
 
 // extractConfigs are the configurations the comparison runs under: the
@@ -281,8 +196,12 @@ func TestExtractMatchesOldPath(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: %s:\nExtract %+v\nold     %+v", name, what, got, want)
 			}
-			if all, oldAll := got.All(), oldAll(want); !reflect.DeepEqual(all, oldAll) {
-				t.Fatalf("%s: %s: All() = %v, old %v", name, what, all, oldAll)
+			var lists []string
+			for _, typ := range typeOrder {
+				lists = append(lists, got.OfType(typ)...)
+			}
+			if all := got.All(); !reflect.DeepEqual(all, lists) {
+				t.Fatalf("%s: %s: All() = %v, the lists in type order %v", name, what, all, lists)
 			}
 			for _, typ := range typeOrder {
 				if list := got.OfType(typ); cap(list) != len(list) {
@@ -341,7 +260,7 @@ func TestExtractionOwnsItsNames(t *testing.T) {
 
 // TestExtractConcurrentBlocks: goroutines extracting at once, each through
 // the pooled scratch of the moment and across many name blocks, keep
-// extractions that still equal joinExtract's once all are done — no region
+// extractions that still equal the old path's once all are done — no region
 // of a block is handed out twice — and, under -race, no two goroutines
 // write one region.
 func TestExtractConcurrentBlocks(t *testing.T) {
@@ -367,10 +286,10 @@ func TestExtractConcurrentBlocks(t *testing.T) {
 	wg.Wait()
 	names := 0
 	for i, in := range log.Incidents {
-		want := fb.joinExtract(in.Title, in.Body, in.Components)
+		want := fb.oldExtract(in.Title, in.Body, in.Components)
 		for g := range got {
 			if !reflect.DeepEqual(got[g][i], want) {
-				t.Fatalf("goroutine %d, incident %s:\nExtract     %+v\njoinExtract %+v", g, in.ID, got[g][i], want)
+				t.Fatalf("goroutine %d, incident %s:\nExtract %+v\nold     %+v", g, in.ID, got[g][i], want)
 			}
 		}
 		names += goroutines * len(want.names)

@@ -124,9 +124,9 @@ func TestFinderTakesTheExtractors(t *testing.T) {
 
 // FuzzFindAll: for any pattern regexp compiles and any text, the finder
 // returns what FindAllString returns; and Extract, with the pattern as the
-// switch extractor beside PhyNet's others, returns what joinExtract does
-// with the text cut into title and body at its middle, and with either part
-// empty.
+// switch extractor beside PhyNet's others, returns what the old path
+// (oldExtract) does with the text cut into title and body at its middle,
+// and with either part empty, clipped.
 func FuzzFindAll(f *testing.F) {
 	for _, p := range finderPatterns(f) {
 		for _, text := range finderTexts {
@@ -158,8 +158,8 @@ func FuzzFindAll(f *testing.F) {
 		cfg.finders[typeSlot(topology.TypeSwitch)] = newFinder(re)
 		fb := NewFeatureBuilder(&cfg, topo, source)
 		mid := len(text) / 2
-		checkJoinExtract(t, fb, text[:mid], text[mid:], nil)
-		checkJoinExtract(t, fb, text, "", nil)
-		checkJoinExtract(t, fb, "", text, nil)
+		checkExtract(t, fb, text[:mid], text[mid:], nil)
+		checkExtract(t, fb, text, "", nil)
+		checkExtract(t, fb, "", text, nil)
 	})
 }

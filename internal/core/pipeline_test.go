@@ -3,7 +3,6 @@ package core
 import (
 	"hash/fnv"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,11 +11,11 @@ import (
 	"scouts/internal/ml/cpd"
 )
 
-// The join of the three answer paths (PR 25), against the paths as they
-// read (pipeline_oracle_test.go): PredictCached and PredictWithModel are
-// callers of Scout.predict now and must answer what the hand-copied versions
-// answered — verdict, label, confidence, model and components bit for bit —
-// with exactly the explanation differences listed in joinedExplanation.
+// The join of the three answer paths (PR 25): PredictCached and
+// PredictWithModel are callers of Scout.predict and answer what the
+// hand-copied versions answered — verdict, label, confidence, model and
+// components bit for bit — in the served wording. Each digest below was
+// pinned beside the hand-copied path before it was deleted.
 
 // halfCPD is a decider that sends about half of the incidents to CPD+, by a
 // hash of the text, with a P(RF wrong) that varies: the fixture's own
@@ -34,90 +33,28 @@ type alwaysCPD struct{}
 
 func (alwaysCPD) UseCPD(_, _ string) (bool, float64) { return true, 0.75 }
 
-// The served wording, as gatePrediction and predictCPDPath write it.
-const (
-	excludedWording = "an operator EXCLUDE rule marks this incident out of scope for "
-	emptyWording    = "no components could be extracted from the incident; deferring to the legacy routing process"
-	selectorPrefix  = "model selector flagged this as a new/rare incident (P(RF wrong)="
-	oldCachedPrefix = "model selector flagged this as new/rare (P(RF wrong)="
-	oldVectorWhy    = "cluster-level change-point model (cached vector)"
-	broadWhy        = "cluster-level change-point model"
-)
-
-// joinedExplanation says whether got is what the old explanation may become
-// under the join, and which of the permitted differences it was:
-//
-//	"same"       nothing changed (every random-forest answer);
-//	"gate"       an excluded or component-less incident, which the copied
-//	             gates answered without a word, gains the served wording;
-//	"selector"   the memoised CPD+ path's own spelling of the selector
-//	             prefix ("as new/rare") becomes the served one;
-//	"signals"    the same, on a memoised broad answer, which also trades
-//	             "(cached vector)" for its top signals (or for nothing, when
-//	             no feature contributed);
-//	"forced"     a forced CPD+ answer, which carried CPD+'s reason bare,
-//	             gains the selector prefix at P(RF wrong)=1.00.
-func joinedExplanation(team string, old, got Prediction) (kind string, ok bool) {
-	switch {
-	case got.Explanation() == old.Explanation():
-		return "same", true
-	case old.Explanation() == "" && old.Verdict == VerdictExcluded:
-		return "gate", got.Explanation() == excludedWording+team
-	case old.Explanation() == "" && old.Verdict == VerdictFallback:
-		return "gate", got.Explanation() == emptyWording
-	case old.Model != "cpd+":
-		return "", false
-	case strings.HasPrefix(old.Explanation(), oldCachedPrefix):
-		want := selectorPrefix + strings.TrimPrefix(old.Explanation(), oldCachedPrefix)
-		if got.Explanation() == want {
-			return "selector", true
-		}
-		head, cached := strings.CutSuffix(want, oldVectorWhy)
-		rest, ok := strings.CutPrefix(got.Explanation(), head+broadWhy)
-		return "signals", cached && ok && (rest == "" || strings.HasPrefix(rest, "; top signals: "))
-	default:
-		return "forced", got.Explanation() == selectorPrefix+"1.00); CPD+: "+old.Explanation()
+// answerKind is an answer's model, and "cpd+ broad" for CPD+'s
+// cluster-level model: what the coverage floors count.
+func answerKind(p Prediction) string {
+	if p.Model == "cpd+" && strings.Contains(p.Explanation(), "CPD+: cluster-level change-point model") {
+		return "cpd+ broad"
 	}
-}
-
-// sameAnswer compares what must not move, bit for bit.
-func sameAnswer(old, got Prediction) bool {
-	return got.Verdict == old.Verdict && got.Responsible == old.Responsible && got.Confidence == old.Confidence &&
-		got.Model == old.Model && reflect.DeepEqual(got.Components, old.Components)
-}
-
-// checkJoined fails unless got is old's answer field for field and its
-// explanation a permitted rewording; it returns the rewording's kind.
-func checkJoined(t *testing.T, what string, team string, old, got Prediction) string {
-	t.Helper()
-	if !sameAnswer(old, got) {
-		t.Fatalf("%s:\n new %+v\n old %+v", what, got, old)
-	}
-	kind, ok := joinedExplanation(team, old, got)
-	if !ok {
-		t.Fatalf("%s: explanation\n new %q\n old %q", what, got.Explanation(), old.Explanation())
-	}
-	return kind
+	return p.Model
 }
 
 func requireKinds(t *testing.T, seen map[string]int, kinds ...string) {
 	t.Helper()
-	t.Logf("explanations: %v", seen)
 	for _, k := range kinds {
 		if seen[k] == 0 {
-			t.Errorf("no answer exercised the %q rewording", k)
-		}
-	}
-	for k := range seen {
-		if !slices.Contains(kinds, k) {
-			t.Errorf("unexpected rewording %q on this path (%d answers)", k, seen[k])
+			t.Errorf("no %q answer among %v", k, seen)
 		}
 	}
 }
 
-// TestPredictCachedMatchesOldPath: over the held-out incidents, cold cache
-// and warm, under the fixture's selector and under one that uses both
-// models, the memoised path answers what it answered as a copy.
+// TestPredictCachedMatchesOldPath: over the held-out incidents and two that
+// stop at a gate, cold cache and then warm, under the fixture's selector
+// and under one that uses both models, the memoised path answers what it
+// answered as a copy; the warm pass answers what the cold one did.
 func TestPredictCachedMatchesOldPath(t *testing.T) {
 	f := getFixture(t)
 	for _, tc := range []struct {
@@ -126,13 +63,13 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 		kinds   []string
 		golden  string
 	}{
-		{"selector", nil, []string{"same", "gate"}, "8315bcb8ad4efabd632e9c897791204fef019bf08457c757b1fb711d2661d178"},
-		{"half-cpd", halfCPD{}, []string{"same", "gate", "selector", "signals"}, "c6de0415df583fdf4e269ccc676349d2eb03636af4825a088557315055696706"},
+		{"selector", nil, []string{"rf", "exclude-rule", "none"}, "8315bcb8ad4efabd632e9c897791204fef019bf08457c757b1fb711d2661d178"},
+		{"half-cpd", halfCPD{}, []string{"rf", "cpd+", "cpd+ broad", "exclude-rule", "none"}, "c6de0415df583fdf4e269ccc676349d2eb03636af4825a088557315055696706"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := restoredOver(t, f, f.gen.Telemetry())
 			s.SetDecider(tc.decider)
-			cache, oldCache := NewFeatureCache(), newOldFeatureCache()
+			cache := NewFeatureCache()
 			seen := map[string]int{}
 			d := newDigest()
 			// Given its full component list no held-out incident stops at a
@@ -141,19 +78,24 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 				{ID: "excluded", Title: "planned maintenance on " + f.test[0].Title, Body: f.test[0].Body, Components: f.test[0].Components, CreatedAt: f.test[0].CreatedAt},
 				{ID: "no-components", Title: "customers report slow storage", Body: "no device named", CreatedAt: f.test[0].CreatedAt},
 			}, f.test...)
+			cold := make([]Prediction, len(ins))
 			for pass := 0; pass < 2; pass++ { // cold, then every vector memoised
-				for _, in := range ins {
-					old := s.oldPredictCached(in, oldCache)
+				for i, in := range ins {
 					got := s.PredictCached(in, cache)
-					seen[checkJoined(t, in.ID, s.Team(), old, got)]++
 					d.prediction(got)
+					seen[answerKind(got)]++
 					if !got.HasHealth != (got.Model == "exclude-rule" || got.Model == "none") {
 						t.Fatalf("%s: health report %v on a %q answer", in.ID, got.Health, got.Model)
 					}
+					if pass == 0 {
+						cold[i] = plain(got)
+					} else if !reflect.DeepEqual(plain(got), cold[i]) {
+						t.Fatalf("%s:\n warm %+v\n cold %+v", in.ID, plain(got), cold[i])
+					}
 				}
 			}
-			if cacheLen(cache) != oldCache.Len() {
-				t.Fatalf("cache holds %d incidents, the old one %d", cacheLen(cache), oldCache.Len())
+			if cacheLen(cache) != len(ins) {
+				t.Fatalf("cache holds %d incidents, want %d", cacheLen(cache), len(ins))
 			}
 			requireKinds(t, seen, tc.kinds...)
 			d.check(t, tc.name, tc.golden)
@@ -163,16 +105,17 @@ func TestPredictCachedMatchesOldPath(t *testing.T) {
 
 // TestPredictCachedMatchesOldPathConcurrent is the replay's shape: eight
 // goroutines score the same incidents over one shared, initially cold cache
-// (run under -race), and every answer is the sequential oracle's.
+// (run under -race), and every answer is what one sequential pass over a
+// cache of its own answers.
 func TestPredictCachedMatchesOldPathConcurrent(t *testing.T) {
 	f := getFixture(t)
 	s := restoredOver(t, f, f.gen.Telemetry())
 	s.SetDecider(halfCPD{})
 	ins := f.test[:200]
-	oldCache := newOldFeatureCache()
+	own := NewFeatureCache()
 	want := make([]Prediction, len(ins))
 	for i, in := range ins {
-		want[i] = s.oldPredictCached(in, oldCache)
+		want[i] = plain(s.PredictCached(in, own))
 	}
 	cache := NewFeatureCache()
 	var wg sync.WaitGroup
@@ -182,13 +125,8 @@ func TestPredictCachedMatchesOldPathConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range ins {
 				i := (k + g*len(ins)/8) % len(ins) // staggered, so fills collide
-				got := s.PredictCached(ins[i], cache)
-				if !sameAnswer(want[i], got) {
-					t.Errorf("%s:\n new %+v\n old %+v", ins[i].ID, got, want[i])
-					return
-				}
-				if _, ok := joinedExplanation(s.Team(), want[i], got); !ok {
-					t.Errorf("%s: explanation\n new %q\n old %q", ins[i].ID, got.Explanation(), want[i].Explanation())
+				if got := plain(s.PredictCached(ins[i], cache)); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s:\n concurrent %+v\n sequential %+v", ins[i].ID, got, want[i])
 					return
 				}
 			}
@@ -204,28 +142,23 @@ func TestPredictCachedMatchesOldPathConcurrent(t *testing.T) {
 // answered, health report included.
 func TestPredictWithModelMatchesOldPath(t *testing.T) {
 	f := getFixture(t)
-	golden := map[string]string{
-		"rf":   "6462e5dcf10039ffb4d6d2991f09e751838e1a6c97010eec4fb31595bb075c18",
-		"cpd+": "5a83f6ca3468d57d95393799a2365810ffb621f9476007d48b2513ada03c6704",
-	}
-	for _, model := range []string{"rf", "cpd+"} {
+	for _, tc := range []struct{ model, golden string }{
+		{"rf", "6462e5dcf10039ffb4d6d2991f09e751838e1a6c97010eec4fb31595bb075c18"},
+		{"cpd+", "5a83f6ca3468d57d95393799a2365810ffb621f9476007d48b2513ada03c6704"},
+	} {
 		seen := map[string]int{}
 		d := newDigest()
 		for _, in := range f.test {
-			old := f.scout.oldPredictWithModel(model, in.Title, in.Body, in.InitialComponents, in.CreatedAt)
-			got := f.scout.PredictWithModel(model, in.Title, in.Body, in.InitialComponents, in.CreatedAt)
-			seen[checkJoined(t, model+" "+in.ID, f.scout.Team(), old, got)]++
+			got := f.scout.PredictWithModel(tc.model, in.Title, in.Body, in.InitialComponents, in.CreatedAt)
 			d.prediction(got)
-			if !reflect.DeepEqual(got.Health, old.Health) || got.HasHealth != old.HasHealth {
-				t.Fatalf("%s %s: health %+v, old %+v", model, in.ID, got.Health, old.Health)
-			}
+			seen[answerKind(got)]++
 		}
-		if model == "rf" {
-			requireKinds(t, seen, "same", "gate")
+		if tc.model == "rf" {
+			requireKinds(t, seen, "rf", "none")
 		} else {
-			requireKinds(t, seen, "gate", "forced")
+			requireKinds(t, seen, "cpd+", "cpd+ broad", "none")
 		}
-		d.check(t, model, golden[model])
+		d.check(t, tc.model, tc.golden)
 	}
 }
 
@@ -283,7 +216,8 @@ func TestPredictCachedIsTheServedPipeline(t *testing.T) {
 // forest; the served path answers a broad incident by the narrow rule, and
 // the memoised copy answered (false, 0.75) from cpd.Plus.PredictVector's own
 // nil-forest branch. Joined, both paths give the rule's answer — also when
-// the memo already holds a CPD+ vector some other Scout attached.
+// the memo already holds a CPD+ vector some other Scout attached — and on
+// some broad incident the rule's answer is not (false, 0.75).
 func TestNoBroadForestLiveEqualsMemoised(t *testing.T) {
 	f := getFixture(t)
 	full := restoredOver(t, f, f.gen.Telemetry())
@@ -305,11 +239,10 @@ func TestNoBroadForestLiveEqualsMemoised(t *testing.T) {
 	if len(broad) < 20 {
 		t.Fatalf("only %d broad incidents in the fixture", len(broad))
 	}
-	cache, oldCache := NewFeatureCache(), newOldFeatureCache()
+	cache := NewFeatureCache()
 	for _, in := range broad[:len(broad)/2] {
 		// Half of the memos carry a vector before s ever sees them.
 		full.PredictCached(in, cache)
-		full.oldPredictCached(in, oldCache)
 	}
 	drifted := 0
 	for _, in := range broad {
@@ -322,14 +255,11 @@ func TestNoBroadForestLiveEqualsMemoised(t *testing.T) {
 				t.Fatalf("%s:\n memoised %+v\n served   %+v", in.ID, got, live)
 			}
 		}
-		if old := s.oldPredictCached(in, oldCache); old.Responsible != live.Responsible || old.Confidence != live.Confidence {
-			if old.Responsible || old.Confidence != 0.75 {
-				t.Fatalf("%s: the old copy answered %+v", in.ID, old)
-			}
+		if live.Responsible || live.Confidence != 0.75 {
 			drifted++
 		}
 	}
-	t.Logf("%d broad incidents; the old memoised path disagreed with the served one on %d", len(broad), drifted)
+	t.Logf("%d broad incidents; the old memoised path's (false, 0.75) was wrong on %d", len(broad), drifted)
 	if drifted == 0 {
 		t.Fatal("no broad incident shows the drift this test exists for")
 	}
